@@ -249,11 +249,21 @@ type block struct {
 func (b *block) dirty() bool { return b.dirtyLen > 0 }
 
 // FlushItem is a snapshot of one dirty span handed to the flusher.
+//
+// One take snapshots into one buffer, cut into block-sized slots in the
+// order the items are returned; slot k holds item k's span at its offset
+// within the block, so Data is a sub-slice of that shared buffer. Slot is
+// the item's 1-based slot number (0: Data stands alone). Two items with
+// consecutive Slots whose spans tile the block boundary — the first
+// dirty to its block's end, the second from its block's start — are
+// therefore contiguous in memory: Data of the first, re-sliced to the
+// combined length, is the bytes of both.
 type FlushItem struct {
 	Key   blockio.BlockKey
 	Owner int
 	Off   int
 	Data  []byte
+	Slot  int
 	gen   uint64
 }
 
@@ -599,6 +609,13 @@ type dirtyCand struct {
 	tenant uint32
 }
 
+// takeReq asks a shard to snapshot one candidate into slot pos of the
+// take's buffer and result slice.
+type takeReq struct {
+	key blockio.BlockKey
+	pos int
+}
+
 // TakeDirty snapshots up to max dirty blocks (oldest first) for flushing.
 // The blocks stay resident and readable; a subsequent FlushDone marks each
 // clean unless it was re-dirtied while the flush was in flight. Blocks
@@ -635,17 +652,20 @@ const anyOwner = -1
 // independently of the others. Selection keeps the manager-wide
 // oldest-first priority, but the returned batch is ordered by (file,
 // block index) rather than by age ("run-aware ordering"): adjacent dirty
-// blocks of a file arrive adjacent, so the flusher can coalesce them
-// into contiguous wire runs without re-sorting. The TakeDirty ownership
-// contract applies unchanged: every item must reach FlushDone or
-// FlushFailed exactly once.
+// blocks of a file arrive adjacent — in the batch and, snapshotted in that
+// order, in memory (see FlushItem) — so the flusher coalesces them into
+// contiguous wire runs without re-sorting or copying. The TakeDirty
+// ownership contract applies unchanged: every item must reach FlushDone
+// or FlushFailed exactly once.
 func (m *Manager) TakeDirtyOwned(owner, max int) []FlushItem {
 	return m.takeDirtyMerged(owner, max, true)
 }
 
 // takeDirtyMerged is the two-pass collect/merge/snapshot body shared by
-// TakeDirty (sharded) and TakeDirtyOwned. runOrder re-sorts the final
-// batch by (file, index) for the per-iod flush streams.
+// TakeDirty (sharded) and TakeDirtyOwned. runOrder sorts the selected
+// candidates by (file, index) before they are snapshotted, so the take's
+// buffer holds each run of adjacent blocks as one contiguous stretch (see
+// FlushItem) and the per-iod flush streams frame it without copying.
 func (m *Manager) takeDirtyMerged(owner, max int, runOrder bool) []FlushItem {
 	collect := max
 	if max > 0 && m.hasWeights.Load() {
@@ -667,29 +687,35 @@ func (m *Manager) takeDirtyMerged(owner, max int, runOrder bool) []FlushItem {
 			cands = cands[:max]
 		}
 	}
-	perShard := make([][]blockio.BlockKey, len(m.shards))
-	for _, c := range cands {
-		perShard[c.shard] = append(perShard[c.shard], c.key)
+	if runOrder {
+		sort.Slice(cands, func(i, j int) bool {
+			if cands[i].key.File != cands[j].key.File {
+				return cands[i].key.File < cands[j].key.File
+			}
+			return cands[i].key.Index < cands[j].key.Index
+		})
 	}
-	taken := make(map[blockio.BlockKey]FlushItem, len(cands))
-	for i, keys := range perShard {
-		if len(keys) > 0 {
-			m.shards[i].takeKeys(keys, owner, taken)
+	perShard := make([][]takeReq, len(m.shards))
+	for i, c := range cands {
+		perShard[c.shard] = append(perShard[c.shard], takeReq{key: c.key, pos: i})
+	}
+	// Not pooled: a frame cut from this buffer may still be encoded by a
+	// timed-out rpc call after the flusher has moved on.
+	burst := make([]byte, len(cands)*m.cfg.BlockSize)
+	taken := make([]FlushItem, len(cands))
+	for i, reqs := range perShard {
+		if len(reqs) > 0 {
+			m.shards[i].takeKeys(reqs, owner, burst, taken)
 		}
 	}
-	items := make([]FlushItem, 0, len(taken))
-	for _, c := range cands {
-		if it, ok := taken[c.key]; ok {
+	// A candidate claimed or cleaned between the passes left its slot
+	// empty; its neighbours' Slots stay non-consecutive, so no run is
+	// framed across the hole.
+	items := taken[:0]
+	for _, it := range taken {
+		if it.Slot != 0 {
 			items = append(items, it)
 		}
-	}
-	if runOrder {
-		sort.Slice(items, func(i, j int) bool {
-			if items[i].Key.File != items[j].Key.File {
-				return items[i].Key.File < items[j].Key.File
-			}
-			return items[i].Key.Index < items[j].Key.Index
-		})
 	}
 	return items
 }

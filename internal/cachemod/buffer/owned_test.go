@@ -118,3 +118,43 @@ func TestFlushFailedKeepsAgePriority(t *testing.T) {
 	}
 	m.FlushFailed(retry)
 }
+
+// TestTakeDirtyOwnedSnapshotsRunsContiguously pins the layout FlushItem
+// documents: items come back with consecutive Slots, each span sits at
+// its block offset inside its slot, and blocks whose spans tile a block
+// boundary are one stretch of memory — the first item's Data re-sliced to
+// the run's length is the run's bytes, whichever shards held the blocks.
+func TestTakeDirtyOwnedSnapshotsRunsContiguously(t *testing.T) {
+	const bs = 64
+	for _, shards := range []int{1, 4} {
+		m := New(Config{BlockSize: bs, Capacity: 32, Shards: shards})
+		m.WriteSpan(key(1, 2), 0, 0, fill(3, 10), true)   // head-partial: ends the run
+		m.WriteSpan(key(1, 0), 0, 8, fill(1, bs-8), true) // tail-partial: starts it
+		m.WriteSpan(key(1, 1), 0, 0, fill(2, bs), true)   // whole block
+		m.WriteSpan(key(1, 3), 0, 0, fill(4, bs), true)   // after a short span: no tiling
+		items := m.TakeDirtyOwned(0, 0)
+		if len(items) != 4 {
+			t.Fatalf("shards=%d: items = %d, want 4", shards, len(items))
+		}
+		for i, it := range items {
+			if it.Slot != i+1 || it.Key != key(1, i) {
+				t.Fatalf("shards=%d: item %d = slot %d key %v", shards, i, it.Slot, it.Key)
+			}
+		}
+		n := bs - 8 + bs + 10
+		run := items[0].Data[:n]
+		want := append(append(fill(1, bs-8), fill(2, bs)...), fill(3, 10)...)
+		if string(run) != string(want) {
+			t.Fatalf("shards=%d: run bytes are not blocks 0-2 in order", shards)
+		}
+		if string(items[3].Data) != string(fill(4, bs)) || items[3].Off != 0 {
+			t.Fatalf("shards=%d: block 3 snapshot wrong", shards)
+		}
+		// The snapshot is a copy: a later write does not show through.
+		m.WriteSpan(key(1, 1), 0, 0, fill(9, bs), true)
+		if items[1].Data[0] != 2 {
+			t.Fatalf("shards=%d: snapshot aliases the cache frame", shards)
+		}
+		m.FlushDone(items)
+	}
+}

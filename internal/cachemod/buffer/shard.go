@@ -243,16 +243,17 @@ func (s *shard) insertCleanLocked(key blockio.BlockKey, owner int, data []byte, 
 func (s *shard) takeDirty(max int) []FlushItem {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if max <= 0 {
+	if max <= 0 || max > s.dirtyFIFO.Len() {
 		max = s.dirtyFIFO.Len()
 	}
-	items := make([]FlushItem, 0, min(max, s.dirtyFIFO.Len()))
+	burst := make([]byte, max*s.cfg.BlockSize)
+	items := make([]FlushItem, 0, max)
 	for el := s.dirtyFIFO.Front(); el != nil && len(items) < max; el = el.Next() {
 		b := el.Value.(*block)
 		if b.flushing {
 			continue
 		}
-		items = append(items, s.snapshotForFlush(b))
+		items = append(items, s.snapshotForFlush(b, burst, len(items)))
 	}
 	return items
 }
@@ -291,33 +292,37 @@ func (s *shard) oldestDirty() (owner int, seq uint64, ok bool) {
 	return 0, 0, false
 }
 
-// takeKeys snapshots the listed blocks for flushing, skipping any that
+// takeKeys snapshots the requested blocks for flushing, skipping any that
 // were cleaned, invalidated, re-owned (invalidated and re-written from a
 // different iod — an owner-filtered take must not route a block to the
 // wrong flush port), or claimed by a concurrent round since they were
-// collected. Snapshots land in sink keyed by block.
-func (s *shard) takeKeys(keys []blockio.BlockKey, owner int, sink map[blockio.BlockKey]FlushItem) {
+// collected. Request r's snapshot lands in slot r.pos of burst and in
+// out[r.pos]; a skipped request leaves both untouched.
+func (s *shard) takeKeys(reqs []takeReq, owner int, burst []byte, out []FlushItem) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, key := range keys {
-		b, ok := s.table[key]
+	for _, r := range reqs {
+		b, ok := s.table[r.key]
 		if !ok || b.flushing || !b.dirty() || (owner != anyOwner && b.owner != owner) {
 			continue
 		}
-		sink[key] = s.snapshotForFlush(b)
+		out[r.pos] = s.snapshotForFlush(b, burst, r.pos)
 	}
 }
 
-// snapshotForFlush marks b in flight and copies its dirty span (s.mu held).
-func (s *shard) snapshotForFlush(b *block) FlushItem {
+// snapshotForFlush marks b in flight and copies its dirty span into slot
+// pos of burst, at the span's offset within the block (s.mu held).
+func (s *shard) snapshotForFlush(b *block, burst []byte, pos int) FlushItem {
 	b.flushing = true
-	data := make([]byte, b.dirtyLen)
+	start := pos*s.cfg.BlockSize + b.dirtyOff
+	data := burst[start : start+b.dirtyLen]
 	copy(data, b.data[b.dirtyOff:b.dirtyOff+b.dirtyLen])
 	return FlushItem{
 		Key:   b.key,
 		Owner: b.owner,
 		Off:   b.dirtyOff,
 		Data:  data,
+		Slot:  pos + 1,
 		gen:   b.flushGen,
 	}
 }

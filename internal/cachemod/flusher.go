@@ -179,8 +179,11 @@ type flushChunk struct {
 // end, the right dirty from its start — merge into one contiguous
 // FlushBlock run, the write-side analogue of the read path's vectored
 // runs: one length-prefixed entry and one iod store call instead of one
-// per block. Runs pack into chunks of at most flushChunkTarget accounted
-// bytes, one file per chunk (the Flush header names a single file).
+// per block. Such blocks were snapshotted into consecutive slots of the
+// take's buffer (buffer.FlushItem.Slot), where tiling spans are
+// contiguous, so a run's data is a slice of that buffer, not a copy.
+// Runs pack into chunks of at most flushChunkTarget accounted bytes, one
+// file per chunk (the Flush header names a single file).
 func buildFlushChunks(client uint32, items []buffer.FlushItem, blockSize int) []flushChunk {
 	var chunks []flushChunk
 	var cur flushChunk
@@ -201,6 +204,7 @@ func buildFlushChunks(client uint32, items []buffer.FlushItem, blockSize int) []
 		for j < len(items) &&
 			items[j].Key.File == items[j-1].Key.File &&
 			items[j].Key.Index == items[j-1].Key.Index+1 &&
+			items[j-1].Slot != 0 && items[j].Slot == items[j-1].Slot+1 &&
 			items[j-1].Off+len(items[j-1].Data) == blockSize &&
 			items[j].Off == 0 &&
 			runBytes+len(items[j].Data)+wire.FlushBlockOverhead <= flushChunkTarget {
@@ -216,17 +220,10 @@ func buildFlushChunks(client uint32, items []buffer.FlushItem, blockSize int) []
 		if cur.msg == nil {
 			cur.msg = &wire.Flush{Client: client, File: run[0].Key.File}
 		}
-		data := run[0].Data
-		if len(run) > 1 {
-			data = make([]byte, 0, runBytes)
-			for _, it := range run {
-				data = append(data, it.Data...)
-			}
-		}
 		cur.msg.Blocks = append(cur.msg.Blocks, wire.FlushBlock{
 			Index: run[0].Key.Index,
 			Off:   uint32(run[0].Off),
-			Data:  data,
+			Data:  run[0].Data[:runBytes:runBytes],
 		})
 		cur.items = append(cur.items, run...)
 		curBytes += runBytes + wire.FlushBlockOverhead

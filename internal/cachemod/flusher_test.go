@@ -24,31 +24,45 @@ import (
 	"pvfscache/internal/wire"
 )
 
-// item builds a FlushItem for buildFlushChunks tests.
-func item(file, idx, off, n int) buffer.FlushItem {
-	return buffer.FlushItem{
-		Key:  blockio.BlockKey{File: blockio.FileID(file), Index: int64(idx)},
-		Off:  off,
-		Data: bytes.Repeat([]byte{byte(idx + 1)}, n),
+// span names one dirty span for buildFlushChunks tests.
+type span struct{ file, idx, off, n int }
+
+// takeOf lays spans out the way a buffer take does: one buffer, slot k
+// holding span k at its offset within the block, filled with idx+1.
+func takeOf(bs int, spans ...span) []buffer.FlushItem {
+	burst := make([]byte, len(spans)*bs)
+	items := make([]buffer.FlushItem, len(spans))
+	for k, sp := range spans {
+		data := burst[k*bs+sp.off:][:sp.n]
+		for i := range data {
+			data[i] = byte(sp.idx + 1)
+		}
+		items[k] = buffer.FlushItem{
+			Key:  blockio.BlockKey{File: blockio.FileID(sp.file), Index: int64(sp.idx)},
+			Off:  sp.off,
+			Data: data,
+			Slot: k + 1,
+		}
 	}
+	return items
 }
 
 func TestBuildFlushChunksCoalescesRuns(t *testing.T) {
 	const bs = 4096
-	items := []buffer.FlushItem{
+	items := takeOf(bs,
 		// Blocks 0-2 of file 1: full, full, head-partial — one run.
-		item(1, 0, 0, bs), item(1, 1, 0, bs), item(1, 2, 0, 100),
+		span{1, 0, 0, bs}, span{1, 1, 0, bs}, span{1, 2, 0, 100},
 		// Block 4 (gap after 2) is full and block 5 starts at 0, so the
 		// 4|5 boundary tiles and they merge; block 5's span stops short
 		// of its block end, so the 5|6 boundary does not.
-		item(1, 4, 0, bs), item(1, 5, 0, bs-1),
-		item(1, 6, 0, bs),
+		span{1, 4, 0, bs}, span{1, 5, 0, bs - 1},
+		span{1, 6, 0, bs},
 		// Block 7 starts at off 8 — the left boundary tiles only when the
 		// right block starts at 0, so 6|7 must not merge.
-		item(1, 7, 8, 100),
+		span{1, 7, 8, 100},
 		// File 2 always opens a new chunk (one file per Flush frame).
-		item(2, 0, 0, bs),
-	}
+		span{2, 0, 0, bs},
+	)
 	chunks := buildFlushChunks(9, items, bs)
 	if len(chunks) != 2 {
 		t.Fatalf("chunks = %d, want 2 (one per file)", len(chunks))
@@ -87,15 +101,34 @@ func TestBuildFlushChunksCoalescesRuns(t *testing.T) {
 	}
 }
 
+// TestBuildFlushChunksNeverJoinsSeparateSnapshots: adjacency of the keys
+// is not adjacency in memory. Items that do not sit in consecutive slots
+// of one take buffer (here: each with a buffer of its own, Slot 0) go out
+// as separate runs with their own bytes.
+func TestBuildFlushChunksNeverJoinsSeparateSnapshots(t *testing.T) {
+	const bs = 4096
+	items := append(takeOf(bs, span{1, 0, 0, bs}), takeOf(bs, span{1, 1, 0, bs})...)
+	items[0].Slot, items[1].Slot = 0, 0
+	chunks := buildFlushChunks(1, items, bs)
+	if len(chunks) != 1 || len(chunks[0].msg.Blocks) != 2 {
+		t.Fatalf("separate snapshots were joined: %d chunks, %+v", len(chunks), chunks)
+	}
+	for i, b := range chunks[0].msg.Blocks {
+		if b.Index != int64(i) || !bytes.Equal(b.Data, bytes.Repeat([]byte{byte(i + 1)}, bs)) {
+			t.Fatalf("run %d: index %d, %d bytes", i, b.Index, len(b.Data))
+		}
+	}
+}
+
 func TestBuildFlushChunksSplitsAtTarget(t *testing.T) {
 	const bs = 4096
 	// Enough full blocks of one file to exceed the chunk target twice.
 	n := 2*flushChunkTarget/bs + 3
-	items := make([]buffer.FlushItem, 0, n)
-	for i := 0; i < n; i++ {
-		items = append(items, item(1, i, 0, bs))
+	spans := make([]span, n)
+	for i := range spans {
+		spans[i] = span{1, i, 0, bs}
 	}
-	chunks := buildFlushChunks(1, items, bs)
+	chunks := buildFlushChunks(1, takeOf(bs, spans...), bs)
 	if len(chunks) < 3 {
 		t.Fatalf("chunks = %d, want >= 3 for %d bytes", len(chunks), n*bs)
 	}

@@ -292,8 +292,9 @@ func (s *Server) write(m *wire.Write) *wire.WriteAck {
 // frames from one client in flight concurrently, and rpc.Server serves
 // them on parallel goroutines. Within one window that is safe: the runs
 // are disjoint (the buffer manager's in-flight mark prevents a block
-// from being taken twice), simdisk.Store serializes per-file writes
-// internally, and the directory update takes s.mu. Delivery is
+// from being taken twice), the storage.Backend orders writes that
+// overlap in time (its ordering contract; both engines take a lock per
+// write), and the directory update takes s.mu once per frame. Delivery is
 // at-least-once — a frame whose ack is lost is re-sent after its blocks
 // re-queue — and re-applying a frame is idempotent. The retry boundary
 // is where a residual ordering race lives (inherited from the seed's
@@ -316,17 +317,10 @@ func (s *Server) flush(m *wire.Flush) *wire.FlushAck {
 			s.reg.Counter("iod.io_errors").Inc()
 			return &wire.FlushAck{Status: wire.StatusFor(err)}
 		}
-		first, count := blockio.BlockRange(off, int64(len(blk.Data)), s.blockSize)
+		_, count := blockio.BlockRange(off, int64(len(blk.Data)), s.blockSize)
 		blocks += count
-		for i := int64(0); i < count; i++ {
-			if m.Client != 0 {
-				s.addHolder(m.Client, blockio.BlockKey{File: m.File, Index: first + i})
-			}
-			if s.observer != nil && m.Client != 0 {
-				s.observer(m.Client, m.File, first+i, true)
-			}
-		}
 	}
+	s.trackFlushed(m)
 	s.reg.Counter("iod.flushes").Inc()
 	s.reg.Counter("iod.flush_blocks").Add(blocks)
 	s.reg.Counter("iod.flush_runs").Add(int64(len(m.Blocks)))
@@ -418,9 +412,14 @@ func (s *Server) trackHolders(client uint32, file blockio.FileID, off, length in
 	if s.draining.Load() {
 		return
 	}
-	first, count := blockio.BlockRange(off, length, s.blockSize)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.holdRange(client, file, off, length)
+}
+
+// holdRange is trackHolders' body (s.mu held).
+func (s *Server) holdRange(client uint32, file blockio.FileID, off, length int64) {
+	first, count := blockio.BlockRange(off, length, s.blockSize)
 	for i := int64(0); i < count; i++ {
 		key := blockio.BlockKey{File: file, Index: first + i}
 		hs := s.dir[key]
@@ -432,18 +431,24 @@ func (s *Server) trackHolders(client uint32, file blockio.FileID, off, length in
 	}
 }
 
-func (s *Server) addHolder(client uint32, key blockio.BlockKey) {
-	if s.draining.Load() {
+// trackFlushed registers the flusher as a holder of every block an
+// applied Flush frame covers — one directory lock per frame — and tells
+// the observer about each.
+func (s *Server) trackFlushed(m *wire.Flush) {
+	if m.Client == 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	hs := s.dir[key]
-	if hs == nil {
-		hs = make(holderSet)
-		s.dir[key] = hs
+	bs := int64(s.blockSize)
+	if !s.draining.Load() {
+		s.mu.Lock()
+		for _, blk := range m.Blocks {
+			s.holdRange(m.Client, m.File, blk.Index*bs+int64(blk.Off), int64(len(blk.Data)))
+		}
+		s.mu.Unlock()
 	}
-	hs[client] = struct{}{}
+	for _, blk := range m.Blocks {
+		s.observe(m.Client, m.File, blk.Index*bs+int64(blk.Off), int64(len(blk.Data)), true)
+	}
 }
 
 // collectVictims removes every holder other than writer from the directory

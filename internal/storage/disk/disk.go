@@ -1,34 +1,43 @@
 // Package disk is the iod's durable storage engine: a real on-disk
-// backend behind storage.Backend, built on the BFile pattern — buffered
-// writes with an in-memory dirty cache, flushed to shard-per-file data
-// files on filesystem-friendly boundaries — fronted by a write-ahead
-// journal so a crash mid-flush replays instead of corrupting.
+// backend behind storage.Backend, built on the BFile pattern — whole
+// filesystem-aligned blocks go straight to shard-per-file data files,
+// only the unaligned remainder is buffered in memory — with a write-ahead
+// journal for that remainder so a crash replays instead of corrupting.
 //
 // Layout: one directory per backend holding `f-<16 hex>.dat` (one data
-// file per PVFS file ID, the shard-per-file split) plus `wal.log`. Every
-// WriteAt appends a checksummed journal record and pushes it through the
-// buffered writer to the operating system before acknowledging, then
-// stages the bytes in an in-memory overlay; once the overlay passes
-// Options.FlushThreshold the store checkpoints — applies the overlay to
-// the data files with positional writes, fsyncs them, and truncates the
-// journal. Reads serve from the data file with the overlay applied on
-// top, so acknowledged bytes are always observable.
+// file per PVFS file ID, the shard-per-file split) plus `wal.log`.
+// WriteAt splits its range at directAlign: the aligned interior is one
+// positional write to the shard file; a sub-block head or tail (and every
+// Delete) is a checksummed journal record pushed to the operating system
+// before the ack, its bytes staged in an in-memory overlay. Once the
+// overlay passes Options.FlushThreshold the store checkpoints — applies
+// the overlay to the data files, fsyncs them, and truncates the journal.
+// Reads serve from the data file with the overlay applied on top, so
+// acknowledged bytes are always observable.
+//
+// Ordering rule: a direct write whose range overlaps a staged overlay
+// entry, or whose file has a journaled Delete, checkpoints first. The
+// journal therefore never holds a record older than direct bytes in the
+// same place, and replaying it over the shard files is always correct.
 //
 // Durability window: an acknowledged write survives a *process* crash
-// unconditionally (its journal record reached the OS before the ack).
-// What survives power loss is governed by Options.Fsync: SyncAlways
-// fsyncs the journal every record, SyncInterval at most every
-// FsyncInterval, SyncOnClose only at checkpoint/Sync/Close. Checkpoint
-// always fsyncs data files and the backend directory (shard creations
-// and unlinks) before truncating the journal, so the journal is never
-// the only durable copy of applied records.
+// unconditionally (journal record and shard-file bytes both reached the
+// OS before the ack). What survives power loss is governed by
+// Options.Fsync: SyncAlways fsyncs whatever the write touched before the
+// ack, SyncInterval within FsyncInterval of it, SyncOnClose only at
+// checkpoint/Sync/Close. Every sync takes data files, then the backend
+// directory (shard creations and unlinks), then the journal, and a
+// checkpoint truncates the journal only after that, so the journal is
+// never the only durable copy of applied records.
 package disk
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -40,18 +49,18 @@ import (
 	"pvfscache/internal/storage"
 )
 
-// Policy selects when the journal is fsynced.
+// Policy selects when written bytes are fsynced.
 type Policy int
 
 const (
 	// SyncOnClose (default) fsyncs only at checkpoint, Sync, and Close.
-	// Fastest; power-loss window is everything since the last checkpoint.
+	// Fastest; power-loss window is everything since the last of those.
 	SyncOnClose Policy = iota
-	// SyncInterval fsyncs the journal opportunistically once
-	// Options.FsyncInterval has elapsed since the last sync.
+	// SyncInterval fsyncs journal and dirtied shard files within
+	// Options.FsyncInterval of a write.
 	SyncInterval
-	// SyncAlways fsyncs the journal on every write — the paper's O_SYNC
-	// shape. Slowest, zero power-loss window.
+	// SyncAlways fsyncs on every write — the paper's O_SYNC shape.
+	// Slowest, zero power-loss window.
 	SyncAlways
 )
 
@@ -84,15 +93,14 @@ func ParsePolicy(s string) (Policy, error) {
 type Options struct {
 	// Dir is the backend's directory; created if absent.
 	Dir string
-	// Fsync is the journal fsync policy (default SyncOnClose).
+	// Fsync is the fsync policy (default SyncOnClose).
 	Fsync Policy
 	// FsyncInterval bounds the power-loss window under SyncInterval
 	// (default 100ms).
 	FsyncInterval time.Duration
-	// FlushThreshold is the overlay size (bytes) that triggers a
-	// checkpoint to the data files (default 1 MiB — the
-	// filesystem-friendly boundary: one large positional write burst
-	// per file instead of per-strip dribble).
+	// FlushThreshold is the overlay size (journaled bytes) that triggers
+	// a checkpoint to the data files (default 1 MiB). Whole aligned
+	// blocks bypass the journal and do not count.
 	FlushThreshold int64
 }
 
@@ -103,6 +111,12 @@ const (
 	journalName = "wal.log"
 	dataPrefix  = "f-"
 	dataSuffix  = ".dat"
+
+	// directAlign is the boundary WriteAt splits at: whole blocks of this
+	// size go straight to the shard file, the rest through the journal.
+	// It is the filesystem block and page size, below which a positional
+	// write costs a read-modify-write of the page anyway.
+	directAlign = 4096
 )
 
 // pwrite is one staged overlay write, applied over the data file in
@@ -114,26 +128,44 @@ type pwrite struct {
 
 // file is the in-memory state for one shard file.
 type file struct {
-	f       *os.File // lazily opened data file handle
-	size    int64    // logical size: data file extent + staged overlay
-	pending []pwrite // overlay not yet applied to the data file
+	f        *os.File // lazily opened data file handle
+	size     int64    // logical size: data file extent + staged overlay
+	pending  []pwrite // overlay not yet applied to the data file
+	unsynced bool     // on Store.unsynced: written since its last fsync
 }
 
 // Store is the on-disk storage.Backend. All operations serialize on one
 // mutex: the iod already fans work out per daemon, and the engine's hot
-// cost is the journal append, which must be ordered anyway.
+// cost is one write syscall, which the kernel orders per file anyway.
 type Store struct {
-	mu           sync.Mutex
-	dir          string
-	opts         Options
-	files        map[blockio.FileID]*file
-	journal      *os.File
-	jw           *bufio.Writer
+	mu    sync.Mutex
+	dir   string
+	opts  Options
+	files map[blockio.FileID]*file
+
+	journal *os.File
+	jw      *bufio.Writer
+	// pendingBytes is what the journal holds since its last truncation:
+	// staged write bytes plus a nominal charge per delete record. Zero
+	// means the journal, and with it every overlay, is empty.
 	pendingBytes int64
-	lastSync     time.Time
-	recovered    int
-	crashed      bool
-	closed       bool
+	// deleted names the files with a delete record in the journal.
+	deleted map[blockio.FileID]struct{}
+	// unsynced lists the files whose shard file was written since its
+	// last fsync; dirDirty says a shard file was created or unlinked
+	// since the backend directory's.
+	unsynced []*file
+	dirDirty bool
+
+	// syncTimer is armed under SyncInterval while a write waits for its
+	// fsync; syncErr is that background fsync's failure, after which the
+	// store fails every operation.
+	syncTimer *time.Timer
+	syncErr   error
+
+	recovered int
+	crashed   bool
+	closed    bool
 }
 
 var (
@@ -161,10 +193,10 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		dir:      opts.Dir,
-		opts:     opts,
-		files:    make(map[blockio.FileID]*file),
-		lastSync: time.Now(),
+		dir:     opts.Dir,
+		opts:    opts,
+		files:   make(map[blockio.FileID]*file),
+		deleted: make(map[blockio.FileID]struct{}),
 	}
 	if err := s.scanDataFiles(); err != nil {
 		return nil, err
@@ -218,7 +250,6 @@ func (s *Store) replay() error {
 		return err
 	}
 	r := bufio.NewReader(s.journal)
-	touched := make(map[blockio.FileID]bool)
 	for {
 		rec, err := readRecord(r)
 		if err == io.EOF || err == errTorn {
@@ -230,42 +261,26 @@ func (s *Store) replay() error {
 		id := blockio.FileID(rec.id)
 		switch rec.kind {
 		case recWrite:
-			f := s.files[id]
-			if f == nil {
-				f = &file{}
-				s.files[id] = f
-			}
-			df, err := s.ensureData(id, f)
-			if err != nil {
+			if err := s.writeData(id, s.fileFor(id), rec.off, rec.data); err != nil {
 				return err
 			}
-			if _, err := df.WriteAt(rec.data, rec.off); err != nil {
-				return err
-			}
-			if end := rec.off + int64(len(rec.data)); end > f.size {
-				f.size = end
-			}
-			touched[id] = true
 		case recDelete:
 			if err := s.removeLocked(id); err != nil {
 				return err
 			}
-			delete(touched, id)
 		}
 		s.recovered++
 	}
-	for id := range touched {
-		if f := s.files[id]; f != nil && f.f != nil {
-			if err := f.f.Sync(); err != nil {
-				return err
-			}
-		}
-	}
-	// Replayed shard creations and unlinks must be durable in the
-	// directory before the journal is discarded.
-	if err := s.syncDir(); err != nil {
+	// Replayed bytes, shard creations and unlinks must be durable before
+	// the journal is discarded.
+	if err := s.syncData(); err != nil {
 		return err
 	}
+	return s.truncateJournal()
+}
+
+// truncateJournal empties the journal durably.
+func (s *Store) truncateJournal() error {
 	if err := s.journal.Truncate(0); err != nil {
 		return err
 	}
@@ -289,12 +304,26 @@ func (s *Store) dataPath(id blockio.FileID) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s%016x%s", dataPrefix, uint64(id), dataSuffix))
 }
 
-// ensureData lazily opens f's shard file.
+// fileFor returns id's in-memory state, creating it on first use.
+func (s *Store) fileFor(id blockio.FileID) *file {
+	f := s.files[id]
+	if f == nil {
+		f = &file{}
+		s.files[id] = f
+	}
+	return f
+}
+
+// ensureData lazily opens f's shard file, creating it if absent.
 func (s *Store) ensureData(id blockio.FileID, f *file) (*os.File, error) {
 	if f.f != nil {
 		return f.f, nil
 	}
-	df, err := os.OpenFile(s.dataPath(id), os.O_RDWR|os.O_CREATE, 0o666)
+	df, err := os.OpenFile(s.dataPath(id), os.O_RDWR, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		df, err = os.OpenFile(s.dataPath(id), os.O_RDWR|os.O_CREATE, 0o666)
+		s.dirDirty = true
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -302,46 +331,45 @@ func (s *Store) ensureData(id blockio.FileID, f *file) (*os.File, error) {
 	return df, nil
 }
 
-func (s *Store) state() error {
-	if s.crashed {
-		return ErrCrashed
+// writeData is one positional write to id's shard file.
+func (s *Store) writeData(id blockio.FileID, f *file, off int64, p []byte) error {
+	df, err := s.ensureData(id, f)
+	if err != nil {
+		return err
 	}
-	if s.closed {
-		return os.ErrClosed
+	if !f.unsynced {
+		f.unsynced = true
+		s.unsynced = append(s.unsynced, f)
 	}
-	return nil
+	f.size = max(f.size, off+int64(len(p)))
+	_, err = df.WriteAt(p, off)
+	return err
 }
 
-// journalAppend writes one record, pushes it to the OS, and applies the
-// fsync policy. Called with s.mu held, before the operation is staged.
+func (s *Store) state() error {
+	switch {
+	case s.crashed:
+		return ErrCrashed
+	case s.closed:
+		return os.ErrClosed
+	}
+	return s.syncErr
+}
+
+// journalAppend writes one record and pushes it to the OS: from there the
+// ack survives a process crash regardless of fsync policy. Called with
+// s.mu held, before the operation is staged.
 func (s *Store) journalAppend(rec record) error {
 	if err := appendRecord(s.jw, rec); err != nil {
 		return err
 	}
-	// Flush the bufio layer every record: once the bytes are in the OS
-	// the ack survives a process crash regardless of fsync policy.
-	if err := s.jw.Flush(); err != nil {
-		return err
-	}
-	switch s.opts.Fsync {
-	case SyncAlways:
-		if err := s.journal.Sync(); err != nil {
-			return err
-		}
-		s.lastSync = time.Now()
-	case SyncInterval:
-		if time.Since(s.lastSync) >= s.opts.FsyncInterval {
-			if err := s.journal.Sync(); err != nil {
-				return err
-			}
-			s.lastSync = time.Now()
-		}
-	}
-	return nil
+	return s.jw.Flush()
 }
 
-// WriteAt implements storage.Backend: journal, stage in the overlay,
-// checkpoint when the overlay crosses the flush threshold.
+// WriteAt implements storage.Backend. The range splits at directAlign:
+// whole aligned blocks are written to the shard file, a sub-block head
+// and tail are journaled and staged in the overlay (a range holding no
+// whole block is journaled as one record).
 func (s *Store) WriteAt(id blockio.FileID, off int64, p []byte) error {
 	if len(p) == 0 {
 		return nil
@@ -354,94 +382,120 @@ func (s *Store) WriteAt(id blockio.FileID, off int64, p []byte) error {
 	if err := s.state(); err != nil {
 		return err
 	}
+	end := off + int64(len(p))
+	lo := (off + directAlign - 1) &^ (directAlign - 1)
+	hi := end &^ (directAlign - 1)
+	if lo >= hi {
+		lo, hi = end, end
+	}
+	f := s.fileFor(id)
+	if err := s.stage(id, f, off, p[:lo-off]); err != nil {
+		return err
+	}
+	if err := s.direct(id, f, lo, p[lo-off:hi-off]); err != nil {
+		return err
+	}
+	if err := s.stage(id, f, hi, p[hi-off:]); err != nil {
+		return err
+	}
+	return s.settle()
+}
+
+// stage journals p and adds it to f's overlay.
+func (s *Store) stage(id blockio.FileID, f *file, off int64, p []byte) error {
+	if len(p) == 0 {
+		return nil
+	}
 	if err := s.journalAppend(record{kind: recWrite, id: uint64(id), off: off, data: p}); err != nil {
 		return err
 	}
-	f := s.files[id]
-	if f == nil {
-		f = &file{}
-		s.files[id] = f
-	}
 	// Copy: the iod hands us pooled buffers it reuses after the ack.
-	buf := make([]byte, len(p))
-	copy(buf, p)
-	f.pending = append(f.pending, pwrite{off: off, data: buf})
-	s.pendingBytes += int64(len(buf))
-	if end := off + int64(len(p)); end > f.size {
-		f.size = end
+	f.pending = append(f.pending, pwrite{off: off, data: bytes.Clone(p)})
+	f.size = max(f.size, off+int64(len(p)))
+	s.pendingBytes += int64(len(p))
+	return nil
+}
+
+// direct writes whole blocks to f's shard file. Anything the journal
+// holds for this place is older and must not be replayed, or re-applied
+// by a later checkpoint or a read's overlay pass, on top of these bytes:
+// an overlapping overlay entry or a delete record of this file forces a
+// checkpoint first.
+func (s *Store) direct(id blockio.FileID, f *file, off int64, p []byte) error {
+	if len(p) == 0 {
+		return nil
 	}
+	_, stale := s.deleted[id]
+	for i := 0; !stale && i < len(f.pending); i++ {
+		w := f.pending[i]
+		stale = w.off < off+int64(len(p)) && off < w.off+int64(len(w.data))
+	}
+	if stale {
+		if err := s.checkpointLocked(); err != nil {
+			return err
+		}
+	}
+	return s.writeData(id, f, off, p)
+}
+
+// settle ends a mutation: it applies the fsync policy to what the
+// operation left unsynced and checkpoints a full overlay.
+func (s *Store) settle() error {
 	if s.pendingBytes >= s.opts.FlushThreshold {
 		return s.checkpointLocked()
 	}
+	switch s.opts.Fsync {
+	case SyncAlways:
+		return s.syncAll()
+	case SyncInterval:
+		if s.syncTimer == nil {
+			s.syncTimer = time.AfterFunc(s.opts.FsyncInterval, s.intervalSync)
+		}
+	}
 	return nil
 }
 
-// checkpointLocked applies every staged overlay to the data files,
-// fsyncs them, and truncates the journal. Order matters: data files
-// must be durable before the journal (their only other copy) is
-// discarded.
-func (s *Store) checkpointLocked() error {
-	if s.pendingBytes == 0 {
-		// Still sync the journal so Sync()/Close() honor their durability
-		// promise even when nothing is staged.
-		if err := s.journal.Sync(); err != nil {
-			return err
-		}
-		s.lastSync = time.Now()
-		return nil
+// intervalSync is the SyncInterval timer: armed by the first write after
+// a sync, it bounds that write's power-loss window even if no other
+// operation follows.
+func (s *Store) intervalSync() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.syncTimer = nil
+	if s.state() == nil {
+		s.syncErr = s.syncAll()
 	}
-	touched := make([]*os.File, 0, len(s.files))
-	for id, f := range s.files {
-		if len(f.pending) == 0 {
-			continue
-		}
-		df, err := s.ensureData(id, f)
-		if err != nil {
-			return err
-		}
-		for _, w := range f.pending {
-			if _, err := df.WriteAt(w.data, w.off); err != nil {
+}
+
+// syncAll makes every acknowledged byte power-loss durable where it
+// lies: shard files, directory, then journal.
+func (s *Store) syncAll() error {
+	if err := s.syncData(); err != nil {
+		return err
+	}
+	if s.pendingBytes == 0 {
+		return nil // empty since its truncation, which synced it
+	}
+	return s.journal.Sync()
+}
+
+// syncData fsyncs every shard file written since its last fsync, then
+// the backend directory if a shard file was created or unlinked.
+func (s *Store) syncData() error {
+	for i, f := range s.unsynced {
+		// A deleted file's handle is closed and its bytes are gone.
+		if f.f != nil {
+			if err := f.f.Sync(); err != nil {
+				s.unsynced = s.unsynced[i:]
 				return err
 			}
 		}
-		// Settle the counter per file: on a mid-loop error the remaining
-		// overlays are still staged and must keep counting toward the
-		// next flush, while cleared ones must not.
-		s.pendingBytes -= pendingSize(f)
-		f.pending = nil
-		touched = append(touched, df)
+		f.unsynced = false
 	}
-	for _, df := range touched {
-		if err := df.Sync(); err != nil {
-			return err
-		}
+	s.unsynced = s.unsynced[:0]
+	if !s.dirDirty {
+		return nil
 	}
-	// Shard-file creations and unlinks since the last checkpoint must be
-	// durable in the directory before the journal — their only other
-	// copy — is discarded.
-	if err := s.syncDir(); err != nil {
-		return err
-	}
-	if err := s.journal.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := s.journal.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if err := s.journal.Sync(); err != nil {
-		return err
-	}
-	s.jw.Reset(s.journal)
-	// Every overlay was applied and the journal is empty: clear whatever
-	// the counter still carries (the nominal delete-record costs).
-	s.pendingBytes = 0
-	s.lastSync = time.Now()
-	return nil
-}
-
-// syncDir fsyncs the backend directory so shard-file creations and
-// unlinks survive power loss, not just a process crash.
-func (s *Store) syncDir() error {
 	d, err := os.Open(s.dir)
 	if err != nil {
 		return err
@@ -450,7 +504,41 @@ func (s *Store) syncDir() error {
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		s.dirDirty = false
+	}
 	return err
+}
+
+// checkpointLocked applies every staged overlay to the data files,
+// fsyncs them, and truncates the journal. Order matters: data files and
+// directory must be durable before the journal (their only other copy)
+// is discarded, and the overlay stays staged until then, so a failed
+// checkpoint leaves journal and overlay agreeing.
+func (s *Store) checkpointLocked() error {
+	for id, f := range s.files {
+		for _, w := range f.pending {
+			if err := s.writeData(id, f, w.off, w.data); err != nil {
+				return err
+			}
+		}
+	}
+	if err := s.syncData(); err != nil {
+		return err
+	}
+	if s.pendingBytes == 0 {
+		return nil // the journal is empty
+	}
+	if err := s.truncateJournal(); err != nil {
+		return err
+	}
+	s.jw.Reset(s.journal)
+	for _, f := range s.files {
+		f.pending = nil
+	}
+	clear(s.deleted)
+	s.pendingBytes = 0
+	return nil
 }
 
 // ReadAt implements storage.Backend: data file bytes with the staged
@@ -520,23 +608,16 @@ func (s *Store) removeLocked(id blockio.FileID) error {
 	if f == nil {
 		return nil
 	}
-	s.pendingBytes -= pendingSize(f)
 	if f.f != nil {
 		f.f.Close()
+		f.f = nil
 	}
 	delete(s.files, id)
+	s.dirDirty = true
 	if err := os.Remove(s.dataPath(id)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	return nil
-}
-
-func pendingSize(f *file) int64 {
-	var n int64
-	for _, w := range f.pending {
-		n += int64(len(w.data))
-	}
-	return n
 }
 
 // deleteRecordCost is the nominal weight a delete record adds toward
@@ -556,14 +637,12 @@ func (s *Store) Delete(id blockio.FileID) error {
 	if err := s.journalAppend(record{kind: recDelete, id: uint64(id)}); err != nil {
 		return err
 	}
+	s.deleted[id] = struct{}{}
+	s.pendingBytes += deleteRecordCost
 	if err := s.removeLocked(id); err != nil {
 		return err
 	}
-	s.pendingBytes += deleteRecordCost
-	if s.pendingBytes >= s.opts.FlushThreshold {
-		return s.checkpointLocked()
-	}
-	return nil
+	return s.settle()
 }
 
 // Sync implements storage.Backend: a full checkpoint, after which every
@@ -586,6 +665,15 @@ func (s *Store) closeFiles() {
 	}
 }
 
+// stopTimer disarms a pending interval sync; one already waiting for the
+// mutex finds the store closed and does nothing.
+func (s *Store) stopTimer() {
+	if s.syncTimer != nil {
+		s.syncTimer.Stop()
+		s.syncTimer = nil
+	}
+}
+
 // Close implements storage.Backend: checkpoint, then release every
 // handle.
 func (s *Store) Close() error {
@@ -594,7 +682,11 @@ func (s *Store) Close() error {
 	if s.closed || s.crashed {
 		return nil
 	}
-	err := s.checkpointLocked()
+	s.stopTimer()
+	err := s.syncErr
+	if err == nil {
+		err = s.checkpointLocked()
+	}
 	s.closeFiles()
 	if cerr := s.journal.Close(); err == nil {
 		err = cerr
@@ -605,9 +697,9 @@ func (s *Store) Close() error {
 
 // Crash implements storage.Crasher: fail-stop. Handles close without a
 // checkpoint and the overlay is dropped — exactly the state a killed
-// process leaves. The journal keeps every acknowledged record (each was
-// pushed to the OS before its ack), so Open on the same directory
-// recovers byte-for-byte.
+// process leaves. The operating system keeps every acknowledged byte
+// (journal records and direct writes alike were pushed to it before the
+// ack), so Open on the same directory recovers byte-for-byte.
 func (s *Store) Crash() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -615,6 +707,7 @@ func (s *Store) Crash() error {
 		return nil
 	}
 	s.crashed = true
+	s.stopTimer()
 	s.closeFiles()
 	s.files = nil
 	s.pendingBytes = 0

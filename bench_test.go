@@ -202,17 +202,13 @@ func BenchmarkBlockLookupCopy(b *testing.B) {
 // liveCluster boots an in-memory live cluster with a seeded file for the
 // data-path benchmarks.
 func liveCluster(b *testing.B, caching bool) (*cluster.Cluster, *pvfs.File) {
-	return liveClusterCfg(b, cluster.Config{
+	b.Helper()
+	c, err := cluster.Start(cluster.Config{
 		IODs:        4,
 		ClientNodes: 1,
 		Caching:     caching,
 		FlushPeriod: 50 * time.Millisecond,
 	})
-}
-
-func liveClusterCfg(b *testing.B, cfg cluster.Config) (*cluster.Cluster, *pvfs.File) {
-	b.Helper()
-	c, err := cluster.Start(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -222,7 +218,7 @@ func liveClusterCfg(b *testing.B, cfg cluster.Config) (*cluster.Cluster, *pvfs.F
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { p.Close() })
-	f, err := p.Create(fmt.Sprintf("bench-%v-%v.dat", cfg.Caching, cfg.DisableZeroCopy), pvfs.StripeSpec{})
+	f, err := p.Create(fmt.Sprintf("bench-%v.dat", caching), pvfs.StripeSpec{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -236,33 +232,6 @@ func liveClusterCfg(b *testing.B, cfg cluster.Config) (*cluster.Cluster, *pvfs.F
 // cache module from a warm cache.
 func BenchmarkLiveReadCachedHit(b *testing.B) {
 	_, f := liveCluster(b, true)
-	buf := make([]byte, 64<<10)
-	if _, err := f.ReadAt(buf, 0); err != nil { // warm the cache
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(64 << 10)
-}
-
-// BenchmarkLiveReadCachedHitCopying is the zero-copy ablation baseline:
-// the same warm 64 KB read with Config.DisableZeroCopy, so the cache
-// module assembles a fresh response buffer per request and libpvfs copies
-// it into the caller's memory — the pre-zero-copy data path. The pair
-// with BenchmarkLiveReadCachedHit quantifies the allocation and copy cost
-// the leased-buffer path removes.
-func BenchmarkLiveReadCachedHitCopying(b *testing.B) {
-	_, f := liveClusterCfg(b, cluster.Config{
-		IODs:            4,
-		ClientNodes:     1,
-		Caching:         true,
-		FlushPeriod:     50 * time.Millisecond,
-		DisableZeroCopy: true,
-	})
 	buf := make([]byte, 64<<10)
 	if _, err := f.ReadAt(buf, 0); err != nil { // warm the cache
 		b.Fatal(err)
@@ -384,16 +353,15 @@ func BenchmarkLiveWriteBehind(b *testing.B) {
 	b.SetBytes(64 << 10)
 }
 
-// benchStridedMisses measures a miss-heavy strided read against a cold
-// cache: an 8-block strided read per iod. The file is striped in
+// BenchmarkLiveReadMissStrided measures a miss-heavy strided read against
+// a cold cache: an 8-block strided read per iod. The file is striped in
 // single-block strips over four iods, so a 128 KB read decomposes into 8
 // non-consecutive single-block runs on each iod — the striding the
-// paper's data-parallel workloads induce. The vectored path sends each
-// iod ONE ReadBlocks carrying its 8 runs as extents; the per-block
-// (legacy) path sends each iod 8 concurrent Reads. The working set (4 MB)
+// paper's data-parallel workloads induce. The miss engine sends each iod
+// ONE ReadBlocks carrying its 8 runs as extents. The working set (4 MB)
 // is 16x the cache, so every window is cold by the time the scan revisits
 // it. Readahead is off so the numbers isolate the miss engine.
-func benchStridedMisses(b *testing.B, disableVector bool) {
+func BenchmarkLiveReadMissStrided(b *testing.B) {
 	c, err := cluster.Start(cluster.Config{
 		IODs:            4,
 		ClientNodes:     1,
@@ -401,7 +369,6 @@ func benchStridedMisses(b *testing.B, disableVector bool) {
 		CacheBlocks:     64, // 256 KB: far below the 4 MB working set
 		FlushPeriod:     50 * time.Millisecond,
 		ReadaheadWindow: -1,
-		DisableVector:   disableVector,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -438,14 +405,6 @@ func benchStridedMisses(b *testing.B, disableVector bool) {
 	}
 	b.SetBytes(int64(len(buf)))
 }
-
-// BenchmarkLiveReadMissStrided is the vectored miss engine on the strided
-// cold-cache pattern (one ReadBlocks per iod, 8 extents each).
-func BenchmarkLiveReadMissStrided(b *testing.B) { benchStridedMisses(b, false) }
-
-// BenchmarkLiveReadMissStridedPerBlock is the same pattern on the legacy
-// per-run path (8 Reads per iod per request) — the ablation baseline.
-func BenchmarkLiveReadMissStridedPerBlock(b *testing.B) { benchStridedMisses(b, true) }
 
 // benchScanSink keeps the scan's checksum pass from being optimized away.
 var benchScanSink byte
@@ -737,25 +696,21 @@ func BenchmarkGlobalCacheRemoteRead(b *testing.B) {
 // benchLiveWriteStorm measures a write storm through the full live
 // stack: fill 2 MB of dirty blocks through the cache module (striped
 // over 4 iods), then drain them with FlushAll. Only the drain is timed.
-// The pair isolates the pipelined write-behind engine on the real data
-// path — over the in-memory transport the win is mostly in wire framing
-// and fewer round trips (runs coalesce into contiguous frames); the
-// latency-overlap win is measured by internal/cachemod's
+// window is each stream's FlushWindow (0 = default 4; 1 = one blocking
+// frame at a time, the control). The pair isolates the in-flight window
+// on the real data path — over the in-memory transport the win is mostly
+// in wire framing and fewer round trips (runs coalesce into contiguous
+// frames); the latency-overlap win is measured by internal/cachemod's
 // BenchmarkFlushDrain pair, whose flush ports model disk service time.
-func benchLiveWriteStorm(b *testing.B, streams, window int) {
-	benchLiveWriteStormBackend(b, streams, window, "")
-}
-
-func benchLiveWriteStormBackend(b *testing.B, streams, window int, backend string) {
+func benchLiveWriteStorm(b *testing.B, window int, backend string) {
 	cfg := cluster.Config{
-		IODs:         4,
-		ClientNodes:  1,
-		Caching:      true,
-		CacheBlocks:  1024, // 4 MB: the 2 MB storm fits without pressure
-		FlushPeriod:  time.Hour,
-		FlushStreams: streams,
-		FlushWindow:  window,
-		Backend:      backend,
+		IODs:        4,
+		ClientNodes: 1,
+		Caching:     true,
+		CacheBlocks: 1024, // 4 MB: the 2 MB storm fits without pressure
+		FlushPeriod: time.Hour,
+		FlushWindow: window,
+		Backend:     backend,
 	}
 	if backend == "disk" {
 		cfg.DataDir = b.TempDir()
@@ -794,22 +749,18 @@ func benchLiveWriteStormBackend(b *testing.B, streams, window int, backend strin
 
 // BenchmarkLiveWriteStormDrain: the pipelined engine (all iod streams in
 // parallel, default window).
-func BenchmarkLiveWriteStormDrain(b *testing.B) { benchLiveWriteStorm(b, 0, 0) }
+func BenchmarkLiveWriteStormDrain(b *testing.B) { benchLiveWriteStorm(b, 0, "") }
 
-// BenchmarkLiveWriteStormDrainSerial is the seed-shape ablation: one
-// stream, one blocking frame at a time.
-func BenchmarkLiveWriteStormDrainSerial(b *testing.B) { benchLiveWriteStorm(b, 1, 1) }
+// BenchmarkLiveWriteStormDrainSerial is the control: every stream keeps
+// one blocking frame in flight (FlushWindow 1).
+func BenchmarkLiveWriteStormDrainSerial(b *testing.B) { benchLiveWriteStorm(b, 1, "") }
 
 // BenchmarkLiveWriteStormDrainDisk / SerialDisk: the same storm drained
 // into WAL-backed on-disk iods — every flushed byte is journaled and
 // pushed to the OS before the ack comes back.
-func BenchmarkLiveWriteStormDrainDisk(b *testing.B) {
-	benchLiveWriteStormBackend(b, 0, 0, "disk")
-}
+func BenchmarkLiveWriteStormDrainDisk(b *testing.B) { benchLiveWriteStorm(b, 0, "disk") }
 
-func BenchmarkLiveWriteStormDrainSerialDisk(b *testing.B) {
-	benchLiveWriteStormBackend(b, 1, 1, "disk")
-}
+func BenchmarkLiveWriteStormDrainSerialDisk(b *testing.B) { benchLiveWriteStorm(b, 1, "disk") }
 
 // BenchmarkLiveWriteDirect measures the same write through original PVFS.
 func BenchmarkLiveWriteDirect(b *testing.B) {

@@ -14,12 +14,10 @@
 //
 // The tool reports per-request latency, total completion time per
 // instance, and the cache-module counters. The -cpuprofile/-memprofile
-// flags write standard pprof profiles (see examples/README.md), and the
-// ablation flags -nozerocopy, -novector, -shards, -flushstreams and
-// -flushwindow select the copying data path, the per-run miss engine,
-// the buffer manager's stripe count, and the write-behind engine's
-// stream/window shape (-flushstreams 1 -flushwindow 1 is the serial
-// pre-pipeline drain). The admission knobs -policy, -ghostfrac and
+// flags write standard pprof profiles (see examples/README.md), and
+// -shards and -flushwindow select the buffer manager's stripe count and
+// each flush stream's in-flight frame window (-flushwindow 1 is one
+// blocking frame at a time). The admission knobs -policy, -ghostfrac and
 // -bypass pick the replacement policy (clock, lru, or the
 // scan-resistant ghost policy), size its ghost history, and enable the
 // streaming read-around. See docs/TUNING.md for the full knob table.
@@ -79,11 +77,8 @@ func main() {
 	)
 	var mods modFlags
 	flag.IntVar(&mods.readahead, "readahead", 0, "sequential-readahead window in blocks (0 = default, negative disables)")
-	flag.BoolVar(&mods.novector, "novector", false, "use the legacy one-Read-per-run miss path (ablation)")
-	flag.BoolVar(&mods.nozerocopy, "nozerocopy", false, "use the copying data path (ablation: per-request response buffers, no pooled leases)")
 	flag.IntVar(&mods.shards, "shards", 0, "cache lock stripes (0 = power of two >= GOMAXPROCS, 1 = single-mutex ablation)")
-	flag.IntVar(&mods.flushStreams, "flushstreams", 0, "concurrent per-iod flush streams (0 = all iods in parallel, 1 = serial ablation)")
-	flag.IntVar(&mods.flushWindow, "flushwindow", 0, "in-flight flush frames per stream (0 = default 4, 1 = blocking ablation)")
+	flag.IntVar(&mods.flushWindow, "flushwindow", 0, "in-flight flush frames per stream (0 = default 4, 1 = one blocking frame at a time)")
 	policyName := flag.String("policy", "clock", "replacement policy: clock, lru, or ghost (scan-resistant)")
 	flag.Float64Var(&mods.ghostFrac, "ghostfrac", 0, "ghost-list size as a fraction of cache capacity under -policy ghost (0 = default 1.0, negative disables)")
 	flag.IntVar(&mods.bypass, "bypass", 0, "sequential streak at which streaming reads bypass the cache (0 = disabled)")
@@ -161,18 +156,14 @@ func main() {
 	runAgainst(mb, *caching, mods, transport.NewTCP(), *mgrAddr, iods, flushes)
 }
 
-// modFlags collects the cache-module tuning/ablation flags (see
-// docs/TUNING.md for what each one restores or enables).
+// modFlags collects the cache-module tuning flags (see docs/TUNING.md).
 type modFlags struct {
-	readahead    int
-	novector     bool
-	nozerocopy   bool
-	shards       int
-	flushStreams int
-	flushWindow  int
-	policy       buffer.Policy
-	ghostFrac    float64
-	bypass       int
+	readahead   int
+	shards      int
+	flushWindow int
+	policy      buffer.Policy
+	ghostFrac   float64
+	bypass      int
 }
 
 // storageFlags selects the iod storage engine for in-process clusters.
@@ -233,12 +224,9 @@ func runInProcess(mb microbench.Params, caching bool, mods modFlags, sf storageF
 			FlushPeriod:     100 * time.Millisecond,
 			ReadaheadWindow: mods.readahead,
 			BypassThreshold: mods.bypass,
-			DisableVector:   mods.novector,
-			DisableZeroCopy: mods.nozerocopy,
 			CacheShards:     mods.shards,
 			Policy:          mods.policy,
 			GhostFrac:       mods.ghostFrac,
-			FlushStreams:    mods.flushStreams,
 			FlushWindow:     mods.flushWindow,
 			Backend:         sf.backend,
 			DataDir:         sub,
@@ -277,9 +265,6 @@ func runAgainst(mb microbench.Params, caching bool, mods modFlags, net transport
 				},
 				ReadaheadWindow: mods.readahead,
 				BypassThreshold: mods.bypass,
-				DisableVector:   mods.novector,
-				DisableZeroCopy: mods.nozerocopy,
-				FlushStreams:    mods.flushStreams,
 				FlushWindow:     mods.flushWindow,
 			})
 			if err != nil {

@@ -3,14 +3,13 @@
 // 2 MB of dirty blocks through the cache — every write acknowledged
 // from memory — then drains them with FlushAll and shows the counters
 // moving: frames sent, blocks flushed, adjacent blocks coalesced into
-// contiguous runs. The same storm is then drained by the seed-shape
-// ablation (FlushStreams=1, FlushWindow=1: one blocking frame at a
-// time, serially across iods) for comparison.
+// contiguous runs. The same storm is then drained with FlushWindow=1
+// (each stream keeps one blocking frame in flight) for comparison.
 //
 //	go run ./examples/writebehind
 //
 // See DESIGN.md §6 for the dirty-block lifecycle and docs/TUNING.md for
-// the FlushStreams/FlushWindow/FlushBatch knobs.
+// the FlushWindow/FlushBatch knobs.
 package main
 
 import (
@@ -102,12 +101,11 @@ func main() {
 	piped := storm("pipelined: 4 streams × window 4 (default)", base)
 
 	serial := base
-	serial.FlushStreams = 1
 	serial.FlushWindow = 1
-	serialTime := storm("seed-shape ablation: -flushstreams 1 -flushwindow 1", serial)
+	serialTime := storm("window 1: 4 streams × one blocking frame (-flushwindow 1)", serial)
 
-	fmt.Printf("\npipelined %v vs serial %v — over a real network/disk the gap widens\n",
+	fmt.Printf("\nwindow 4 %v vs window 1 %v — over a real network/disk the gap widens\n",
 		piped.Round(10*time.Microsecond), serialTime.Round(10*time.Microsecond))
-	fmt.Println("with the per-frame service latency the streams overlap (see")
+	fmt.Println("with the per-frame service latency the window overlaps (see")
 	fmt.Println("internal/cachemod's BenchmarkFlushDrainPipelined vs ...Serial).")
 }

@@ -152,9 +152,13 @@ type Config struct {
 	// two and capped so every shard owns at least one frame. 1 is the
 	// single-mutex ablation baseline and the deterministic-simulation
 	// setting: replacement order then matches the pre-sharding manager
-	// exactly.
+	// exactly. Kept on purpose: the DES figures are bit-identical only
+	// at 1, and the sharded-vs-single-shard oracle uses it as reference.
 	Shards int
 	// Policy selects the replacement algorithm (default PolicyClock).
+	// All three are kept on purpose: the simulator's eviction ablation
+	// (A1) compares clock against LRU, and ghost is the scan-resistant
+	// policy the live admission tests and examples/scanresist run.
 	Policy Policy
 	// GhostFrac sizes PolicyGhost's per-shard ghost list as a fraction of
 	// the shard's frame count (entries are metadata only: one key plus two

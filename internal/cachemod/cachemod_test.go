@@ -112,6 +112,60 @@ func TestReadMissThenHit(t *testing.T) {
 	}
 }
 
+// TestCloseSettlesAbandonedRead: a read abandoned between Send and Recv
+// (the process died, or libpvfs gave up on the operation) must not keep
+// its share of the node-wide state. Its fetch-table claims in particular:
+// the next reader of those blocks, from any process, joins whatever is in
+// the table and waits on it with no timeout.
+func TestCloseSettlesAbandonedRead(t *testing.T) {
+	r := newRig(t, func(c *Config) { c.TenantFetchBudget = 8 })
+	data := bytes.Repeat([]byte{0x5A}, 2*4096)
+	r.seed(0, 12, 0, data)
+	r.mod.SetTenant(12, 3, 1)
+	req := &wire.Read{File: 12, Offset: 0, Length: 2 * 4096}
+
+	dying := r.mod.NewTransport()
+	if _, err := dying.Send(0, req); err != nil {
+		t.Fatal(err)
+	}
+	if err := dying.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got := make(chan []byte, 1)
+	go func() {
+		tr := r.mod.NewTransport()
+		id, err := tr.Send(0, req)
+		if err != nil {
+			t.Error(err)
+			got <- nil
+			return
+		}
+		resp, err := tr.Recv(id)
+		if err != nil {
+			t.Error(err)
+			got <- nil
+			return
+		}
+		got <- resp.(*wire.ReadResp).Data
+	}()
+	select {
+	case b := <-got:
+		if !bytes.Equal(b, data) {
+			t.Fatal("second reader got wrong data")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("second reader wedged on the abandoned read's fetch claims")
+	}
+	r.mod.fetchMu.Lock()
+	left := len(r.mod.fetches)
+	r.mod.fetchMu.Unlock()
+	if left != 0 {
+		t.Errorf("%d fetch-table entries left behind", left)
+	}
+	waitTenantInflight(t, r.mod, 3, 0)
+}
+
 func TestPartialHitSplitsRequest(t *testing.T) {
 	// Cache the middle block of a three-block range, then read the whole
 	// range: the cached block splits the misses into two runs, but both
@@ -141,30 +195,6 @@ func TestPartialHitSplitsRequest(t *testing.T) {
 	if d["iod.reads"] != 1 || d["iod.vector_extents"] != 2 {
 		t.Fatalf("iod reads = %d (vector extents %d), want one round trip with 2 extents",
 			d["iod.reads"], d["iod.vector_extents"])
-	}
-}
-
-func TestPartialHitLegacySplitsRequest(t *testing.T) {
-	// With DisableVector the module reverts to the seed shape: one Read
-	// per run of consecutive missing blocks.
-	r := newRig(t, func(c *Config) { c.DisableVector = true })
-	data := bytes.Repeat([]byte{7}, 3*4096)
-	r.seed(0, 9, 0, data)
-
-	tr := r.mod.NewTransport()
-	sendRecv(t, tr, 0, &wire.Read{File: 9, Offset: 4096, Length: 4096})
-
-	before := r.reg.Snapshot()
-	resp := sendRecv(t, tr, 0, &wire.Read{File: 9, Offset: 0, Length: 3 * 4096}).(*wire.ReadResp)
-	if !bytes.Equal(resp.Data, data) {
-		t.Fatal("split read wrong data")
-	}
-	d := r.reg.Snapshot().Diff(before)
-	if d["module.read_subrequests"] != 2 {
-		t.Fatalf("sub-requests = %d, want 2 (split around cached block)", d["module.read_subrequests"])
-	}
-	if d["iod.reads"] != 2 {
-		t.Fatalf("iod reads = %d, want 2", d["iod.reads"])
 	}
 }
 
@@ -258,7 +288,7 @@ func TestFillFromResponseRejectsOverlongLens(t *testing.T) {
 		return run
 	}
 	runs := []fetchRun{mkRun(0, 1), mkRun(5, 1)}
-	pr := &pendingRead{result: make([]byte, 2*4096)}
+	pr := &pendingRead{}
 	rr := &wire.ReadBlocksResp{
 		Status: wire.StatusOK,
 		Lens:   []uint32{4096 + 1024, 3072}, // extent 0 overlong; sum still tiles

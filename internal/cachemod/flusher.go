@@ -6,10 +6,7 @@ package cachemod
 // parallel. This is the write-side half of the architecture the read
 // side already has — the miss engine fans a request's runs out to every
 // iod at once (transport.go), and the streams fan the dirty list back
-// the same way. The seed shape — one blocking Call per frame, serially
-// across (iod, file) groups, where one slow iod head-of-line-blocked
-// every other daemon's drain — is preserved as the FlushStreams=1 +
-// FlushWindow=1 ablation.
+// the same way, so one slow iod delays only its own drain.
 //
 // Lifecycle of a dirty block (see DESIGN.md "The write path"):
 //
@@ -112,16 +109,7 @@ func (s *flushStream) loop() {
 		case <-ticker.C:
 		case <-s.kick:
 		}
-		// FlushStreams gates how many streams drain at once; the default
-		// (one slot per iod) never blocks here, FlushStreams=1 restores
-		// the seed's serial cross-iod drain.
-		select {
-		case m.streamSem <- struct{}{}:
-		case <-m.stop:
-			return
-		}
 		err := s.drain()
-		<-m.streamSem
 		s.failing.Store(err != nil)
 		if err == nil {
 			backoff = 0

@@ -3,12 +3,11 @@ package cachemod
 // The write-storm drain pair: FlushAll over a full dirty cache spread
 // across 4 iods whose flush ports have a realistic per-frame service
 // time (disk write + network, modeled as a sleep, the same technique as
-// internal/rpc's FIFO-vs-multiplexed pair — on a single-core runner a
+// internal/rpc's BenchmarkMultiplexedPool — on a single-core runner a
 // sleep is the only latency that can genuinely overlap). The pipelined
 // engine drains all four iods in parallel with FlushWindow frames in
-// flight each; the serial ablation (FlushStreams=1, FlushWindow=1) is
-// the seed's shape — one blocking frame at a time, head-of-line-blocked
-// across iods. Acceptance target: pipelined ≥ 2× faster.
+// flight each; the serial control (FlushWindow=1) keeps one blocking
+// frame in flight per stream.
 //
 //	go test -run xxx -bench FlushDrain -benchmem ./internal/cachemod/
 
@@ -33,13 +32,26 @@ import (
 // IDE-class disks (a seek alone is 9 ms there).
 const flushServiceTime = 400 * time.Microsecond
 
+// flushBatchFor keeps a stream's burst (FlushBatch × FlushWindow) at the
+// default's 256 blocks for either window, so the pair differs only in
+// frames in flight. It also keeps each iod's 128-block backlog below one
+// burst: a stream whose backlog is a whole number of bursts must take once
+// more to learn it is empty, and that trailing take can still be running
+// when FlushAll returns and carry off blocks of the next fill.
+func flushBatchFor(window int) int {
+	if window == 1 {
+		return 256
+	}
+	return 0 // default 64, × the default window of 4
+}
+
 // benchFlushModule assembles a module whose 4 flush ports ack after
 // flushServiceTime. Returns the module and a dirty-fill function that
 // dirties `dirty` blocks (spread evenly across the 4 iods, one file per
 // iod). The cache is sized with headroom above the dirty set so the fill
 // itself never stalls on space pressure and kicks no mid-fill flush —
 // the measured FlushAll sees the full backlog.
-func benchFlushModule(b *testing.B, dirty, streams, window int) (*Module, func()) {
+func benchFlushModule(b *testing.B, dirty, window int) (*Module, func()) {
 	b.Helper()
 	net := transport.NewMem()
 	reg := metrics.NewRegistry()
@@ -85,7 +97,7 @@ func benchFlushModule(b *testing.B, dirty, streams, window int) (*Module, func()
 			Shards:    4,
 		},
 		FlushPeriod:      time.Hour, // drains run only on FlushAll's kicks
-		FlushStreams:     streams,
+		FlushBatch:       flushBatchFor(window),
 		FlushWindow:      window,
 		DisableCoherence: true,
 		Registry:         reg,
@@ -118,9 +130,9 @@ func benchFlushModule(b *testing.B, dirty, streams, window int) (*Module, func()
 
 // benchFlushDrain measures FlushAll wall time over a 2 MB dirty backlog
 // (512 blocks, 128 per iod).
-func benchFlushDrain(b *testing.B, streams, window int) {
+func benchFlushDrain(b *testing.B, window int) {
 	const dirty = 512
-	mod, fill := benchFlushModule(b, dirty, streams, window)
+	mod, fill := benchFlushModule(b, dirty, window)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -135,17 +147,17 @@ func benchFlushDrain(b *testing.B, streams, window int) {
 
 // BenchmarkFlushDrainPipelined: all four streams drain in parallel,
 // FlushWindow (default 4) frames in flight each.
-func BenchmarkFlushDrainPipelined(b *testing.B) { benchFlushDrain(b, 0, 0) }
+func BenchmarkFlushDrainPipelined(b *testing.B) { benchFlushDrain(b, 0) }
 
-// BenchmarkFlushDrainSerial is the seed-shape ablation: one stream at a
-// time, one blocking frame per round trip.
-func BenchmarkFlushDrainSerial(b *testing.B) { benchFlushDrain(b, 1, 1) }
+// BenchmarkFlushDrainSerial is the control: every stream keeps one
+// blocking frame in flight (FlushWindow 1).
+func BenchmarkFlushDrainSerial(b *testing.B) { benchFlushDrain(b, 1) }
 
 // benchFlushModuleDisk is the real-disk variant of benchFlushModule: the
 // four flush ports are four real iods, each over its own WAL-backed disk
 // backend in a temp directory. No modeled sleep — the service time is
 // the journal append + page-cache write the engine actually pays.
-func benchFlushModuleDisk(b *testing.B, dirty, streams, window int) (*Module, func()) {
+func benchFlushModuleDisk(b *testing.B, dirty, window int) (*Module, func()) {
 	b.Helper()
 	net := transport.NewMem()
 	reg := metrics.NewRegistry()
@@ -185,7 +197,7 @@ func benchFlushModuleDisk(b *testing.B, dirty, streams, window int) (*Module, fu
 			Shards:    4,
 		},
 		FlushPeriod:      time.Hour,
-		FlushStreams:     streams,
+		FlushBatch:       flushBatchFor(window),
 		FlushWindow:      window,
 		DisableCoherence: true,
 		Registry:         reg,
@@ -216,9 +228,9 @@ func benchFlushModuleDisk(b *testing.B, dirty, streams, window int) (*Module, fu
 	return mod, fill
 }
 
-func benchFlushDrainDisk(b *testing.B, streams, window int) {
+func benchFlushDrainDisk(b *testing.B, window int) {
 	const dirty = 512
-	mod, fill := benchFlushModuleDisk(b, dirty, streams, window)
+	mod, fill := benchFlushModuleDisk(b, dirty, window)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -234,5 +246,5 @@ func benchFlushDrainDisk(b *testing.B, streams, window int) {
 // BenchmarkFlushDrainPipelinedDisk / SerialDisk: the FlushDrain pair
 // against real WAL-backed iods instead of modeled service time — the
 // first benchmark numbers in the repo that touch an actual filesystem.
-func BenchmarkFlushDrainPipelinedDisk(b *testing.B) { benchFlushDrainDisk(b, 0, 0) }
-func BenchmarkFlushDrainSerialDisk(b *testing.B)    { benchFlushDrainDisk(b, 1, 1) }
+func BenchmarkFlushDrainPipelinedDisk(b *testing.B) { benchFlushDrainDisk(b, 0) }
+func BenchmarkFlushDrainSerialDisk(b *testing.B)    { benchFlushDrainDisk(b, 1) }

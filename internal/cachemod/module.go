@@ -29,8 +29,7 @@
 //     regions (pvfs.ReadSinker) and every span — cache hit, fetch join,
 //     fetched run — is copied straight into them, while fetched images
 //     live in pooled, reference-counted slabs rather than per-request
-//     allocations (see DESIGN.md §4 "Buffer ownership and lifetimes";
-//     Config.DisableZeroCopy restores the copying shape for ablation).
+//     allocations (see DESIGN.md §4 "Buffer ownership and lifetimes").
 //
 // One Module runs per node. Each application process obtains its own
 // pvfs.Transport from NewTransport; all of them share the cache — which is
@@ -77,15 +76,10 @@ type Config struct {
 	// stream pulls up to FlushBatch×FlushWindow dirty blocks per burst
 	// (default 64 — with 4 KB blocks one batch is one ~256 KB frame).
 	FlushBatch int
-	// FlushStreams bounds how many per-iod flush streams may drain
-	// concurrently. Default (0): one stream per iod, all iods draining
-	// in parallel. 1 serializes the drains across iods — combined with
-	// FlushWindow=1 this is the seed's serial write-behind shape, kept
-	// as the ablation baseline.
-	FlushStreams int
 	// FlushWindow is each stream's bound on concurrent Flush frames in
-	// flight to its iod (default 4). 1 restores one blocking round trip
-	// at a time (ablation baseline).
+	// flight to its iod (default 4; 1 = one blocking round trip at a time).
+	// Kept on purpose: the antagonist wall needs 1 so a browned-out iod
+	// paces its own drain, and the drain benchmarks use 1 as their control.
 	FlushWindow int
 	// WriteStall bounds how long a write blocks waiting for cache space
 	// before falling back to write-through (default 2s).
@@ -134,21 +128,11 @@ type Config struct {
 	// disables the bypass; per-open hints (CacheNone/CacheMust) override
 	// it either way.
 	BypassThreshold int
-	// DisableVector reverts the miss engine to the legacy shape: one
-	// Read per run of consecutive missing blocks instead of one
-	// ReadBlocks covering every run. Kept for the ablation benchmarks
-	// that quantify the vectored path's win.
-	DisableVector bool
-	// DisableZeroCopy reverts the data path to the copying shape: cache
-	// hits assemble into a freshly allocated response buffer that libpvfs
-	// copies into the caller's memory (instead of scattering straight into
-	// it), and miss slabs, prefetch blocks and read-modify-write blocks
-	// are allocated per fetch instead of leased from pools. Kept as the
-	// ablation baseline that quantifies the zero-copy path's win.
-	DisableZeroCopy bool
 	// DisableCoherence skips the invalidation listener and iod
 	// registration; sync-writes then behave like plain writes plus a
-	// server write-through.
+	// server write-through. Kept on purpose: it selects no second data
+	// path, only whether New opens the listener — the module tests that
+	// stand in a bare fake iod (no Register handler) depend on it.
 	DisableCoherence bool
 	// GlobalCache, when non-nil, enables the cooperative global cache
 	// extension (the paper's §5 ongoing work): this module serves its
@@ -176,9 +160,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.FlushBatch <= 0 {
 		c.FlushBatch = 64
-	}
-	if c.FlushStreams <= 0 || c.FlushStreams > len(c.IODFlushAddrs) {
-		c.FlushStreams = len(c.IODFlushAddrs)
 	}
 	if c.FlushWindow <= 0 {
 		c.FlushWindow = 4
@@ -220,25 +201,24 @@ func (c *Config) fillDefaults() error {
 // memRef counts the readers of one pooled buffer shared by one or more
 // fetchStates — a miss run's slab, or a single prefetched/peer-fetched
 // block. The buffer returns to its pool when the count drains to zero.
-// With zero-copy disabled (plain allocations) pool is nil and release is
-// a no-op: the garbage collector owns the buffer, exactly as before.
 type memRef struct {
 	buf  []byte
 	pool *rpc.BufPool
 	refs atomic.Int32
 }
 
-// newMemRef wraps buf with one reference held by the creator.
-func newMemRef(buf []byte, pool *rpc.BufPool) *memRef {
-	r := &memRef{buf: buf, pool: pool}
+// lease takes an n-byte buffer from pool — m.slabs for miss-run assembly,
+// m.blocks for whole blocks — with one reference, held by the caller.
+func lease(pool *rpc.BufPool, n int) ([]byte, *memRef) {
+	r := &memRef{buf: pool.Get(n), pool: pool}
 	r.refs.Store(1)
-	return r
+	return r.buf, r
 }
 
 func (r *memRef) retain() { r.refs.Add(1) }
 
 func (r *memRef) release() {
-	if r.refs.Add(-1) == 0 && r.pool != nil {
+	if r.refs.Add(-1) == 0 {
 		r.pool.Put(r.buf)
 	}
 }
@@ -250,8 +230,8 @@ func (r *memRef) release() {
 // transfers in the same table, so a demand miss on a block already being
 // prefetched joins the prefetch instead of fetching twice.
 //
-// Lifetime protocol (zero-copy): data may be backed by a pooled buffer
-// (mem). refs counts the holders entitled to read data after done closes —
+// Lifetime protocol (zero-copy): data is backed by a pooled buffer (mem).
+// refs counts the holders entitled to read data after done closes —
 // the owner's publish path plus every joiner. A joiner must acquire its
 // reference with refs.Add(1) while it still holds fetchMu and sees the
 // state in the fetch table; the owner only drops its own reference after
@@ -276,7 +256,7 @@ type fetchState struct {
 	finalStamp uint32
 
 	refs atomic.Int32
-	mem  *memRef // backing allocation of data; nil when GC-managed
+	mem  *memRef // backing allocation of data; nil until published
 }
 
 // newFetchState returns a state with one reference, held by the fetch
@@ -304,7 +284,7 @@ type Module struct {
 
 	// slabs recycles miss-run assembly buffers, blocks recycles
 	// whole-block buffers (prefetch installs, peer gets, read-modify-write
-	// fetches). Both are bypassed when Config.DisableZeroCopy is set.
+	// fetches).
 	slabs  rpc.BufPool
 	blocks rpc.BufPool
 
@@ -356,9 +336,8 @@ type Module struct {
 	gcNode *globalcache.Node // nil without the global cache
 
 	// streams is the pipelined write-behind engine: one flush stream per
-	// iod (see flusher.go), gated by streamSem (capacity FlushStreams).
-	streams   []*flushStream
-	streamSem chan struct{}
+	// iod (see flusher.go).
+	streams []*flushStream
 
 	harvestKick chan struct{}
 	stop        chan struct{}
@@ -450,14 +429,11 @@ func New(cfg Config) (*Module, error) {
 		}
 	}
 
-	if len(m.flush) > 0 {
-		m.streamSem = make(chan struct{}, cfg.FlushStreams)
-		for i, rc := range m.flush {
-			s := &flushStream{m: m, iod: i, client: rc, kick: make(chan struct{}, 1)}
-			m.streams = append(m.streams, s)
-			m.wg.Add(1)
-			go s.loop()
-		}
+	for i, rc := range m.flush {
+		s := &flushStream{m: m, iod: i, client: rc, kick: make(chan struct{}, 1)}
+		m.streams = append(m.streams, s)
+		m.wg.Add(1)
+		go s.loop()
 	}
 	m.wg.Add(1)
 	go m.harvesterLoop()
@@ -764,37 +740,14 @@ func (m *Module) waitForSpace(deadline time.Time) bool {
 	}
 }
 
-// getSlab returns an n-byte assembly buffer: pooled and refcounted on the
-// zero-copy path, a plain (GC-managed) allocation with a nil ref when
-// zero-copy is disabled.
-func (m *Module) getSlab(n int) ([]byte, *memRef) {
-	if m.cfg.DisableZeroCopy {
-		return make([]byte, n), nil
-	}
-	buf := m.slabs.Get(n)
-	return buf, newMemRef(buf, &m.slabs)
-}
-
-// getBlock is getSlab for whole-block buffers, drawing on the block pool.
-func (m *Module) getBlock() ([]byte, *memRef) {
-	bs := m.buf.BlockSize()
-	if m.cfg.DisableZeroCopy {
-		return make([]byte, bs), nil
-	}
-	buf := m.blocks.Get(bs)
-	return buf, newMemRef(buf, &m.blocks)
-}
-
 // publishFetched hands a fetched block image to the state's waiters: it
 // records the data (retaining a reference on its backing buffer for the
 // state's holders), removes the fetch-table entry so no new joiner can
 // arrive, and wakes everyone waiting on done. The caller still holds its
 // own state reference and must decref once it has finished reading data.
 func (m *Module) publishFetched(st *fetchState, key blockio.BlockKey, data []byte, mem *memRef) {
-	if mem != nil {
-		mem.retain()
-		st.mem = mem
-	}
+	mem.retain()
+	st.mem = mem
 	st.data = data
 	m.fetchMu.Lock()
 	if m.fetches[key] == st {
@@ -881,12 +834,8 @@ func (m *Module) readAdmitMode(file blockio.FileID) admitMode {
 // makes the merge converge. The fetched image lives in a pooled block
 // buffer for exactly the duration of the call.
 func (m *Module) fetchBlockSpan(iod int, key blockio.BlockKey, off int, dst []byte) error {
-	data, mem := m.getBlock()
-	defer func() {
-		if mem != nil {
-			mem.release()
-		}
-	}()
+	data, mem := lease(&m.blocks, m.buf.BlockSize())
+	defer mem.release()
 	must := m.cachePolicy(key.File) == pvfs.CacheMust
 	for {
 		// The stamp must be read before the iod does: any write applied

@@ -434,7 +434,7 @@ func (m *Module) prefetchIOD(iod int, file blockio.FileID, keys []blockio.BlockK
 			// buffer, which backs the cache install, any fetch joiners,
 			// and the readahead mark — and returns to the pool when the
 			// last of them lets go.
-			blockData, mem := m.getBlock()
+			blockData, mem := lease(&m.blocks, bs)
 			n := copy(blockData, data[start:served])
 			zeroFill(blockData[n:])
 			var oc buffer.Outcome
@@ -465,9 +465,7 @@ func (m *Module) prefetchIOD(iod int, file blockio.FileID, keys []blockio.BlockK
 				m.fetchMu.Unlock()
 				close(st.done)
 				st.decref()
-				if mem != nil {
-					mem.release()
-				}
+				mem.release()
 				continue
 			}
 			st.finalStamp = st.stamp
@@ -487,10 +485,8 @@ func (m *Module) prefetchIOD(iod int, file blockio.FileID, keys []blockio.BlockK
 				}
 				m.raMu.Unlock()
 			}
-			st.decref() // the prefetcher's hold; joiners keep the block alive
-			if mem != nil {
-				mem.release() // the creator's hold
-			}
+			st.decref()   // the prefetcher's hold; joiners keep the block alive
+			mem.release() // the creator's hold
 			m.cfg.Registry.Counter("module.prefetch_blocks").Inc()
 		}
 		data = data[served:]

@@ -1,6 +1,7 @@
 package cachemod
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -76,14 +77,12 @@ type pendingOp struct {
 }
 
 // pendingRead tracks a read whose missing pieces are in flight. Every
-// span of the request resolved its destination slice at classification
-// time: a region of the caller's own buffer on the zero-copy sink path
-// (see SendRead), or of result — the freshly allocated response payload —
-// on the copying path. For a vectored request (libpvfs sent a ReadBlocks)
-// lens carries the per-extent byte counts for the response.
+// span of the request resolved its destination slice — a region of the
+// request's sink — at classification time. For a vectored request
+// (libpvfs sent a ReadBlocks) lens carries the per-extent byte counts for
+// the response.
 type pendingRead struct {
-	result  []byte // response payload buffer; nil in sink mode
-	sink    bool   // destinations are caller-owned: respond status-only
+	data    []byte // reply payload of a plain Send; nil when the caller supplied the sink
 	fetches []fetch
 	waits   []spanWait
 	vector  bool
@@ -108,6 +107,17 @@ func (pr *pendingRead) releaseBudget() {
 	}
 }
 
+// reply builds the request's response: a ReadBlocksResp for a vectored
+// request, a ReadResp for a plain one. It is status-only when the caller
+// supplied the sink — its buffers already hold every byte — and when the
+// request was refused (lens and data are set only once it is admitted).
+func (pr *pendingRead) reply(status wire.Status) wire.Message {
+	if pr.vector {
+		return &wire.ReadBlocksResp{Status: status, Lens: pr.lens, Data: pr.data}
+	}
+	return &wire.ReadResp{Status: status, Data: pr.data}
+}
+
 // tgtSpan is one block span of the request together with the destination
 // it must be copied to.
 type tgtSpan struct {
@@ -116,7 +126,7 @@ type tgtSpan struct {
 }
 
 // fetchRun is a run of consecutive missing blocks this process owns: one
-// extent of a vectored fetch (or the whole of a legacy one).
+// extent of a vectored fetch.
 type fetchRun struct {
 	firstIdx int64
 	keys     []blockio.BlockKey
@@ -125,8 +135,7 @@ type fetchRun struct {
 }
 
 // fetch is one network round trip issued for a request's missing blocks:
-// a ReadBlocks covering every run at once, or — with Config.DisableVector
-// — a legacy Read carrying exactly one run.
+// a ReadBlocks carrying every run as an extent.
 type fetch struct {
 	iod  int
 	ch   <-chan rpc.Result
@@ -162,10 +171,11 @@ func (t *CachedTransport) Send(iod int, req wire.Message) (pvfs.ReqID, error) {
 	var op *pendingOp
 	var err error
 	switch r := req.(type) {
-	case *wire.Read:
-		op, err = t.sendRead(iod, r, nil)
-	case *wire.ReadBlocks:
-		op, err = t.sendVectorRead(iod, r, nil)
+	case *wire.Read, *wire.ReadBlocks:
+		// A read that did not come through SendRead (module tests, a
+		// wrapper that does not forward pvfs.ReadSinker): with no sink the
+		// FSM scatters into the reply's own payload.
+		op, _, err = t.sendRead(iod, req, nil)
 	case *wire.Write:
 		op, err = t.sendWrite(iod, r)
 	case *wire.SyncWrite:
@@ -188,37 +198,17 @@ func (t *CachedTransport) Send(iod int, req wire.Message) (pvfs.ReqID, error) {
 // slice for a plain Read), and the FSM scatters every byte — cache hits,
 // fetch joins, fetched runs — directly into them; the Recv response is
 // then status-only. It declines (ok=false, caller falls back to
-// Send/Recv) when zero-copy is disabled, the message is not a read, or
-// the sink does not tile the request.
+// Send/Recv) when the message is not a read or the sink does not tile the
+// request.
 func (t *CachedTransport) SendRead(iod int, req wire.Message, sink [][]byte) (pvfs.ReqID, bool, error) {
-	if t.m.cfg.DisableZeroCopy {
-		return 0, false, nil
-	}
 	if iod < 0 || iod >= len(t.m.data) {
 		return 0, false, fmt.Errorf("cachemod: iod index %d out of range", iod)
 	}
-	var op *pendingOp
-	var err error
-	switch r := req.(type) {
-	case *wire.Read:
-		if len(sink) != 1 || int64(len(sink[0])) != r.Length {
-			return 0, false, nil
-		}
-		op, err = t.sendRead(iod, r, sink)
-	case *wire.ReadBlocks:
-		if len(sink) != len(r.Exts) {
-			return 0, false, nil
-		}
-		for i, e := range r.Exts {
-			if int64(len(sink[i])) != e.Length {
-				return 0, false, nil
-			}
-		}
-		op, err = t.sendVectorRead(iod, r, sink)
-	default:
-		return 0, false, nil
+	if sink == nil {
+		return 0, false, nil // nil is Send's spelling of "reply carries the bytes"
 	}
-	if err != nil {
+	op, ok, err := t.sendRead(iod, req, sink)
+	if err != nil || !ok {
 		return 0, false, err
 	}
 	return t.register(op), true, nil
@@ -257,12 +247,29 @@ func (t *CachedTransport) Recv(id pvfs.ReqID) (wire.Message, error) {
 	}
 }
 
+// errTransportClosed settles the fetches of reads still pending at Close.
+var errTransportClosed = errors.New("cachemod: transport closed")
+
 // Close drops per-process state. The module (shared by every process on
-// the node) stays up.
+// the node) stays up, so a read abandoned between Send and Recv must not
+// keep its share of the module's state: its fetch-table claims are
+// aborted (joiners from other processes fall back to their own fetch
+// instead of waiting forever), its join references dropped, and its
+// tenant's in-flight budget returned.
 func (t *CachedTransport) Close() error {
 	t.mu.Lock()
+	abandoned := t.pending
 	t.pending = make(map[pvfs.ReqID]*pendingOp)
 	t.mu.Unlock()
+	for _, op := range abandoned {
+		if pr := op.read; pr != nil {
+			t.abortFetches(pr.fetches, errTransportClosed)
+			for _, w := range pr.waits {
+				w.st.decref()
+			}
+			pr.releaseBudget()
+		}
+	}
 	return nil
 }
 
@@ -272,8 +279,7 @@ func (t *CachedTransport) Close() error {
 // into dst now, an in-flight fetch (another process's miss or a prefetch)
 // becomes a join, a global-cache hit is installed immediately, and
 // everything else is an owned miss returned to the caller for fetching.
-// dst is the span's destination — a slice of the caller's buffer on the
-// sink path, of the response buffer otherwise.
+// dst is the span's destination: its slice of the request's sink.
 func (t *CachedTransport) classifySpan(iod int, sp blockio.Span, dst []byte, pr *pendingRead, owned []ownedSpan) []ownedSpan {
 	if t.m.buf.ReadSpan(sp.Key, sp.Off, dst) {
 		t.m.notePrefetchHit(sp.Key)
@@ -304,7 +310,7 @@ func (t *CachedTransport) classifySpan(iod int, sp blockio.Span, dst []byte, pr 
 	// ring would displace exactly the shared blocks the ring exists for.
 	if t.m.gcNode != nil && pr.admit != admitNever {
 		bs := t.m.buf.BlockSize()
-		data, mem := t.m.getBlock()
+		data, mem := lease(&t.m.blocks, bs)
 		// A healthy peer always serves a whole block; anything else is a
 		// buggy or hostile response whose bytes must not be installed or
 		// sliced (an oversize block would panic InstallFetched, a short
@@ -319,26 +325,22 @@ func (t *CachedTransport) classifySpan(iod int, sp blockio.Span, dst []byte, pr 
 				st.finalStamp = st.stamp
 				copy(dst, data[sp.Off:sp.Off+sp.Len])
 				t.m.publishFetched(st, sp.Key, data, mem)
-				st.decref() // the owner's hold; joiners keep the block alive
-				if mem != nil {
-					mem.release() // the creator's hold
-				}
+				st.decref()   // the owner's hold; joiners keep the block alive
+				mem.release() // the creator's hold
 				t.m.cfg.Registry.Counter("module.gcache_hits").Inc()
 				return owned
 			}
 		}
-		if mem != nil {
-			mem.release()
-		}
+		mem.release()
 	}
 	return append(owned, ownedSpan{sp: sp, dst: dst, st: st})
 }
 
 // issueFetches groups the owned miss spans into runs of consecutive block
-// indices and puts them on the wire: one vectored ReadBlocks carrying
-// every run as an extent (the default), or — with Config.DisableVector —
-// one legacy Read per run. Either way the sub-requests of a request are
-// all in flight before the first response is awaited.
+// indices and puts them on the wire as one vectored ReadBlocks carrying
+// every run as an extent (several when the runs outgrow one response
+// frame). The sub-requests of a request are all in flight before the
+// first response is awaited.
 func (t *CachedTransport) issueFetches(iod int, file blockio.FileID, owned []ownedSpan, pr *pendingRead) error {
 	if len(owned) == 0 {
 		return nil
@@ -367,30 +369,6 @@ func (t *CachedTransport) issueFetches(iod int, file blockio.FileID, owned []own
 	// necessary.
 	runs = splitRuns(runs, maxFetchBlocks(bs))
 
-	if t.m.cfg.DisableVector {
-		for i, run := range runs {
-			sub := &wire.Read{
-				Client: t.m.cfg.ClientID,
-				File:   file,
-				Offset: run.firstIdx * int64(bs),
-				Length: int64(len(run.keys)) * int64(bs),
-				Track:  pr.admit != admitNever,
-			}
-			ch, err := t.m.data[iod].Go(sub)
-			if err != nil {
-				t.abortFetches(pr.fetches, err)
-				// The failing run AND the not-yet-issued ones: all their
-				// fetch-table claims must be released, or later readers
-				// of those blocks would wait forever.
-				t.abortRuns(runs[i:], err)
-				return err
-			}
-			pr.fetches = append(pr.fetches, fetch{iod: iod, ch: ch, runs: []fetchRun{run}})
-			t.m.cfg.Registry.Counter("module.read_subrequests").Inc()
-		}
-		return nil
-	}
-
 	for start := 0; start < len(runs); {
 		batch := runs[start : start+1]
 		blocks := len(runs[start].keys)
@@ -413,6 +391,9 @@ func (t *CachedTransport) issueFetches(iod int, file blockio.FileID, owned []own
 		})
 		if err != nil {
 			t.abortFetches(pr.fetches, err)
+			// The failing batch AND the not-yet-issued ones: all their
+			// fetch-table claims must be released, or later readers of
+			// those blocks would wait forever.
 			t.abortRuns(runs[start:], err)
 			return err
 		}
@@ -424,9 +405,9 @@ func (t *CachedTransport) issueFetches(iod int, file blockio.FileID, owned []own
 	return nil
 }
 
-// maxFetchBlocks is the most blocks one fetch (a run in legacy mode, a
-// batch of runs in vectored mode) may carry and still fit a response
-// frame (wire.ValidateExtents' bound), with one block of slack.
+// maxFetchBlocks is the most blocks one fetch (a batch of runs) may carry
+// and still fit a response frame (wire.ValidateExtents' bound), with one
+// block of slack.
 func maxFetchBlocks(bs int) int {
 	n := wire.MaxMessageSize/2/bs - 1
 	if n < 1 {
@@ -469,49 +450,105 @@ func splitRuns(runs []fetchRun, maxBlocks int) []fetchRun {
 	return out
 }
 
-// sendRead classifies each block span of the request as a cache hit, a
-// join on an in-flight fetch, or a miss this process must fetch. All the
-// missing runs of the request leave in one vectored sub-request; a cached
-// block in the middle of the request therefore costs an extent boundary,
-// not an extra round trip. With a sink (zero-copy path) every span writes
-// straight into the caller's buffer; otherwise a response buffer is
-// allocated and the response carries it.
-func (t *CachedTransport) sendRead(iod int, req *wire.Read, sink [][]byte) (*pendingOp, error) {
-	// The request length is attacker-controlled at this boundary (the same
-	// hostile-allocation guard the iod and the wire decoders apply):
-	// reject anything that could not be framed back in a response before
+// sendRead runs the cache FSM for a read. libpvfs sends a plain Read when
+// one striping piece of an operation lands on an iod and a ReadBlocks when
+// several do; a plain Read is a one-extent ReadBlocks, and only the reply
+// type differs. Each block span of every extent classifies as a cache hit,
+// a join on an in-flight fetch, or a miss this process must fetch, and all
+// the misses leave in a single vectored sub-request: a cached block in the
+// middle of the request costs an extent boundary, not an extra round trip.
+// Every span writes straight into its slice of sink (one slice per
+// extent); with a nil sink (plain Send) the reply's payload is allocated
+// here and becomes the sink. ok is false, with nothing issued, when req is
+// not a read or sink does not tile it.
+func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op *pendingOp, ok bool, err error) {
+	pr := &pendingRead{}
+	var file blockio.FileID
+	var one [1]wire.ReadExtent
+	var exts []wire.ReadExtent
+	kind := "read"
+	switch r := req.(type) {
+	case *wire.Read:
+		file = r.File
+		one[0] = wire.ReadExtent{Offset: r.Offset, Length: r.Length}
+		exts = one[:]
+	case *wire.ReadBlocks:
+		file = r.File
+		exts = r.Exts
+		kind = "readv"
+		pr.vector = true
+	default:
+		return nil, false, nil
+	}
+	if sink != nil {
+		if len(sink) != len(exts) {
+			return nil, false, nil
+		}
+		for i, e := range exts {
+			if int64(len(sink[i])) != e.Length {
+				return nil, false, nil
+			}
+		}
+	}
+	// The extents are attacker-controlled at this boundary (the same
+	// hostile-allocation guard the iod and the wire decoders apply): reject
+	// anything that could not be framed back in a response before
 	// allocating or spanning it.
-	if req.Offset < 0 || req.Length < 0 || req.Length > wire.MaxMessageSize/2 {
-		return &pendingOp{ready: &wire.ReadResp{Status: wire.StatusBadRequest}}, nil
+	total, valid := wire.ValidateExtents(exts)
+	if !valid {
+		return &pendingOp{ready: pr.reply(wire.StatusBadRequest)}, true, nil
 	}
 	bs := t.m.buf.BlockSize()
-	spans := blockio.Spans(req.File, req.Offset, req.Length, bs)
-	rt := t.m.traceStart("read", req.File, req.Offset, req.Length)
-	tenant := t.m.tenantOf(req.File)
-	qos, ok := t.m.acquireFetchBudget(tenant, len(spans))
-	if !ok {
-		rt.finish(fmt.Sprintf("shed overload tenant=%d (%d blocks over budget)", tenant, len(spans)))
-		return &pendingOp{ready: &wire.ReadResp{Status: wire.StatusOverload}}, nil
+	nblocks := 0
+	for _, e := range exts {
+		if e.Length > 0 {
+			_, count := blockio.BlockRange(e.Offset, e.Length, bs)
+			nblocks += int(count)
+		}
 	}
-	pr := &pendingRead{admit: t.m.readAdmitMode(req.File), qos: qos, qosBlocks: len(spans), trace: rt}
-	var dstBase []byte
-	if sink != nil {
-		pr.sink = true
-		dstBase = sink[0]
-	} else {
-		pr.result = make([]byte, req.Length)
-		dstBase = pr.result
+	var firstOff int64
+	if len(exts) > 0 {
+		firstOff = exts[0].Offset
+	}
+	rt := t.m.traceStart(kind, file, firstOff, total)
+	tenant := t.m.tenantOf(file)
+	qos, budgetOK := t.m.acquireFetchBudget(tenant, nblocks)
+	if !budgetOK {
+		rt.finish(fmt.Sprintf("shed overload tenant=%d (%d blocks over budget)", tenant, nblocks))
+		return &pendingOp{ready: pr.reply(wire.StatusOverload)}, true, nil
+	}
+	pr.admit = t.m.readAdmitMode(file)
+	pr.qos = qos
+	pr.qosBlocks = nblocks
+	pr.trace = rt
+	if sink == nil {
+		pr.data = make([]byte, total)
+		sink = make([][]byte, len(exts))
+		rest := pr.data
+		for i, e := range exts {
+			sink[i] = rest[:e.Length]
+			rest = rest[e.Length:]
+		}
+	}
+	if pr.vector {
+		// The cache serves every requested byte (missing data reads as
+		// zero), so extents complete at full length.
+		pr.lens = make([]uint32, len(exts))
+		for i, e := range exts {
+			pr.lens[i] = uint32(e.Length)
+		}
 	}
 	var owned []ownedSpan // spans whose fetch this process owns
-	for _, sp := range spans {
-		owned = t.classifySpan(iod, sp, dstBase[sp.Pos:sp.Pos+int64(sp.Len)], pr, owned)
+	for i, e := range exts {
+		for _, sp := range blockio.Spans(file, e.Offset, e.Length, bs) {
+			owned = t.classifySpan(iod, sp, sink[i][sp.Pos:sp.Pos+int64(sp.Len)], pr, owned)
+		}
 	}
-	rt.hop("classified: %d spans, %d hits, %d joins, %d misses",
-		len(spans), len(spans)-len(owned)-len(pr.waits), len(pr.waits), len(owned))
-	if err := t.issueFetches(iod, req.File, owned, pr); err != nil {
+	rt.hop("classified: %d blocks over %d extents, %d joins, %d misses", nblocks, len(exts), len(pr.waits), len(owned))
+	if err := t.issueFetches(iod, file, owned, pr); err != nil {
 		pr.releaseBudget()
 		rt.finish(fmt.Sprintf("issue error: %v", err))
-		return nil, err
+		return nil, false, err
 	}
 	if len(pr.fetches) == 0 && len(pr.waits) == 0 {
 		// Entire request served from the cache: the response is ready now;
@@ -519,92 +556,14 @@ func (t *CachedTransport) sendRead(iod int, req *wire.Read, sink [][]byte) (*pen
 		pr.releaseBudget()
 		t.m.cfg.Registry.Counter("module.read_full_hits").Inc()
 		rt.finish("full cache hit")
-		return &pendingOp{ready: &wire.ReadResp{Status: wire.StatusOK, Data: pr.result}}, nil
+		return &pendingOp{ready: pr.reply(wire.StatusOK)}, true, nil
 	}
 	rt.hop("issued %d fetches", len(pr.fetches))
-	return &pendingOp{read: pr}, nil
-}
-
-// sendVectorRead runs the cache FSM for a vectored request: libpvfs sends
-// one ReadBlocks per iod when several striping pieces of an operation land
-// on the same daemon. Every extent's spans classify against the cache
-// exactly as a plain read's do, and whatever is missing across all of
-// them leaves in a single vectored sub-request. sink, when non-nil,
-// carries one destination slice per extent.
-func (t *CachedTransport) sendVectorRead(iod int, req *wire.ReadBlocks, sink [][]byte) (*pendingOp, error) {
-	bs := t.m.buf.BlockSize()
-	total, ok := wire.ValidateExtents(req.Exts)
-	if !ok {
-		return &pendingOp{ready: &wire.ReadBlocksResp{Status: wire.StatusBadRequest}}, nil
-	}
-	nblocks := 0
-	for _, e := range req.Exts {
-		if e.Length > 0 {
-			_, count := blockio.BlockRange(e.Offset, e.Length, bs)
-			nblocks += int(count)
-		}
-	}
-	var firstOff int64
-	if len(req.Exts) > 0 {
-		firstOff = req.Exts[0].Offset
-	}
-	rt := t.m.traceStart("readv", req.File, firstOff, total)
-	tenant := t.m.tenantOf(req.File)
-	qos, budgetOK := t.m.acquireFetchBudget(tenant, nblocks)
-	if !budgetOK {
-		rt.finish(fmt.Sprintf("shed overload tenant=%d (%d blocks over budget)", tenant, nblocks))
-		return &pendingOp{ready: &wire.ReadBlocksResp{Status: wire.StatusOverload}}, nil
-	}
-	pr := &pendingRead{
-		vector:    true,
-		lens:      make([]uint32, len(req.Exts)),
-		admit:     t.m.readAdmitMode(req.File),
-		qos:       qos,
-		qosBlocks: nblocks,
-		trace:     rt,
-	}
-	if sink != nil {
-		pr.sink = true
-	} else {
-		pr.result = make([]byte, total)
-	}
-	var owned []ownedSpan
-	base := int64(0)
-	for i, e := range req.Exts {
-		// The cache serves every requested byte (missing data reads as
-		// zero), so extents complete at full length.
-		pr.lens[i] = uint32(e.Length)
-		var seg []byte
-		if sink != nil {
-			seg = sink[i]
-		} else {
-			seg = pr.result[base : base+e.Length]
-		}
-		for _, sp := range blockio.Spans(req.File, e.Offset, e.Length, bs) {
-			owned = t.classifySpan(iod, sp, seg[sp.Pos:sp.Pos+int64(sp.Len)], pr, owned)
-		}
-		base += e.Length
-	}
-	rt.hop("classified: %d extents, %d joins, %d misses", len(req.Exts), len(pr.waits), len(owned))
-	if err := t.issueFetches(iod, req.File, owned, pr); err != nil {
-		pr.releaseBudget()
-		rt.finish(fmt.Sprintf("issue error: %v", err))
-		return nil, err
-	}
-
-	if len(pr.fetches) == 0 && len(pr.waits) == 0 {
-		pr.releaseBudget()
-		t.m.cfg.Registry.Counter("module.read_full_hits").Inc()
-		rt.finish("full cache hit")
-		return &pendingOp{ready: &wire.ReadBlocksResp{Status: wire.StatusOK, Lens: pr.lens, Data: pr.result}}, nil
-	}
-	rt.hop("issued %d fetches", len(pr.fetches))
-	return &pendingOp{read: pr}, nil
+	return &pendingOp{read: pr}, true, nil
 }
 
 // completeRead waits for the pending transfers, installs fetched blocks in
-// the cache, and assembles the response (status-only in sink mode: the
-// caller's buffers already hold every byte).
+// the cache, and builds the response (see pendingRead.reply).
 func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 	// The request stops being in flight when this returns, success or not:
 	// every fetch has landed or aborted and every join resolved, so the
@@ -680,69 +639,48 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 		return nil, firstErr
 	}
 	pr.trace.finish("ok")
-	if pr.vector {
-		return &wire.ReadBlocksResp{Status: wire.StatusOK, Lens: pr.lens, Data: pr.result}, nil
-	}
-	return &wire.ReadResp{Status: wire.StatusOK, Data: pr.result}, nil
+	return pr.reply(wire.StatusOK), nil
 }
 
 // fillFromResponse installs a fetch's blocks from its response message,
 // publishes them to waiters, and copies the request's spans into their
-// destinations. The response must pair with how the fetch was issued: a
-// ReadBlocksResp with one entry per run for a vectored fetch, a ReadResp
-// for a legacy single-run fetch. Validation runs over every run before
-// any run is filled, so a hostile response is rejected whole rather than
+// destinations. A vectored fetch can only be answered by a ReadBlocksResp
+// with one entry per run. Validation runs over every run before any run
+// is filled, so a hostile response is rejected whole rather than
 // half-published.
 func (t *CachedTransport) fillFromResponse(pr *pendingRead, f fetch, msg wire.Message) error {
-	switch rr := msg.(type) {
-	case *wire.ReadBlocksResp:
-		if rr.Status != wire.StatusOK {
-			if err := rr.Status.Err(); err != nil {
-				return err
-			}
-		}
-		if len(rr.Lens) != len(f.runs) {
-			return fmt.Errorf("cachemod: vectored fetch returned %d extents, want %d", len(rr.Lens), len(f.runs))
-		}
-		bs := t.m.buf.BlockSize()
-		for i, run := range f.runs {
-			// Decode guarantees the lengths tile Data, but only the
-			// requester knows what was asked for: an overlong length
-			// would shift every later run's bytes and poison the shared
-			// cache with misattributed data.
-			if int(rr.Lens[i]) > len(run.keys)*bs {
-				return fmt.Errorf("cachemod: vectored fetch extent %d overlong (%d > %d)",
-					i, int(rr.Lens[i]), len(run.keys)*bs)
-			}
-		}
-		data := rr.Data
-		for i, run := range f.runs {
-			served := int(rr.Lens[i])
-			if err := t.fillRun(f.iod, run, data[:served], pr.admit); err != nil {
-				// fillRun settled its own run's states; the caller's
-				// abortRuns sweep closes the runs that never filled.
-				return err
-			}
-			data = data[served:]
-		}
-		return nil
-	case *wire.ReadResp:
-		if rr.Status != wire.StatusOK {
-			if err := rr.Status.Err(); err != nil {
-				return err
-			}
-		}
-		if len(f.runs) != 1 {
-			return fmt.Errorf("cachemod: single read response for %d runs", len(f.runs))
-		}
-		if len(rr.Data) > len(f.runs[0].keys)*t.m.buf.BlockSize() {
-			return fmt.Errorf("cachemod: fetch response overlong (%d bytes for %d blocks)",
-				len(rr.Data), len(f.runs[0].keys))
-		}
-		return t.fillRun(f.iod, f.runs[0], rr.Data, pr.admit)
-	default:
+	rr, ok := msg.(*wire.ReadBlocksResp)
+	if !ok {
 		return fmt.Errorf("cachemod: fetch failed: %v", msg.WireType())
 	}
+	if err := rr.Status.Err(); err != nil {
+		return err
+	}
+	if len(rr.Lens) != len(f.runs) {
+		return fmt.Errorf("cachemod: vectored fetch returned %d extents, want %d", len(rr.Lens), len(f.runs))
+	}
+	bs := t.m.buf.BlockSize()
+	for i, run := range f.runs {
+		// Decode guarantees the lengths tile Data, but only the requester
+		// knows what was asked for: an overlong length would shift every
+		// later run's bytes and poison the shared cache with
+		// misattributed data.
+		if int(rr.Lens[i]) > len(run.keys)*bs {
+			return fmt.Errorf("cachemod: vectored fetch extent %d overlong (%d > %d)",
+				i, int(rr.Lens[i]), len(run.keys)*bs)
+		}
+	}
+	data := rr.Data
+	for i, run := range f.runs {
+		served := int(rr.Lens[i])
+		if err := t.fillRun(f.iod, run, data[:served], pr.admit); err != nil {
+			// fillRun settled its own run's states; the caller's
+			// abortRuns sweep closes the runs that never filled.
+			return err
+		}
+		data = data[served:]
+	}
+	return nil
 }
 
 // fillRun slices one run's bytes into blocks, installs each block in the
@@ -760,11 +698,9 @@ func (t *CachedTransport) fillRun(iod int, run fetchRun, data []byte, admit admi
 	bs := t.m.buf.BlockSize()
 	// One zero-padded slab for the whole run; the published per-block
 	// buffers are read-only slices of it.
-	slab, mem := t.m.getSlab(len(run.keys) * bs)
+	slab, mem := lease(&t.m.slabs, len(run.keys)*bs)
 	n := copy(slab, data)
-	if mem != nil {
-		zeroFill(slab[n:])
-	}
+	zeroFill(slab[n:]) // pooled buffers carry the previous tenant's bytes
 	for i, key := range run.keys {
 		blockData := slab[i*bs : (i+1)*bs]
 		st := run.states[i]
@@ -798,9 +734,7 @@ func (t *CachedTransport) fillRun(iod int, run fetchRun, data []byte, admit admi
 					run.states[j].decref()
 				}
 				t.abortRuns([]fetchRun{{keys: run.keys[i:], states: run.states[i:]}}, err)
-				if mem != nil {
-					mem.release()
-				}
+				mem.release()
 				return err
 			}
 		}
@@ -827,9 +761,7 @@ func (t *CachedTransport) fillRun(iod int, run fetchRun, data []byte, admit admi
 	for _, st := range run.states {
 		st.decref()
 	}
-	if mem != nil {
-		mem.release() // the creator's hold
-	}
+	mem.release() // the creator's hold
 	return nil
 }
 

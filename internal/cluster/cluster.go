@@ -59,14 +59,9 @@ type Config struct {
 	// FlushPeriod overrides the flush streams' interval (default 1s;
 	// tests use shorter).
 	FlushPeriod time.Duration
-	// FlushStreams bounds how many per-iod flush streams drain
-	// concurrently in each cache module (default: all iods in parallel;
-	// 1 = the serial pre-pipeline drain, for ablation). See
-	// cachemod.Config.FlushStreams.
-	FlushStreams int
 	// FlushWindow is each flush stream's bound on concurrent Flush
 	// frames in flight (default 4; 1 = one blocking round trip at a
-	// time, for ablation). See cachemod.Config.FlushWindow.
+	// time). See cachemod.Config.FlushWindow.
 	FlushWindow int
 	// Policy selects the replacement policy (default clock).
 	Policy buffer.Policy
@@ -99,14 +94,6 @@ type Config struct {
 	// ReadaheadWindow is the cache modules' sequential-readahead depth in
 	// blocks (default 8; negative disables readahead).
 	ReadaheadWindow int
-	// DisableVector reverts the cache modules to the legacy one-Read-per-
-	// run miss path (ablation benchmarks).
-	DisableVector bool
-	// DisableZeroCopy reverts the cache modules to the copying data path:
-	// response buffers are freshly allocated and copied into the caller's
-	// memory instead of leased from pools and scattered directly (ablation
-	// benchmarks).
-	DisableZeroCopy bool
 	// Backend selects the iods' storage engine: "" or "mem" for the
 	// in-memory simdisk store, "disk" for the WAL-backed on-disk engine
 	// (requires DataDir).
@@ -339,8 +326,6 @@ func (c *Cluster) moduleConfig(node int) cachemod.Config {
 		RPCConns:        cfg.RPCConns,
 		ReadaheadWindow: cfg.ReadaheadWindow,
 		BypassThreshold: cfg.BypassThreshold,
-		DisableVector:   cfg.DisableVector,
-		DisableZeroCopy: cfg.DisableZeroCopy,
 		Buffer: buffer.Config{
 			BlockSize: cfg.BlockSize,
 			Capacity:  cfg.CacheBlocks,
@@ -349,7 +334,6 @@ func (c *Cluster) moduleConfig(node int) cachemod.Config {
 			GhostFrac: cfg.GhostFrac,
 		},
 		FlushPeriod:       cfg.FlushPeriod,
-		FlushStreams:      cfg.FlushStreams,
 		FlushWindow:       cfg.FlushWindow,
 		WriteStall:        cfg.WriteStall,
 		TenantDirtyQuota:  cfg.TenantDirtyQuota,

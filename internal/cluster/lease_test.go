@@ -251,17 +251,3 @@ func TestLeaseLifetimesGlobalCachePoison(t *testing.T) {
 		ReadaheadWindow: 8,
 	})
 }
-
-// TestLeaseStormCopyingAblation runs the same storm with DisableZeroCopy:
-// the copying baseline must obviously pass too, and the pair pins the two
-// paths to identical observable behaviour.
-func TestLeaseStormCopyingAblation(t *testing.T) {
-	runLeaseStorm(t, Config{
-		IODs:            4,
-		ClientNodes:     1,
-		Caching:         true,
-		CacheBlocks:     32,
-		ReadaheadWindow: 16,
-		DisableZeroCopy: true,
-	})
-}

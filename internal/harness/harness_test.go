@@ -6,6 +6,10 @@ import (
 	"time"
 )
 
+// The six figure tests call t.Parallel: each builds its own simulator and
+// they share only the read-only sweep tables (RequestSizes, ...), so the
+// figures stay bit-identical while the long tests overlap.
+
 // fastOpts keeps harness tests quick: less data per run than the
 // defaults, but enough requests at every d for steady-state behaviour.
 func fastOpts() Options {
@@ -32,6 +36,7 @@ func findSeries(t *testing.T, fig Figure, prefix string) Series {
 }
 
 func TestFigure4Shapes(t *testing.T) {
+	t.Parallel()
 	figs, err := Figure4(fastOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -61,6 +66,7 @@ func TestFigure4Shapes(t *testing.T) {
 }
 
 func TestFigure5Shapes(t *testing.T) {
+	t.Parallel()
 	figs, err := Figure5(fastOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +89,7 @@ func TestFigure5Shapes(t *testing.T) {
 }
 
 func TestFigure6Shapes(t *testing.T) {
+	t.Parallel()
 	figs, err := Figure6(fastOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -132,6 +139,7 @@ func TestFigure6Shapes(t *testing.T) {
 }
 
 func TestFigure7Shapes(t *testing.T) {
+	t.Parallel()
 	figs, err := Figure7(fastOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +158,7 @@ func TestFigure7Shapes(t *testing.T) {
 }
 
 func TestFigure8Crossover(t *testing.T) {
+	t.Parallel()
 	figs, err := Figure8(fastOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -198,6 +207,7 @@ func TestFigure8Crossover(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
+	t.Parallel()
 	o := fastOpts()
 	ev, err := AblationEviction(o)
 	if err != nil {

@@ -522,10 +522,9 @@ func (s *Server) invalClientFor(client uint32) (*rpc.Client, error) {
 		if s.network == nil {
 			return nil, fmt.Errorf("iod %d: no network to reach client %d", s.id, client)
 		}
-		// Invalidations are one serial round trip per victim, so the
-		// untagged compat mode costs nothing and keeps legacy
-		// invalidation listeners reachable.
-		rc = rpc.NewClient(rpc.ClientConfig{Network: s.network, Addr: addr, Conns: 1, Untagged: true})
+		// Invalidations are one serial round trip per victim: one
+		// connection is all the overlap there is to exploit.
+		rc = rpc.NewClient(rpc.ClientConfig{Network: s.network, Addr: addr, Conns: 1})
 		s.inval[client] = rc
 	}
 	return rc, nil

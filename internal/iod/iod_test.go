@@ -6,6 +6,7 @@ import (
 
 	"pvfscache/internal/blockio"
 	"pvfscache/internal/metrics"
+	"pvfscache/internal/rpc"
 	"pvfscache/internal/transport"
 	"pvfscache/internal/wire"
 )
@@ -226,41 +227,26 @@ func TestTrackOnlyWhenRequested(t *testing.T) {
 	}
 }
 
-// invalListener runs a minimal client-side invalidation handler and
-// records what it was asked to drop.
+// invalListener runs a minimal client-side invalidation handler — an
+// rpc.Server, like the cache module's — and records what it was asked to
+// drop.
 func invalListener(t *testing.T, net transport.Network, addr string) *[]int64 {
 	t.Helper()
 	l, err := net.Listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
 	var got []int64
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				for {
-					msg, err := wire.ReadMessage(conn)
-					if err != nil {
-						return
-					}
-					inv, ok := msg.(*wire.Invalidate)
-					if !ok {
-						return
-					}
-					got = append(got, inv.Indices...)
-					if err := wire.WriteMessage(conn, &wire.InvalidAck{Status: wire.StatusOK}); err != nil {
-						return
-					}
-				}
-			}()
+	srv := rpc.NewServer(rpc.HandlerFunc(func(msg wire.Message) wire.Message {
+		inv, ok := msg.(*wire.Invalidate)
+		if !ok {
+			return nil
 		}
-	}()
+		got = append(got, inv.Indices...)
+		return &wire.InvalidAck{Status: wire.StatusOK}
+	}), rpc.ServerConfig{})
+	go srv.Serve(l)
+	t.Cleanup(func() { l.Close(); srv.Close() })
 	return &got
 }
 

@@ -362,6 +362,16 @@ func (f *File) readAtOnce(p []byte, off int64) (int, error) {
 	}
 	sinker, canSink := f.client.data.(ReadSinker)
 	var sent []sentGroup
+	// Every id sent is Recv'd, also when the operation fails part-way (a
+	// later Send errors, an earlier Recv errors): a caching transport
+	// holds shared state for each pending request — fetch-table claims
+	// that other processes join and wait on — until its Recv.
+	recvd := 0
+	defer func() {
+		for _, sg := range sent[recvd:] {
+			f.client.data.Recv(sg.id) // the operation already failed; the reply is moot
+		}
+	}()
 	for _, iod := range order {
 		for _, grp := range splitVectorGroup(groups[iod]) {
 			var req wire.Message
@@ -395,7 +405,8 @@ func (f *File) readAtOnce(p []byte, off int64) (int, error) {
 					sent = append(sent, sentGroup{pieces: grp, id: id, sunk: true})
 					continue
 				}
-				// Declined (e.g. zero-copy disabled): fall back to copying.
+				// Declined (the sink does not fit this transport): fall
+				// back to copying.
 			}
 			id, err := f.client.data.Send(iod, req)
 			if err != nil {
@@ -405,6 +416,7 @@ func (f *File) readAtOnce(p []byte, off int64) (int, error) {
 		}
 	}
 	for _, sg := range sent {
+		recvd++
 		if sg.sunk {
 			if err := f.recvSunkRead(sg.pieces, sg.id); err != nil {
 				return 0, err
@@ -584,8 +596,16 @@ func (f *File) writeAtOnce(p []byte, off int64, sync bool) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	ids := make([]ReqID, len(pieces))
-	for i, pc := range pieces {
+	// As in readAtOnce, every id sent is Recv'd even when the operation
+	// fails part-way, so the transport's pending table always drains.
+	ids := make([]ReqID, 0, len(pieces))
+	recvd := 0
+	defer func() {
+		for _, id := range ids[recvd:] {
+			f.client.data.Recv(id) // the operation already failed; the reply is moot
+		}
+	}()
+	for _, pc := range pieces {
 		data := p[pc.Pos : pc.Pos+pc.Ext.Length]
 		var req wire.Message
 		if sync {
@@ -597,9 +617,10 @@ func (f *File) writeAtOnce(p []byte, off int64, sync bool) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		ids[i] = id
+		ids = append(ids, id)
 	}
 	for i, pc := range pieces {
+		recvd++
 		resp, err := f.client.data.Recv(ids[i])
 		if err != nil {
 			return 0, err

@@ -1,6 +1,7 @@
 package pvfs
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -271,5 +272,55 @@ func TestFileHelpers(t *testing.T) {
 	}
 	if f.Meta().PCount != 2 {
 		t.Error("meta accessor wrong")
+	}
+}
+
+// failSendTransport fails the failAt-th Send; everything else is the
+// bookkeeping fake, whose reqs map is the set of ids sent but not Recv'd.
+type failSendTransport struct {
+	*shedTransport
+	failAt int
+}
+
+var errSendFailed = errors.New("send failed")
+
+func (t *failSendTransport) Send(iod int, req wire.Message) (ReqID, error) {
+	if t.sends+1 == t.failAt {
+		t.sends++
+		return 0, errSendFailed
+	}
+	return t.shedTransport.Send(iod, req)
+}
+
+// TestFailedSendStillRecvsIssuedRequests: when the Send to a later iod
+// fails, the requests already issued to earlier iods must still be Recv'd.
+// A caching transport holds shared state per pending request (fetch-table
+// claims that other processes join), so an abandoned id wedges them.
+func TestFailedSendStillRecvsIssuedRequests(t *testing.T) {
+	for _, write := range []bool{false, true} {
+		tr := &failSendTransport{shedTransport: newShedTransport(0), failAt: 2}
+		c := &Client{
+			cfg:   Config{IODAddrs: []string{"iod0", "iod1"}, ClientID: 1, OverloadRetries: -1},
+			data:  tr,
+			files: make(map[blockio.FileID]*File),
+		}
+		f := &File{client: c, name: "two-iods", id: 7, meta: meta(0, 2, 4096)}
+		f.meta.Size = 1 << 20
+		buf := make([]byte, 8192) // one 4 KB piece on each iod
+		var err error
+		if write {
+			_, err = f.WriteAt(buf, 0)
+		} else {
+			_, err = f.ReadAt(buf, 0)
+		}
+		if !errors.Is(err, errSendFailed) {
+			t.Fatalf("write=%v: err = %v, want the Send error", write, err)
+		}
+		if tr.sends != 2 {
+			t.Fatalf("write=%v: sends = %d, want 2", write, tr.sends)
+		}
+		if len(tr.reqs) != 0 {
+			t.Errorf("write=%v: %d issued request(s) never Recv'd", write, len(tr.reqs))
+		}
 	}
 }

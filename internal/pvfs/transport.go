@@ -112,8 +112,8 @@ type TenantHinter interface {
 // successful Recv every sink byte has been filled: served data first, the
 // remainder zeroed (PVFS sparse semantics), and the response message is
 // status-only. The transport may decline a request (ok false, no request
-// issued) — zero-copy disabled, unsupported message, mismatched sink —
-// and the caller then falls back to the plain Send/Recv path.
+// issued) — unsupported message, mismatched sink — and the caller then
+// falls back to the plain Send/Recv path.
 type ReadSinker interface {
 	SendRead(iod int, req wire.Message, sink [][]byte) (id ReqID, ok bool, err error)
 }

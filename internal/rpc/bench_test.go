@@ -9,8 +9,8 @@ import (
 )
 
 // benchServer answers reads after a simulated 100 µs service time (disk or
-// remote-peer latency), which is what makes request overlap matter: a FIFO
-// connection serializes the waits, a multiplexed pool overlaps them.
+// remote-peer latency), which is what makes request overlap matter: the
+// multiplexed pool overlaps the waits of concurrent callers.
 func benchServer(b *testing.B, net transport.Network) string {
 	b.Helper()
 	l, err := net.Listen(":0")
@@ -46,20 +46,8 @@ func benchCalls(b *testing.B, c *Client) {
 	})
 }
 
-// BenchmarkFIFOSingleConn is the seed's shape: one connection, responses
-// strictly in request order, every concurrent caller queued behind the
-// slowest in-flight request.
-func BenchmarkFIFOSingleConn(b *testing.B) {
-	net := transport.NewMem()
-	addr := benchServer(b, net)
-	c := NewClient(ClientConfig{Network: net, Addr: addr, Conns: 1, Untagged: true})
-	defer c.Close()
-	benchCalls(b, c)
-}
-
-// BenchmarkMultiplexedPool is the refactored path: tagged requests over a
-// small pool complete out of order, so concurrent callers overlap their
-// service times.
+// BenchmarkMultiplexedPool: tagged requests over a small pool complete
+// out of order, so concurrent callers overlap their service times.
 func BenchmarkMultiplexedPool(b *testing.B) {
 	net := transport.NewMem()
 	addr := benchServer(b, net)

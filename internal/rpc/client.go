@@ -1,22 +1,19 @@
 // Package rpc is the framed request/response core shared by every layer of
-// the system. The seed implemented the same dial/queue/redial machinery
-// three times — pvfs.DirectTransport, cachemod's rpcClient, and the
-// globalcache peer protocol — each strictly FIFO over a single connection,
-// which serialized independent requests behind one another. This package
-// replaces all of them:
+// the system: pvfs.DirectTransport, the cache module's iod clients, the
+// iod's invalidation clients and the globalcache peer protocol all ride it.
 //
 //   - Client keeps a small pool of connections per peer and tags every
 //     request (see wire.WriteTagged), so responses demultiplex by tag and
-//     complete out of order: a slow read no longer blocks unrelated
-//     requests sharing the connection.
+//     complete out of order: a slow read does not block unrelated requests
+//     sharing the connection.
 //   - Server is a shared accept/dispatch loop with a Handler interface and
-//     bounded per-connection worker concurrency, replacing the hand-rolled
-//     loops in internal/iod, internal/mgr, and internal/globalcache.
+//     bounded per-connection worker concurrency, serving internal/iod,
+//     internal/mgr, internal/globalcache and the cache module's
+//     invalidation listener.
 //
-// Compatibility: an untagged (legacy) peer never sets the tag bit, and
-// Server falls back to serial FIFO service on such connections. Client can
-// likewise be configured Untagged to speak the legacy FIFO protocol to an
-// old server.
+// Client always tags: every server in the system is a Server. Server also
+// accepts untagged frames (a peer outside the process that never sets the
+// tag bit) and serves such a connection serially, in FIFO order.
 //
 // Buffers move zero-copy: requests and responses are decoded with their
 // bulk payload fields aliasing the connection's pooled frame buffer. On
@@ -69,10 +66,6 @@ type ClientConfig struct {
 	Addr string
 	// Conns is the connection-pool size (default DefaultConns).
 	Conns int
-	// Untagged selects the legacy FIFO protocol: requests carry no tag and
-	// responses must arrive in request order on each connection. Use it to
-	// talk to servers that predate tagged framing.
-	Untagged bool
 	// CallTimeout bounds each synchronous Call round trip (zero = no
 	// bound). On expiry the connection the request rode is torn down —
 	// every waiter on it fails with ErrCallTimeout and the next call
@@ -113,13 +106,11 @@ type clientConn struct {
 
 	writeMu sync.Mutex // dials + wire writes; taken before mu, never by readLoop
 
-	mu       sync.Mutex
-	conn     transport.Conn
-	err      error                  // sticky until the next call redials
-	pending  map[uint64]chan Result // tag -> waiter (tagged mode)
-	fifo     []chan Result          // waiters in request order (untagged mode)
-	inflight int
-	nextTag  uint64
+	mu      sync.Mutex
+	conn    transport.Conn
+	err     error                  // sticky until the next call redials
+	pending map[uint64]chan Result // tag -> waiter; its size is the load
+	nextTag uint64
 }
 
 // NewClient returns a client for the peer at cfg.Addr. No connection is
@@ -226,7 +217,7 @@ func (c *Client) Close() error {
 func (cc *clientConn) load() int {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	return cc.inflight
+	return len(cc.pending)
 }
 
 // send writes req on this connection, dialing or redialing first if
@@ -268,35 +259,22 @@ func (cc *clientConn) send(req wire.Message) (<-chan Result, transport.Conn, err
 		cc.conn = conn
 		cc.err = nil
 		cc.pending = make(map[uint64]chan Result)
-		cc.fifo = nil
 		go cc.readLoop(conn)
 	}
 	conn := cc.conn
-	var tag uint64
-	if cc.client.cfg.Untagged {
-		// writeMu makes registration order equal write order, which the
-		// FIFO protocol requires.
-		cc.fifo = append(cc.fifo, ch)
-	} else {
-		cc.nextTag++
-		tag = cc.nextTag
-		cc.pending[tag] = ch
-	}
-	cc.inflight++
+	cc.nextTag++
+	tag := cc.nextTag
+	cc.pending[tag] = ch
 	cc.mu.Unlock()
 
-	var werr error
-	if cc.client.cfg.Untagged {
-		werr = wire.WriteMessage(conn, req)
-	} else {
-		werr = wire.WriteTagged(conn, tag, req)
-	}
-	if werr != nil {
+	if werr := wire.WriteTagged(conn, tag, req); werr != nil {
 		cc.mu.Lock()
 		if errors.Is(werr, wire.ErrTooLarge) {
 			// Encode-side rejection: no byte reached the wire, the
 			// connection is still aligned. Withdraw only this waiter.
-			cc.withdrawLocked(tag, ch)
+			if cc.pending[tag] == ch {
+				delete(cc.pending, tag)
+			}
 		} else if cc.conn == conn {
 			cc.failLocked(werr)
 		}
@@ -304,23 +282,6 @@ func (cc *clientConn) send(req wire.Message) (<-chan Result, transport.Conn, err
 		return nil, nil, fmt.Errorf("rpc: sending %v to %s: %w", req.WireType(), cc.client.cfg.Addr, werr)
 	}
 	return ch, conn, nil
-}
-
-// withdrawLocked removes a waiter whose request never hit the wire. In
-// untagged mode the waiter is the fifo tail: writeMu is still held, so no
-// later registration can have happened.
-func (cc *clientConn) withdrawLocked(tag uint64, ch chan Result) {
-	if cc.client.cfg.Untagged {
-		if n := len(cc.fifo); n > 0 && cc.fifo[n-1] == ch {
-			cc.fifo = cc.fifo[:n-1]
-			cc.inflight--
-		}
-		return
-	}
-	if cc.pending[tag] == ch {
-		delete(cc.pending, tag)
-		cc.inflight--
-	}
 }
 
 // readLoop demultiplexes responses from conn to their waiters until the
@@ -340,33 +301,15 @@ func (cc *clientConn) readLoop(conn transport.Conn) {
 			cc.mu.Unlock()
 			return
 		}
-		var ch chan Result
-		if cc.client.cfg.Untagged {
-			if tagged || len(cc.fifo) == 0 {
-				cc.failLocked(fmt.Errorf("rpc: unsolicited %v from %s", msg.WireType(), cc.client.cfg.Addr))
-				cc.mu.Unlock()
-				wire.ReleasePayload(payload)
-				return
-			}
-			ch = cc.fifo[0]
-			cc.fifo = cc.fifo[1:]
-		} else {
-			if !tagged {
-				cc.failLocked(fmt.Errorf("rpc: untagged %v from tagged peer %s", msg.WireType(), cc.client.cfg.Addr))
-				cc.mu.Unlock()
-				wire.ReleasePayload(payload)
-				return
-			}
-			ch = cc.pending[tag]
-			if ch == nil {
-				cc.failLocked(fmt.Errorf("rpc: unknown response tag %d from %s", tag, cc.client.cfg.Addr))
-				cc.mu.Unlock()
-				wire.ReleasePayload(payload)
-				return
-			}
-			delete(cc.pending, tag)
+		ch := cc.pending[tag]
+		if !tagged || ch == nil {
+			cc.failLocked(fmt.Errorf("rpc: unsolicited %v from %s (tagged %v, tag %d)",
+				msg.WireType(), cc.client.cfg.Addr, tagged, tag))
+			cc.mu.Unlock()
+			wire.ReleasePayload(payload)
+			return
 		}
-		cc.inflight--
+		delete(cc.pending, tag)
 		cc.mu.Unlock()
 		cc.client.noteSuccess()
 		ch <- Result{Msg: msg, Lease: newLease(payload)}
@@ -388,10 +331,5 @@ func (cc *clientConn) failLocked(err error) {
 	for _, ch := range cc.pending {
 		ch <- Result{Err: err}
 	}
-	for _, ch := range cc.fifo {
-		ch <- Result{Err: err}
-	}
 	cc.pending = nil
-	cc.fifo = nil
-	cc.inflight = 0
 }

@@ -190,28 +190,6 @@ func TestRedialAfterPeerCrash(t *testing.T) {
 	t.Fatalf("client never recovered after peer revival: %v", lastErr)
 }
 
-// TestUntaggedCompatMode runs the client in legacy FIFO mode against the
-// server, which must answer untagged frames in request order.
-func TestUntaggedCompatMode(t *testing.T) {
-	net := transport.NewMem()
-	_, addr := startServer(t, net, echoHandler(), ServerConfig{})
-	c := NewClient(ClientConfig{Network: net, Addr: addr, Conns: 1, Untagged: true})
-	defer c.Close()
-	var chans []<-chan Result
-	for i := 0; i < 8; i++ {
-		ch, err := c.Go(&wire.Read{Offset: int64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans = append(chans, ch)
-	}
-	for i, ch := range chans {
-		if got := echoed(t, <-ch); got != int64(i) {
-			t.Fatalf("FIFO response %d echoed %d", i, got)
-		}
-	}
-}
-
 // TestLegacyRawClient drives the server with bare wire.WriteMessage /
 // ReadMessage calls — the exact protocol the seed's clients spoke.
 func TestLegacyRawClient(t *testing.T) {

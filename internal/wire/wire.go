@@ -717,6 +717,10 @@ func ReadMessage(r io.Reader) (Message, error) {
 // ReadFrame reads one framed message from r, accepting both the untagged
 // and the tagged format, and reports which one arrived. Every
 // variable-length field of the returned message is an independent copy.
+// The copying decode is kept on purpose: it is one flag of the decoder
+// ReadFrameAliased shares, the simplest possible peer for the
+// raw-connection tests (via ReadMessage), and the reference the
+// fuzz-equivalence targets compare the aliased decode against.
 func ReadFrame(r io.Reader) (tag uint64, tagged bool, m Message, err error) {
 	tag, tagged, m, _, err = readFrame(r, false)
 	return tag, tagged, m, err

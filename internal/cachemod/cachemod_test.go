@@ -271,35 +271,6 @@ func TestSubBlockStridedReadSplitsFetches(t *testing.T) {
 	}
 }
 
-// TestFillFromResponseRejectsOverlongLens: the wire decode only checks
-// that the per-extent lengths tile Data; a hostile iod could still claim
-// more bytes for one extent than were requested, shifting every later
-// run's bytes and poisoning the shared cache. The requester must reject
-// such a response.
-func TestFillFromResponseRejectsOverlongLens(t *testing.T) {
-	r := newRig(t, nil)
-	tr := r.mod.NewTransport()
-	mkRun := func(first int64, n int) fetchRun {
-		run := fetchRun{firstIdx: first}
-		for i := 0; i < n; i++ {
-			run.keys = append(run.keys, blockio.BlockKey{File: 7, Index: first + int64(i)})
-			run.states = append(run.states, &fetchState{done: make(chan struct{})})
-		}
-		return run
-	}
-	runs := []fetchRun{mkRun(0, 1), mkRun(5, 1)}
-	pr := &pendingRead{}
-	rr := &wire.ReadBlocksResp{
-		Status: wire.StatusOK,
-		Lens:   []uint32{4096 + 1024, 3072}, // extent 0 overlong; sum still tiles
-		Data:   make([]byte, 2*4096),
-	}
-	err := tr.fillFromResponse(pr, fetch{iod: 0, runs: runs}, rr)
-	if err == nil {
-		t.Fatal("overlong extent length accepted")
-	}
-}
-
 func TestWriteFakedAckAndFlush(t *testing.T) {
 	r := newRig(t, nil)
 	tr := r.mod.NewTransport()

@@ -35,7 +35,9 @@
 // pvfs.Transport from NewTransport; all of them share the cache — which is
 // what makes inter-application data sharing pay off — as well as the fetch
 // table that deduplicates concurrent fetches of the same block across
-// processes and the prefetcher.
+// processes and the prefetcher. How a block gets from an iod into the
+// cache — claim, land, settle, and the ownership rules between them — is
+// one protocol; it lives in fetch.go.
 package cachemod
 
 import (
@@ -198,82 +200,6 @@ func (c *Config) fillDefaults() error {
 	return nil
 }
 
-// memRef counts the readers of one pooled buffer shared by one or more
-// fetchStates — a miss run's slab, or a single prefetched/peer-fetched
-// block. The buffer returns to its pool when the count drains to zero.
-type memRef struct {
-	buf  []byte
-	pool *rpc.BufPool
-	refs atomic.Int32
-}
-
-// lease takes an n-byte buffer from pool — m.slabs for miss-run assembly,
-// m.blocks for whole blocks — with one reference, held by the caller.
-func lease(pool *rpc.BufPool, n int) ([]byte, *memRef) {
-	r := &memRef{buf: pool.Get(n), pool: pool}
-	r.refs.Store(1)
-	return r.buf, r
-}
-
-func (r *memRef) retain() { r.refs.Add(1) }
-
-func (r *memRef) release() {
-	if r.refs.Add(-1) == 0 {
-		r.pool.Put(r.buf)
-	}
-}
-
-// fetchState coordinates one in-flight block fetch across processes: the
-// first requester owns the network transfer, later requesters wait on done
-// and then read the block from data (which survives even if the insert was
-// bypassed for lack of space). The readahead prefetcher registers its
-// transfers in the same table, so a demand miss on a block already being
-// prefetched joins the prefetch instead of fetching twice.
-//
-// Lifetime protocol (zero-copy): data is backed by a pooled buffer (mem).
-// refs counts the holders entitled to read data after done closes —
-// the owner's publish path plus every joiner. A joiner must acquire its
-// reference with refs.Add(1) while it still holds fetchMu and sees the
-// state in the fetch table; the owner only drops its own reference after
-// the entry left the table, so a joiner's reference is always registered
-// before the owner's release can drain the count. Each holder calls decref
-// exactly once when it is done with data; the backing buffer returns to
-// its pool when the count reaches zero.
-type fetchState struct {
-	done     chan struct{}
-	data     []byte // full block, zero-padded; set before done closes
-	err      error
-	prefetch bool // transfer issued by the readahead prefetcher
-
-	// stamp is the block's buffer write stamp recorded when the fetch was
-	// registered in the table; the install presents it so an image that
-	// predates a write applied (and possibly flushed and evicted) during
-	// the flight is refused and re-read (buffer.OutcomeStale). finalStamp
-	// is the stamp the successful install validated against — set before
-	// done closes, it lets late joiners detect writes that landed after
-	// publication and fall back to a synchronous fetch.
-	stamp      uint32
-	finalStamp uint32
-
-	refs atomic.Int32
-	mem  *memRef // backing allocation of data; nil until published
-}
-
-// newFetchState returns a state with one reference, held by the fetch
-// owner.
-func newFetchState(prefetch bool) *fetchState {
-	st := &fetchState{done: make(chan struct{}), prefetch: prefetch}
-	st.refs.Store(1)
-	return st
-}
-
-// decref drops one holder; the last one out releases the backing buffer.
-func (st *fetchState) decref() {
-	if st.refs.Add(-1) == 0 && st.mem != nil {
-		st.mem.release()
-	}
-}
-
 // Module is the per-node cache module.
 type Module struct {
 	cfg Config
@@ -282,14 +208,10 @@ type Module struct {
 	data  []*rpc.Client // per-iod data-port clients (module-owned, pooled)
 	flush []*rpc.Client // per-iod flush-port clients
 
-	// slabs recycles miss-run assembly buffers, blocks recycles
-	// whole-block buffers (prefetch installs, peer gets, read-modify-write
-	// fetches).
-	slabs  rpc.BufPool
-	blocks rpc.BufPool
-
-	fetchMu sync.Mutex
-	fetches map[blockio.BlockKey]*fetchState
+	// slabs recycles the pooled buffers fetched images land in; fetchTable
+	// deduplicates in-flight fetches (see fetch.go for both).
+	slabs rpc.BufPool
+	fetchTable
 
 	stripeMu sync.Mutex
 	stripes  map[blockio.FileID]stripeHint
@@ -355,7 +277,7 @@ func New(cfg Config) (*Module, error) {
 	m := &Module{
 		cfg:         cfg,
 		buf:         buffer.New(cfg.Buffer),
-		fetches:     make(map[blockio.BlockKey]*fetchState),
+		fetchTable:  fetchTable{fetches: make(map[blockio.BlockKey]*fetchState)},
 		stripes:     make(map[blockio.FileID]stripeHint),
 		ra:          make(map[blockio.FileID]*raState),
 		prefetched:  make(map[blockio.BlockKey]struct{}),
@@ -685,9 +607,9 @@ func (m *Module) DrainIOD(iod int, deadline time.Time) error {
 			return fmt.Errorf("cachemod: drain iod %d: %d dirty blocks remain at deadline", iod, n)
 		}
 		m.streams[iod].kickStream()
-		// Flush acks arrive on the stream goroutine; poll with a short
-		// sleep rather than a condvar — drains are rare and bounded.
-		time.Sleep(2 * time.Millisecond)
+		// Every acked chunk broadcasts signalSpace; the short bound covers
+		// a stream whose chunks are failing (as in FlushAll).
+		m.waitForSpace(time.Now().Add(min(time.Until(deadline), 5*time.Millisecond)))
 	}
 }
 
@@ -738,23 +660,6 @@ func (m *Module) waitForSpace(deadline time.Time) bool {
 	default:
 		return true
 	}
-}
-
-// publishFetched hands a fetched block image to the state's waiters: it
-// records the data (retaining a reference on its backing buffer for the
-// state's holders), removes the fetch-table entry so no new joiner can
-// arrive, and wakes everyone waiting on done. The caller still holds its
-// own state reference and must decref once it has finished reading data.
-func (m *Module) publishFetched(st *fetchState, key blockio.BlockKey, data []byte, mem *memRef) {
-	mem.retain()
-	st.mem = mem
-	st.data = data
-	m.fetchMu.Lock()
-	if m.fetches[key] == st {
-		delete(m.fetches, key)
-	}
-	m.fetchMu.Unlock()
-	close(st.done)
 }
 
 // SetCachePolicy records a file's per-open cache-policy hint (the
@@ -823,69 +728,3 @@ func (m *Module) readAdmitMode(file blockio.FileID) admitMode {
 	}
 	return admitDefault
 }
-
-// fetchBlockSpan fetches one whole block from its iod, installs it in the
-// cache, and — when dst is non-nil — copies [off, off+len(dst)) of the
-// installed (resident-wins patched) image into dst. Used for
-// read-modify-write and for stragglers whose fetch owner failed; both
-// need the block resident afterwards (the write path retries its merge
-// against it), so this path always admits — don't-cache and bypassed
-// files only reach it through read-modify-write, where admission is what
-// makes the merge converge. The fetched image lives in a pooled block
-// buffer for exactly the duration of the call.
-func (m *Module) fetchBlockSpan(iod int, key blockio.BlockKey, off int, dst []byte) error {
-	data, mem := lease(&m.blocks, m.buf.BlockSize())
-	defer mem.release()
-	must := m.cachePolicy(key.File) == pvfs.CacheMust
-	for {
-		// The stamp must be read before the iod does: any write applied
-		// after this point is detected at install time and retried.
-		stamp := m.buf.WriteStamp(key)
-		if err := m.readBlockInto(iod, key, data); err != nil {
-			return err
-		}
-		// Resident bytes outrank the fetch; a stale image (the block was
-		// written — and possibly flushed and evicted — mid-flight) is
-		// refused whole and re-read against the now-current store.
-		if m.buf.InstallFetchedAdmit(key, iod, data, must, stamp) != buffer.OutcomeStale {
-			break
-		}
-		m.cfg.Registry.Counter("module.fetch_stale_retries").Inc()
-	}
-	if dst != nil {
-		copy(dst, data[off:off+len(dst)])
-	}
-	m.cfg.Registry.Counter("module.sync_fetches").Inc()
-	return nil
-}
-
-// readBlockInto reads one whole block synchronously from its iod into dst
-// (a whole-block buffer), zero-filling past what the iod stores.
-func (m *Module) readBlockInto(iod int, key blockio.BlockKey, dst []byte) error {
-	bs := int64(m.buf.BlockSize())
-	res := m.data[iod].Call(&wire.Read{
-		Client: m.cfg.ClientID,
-		File:   key.File,
-		Offset: key.Index * bs,
-		Length: bs,
-		Track:  true,
-	})
-	if res.Err != nil {
-		return res.Err
-	}
-	defer res.Release()
-	rr, ok := res.Msg.(*wire.ReadResp)
-	if !ok {
-		return fmt.Errorf("cachemod: unexpected fetch reply %v", res.Msg.WireType())
-	}
-	if err := rr.Status.Err(); err != nil {
-		return err
-	}
-	n := copy(dst, rr.Data)
-	zeroFill(dst[n:]) // pooled buffers carry the previous tenant's bytes
-	return nil
-}
-
-// zeroFill clears p (the tail of a recycled buffer whose previous contents
-// must not masquerade as file data).
-func zeroFill(p []byte) { clear(p) }

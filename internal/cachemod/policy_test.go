@@ -6,10 +6,13 @@ package cachemod
 
 import (
 	"bytes"
+	"sync"
 	"testing"
+	"time"
 
 	"pvfscache/internal/blockio"
 	"pvfscache/internal/cachemod/buffer"
+	"pvfscache/internal/chaos/waitfor"
 	"pvfscache/internal/pvfs"
 	"pvfscache/internal/wire"
 )
@@ -147,6 +150,78 @@ func TestStreamingBypassKicksInMidScan(t *testing.T) {
 	readSeq(t, tr, file, 8*4096, 4096)
 	if !r.mod.buf.Contains(blockio.BlockKey{File: file, Index: 8}, 0, 4096) {
 		t.Fatal("must-cache hint did not override the stream bypass")
+	}
+}
+
+// TestStreamingBypassCountsPrefetchedBlocks is the sibling with readahead
+// on: once the bypass engages, the stream's blocks arrive through both
+// the demand path and the prefetcher, and cache.bypass_reads must count
+// every block served around the cache exactly once, whichever path
+// fetched it. The fake iod holds the prefetch replies until the demand
+// reads have joined them, so each block is fetched exactly once.
+func TestStreamingBypassCountsPrefetchedBlocks(t *testing.T) {
+	const file, nblocks, engaged = 44, 16, raMinStreak - 1 // first bypassed block
+	r := newFetchRig(t, false, func(c *Config) { c.BypassThreshold = raMinStreak })
+	image := pattern(nblocks)
+	r.iods[0].image = image
+	release := make(chan struct{})
+	var mu sync.Mutex
+	served := make(map[int64]int) // block → times the iod served it data
+	r.iods[0].script = func(req, honest wire.Message) wire.Message {
+		rb, ok := req.(*wire.ReadBlocks)
+		if !ok {
+			return honest
+		}
+		if rb.Exts[0].Offset > engaged*fakeBS {
+			<-release // a prefetch: demand reads of these blocks only ever join
+		}
+		mu.Lock()
+		for i, e := range rb.Exts {
+			got := int64(honest.(*wire.ReadBlocksResp).Lens[i])
+			for off := int64(0); off < got; off += fakeBS {
+				served[(e.Offset+off)/fakeBS]++
+			}
+		}
+		mu.Unlock()
+		return honest
+	}
+
+	tr := r.mod.NewTransport()
+	hintAll(tr, file)
+	for i := int64(0); i <= engaged; i++ {
+		readSeq(t, tr, file, i*fakeBS, fakeBS)
+	}
+	var ids []pvfs.ReqID
+	for i := int64(engaged + 1); i < nblocks; i++ {
+		tr.NoteRead(file, i*fakeBS, fakeBS)
+		id, err := tr.Send(0, &wire.Read{File: file, Offset: i * fakeBS, Length: fakeBS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	close(release)
+	for n, id := range ids {
+		resp, err := tr.Recv(id)
+		i := engaged + 1 + n
+		if err != nil || !bytes.Equal(resp.(*wire.ReadResp).Data, image[i*fakeBS:(i+1)*fakeBS]) {
+			t.Fatalf("block %d: wrong data under bypass (err %v)", i, err)
+		}
+	}
+	waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetches past the file's end settled")
+
+	mu.Lock()
+	defer mu.Unlock()
+	for i := int64(0); i < nblocks; i++ {
+		if served[i] != 1 {
+			t.Fatalf("block %d fetched %d times, want once (demand reads must join the prefetch)", i, served[i])
+		}
+	}
+	if r.reg.Counter("module.prefetch_blocks").Value() == 0 {
+		t.Fatal("no block arrived through the prefetcher")
+	}
+	if got, want := r.mod.buf.Stats().BypassReads, int64(nblocks-engaged); got != want {
+		t.Fatalf("bypass_reads = %d, want %d: every block served after the bypass engaged, demand- and prefetch-fetched alike", got, want)
 	}
 }
 

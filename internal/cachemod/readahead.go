@@ -25,7 +25,6 @@ import (
 	"sort"
 
 	"pvfscache/internal/blockio"
-	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/wire"
 )
 
@@ -284,223 +283,76 @@ func (m *Module) iodForBlock(hint stripeHint, idx int64) int {
 
 // prefetchRange claims the uncached, un-inflight blocks of the predicted
 // index list (sorted ascending, duplicates tolerated) synchronously,
-// groups them per owning iod, and issues one asynchronous vectored read
-// per iod. Prefetches inherit the file's admission mode: a stream being
-// bypassed keeps its readahead pipelining, but the prefetched blocks are
-// served around the cache like its demand reads.
+// routes them to their owning iods, and launches one asynchronous fetch
+// per iod (several when the window outgrows one response frame).
+// Prefetches inherit the file's admission mode: a stream being bypassed
+// keeps its readahead pipelining, but the prefetched blocks are served
+// around the cache like its demand reads.
 func (m *Module) prefetchRange(file blockio.FileID, hint stripeHint, idxs []int64) {
-	bs := m.buf.BlockSize()
 	mode := m.readAdmitMode(file)
-	type claim struct {
-		key blockio.BlockKey
-		st  *fetchState
-	}
-	perIOD := make(map[int][]claim)
+	perIOD := make(map[int][]tgtSpan)
 	for _, idx := range idxs {
 		iod := m.iodForBlock(hint, idx)
-		if iod < 0 {
-			continue
-		}
 		key := blockio.BlockKey{File: file, Index: idx}
-		if m.buf.Contains(key, 0, bs) {
+		if iod < 0 || m.buf.Contains(key, 0, m.buf.BlockSize()) {
 			continue
 		}
-		// Stamp before registration: a write applied after this point is
-		// detected at install time (see fetchState.stamp).
-		stamp := m.buf.WriteStamp(key)
-		m.fetchMu.Lock()
-		if m.fetches[key] != nil {
-			m.fetchMu.Unlock()
-			continue // a demand fetch or earlier prefetch owns it
+		// Not the owner: a demand fetch or an earlier prefetch has it.
+		if st, owner := m.claim(key, true); owner {
+			perIOD[iod] = append(perIOD[iod], tgtSpan{sp: blockio.Span{Key: key}, st: st})
 		}
-		st := newFetchState(true)
-		st.stamp = stamp
-		m.fetches[key] = st
-		m.fetchMu.Unlock()
-		perIOD[iod] = append(perIOD[iod], claim{key: key, st: st})
 	}
-	// One asynchronous request per iod, chunked so no request's extents
-	// can exceed what a response frame carries (large windows over large
-	// blocks would otherwise be rejected whole by the iod).
-	maxBlocks := maxFetchBlocks(bs)
-	for iod, claims := range perIOD {
-		for start := 0; start < len(claims); start += maxBlocks {
-			end := start + maxBlocks
-			if end > len(claims) {
-				end = len(claims)
-			}
-			chunk := claims[start:end]
-			keys := make([]blockio.BlockKey, len(chunk))
-			states := make([]*fetchState, len(chunk))
-			for i, c := range chunk {
-				keys[i] = c.key
-				states[i] = c.st
-			}
-			go m.prefetchIOD(iod, file, keys, states, mode)
+	for iod, owned := range perIOD {
+		for _, batch := range m.groupRuns(owned) {
+			go m.prefetchIOD(iod, file, batch, mode)
 		}
 	}
 }
 
-// prefetchIOD fetches the claimed blocks (ascending, possibly with gaps)
-// from one iod in a single vectored round trip and installs the results
-// (or, for a bypassed stream, serves them to joiners without admission).
-func (m *Module) prefetchIOD(iod int, file blockio.FileID, keys []blockio.BlockKey, states []*fetchState, mode admitMode) {
-	bs := m.buf.BlockSize()
-	// Group consecutive block indices into extents.
-	var exts []wire.ReadExtent
-	runStart := 0
-	flush := func(end int) {
-		exts = append(exts, wire.ReadExtent{
-			Offset: keys[runStart].Index * int64(bs),
-			Length: int64(end-runStart) * int64(bs),
-		})
-		runStart = end
+// prefetchIOD runs one prefetch round trip: issue the claimed runs and
+// land the reply (or, for a bypassed stream, serve it to joiners without
+// admission). Off the caller's thread because issue writes the request
+// synchronously.
+func (m *Module) prefetchIOD(iod int, file blockio.FileID, runs []fetchRun, mode admitMode) {
+	f, err := m.issue(iod, file, runs, mode != admitNever)
+	if err == nil && m.land(f, mode, <-f.ch) == nil {
+		m.cfg.Registry.Counter("module.prefetch_issued").Inc()
 	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i].Index != keys[i-1].Index+1 {
-			flush(i)
-		}
-	}
-	flush(len(keys))
+}
 
-	publishFail := func(err error) {
-		m.fetchMu.Lock()
-		for i, key := range keys {
-			if m.fetches[key] == states[i] {
-				delete(m.fetches, key)
-			}
-			states[i].err = err
-		}
-		m.fetchMu.Unlock()
-		for _, st := range states {
-			close(st.done)
-			st.decref() // the prefetcher's hold; no data was published
-		}
+// markPrefetched marks a block the prefetcher installed, so its first
+// demand hit counts in module.prefetch_hits.
+func (m *Module) markPrefetched(key blockio.BlockKey) {
+	m.raMu.Lock()
+	// The marks are accounting only; evicted-before-hit blocks leave stale
+	// entries behind, so reset rather than grow without bound.
+	if len(m.prefetched) >= 2*m.buf.Capacity() {
+		m.prefetched = make(map[blockio.BlockKey]struct{})
+		m.prefetchMarks.Store(0)
 	}
-
-	res := m.data[iod].Call(&wire.ReadBlocks{
-		Client: m.cfg.ClientID,
-		File:   file,
-		Track:  mode != admitNever, // bypassed blocks never enter the cache
-		Exts:   exts,
-	})
-	if res.Err != nil {
-		publishFail(res.Err)
-		return
+	if _, dup := m.prefetched[key]; !dup {
+		m.prefetched[key] = struct{}{}
+		m.prefetchMarks.Add(1)
 	}
-	defer res.Release() // response payload is copied per block below
-	rr, ok := res.Msg.(*wire.ReadBlocksResp)
-	if !ok || rr.Status != wire.StatusOK || len(rr.Lens) != len(exts) {
-		publishFail(wire.ErrBadRequest)
-		return
-	}
-	m.cfg.Registry.Counter("module.prefetch_issued").Inc()
-
-	// Walk the packed response extent by extent, block by block. An
-	// overlong per-extent length (hostile iod; decode only checks that
-	// the lengths tile Data) would shift later extents' bytes into the
-	// wrong blocks — reject the whole response instead.
-	for ei, ext := range exts {
-		if int64(rr.Lens[ei]) > ext.Length {
-			publishFail(wire.ErrBadRequest)
-			return
-		}
-	}
-	data := rr.Data
-	ki := 0
-	for ei, ext := range exts {
-		served := int(rr.Lens[ei])
-		nblocks := int(ext.Length) / bs
-		for j := 0; j < nblocks; j++ {
-			key, st := keys[ki], states[ki]
-			ki++
-			start := j * bs
-			if start >= served {
-				// Nothing stored here: do not cache. A genuine hole
-				// would be safe to cache as zeros, but a response this
-				// short can also mean the extent fell outside the data
-				// the iod holds, so drop it and let a demand read
-				// decide.
-				m.fetchMu.Lock()
-				if m.fetches[key] == st {
-					delete(m.fetches, key)
-				}
-				m.fetchMu.Unlock()
-				close(st.done)
-				st.decref()
-				continue
-			}
-			// One copy: leased response frame to a pooled whole-block
-			// buffer, which backs the cache install, any fetch joiners,
-			// and the readahead mark — and returns to the pool when the
-			// last of them lets go.
-			blockData, mem := lease(&m.blocks, bs)
-			n := copy(blockData, data[start:served])
-			zeroFill(blockData[n:])
-			var oc buffer.Outcome
-			switch mode {
-			case admitNever:
-				// Read-around: the stream's blocks never enter the
-				// cache, but any newer resident bytes still outrank the
-				// fetched image before joiners see it.
-				oc = m.buf.PatchResident(key, blockData, st.stamp)
-			case admitMust:
-				oc = m.buf.InstallFetchedAdmit(key, iod, blockData, true, st.stamp)
-			default:
-				// resident bytes outrank the prefetch
-				oc = m.buf.InstallFetched(key, iod, blockData, st.stamp)
-			}
-			if oc == buffer.OutcomeStale {
-				// The block was written while the prefetch was in flight
-				// (and the write may already be flushed and evicted): the
-				// image must not be installed or served. A prefetch is
-				// speculative — drop it rather than re-read; joiners see
-				// no data and fall back to their own synchronous fetch,
-				// and a demand miss re-reads the current store.
-				m.cfg.Registry.Counter("module.prefetch_stale_drops").Inc()
-				m.fetchMu.Lock()
-				if m.fetches[key] == st {
-					delete(m.fetches, key)
-				}
-				m.fetchMu.Unlock()
-				close(st.done)
-				st.decref()
-				mem.release()
-				continue
-			}
-			st.finalStamp = st.stamp
-			m.publishFetched(st, key, blockData, mem)
-			if mode != admitNever {
-				m.raMu.Lock()
-				// The marks are accounting only; evicted-before-hit
-				// blocks leave stale entries behind, so reset rather
-				// than grow without bound.
-				if len(m.prefetched) >= 2*m.buf.Capacity() {
-					m.prefetched = make(map[blockio.BlockKey]struct{})
-					m.prefetchMarks.Store(0)
-				}
-				if _, dup := m.prefetched[key]; !dup {
-					m.prefetched[key] = struct{}{}
-					m.prefetchMarks.Add(1)
-				}
-				m.raMu.Unlock()
-			}
-			st.decref()   // the prefetcher's hold; joiners keep the block alive
-			mem.release() // the creator's hold
-			m.cfg.Registry.Counter("module.prefetch_blocks").Inc()
-		}
-		data = data[served:]
-	}
+	m.raMu.Unlock()
 }
 
 // notePrefetchHit counts a demand access served by a prefetched block
-// (once per block: the mark clears on first use). It runs on every
-// cache-hit span, so the no-marks case — every workload that is not
-// mid-scan — must not touch the shared mutex. The racy fast-path load is
-// safe because the marks are accounting only.
+// (once per block: the mark clears on first use).
 func (m *Module) notePrefetchHit(key blockio.BlockKey) {
+	if m.dropPrefetchMark(key) {
+		m.cfg.Registry.Counter("module.prefetch_hits").Inc()
+	}
+}
+
+// dropPrefetchMark forgets a block's prefetched mark (first use, or
+// invalidation) and reports whether it had one. It runs on every cache-hit
+// span, so the no-marks case — every workload that is not mid-scan — must
+// not touch the shared mutex. The racy fast-path load is safe because the
+// marks are accounting only.
+func (m *Module) dropPrefetchMark(key blockio.BlockKey) bool {
 	if m.prefetchMarks.Load() == 0 {
-		return
+		return false
 	}
 	m.raMu.Lock()
 	_, ok := m.prefetched[key]
@@ -509,20 +361,5 @@ func (m *Module) notePrefetchHit(key blockio.BlockKey) {
 		m.prefetchMarks.Add(-1)
 	}
 	m.raMu.Unlock()
-	if ok {
-		m.cfg.Registry.Counter("module.prefetch_hits").Inc()
-	}
-}
-
-// dropPrefetchMark forgets a block's prefetched mark (invalidation).
-func (m *Module) dropPrefetchMark(key blockio.BlockKey) {
-	if m.prefetchMarks.Load() == 0 {
-		return
-	}
-	m.raMu.Lock()
-	if _, ok := m.prefetched[key]; ok {
-		delete(m.prefetched, key)
-		m.prefetchMarks.Add(-1)
-	}
-	m.raMu.Unlock()
+	return ok
 }

@@ -82,9 +82,10 @@ type pendingOp struct {
 // (libpvfs sent a ReadBlocks) lens carries the per-extent byte counts for
 // the response.
 type pendingRead struct {
+	iod     int
 	data    []byte // reply payload of a plain Send; nil when the caller supplied the sink
 	fetches []fetch
-	waits   []spanWait
+	waits   []tgtSpan // joins: spans riding another owner's fetch
 	vector  bool
 	lens    []uint32
 	admit   admitMode // admission decision, fixed once per request
@@ -116,49 +117,6 @@ func (pr *pendingRead) reply(status wire.Status) wire.Message {
 		return &wire.ReadBlocksResp{Status: status, Lens: pr.lens, Data: pr.data}
 	}
 	return &wire.ReadResp{Status: status, Data: pr.data}
-}
-
-// tgtSpan is one block span of the request together with the destination
-// it must be copied to.
-type tgtSpan struct {
-	sp  blockio.Span
-	dst []byte
-}
-
-// fetchRun is a run of consecutive missing blocks this process owns: one
-// extent of a vectored fetch.
-type fetchRun struct {
-	firstIdx int64
-	keys     []blockio.BlockKey
-	states   []*fetchState
-	spans    []tgtSpan // request spans served by this run
-}
-
-// fetch is one network round trip issued for a request's missing blocks:
-// a ReadBlocks carrying every run as an extent.
-type fetch struct {
-	iod  int
-	ch   <-chan rpc.Result
-	runs []fetchRun
-}
-
-// ownedSpan pairs a missing span with the fetch-table entry this process
-// claimed for its block.
-type ownedSpan struct {
-	sp  blockio.Span
-	dst []byte
-	st  *fetchState
-}
-
-// spanWait is a span whose block another process (or the prefetcher) is
-// already fetching. The waiter holds a fetchState reference (acquired
-// under fetchMu at join time) and must decref exactly once after done.
-type spanWait struct {
-	key blockio.BlockKey
-	off int
-	dst []byte
-	st  *fetchState
-	iod int
 }
 
 // Send implements pvfs.Transport. For reads and writes it runs the cache
@@ -262,192 +220,79 @@ func (t *CachedTransport) Close() error {
 	t.pending = make(map[pvfs.ReqID]*pendingOp)
 	t.mu.Unlock()
 	for _, op := range abandoned {
-		if pr := op.read; pr != nil {
-			t.abortFetches(pr.fetches, errTransportClosed)
-			for _, w := range pr.waits {
-				w.st.decref()
-			}
-			pr.releaseBudget()
+		if op.read != nil {
+			t.abandon(op.read, errTransportClosed)
 		}
 	}
 	return nil
+}
+
+// abandon gives up a read that will never complete: its in-flight claims
+// are settled with err, its join references dropped, and its tenant's
+// budget returned. No drain is needed: responses demultiplex by tag and
+// the result channel is buffered, so an abandoned fetch cannot stall
+// others.
+func (t *CachedTransport) abandon(pr *pendingRead, err error) {
+	for _, f := range pr.fetches {
+		t.m.settle(f.runs, err)
+	}
+	for _, w := range pr.waits {
+		w.st.decref()
+	}
+	pr.releaseBudget()
 }
 
 // --- read path ---
 
 // classifySpan classifies one block span of a read: a cache hit copies
 // into dst now, an in-flight fetch (another process's miss or a prefetch)
-// becomes a join, a global-cache hit is installed immediately, and
-// everything else is an owned miss returned to the caller for fetching.
-// dst is the span's destination: its slice of the request's sink.
-func (t *CachedTransport) classifySpan(iod int, sp blockio.Span, dst []byte, pr *pendingRead, owned []ownedSpan) []ownedSpan {
+// becomes a join, a global-cache hit lands immediately, and everything
+// else is an owned miss returned to the caller for fetching. dst is the
+// span's destination: its slice of the request's sink.
+func (t *CachedTransport) classifySpan(sp blockio.Span, dst []byte, pr *pendingRead, owned []tgtSpan) []tgtSpan {
 	if t.m.buf.ReadSpan(sp.Key, sp.Off, dst) {
 		t.m.notePrefetchHit(sp.Key)
 		return owned
 	}
-	// The write stamp is snapshotted before the fetch is registered (and
-	// so before any iod or peer reads the block on our behalf): a write
-	// applied after this point — even one flushed and evicted before the
-	// fetch lands — moves the stamp and forces the install to re-read.
-	stamp := t.m.buf.WriteStamp(sp.Key)
-	t.m.fetchMu.Lock()
-	if st := t.m.fetches[sp.Key]; st != nil {
-		// Join: the data reference must be acquired while the entry is
-		// still in the table, so the owner (who removes it before dropping
-		// its own reference) can never drain the count under us.
-		st.refs.Add(1)
-		t.m.fetchMu.Unlock()
-		pr.waits = append(pr.waits, spanWait{key: sp.Key, off: sp.Off, dst: dst, st: st, iod: iod})
+	st, owner := t.m.claim(sp.Key, false)
+	o := tgtSpan{sp: sp, dst: dst, st: st}
+	if !owner {
+		pr.waits = append(pr.waits, o)
 		return owned
 	}
-	st := newFetchState(false)
-	st.stamp = stamp
-	t.m.fetches[sp.Key] = st
-	t.m.fetchMu.Unlock()
-	// Global-cache extension: probe the block's home node before
-	// resorting to the iod. A read-around request skips the probe: its
-	// blocks must not be installed here, and a stream hammering the peer
-	// ring would displace exactly the shared blocks the ring exists for.
-	if t.m.gcNode != nil && pr.admit != admitNever {
-		bs := t.m.buf.BlockSize()
-		data, mem := lease(&t.m.blocks, bs)
-		// A healthy peer always serves a whole block; anything else is a
-		// buggy or hostile response whose bytes must not be installed or
-		// sliced (an oversize block would panic InstallFetched, a short
-		// one the span copy). Fall through to the iod fetch instead.
-		if n, ok := t.m.gcNode.Get(sp.Key, data); ok && n != bs {
-			t.m.cfg.Registry.Counter("module.gcache_bad_resp").Inc()
-		} else if ok {
-			// Resident bytes outrank the peer copy; a stale install (the
-			// block was written here since the probe began) falls through
-			// to the iod fetch, which revalidates against a fresh stamp.
-			if t.m.buf.InstallFetchedAdmit(sp.Key, iod, data, pr.admit == admitMust, st.stamp) != buffer.OutcomeStale {
-				st.finalStamp = st.stamp
-				copy(dst, data[sp.Off:sp.Off+sp.Len])
-				t.m.publishFetched(st, sp.Key, data, mem)
-				st.decref()   // the owner's hold; joiners keep the block alive
-				mem.release() // the creator's hold
-				t.m.cfg.Registry.Counter("module.gcache_hits").Inc()
-				return owned
-			}
-		}
-		mem.release()
+	// Global-cache extension: probe the block's home node before resorting
+	// to the iod. A read-around request skips the probe: its blocks must
+	// not be installed here, and a stream hammering the peer ring would
+	// displace exactly the shared blocks the ring exists for.
+	if t.m.gcNode != nil && pr.admit != admitNever && t.m.landFromPeer(pr.iod, o, pr.admit) {
+		return owned
 	}
-	return append(owned, ownedSpan{sp: sp, dst: dst, st: st})
+	return append(owned, o)
 }
 
-// issueFetches groups the owned miss spans into runs of consecutive block
-// indices and puts them on the wire as one vectored ReadBlocks carrying
-// every run as an extent (several when the runs outgrow one response
-// frame). The sub-requests of a request are all in flight before the
-// first response is awaited.
-func (t *CachedTransport) issueFetches(iod int, file blockio.FileID, owned []ownedSpan, pr *pendingRead) error {
-	if len(owned) == 0 {
-		return nil
-	}
-	bs := t.m.buf.BlockSize()
-	var runs []fetchRun
-	for start := 0; start < len(owned); {
-		end := start + 1
-		for end < len(owned) && owned[end].sp.Key.Index == owned[end-1].sp.Key.Index+1 {
-			end++
-		}
-		group := owned[start:end]
-		run := fetchRun{firstIdx: group[0].sp.Key.Index}
-		for _, o := range group {
-			run.keys = append(run.keys, o.sp.Key)
-			run.states = append(run.states, o.st)
-			run.spans = append(run.spans, tgtSpan{sp: o.sp, dst: o.dst})
-		}
-		runs = append(runs, run)
-		start = end
-	}
-	// Rounding spans up to whole blocks can inflate a fetch far past the
-	// original request bytes (sub-block extents each cost a full block),
-	// so bound every run — and every vectored batch of runs — by what one
-	// response frame can carry, splitting into several round trips when
-	// necessary.
-	runs = splitRuns(runs, maxFetchBlocks(bs))
-
-	for start := 0; start < len(runs); {
-		batch := runs[start : start+1]
-		blocks := len(runs[start].keys)
-		for end := start + 1; end < len(runs) && blocks+len(runs[end].keys) <= maxFetchBlocks(bs); end++ {
-			blocks += len(runs[end].keys)
-			batch = runs[start : end+1]
-		}
-		exts := make([]wire.ReadExtent, len(batch))
-		for i, run := range batch {
-			exts[i] = wire.ReadExtent{
-				Offset: run.firstIdx * int64(bs),
-				Length: int64(len(run.keys)) * int64(bs),
-			}
-		}
-		ch, err := t.m.data[iod].Go(&wire.ReadBlocks{
-			Client: t.m.cfg.ClientID,
-			File:   file,
-			Track:  pr.admit != admitNever,
-			Exts:   exts,
-		})
+// issueFetches puts the owned miss spans on the wire as one vectored
+// ReadBlocks carrying every run of consecutive blocks as an extent
+// (several fetches when the runs outgrow one response frame). The
+// sub-requests of a request are all in flight before the first response is
+// awaited.
+func (t *CachedTransport) issueFetches(file blockio.FileID, owned []tgtSpan, pr *pendingRead) error {
+	batches := t.m.groupRuns(owned)
+	for i, batch := range batches {
+		f, err := t.m.issue(pr.iod, file, batch, pr.admit != admitNever)
 		if err != nil {
-			t.abortFetches(pr.fetches, err)
-			// The failing batch AND the not-yet-issued ones: all their
-			// fetch-table claims must be released, or later readers of
-			// those blocks would wait forever.
-			t.abortRuns(runs[start:], err)
+			// issue settled the failing batch and the caller abandons the
+			// fetches in flight; the batches not yet issued hold claims too,
+			// and later readers of those blocks would wait on them forever.
+			for _, rest := range batches[i+1:] {
+				t.m.settle(rest, err)
+			}
 			return err
 		}
-		pr.fetches = append(pr.fetches, fetch{iod: iod, ch: ch, runs: batch})
+		pr.fetches = append(pr.fetches, f)
 		t.m.cfg.Registry.Counter("module.read_subrequests").Inc()
 		t.m.cfg.Registry.Counter("module.read_vector_fetches").Inc()
-		start += len(batch)
 	}
 	return nil
-}
-
-// maxFetchBlocks is the most blocks one fetch (a batch of runs) may carry
-// and still fit a response frame (wire.ValidateExtents' bound), with one
-// block of slack.
-func maxFetchBlocks(bs int) int {
-	n := wire.MaxMessageSize/2/bs - 1
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// splitRuns bounds every run at maxBlocks consecutive blocks, splitting
-// oversized ones (a sub-block-striped request can round up to far more
-// block bytes than it asked for) into several runs that fetch separately.
-func splitRuns(runs []fetchRun, maxBlocks int) []fetchRun {
-	out := make([]fetchRun, 0, len(runs))
-	for _, run := range runs {
-		if len(run.keys) <= maxBlocks {
-			out = append(out, run)
-			continue
-		}
-		spanAt := 0
-		for start := 0; start < len(run.keys); start += maxBlocks {
-			end := start + maxBlocks
-			if end > len(run.keys) {
-				end = len(run.keys)
-			}
-			sub := fetchRun{
-				firstIdx: run.keys[start].Index,
-				keys:     run.keys[start:end],
-				states:   run.states[start:end],
-			}
-			lastIdx := run.keys[end-1].Index
-			// Spans are ordered by block, so a cursor partitions them.
-			spanStart := spanAt
-			for spanAt < len(run.spans) && run.spans[spanAt].sp.Key.Index <= lastIdx {
-				spanAt++
-			}
-			sub.spans = run.spans[spanStart:spanAt]
-			out = append(out, sub)
-		}
-	}
-	return out
 }
 
 // sendRead runs the cache FSM for a read. libpvfs sends a plain Read when
@@ -462,7 +307,7 @@ func splitRuns(runs []fetchRun, maxBlocks int) []fetchRun {
 // here and becomes the sink. ok is false, with nothing issued, when req is
 // not a read or sink does not tile it.
 func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op *pendingOp, ok bool, err error) {
-	pr := &pendingRead{}
+	pr := &pendingRead{iod: iod}
 	var file blockio.FileID
 	var one [1]wire.ReadExtent
 	var exts []wire.ReadExtent
@@ -538,15 +383,15 @@ func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op
 			pr.lens[i] = uint32(e.Length)
 		}
 	}
-	var owned []ownedSpan // spans whose fetch this process owns
+	var owned []tgtSpan // spans whose fetch this process owns
 	for i, e := range exts {
 		for _, sp := range blockio.Spans(file, e.Offset, e.Length, bs) {
-			owned = t.classifySpan(iod, sp, sink[i][sp.Pos:sp.Pos+int64(sp.Len)], pr, owned)
+			owned = t.classifySpan(sp, sink[i][sp.Pos:sp.Pos+int64(sp.Len)], pr, owned)
 		}
 	}
 	rt.hop("classified: %d blocks over %d extents, %d joins, %d misses", nblocks, len(exts), len(pr.waits), len(owned))
-	if err := t.issueFetches(iod, file, owned, pr); err != nil {
-		pr.releaseBudget()
+	if err := t.issueFetches(file, owned, pr); err != nil {
+		t.abandon(pr, err)
 		rt.finish(fmt.Sprintf("issue error: %v", err))
 		return nil, false, err
 	}
@@ -562,8 +407,8 @@ func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op
 	return &pendingOp{read: pr}, true, nil
 }
 
-// completeRead waits for the pending transfers, installs fetched blocks in
-// the cache, and builds the response (see pendingRead.reply).
+// completeRead lands the pending fetches, resolves the joins, and builds
+// the response (see pendingRead.reply).
 func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 	// The request stops being in flight when this returns, success or not:
 	// every fetch has landed or aborted and every join resolved, so the
@@ -571,62 +416,19 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 	defer pr.releaseBudget()
 	var firstErr error
 	for _, f := range pr.fetches {
-		res := <-f.ch
-		if res.Err != nil {
-			t.abortRuns(f.runs, res.Err)
-			if firstErr == nil {
-				firstErr = res.Err
-			}
-			pr.trace.hop("fetch iod=%d failed: %v", f.iod, res.Err)
-			continue
-		}
-		err := t.fillFromResponse(pr, f, res.Msg)
-		// The response payload has been copied into the run slabs (or
-		// rejected); its leased frame buffer is dead either way.
-		res.Release()
-		if err != nil {
-			t.abortRuns(f.runs, err)
+		if err := t.m.land(f, pr.admit, <-f.ch); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
-			pr.trace.hop("fetch iod=%d rejected: %v", f.iod, err)
+			pr.trace.hop("fetch iod=%d failed: %v", f.iod, err)
 			continue
 		}
 		pr.trace.hop("fetch iod=%d landed (%d runs)", f.iod, len(f.runs))
 	}
 	for _, w := range pr.waits {
-		<-w.st.done
-		if w.st.err == nil && w.st.data != nil {
-			copy(w.dst, w.st.data[w.off:w.off+len(w.dst)])
-			// The published image carries resident bytes only as of the
-			// moment the fetch landed; this request may have joined after
-			// later writes were acked into the cache. Re-overlay the
-			// resident valid bytes so a write that completed before this
-			// read began is never answered with the pre-write snapshot.
-			t.m.buf.OverlaySpan(w.key, w.off, w.dst)
-			// The overlay only helps while the newer bytes are resident. If
-			// the block's write stamp moved past the published image's
-			// (written after the install — and possibly flushed and evicted
-			// since), fall back to a synchronous fetch, which revalidates
-			// against the stamp itself.
-			if t.m.buf.WriteStamp(w.key) != w.st.finalStamp {
-				t.m.cfg.Registry.Counter("module.join_stale_refetches").Inc()
-				if err := t.m.fetchBlockSpan(w.iod, w.key, w.off, w.dst); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-			w.st.decref()
-			t.m.cfg.Registry.Counter("module.fetch_joins").Inc()
-			if w.st.prefetch {
-				t.m.notePrefetchHit(w.key)
-			}
-			continue
-		}
-		w.st.decref()
-		// The owner's fetch failed (or a prefetch found no stored data):
-		// fall back to a synchronous fetch of our own.
-		if err := t.m.fetchBlockSpan(w.iod, w.key, w.off, w.dst); err != nil {
-			if firstErr == nil {
+		if !t.m.awaitJoin(w) {
+			// Nothing usable was published: fetch synchronously ourselves.
+			if err := t.m.fetchBlockSpan(pr.iod, w.sp.Key, w.sp.Off, w.dst); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -640,163 +442,6 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 	}
 	pr.trace.finish("ok")
 	return pr.reply(wire.StatusOK), nil
-}
-
-// fillFromResponse installs a fetch's blocks from its response message,
-// publishes them to waiters, and copies the request's spans into their
-// destinations. A vectored fetch can only be answered by a ReadBlocksResp
-// with one entry per run. Validation runs over every run before any run
-// is filled, so a hostile response is rejected whole rather than
-// half-published.
-func (t *CachedTransport) fillFromResponse(pr *pendingRead, f fetch, msg wire.Message) error {
-	rr, ok := msg.(*wire.ReadBlocksResp)
-	if !ok {
-		return fmt.Errorf("cachemod: fetch failed: %v", msg.WireType())
-	}
-	if err := rr.Status.Err(); err != nil {
-		return err
-	}
-	if len(rr.Lens) != len(f.runs) {
-		return fmt.Errorf("cachemod: vectored fetch returned %d extents, want %d", len(rr.Lens), len(f.runs))
-	}
-	bs := t.m.buf.BlockSize()
-	for i, run := range f.runs {
-		// Decode guarantees the lengths tile Data, but only the requester
-		// knows what was asked for: an overlong length would shift every
-		// later run's bytes and poison the shared cache with
-		// misattributed data.
-		if int(rr.Lens[i]) > len(run.keys)*bs {
-			return fmt.Errorf("cachemod: vectored fetch extent %d overlong (%d > %d)",
-				i, int(rr.Lens[i]), len(run.keys)*bs)
-		}
-	}
-	data := rr.Data
-	for i, run := range f.runs {
-		served := int(rr.Lens[i])
-		if err := t.fillRun(f.iod, run, data[:served], pr.admit); err != nil {
-			// fillRun settled its own run's states; the caller's
-			// abortRuns sweep closes the runs that never filled.
-			return err
-		}
-		data = data[served:]
-	}
-	return nil
-}
-
-// fillRun slices one run's bytes into blocks, installs each block in the
-// cache (zero-padded: data past what the iod stores reads as zero),
-// publishes them to joined waiters, and copies the run's request spans
-// into their destinations. data aliases the fetch response's leased frame
-// buffer; this is the single copy of the miss path — frame to pooled slab
-// — and everything downstream (cache frame, waiters, global-cache push,
-// span destinations) reads from the slab, which returns to its pool when
-// the last published state's reference drains. A read-around run
-// (admitNever: don't-cache hint or streaming bypass) skips the install
-// and the global-cache push — the slab serves the request and any
-// joiners, then returns to its pool.
-func (t *CachedTransport) fillRun(iod int, run fetchRun, data []byte, admit admitMode) error {
-	bs := t.m.buf.BlockSize()
-	// One zero-padded slab for the whole run; the published per-block
-	// buffers are read-only slices of it.
-	slab, mem := lease(&t.m.slabs, len(run.keys)*bs)
-	n := copy(slab, data)
-	zeroFill(slab[n:]) // pooled buffers carry the previous tenant's bytes
-	for i, key := range run.keys {
-		blockData := slab[i*bs : (i+1)*bs]
-		st := run.states[i]
-		stamp := st.stamp
-		for {
-			// The install (or, read-around, the resident patch) presents
-			// the stamp snapshotted when the fetch was issued: the image
-			// must be patched with any newer resident bytes before the
-			// destinations, the waiters, or the global cache see it, and
-			// if the block was written mid-flight — possibly flushed and
-			// evicted, leaving nothing resident to patch from — the image
-			// is refused whole (OutcomeStale) and re-read from the iod
-			// against a fresh stamp. The loop terminates when a re-read
-			// lands with no concurrent write to its block.
-			var oc buffer.Outcome
-			if admit == admitNever {
-				oc = t.m.buf.PatchResident(key, blockData, stamp)
-			} else {
-				oc = t.m.buf.InstallFetchedAdmit(key, iod, blockData, admit == admitMust, stamp)
-			}
-			if oc != buffer.OutcomeStale {
-				break
-			}
-			t.m.cfg.Registry.Counter("module.fetch_stale_retries").Inc()
-			stamp = t.m.buf.WriteStamp(key)
-			if err := t.m.readBlockInto(iod, key, blockData); err != nil {
-				// Settle this run: earlier states were published (their
-				// joiners and the done-channel protocol own them; drop
-				// only our hold), the rest abort with the error.
-				for j := 0; j < i; j++ {
-					run.states[j].decref()
-				}
-				t.abortRuns([]fetchRun{{keys: run.keys[i:], states: run.states[i:]}}, err)
-				mem.release()
-				return err
-			}
-		}
-		st.finalStamp = stamp
-		switch admit {
-		case admitNever:
-			t.m.buf.NoteBypass(key)
-		default:
-			if t.m.gcNode != nil {
-				// Feed the global cache: the block's home node gets a copy
-				// (made before Push returns, so the slab's lifetime is not
-				// extended by the asynchronous push).
-				t.m.gcNode.Push(key, iod, blockData)
-			}
-		}
-		t.m.publishFetched(st, key, blockData, mem)
-	}
-	for _, ts := range run.spans {
-		lo := int(ts.sp.Key.Index-run.firstIdx)*bs + ts.sp.Off
-		copy(ts.dst, slab[lo:])
-	}
-	// Drop the owner's hold on each state now that the spans are copied;
-	// joined waiters keep the slab alive until they have copied too.
-	for _, st := range run.states {
-		st.decref()
-	}
-	mem.release() // the creator's hold
-	return nil
-}
-
-// abortRuns publishes a fetch failure to waiters and clears the table.
-// States already published by a successful fillRun are left untouched;
-// for the rest, the owner's reference is dropped with the close.
-func (t *CachedTransport) abortRuns(runs []fetchRun, err error) {
-	for _, run := range runs {
-		for i, key := range run.keys {
-			st := run.states[i]
-			if st == nil {
-				continue
-			}
-			t.m.fetchMu.Lock()
-			if t.m.fetches[key] == st {
-				delete(t.m.fetches, key)
-			}
-			t.m.fetchMu.Unlock()
-			select {
-			case <-st.done:
-			default:
-				st.err = err
-				close(st.done)
-				st.decref()
-			}
-		}
-	}
-}
-
-func (t *CachedTransport) abortFetches(fs []fetch, err error) {
-	for _, f := range fs {
-		// No drain needed: responses demultiplex by tag and the result
-		// channel is buffered, so an abandoned fetch cannot stall others.
-		t.abortRuns(f.runs, err)
-	}
 }
 
 // --- write path ---
@@ -866,14 +511,9 @@ func (t *CachedTransport) writeSpan(iod int, sp blockio.Span, src []byte, deadli
 		case buffer.OutcomeOK:
 			return nil
 		case buffer.OutcomeNeedFetch:
-			// Another process may already be fetching this block.
-			t.m.fetchMu.Lock()
-			st := t.m.fetches[sp.Key]
-			t.m.fetchMu.Unlock()
-			if st != nil {
-				// Wait for the in-flight fetch to land; no data reference
-				// is taken (the retry reads the cache, not st.data).
-				<-st.done
+			// Another process may already be fetching this block: let it
+			// land and retry the merge.
+			if t.m.awaitFetch(sp.Key) {
 				continue
 			}
 			if err := t.m.fetchBlockSpan(iod, sp.Key, 0, nil); err != nil {

@@ -3,13 +3,18 @@
 // lookup, a free list refilled by the harvester between a low and a high
 // watermark, a dirty list drained by the flusher, and an approximate-LRU
 // (clock, second-chance) replacement policy that prefers evicting clean
-// blocks over dirty ones. An exact-LRU policy is also provided for the
-// ablation study — the paper explicitly chose approximate LRU because
-// "exact LRU can result in a significant overhead at each read/write
-// invocation". A third, scan-resistant policy (PolicyGhost, see ghost.go)
-// implements the paper's discretionary-admission idea: blocks must prove
-// reuse against a bounded ghost list of evicted keys before they may
-// displace the protected working set.
+// blocks over dirty ones. The paper explicitly chose approximate LRU
+// because "exact LRU can result in a significant overhead at each
+// read/write invocation", and here a clock hit indeed only sets the
+// referenced bit; every frame, and the queue links inside it, is allocated
+// up front, so a request pops the free list and allocates nothing. A
+// scan-resistant policy (PolicyGhost, see ghost.go) implements the paper's
+// discretionary-admission idea: blocks must prove reuse against a bounded
+// ghost list of evicted keys before they may displace the protected
+// working set. Exact LRU, for the ablation study, is that policy's
+// segmented queue with nothing protected and nothing remembered. A
+// resident frame is on exactly one replacement queue — the one its policy
+// reads — and, while dirty, on the dirty queue.
 //
 // The manager is pure policy: every method is non-blocking and returns an
 // explicit outcome. The live cache module wraps it with goroutines and
@@ -21,7 +26,7 @@
 // locking. Every block key routes to exactly one shard by the same mix
 // hash the global cache homes blocks with (blockio.BlockKey.Mix), and each
 // shard owns its slice of the pre-allocated frames together with its own
-// hash table, LRU/clock lists, dirty FIFO and free list. Per-block
+// hash table, replacement queue, dirty queue and free list. Per-block
 // operations touch a single shard lock; cross-shard operations (TakeDirty,
 // InvalidateFile, Harvest, Stats) explicitly aggregate over the shards.
 // Shards = 1 reproduces the previous single-mutex behaviour exactly and is
@@ -36,7 +41,6 @@
 package buffer
 
 import (
-	"container/list"
 	"fmt"
 	"runtime"
 	"sort"
@@ -54,7 +58,8 @@ const (
 	// PolicyClock is the paper's approximate LRU: a second-chance sweep
 	// that prefers clean victims.
 	PolicyClock Policy = iota
-	// PolicyLRU is exact LRU (ablation baseline).
+	// PolicyLRU is exact LRU (ablation baseline): PolicyGhost's segmented
+	// queue with an empty protected segment and no ghost history.
 	PolicyLRU
 	// PolicyGhost is the scan-resistant discretionary-admission policy
 	// (2Q/ARC-flavoured, see ghost.go): residents are segmented into a
@@ -154,11 +159,14 @@ type Config struct {
 	// setting: replacement order then matches the pre-sharding manager
 	// exactly. Kept on purpose: the DES figures are bit-identical only
 	// at 1, and the sharded-vs-single-shard oracle uses it as reference.
+	// It is a value, not a path: one shard runs the same code as many.
 	Shards int
 	// Policy selects the replacement algorithm (default PolicyClock).
 	// All three are kept on purpose: the simulator's eviction ablation
 	// (A1) compares clock against LRU, and ghost is the scan-resistant
-	// policy the live admission tests and examples/scanresist run.
+	// policy the live admission tests and examples/scanresist run. They
+	// cost two queues, not three: LRU is ghost's segmented queue with
+	// nothing protected and nothing remembered.
 	Policy Policy
 	// GhostFrac sizes PolicyGhost's per-shard ghost list as a fraction of
 	// the shard's frame count (entries are metadata only: one key plus two
@@ -234,20 +242,16 @@ type block struct {
 	validOff, validLen int
 	dirtyOff, dirtyLen int
 	written            bool   // any write this residency (dirtying or sync)
-	flushGen           uint64 // bumped on every dirtying write
 	dirtySeq           uint64 // manager-wide age stamp of the dirty enqueue
-	flushing           bool   // a snapshot is in flight to the iod
+	// inflight is the token of the flush snapshot in flight to the iod —
+	// the key's write stamp when it was cut (see snapshotForFlush) — or 0
+	// when none is. Only a dirty block is ever in flight.
+	inflight uint32
 
 	ref bool // clock referenced bit
 
-	// PolicyGhost segment state: which queue the block sits on and where.
-	// segEl is nil under the other policies.
-	protected bool
-	segEl     *list.Element
-
-	lruEl   *list.Element // position in lru list (front = most recent)
-	clockEl *list.Element // position in clock ring
-	dirtyEl *list.Element // position in dirty FIFO, nil when clean
+	repl link // on the policy's replacement queue while resident
+	dirt link // on the dirty queue while dirty
 }
 
 func (b *block) dirty() bool { return b.dirtyLen > 0 }
@@ -268,7 +272,7 @@ type FlushItem struct {
 	Off   int
 	Data  []byte
 	Slot  int
-	gen   uint64
+	token uint32 // the block's in-flight token for this snapshot
 }
 
 // Stats is a point-in-time summary of manager state. With several shards
@@ -387,21 +391,6 @@ func New(cfg Config) *Manager {
 		if low > high {
 			low = high
 		}
-		// PolicyGhost sizing: the probation segment keeps at least a
-		// quarter of the shard's frames (so there is always somewhere for
-		// unproven blocks to live and be evicted from); the ghost list
-		// remembers GhostFrac × capacity evicted keys.
-		probTarget := capacity / 4
-		if probTarget < 1 {
-			probTarget = 1
-		}
-		ghostCap := 0
-		if cfg.GhostFrac > 0 {
-			ghostCap = int(cfg.GhostFrac*float64(capacity) + 0.5)
-			if ghostCap < 1 {
-				ghostCap = 1
-			}
-		}
 		s := &shard{
 			cfg:           &m.cfg,
 			ctrs:          ctrs,
@@ -409,22 +398,26 @@ func New(cfg Config) *Manager {
 			capacity:      capacity,
 			lowWater:      low,
 			highWater:     high,
-			protCap:       capacity - probTarget,
-			ghostCap:      ghostCap,
 			table:         make(map[blockio.BlockKey]*block, capacity),
 			stamps:        make(map[blockio.BlockKey]uint32),
 			free:          make([]*block, 0, capacity),
 			dirtyByTenant: make(map[uint32]int),
-			lru:           list.New(),
-			clockRing:     list.New(),
-			dirtyFIFO:     list.New(),
-			probList:      list.New(),
-			protList:      list.New(),
-			ghost:         list.New(),
-			ghostIdx:      make(map[blockio.BlockKey]*list.Element),
+		}
+		if cfg.Policy == PolicyGhost {
+			// The probation segment keeps at least a quarter of the shard's
+			// frames (so there is always somewhere for unproven blocks to
+			// live and be evicted from); the ghost history remembers
+			// GhostFrac × capacity evicted keys. The other policies leave
+			// both at zero: no protected segment, no history.
+			s.protCap = capacity - max(capacity/4, 1)
+			if cfg.GhostFrac > 0 {
+				s.ghost.cap = max(int(cfg.GhostFrac*float64(capacity)+0.5), 1)
+			}
 		}
 		for j := 0; j < capacity; j++ {
-			s.free = append(s.free, &block{data: backing[next*cfg.BlockSize : (next+1)*cfg.BlockSize]})
+			b := &block{data: backing[next*cfg.BlockSize : (next+1)*cfg.BlockSize]}
+			b.repl.b, b.dirt.b = b, b
+			s.free = append(s.free, b)
 			next++
 		}
 		m.shards = append(m.shards, s)
@@ -622,7 +615,7 @@ type takeReq struct {
 
 // TakeDirty snapshots up to max dirty blocks (oldest first) for flushing.
 // The blocks stay resident and readable; a subsequent FlushDone marks each
-// clean unless it was re-dirtied while the flush was in flight. Blocks
+// clean unless it was written while the flush was in flight. Blocks
 // already being flushed are skipped. Across shards the batch drains by
 // dirty age: every dirty enqueue is stamped from one manager-wide counter,
 // and the batch is built in two passes — collect each shard's oldest
@@ -639,11 +632,6 @@ type takeReq struct {
 // FlushFailed (it did not). An item that is never handed back wedges its
 // block: still dirty, never evictable, never flushable again.
 func (m *Manager) TakeDirty(max int) []FlushItem {
-	if len(m.shards) == 1 && !m.hasWeights.Load() {
-		// Fast path; with registered tenant weights even a single shard
-		// must go through the merged path for weighted apportioning.
-		return m.shards[0].takeDirty(max)
-	}
 	return m.takeDirtyMerged(anyOwner, max, false)
 }
 
@@ -666,7 +654,7 @@ func (m *Manager) TakeDirtyOwned(owner, max int) []FlushItem {
 }
 
 // takeDirtyMerged is the two-pass collect/merge/snapshot body shared by
-// TakeDirty (sharded) and TakeDirtyOwned. runOrder sorts the selected
+// TakeDirty and TakeDirtyOwned. runOrder sorts the selected
 // candidates by (file, index) before they are snapshotted, so the take's
 // buffer holds each run of adjacent blocks as one contiguous stretch (see
 // FlushItem) and the per-iod flush streams frame it without copying.
@@ -809,23 +797,29 @@ func (m *Manager) OldestDirtyOwner() (owner int, ok bool) {
 }
 
 // FlushDone marks the snapshot's blocks clean: the iod has acknowledged
-// the snapshotted bytes. A block whose flushGen advanced since TakeDirty
-// was re-dirtied concurrently and stays on the dirty list (its next
-// flush will carry the new data). Each TakeDirty item must reach exactly
-// one of FlushDone or FlushFailed; a chunked flusher may split one take
-// into several calls, as long as every item lands in one of them.
+// the snapshotted bytes. Each item carries the in-flight token its block
+// was given at TakeDirty — the key's write stamp at that moment. A block
+// whose stamp moved since was written during the flight and stays on the
+// dirty queue (its next flush will carry the new data). An item whose
+// token is not the block's is the ack of an earlier residency — the block
+// was invalidated and the key written again since — and is ignored: it
+// says nothing about the bytes resident now. Each TakeDirty item must
+// reach exactly one of FlushDone or FlushFailed; a chunked flusher may
+// split one take into several calls, as long as every item lands in one
+// of them.
 func (m *Manager) FlushDone(items []FlushItem) {
 	for _, it := range items {
 		m.shardFor(it.Key).flushDone(it)
 	}
 }
 
-// FlushFailed re-queues the snapshot's blocks: the in-flight mark is
-// cleared without cleaning, and each block keeps both its dirty-FIFO
-// position and its manager-wide age stamp — a failed block is retried
-// with its original oldest-first priority, never demoted behind younger
-// writes. No retry timing lives here: the flusher owns backoff, the
-// manager only guarantees the block stays flushable and unevictable.
+// FlushFailed re-queues the snapshot's blocks: the in-flight token is
+// cleared without cleaning (an item of an earlier residency is ignored, as
+// in FlushDone), and each block keeps both its dirty-queue position and
+// its manager-wide age stamp — a failed block is retried with its
+// original oldest-first priority, never demoted behind younger writes.
+// No retry timing lives here: the flusher owns backoff, the manager only
+// guarantees the block stays flushable and unevictable.
 func (m *Manager) FlushFailed(items []FlushItem) {
 	for _, it := range items {
 		m.shardFor(it.Key).flushFailed(it)
@@ -894,8 +888,8 @@ func (m *Manager) Stats() Stats {
 		s.mu.Lock()
 		st.Resident += len(s.table)
 		st.Free += len(s.free)
-		st.Dirty += s.dirtyFIFO.Len()
-		st.Ghosts += s.ghost.Len()
+		st.Dirty += s.dirtyQ.n
+		st.Ghosts += s.ghost.order.Len()
 		s.mu.Unlock()
 		st.Hits += s.hits.Load()
 		st.Misses += s.misses.Load()
@@ -913,22 +907,22 @@ func (m *Manager) DirtyCount() int {
 	n := 0
 	for _, s := range m.shards {
 		s.mu.Lock()
-		n += s.dirtyFIFO.Len()
+		n += s.dirtyQ.n
 		s.mu.Unlock()
 	}
 	return n
 }
 
 // DirtyCountOwned returns the number of dirty blocks (in-flight flushes
-// included — a block leaves the FIFO only when its ack lands) stored by
+// included — a block leaves the queue only when its ack lands) stored by
 // one iod. The drain path polls it to decide when a departing iod's dirty
 // data is fully durable.
 func (m *Manager) DirtyCountOwned(owner int) int {
 	n := 0
 	for _, s := range m.shards {
 		s.mu.Lock()
-		for el := s.dirtyFIFO.Front(); el != nil; el = el.Next() {
-			if el.Value.(*block).owner == owner {
+		for l := s.dirtyQ.head; l != nil; l = l.next {
+			if l.b.owner == owner {
 				n++
 			}
 		}
@@ -940,7 +934,7 @@ func (m *Manager) DirtyCountOwned(owner int) int {
 // DirtyCountTenant returns the number of dirty blocks charged to one
 // tenant (in-flight flushes included, matching DirtyCountOwned). The QoS
 // quota gate polls it per write, so it reads each shard's per-tenant count
-// map rather than walking the FIFOs: O(shards), not O(dirty).
+// map rather than walking the queues: O(shards), not O(dirty).
 func (m *Manager) DirtyCountTenant(tenant uint32) int {
 	n := 0
 	for _, s := range m.shards {
@@ -978,10 +972,13 @@ func (m *Manager) FreeCount() int {
 
 // CheckConsistency verifies the manager's structural invariants: every
 // shard's frames are conserved (free + resident == shard capacity), every
-// resident block routes to the shard holding it and sits on exactly the
-// lists its state demands, and the dirty FIFOs track exactly the dirty
-// blocks. It is meant for tests (the concurrency stress wall calls it
-// after every storm); it takes each shard's lock in turn.
+// resident block routes to the shard holding it and sits on exactly one
+// replacement queue — the one the policy reads — the dirty queues hold
+// exactly the dirty blocks, only a dirty block carries an in-flight token,
+// a free frame carries no links and no token, and the ghost history is a
+// bounded set of non-resident keys. It is meant for tests (the concurrency
+// stress wall calls it after every storm); it takes each shard's lock in
+// turn.
 func (m *Manager) CheckConsistency() error {
 	total := 0
 	for i, s := range m.shards {

@@ -318,6 +318,49 @@ func TestFlushDoneAfterInvalidateIsNoop(t *testing.T) {
 	}
 }
 
+// TestStaleFlushAckAfterInvalidateRewrite: a take's ack must only ever
+// settle the residency it snapshotted. A foreign sync-write's invalidation
+// drops the in-flight frame; the key is written again into a fresh frame;
+// then the old frame's ack (or failure) arrives. It must not mark the new
+// bytes clean — that loses an acknowledged write-behind write — nor clear
+// a newer take's in-flight mark.
+func TestStaleFlushAckAfterInvalidateRewrite(t *testing.T) {
+	m := mgr(4, PolicyClock)
+	k := key(1, 0)
+	m.WriteSpan(k, 0, 0, fill(1, 64), true)
+	old := m.TakeDirtyOwned(0, 0)
+	if len(old) != 1 {
+		t.Fatalf("take = %d items, want 1", len(old))
+	}
+	m.Invalidate(k)
+	m.WriteSpan(k, 0, 0, fill(2, 64), true)
+	m.FlushDone(old)
+	if m.DirtyCount() != 1 {
+		t.Fatal("an earlier residency's flush ack marked the rewritten block clean")
+	}
+	// The same ack arriving while the new residency has its own flush in
+	// flight: it must neither clean the block nor release it to a second take.
+	fresh := m.TakeDirtyOwned(0, 0)
+	if len(fresh) != 1 || !bytes.Equal(fresh[0].Data, fill(2, 64)) {
+		t.Fatalf("fresh take = %+v, want the rewritten bytes", fresh)
+	}
+	m.FlushFailed(old)
+	if again := m.TakeDirtyOwned(0, 0); len(again) != 0 {
+		t.Fatal("a stale failure released the in-flight mark: one block rides two frames")
+	}
+	m.FlushDone(old)
+	if m.DirtyCount() != 1 {
+		t.Fatal("a stale ack cleaned a block whose own flush is still in flight")
+	}
+	m.FlushDone(fresh)
+	if m.DirtyCount() != 0 {
+		t.Fatal("the residency's own ack did not clean the block")
+	}
+	if err := m.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEvictionPrefersCleanClock(t *testing.T) {
 	m := mgr(4, PolicyClock)
 	m.WriteSpan(key(1, 0), 0, 0, fill(1, 64), true) // dirty

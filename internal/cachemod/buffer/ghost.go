@@ -7,9 +7,10 @@ import (
 	"pvfscache/internal/blockio"
 )
 
-// PolicyGhost — scan-resistant discretionary admission.
+// The segmented replacement queue, read by PolicyGhost and PolicyLRU.
 //
-// Residents are split into two LRU segments per shard:
+// PolicyGhost — scan-resistant discretionary admission — splits residents
+// into two LRU segments per shard:
 //
 //	probation: blocks seen once. Inserted at the front, evicted from the
 //	           back. Every unproven newcomer lands here and every victim
@@ -36,6 +37,12 @@ import (
 // by serving the data uncached) rather than allowed to displace the
 // working set. Writes and must-cache opens override the gate.
 //
+// PolicyLRU is the same queue with nothing to segment: protCap = 0 keeps
+// the protected segment empty, so probation holds every resident in exact
+// recency order (a touch "promotes" and overflow demotes straight back to
+// the probation front); a history of cap 0 remembers nothing, so nothing
+// is ever proven and the admission gate never fires.
+//
 // State diagram (DESIGN.md §7 reproduces this with the bypass path):
 //
 //	            miss, admit                     touch
@@ -48,174 +55,119 @@ import (
 //	    │
 //	    └── miss on remembered key ──▶ protected (ghost hit)
 
-// segInsert places a newly allocated block on its segment (s.mu held).
+// segInsert places a newly allocated block on its segment (s.mu held). With
+// no room in the protected segment at all (protCap 0) the overflow demotes
+// a protected newcomer straight to the probation front.
 func (s *shard) segInsert(b *block, protected bool) {
-	if protected && s.protCap > 0 {
-		b.protected = true
-		b.segEl = s.protList.PushFront(b)
+	if protected {
+		s.prot.pushFront(&b.repl)
 		s.demoteOverflow()
 		return
 	}
-	b.protected = false
-	b.segEl = s.probList.PushFront(b)
+	s.prob.pushFront(&b.repl)
 }
 
 // segTouch refreshes a block's segment position on re-access, promoting
 // probationary blocks that just proved reuse (s.mu held).
 func (s *shard) segTouch(b *block) {
-	if b.protected {
-		s.protList.MoveToFront(b.segEl)
-		return
-	}
-	s.probList.Remove(b.segEl)
-	b.protected = true
-	b.segEl = s.protList.PushFront(b)
+	b.repl.unlink()
+	s.prot.pushFront(&b.repl)
 	s.demoteOverflow()
 }
 
-// segRemove detaches a block from its segment (s.mu held).
-func (s *shard) segRemove(b *block) {
-	if b.segEl == nil {
-		return
-	}
-	if b.protected {
-		s.protList.Remove(b.segEl)
-	} else {
-		s.probList.Remove(b.segEl)
-	}
-	b.segEl = nil
-	b.protected = false
-}
-
 // demoteOverflow keeps the protected segment within protCap by demoting
-// its tail to the probation front (s.mu held). Demotion is pure list
-// bookkeeping — a dirty or flushing block may demote freely, eviction
-// still skips it.
+// its tail to the probation front (s.mu held). Demotion is pure queue
+// bookkeeping — a dirty block may demote freely, eviction still skips it.
 func (s *shard) demoteOverflow() {
-	for s.protList.Len() > s.protCap {
-		el := s.protList.Back()
-		b := el.Value.(*block)
-		s.protList.Remove(el)
-		b.protected = false
-		b.segEl = s.probList.PushFront(b)
+	for s.prot.n > s.protCap {
+		l := s.prot.tail
+		l.unlink()
+		s.prob.pushFront(l)
 	}
 }
 
-// pickVictimGhost chooses a clean, non-flushing victim: probation back to
-// front first, the protected tail only when probation has nothing to give
-// (s.mu held). The caller's admission gate decides whether a protected
-// victim may actually be taken.
-func (s *shard) pickVictimGhost() *block {
-	for el := s.probList.Back(); el != nil; el = el.Prev() {
-		b := el.Value.(*block)
-		if !b.dirty() && !b.flushing {
-			return b
-		}
-	}
-	for el := s.protList.Back(); el != nil; el = el.Prev() {
-		b := el.Value.(*block)
-		if !b.dirty() && !b.flushing {
-			return b
+// pickVictimSeg chooses a clean victim: probation back to front first, the
+// protected tail only when probation has nothing to give (s.mu held). The
+// caller's admission gate decides whether a protected victim may actually
+// be taken.
+func (s *shard) pickVictimSeg() *block {
+	for _, q := range [...]*queue{&s.prob, &s.prot} {
+		for l := q.tail; l != nil; l = l.prev {
+			if !l.b.dirty() {
+				return l.b
+			}
 		}
 	}
 	return nil
 }
 
-// ghostRecord remembers an evicted key, evicting the ghost list's own LRU
-// tail when full (s.mu held).
-func (s *shard) ghostRecord(key blockio.BlockKey) {
-	if s.ghostCap <= 0 {
+// ghostHistory is the admission filter's memory: a bounded LRU of recently
+// evicted keys. It holds keys, not frames, so unlike the resident queues it
+// is an ordinary list. The zero value (cap 0) remembers nothing.
+type ghostHistory struct {
+	cap   int
+	order list.List // front = most recently evicted
+	idx   map[blockio.BlockKey]*list.Element
+}
+
+// record remembers an evicted key, dropping the history's own LRU tail
+// when full.
+func (g *ghostHistory) record(key blockio.BlockKey) {
+	if g.cap <= 0 {
 		return
 	}
-	if el, ok := s.ghostIdx[key]; ok {
-		s.ghost.MoveToFront(el)
+	if el, ok := g.idx[key]; ok {
+		g.order.MoveToFront(el)
 		return
 	}
-	for s.ghost.Len() >= s.ghostCap {
-		old := s.ghost.Back()
-		delete(s.ghostIdx, old.Value.(blockio.BlockKey))
-		s.ghost.Remove(old)
+	for g.order.Len() >= g.cap {
+		old := g.order.Back()
+		delete(g.idx, old.Value.(blockio.BlockKey))
+		g.order.Remove(old)
 	}
-	s.ghostIdx[key] = s.ghost.PushFront(key)
+	if g.idx == nil {
+		g.idx = make(map[blockio.BlockKey]*list.Element, g.cap)
+	}
+	g.idx[key] = g.order.PushFront(key)
 }
 
-// ghostTake consumes the ghost entry for key, reporting whether one
-// existed (s.mu held). Consuming keeps the list an eviction history: once
-// a key is re-admitted its old eviction no longer argues for anything.
-func (s *shard) ghostTake(key blockio.BlockKey) bool {
-	el, ok := s.ghostIdx[key]
-	if !ok {
-		return false
+// forget drops any memory of key, reporting whether there was one. A miss
+// that re-admits a remembered key consumes the entry — once a key is back
+// its old eviction no longer argues for anything — and an invalidation
+// erases it.
+func (g *ghostHistory) forget(key blockio.BlockKey) bool {
+	el, ok := g.idx[key]
+	if ok {
+		delete(g.idx, key)
+		g.order.Remove(el)
 	}
-	delete(s.ghostIdx, key)
-	s.ghost.Remove(el)
-	return true
+	return ok
 }
 
-// ghostForget drops any ghost memory of key (s.mu held).
-func (s *shard) ghostForget(key blockio.BlockKey) {
-	if el, ok := s.ghostIdx[key]; ok {
-		delete(s.ghostIdx, key)
-		s.ghost.Remove(el)
-	}
-}
-
-// ghostForgetFile drops every ghost entry of a file (s.mu held).
-func (s *shard) ghostForgetFile(file blockio.FileID) {
+// forgetFile drops every remembered key of a file.
+func (g *ghostHistory) forgetFile(file blockio.FileID) {
 	var next *list.Element
-	for el := s.ghost.Front(); el != nil; el = next {
+	for el := g.order.Front(); el != nil; el = next {
 		next = el.Next()
 		if key := el.Value.(blockio.BlockKey); key.File == file {
-			delete(s.ghostIdx, key)
-			s.ghost.Remove(el)
+			g.forget(key)
 		}
 	}
 }
 
-// checkGhostConsistency verifies the PolicyGhost invariants (s.mu held):
-// the two segments partition exactly the residents, every block's
-// protected flag matches its list, the protected segment respects protCap,
-// and the ghost list is a bounded, indexed set of non-resident keys that
-// route to this shard.
-func (s *shard) checkGhostConsistency(shardIdx int, mask uint64) error {
-	if s.cfg.Policy != PolicyGhost {
-		if s.probList.Len() != 0 || s.protList.Len() != 0 || s.ghost.Len() != 0 {
-			return fmt.Errorf("shard %d: ghost-policy state populated under %v",
-				shardIdx, s.cfg.Policy)
-		}
-		return nil
-	}
-	if got := s.probList.Len() + s.protList.Len(); got != len(s.table) {
-		return fmt.Errorf("shard %d: probation(%d)+protected(%d) = %d, want resident %d",
-			shardIdx, s.probList.Len(), s.protList.Len(), got, len(s.table))
-	}
-	if s.protList.Len() > s.protCap {
-		return fmt.Errorf("shard %d: protected segment %d exceeds cap %d",
-			shardIdx, s.protList.Len(), s.protCap)
-	}
-	for el := s.probList.Front(); el != nil; el = el.Next() {
-		b := el.Value.(*block)
-		if b.protected || b.segEl != el || s.table[b.key] != b {
-			return fmt.Errorf("shard %d: probation entry %v inconsistent", shardIdx, b.key)
-		}
-	}
-	for el := s.protList.Front(); el != nil; el = el.Next() {
-		b := el.Value.(*block)
-		if !b.protected || b.segEl != el || s.table[b.key] != b {
-			return fmt.Errorf("shard %d: protected entry %v inconsistent", shardIdx, b.key)
-		}
-	}
-	if s.ghost.Len() != len(s.ghostIdx) {
+// check verifies that the history is a bounded, indexed set of non-resident
+// keys that route to this shard (s.mu held).
+func (g *ghostHistory) check(s *shard, shardIdx int, mask uint64) error {
+	if g.order.Len() != len(g.idx) {
 		return fmt.Errorf("shard %d: ghost list %d entries but index has %d",
-			shardIdx, s.ghost.Len(), len(s.ghostIdx))
+			shardIdx, g.order.Len(), len(g.idx))
 	}
-	if s.ghostCap >= 0 && s.ghost.Len() > s.ghostCap {
-		return fmt.Errorf("shard %d: ghost list %d exceeds cap %d",
-			shardIdx, s.ghost.Len(), s.ghostCap)
+	if g.order.Len() > g.cap {
+		return fmt.Errorf("shard %d: ghost list %d exceeds cap %d", shardIdx, g.order.Len(), g.cap)
 	}
-	for el := s.ghost.Front(); el != nil; el = el.Next() {
+	for el := g.order.Front(); el != nil; el = el.Next() {
 		key := el.Value.(blockio.BlockKey)
-		if s.ghostIdx[key] != el {
+		if g.idx[key] != el {
 			return fmt.Errorf("shard %d: ghost key %v not indexed to its element", shardIdx, key)
 		}
 		if (key.Mix()>>32)&mask != uint64(shardIdx) {

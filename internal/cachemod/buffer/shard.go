@@ -1,7 +1,6 @@
 package buffer
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,11 +10,14 @@ import (
 
 // shard is one lock stripe of the manager: it owns a fixed slice of the
 // pre-allocated frames and runs the full buffer-manager policy (hash
-// table, exact-LRU list, clock ring, dirty FIFO, free list) over them
-// under its own mutex. A shard never touches another shard's state, so
-// operations on blocks that route to different shards proceed fully in
-// parallel. This recovers the paper's in-kernel fine-grained locking,
-// which the first reproduction had collapsed to one global mutex.
+// table, free list, one replacement queue, dirty queue) over them under
+// its own mutex. A resident frame sits on exactly one replacement queue —
+// the one its policy reads — and, while dirty, on the dirty queue, through
+// links embedded in the frame (queue.go). A shard never touches another
+// shard's state, so operations on blocks that route to different shards
+// proceed fully in parallel. This recovers the paper's in-kernel
+// fine-grained locking, which the first reproduction had collapsed to one
+// global mutex.
 type shard struct {
 	cfg       *Config        // shared, read-only after New
 	ctrs      *counters      // shared registry counters, resolved once
@@ -23,8 +25,7 @@ type shard struct {
 	capacity  int
 	lowWater  int
 	highWater int
-	protCap   int // PolicyGhost: max protected residents before demotion
-	ghostCap  int // PolicyGhost: max remembered evicted keys
+	protCap   int // max protected residents before demotion; 0 unless PolicyGhost
 
 	mu    sync.Mutex
 	table map[blockio.BlockKey]*block
@@ -35,26 +36,25 @@ type shard struct {
 	// after eviction — that is the point: the stamp must outlive the frame
 	// so a fetch that straddled a write+flush+evict cycle is detectably
 	// stale. One uint32 per key ever written on this node.
-	stamps    map[blockio.BlockKey]uint32
-	free      []*block
-	lru       *list.List // exact-LRU order, front = most recently used
-	clockRing *list.List // resident blocks in insertion order
-	clockHand *list.Element
-	dirtyFIFO *list.List // blocks awaiting flush, front = oldest
+	stamps map[blockio.BlockKey]uint32
+	free   []*block
+
+	// The replacement queues. PolicyClock reads the ring; PolicyLRU and
+	// PolicyGhost read the segmented queue (ghost.go), of which exact LRU
+	// is the case with an empty protected segment and an empty history.
+	ring  queue // clock: residents in insertion order
+	hand  *link // clock hand; nil means the ring's head
+	prob  queue // unproven residents, front = most recent
+	prot  queue // proven working set, front = most recent
+	ghost ghostHistory
+
+	dirtyQ queue // blocks awaiting flush, front = oldest
 
 	// dirtyByTenant counts this shard's dirty blocks per charged tenant
 	// (entries are deleted at zero). It is the QoS quota gate's O(shards)
 	// answer to "how much dirty residency does this principal hold" and is
-	// conserved against the dirty FIFO by checkConsistency.
+	// conserved against the dirty queue by checkConsistency.
 	dirtyByTenant map[uint32]int
-
-	// PolicyGhost state (see ghost.go): the resident segments and the
-	// bounded metadata-only history of evicted keys. Always allocated,
-	// only populated under that policy.
-	probList *list.List // unproven residents, front = most recent
-	protList *list.List // proven working set, front = most recent
-	ghost    *list.List // evicted keys, front = most recently evicted
-	ghostIdx map[blockio.BlockKey]*list.Element
 
 	// Activity counters are per-shard atomics folded by Manager.Stats, so
 	// the hot paths never touch shared cache lines of other shards.
@@ -111,7 +111,6 @@ func (s *shard) writeSpan(key blockio.BlockKey, owner, off int, src []byte, mark
 		} else {
 			s.noteWritten(b)
 		}
-		s.touchInsert(b)
 		return OutcomeOK
 	}
 	// Merging with resident data: the write must touch the valid interval,
@@ -136,7 +135,18 @@ func (s *shard) writeSpan(key blockio.BlockKey, owner, off int, src []byte, mark
 // in-flight fetch images predating the write must be refused at install.
 func (s *shard) noteWritten(b *block) {
 	b.written = true
-	s.stamps[b.key]++
+	s.advanceStamp(b.key)
+}
+
+// advanceStamp moves key's write stamp forward. Zero is skipped on wrap, so
+// it always means "never written" — and, as a block's in-flight token, "no
+// snapshot in flight".
+func (s *shard) advanceStamp(key blockio.BlockKey) {
+	v := s.stamps[key] + 1
+	if v == 0 {
+		v = 1
+	}
+	s.stamps[key] = v
 }
 
 // insertClean is InsertClean for keys routed to this shard.
@@ -212,7 +222,6 @@ func (s *shard) insertCleanLocked(key blockio.BlockKey, owner int, data []byte, 
 		n := copy(b.data, data)
 		zero(b.data[n:])
 		b.validOff, b.validLen = 0, s.cfg.BlockSize
-		s.touchInsert(b)
 		return OutcomeOK
 	}
 	// Merge: resident valid bytes win — they are this node's newest view
@@ -238,37 +247,17 @@ func (s *shard) insertCleanLocked(key blockio.BlockKey, owner int, data []byte, 
 	return OutcomeOK
 }
 
-// takeDirty snapshots up to max dirty blocks of this shard, oldest first.
-// max <= 0 means no bound.
-func (s *shard) takeDirty(max int) []FlushItem {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if max <= 0 || max > s.dirtyFIFO.Len() {
-		max = s.dirtyFIFO.Len()
-	}
-	burst := make([]byte, max*s.cfg.BlockSize)
-	items := make([]FlushItem, 0, max)
-	for el := s.dirtyFIFO.Front(); el != nil && len(items) < max; el = el.Next() {
-		b := el.Value.(*block)
-		if b.flushing {
-			continue
-		}
-		items = append(items, s.snapshotForFlush(b, burst, len(items)))
-	}
-	return items
-}
-
 // collectDirtyCandidates appends up to max (seq, key) pairs for this
-// shard's oldest eligible (non-flushing) dirty blocks onto out, in FIFO
+// shard's oldest eligible (not in flight) dirty blocks onto out, in queue
 // order, without copying any data. max <= 0 collects them all; owner
 // filters to blocks stored by one iod (anyOwner disables the filter).
 func (s *shard) collectDirtyCandidates(max, shardIdx, owner int, out []dirtyCand) []dirtyCand {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for el := s.dirtyFIFO.Front(); el != nil && (max <= 0 || n < max); el = el.Next() {
-		b := el.Value.(*block)
-		if b.flushing || (owner != anyOwner && b.owner != owner) {
+	for l := s.dirtyQ.head; l != nil && (max <= 0 || n < max); l = l.next {
+		b := l.b
+		if b.inflight != 0 || (owner != anyOwner && b.owner != owner) {
 			continue
 		}
 		out = append(out, dirtyCand{seq: b.dirtySeq, key: b.key, shard: shardIdx, tenant: b.tenant})
@@ -278,16 +267,14 @@ func (s *shard) collectDirtyCandidates(max, shardIdx, owner int, out []dirtyCand
 }
 
 // oldestDirty returns the owner and age stamp of this shard's oldest
-// eligible (non-flushing) dirty block.
+// eligible (not in flight) dirty block.
 func (s *shard) oldestDirty() (owner int, seq uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for el := s.dirtyFIFO.Front(); el != nil; el = el.Next() {
-		b := el.Value.(*block)
-		if b.flushing {
-			continue
+	for l := s.dirtyQ.head; l != nil; l = l.next {
+		if b := l.b; b.inflight == 0 {
+			return b.owner, b.dirtySeq, true
 		}
-		return b.owner, b.dirtySeq, true
 	}
 	return 0, 0, false
 }
@@ -303,7 +290,7 @@ func (s *shard) takeKeys(reqs []takeReq, owner int, burst []byte, out []FlushIte
 	defer s.mu.Unlock()
 	for _, r := range reqs {
 		b, ok := s.table[r.key]
-		if !ok || b.flushing || !b.dirty() || (owner != anyOwner && b.owner != owner) {
+		if !ok || b.inflight != 0 || !b.dirty() || (owner != anyOwner && b.owner != owner) {
 			continue
 		}
 		out[r.pos] = s.snapshotForFlush(b, burst, r.pos)
@@ -311,9 +298,13 @@ func (s *shard) takeKeys(reqs []takeReq, owner int, burst []byte, out []FlushIte
 }
 
 // snapshotForFlush marks b in flight and copies its dirty span into slot
-// pos of burst, at the span's offset within the block (s.mu held).
+// pos of burst, at the span's offset within the block (s.mu held). The
+// in-flight token is the key's write stamp: per-key monotonic across
+// residencies, so the item's eventual ack can only ever match the
+// residency — and the take — it was cut from, and a stamp that moved by
+// ack time means the block was written during the flight.
 func (s *shard) snapshotForFlush(b *block, burst []byte, pos int) FlushItem {
-	b.flushing = true
+	b.inflight = s.stamps[b.key]
 	start := pos*s.cfg.BlockSize + b.dirtyOff
 	data := burst[start : start+b.dirtyLen]
 	copy(data, b.data[b.dirtyOff:b.dirtyOff+b.dirtyLen])
@@ -323,31 +314,34 @@ func (s *shard) snapshotForFlush(b *block, burst []byte, pos int) FlushItem {
 		Off:   b.dirtyOff,
 		Data:  data,
 		Slot:  pos + 1,
-		gen:   b.flushGen,
+		token: b.inflight,
 	}
 }
 
-// flushDone marks one snapshot item's block clean unless re-dirtied.
+// flushDone marks one snapshot item's block clean unless it was written
+// during the flight. An item whose token is not the block's belongs to an
+// earlier residency of the key (invalidated and rewritten since) and is
+// ignored: its bytes are not the ones resident now.
 func (s *shard) flushDone(it FlushItem) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.table[it.Key]
-	if !ok {
-		return // evicted or invalidated meanwhile
+	if !ok || b.inflight != it.token {
+		return
 	}
-	b.flushing = false
-	if b.flushGen != it.gen {
-		return // re-dirtied during flight
+	b.inflight = 0
+	if s.stamps[it.Key] == it.token {
+		s.markClean(b)
 	}
-	s.markClean(b)
 }
 
-// flushFailed clears the in-flight mark without cleaning.
+// flushFailed clears the in-flight mark without cleaning; like flushDone
+// it ignores an item of an earlier residency.
 func (s *shard) flushFailed(it FlushItem) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b, ok := s.table[it.Key]; ok {
-		b.flushing = false
+	if b, ok := s.table[it.Key]; ok && b.inflight == it.token {
+		b.inflight = 0
 	}
 }
 
@@ -357,7 +351,7 @@ func (s *shard) flushFailed(it FlushItem) {
 func (s *shard) invalidate(key blockio.BlockKey) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ghostForget(key)
+	s.ghost.forget(key)
 	b, ok := s.table[key]
 	if !ok {
 		return false
@@ -373,14 +367,13 @@ func (s *shard) invalidateClean(key blockio.BlockKey) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.table[key]
+	if ok && b.dirty() {
+		return false
+	}
+	s.ghost.forget(key)
 	if !ok {
-		s.ghostForget(key)
 		return false
 	}
-	if b.dirtyEl != nil || b.flushing {
-		return false
-	}
-	s.ghostForget(key)
 	s.removeBlock(b)
 	s.ctrs.invalidations.Inc()
 	return true
@@ -391,7 +384,7 @@ func (s *shard) invalidateClean(key blockio.BlockKey) bool {
 func (s *shard) invalidateFile(file blockio.FileID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ghostForgetFile(file)
+	s.ghost.forgetFile(file)
 	var victims []*block
 	for key, b := range s.table {
 		if key.File == file {
@@ -437,125 +430,98 @@ func (s *shard) harvest() int {
 
 // --- internal (s.mu held) ---
 
-// allocate pops a free frame or inline-evicts a clean block. It returns nil
-// when neither is possible (everything resident is dirty or flushing) —
-// or, under PolicyGhost, when the admission gate turns the newcomer away:
-// an unproven block (no ghost hit, no must override) may only displace
+// allocate pops a free frame or inline-evicts a clean block, and links the
+// frame onto its policy's replacement queue, referenced. It returns nil
+// when neither is possible (everything resident is dirty) — or, under
+// PolicyGhost, when the admission gate turns the newcomer away: an
+// unproven block (no ghost hit, no must override) may only displace
 // probationary frames, never the protected working set. must forces
 // admission (writes, must-cache hints); pin additionally admits straight
 // into the protected segment (must-cache: reuse asserted, not proven).
 func (s *shard) allocate(key blockio.BlockKey, owner int, must, pin bool) *block {
-	ghostPolicy := s.cfg.Policy == PolicyGhost
-	proven := false
-	if ghostPolicy {
-		proven = s.ghostTake(key)
-		if proven {
-			s.ghostHits.Add(1)
-			s.ctrs.ghostHits.Inc()
-		}
+	proven := s.ghost.forget(key)
+	if proven {
+		s.ghostHits.Add(1)
+		s.ctrs.ghostHits.Inc()
 	}
-	var b *block
-	if n := len(s.free); n > 0 {
-		b = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
+	if len(s.free) == 0 {
 		v := s.pickVictim()
 		if v == nil {
 			return nil
 		}
-		if ghostPolicy && v.protected && !must && !proven {
+		if v.repl.q == &s.prot && !must && !proven {
 			s.admissionRejects.Add(1)
 			s.ctrs.admissionRejects.Inc()
 			return nil
 		}
 		s.evictBlock(v)
-		b = s.free[len(s.free)-1]
-		s.free = s.free[:len(s.free)-1]
 	}
+	n := len(s.free) - 1
+	b := s.free[n]
+	s.free = s.free[:n]
 	b.key = key
 	b.owner = owner
-	b.tenant = 0
-	b.validOff, b.validLen = 0, 0
-	b.dirtyOff, b.dirtyLen = 0, 0
 	b.written = false
-	b.flushGen = 0
-	b.flushing = false
-	b.ref = false
+	b.ref = true
 	s.table[key] = b
-	b.lruEl = s.lru.PushFront(b)
-	b.clockEl = s.clockRing.PushBack(b)
-	if ghostPolicy {
+	if s.cfg.Policy == PolicyClock {
+		s.ring.pushBack(&b.repl)
+	} else {
 		s.segInsert(b, proven || pin)
 	}
 	return b
 }
 
 // evictBlock counts and performs one eviction, recording the key in the
-// ghost list under PolicyGhost (eviction is the only way into the ghost
-// list: invalidated blocks are forgotten, not remembered).
+// ghost history (eviction is the only way in: invalidated blocks are
+// forgotten, not remembered).
 func (s *shard) evictBlock(v *block) {
-	if s.cfg.Policy == PolicyGhost {
-		if v.protected {
-			s.protectedEvictions.Add(1)
-			s.ctrs.protectedEvictions.Inc()
-		}
-		s.ghostRecord(v.key)
+	if v.repl.q == &s.prot {
+		s.protectedEvictions.Add(1)
+		s.ctrs.protectedEvictions.Inc()
 	}
+	s.ghost.record(v.key)
 	s.removeBlock(v)
 	s.evictions.Add(1)
 	s.ctrs.evictions.Inc()
 }
 
-// removeBlock detaches a block from every structure and returns its frame
-// to the free list.
+// removeBlock detaches a block from its queues and returns its frame, with
+// no residency state left on it, to the free list.
 func (s *shard) removeBlock(b *block) {
 	if b.written {
 		// A written block leaving the table advances its write stamp: an
 		// in-flight fetch that was issued while (or before) this residency
 		// held newer bytes can no longer be patched from it, so its image
-		// must not be installed (see Manager.WriteStamp).
-		s.stamps[b.key]++
+		// must not be installed (see Manager.WriteStamp) — and the ack of a
+		// flush snapshotted from this residency matches no later one.
+		s.advanceStamp(b.key)
 	}
 	delete(s.table, b.key)
-	if b.lruEl != nil {
-		s.lru.Remove(b.lruEl)
-		b.lruEl = nil
+	if s.hand == &b.repl {
+		s.hand = b.repl.next
 	}
-	if b.clockEl != nil {
-		if s.clockHand == b.clockEl {
-			s.clockHand = b.clockEl.Next()
-		}
-		s.clockRing.Remove(b.clockEl)
-		b.clockEl = nil
+	b.repl.unlink()
+	if b.dirty() {
+		s.markClean(b)
 	}
-	if b.dirtyEl != nil {
-		s.dirtyFIFO.Remove(b.dirtyEl)
-		b.dirtyEl = nil
-		s.tenantRelease(b.tenant)
-	}
-	s.segRemove(b)
-	b.dirtyOff, b.dirtyLen = 0, 0
+	b.inflight = 0
 	b.validOff, b.validLen = 0, 0
 	s.free = append(s.free, b)
 }
 
 // touch refreshes replacement state after a genuine re-access of a
-// resident block. Under PolicyGhost that re-access is the proof of reuse
-// that promotes a probationary block into the protected segment.
+// resident block. Under the clock that is the referenced bit and nothing
+// else — no queue moves on a hit, which is what the paper chose
+// approximate LRU for. The segmented queue moves the block, and under
+// PolicyGhost that re-access is the proof of reuse that promotes a
+// probationary block into the protected segment. (The access that installs
+// a block is its first, not a reuse: allocate links it and nothing more.)
 func (s *shard) touch(b *block) {
 	b.ref = true
-	s.lru.MoveToFront(b.lruEl)
-	if b.segEl != nil {
+	if s.cfg.Policy != PolicyClock {
 		s.segTouch(b)
 	}
-}
-
-// touchInsert refreshes replacement state for the access that installed
-// the block. It deliberately skips segment promotion: the installing
-// access is the block's first, not a reuse.
-func (s *shard) touchInsert(b *block) {
-	b.ref = true
-	s.lru.MoveToFront(b.lruEl)
 }
 
 // markDirty extends the block's dirty hull and enqueues it for flushing,
@@ -563,27 +529,24 @@ func (s *shard) touchInsert(b *block) {
 // drain oldest-first. The clean→dirty transition charges tenant; a block
 // already dirty keeps its original attribution (first-dirtier pays).
 func (s *shard) markDirty(b *block, off, length int, tenant uint32) {
-	b.dirtyOff, b.dirtyLen = hull(b.dirtyOff, b.dirtyLen, off, length)
-	b.written = true
-	b.flushGen++
-	s.stamps[b.key]++
-	if b.dirtyEl == nil {
+	if !b.dirty() {
 		b.dirtySeq = s.seq.Add(1)
-		b.dirtyEl = s.dirtyFIFO.PushBack(b)
+		s.dirtyQ.pushBack(&b.dirt)
 		b.tenant = tenant
 		s.dirtyByTenant[tenant]++
 	}
+	b.dirtyOff, b.dirtyLen = hull(b.dirtyOff, b.dirtyLen, off, length)
+	b.written = true
+	s.advanceStamp(b.key)
 }
 
-// markClean clears the dirty state after a successful flush, releasing the
-// tenant's dirty charge.
+// markClean takes a dirty block off the dirty queue — its flush was
+// acknowledged, or it is leaving the cache — releasing the tenant's dirty
+// charge.
 func (s *shard) markClean(b *block) {
 	b.dirtyOff, b.dirtyLen = 0, 0
-	if b.dirtyEl != nil {
-		s.dirtyFIFO.Remove(b.dirtyEl)
-		b.dirtyEl = nil
-		s.tenantRelease(b.tenant)
-	}
+	b.dirt.unlink()
+	s.tenantRelease(b.tenant)
 }
 
 // tenantRelease decrements one tenant's dirty count, deleting the entry at
@@ -596,51 +559,32 @@ func (s *shard) tenantRelease(tenant uint32) {
 	}
 }
 
-// pickVictim chooses a clean, non-flushing resident block according to the
-// policy, or nil if none exists.
+// pickVictim chooses a clean resident block according to the policy, or
+// nil if none exists. (A block with a flush in flight is still dirty, so
+// skipping dirty blocks skips those too.)
 func (s *shard) pickVictim() *block {
-	if s.cfg.Policy == PolicyGhost {
-		return s.pickVictimGhost()
-	}
-	if s.cfg.Policy == PolicyLRU {
-		for el := s.lru.Back(); el != nil; el = el.Prev() {
-			b := el.Value.(*block)
-			if !b.dirty() && !b.flushing {
-				return b
-			}
-		}
-		return nil
+	if s.cfg.Policy != PolicyClock {
+		return s.pickVictimSeg()
 	}
 	// Clock (second chance), preferring clean blocks: sweep at most two
-	// full revolutions. First revolution gives referenced blocks a second
-	// chance; the second picks any clean block.
-	n := s.clockRing.Len()
-	if n == 0 {
-		return nil
-	}
-	advance := func(el *list.Element) *list.Element {
-		if el == nil || el.Next() == nil {
-			return s.clockRing.Front()
+	// full revolutions. The first gives referenced blocks a second chance;
+	// the second picks any clean block.
+	n := s.ring.n
+	for i := 0; i < 2*n; i++ {
+		l := s.hand
+		if l == nil {
+			l = s.ring.head
 		}
-		return el.Next()
-	}
-	if s.clockHand == nil {
-		s.clockHand = s.clockRing.Front()
-	}
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < n; i++ {
-			el := s.clockHand
-			s.clockHand = advance(el)
-			b := el.Value.(*block)
-			if b.dirty() || b.flushing {
-				continue
-			}
-			if pass == 0 && b.ref {
-				b.ref = false
-				continue
-			}
-			return b
+		s.hand = l.next
+		b := l.b
+		if b.dirty() {
+			continue
 		}
+		if i < n && b.ref {
+			b.ref = false
+			continue
+		}
+		return b
 	}
 	return nil
 }
@@ -656,9 +600,24 @@ func (s *shard) checkConsistency(shardIdx int, mask uint64) error {
 		return fmt.Errorf("shard %d: free(%d)+resident(%d) = %d, want capacity %d",
 			shardIdx, len(s.free), resident, got, s.capacity)
 	}
-	if s.lru.Len() != resident || s.clockRing.Len() != resident {
-		return fmt.Errorf("shard %d: lru=%d clock=%d, want resident %d",
-			shardIdx, s.lru.Len(), s.clockRing.Len(), resident)
+	// Every resident frame is on exactly one replacement queue, the one its
+	// policy reads: each names an allowed queue below, the queues' chains
+	// are sound, and together they hold exactly the residents.
+	clock := s.cfg.Policy == PolicyClock
+	for _, q := range [...]*queue{&s.ring, &s.prob, &s.prot, &s.dirtyQ} {
+		if err := q.check(); err != nil {
+			return fmt.Errorf("shard %d: %v", shardIdx, err)
+		}
+	}
+	if got := s.ring.n + s.prob.n + s.prot.n; got != resident {
+		return fmt.Errorf("shard %d: ring(%d)+probation(%d)+protected(%d) = %d, want resident %d",
+			shardIdx, s.ring.n, s.prob.n, s.prot.n, got, resident)
+	}
+	if s.prot.n > s.protCap {
+		return fmt.Errorf("shard %d: protected segment %d exceeds cap %d", shardIdx, s.prot.n, s.protCap)
+	}
+	if s.hand != nil && s.hand.q != &s.ring {
+		return fmt.Errorf("shard %d: clock hand points off the ring", shardIdx)
 	}
 	dirty := 0
 	byTenant := make(map[uint32]int)
@@ -669,15 +628,19 @@ func (s *shard) checkConsistency(shardIdx int, mask uint64) error {
 		if (key.Mix()>>32)&mask != uint64(shardIdx) {
 			return fmt.Errorf("shard %d: block %v routed to wrong shard", shardIdx, key)
 		}
-		if b.lruEl == nil || b.lruEl.Value.(*block) != b {
-			return fmt.Errorf("shard %d: block %v detached from lru", shardIdx, key)
+		onQueue := b.repl.q == &s.prob || b.repl.q == &s.prot
+		if clock {
+			onQueue = b.repl.q == &s.ring
 		}
-		if b.clockEl == nil || b.clockEl.Value.(*block) != b {
-			return fmt.Errorf("shard %d: block %v detached from clock ring", shardIdx, key)
+		if b.repl.b != b || !onQueue {
+			return fmt.Errorf("shard %d: block %v is not on the %v policy's replacement queue", shardIdx, key, s.cfg.Policy)
 		}
-		if b.dirty() != (b.dirtyEl != nil) {
-			return fmt.Errorf("shard %d: block %v dirtyLen=%d but dirtyEl=%v",
-				shardIdx, key, b.dirtyLen, b.dirtyEl != nil)
+		if b.dirt.b != b || b.dirty() != (b.dirt.q == &s.dirtyQ) {
+			return fmt.Errorf("shard %d: block %v dirtyLen=%d but on dirty queue: %v",
+				shardIdx, key, b.dirtyLen, b.dirt.q != nil)
+		}
+		if b.inflight != 0 && !b.dirty() {
+			return fmt.Errorf("shard %d: clean block %v carries in-flight token %d", shardIdx, key, b.inflight)
 		}
 		if b.dirty() {
 			dirty++
@@ -688,8 +651,8 @@ func (s *shard) checkConsistency(shardIdx int, mask uint64) error {
 			}
 		}
 	}
-	if s.dirtyFIFO.Len() != dirty {
-		return fmt.Errorf("shard %d: dirtyFIFO=%d, want %d dirty blocks", shardIdx, s.dirtyFIFO.Len(), dirty)
+	if s.dirtyQ.n != dirty {
+		return fmt.Errorf("shard %d: dirty queue=%d, want %d dirty blocks", shardIdx, s.dirtyQ.n, dirty)
 	}
 	// Per-tenant dirty conservation: the quota gate's account must equal a
 	// recount from the blocks themselves, in both directions, with no
@@ -710,12 +673,9 @@ func (s *shard) checkConsistency(shardIdx int, mask uint64) error {
 		}
 	}
 	for _, b := range s.free {
-		if b.dirtyLen != 0 || b.dirtyEl != nil || b.lruEl != nil || b.clockEl != nil {
-			return fmt.Errorf("shard %d: free frame retains list state", shardIdx)
-		}
-		if b.segEl != nil || b.protected {
-			return fmt.Errorf("shard %d: free frame retains segment state", shardIdx)
+		if b.repl != (link{b: b}) || b.dirt != (link{b: b}) || b.dirtyLen != 0 || b.inflight != 0 {
+			return fmt.Errorf("shard %d: free frame retains links, dirty state or an in-flight token", shardIdx)
 		}
 	}
-	return s.checkGhostConsistency(shardIdx, mask)
+	return s.ghost.check(s, shardIdx, mask)
 }

@@ -149,19 +149,21 @@ func TestBuildFlushChunksSplitsAtTarget(t *testing.T) {
 }
 
 // flushRig is a three-iod harness whose middle iod's flush port can be
-// taken down (connections drop) and brought back.
+// taken down (connections drop) and brought back, or made to hold its acks.
 type flushRig struct {
-	net   *transport.MemNetwork
-	reg   *metrics.Registry
-	iods  []*iod.Server
-	mod   *Module
-	down  atomic.Bool
-	calls atomic.Int64 // flush frames that reached iod 1's port
+	net     *transport.MemNetwork
+	reg     *metrics.Registry
+	iods    []*iod.Server
+	mod     *Module
+	down    atomic.Bool
+	calls   atomic.Int64  // flush frames that reached iod 1's port
+	hold    atomic.Bool   // iod 1 applies a frame, then sits on its ack ...
+	release chan struct{} // ... until this is closed
 }
 
 func newFlushRig(t *testing.T, cfgEdit func(*Config)) *flushRig {
 	t.Helper()
-	r := &flushRig{net: transport.NewMem(), reg: metrics.NewRegistry()}
+	r := &flushRig{net: transport.NewMem(), reg: metrics.NewRegistry(), release: make(chan struct{})}
 	var dataAddrs, flushAddrs []string
 	for i := 0; i < 3; i++ {
 		d := iod.New(i, 4096, r.net, r.reg)
@@ -193,6 +195,9 @@ func newFlushRig(t *testing.T, cfgEdit func(*Config)) *flushRig {
 				}
 				for _, blk := range fm.Blocks {
 					d.Store().WriteAt(fm.File, blk.Index*4096+int64(blk.Off), blk.Data)
+				}
+				if r.hold.Load() {
+					<-r.release
 				}
 				return &wire.FlushAck{Status: wire.StatusOK}
 			}), rpc.ServerConfig{})
@@ -294,6 +299,53 @@ func TestFlushStreamFailureIsolation(t *testing.T) {
 			!bytes.Equal(got, payload(1, blk)) {
 			t.Fatalf("recovered iod block %d not durable (n=%d)", blk, n)
 		}
+	}
+	if err := r.mod.Buffer().CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStaleFlushAckAfterInvalidateRewrite is the module-level twin of the
+// buffer test of the same name: a flush ack that arrives after its block
+// was invalidated (a foreign sync-write) and written again must not mark
+// the new bytes clean. The iod applies the first flush and holds the ack;
+// the block is invalidated and rewritten; the ack is released. FlushAll
+// must still carry the rewritten bytes to the iod.
+func TestStaleFlushAckAfterInvalidateRewrite(t *testing.T) {
+	r := newFlushRig(t, nil)
+	r.hold.Store(true)
+	tr := r.mod.NewTransport()
+	const file = blockio.FileID(11)
+	write := func(fill byte) {
+		t.Helper()
+		resp := sendRecv(t, tr, 1, &wire.Write{File: file, Data: bytes.Repeat([]byte{fill}, 4096)})
+		if ack := resp.(*wire.WriteAck); ack.Status != wire.StatusOK {
+			t.Fatalf("write ack %v", ack.Status)
+		}
+	}
+	flushed := func() int64 { return r.reg.Snapshot().Counters["module.flushed_blocks"] }
+
+	write(0xA1)
+	r.mod.kickAllStreams()
+	waitfor.Until(t, 10*time.Second, func() bool { return r.calls.Load() == 1 },
+		"the first flush reaching iod 1")
+	if ack := r.mod.handleInvalidate(&wire.Invalidate{File: file, Indices: []int64{0}}).(*wire.InvalidAck); ack.Status != wire.StatusOK {
+		t.Fatalf("invalidate ack %v", ack.Status)
+	}
+	write(0xB2)
+	r.hold.Store(false)
+	close(r.release)
+	waitfor.Until(t, 10*time.Second, func() bool { return flushed() == 1 },
+		"the held ack settling")
+	if got := r.mod.Buffer().DirtyCount(); got != 1 {
+		t.Errorf("dirty = %d after the stale ack, want 1: the rewritten block was marked clean unflushed", got)
+	}
+	if err := r.mod.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 4096)
+	if n, _ := r.iods[1].Store().ReadAt(file, 0, got); n != 4096 || !bytes.Equal(got, bytes.Repeat([]byte{0xB2}, 4096)) {
+		t.Fatalf("iod holds %#x… (n=%d), want the rewritten 0xB2 bytes", got[0], n)
 	}
 	if err := r.mod.Buffer().CheckConsistency(); err != nil {
 		t.Fatal(err)

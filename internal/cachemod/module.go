@@ -107,10 +107,6 @@ type Config struct {
 	// than WriteStall: a shed is a fast, explicit retry signal
 	// (wire.StatusOverload → pvfs.Client backoff), not a stall.
 	OverloadStall time.Duration
-	// RPCConns is the connection-pool size per iod port (default
-	// rpc.DefaultConns). More connections let more of the node's
-	// processes keep requests in flight against one iod concurrently.
-	RPCConns int
 	// ReadaheadWindow is how many blocks the scan-readahead prefetcher
 	// keeps in flight ahead of a detected scan — ascending, strided or
 	// backward (default 8, capped at 1024; negative disables readahead).
@@ -290,12 +286,12 @@ func New(cfg Config) (*Module, error) {
 	m.spaceCond = sync.NewCond(&m.spaceMu)
 	for _, addr := range cfg.IODDataAddrs {
 		m.data = append(m.data, rpc.NewClient(rpc.ClientConfig{
-			Network: cfg.Network, Addr: addr, Conns: cfg.RPCConns,
+			Network: cfg.Network, Addr: addr,
 		}))
 	}
 	for _, addr := range cfg.IODFlushAddrs {
 		m.flush = append(m.flush, rpc.NewClient(rpc.ClientConfig{
-			Network: cfg.Network, Addr: addr, Conns: cfg.RPCConns,
+			Network: cfg.Network, Addr: addr,
 		}))
 	}
 

@@ -81,16 +81,6 @@ type Config struct {
 	// module joins the mgr's epoch-versioned membership view, so nodes
 	// added later (AddCacheNode) enter the ring live.
 	GlobalCache bool
-	// GCReplicas is how many ring members may hold a block's pushed copy
-	// (0 = membership.DefaultReplicas). Reads fail over along this set.
-	GCReplicas int
-	// GCVNodes is the virtual nodes per member on the global-cache ring
-	// (0 = membership.DefaultVNodes).
-	GCVNodes int
-	// RPCConns is the rpc connection-pool size each cache module keeps
-	// per iod port (default rpc.DefaultConns). Raise it when many
-	// processes per node keep independent requests in flight.
-	RPCConns int
 	// ReadaheadWindow is the cache modules' sequential-readahead depth in
 	// blocks (default 8; negative disables readahead).
 	ReadaheadWindow int
@@ -323,7 +313,6 @@ func (c *Cluster) moduleConfig(node int) cachemod.Config {
 		ClientID:        uint32(node + 1),
 		IODDataAddrs:    c.IODDataAddrs,
 		IODFlushAddrs:   c.IODFlushAddrs,
-		RPCConns:        cfg.RPCConns,
 		ReadaheadWindow: cfg.ReadaheadWindow,
 		BypassThreshold: cfg.BypassThreshold,
 		Buffer: buffer.Config{
@@ -344,10 +333,8 @@ func (c *Cluster) moduleConfig(node int) cachemod.Config {
 	}
 	if cfg.GlobalCache {
 		mc.GlobalCache = &globalcache.Options{
-			SelfID:   uint32(node),
-			MgrAddr:  c.MgrAddr,
-			Replicas: cfg.GCReplicas,
-			VNodes:   cfg.GCVNodes,
+			SelfID:  uint32(node),
+			MgrAddr: c.MgrAddr,
 		}
 	}
 	return mc

@@ -1,214 +1,33 @@
 package pvfscache_test
 
-// One benchmark per table/figure of the paper (see DESIGN.md §9 for the
-// experiment index):
+// The repository's benchmark is pvfsperf/ (BENCHMARK.json), and the paper's
+// figures are cmd/experiments diffed against bench/figures.txt. What lives
+// here is only the two knob-ablation pairs neither of those reaches: each
+// pair runs one live workload with a cachemod.Config knob on its default
+// side and on its ablated side, and is the evidence docs/TUNING.md cites
+// for that knob. A pair reports a ratio inside one process on one machine;
+// no absolute number it prints is a performance record.
 //
-//	BenchmarkFigure4ReadOverhead / BenchmarkFigure4WriteOverhead  — Fig 4(a,b)
-//	BenchmarkFigure5Read / BenchmarkFigure5Write                  — Fig 5(a,b)
-//	BenchmarkFigure6 / BenchmarkFigure7 / BenchmarkFigure8        — Figs 6-8
-//	BenchmarkBlockLookupCopy                                      — §4.2 "<400 µs per 4 KB block"
-//	BenchmarkAblation*                                            — DESIGN.md A1-A3
-//	BenchmarkLive*                                                — live-system data path
-//
-// The figure benchmarks drive the discrete-event model; their interesting
-// output is the regenerated series (printed once via b.Logf — run with
-// -v, or run cmd/experiments) and the reported virtual-time metrics. The
-// live benchmarks measure the real implementation wall-clock.
+//	ReadaheadWindow: BenchmarkLiveReadSequentialReadahead vs ...NoReadahead
+//	Policy:          BenchmarkLiveScanVsWorkingSet vs ...LRU
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"pvfscache/internal/blockio"
 	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/cluster"
-	"pvfscache/internal/harness"
 	"pvfscache/internal/pvfs"
 )
 
-// benchOpts keeps figure regeneration fast enough for benchmarking while
-// preserving steady-state behaviour.
-func benchOpts() harness.Options {
-	return harness.Options{TotalBytes: 4 << 20, IODs: 4, Seed: 1}
-}
-
-var logOnce sync.Map
-
-func logFigures(b *testing.B, key string, figs []harness.Figure) {
+// startNode boots an in-memory cluster of four iods and one caching client
+// node with a 256-block (1 MB) cache, and opens one application process on
+// it; cfg carries the knob under test.
+func startNode(b *testing.B, cfg cluster.Config) (*cluster.Cluster, *pvfs.Client) {
 	b.Helper()
-	if _, done := logOnce.LoadOrStore(key, true); !done {
-		b.Logf("\n%s", harness.RenderAll(figs))
-	}
-}
-
-// reportSeries exports a reference point (largest request size of the
-// first and last series) as benchmark metrics, in virtual milliseconds.
-func reportSeries(b *testing.B, figs []harness.Figure) {
-	if len(figs) == 0 {
-		return
-	}
-	fig := figs[0]
-	if len(fig.Series) == 0 {
-		return
-	}
-	first := fig.Series[0]
-	last := fig.Series[len(fig.Series)-1]
-	if len(first.Points) > 0 {
-		pt := first.Points[len(first.Points)-1]
-		b.ReportMetric(float64(pt.Value)/1e6, "vms/"+metricName(first.Label))
-	}
-	if len(last.Points) > 0 && len(fig.Series) > 1 {
-		pt := last.Points[len(last.Points)-1]
-		b.ReportMetric(float64(pt.Value)/1e6, "vms/"+metricName(last.Label))
-	}
-}
-
-func metricName(label string) string {
-	out := make([]rune, 0, len(label))
-	for _, r := range label {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			out = append(out, r)
-		}
-	}
-	if len(out) > 16 {
-		out = out[:16]
-	}
-	return string(out)
-}
-
-func benchFigure(b *testing.B, key string, gen func(harness.Options) ([]harness.Figure, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		figs, err := gen(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logFigures(b, key, figs)
-			reportSeries(b, figs)
-		}
-	}
-}
-
-// BenchmarkFigure4ReadOverhead regenerates Figure 4(a): caching overhead
-// for reads, single instance, p=4, l=0.
-func BenchmarkFigure4ReadOverhead(b *testing.B) {
-	benchFigure(b, "fig4r", func(o harness.Options) ([]harness.Figure, error) {
-		figs, err := harness.Figure4(o)
-		if err != nil {
-			return nil, err
-		}
-		return figs[:1], nil
-	})
-}
-
-// BenchmarkFigure4WriteOverhead regenerates Figure 4(b): write-behind
-// versus direct writes, single instance, p=4, l=0.
-func BenchmarkFigure4WriteOverhead(b *testing.B) {
-	benchFigure(b, "fig4w", func(o harness.Options) ([]harness.Figure, error) {
-		figs, err := harness.Figure4(o)
-		if err != nil {
-			return nil, err
-		}
-		return figs[1:], nil
-	})
-}
-
-// BenchmarkFigure5Read regenerates Figure 5(a): reads at l=1.
-func BenchmarkFigure5Read(b *testing.B) {
-	benchFigure(b, "fig5r", func(o harness.Options) ([]harness.Figure, error) {
-		figs, err := harness.Figure5(o)
-		if err != nil {
-			return nil, err
-		}
-		return figs[:1], nil
-	})
-}
-
-// BenchmarkFigure5Write regenerates Figure 5(b): writes at l=1.
-func BenchmarkFigure5Write(b *testing.B) {
-	benchFigure(b, "fig5w", func(o harness.Options) ([]harness.Figure, error) {
-		figs, err := harness.Figure5(o)
-		if err != nil {
-			return nil, err
-		}
-		return figs[1:], nil
-	})
-}
-
-// BenchmarkFigure6 regenerates Figure 6 (two instances, p=4, all three
-// locality panels, four sharing degrees plus baseline).
-func BenchmarkFigure6(b *testing.B) { benchFigure(b, "fig6", harness.Figure6) }
-
-// BenchmarkFigure7 regenerates Figure 7 (two instances, p=2).
-func BenchmarkFigure7(b *testing.B) { benchFigure(b, "fig7", harness.Figure7) }
-
-// BenchmarkFigure8 regenerates Figure 8 (caching versus parallelism).
-func BenchmarkFigure8(b *testing.B) { benchFigure(b, "fig8", harness.Figure8) }
-
-// BenchmarkAblationEviction regenerates ablation A1 (clock vs exact LRU).
-func BenchmarkAblationEviction(b *testing.B) {
-	benchFigure(b, "abl1", func(o harness.Options) ([]harness.Figure, error) {
-		fig, err := harness.AblationEviction(o)
-		return []harness.Figure{fig}, err
-	})
-}
-
-// BenchmarkAblationFlushPeriod regenerates ablation A2 (flusher period).
-func BenchmarkAblationFlushPeriod(b *testing.B) {
-	benchFigure(b, "abl2", func(o harness.Options) ([]harness.Figure, error) {
-		fig, err := harness.AblationFlushPeriod(o)
-		return []harness.Figure{fig}, err
-	})
-}
-
-// BenchmarkAblationWatermarks regenerates ablation A3 (harvester
-// watermarks).
-func BenchmarkAblationWatermarks(b *testing.B) {
-	benchFigure(b, "abl3", func(o harness.Options) ([]harness.Figure, error) {
-		fig, err := harness.AblationWatermarks(o)
-		return []harness.Figure{fig}, err
-	})
-}
-
-// BenchmarkBlockLookupCopy measures the real buffer manager's hit path —
-// lookup plus copying one 4 KB block — the cost the paper bounds by 400 µs
-// on its 800 MHz Pentium-III (experiment T0).
-func BenchmarkBlockLookupCopy(b *testing.B) {
-	// Shards: 1 — this is the paper's serial lookup+copy cost on one
-	// manager (and the working set fills capacity exactly, which only a
-	// single shard can hold without hash-skew evictions); the sharded
-	// scaling pairs live in internal/cachemod/buffer and the LiveReadCachedHitParallel pair.
-	m := buffer.New(buffer.Config{BlockSize: 4096, Capacity: 300, Shards: 1})
-	data := make([]byte, 4096)
-	for i := 0; i < 300; i++ {
-		m.InsertClean(blockio.BlockKey{File: 1, Index: int64(i)}, 0, data)
-	}
-	dst := make([]byte, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := blockio.BlockKey{File: 1, Index: int64(i % 300)}
-		if !m.ReadSpan(key, 0, dst) {
-			b.Fatal("unexpected miss")
-		}
-	}
-	b.SetBytes(4096)
-}
-
-// liveCluster boots an in-memory live cluster with a seeded file for the
-// data-path benchmarks.
-func liveCluster(b *testing.B, caching bool) (*cluster.Cluster, *pvfs.File) {
-	b.Helper()
-	c, err := cluster.Start(cluster.Config{
-		IODs:        4,
-		ClientNodes: 1,
-		Caching:     caching,
-		FlushPeriod: 50 * time.Millisecond,
-	})
+	cfg.IODs, cfg.ClientNodes, cfg.Caching, cfg.CacheBlocks = 4, 1, true, 256
+	c, err := cluster.Start(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -218,234 +37,45 @@ func liveCluster(b *testing.B, caching bool) (*cluster.Cluster, *pvfs.File) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { p.Close() })
-	f, err := p.Create(fmt.Sprintf("bench-%v.dat", caching), pvfs.StripeSpec{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := f.WriteAt(make([]byte, 1<<20), 0); err != nil {
-		b.Fatal(err)
-	}
-	return c, f
+	return c, p
 }
 
-// BenchmarkLiveReadCachedHit measures a 64 KB read served by the live
-// cache module from a warm cache.
-func BenchmarkLiveReadCachedHit(b *testing.B) {
-	_, f := liveCluster(b, true)
-	buf := make([]byte, 64<<10)
-	if _, err := f.ReadAt(buf, 0); err != nil { // warm the cache
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(64 << 10)
-}
-
-// benchLiveCachedHitParallel measures 8 application processes on one node
-// reading disjoint warm 64 KB regions concurrently — every byte is served
-// from the shared cache, so the node's throughput is bounded by the buffer
-// manager's locking. shards selects the stripe count (0 = default
-// striping, 1 = the single-global-mutex ablation the seed used).
-func benchLiveCachedHitParallel(b *testing.B, shards int) {
-	c, err := cluster.Start(cluster.Config{
-		IODs:        4,
-		ClientNodes: 1,
-		Caching:     true,
-		CacheBlocks: 300,
-		CacheShards: shards,
-		FlushPeriod: 50 * time.Millisecond,
-	})
+// createFlushed creates a zero-filled file of the given size and pushes it
+// to the iods, so that the timed reads have to fetch it.
+func createFlushed(b *testing.B, c *cluster.Cluster, p *pvfs.Client, name string, size int) *pvfs.File {
+	b.Helper()
+	f, err := p.Create(name, pvfs.StripeSpec{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { c.Close() })
-	const workers = 8
-	const region = 64 << 10 // per-worker warm region
-	seed, err := c.NewProcess(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := seed.Create("parhit.dat", pvfs.StripeSpec{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := f.WriteAt(make([]byte, workers*region), 0); err != nil {
+	if _, err := f.WriteAt(make([]byte, size), 0); err != nil {
 		b.Fatal(err)
 	}
 	if err := c.Module(0).FlushAll(); err != nil {
 		b.Fatal(err)
 	}
-	files := make([]*pvfs.File, workers)
-	for w := 0; w < workers; w++ {
-		p, err := c.NewProcess(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { p.Close() })
-		if files[w], err = p.Open("parhit.dat"); err != nil {
-			b.Fatal(err)
-		}
-		// Warm this worker's region through its own transport.
-		if _, err := files[w].ReadAt(make([]byte, region), int64(w)*region); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var next atomic.Int64
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int, f *pvfs.File) {
-			defer wg.Done()
-			buf := make([]byte, region)
-			for next.Add(1) <= int64(b.N) {
-				if _, err := f.ReadAt(buf, int64(w)*region); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(w, files[w])
-	}
-	wg.Wait()
-	b.SetBytes(region)
-}
-
-// BenchmarkLiveReadCachedHitParallel is the sharded (default-striping)
-// side of the node-level cache-hit scaling pair.
-func BenchmarkLiveReadCachedHitParallel(b *testing.B) { benchLiveCachedHitParallel(b, 0) }
-
-// BenchmarkLiveReadCachedHitParallelSingleShard pins the buffer manager to
-// one lock stripe — the seed's single global mutex — as the ablation
-// baseline for the pair.
-func BenchmarkLiveReadCachedHitParallelSingleShard(b *testing.B) {
-	benchLiveCachedHitParallel(b, 1)
-}
-
-// BenchmarkLiveReadDirect measures the same 64 KB read through original
-// (uncached) PVFS over the in-memory transport.
-func BenchmarkLiveReadDirect(b *testing.B) {
-	_, f := liveCluster(b, false)
-	buf := make([]byte, 64<<10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(64 << 10)
-}
-
-// BenchmarkLiveWriteBehind measures a 64 KB write absorbed by the cache
-// module (acknowledged from memory, flushed in the background).
-func BenchmarkLiveWriteBehind(b *testing.B) {
-	_, f := liveCluster(b, true)
-	buf := make([]byte, 64<<10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.WriteAt(buf, int64(i%8)*(64<<10)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(64 << 10)
-}
-
-// BenchmarkLiveReadMissStrided measures a miss-heavy strided read against
-// a cold cache: an 8-block strided read per iod. The file is striped in
-// single-block strips over four iods, so a 128 KB read decomposes into 8
-// non-consecutive single-block runs on each iod — the striding the
-// paper's data-parallel workloads induce. The miss engine sends each iod
-// ONE ReadBlocks carrying its 8 runs as extents. The working set (4 MB)
-// is 16x the cache, so every window is cold by the time the scan revisits
-// it. Readahead is off so the numbers isolate the miss engine.
-func BenchmarkLiveReadMissStrided(b *testing.B) {
-	c, err := cluster.Start(cluster.Config{
-		IODs:            4,
-		ClientNodes:     1,
-		Caching:         true,
-		CacheBlocks:     64, // 256 KB: far below the 4 MB working set
-		FlushPeriod:     50 * time.Millisecond,
-		ReadaheadWindow: -1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { c.Close() })
-	p, err := c.NewProcess(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { p.Close() })
-	f, err := p.Create("strided.dat", pvfs.StripeSpec{PCount: 4, SSize: 4096})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const fileBytes = 4 << 20
-	data := make([]byte, fileBytes)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	if _, err := f.WriteAt(data, 0); err != nil {
-		b.Fatal(err)
-	}
-	if err := c.Module(0).FlushAll(); err != nil {
-		b.Fatal(err)
-	}
-
-	buf := make([]byte, 128<<10) // 32 blocks: 8 strided blocks on each of the 4 iods
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off := int64(i) * int64(len(buf)) % fileBytes
-		if _, err := f.ReadAt(buf, off); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(buf)))
+	return f
 }
 
 // benchScanSink keeps the scan's checksum pass from being optimized away.
 var benchScanSink byte
 
-// benchSequentialScan measures a sequential 4 KB-request scan of a 4 MB
-// file through a 1 MB cache, with and without readahead. Each request's
-// data is checksummed (the per-request compute of a real scanning
-// application). Without readahead every 4 KB request pays its own fetch
-// round trip; with readahead the prefetcher batches the window into large
-// vectored fetches issued ahead of the scan, so most requests land on
-// resident blocks — the canonical small-read-amortization win. The
-// prefetchhits/op and fullhits/op metrics report the conversion rate.
+// benchSequentialScan is the evidence for cachemod.Config.ReadaheadWindow:
+// a sequential 4 KB-request scan of a 4 MB file through the 1 MB cache,
+// with and without readahead. Each request's data is checksummed (the
+// per-request compute of a real scanning application). Without readahead
+// every 4 KB request pays its own fetch round trip; with readahead the
+// prefetcher batches the window into large vectored fetches issued ahead of
+// the scan, so most requests land on resident blocks. The prefetchhits/op
+// and fullhits/op metrics report the conversion rate. pvfsperf's scan_miss
+// reads at 64 KB with the default window only, so it cannot show this.
 func benchSequentialScan(b *testing.B, window int) {
-	c, err := cluster.Start(cluster.Config{
-		IODs:            4,
-		ClientNodes:     1,
-		Caching:         true,
-		CacheBlocks:     256, // 1 MB: the scan cannot fit, readahead must keep up
+	c, p := startNode(b, cluster.Config{
 		FlushPeriod:     50 * time.Millisecond,
 		ReadaheadWindow: window,
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { c.Close() })
-	p, err := c.NewProcess(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { p.Close() })
-	f, err := p.Create("scan.dat", pvfs.StripeSpec{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const fileBytes = 4 << 20
-	if _, err := f.WriteAt(make([]byte, fileBytes), 0); err != nil {
-		b.Fatal(err)
-	}
-	if err := c.Module(0).FlushAll(); err != nil {
-		b.Fatal(err)
-	}
+	const fileBytes = 4 << 20 // the scan cannot fit, readahead must keep up
+	f := createFlushed(b, c, p, "scan.dat", fileBytes)
 	buf := make([]byte, 4<<10)
 	before := c.Reg.Snapshot()
 	b.ResetTimer()
@@ -465,7 +95,6 @@ func benchSequentialScan(b *testing.B, window int) {
 	d := c.Reg.Snapshot().Diff(before)
 	b.ReportMetric(float64(d["module.prefetch_hits"])/float64(b.N), "prefetchhits/op")
 	b.ReportMetric(float64(d["module.read_full_hits"])/float64(b.N), "fullhits/op")
-
 	b.SetBytes(int64(len(buf)))
 }
 
@@ -478,51 +107,26 @@ func BenchmarkLiveReadSequentialReadahead(b *testing.B) { benchSequentialScan(b,
 // disabled: every request pays its own fetch round trip.
 func BenchmarkLiveReadSequentialNoReadahead(b *testing.B) { benchSequentialScan(b, -1) }
 
-// benchScanVsWorkingSet interleaves a streaming scan four times the
-// cache's size with round-robin re-reads of a warm 128-block working
-// set, then reports what fraction of the working set is still resident
-// ("wsresident", 0..1). Under the ghost policy the scan can only churn
-// the probation segment, so the working set stays near fully resident
-// and its reads stay hits; under the exact-LRU ablation one list serves
-// both, and the scan flushes the working set as fast as it is re-read.
+// benchScanVsWorkingSet is the evidence for cachemod.Config.Policy: it
+// interleaves a streaming scan four times the cache's size with round-robin
+// re-reads of a warm 128-block working set, then reports what fraction of
+// the working set is still resident ("wsresident", 0..1). Under the ghost
+// policy the scan can only churn the probation segment, so the working set
+// stays near fully resident and its reads stay hits; under the exact-LRU
+// ablation one list serves both, and the scan flushes the working set as
+// fast as it is re-read. Every pvfsperf workload runs the default policy.
 func benchScanVsWorkingSet(b *testing.B, pol buffer.Policy) {
 	const blockSize = 4096
 	const wsBlocks = 128    // 512 KB working set: fits the protected segment
 	const scanBlocks = 1024 // 4 MB scan: four times the whole cache
-	c, err := cluster.Start(cluster.Config{
-		IODs:            4,
-		ClientNodes:     1,
-		Caching:         true,
-		CacheBlocks:     256,
+	c, p := startNode(b, cluster.Config{
 		CacheShards:     1, // one stripe: deterministic replacement order
 		Policy:          pol,
 		ReadaheadWindow: -1, // block-by-block reads isolate admission
 		FlushPeriod:     time.Hour,
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { c.Close() })
-	p, err := c.NewProcess(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { p.Close() })
-	create := func(name string, blocks int) *pvfs.File {
-		f, err := p.Create(name, pvfs.StripeSpec{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := f.WriteAt(make([]byte, blocks*blockSize), 0); err != nil {
-			b.Fatal(err)
-		}
-		return f
-	}
-	ws := create("wsbench.dat", wsBlocks)
-	scan := create("scanbench.dat", scanBlocks)
-	if err := c.Module(0).FlushAll(); err != nil {
-		b.Fatal(err)
-	}
+	ws := createFlushed(b, c, p, "wsbench.dat", wsBlocks*blockSize)
+	scan := createFlushed(b, c, p, "scanbench.dat", scanBlocks*blockSize)
 	buf := make([]byte, blockSize)
 	readBlock := func(f *pvfs.File, idx int) {
 		if _, err := f.ReadAt(buf, int64(idx)*blockSize); err != nil {
@@ -565,212 +169,3 @@ func BenchmarkLiveScanVsWorkingSet(b *testing.B) { benchScanVsWorkingSet(b, buff
 // BenchmarkLiveScanVsWorkingSetLRU is the single-list ablation: the same
 // storm under exact LRU, where the scan displaces the working set.
 func BenchmarkLiveScanVsWorkingSetLRU(b *testing.B) { benchScanVsWorkingSet(b, buffer.PolicyLRU) }
-
-// BenchmarkLiveReadMultiClientMisses measures aggregate read throughput of
-// eight application processes sharing one node's cache module while their
-// working set (4 MB) far exceeds the cache (256 KB), so nearly every read
-// goes to the iods. This is the funnel the refactor widens: the seed
-// serialized all of a node's traffic to each iod behind one FIFO
-// connection, while internal/rpc keeps ≥2 pooled connections per iod with
-// tag-demultiplexed, out-of-order responses, letting the processes'
-// fetches overlap. Compare against the seed baseline in CHANGES.md.
-func BenchmarkLiveReadMultiClientMisses(b *testing.B) {
-	c, err := cluster.Start(cluster.Config{
-		IODs:        4,
-		ClientNodes: 1,
-		Caching:     true,
-		CacheBlocks: 64, // 256 KB: forces misses against the 4 MB file
-		FlushPeriod: 50 * time.Millisecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { c.Close() })
-	seed, err := c.NewProcess(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := seed.Create("multiclient.dat", pvfs.StripeSpec{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := f.WriteAt(make([]byte, 4<<20), 0); err != nil {
-		b.Fatal(err)
-	}
-	if err := c.Module(0).FlushAll(); err != nil {
-		b.Fatal(err)
-	}
-
-	const workers = 8
-	files := make([]*pvfs.File, workers)
-	for w := 0; w < workers; w++ {
-		p, err := c.NewProcess(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { p.Close() })
-		if files[w], err = p.Open("multiclient.dat"); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	var next atomic.Int64
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(f *pvfs.File) {
-			defer wg.Done()
-			buf := make([]byte, 64<<10)
-			for {
-				i := next.Add(1)
-				if i > int64(b.N) {
-					return
-				}
-				// Stride through the 64 distinct 64 KB chunks so the
-				// workers' requests interleave across iods.
-				off := ((i * 7) % 64) * (64 << 10)
-				if _, err := f.ReadAt(buf, off); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(files[w])
-	}
-	wg.Wait()
-	b.SetBytes(64 << 10)
-}
-
-// BenchmarkGlobalCacheRemoteRead measures the global-cache extension
-// (experiment X1): node 1 reads data that only node 0 has cached, served
-// by peer-gets instead of iod fetches.
-func BenchmarkGlobalCacheRemoteRead(b *testing.B) {
-	c, err := cluster.Start(cluster.Config{
-		IODs:        2,
-		ClientNodes: 2,
-		Caching:     true,
-		GlobalCache: true,
-		FlushPeriod: 50 * time.Millisecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { c.Close() })
-	seed, err := c.NewProcess(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := seed.Create("gcbench.dat", pvfs.StripeSpec{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := f.WriteAt(make([]byte, 256<<10), 0); err != nil {
-		b.Fatal(err)
-	}
-	if err := c.Module(0).FlushAll(); err != nil {
-		b.Fatal(err)
-	}
-	seed.Close()
-	// Node 0 holds everything; node 1 reads and re-reads with its local
-	// cache dropped each round, so every iteration exercises peer-gets.
-	p1, err := c.NewProcess(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { p1.Close() })
-	f1, err := p1.Open("gcbench.dat")
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, 64<<10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Module(1).Buffer().InvalidateFile(f1.ID())
-		if _, err := f1.ReadAt(buf, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(64 << 10)
-}
-
-// benchLiveWriteStorm measures a write storm through the full live
-// stack: fill 2 MB of dirty blocks through the cache module (striped
-// over 4 iods), then drain them with FlushAll. Only the drain is timed.
-// window is each stream's FlushWindow (0 = default 4; 1 = one blocking
-// frame at a time, the control). The pair isolates the in-flight window
-// on the real data path — over the in-memory transport the win is mostly
-// in wire framing and fewer round trips (runs coalesce into contiguous
-// frames); the latency-overlap win is measured by internal/cachemod's
-// BenchmarkFlushDrain pair, whose flush ports model disk service time.
-func benchLiveWriteStorm(b *testing.B, window int, backend string) {
-	cfg := cluster.Config{
-		IODs:        4,
-		ClientNodes: 1,
-		Caching:     true,
-		CacheBlocks: 1024, // 4 MB: the 2 MB storm fits without pressure
-		FlushPeriod: time.Hour,
-		FlushWindow: window,
-		Backend:     backend,
-	}
-	if backend == "disk" {
-		cfg.DataDir = b.TempDir()
-	}
-	c, err := cluster.Start(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { c.Close() })
-	p, err := c.NewProcess(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { p.Close() })
-	f, err := p.Create("writestorm.dat", pvfs.StripeSpec{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const storm = 2 << 20
-	buf := make([]byte, 256<<10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for off := int64(0); off < storm; off += int64(len(buf)) {
-			if _, err := f.WriteAt(buf, off); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StartTimer()
-		if err := c.Module(0).FlushAll(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(storm)
-}
-
-// BenchmarkLiveWriteStormDrain: the pipelined engine (all iod streams in
-// parallel, default window).
-func BenchmarkLiveWriteStormDrain(b *testing.B) { benchLiveWriteStorm(b, 0, "") }
-
-// BenchmarkLiveWriteStormDrainSerial is the control: every stream keeps
-// one blocking frame in flight (FlushWindow 1).
-func BenchmarkLiveWriteStormDrainSerial(b *testing.B) { benchLiveWriteStorm(b, 1, "") }
-
-// BenchmarkLiveWriteStormDrainDisk / SerialDisk: the same storm drained
-// into WAL-backed on-disk iods — every flushed byte is journaled and
-// pushed to the OS before the ack comes back.
-func BenchmarkLiveWriteStormDrainDisk(b *testing.B) { benchLiveWriteStorm(b, 0, "disk") }
-
-func BenchmarkLiveWriteStormDrainSerialDisk(b *testing.B) { benchLiveWriteStorm(b, 1, "disk") }
-
-// BenchmarkLiveWriteDirect measures the same write through original PVFS.
-func BenchmarkLiveWriteDirect(b *testing.B) {
-	_, f := liveCluster(b, false)
-	buf := make([]byte, 64<<10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.WriteAt(buf, int64(i%8)*(64<<10)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(64 << 10)
-}

@@ -1,6 +1,10 @@
-// Command pvfs-bench runs the paper's micro-benchmark (§4.1) against a
-// live cluster — either an in-process one (the default, for a zero-setup
-// demo) or external pvfs-mgr/pvfs-iod daemons over TCP.
+// Command pvfs-bench is the command-line driver of a live cluster: it runs
+// the paper's micro-benchmark program (§4.1) against an in-process cluster
+// (the default, for a zero-setup demo) or against external
+// pvfs-mgr/pvfs-iod daemons over TCP, and with -chaos it reproduces a
+// fault-injection cell. It is not the repository's benchmark — that is
+// pvfsperf/ (BENCHMARK.json) — and no performance statement cites the
+// timings it prints.
 //
 // Examples:
 //

@@ -22,9 +22,8 @@
 // window of upcoming blocks in flight ahead of ascending scans.
 //
 // See README.md for a tour and DESIGN.md for the system inventory, the
-// read-path architecture, and the experiment index. The benchmarks in
-// bench_test.go regenerate each figure and measure the live data path;
-// run them with
-//
-//	go test -bench=. -benchmem
+// read-path architecture, and the experiment index. The figures come from
+// cmd/experiments, the live system's benchmark is pvfsperf/ (its per-PR
+// records are bench/BENCH_<pr>.json), and bench_test.go keeps only the
+// knob-ablation pairs docs/TUNING.md cites.
 package pvfscache

@@ -198,36 +198,41 @@ func TestPartialHitSplitsRequest(t *testing.T) {
 	}
 }
 
-func TestSplitRunsBoundsFetchSize(t *testing.T) {
-	mkRun := func(first int64, n int) fetchRun {
-		run := fetchRun{firstIdx: first}
-		for i := 0; i < n; i++ {
-			idx := first + int64(i)
-			run.keys = append(run.keys, blockio.BlockKey{File: 1, Index: idx})
-			run.states = append(run.states, newFetchState(false))
-			run.spans = append(run.spans, tgtSpan{sp: blockio.Span{Key: blockio.BlockKey{File: 1, Index: idx}, Len: 1024}})
+func TestGroupRunsBoundsFetchSize(t *testing.T) {
+	var owned []tgtSpan
+	for _, r := range [][2]int64{{0, 3}, {10, 10}} { // a 3-block run, then a 10-block run
+		for idx := r[0]; idx < r[0]+r[1]; idx++ {
+			owned = append(owned, tgtSpan{
+				sp: blockio.Span{Key: blockio.BlockKey{File: 1, Index: idx}, Len: 1024},
+				st: newFetchState(false),
+			})
 		}
-		return run
 	}
-	small := mkRun(0, 3)
-	big := mkRun(10, 10)
-	out := splitRuns([]fetchRun{small, big}, 4)
+	var out []fetchRun
+	for _, batch := range groupRuns(owned, 4) {
+		blocks := 0
+		for _, run := range batch {
+			blocks += len(run.spans)
+		}
+		if blocks > 4 {
+			t.Fatalf("batch carries %d blocks, bound is 4", blocks)
+		}
+		out = append(out, batch...)
+	}
 	if len(out) != 4 { // 3-block run intact, 10-block run split 4+4+2
 		t.Fatalf("split into %d runs, want 4", len(out))
 	}
 	wantFirst := []int64{0, 10, 14, 18}
 	wantN := []int{3, 4, 4, 2}
 	for i, run := range out {
-		if run.firstIdx != wantFirst[i] || len(run.keys) != wantN[i] || len(run.states) != wantN[i] {
+		if run.firstIdx != wantFirst[i] || len(run.spans) != wantN[i] {
 			t.Fatalf("run %d = first %d n %d, want first %d n %d",
-				i, run.firstIdx, len(run.keys), wantFirst[i], wantN[i])
+				i, run.firstIdx, len(run.spans), wantFirst[i], wantN[i])
 		}
-		if len(run.spans) != wantN[i] {
-			t.Fatalf("run %d carries %d spans, want %d", i, len(run.spans), wantN[i])
-		}
-		for _, ts := range run.spans {
-			if ts.sp.Key.Index < run.firstIdx || ts.sp.Key.Index > run.keys[len(run.keys)-1].Index {
-				t.Fatalf("run %d span for block %d out of range", i, ts.sp.Key.Index)
+		for j, ts := range run.spans {
+			if ts.sp.Key.Index != run.firstIdx+int64(j) || ts.st == nil {
+				t.Fatalf("run %d span %d is block %d (state %v), want block %d with its claim",
+					i, j, ts.sp.Key.Index, ts.st, run.firstIdx+int64(j))
 			}
 		}
 	}

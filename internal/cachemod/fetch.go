@@ -131,9 +131,7 @@ type tgtSpan struct {
 // vectored fetch.
 type fetchRun struct {
 	firstIdx int64
-	keys     []blockio.BlockKey
-	states   []*fetchState
-	spans    []tgtSpan // spans[i] is block keys[i]'s span of the request
+	spans    []tgtSpan // spans[i] is block firstIdx+i: its key, state and destination
 }
 
 // fetch is one network round trip issued for claimed blocks: a ReadBlocks
@@ -189,9 +187,10 @@ func (m *Module) publish(st *fetchState, key blockio.BlockKey, img []byte, mem *
 // hold drops either way.
 func (m *Module) settle(runs []fetchRun, err error) {
 	for _, run := range runs {
-		for i, st := range run.states {
+		for _, sp := range run.spans {
+			st := sp.st
 			if st.data == nil {
-				m.unregister(run.keys[i], st)
+				m.unregister(sp.sp.Key, st)
 				st.err = err
 				close(st.done)
 			}
@@ -254,59 +253,30 @@ func maxFetchBlocks(bs int) int {
 // groupRuns groups claimed blocks (ascending) into runs of consecutive
 // indices and the runs into batches, one fetch each. Rounding spans up to
 // whole blocks can inflate a fetch far past the request's bytes (sub-block
-// extents each cost a full block), so every run — and every batch — is
-// bounded by what one response frame can carry.
-func (m *Module) groupRuns(owned []tgtSpan) [][]fetchRun {
-	maxBlocks := maxFetchBlocks(m.buf.BlockSize())
+// extents each cost a full block), so every run — an oversized one splits
+// into several that fetch separately — and every batch is bounded by
+// maxBlocks, what one response frame can carry.
+func groupRuns(owned []tgtSpan, maxBlocks int) [][]fetchRun {
 	var runs []fetchRun
 	for start := 0; start < len(owned); {
 		end := start + 1
-		for end < len(owned) && owned[end].sp.Key.Index == owned[end-1].sp.Key.Index+1 {
+		for end < len(owned) && end-start < maxBlocks && owned[end].sp.Key.Index == owned[end-1].sp.Key.Index+1 {
 			end++
 		}
-		group := owned[start:end]
-		run := fetchRun{
-			firstIdx: group[0].sp.Key.Index,
-			keys:     make([]blockio.BlockKey, len(group)),
-			states:   make([]*fetchState, len(group)),
-			spans:    group,
-		}
-		for i, o := range group {
-			run.keys[i], run.states[i] = o.sp.Key, o.st
-		}
-		runs = append(runs, run)
+		runs = append(runs, fetchRun{firstIdx: owned[start].sp.Key.Index, spans: owned[start:end]})
 		start = end
 	}
-	runs = splitRuns(runs, maxBlocks)
 	var batches [][]fetchRun
 	for start := 0; start < len(runs); {
-		end, blocks := start+1, len(runs[start].keys)
-		for end < len(runs) && blocks+len(runs[end].keys) <= maxBlocks {
-			blocks += len(runs[end].keys)
+		end, blocks := start+1, len(runs[start].spans)
+		for end < len(runs) && blocks+len(runs[end].spans) <= maxBlocks {
+			blocks += len(runs[end].spans)
 			end++
 		}
 		batches = append(batches, runs[start:end])
 		start = end
 	}
 	return batches
-}
-
-// splitRuns bounds every run at maxBlocks consecutive blocks, splitting
-// oversized ones into several runs that fetch separately.
-func splitRuns(runs []fetchRun, maxBlocks int) []fetchRun {
-	out := make([]fetchRun, 0, len(runs))
-	for _, run := range runs {
-		for start := 0; start < len(run.keys); start += maxBlocks {
-			end := min(start+maxBlocks, len(run.keys))
-			out = append(out, fetchRun{
-				firstIdx: run.keys[start].Index,
-				keys:     run.keys[start:end],
-				states:   run.states[start:end],
-				spans:    run.spans[start:end],
-			})
-		}
-	}
-	return out
 }
 
 // issue puts one batch of runs on the wire as a vectored ReadBlocks. track
@@ -316,7 +286,7 @@ func (m *Module) issue(iod int, file blockio.FileID, runs []fetchRun, track bool
 	bs := int64(m.buf.BlockSize())
 	exts := make([]wire.ReadExtent, len(runs))
 	for i, run := range runs {
-		exts[i] = wire.ReadExtent{Offset: run.firstIdx * bs, Length: int64(len(run.keys)) * bs}
+		exts[i] = wire.ReadExtent{Offset: run.firstIdx * bs, Length: int64(len(run.spans)) * bs}
 	}
 	ch, err := m.data[iod].Go(&wire.ReadBlocks{Client: m.cfg.ClientID, File: file, Track: track, Exts: exts})
 	if err != nil {
@@ -365,9 +335,9 @@ func (m *Module) landResp(f fetch, admit admitMode, msg wire.Message) error {
 		// knows what was asked for: an overlong length would shift every
 		// later run's bytes and poison the shared cache with misattributed
 		// data.
-		if int(rr.Lens[i]) > len(run.keys)*bs {
+		if int(rr.Lens[i]) > len(run.spans)*bs {
 			return fmt.Errorf("cachemod: vectored fetch extent %d overlong (%d > %d)",
-				i, int(rr.Lens[i]), len(run.keys)*bs)
+				i, int(rr.Lens[i]), len(run.spans)*bs)
 		}
 	}
 	data := rr.Data
@@ -390,12 +360,12 @@ func (m *Module) landResp(f fetch, admit admitMode, msg wire.Message) error {
 // caller's settle.
 func (m *Module) landRun(iod int, run fetchRun, data []byte, admit admitMode) error {
 	bs := m.buf.BlockSize()
-	slab, mem := lease(&m.slabs, len(run.keys)*bs)
+	slab, mem := lease(&m.slabs, len(run.spans)*bs)
 	defer mem.release() // the creator's hold
 	n := copy(slab, data)
 	clear(slab[n:]) // pooled buffers carry the previous tenant's bytes
-	for i, key := range run.keys {
-		st, img := run.states[i], slab[i*bs:(i+1)*bs]
+	for i, sp := range run.spans {
+		key, st, img := sp.sp.Key, sp.st, slab[i*bs:(i+1)*bs]
 		if st.prefetch && i*bs >= len(data) {
 			// Prefetch difference: a block past the served length is dropped,
 			// not zero-padded. A demand read knows its extent lies on this
@@ -439,7 +409,7 @@ func (m *Module) landRun(iod int, run fetchRun, data []byte, admit admitMode) er
 			m.cfg.Registry.Counter("module.prefetch_blocks").Inc()
 		}
 		m.publish(st, key, img, mem, stamp)
-		copy(run.spans[i].dst, img[run.spans[i].sp.Off:])
+		copy(sp.dst, img[sp.sp.Off:])
 	}
 	return nil
 }

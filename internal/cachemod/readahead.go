@@ -303,7 +303,7 @@ func (m *Module) prefetchRange(file blockio.FileID, hint stripeHint, idxs []int6
 		}
 	}
 	for iod, owned := range perIOD {
-		for _, batch := range m.groupRuns(owned) {
+		for _, batch := range groupRuns(owned, maxFetchBlocks(m.buf.BlockSize())) {
 			go m.prefetchIOD(iod, file, batch, mode)
 		}
 	}

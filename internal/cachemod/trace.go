@@ -44,7 +44,7 @@ func (m *Module) TraceText() string {
 }
 
 // reqTrace is one traced request's hop log. A nil *reqTrace is the
-// disarmed case: hop and finish are no-ops on it, so the request path
+// disarmed case: hop and finishf are no-ops on it, so the request path
 // calls them unconditionally.
 type reqTrace struct {
 	m     *Module
@@ -77,13 +77,14 @@ func (rt *reqTrace) hop(format string, args ...any) {
 	rt.steps = append(rt.steps, fmt.Sprintf("%9.3fms %s", elapsed, fmt.Sprintf(format, args...)))
 }
 
-// finish records the outcome and publishes the trace to the module's ring.
-// Safe on a nil receiver.
-func (rt *reqTrace) finish(outcome string) {
+// finishf records the outcome and publishes the trace to the module's
+// ring. Safe on a nil receiver, and like hop it formats only when armed, so
+// a disarmed request never builds the outcome string.
+func (rt *reqTrace) finishf(format string, args ...any) {
 	if rt == nil {
 		return
 	}
-	rt.hop("done: %s", outcome)
+	rt.hop("done: "+format, args...)
 	text := strings.Join(rt.steps, "\n")
 	m := rt.m
 	m.traceMu.Lock()

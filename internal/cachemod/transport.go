@@ -276,7 +276,7 @@ func (t *CachedTransport) classifySpan(sp blockio.Span, dst []byte, pr *pendingR
 // sub-requests of a request are all in flight before the first response is
 // awaited.
 func (t *CachedTransport) issueFetches(file blockio.FileID, owned []tgtSpan, pr *pendingRead) error {
-	batches := t.m.groupRuns(owned)
+	batches := groupRuns(owned, maxFetchBlocks(t.m.buf.BlockSize()))
 	for i, batch := range batches {
 		f, err := t.m.issue(pr.iod, file, batch, pr.admit != admitNever)
 		if err != nil {
@@ -359,7 +359,7 @@ func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op
 	tenant := t.m.tenantOf(file)
 	qos, budgetOK := t.m.acquireFetchBudget(tenant, nblocks)
 	if !budgetOK {
-		rt.finish(fmt.Sprintf("shed overload tenant=%d (%d blocks over budget)", tenant, nblocks))
+		rt.finishf("shed overload tenant=%d (%d blocks over budget)", tenant, nblocks)
 		return &pendingOp{ready: pr.reply(wire.StatusOverload)}, true, nil
 	}
 	pr.admit = t.m.readAdmitMode(file)
@@ -392,7 +392,7 @@ func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op
 	rt.hop("classified: %d blocks over %d extents, %d joins, %d misses", nblocks, len(exts), len(pr.waits), len(owned))
 	if err := t.issueFetches(file, owned, pr); err != nil {
 		t.abandon(pr, err)
-		rt.finish(fmt.Sprintf("issue error: %v", err))
+		rt.finishf("issue error: %v", err)
 		return nil, false, err
 	}
 	if len(pr.fetches) == 0 && len(pr.waits) == 0 {
@@ -400,7 +400,7 @@ func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op
 		// libpvfs's receive call will be faked locally.
 		pr.releaseBudget()
 		t.m.cfg.Registry.Counter("module.read_full_hits").Inc()
-		rt.finish("full cache hit")
+		rt.finishf("full cache hit")
 		return &pendingOp{ready: pr.reply(wire.StatusOK)}, true, nil
 	}
 	rt.hop("issued %d fetches", len(pr.fetches))
@@ -437,10 +437,10 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 		pr.trace.hop("resolved %d joins", len(pr.waits))
 	}
 	if firstErr != nil {
-		pr.trace.finish(fmt.Sprintf("error: %v", firstErr))
+		pr.trace.finishf("error: %v", firstErr)
 		return nil, firstErr
 	}
-	pr.trace.finish("ok")
+	pr.trace.finishf("ok")
 	return pr.reply(wire.StatusOK), nil
 }
 
@@ -479,7 +479,7 @@ func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (*pendingOp, error
 		// flusher made no room within OverloadStall. Shedding happens
 		// before any span is buffered, so the whole operation is cleanly
 		// re-issuable by the client's retry loop.
-		rt.finish(fmt.Sprintf("shed overload tenant=%d (%d dirty)", tenant, t.m.buf.DirtyCountTenant(tenant)))
+		rt.finishf("shed overload tenant=%d (%d dirty)", tenant, t.m.buf.DirtyCountTenant(tenant))
 		return &pendingOp{ready: &wire.WriteAck{Status: wire.StatusOverload}}, nil
 	}
 	bs := t.m.buf.BlockSize()
@@ -488,7 +488,7 @@ func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (*pendingOp, error
 	for _, sp := range spans {
 		src := req.Data[sp.Pos : sp.Pos+int64(sp.Len)]
 		if err := t.writeSpan(iod, sp, src, deadline, tenant); err != nil {
-			rt.finish(fmt.Sprintf("error: %v", err))
+			rt.finishf("error: %v", err)
 			return nil, err
 		}
 	}
@@ -497,7 +497,7 @@ func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (*pendingOp, error
 		t.m.kickFlusher()
 	}
 	t.m.cfg.Registry.Counter("module.writes_buffered").Inc()
-	rt.finish(fmt.Sprintf("buffered %d spans", len(spans)))
+	rt.finishf("buffered %d spans", len(spans))
 	return &pendingOp{ready: &wire.WriteAck{Status: wire.StatusOK}}, nil
 }
 

@@ -1,0 +1,84 @@
+package cluster
+
+import (
+	"testing"
+	"time"
+
+	"pvfscache/internal/pvfs"
+)
+
+// The allocation ceilings of the two canonical cached operations, measured
+// through the whole client stack — pvfs.File → cache-module transport →
+// buffer manager — on a live in-process cluster. buffer's
+// TestRequestPathAllocatesNothing pins the innermost layer at zero; these
+// pin what the layers above it add. The counts are deterministic and do not
+// depend on GOMAXPROCS (AllocsPerRun pins it to 1), so a test fails on the
+// change that adds an allocation, not on a later benchmark run. A ceiling
+// only ever moves down: lower it in the change that removes an allocation.
+const (
+	// cachedReadAllocs is pvfsperf's hit_shared allocs_per_op: the piece
+	// map, order, extent and sink slices and the request struct that
+	// pvfs.File.ReadAt builds per call (ROADMAP item 4, hit path).
+	cachedReadAllocs = 11
+	// bufferedWriteAllocs was 7 while a disarmed request trace still
+	// formatted its outcome string on every write.
+	bufferedWriteAllocs = 6
+)
+
+// allocCluster boots one caching node whose flusher stays quiet for the
+// length of a test, so that every allocation counted belongs to the
+// measured call, and returns a 1 MB file written and flushed through it.
+func allocCluster(t *testing.T) *pvfs.File {
+	t.Helper()
+	c := startTest(t, Config{IODs: 4, ClientNodes: 1, Caching: true, FlushPeriod: time.Hour})
+	p, err := c.NewProcess(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	f, err := p.Create("alloc.dat", pvfs.StripeSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, 1<<20), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Module(0).FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// checkAllocs fails on growth past the ceiling, and on a count below it so
+// that the ceiling follows an improvement down instead of leaving slack.
+func checkAllocs(t *testing.T, what string, got float64, ceiling int) {
+	t.Helper()
+	switch {
+	case got > float64(ceiling):
+		t.Fatalf("%s allocates %v times a call, ceiling %d", what, got, ceiling)
+	case got < float64(ceiling):
+		t.Fatalf("%s allocates %v times a call, below its ceiling of %d: lower the ceiling", what, got, ceiling)
+	}
+}
+
+func TestCachedReadAllocCeiling(t *testing.T) {
+	f := allocCluster(t)
+	buf := make([]byte, 16<<10)
+	n := testing.AllocsPerRun(500, func() { // the warm-up run makes the blocks resident
+		if _, err := f.ReadAt(buf, 64<<10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	checkAllocs(t, "a warm 16 KB cached ReadAt", n, cachedReadAllocs)
+}
+
+func TestBufferedWriteAllocCeiling(t *testing.T) {
+	f := allocCluster(t)
+	buf := make([]byte, 64<<10)
+	n := testing.AllocsPerRun(500, func() { // rewrites the same 16 dirty blocks: no flush, no eviction
+		if _, err := f.WriteAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	checkAllocs(t, "a buffered 64 KB WriteAt", n, bufferedWriteAllocs)
+}

@@ -791,19 +791,3 @@ func readFrame(r io.Reader, alias bool) (tag uint64, tagged bool, m Message, ret
 	}
 	return tag, tagged, m, payload, nil
 }
-
-// Marshal returns the framed encoding of m (header plus payload). It is
-// used by the simulator to size messages without a writer, so unlike
-// writeFrame it never drops an oversized message — the simulator must
-// still charge transfer time for it.
-func Marshal(m Message) []byte {
-	payload := m.append(nil)
-	frame := make([]byte, 6, 6+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)+2))
-	binary.BigEndian.PutUint16(frame[4:6], uint16(m.WireType()))
-	return append(frame, payload...)
-}
-
-// EncodedSize returns the framed size of m in bytes. The simulator uses it
-// to charge network transfer time for a message without serializing data.
-func EncodedSize(m Message) int64 { return int64(len(Marshal(m))) }

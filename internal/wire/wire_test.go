@@ -224,17 +224,6 @@ func TestWriteRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestEncodedSizeMatchesMarshal(t *testing.T) {
-	m := &Write{Client: 1, File: 2, Offset: 4096, Data: make([]byte, 4096)}
-	if EncodedSize(m) != int64(len(Marshal(m))) {
-		t.Error("EncodedSize disagrees with Marshal length")
-	}
-	// Frame overhead is 6 bytes header + fixed fields.
-	if EncodedSize(m) <= 4096 {
-		t.Error("encoded size should exceed payload length")
-	}
-}
-
 func TestBackToBackMessages(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 10; i++ {

@@ -151,7 +151,10 @@ func aliasesInto(sub, buf []byte) bool {
 // cases through the aliased decoder: truncated payloads and counts must
 // be rejected without retaining (or leaking) the buffer.
 func TestAliasedDecodeHostileInput(t *testing.T) {
-	good := Marshal(&ReadResp{Status: StatusOK, Data: bytes.Repeat([]byte{1}, 64)})
+	good, err := encodeFrame(0, false, &ReadResp{Status: StatusOK, Data: bytes.Repeat([]byte{1}, 64)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for cut := 7; cut < len(good); cut += 11 {
 		if _, _, _, payload, err := ReadFrameAliased(bytes.NewReader(good[:cut])); err == nil || payload != nil {
 			t.Fatalf("truncated frame at %d accepted (payload=%v)", cut, payload != nil)

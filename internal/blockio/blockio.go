@@ -63,33 +63,46 @@ func Spans(file FileID, offset, length int64, blockSize int) []Span {
 	if length <= 0 {
 		return nil
 	}
+	it := IterSpans(file, offset, length, blockSize)
+	_, n := BlockRange(offset, length, blockSize)
+	spans := make([]Span, 0, n)
+	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
+		spans = append(spans, sp)
+	}
+	return spans
+}
+
+// SpanIter yields the spans of Spans one at a time, for the request path,
+// which visits each span once and must not allocate.
+type SpanIter struct {
+	file         FileID
+	bs, cur, end int64 // block size; next byte to cover; exclusive end
+	pos          int64
+}
+
+// IterSpans returns an iterator over the spans Spans would return.
+func IterSpans(file FileID, offset, length int64, blockSize int) SpanIter {
+	if length <= 0 {
+		return SpanIter{}
+	}
 	if blockSize <= 0 {
 		panic("blockio: non-positive block size")
 	}
-	bs := int64(blockSize)
-	first := offset / bs
-	last := (offset + length - 1) / bs
-	spans := make([]Span, 0, last-first+1)
-	pos := int64(0)
-	for idx := first; idx <= last; idx++ {
-		blockStart := idx * bs
-		off := int64(0)
-		if idx == first {
-			off = offset - blockStart
-		}
-		end := bs
-		if idx == last {
-			end = offset + length - blockStart
-		}
-		spans = append(spans, Span{
-			Key: BlockKey{File: file, Index: idx},
-			Off: int(off),
-			Len: int(end - off),
-			Pos: pos,
-		})
-		pos += end - off
+	return SpanIter{file: file, bs: int64(blockSize), cur: offset, end: offset + length}
+}
+
+// Next returns the next span, or false when the range is covered.
+func (it *SpanIter) Next() (Span, bool) {
+	if it.cur >= it.end {
+		return Span{}, false
 	}
-	return spans
+	idx := it.cur / it.bs
+	off := it.cur - idx*it.bs
+	n := min(it.bs-off, it.end-it.cur)
+	sp := Span{Key: BlockKey{File: it.file, Index: idx}, Off: int(off), Len: int(n), Pos: it.pos}
+	it.cur += n
+	it.pos += n
+	return sp, true
 }
 
 // BlockRange returns the first block index and the number of blocks touched

@@ -234,9 +234,9 @@ func (m *Module) awaitJoin(w tgtSpan) bool {
 	m.buf.OverlaySpan(key, off, w.dst)
 	fresh := m.buf.WriteStamp(key) == st.finalStamp
 	if !fresh {
-		m.cfg.Registry.Counter("module.join_stale_refetches").Inc()
+		m.ctr.joinStaleRefetches.Inc()
 	}
-	m.cfg.Registry.Counter("module.fetch_joins").Inc()
+	m.ctr.fetchJoins.Inc()
 	if st.prefetch {
 		m.notePrefetchHit(key)
 	}
@@ -383,10 +383,10 @@ func (m *Module) landRun(iod int, run fetchRun, data []byte, admit admitMode) er
 				// Prefetch difference: a stale image is dropped, not re-read.
 				// Nobody asked for the block yet, so a synchronous re-read
 				// buys nothing; joiners fall back to a validated fetch.
-				m.cfg.Registry.Counter("module.prefetch_stale_drops").Inc()
+				m.ctr.prefetchStaleDrops.Inc()
 				continue
 			}
-			m.cfg.Registry.Counter("module.fetch_stale_retries").Inc()
+			m.ctr.fetchStaleRetries.Inc()
 			var err error
 			if stamp, err = m.readInstall(iod, key, img, admit); err != nil {
 				return err
@@ -406,7 +406,7 @@ func (m *Module) landRun(iod int, run fetchRun, data []byte, admit admitMode) er
 			m.gcNode.Push(key, iod, img)
 		}
 		if st.prefetch {
-			m.cfg.Registry.Counter("module.prefetch_blocks").Inc()
+			m.ctr.prefetchBlocks.Inc()
 		}
 		m.publish(st, key, img, mem, stamp)
 		copy(sp.dst, img[sp.sp.Off:])
@@ -443,7 +443,7 @@ func (m *Module) landFromPeer(iod int, o tgtSpan, admit admitMode) bool {
 	// A healthy peer always serves a whole block; anything else is a buggy
 	// or hostile response whose bytes must not be installed or sliced.
 	if n != bs {
-		m.cfg.Registry.Counter("module.gcache_bad_resp").Inc()
+		m.ctr.gcacheBadResp.Inc()
 		return false
 	}
 	if m.installImage(o.sp.Key, iod, img, admit, o.st.stamp) == buffer.OutcomeStale {
@@ -452,7 +452,7 @@ func (m *Module) landFromPeer(iod int, o tgtSpan, admit admitMode) bool {
 	copy(o.dst, img[o.sp.Off:o.sp.Off+o.sp.Len])
 	m.publish(o.st, o.sp.Key, img, mem, o.st.stamp)
 	o.st.decref() // the owner's hold; joiners keep the block alive
-	m.cfg.Registry.Counter("module.gcache_hits").Inc()
+	m.ctr.gcacheHits.Inc()
 	return true
 }
 
@@ -477,7 +477,7 @@ func (m *Module) fetchBlockSpan(iod int, key blockio.BlockKey, off int, dst []by
 		return err
 	}
 	copy(dst, img[off:])
-	m.cfg.Registry.Counter("module.sync_fetches").Inc()
+	m.ctr.syncFetches.Inc()
 	return nil
 }
 
@@ -494,7 +494,7 @@ func (m *Module) readInstall(iod int, key blockio.BlockKey, img []byte, admit ad
 		if m.installImage(key, iod, img, admit, stamp) != buffer.OutcomeStale {
 			return stamp, nil
 		}
-		m.cfg.Registry.Counter("module.fetch_stale_retries").Inc()
+		m.ctr.fetchStaleRetries.Inc()
 	}
 }
 

@@ -116,7 +116,7 @@ func (s *flushStream) loop() {
 			s.backoff.Store(0)
 			continue
 		}
-		m.cfg.Registry.Counter("module.flush_errors").Inc()
+		m.ctr.flushErrors.Inc()
 		s.errors.Add(1)
 		backoff = min(max(2*backoff, flushBackoffMin), flushBackoffMax)
 		s.backoff.Store(int64(backoff))
@@ -231,7 +231,6 @@ func buildFlushChunks(client uint32, items []buffer.FlushItem, blockSize int) []
 // keep draining.
 func (s *flushStream) sendChunks(chunks []flushChunk) error {
 	m := s.m
-	reg := m.cfg.Registry
 	sem := make(chan struct{}, m.cfg.FlushWindow)
 	var (
 		wg       sync.WaitGroup
@@ -250,7 +249,7 @@ func (s *flushStream) sendChunks(chunks []flushChunk) error {
 	for _, c := range chunks {
 		if failed.Load() {
 			m.buf.FlushFailed(c.items)
-			reg.Counter("module.flush_requeued").Add(int64(len(c.items)))
+			m.ctr.flushRequeued.Add(int64(len(c.items)))
 			continue
 		}
 		sem <- struct{}{} // window slot
@@ -271,14 +270,14 @@ func (s *flushStream) sendChunks(chunks []flushChunk) error {
 			if err != nil {
 				fail(err)
 				m.buf.FlushFailed(c.items)
-				reg.Counter("module.flush_requeued").Add(int64(len(c.items)))
+				m.ctr.flushRequeued.Add(int64(len(c.items)))
 				return
 			}
 			m.buf.FlushDone(c.items)
-			reg.Counter("module.flush_rounds").Inc()
-			reg.Counter("module.flushed_blocks").Add(int64(len(c.items)))
+			m.ctr.flushRounds.Inc()
+			m.ctr.flushedBlocks.Add(int64(len(c.items)))
 			if merged := len(c.items) - len(c.msg.Blocks); merged > 0 {
-				reg.Counter("module.flush_coalesced").Add(int64(merged))
+				m.ctr.flushCoalesced.Add(int64(merged))
 			}
 			m.signalSpace()
 		}(c)

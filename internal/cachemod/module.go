@@ -199,6 +199,7 @@ func (c *Config) fillDefaults() error {
 // Module is the per-node cache module.
 type Module struct {
 	cfg Config
+	ctr counters
 	buf *buffer.Manager
 
 	data  []*rpc.Client // per-iod data-port clients (module-owned, pooled)
@@ -272,6 +273,7 @@ func New(cfg Config) (*Module, error) {
 	}
 	m := &Module{
 		cfg:         cfg,
+		ctr:         newCounters(cfg.Registry),
 		buf:         buffer.New(cfg.Buffer),
 		fetchTable:  fetchTable{fetches: make(map[blockio.BlockKey]*fetchState)},
 		stripes:     make(map[blockio.FileID]stripeHint),
@@ -497,7 +499,7 @@ func (m *Module) harvesterLoop() {
 		}
 		if m.buf.NeedsHarvest() {
 			freed := m.buf.Harvest()
-			m.cfg.Registry.Counter("module.harvested").Add(int64(freed))
+			m.ctr.harvested.Add(int64(freed))
 			if m.buf.NeedsHarvest() {
 				m.kickFlusher()
 			}
@@ -524,7 +526,7 @@ func (m *Module) handleInvalidate(msg wire.Message) wire.Message {
 		}
 		m.dropPrefetchMark(key)
 	}
-	m.cfg.Registry.Counter("module.invalidations_rx").Inc()
+	m.ctr.invalidationsRx.Inc()
 	return &wire.InvalidAck{Status: wire.StatusOK}
 }
 
@@ -719,7 +721,7 @@ func (m *Module) readAdmitMode(file blockio.FileID) admitMode {
 		return admitNever
 	}
 	if t := m.cfg.BypassThreshold; t > 0 && m.streamStreak(file) >= t {
-		m.cfg.Registry.Counter("module.stream_bypasses").Inc()
+		m.ctr.streamBypasses.Inc()
 		return admitNever
 	}
 	return admitDefault

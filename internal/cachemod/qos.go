@@ -1,7 +1,6 @@
 package cachemod
 
 import (
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -48,9 +47,7 @@ type tenantState struct {
 func (m *Module) newTenantState(tenant uint32, weight int) *tenantState {
 	st := &tenantState{tenant: tenant}
 	st.weight.Store(int64(weight))
-	tag := strconv.FormatUint(uint64(tenant), 10)
-	st.readSheds = m.cfg.Registry.Counter(metrics.Labeled("module.tenant_read_sheds", "tenant", tag))
-	st.writeSheds = m.cfg.Registry.Counter(metrics.Labeled("module.tenant_write_sheds", "tenant", tag))
+	st.readSheds, st.writeSheds = tenantSheds(m.cfg.Registry, tenant)
 	return st
 }
 
@@ -162,7 +159,7 @@ func (m *Module) shedWrite(tenant uint32) bool {
 // means the caller must shed with StatusOverload. A request larger than
 // the whole budget is admitted when the tenant has nothing else in flight,
 // so oversized reads retry until quiet instead of wedging forever. The
-// caller must release exactly once via pendingRead.releaseBudget.
+// caller must release exactly once (tenantState.releaseFetch).
 func (m *Module) acquireFetchBudget(tenant uint32, blocks int) (*tenantState, bool) {
 	if m.cfg.TenantFetchBudget <= 0 || tenant == 0 || blocks <= 0 {
 		return nil, true
@@ -178,6 +175,14 @@ func (m *Module) acquireFetchBudget(tenant uint32, blocks int) (*tenantState, bo
 		if st.inflight.CompareAndSwap(cur, cur+int64(blocks)) {
 			return st, true
 		}
+	}
+}
+
+// releaseFetch returns blocks read blocks to the tenant's in-flight budget;
+// a nil state (budgets off, untagged tenant) was never charged.
+func (st *tenantState) releaseFetch(blocks int) {
+	if st != nil {
+		st.inflight.Add(-int64(blocks))
 	}
 }
 

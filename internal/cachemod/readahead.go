@@ -35,10 +35,14 @@ import (
 // already using well evicts exactly the blocks about to be re-read.
 const raMinStreak = 4
 
-// stripeHint is a file's striping geometry as learned from libpvfs.
+// stripeHint is a file's striping geometry as learned from libpvfs, and
+// the largest size any hint announced for it: no block at or past
+// ceil(size/blockSize) is ever predicted, since an iod would serve a block
+// that does not exist as nothing.
 type stripeHint struct {
 	meta  wire.FileMeta
 	total int
+	size  int64
 }
 
 // Detected stream kinds. Dense ascending scans keep their own kind (their
@@ -67,7 +71,8 @@ type raState struct {
 
 // SetStripeHint records a file's striping geometry so the prefetcher can
 // route block fetches to the right iod. libpvfs calls it (through
-// CachedTransport.StripeHint) whenever it opens or refreshes a file.
+// CachedTransport.StripeHint) whenever it opens or refreshes a file, and
+// when one of its writes extends it.
 func (m *Module) SetStripeHint(file blockio.FileID, meta wire.FileMeta, totalIODs int) {
 	if meta.SSize == 0 || meta.PCount == 0 || totalIODs <= 0 {
 		return // unusable geometry; leave the file unprefetchable
@@ -79,7 +84,7 @@ func (m *Module) SetStripeHint(file blockio.FileID, meta wire.FileMeta, totalIOD
 	if len(m.stripes) >= maxHintedFiles {
 		m.stripes = make(map[blockio.FileID]stripeHint)
 	}
-	m.stripes[file] = stripeHint{meta: meta, total: totalIODs}
+	m.stripes[file] = stripeHint{meta: meta, total: totalIODs, size: max(meta.Size, m.stripes[file].size)}
 	m.stripeMu.Unlock()
 }
 
@@ -145,7 +150,7 @@ func (m *Module) noteAccess(file blockio.FileID, first, last int64) []int64 {
 			st.next = last + 1
 		} else {
 			if st.streak >= raMinStreak {
-				m.cfg.Registry.Counter("module.readahead_resets").Inc()
+				m.ctr.readaheadResets.Inc()
 			}
 			st.issued = 0
 			st.hasFar = false
@@ -258,6 +263,10 @@ func (m *Module) maybeReadahead(file blockio.FileID, first, last int64) {
 	if !ok {
 		return // no geometry: cannot route blocks to iods safely
 	}
+	// A replayed stride or a window topped up near the end runs off the
+	// file; pred is ascending, so the blocks that exist are a prefix.
+	eof := blockio.Blocks(hint.size, m.buf.BlockSize())
+	pred = pred[:sort.Search(len(pred), func(i int) bool { return pred[i] >= eof })]
 	m.prefetchRange(file, hint, pred)
 }
 
@@ -316,7 +325,7 @@ func (m *Module) prefetchRange(file blockio.FileID, hint stripeHint, idxs []int6
 func (m *Module) prefetchIOD(iod int, file blockio.FileID, runs []fetchRun, mode admitMode) {
 	f, err := m.issue(iod, file, runs, mode != admitNever)
 	if err == nil && m.land(f, mode, <-f.ch) == nil {
-		m.cfg.Registry.Counter("module.prefetch_issued").Inc()
+		m.ctr.prefetchIssued.Inc()
 	}
 }
 
@@ -341,7 +350,7 @@ func (m *Module) markPrefetched(key blockio.BlockKey) {
 // (once per block: the mark clears on first use).
 func (m *Module) notePrefetchHit(key blockio.BlockKey) {
 	if m.dropPrefetchMark(key) {
-		m.cfg.Registry.Counter("module.prefetch_hits").Inc()
+		m.ctr.prefetchHits.Inc()
 	}
 }
 

@@ -2,6 +2,7 @@ package cachemod
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,8 +15,10 @@ import (
 // raModule builds a bare module sufficient for driving the pattern
 // detector directly (no network, no background threads).
 func raModule(window int) *Module {
+	reg := metrics.NewRegistry()
 	return &Module{
-		cfg: Config{ReadaheadWindow: window, Registry: metrics.NewRegistry()},
+		cfg: Config{ReadaheadWindow: window, Registry: reg},
+		ctr: newCounters(reg),
 		ra:  make(map[blockio.FileID]*raState),
 	}
 }
@@ -475,5 +478,83 @@ func TestPrefetchJoinCountsAsHit(t *testing.T) {
 	}
 	if got := r.reg.Counter("module.fetch_joins").Value(); got != 1 {
 		t.Fatalf("fetch_joins = %d, want 1", got)
+	}
+}
+
+// eofRig is a fetchRig whose iod 0 holds nblocks blocks of one file, hinted
+// at exactly that size, and records the farthest byte any request asked for.
+func eofRig(t *testing.T, file blockio.FileID, size int64) (r *fetchRig, tr *CachedTransport, farthest *atomic.Int64, reads *atomic.Int64) {
+	t.Helper()
+	r = newFetchRig(t, false, nil)
+	r.iods[0].image = pattern(int(blockio.Blocks(size, fakeBS)))[:size]
+	farthest, reads = new(atomic.Int64), new(atomic.Int64)
+	r.iods[0].script = func(req, honest wire.Message) wire.Message {
+		switch q := req.(type) {
+		case *wire.ReadBlocks:
+			reads.Add(1)
+			for _, e := range q.Exts {
+				farthest.Store(max(farthest.Load(), e.Offset+e.Length))
+			}
+		case *wire.Read:
+			reads.Add(1)
+			farthest.Store(max(farthest.Load(), q.Offset+q.Length))
+		}
+		return honest
+	}
+	tr = r.mod.NewTransport()
+	tr.StripeHint(file, wire.FileMeta{Size: size, PCount: 1, SSize: 1 << 20}, 2)
+	return r, tr, farthest, reads
+}
+
+// TestReadaheadStridePastEOFFetchesNothing is ROADMAP item 2(e): two random
+// readers of one warm file hand the shared detector a repeated delta now and
+// then, the replayed stride runs off the file, and the prefetcher used to
+// claim and fetch blocks that do not exist. Predictions at or past the
+// hinted size are dropped, so a warm file sees no iod read at all.
+func TestReadaheadStridePastEOFFetchesNothing(t *testing.T) {
+	const file, nblocks = 40, 16
+	r, tr, _, reads := eofRig(t, file, nblocks*fakeBS)
+	sendRecv(t, tr, 0, &wire.Read{File: file, Offset: 0, Length: nblocks * fakeBS}) // warm
+	warm := reads.Load()
+	// Equal deltas of 3 blocks: the fourth request establishes the stride
+	// and replays it a window ahead — 15 (resident), then 18, 21, … past
+	// block 15, the last.
+	for _, blk := range []int64{3, 6, 9, 12} {
+		readSeq(t, tr, file, blk*fakeBS, fakeBS)
+	}
+	waitfor.Stable(t, 20*time.Millisecond, func() bool { return reads.Load() == warm },
+		"no iod read for a stride replayed past EOF on a warm file")
+	if n := len(r.claims()); n != 0 {
+		t.Fatalf("%d claims left for blocks past EOF", n)
+	}
+	if got := r.reg.Counter("module.prefetch_issued").Value(); got != 0 {
+		t.Fatalf("prefetch_issued = %d, want 0", got)
+	}
+}
+
+// TestReadaheadScanStopsAtEOF: the bound must not cost the last block. An
+// ascending scan near the end of a file whose last block is partial
+// prefetches up to and including that block and asks the iod for nothing
+// past it; the scan's tail is then served from the cache.
+func TestReadaheadScanStopsAtEOF(t *testing.T) {
+	const file, nblocks = 41, 10
+	const size = nblocks*fakeBS - 100
+	r, tr, farthest, reads := eofRig(t, file, size)
+	for i := int64(0); i < raMinStreak; i++ {
+		readSeq(t, tr, file, i*fakeBS, fakeBS)
+	}
+	// The window would be blocks 4..11; 4..9 exist.
+	waitCounter(t, r.reg, "module.prefetch_blocks", nblocks-raMinStreak)
+	waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetch settled")
+	if got := farthest.Load(); got > nblocks*fakeBS {
+		t.Fatalf("a request reached byte %d, past the last block's end %d", got, nblocks*fakeBS)
+	}
+	before := reads.Load()
+	resp := readSeq(t, tr, file, raMinStreak*fakeBS, size-raMinStreak*fakeBS).(*wire.ReadResp)
+	if !bytes.Equal(resp.Data, r.iods[0].image[raMinStreak*fakeBS:]) {
+		t.Fatal("scan tail served wrong bytes")
+	}
+	if reads.Load() != before {
+		t.Fatal("scan tail went to the iod: the last block was not prefetched")
 	}
 }

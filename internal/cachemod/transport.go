@@ -25,12 +25,16 @@ type CachedTransport struct {
 
 	mu      sync.Mutex
 	next    pvfs.ReqID
-	pending map[pvfs.ReqID]*pendingOp
+	pending map[pvfs.ReqID]pendingOp
+	// free recycles completed pendingReads, emptied of everything they
+	// referenced (putRead), so a miss re-uses its slices instead of
+	// re-making them.
+	free []*pendingRead
 }
 
 // NewTransport returns a transport for one application process.
 func (m *Module) NewTransport() *CachedTransport {
-	return &CachedTransport{m: m, next: 1, pending: make(map[pvfs.ReqID]*pendingOp)}
+	return &CachedTransport{m: m, next: 1, pending: make(map[pvfs.ReqID]pendingOp)}
 }
 
 // StripeHint implements pvfs.StripeHinter: libpvfs announces a file's
@@ -69,25 +73,53 @@ func (t *CachedTransport) TenantHint(file blockio.FileID, tenant uint32, weight 
 	t.m.SetTenant(file, tenant, weight)
 }
 
-// pendingOp is the per-request FSM state between Send and Recv.
+// pendingOp is the per-request FSM state between Send and Recv, kept by
+// value in the pending table.
 type pendingOp struct {
 	ready wire.Message      // response already known (fake ack, full cache hit)
 	read  *pendingRead      // read with outstanding transfers
 	call  <-chan rpc.Result // passthrough round trip
 }
 
+// Replies that carry nothing but a status are shared, immutable messages
+// (a response is read-only across the pvfs.Transport seam): the reply of a
+// read whose bytes went into the caller's sink, indexed by the three
+// statuses the FSM answers with, and the faked write acks.
+var (
+	readStatus = [...]wire.ReadResp{
+		wire.StatusOK:         {Status: wire.StatusOK},
+		wire.StatusBadRequest: {Status: wire.StatusBadRequest},
+		wire.StatusOverload:   {Status: wire.StatusOverload},
+	}
+	readvStatus = [...]wire.ReadBlocksResp{
+		wire.StatusOK:         {Status: wire.StatusOK},
+		wire.StatusBadRequest: {Status: wire.StatusBadRequest},
+		wire.StatusOverload:   {Status: wire.StatusOverload},
+	}
+	writeAckOK   = &wire.WriteAck{Status: wire.StatusOK}
+	writeAckShed = &wire.WriteAck{Status: wire.StatusOverload}
+)
+
+// statusReply returns the shared status-only reply of a read: a
+// ReadBlocksResp for a vectored request, a ReadResp for a plain one.
+func statusReply(vector bool, status wire.Status) wire.Message {
+	if vector {
+		return &readvStatus[status]
+	}
+	return &readStatus[status]
+}
+
 // pendingRead tracks a read whose missing pieces are in flight. Every
 // span of the request resolved its destination slice — a region of the
-// request's sink — at classification time. For a vectored request
-// (libpvfs sent a ReadBlocks) lens carries the per-extent byte counts for
-// the response.
+// request's sink — at classification time. A read served entirely from
+// the cache never has one; the others take theirs from the transport's
+// free list and return it when Recv completes them.
 type pendingRead struct {
 	iod     int
-	data    []byte // reply payload of a plain Send; nil when the caller supplied the sink
+	reply   wire.Message // what a successful Recv returns
+	owned   []tgtSpan    // misses this request fetches; the fetches' runs alias it
 	fetches []fetch
 	waits   []tgtSpan // joins: spans riding another owner's fetch
-	vector  bool
-	lens    []uint32
 	admit   admitMode // admission decision, fixed once per request
 
 	// qos is the tenant state charged qosBlocks in-flight read blocks at
@@ -99,24 +131,37 @@ type pendingRead struct {
 }
 
 // releaseBudget returns the request's in-flight read-block charge to its
-// tenant. Idempotent: every exit from the read FSM — full hit, completed,
-// issue error — calls it exactly where the request stops being in flight.
+// tenant. Idempotent: every exit from the read FSM — completed, issue
+// error, abandoned — calls it exactly where the request stops being in
+// flight.
 func (pr *pendingRead) releaseBudget() {
-	if pr.qos != nil {
-		pr.qos.inflight.Add(-int64(pr.qosBlocks))
-		pr.qos = nil
-	}
+	pr.qos.releaseFetch(pr.qosBlocks)
+	pr.qos = nil
 }
 
-// reply builds the request's response: a ReadBlocksResp for a vectored
-// request, a ReadResp for a plain one. It is status-only when the caller
-// supplied the sink — its buffers already hold every byte — and when the
-// request was refused (lens and data are set only once it is admitted).
-func (pr *pendingRead) reply(status wire.Status) wire.Message {
-	if pr.vector {
-		return &wire.ReadBlocksResp{Status: status, Lens: pr.lens, Data: pr.data}
+// takeRead returns an empty pendingRead, recycled when one is free.
+func (t *CachedTransport) takeRead() *pendingRead {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if n := len(t.free); n > 0 {
+		pr := t.free[n-1]
+		t.free = t.free[:n-1]
+		return pr
 	}
-	return &wire.ReadResp{Status: status, Data: pr.data}
+	return &pendingRead{}
+}
+
+// putRead recycles a read that has left the FSM: every fetch landed or
+// settled, every join resolved. It is emptied first, so the free list pins
+// no slab, fetchState or caller buffer.
+func (t *CachedTransport) putRead(pr *pendingRead) {
+	clear(pr.owned)
+	clear(pr.fetches)
+	clear(pr.waits)
+	*pr = pendingRead{owned: pr.owned[:0], fetches: pr.fetches[:0], waits: pr.waits[:0]}
+	t.mu.Lock()
+	t.free = append(t.free, pr)
+	t.mu.Unlock()
 }
 
 // Send implements pvfs.Transport. For reads and writes it runs the cache
@@ -126,7 +171,7 @@ func (t *CachedTransport) Send(iod int, req wire.Message) (pvfs.ReqID, error) {
 	if iod < 0 || iod >= len(t.m.data) {
 		return 0, fmt.Errorf("cachemod: iod index %d out of range", iod)
 	}
-	var op *pendingOp
+	var op pendingOp
 	var err error
 	switch r := req.(type) {
 	case *wire.Read, *wire.ReadBlocks:
@@ -143,7 +188,7 @@ func (t *CachedTransport) Send(iod int, req wire.Message) (pvfs.ReqID, error) {
 		if cerr != nil {
 			return 0, cerr
 		}
-		op = &pendingOp{call: ch}
+		op = pendingOp{call: ch}
 	}
 	if err != nil {
 		return 0, err
@@ -173,7 +218,7 @@ func (t *CachedTransport) SendRead(iod int, req wire.Message, sink [][]byte) (pv
 }
 
 // register files a pending op and returns its request id.
-func (t *CachedTransport) register(op *pendingOp) pvfs.ReqID {
+func (t *CachedTransport) register(op pendingOp) pvfs.ReqID {
 	t.mu.Lock()
 	id := t.next
 	t.next++
@@ -196,7 +241,9 @@ func (t *CachedTransport) Recv(id pvfs.ReqID) (wire.Message, error) {
 	case op.ready != nil:
 		return op.ready, nil
 	case op.read != nil:
-		return t.completeRead(op.read)
+		resp, err := t.completeRead(op.read)
+		t.putRead(op.read)
+		return resp, err
 	case op.call != nil:
 		res := <-op.call
 		return res.Msg, res.Err
@@ -217,7 +264,7 @@ var errTransportClosed = errors.New("cachemod: transport closed")
 func (t *CachedTransport) Close() error {
 	t.mu.Lock()
 	abandoned := t.pending
-	t.pending = make(map[pvfs.ReqID]*pendingOp)
+	t.pending = make(map[pvfs.ReqID]pendingOp)
 	t.mu.Unlock()
 	for _, op := range abandoned {
 		if op.read != nil {
@@ -244,30 +291,26 @@ func (t *CachedTransport) abandon(pr *pendingRead, err error) {
 
 // --- read path ---
 
-// classifySpan classifies one block span of a read: a cache hit copies
-// into dst now, an in-flight fetch (another process's miss or a prefetch)
-// becomes a join, a global-cache hit lands immediately, and everything
-// else is an owned miss returned to the caller for fetching. dst is the
-// span's destination: its slice of the request's sink.
-func (t *CachedTransport) classifySpan(sp blockio.Span, dst []byte, pr *pendingRead, owned []tgtSpan) []tgtSpan {
-	if t.m.buf.ReadSpan(sp.Key, sp.Off, dst) {
-		t.m.notePrefetchHit(sp.Key)
-		return owned
-	}
+// classifyMiss classifies one block span of a read that missed the cache:
+// an in-flight fetch (another process's miss or a prefetch) becomes a join,
+// a global-cache hit lands immediately, and everything else is an owned
+// miss left in pr.owned for fetching. dst is the span's destination: its
+// slice of the request's sink.
+func (t *CachedTransport) classifyMiss(sp blockio.Span, dst []byte, pr *pendingRead) {
 	st, owner := t.m.claim(sp.Key, false)
 	o := tgtSpan{sp: sp, dst: dst, st: st}
 	if !owner {
 		pr.waits = append(pr.waits, o)
-		return owned
+		return
 	}
 	// Global-cache extension: probe the block's home node before resorting
 	// to the iod. A read-around request skips the probe: its blocks must
 	// not be installed here, and a stream hammering the peer ring would
 	// displace exactly the shared blocks the ring exists for.
 	if t.m.gcNode != nil && pr.admit != admitNever && t.m.landFromPeer(pr.iod, o, pr.admit) {
-		return owned
+		return
 	}
-	return append(owned, o)
+	pr.owned = append(pr.owned, o)
 }
 
 // issueFetches puts the owned miss spans on the wire as one vectored
@@ -275,8 +318,8 @@ func (t *CachedTransport) classifySpan(sp blockio.Span, dst []byte, pr *pendingR
 // (several fetches when the runs outgrow one response frame). The
 // sub-requests of a request are all in flight before the first response is
 // awaited.
-func (t *CachedTransport) issueFetches(file blockio.FileID, owned []tgtSpan, pr *pendingRead) error {
-	batches := groupRuns(owned, maxFetchBlocks(t.m.buf.BlockSize()))
+func (t *CachedTransport) issueFetches(file blockio.FileID, pr *pendingRead) error {
+	batches := groupRuns(pr.owned, maxFetchBlocks(t.m.buf.BlockSize()))
 	for i, batch := range batches {
 		f, err := t.m.issue(pr.iod, file, batch, pr.admit != admitNever)
 		if err != nil {
@@ -289,8 +332,8 @@ func (t *CachedTransport) issueFetches(file blockio.FileID, owned []tgtSpan, pr 
 			return err
 		}
 		pr.fetches = append(pr.fetches, f)
-		t.m.cfg.Registry.Counter("module.read_subrequests").Inc()
-		t.m.cfg.Registry.Counter("module.read_vector_fetches").Inc()
+		t.m.ctr.readSubrequests.Inc()
+		t.m.ctr.readVectorFetches.Inc()
 	}
 	return nil
 }
@@ -303,15 +346,15 @@ func (t *CachedTransport) issueFetches(file blockio.FileID, owned []tgtSpan, pr 
 // the misses leave in a single vectored sub-request: a cached block in the
 // middle of the request costs an extent boundary, not an extra round trip.
 // Every span writes straight into its slice of sink (one slice per
-// extent); with a nil sink (plain Send) the reply's payload is allocated
-// here and becomes the sink. ok is false, with nothing issued, when req is
-// not a read or sink does not tile it.
-func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op *pendingOp, ok bool, err error) {
-	pr := &pendingRead{iod: iod}
+// extent) and the reply is a shared status-only message; with a nil sink
+// (plain Send) the reply's payload is allocated here and becomes the sink.
+// ok is false, with nothing issued, when req is not a read or sink does
+// not tile it.
+func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op pendingOp, ok bool, err error) {
 	var file blockio.FileID
 	var one [1]wire.ReadExtent
 	var exts []wire.ReadExtent
-	kind := "read"
+	kind, vector := "read", false
 	switch r := req.(type) {
 	case *wire.Read:
 		file = r.File
@@ -320,18 +363,17 @@ func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op
 	case *wire.ReadBlocks:
 		file = r.File
 		exts = r.Exts
-		kind = "readv"
-		pr.vector = true
+		kind, vector = "readv", true
 	default:
-		return nil, false, nil
+		return pendingOp{}, false, nil
 	}
 	if sink != nil {
 		if len(sink) != len(exts) {
-			return nil, false, nil
+			return pendingOp{}, false, nil
 		}
 		for i, e := range exts {
 			if int64(len(sink[i])) != e.Length {
-				return nil, false, nil
+				return pendingOp{}, false, nil
 			}
 		}
 	}
@@ -341,7 +383,7 @@ func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op
 	// allocating or spanning it.
 	total, valid := wire.ValidateExtents(exts)
 	if !valid {
-		return &pendingOp{ready: pr.reply(wire.StatusBadRequest)}, true, nil
+		return pendingOp{ready: statusReply(vector, wire.StatusBadRequest)}, true, nil
 	}
 	bs := t.m.buf.BlockSize()
 	nblocks := 0
@@ -360,55 +402,69 @@ func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op
 	qos, budgetOK := t.m.acquireFetchBudget(tenant, nblocks)
 	if !budgetOK {
 		rt.finishf("shed overload tenant=%d (%d blocks over budget)", tenant, nblocks)
-		return &pendingOp{ready: pr.reply(wire.StatusOverload)}, true, nil
+		return pendingOp{ready: statusReply(vector, wire.StatusOverload)}, true, nil
 	}
-	pr.admit = t.m.readAdmitMode(file)
-	pr.qos = qos
-	pr.qosBlocks = nblocks
-	pr.trace = rt
+	reply := statusReply(vector, wire.StatusOK)
 	if sink == nil {
-		pr.data = make([]byte, total)
-		sink = make([][]byte, len(exts))
-		rest := pr.data
-		for i, e := range exts {
-			sink[i] = rest[:e.Length]
-			rest = rest[e.Length:]
-		}
-	}
-	if pr.vector {
 		// The cache serves every requested byte (missing data reads as
 		// zero), so extents complete at full length.
-		pr.lens = make([]uint32, len(exts))
+		data := make([]byte, total)
+		sink = make([][]byte, len(exts))
+		lens := make([]uint32, len(exts))
+		rest := data
 		for i, e := range exts {
-			pr.lens[i] = uint32(e.Length)
+			sink[i], rest = rest[:e.Length], rest[e.Length:]
+			lens[i] = uint32(e.Length)
+		}
+		if vector {
+			reply = &wire.ReadBlocksResp{Status: wire.StatusOK, Lens: lens, Data: data}
+		} else {
+			reply = &wire.ReadResp{Status: wire.StatusOK, Data: data}
 		}
 	}
-	var owned []tgtSpan // spans whose fetch this process owns
+	admit := t.m.readAdmitMode(file)
+	var pr *pendingRead // taken at the first span the cache cannot serve
 	for i, e := range exts {
-		for _, sp := range blockio.Spans(file, e.Offset, e.Length, bs) {
-			owned = t.classifySpan(sp, sink[i][sp.Pos:sp.Pos+int64(sp.Len)], pr, owned)
+		it := blockio.IterSpans(file, e.Offset, e.Length, bs)
+		for sp, more := it.Next(); more; sp, more = it.Next() {
+			dst := sink[i][sp.Pos : sp.Pos+int64(sp.Len)]
+			if t.m.buf.ReadSpan(sp.Key, sp.Off, dst) {
+				t.m.notePrefetchHit(sp.Key)
+				continue
+			}
+			if pr == nil {
+				pr = t.takeRead()
+				pr.iod, pr.reply, pr.admit = iod, reply, admit
+				pr.qos, pr.qosBlocks, pr.trace = qos, nblocks, rt
+			}
+			t.classifyMiss(sp, dst, pr)
 		}
 	}
-	rt.hop("classified: %d blocks over %d extents, %d joins, %d misses", nblocks, len(exts), len(pr.waits), len(owned))
-	if err := t.issueFetches(file, owned, pr); err != nil {
-		t.abandon(pr, err)
-		rt.finishf("issue error: %v", err)
-		return nil, false, err
+	if pr != nil && len(pr.owned)+len(pr.waits) == 0 {
+		t.putRead(pr) // every miss landed from a global-cache peer
+		pr = nil
 	}
-	if len(pr.fetches) == 0 && len(pr.waits) == 0 {
+	if pr == nil {
 		// Entire request served from the cache: the response is ready now;
 		// libpvfs's receive call will be faked locally.
-		pr.releaseBudget()
-		t.m.cfg.Registry.Counter("module.read_full_hits").Inc()
+		qos.releaseFetch(nblocks)
+		t.m.ctr.readFullHits.Inc()
 		rt.finishf("full cache hit")
-		return &pendingOp{ready: pr.reply(wire.StatusOK)}, true, nil
+		return pendingOp{ready: reply}, true, nil
+	}
+	rt.hop("classified: %d blocks over %d extents, %d joins, %d misses", nblocks, len(exts), len(pr.waits), len(pr.owned))
+	if err := t.issueFetches(file, pr); err != nil {
+		t.abandon(pr, err)
+		t.putRead(pr)
+		rt.finishf("issue error: %v", err)
+		return pendingOp{}, false, err
 	}
 	rt.hop("issued %d fetches", len(pr.fetches))
-	return &pendingOp{read: pr}, true, nil
+	return pendingOp{read: pr}, true, nil
 }
 
-// completeRead lands the pending fetches, resolves the joins, and builds
-// the response (see pendingRead.reply).
+// completeRead lands the pending fetches, resolves the joins, and returns
+// the request's reply.
 func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 	// The request stops being in flight when this returns, success or not:
 	// every fetch has landed or aborted and every join resolved, so the
@@ -441,7 +497,7 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 		return nil, firstErr
 	}
 	pr.trace.finishf("ok")
-	return pr.reply(wire.StatusOK), nil
+	return pr.reply, nil
 }
 
 // --- write path ---
@@ -452,13 +508,10 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 // through, which matches the paper's "writes may need to block for
 // availability of cache space" behaviour for requests larger than the
 // cache.
-func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (*pendingOp, error) {
+func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (pendingOp, error) {
 	if !t.m.WriteBehind() {
 		ch, err := t.m.data[iod].Go(req)
-		if err != nil {
-			return nil, err
-		}
-		return &pendingOp{call: ch}, nil
+		return pendingOp{call: ch}, err
 	}
 	if t.m.cachePolicy(req.File) == pvfs.CacheNone {
 		// Write-around: a don't-cache file's writes go straight through —
@@ -467,10 +520,10 @@ func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (*pendingOp, error
 		// them anyway.
 		ch, err := t.m.data[iod].Go(req)
 		if err != nil {
-			return nil, err
+			return pendingOp{}, err
 		}
-		t.m.cfg.Registry.Counter("module.write_around").Inc()
-		return &pendingOp{call: ch}, nil
+		t.m.ctr.writeAround.Inc()
+		return pendingOp{call: ch}, nil
 	}
 	rt := t.m.traceStart("write", req.File, req.Offset, int64(len(req.Data)))
 	tenant := t.m.tenantOf(req.File)
@@ -480,25 +533,26 @@ func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (*pendingOp, error
 		// before any span is buffered, so the whole operation is cleanly
 		// re-issuable by the client's retry loop.
 		rt.finishf("shed overload tenant=%d (%d dirty)", tenant, t.m.buf.DirtyCountTenant(tenant))
-		return &pendingOp{ready: &wire.WriteAck{Status: wire.StatusOverload}}, nil
+		return pendingOp{ready: writeAckShed}, nil
 	}
-	bs := t.m.buf.BlockSize()
-	spans := blockio.Spans(req.File, req.Offset, int64(len(req.Data)), bs)
 	deadline := time.Now().Add(t.m.cfg.WriteStall)
-	for _, sp := range spans {
+	spans := 0
+	it := blockio.IterSpans(req.File, req.Offset, int64(len(req.Data)), t.m.buf.BlockSize())
+	for sp, more := it.Next(); more; sp, more = it.Next() {
 		src := req.Data[sp.Pos : sp.Pos+int64(sp.Len)]
 		if err := t.writeSpan(iod, sp, src, deadline, tenant); err != nil {
 			rt.finishf("error: %v", err)
-			return nil, err
+			return pendingOp{}, err
 		}
+		spans++
 	}
 	// Keep the flusher ahead of demand when the dirty list grows large.
 	if t.m.buf.DirtyCount() > t.m.buf.Capacity()/2 {
 		t.m.kickFlusher()
 	}
-	t.m.cfg.Registry.Counter("module.writes_buffered").Inc()
-	rt.finishf("buffered %d spans", len(spans))
-	return &pendingOp{ready: &wire.WriteAck{Status: wire.StatusOK}}, nil
+	t.m.ctr.writesBuffered.Inc()
+	rt.finishf("buffered %d spans", spans)
+	return pendingOp{ready: writeAckOK}, nil
 }
 
 // writeSpan applies one block span to the cache, handling read-modify-
@@ -523,7 +577,7 @@ func (t *CachedTransport) writeSpan(iod int, sp blockio.Span, src []byte, deadli
 		case buffer.OutcomeNoSpace:
 			t.m.kickHarvester()
 			t.m.kickFlusher()
-			t.m.cfg.Registry.Counter("module.write_stalls").Inc()
+			t.m.ctr.writeStalls.Inc()
 			if !t.m.waitForSpace(deadline) {
 				return t.writeThrough(iod, sp, src)
 			}
@@ -533,7 +587,7 @@ func (t *CachedTransport) writeSpan(iod int, sp blockio.Span, src []byte, deadli
 
 // writeThrough sends one span straight to the iod, bypassing the cache.
 func (t *CachedTransport) writeThrough(iod int, sp blockio.Span, src []byte) error {
-	t.m.cfg.Registry.Counter("module.write_through").Inc()
+	t.m.ctr.writeThrough.Inc()
 	res := t.m.data[iod].Call(&wire.Write{
 		Client: t.m.cfg.ClientID,
 		File:   sp.Key.File,
@@ -556,13 +610,12 @@ func (t *CachedTransport) writeThrough(iod int, sp blockio.Span, src []byte) err
 // iod invalidates every other cache before acknowledging. The local cache
 // copy is updated as clean (the iod already holds these bytes when the ack
 // arrives).
-func (t *CachedTransport) sendSyncWrite(iod int, req *wire.SyncWrite) (*pendingOp, error) {
-	bs := t.m.buf.BlockSize()
-	spans := blockio.Spans(req.File, req.Offset, int64(len(req.Data)), bs)
-	if t.m.cachePolicy(req.File) == pvfs.CacheNone {
-		spans = nil // write-around: the iod gets the data, the cache does not
+func (t *CachedTransport) sendSyncWrite(iod int, req *wire.SyncWrite) (pendingOp, error) {
+	var it blockio.SpanIter // write-around: the iod gets the data, the cache does not
+	if t.m.cachePolicy(req.File) != pvfs.CacheNone {
+		it = blockio.IterSpans(req.File, req.Offset, int64(len(req.Data)), t.m.buf.BlockSize())
 	}
-	for _, sp := range spans {
+	for sp, more := it.Next(); more; sp, more = it.Next() {
 		src := req.Data[sp.Pos : sp.Pos+int64(sp.Len)]
 		switch t.m.buf.WriteSpan(sp.Key, iod, sp.Off, src, false) {
 		case buffer.OutcomeOK:
@@ -577,8 +630,8 @@ func (t *CachedTransport) sendSyncWrite(iod int, req *wire.SyncWrite) (*pendingO
 	}
 	ch, err := t.m.data[iod].Go(req)
 	if err != nil {
-		return nil, err
+		return pendingOp{}, err
 	}
-	t.m.cfg.Registry.Counter("module.sync_writes").Inc()
-	return &pendingOp{call: ch}, nil
+	t.m.ctr.syncWrites.Inc()
+	return pendingOp{call: ch}, nil
 }

@@ -15,14 +15,23 @@ import (
 // depend on GOMAXPROCS (AllocsPerRun pins it to 1), so a test fails on the
 // change that adds an allocation, not on a later benchmark run. A ceiling
 // only ever moves down: lower it in the change that removes an allocation.
+//
+// All four are zero: libpvfs plans every operation in its client's one
+// scratch (pvfs.opScratch), the transport keeps its FSM state by value or
+// recycled, and status-only replies are shared messages. The shapes differ
+// in what they make the scratch and the transport carry.
 const (
-	// cachedReadAllocs is pvfsperf's hit_shared allocs_per_op: the piece
-	// map, order, extent and sink slices and the request struct that
-	// pvfs.File.ReadAt builds per call (ROADMAP item 4, hit path).
-	cachedReadAllocs = 11
-	// bufferedWriteAllocs was 7 while a disarmed request trace still
-	// formatted its outcome string on every write.
-	bufferedWriteAllocs = 6
+	// cachedReadAllocs is pvfsperf's hit_shared allocs_per_op: one piece,
+	// one plain Read, a full hit (11 before the scratch).
+	cachedReadAllocs = 0
+	// stripedReadAllocs: 256 KB = 4 pieces over 4 iods, 4 plain Reads.
+	stripedReadAllocs = 0
+	// vectoredReadAllocs: 512 KB = 2 striping cycles, so each iod gets one
+	// ReadBlocks of 2 extents.
+	vectoredReadAllocs = 0
+	// bufferedWriteAllocs: one piece, one Write, a faked ack (6 before the
+	// scratch).
+	bufferedWriteAllocs = 0
 )
 
 // allocCluster boots one caching node whose flusher stays quiet for the
@@ -70,6 +79,32 @@ func TestCachedReadAllocCeiling(t *testing.T) {
 		}
 	})
 	checkAllocs(t, "a warm 16 KB cached ReadAt", n, cachedReadAllocs)
+}
+
+// The general shape, not only the benchmark's: several pieces grouped over
+// several iods, as plain Reads.
+func TestStripedReadAllocCeiling(t *testing.T) {
+	f := allocCluster(t)
+	buf := make([]byte, 256<<10)
+	n := testing.AllocsPerRun(200, func() {
+		if _, err := f.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	checkAllocs(t, "a warm 256 KB cached ReadAt over 4 iods", n, stripedReadAllocs)
+}
+
+// Two striping cycles: every iod's two pieces travel as one ReadBlocks, so
+// the extent lists and the vectored status-only reply are on the path.
+func TestVectoredReadAllocCeiling(t *testing.T) {
+	f := allocCluster(t)
+	buf := make([]byte, 512<<10)
+	n := testing.AllocsPerRun(200, func() {
+		if _, err := f.ReadAt(buf, 256<<10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	checkAllocs(t, "a warm 512 KB cached ReadAt over 2 striping cycles", n, vectoredReadAllocs)
 }
 
 func TestBufferedWriteAllocCeiling(t *testing.T) {

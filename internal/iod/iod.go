@@ -35,7 +35,7 @@ type Server struct {
 	id        int
 	blockSize int
 	store     storage.Backend
-	reg       *metrics.Registry
+	ctr       counters
 	network   transport.Network
 
 	// draining, once set, stops the coherence directory from admitting
@@ -88,7 +88,7 @@ func NewWithBackend(id int, blockSize int, network transport.Network, reg *metri
 		id:        id,
 		blockSize: blockSize,
 		store:     store,
-		reg:       reg,
+		ctr:       newCounters(reg),
 		network:   network,
 		clients:   make(map[uint32]string),
 		inval:     make(map[uint32]*rpc.Client),
@@ -221,11 +221,11 @@ func (s *Server) read(m *wire.Read) *wire.ReadResp {
 	n, err := s.store.ReadAt(m.File, m.Offset, buf)
 	if err != nil {
 		s.readBufs.Put(buf)
-		s.reg.Counter("iod.io_errors").Inc()
+		s.ctr.ioErrors.Inc()
 		return &wire.ReadResp{Status: wire.StatusFor(err)}
 	}
-	s.reg.Counter("iod.reads").Inc()
-	s.reg.Counter("iod.read_bytes").Add(int64(n))
+	s.ctr.reads.Inc()
+	s.ctr.readBytes.Add(int64(n))
 	if m.Track && m.Client != 0 {
 		s.trackHolders(m.Client, m.File, m.Offset, m.Length)
 	}
@@ -250,20 +250,20 @@ func (s *Server) readBlocks(m *wire.ReadBlocks) *wire.ReadBlocksResp {
 		n, err := s.store.ReadAt(m.File, e.Offset, buf[pos:pos+int(e.Length)])
 		if err != nil {
 			s.readBufs.Put(buf)
-			s.reg.Counter("iod.io_errors").Inc()
+			s.ctr.ioErrors.Inc()
 			return &wire.ReadBlocksResp{Status: wire.StatusFor(err)}
 		}
 		lens[i] = uint32(n)
 		pos += n
-		s.reg.Counter("iod.read_bytes").Add(int64(n))
+		s.ctr.readBytes.Add(int64(n))
 		if m.Track && m.Client != 0 {
 			s.trackHolders(m.Client, m.File, e.Offset, e.Length)
 		}
 		s.observe(m.Client, m.File, e.Offset, e.Length, false)
 	}
-	s.reg.Counter("iod.reads").Inc()
-	s.reg.Counter("iod.vector_reads").Inc()
-	s.reg.Counter("iod.vector_extents").Add(int64(len(m.Exts)))
+	s.ctr.reads.Inc()
+	s.ctr.vectorReads.Inc()
+	s.ctr.vectorExtents.Add(int64(len(m.Exts)))
 	return &wire.ReadBlocksResp{Status: wire.StatusOK, Lens: lens, Data: buf[:pos]}
 }
 
@@ -273,11 +273,11 @@ func (s *Server) write(m *wire.Write) *wire.WriteAck {
 	// seed's silent-data-loss bug — simdisk could not fail, so no error
 	// path existed).
 	if err := s.store.WriteAt(m.File, m.Offset, m.Data); err != nil {
-		s.reg.Counter("iod.io_errors").Inc()
+		s.ctr.ioErrors.Inc()
 		return &wire.WriteAck{Status: wire.StatusFor(err)}
 	}
-	s.reg.Counter("iod.writes").Inc()
-	s.reg.Counter("iod.write_bytes").Add(int64(len(m.Data)))
+	s.ctr.writes.Inc()
+	s.ctr.writeBytes.Add(int64(len(m.Data)))
 	s.observe(m.Client, m.File, m.Offset, int64(len(m.Data)), true)
 	return &wire.WriteAck{Status: wire.StatusOK}
 }
@@ -314,16 +314,16 @@ func (s *Server) flush(m *wire.Flush) *wire.FlushAck {
 			// client re-queues every block it carried (FlushFailed) and
 			// re-sends after backoff, and re-applying the runs that did land
 			// is idempotent. Acking here would silently lose the bytes.
-			s.reg.Counter("iod.io_errors").Inc()
+			s.ctr.ioErrors.Inc()
 			return &wire.FlushAck{Status: wire.StatusFor(err)}
 		}
 		_, count := blockio.BlockRange(off, int64(len(blk.Data)), s.blockSize)
 		blocks += count
 	}
 	s.trackFlushed(m)
-	s.reg.Counter("iod.flushes").Inc()
-	s.reg.Counter("iod.flush_blocks").Add(blocks)
-	s.reg.Counter("iod.flush_runs").Add(int64(len(m.Blocks)))
+	s.ctr.flushes.Inc()
+	s.ctr.flushBlocks.Add(blocks)
+	s.ctr.flushRuns.Add(int64(len(m.Blocks)))
 	return &wire.FlushAck{Status: wire.StatusOK}
 }
 
@@ -333,10 +333,10 @@ func (s *Server) syncWrite(m *wire.SyncWrite) *wire.SyncWriteAck {
 	if err := s.store.WriteAt(m.File, m.Offset, m.Data); err != nil {
 		// Fail before touching the directory: no invalidations go out for
 		// bytes that were never persisted.
-		s.reg.Counter("iod.io_errors").Inc()
+		s.ctr.ioErrors.Inc()
 		return &wire.SyncWriteAck{Status: wire.StatusFor(err)}
 	}
-	s.reg.Counter("iod.sync_writes").Inc()
+	s.ctr.syncWrites.Inc()
 	s.observe(m.Client, m.File, m.Offset, int64(len(m.Data)), true)
 
 	victims := s.collectVictims(m.Client, m.File, m.Offset, int64(len(m.Data)))
@@ -403,7 +403,7 @@ func (s *Server) DrainHolders() (int, error) {
 			}
 		}
 	}
-	s.reg.Counter("membership.drain_handoffs").Add(int64(len(dir)))
+	s.ctr.drainHandoffs.Add(int64(len(dir)))
 	return len(dir), firstErr
 }
 
@@ -506,7 +506,7 @@ func (s *Server) sendInvalidateMode(client uint32, file blockio.FileID, indices 
 	if _, ok := res.Msg.(*wire.InvalidAck); !ok {
 		return fmt.Errorf("iod %d: unexpected invalidation reply %v", s.id, res.Msg.WireType())
 	}
-	s.reg.Counter("iod.invalidations").Inc()
+	s.ctr.invalidations.Inc()
 	return nil
 }
 

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"pvfscache/internal/blockio"
@@ -64,6 +65,8 @@ type Client struct {
 	data  Transport
 	mgr   *rpc.Client
 	files map[blockio.FileID]*File
+	// scratch is the one operation in progress (see opScratch).
+	scratch opScratch
 }
 
 // NewClient validates cfg and returns a client. Connections are dialed
@@ -331,100 +334,75 @@ func (f *File) readAtOnce(p []byte, off int64) (int, error) {
 	if off+want > size {
 		want = size - off
 	}
-	pieces, err := PiecesFor(f.id, f.meta, len(f.client.cfg.IODAddrs), off, want)
-	if err != nil {
+	c := f.client
+	s := &c.scratch
+	defer s.finish(c.data)
+	// One request per iod — a vectored one when several pieces land on it —
+	// split only when a huge read would exceed what one response frame can
+	// carry.
+	if err := s.plan(f, p, off, want, true); err != nil {
 		return 0, err
 	}
-	pieces = splitOversizedPieces(pieces)
 	// Report the request to the transport's sequential detector before
 	// the pieces go out, so an established scan's readahead overlaps this
 	// request's own fetches.
-	if h, ok := f.client.data.(ReadPatternHinter); ok {
+	if h, ok := c.data.(ReadPatternHinter); ok {
 		h.NoteRead(f.id, off, want)
 	}
-
-	// Group the pieces per iod, preserving first-appearance order, so one
-	// daemon gets one (possibly vectored) request — split into several
-	// when a huge read would otherwise exceed what one response frame can
-	// carry.
-	groups := make(map[int][]Piece, len(pieces))
-	var order []int
-	for _, pc := range pieces {
-		if _, ok := groups[pc.IOD]; !ok {
-			order = append(order, pc.IOD)
+	sinker, canSink := c.data.(ReadSinker)
+	for i := range s.reqs {
+		r := &s.reqs[i]
+		first := s.pieces[r.lo]
+		var req wire.Message
+		if r.hi-r.lo == 1 {
+			r.read = wire.Read{Client: c.cfg.ClientID, File: f.id, Offset: first.Ext.Offset, Length: first.Ext.Length}
+			req = &r.read
+		} else {
+			r.readv = wire.ReadBlocks{Client: c.cfg.ClientID, File: f.id, Exts: s.exts[r.lo:r.hi]}
+			req = &r.readv
 		}
-		groups[pc.IOD] = append(groups[pc.IOD], pc)
-	}
-	type sentGroup struct {
-		pieces []Piece
-		id     ReqID
-		sunk   bool // response scatters straight into p (zero-copy path)
-	}
-	sinker, canSink := f.client.data.(ReadSinker)
-	var sent []sentGroup
-	// Every id sent is Recv'd, also when the operation fails part-way (a
-	// later Send errors, an earlier Recv errors): a caching transport
-	// holds shared state for each pending request — fetch-table claims
-	// that other processes join and wait on — until its Recv.
-	recvd := 0
-	defer func() {
-		for _, sg := range sent[recvd:] {
-			f.client.data.Recv(sg.id) // the operation already failed; the reply is moot
-		}
-	}()
-	for _, iod := range order {
-		for _, grp := range splitVectorGroup(groups[iod]) {
-			var req wire.Message
-			if len(grp) == 1 {
-				req = &wire.Read{
-					Client: f.client.cfg.ClientID,
-					File:   f.id,
-					Offset: grp[0].Ext.Offset,
-					Length: grp[0].Ext.Length,
-				}
-			} else {
-				exts := make([]wire.ReadExtent, len(grp))
-				for j, pc := range grp {
-					exts[j] = wire.ReadExtent{Offset: pc.Ext.Offset, Length: pc.Ext.Length}
-				}
-				req = &wire.ReadBlocks{Client: f.client.cfg.ClientID, File: f.id, Exts: exts}
-			}
-			if canSink {
-				// Zero-copy: hand the transport the destination regions of
-				// the caller's buffer so response bytes land there directly,
-				// with no intermediate result buffer or response payload.
-				sink := make([][]byte, len(grp))
-				for j, pc := range grp {
-					sink[j] = p[pc.Pos : pc.Pos+pc.Ext.Length]
-				}
-				id, ok, err := sinker.SendRead(iod, req, sink)
-				if err != nil {
-					return 0, err
-				}
-				if ok {
-					sent = append(sent, sentGroup{pieces: grp, id: id, sunk: true})
-					continue
-				}
-				// Declined (the sink does not fit this transport): fall
-				// back to copying.
-			}
-			id, err := f.client.data.Send(iod, req)
+		if canSink {
+			// Zero-copy: hand the transport the destination regions of
+			// the caller's buffer so response bytes land there directly,
+			// with no intermediate result buffer or response payload.
+			id, ok, err := sinker.SendRead(first.IOD, req, s.sink[r.lo:r.hi])
 			if err != nil {
 				return 0, err
 			}
-			sent = append(sent, sentGroup{pieces: grp, id: id})
-		}
-	}
-	for _, sg := range sent {
-		recvd++
-		if sg.sunk {
-			if err := f.recvSunkRead(sg.pieces, sg.id); err != nil {
-				return 0, err
+			if ok {
+				r.id, r.sunk = id, true
+				s.sent++
+				continue
 			}
-			continue
+			// Declined (the sink does not fit this transport): fall
+			// back to copying.
 		}
-		if err := f.recvReadGroup(p, sg.pieces, sg.id); err != nil {
+		id, err := c.data.Send(first.IOD, req)
+		if err != nil {
 			return 0, err
+		}
+		r.id = id
+		s.sent++
+	}
+	for i := range s.reqs {
+		r := &s.reqs[i]
+		s.recvd++
+		resp, err := c.data.Recv(r.id)
+		if err != nil {
+			return 0, err
+		}
+		// A sunk request's bytes are already in p (data then zeros) and only
+		// its status remains; otherwise the reply carries them.
+		var dst [][]byte
+		if !r.sunk {
+			dst = s.sink[r.lo:r.hi]
+		}
+		status, err := scatterRead(resp, dst)
+		if err != nil {
+			return 0, err
+		}
+		if err := status.Err(); err != nil {
+			return 0, fmt.Errorf("pvfs: read %q @%d: %w", f.name, s.pieces[r.lo].Ext.Offset, err)
 		}
 	}
 	if want < int64(len(p)) {
@@ -433,132 +411,114 @@ func (f *File) readAtOnce(p []byte, off int64) (int, error) {
 	return int(want), nil
 }
 
-// vectorBudget bounds the byte total of one vectored read's extents: the
-// iod rejects requests whose response could not be framed
-// (wire.MaxMessageSize/2), and the cache module may round the extents up
-// to block boundaries before forwarding, so leave generous slack.
+// vectorBudget bounds the byte total of one request: the iod rejects
+// requests whose response could not be framed (wire.MaxMessageSize/2), and
+// the cache module may round the extents up to block boundaries before
+// forwarding, so leave generous slack.
 const vectorBudget = wire.MaxMessageSize/2 - (1 << 20)
 
-// splitOversizedPieces subdivides any piece longer than vectorBudget
-// (possible with huge strip sizes — SSize is a u32 from the wire) into
-// budget-sized pieces on the same iod, so no single request can exceed
-// what the iod will serve.
-func splitOversizedPieces(pieces []Piece) []Piece {
-	oversized := false
-	for _, pc := range pieces {
-		if pc.Ext.Length > vectorBudget {
-			oversized = true
-			break
-		}
-	}
-	if !oversized {
-		return pieces
-	}
-	out := make([]Piece, 0, len(pieces)+1)
-	for _, pc := range pieces {
-		for pc.Ext.Length > vectorBudget {
-			out = append(out, Piece{
-				IOD: pc.IOD,
-				Ext: blockio.Extent{File: pc.Ext.File, Offset: pc.Ext.Offset, Length: vectorBudget},
-				Pos: pc.Pos,
-			})
-			pc.Ext.Offset += vectorBudget
-			pc.Ext.Length -= vectorBudget
-			pc.Pos += vectorBudget
-		}
-		out = append(out, pc)
-	}
-	return out
+// opScratch is the working memory of one ReadAt or WriteAt. The Client
+// (single-goroutine) owns the only one and every operation refills it, so
+// the request path allocates nothing once the slices have grown to the
+// largest shape seen. finish clears the entries that point into the caller's
+// buffer, so the client never pins it between operations.
+type opScratch struct {
+	// pieces holds the operation's striping pieces grouped per iod, the iods
+	// in first-appearance order; sink[i] is piece i's region of the caller's
+	// buffer and exts[i] its extent as a vectored request lists it. A request
+	// is an index range of all three.
+	pieces []Piece
+	sink   [][]byte
+	exts   []wire.ReadExtent
+	// reqs[:sent] have been issued and the first recvd of them received.
+	reqs        []opReq
+	sent, recvd int
+	// Grouping state, zero between operations: next[iod] is where the iod's
+	// next piece goes, order the iods as they first appear.
+	next  []int
+	order []int
 }
 
-// splitVectorGroup splits one iod's pieces into chunks whose extent
-// totals stay within vectorBudget, so a read of any size decomposes into
-// servable requests. Each chunk keeps at least one piece (pieces are
-// pre-split to at most vectorBudget bytes each).
-func splitVectorGroup(grp []Piece) [][]Piece {
-	var out [][]Piece
-	for len(grp) > 0 {
-		n := 1
-		bytes := grp[0].Ext.Length
-		for n < len(grp) && bytes+grp[n].Ext.Length <= vectorBudget {
-			bytes += grp[n].Ext.Length
-			n++
-		}
-		out = append(out, grp[:n])
-		grp = grp[n:]
-	}
-	return out
+// opReq is one request of the operation — pieces[lo:hi], all on one iod —
+// and the message struct it travels in, reused like everything else here: a
+// transport may not keep a request past the matching Recv (see Transport).
+type opReq struct {
+	lo, hi int
+	id     ReqID
+	sunk   bool // response scatters straight into the caller's buffer (zero-copy path)
+	read   wire.Read
+	readv  wire.ReadBlocks
+	write  wire.Write
+	sync   wire.SyncWrite
 }
 
-// recvSunkRead completes one iod's zero-copy read request: the transport
-// has already scattered every byte into the caller's buffer (data then
-// zeros), so only the status remains to be checked.
-func (f *File) recvSunkRead(grp []Piece, id ReqID) error {
-	resp, err := f.client.data.Recv(id)
+// plan fills the scratch for [off, off+length) of f, p being the caller's
+// buffer: the pieces — none longer than vectorBudget, possible with huge
+// strip sizes since SSize is a u32 from the wire — are counted per iod on a
+// first walk and placed group by group on a second, then cut into requests.
+// A vectored plan gives each iod one request for all its pieces, chunked so
+// that no request's byte total exceeds vectorBudget; otherwise every piece
+// is its own request.
+func (s *opScratch) plan(f *File, p []byte, off, length int64, vectored bool) error {
+	total := len(f.client.cfg.IODAddrs)
+	it, err := iterPieces(f.id, f.meta, total, off, length, vectorBudget)
 	if err != nil {
 		return err
 	}
-	switch rr := resp.(type) {
-	case *wire.ReadResp:
-		if err := rr.Status.Err(); err != nil {
-			return fmt.Errorf("pvfs: read %q @%d: %w", f.name, grp[0].Ext.Offset, err)
-		}
-		return nil
-	case *wire.ReadBlocksResp:
-		if err := rr.Status.Err(); err != nil {
-			return fmt.Errorf("pvfs: read %q: %w", f.name, err)
-		}
-		return nil
-	default:
-		return fmt.Errorf("pvfs: unexpected read reply %v", resp.WireType())
+	if len(s.next) < total {
+		s.next = make([]int, total)
 	}
+	n := 0
+	count := it
+	for pc, ok := count.next(); ok; pc, ok = count.next() {
+		if s.next[pc.IOD] == 0 {
+			s.order = append(s.order, pc.IOD)
+		}
+		s.next[pc.IOD]++
+		n++
+	}
+	start := 0
+	for _, iod := range s.order {
+		start, s.next[iod] = start+s.next[iod], start
+	}
+	s.pieces = slices.Grow(s.pieces, n)[:n]
+	s.sink = slices.Grow(s.sink, n)[:n]
+	s.exts = slices.Grow(s.exts, n)[:n]
+	for pc, ok := it.next(); ok; pc, ok = it.next() {
+		i := s.next[pc.IOD]
+		s.next[pc.IOD]++
+		s.pieces[i] = pc
+		s.sink[i] = p[pc.Pos : pc.Pos+pc.Ext.Length]
+		s.exts[i] = wire.ReadExtent{Offset: pc.Ext.Offset, Length: pc.Ext.Length}
+	}
+	for _, iod := range s.order {
+		s.next[iod] = 0
+	}
+	s.order = s.order[:0]
+	for lo := 0; lo < n; {
+		hi, bytes := lo+1, s.pieces[lo].Ext.Length
+		for vectored && hi < n && s.pieces[hi].IOD == s.pieces[lo].IOD && bytes+s.pieces[hi].Ext.Length <= vectorBudget {
+			bytes += s.pieces[hi].Ext.Length
+			hi++
+		}
+		s.reqs = append(s.reqs, opReq{lo: lo, hi: hi})
+		lo = hi
+	}
+	return nil
 }
 
-// recvReadGroup completes one iod's read request and scatters the served
-// bytes to the pieces' positions in the caller's buffer. Sparse or short
-// strip data reads as zero.
-func (f *File) recvReadGroup(p []byte, grp []Piece, id ReqID) error {
-	resp, err := f.client.data.Recv(id)
-	if err != nil {
-		return err
+// finish ends the operation. Every id sent is Recv'd, also when the
+// operation failed part-way (a later Send errored, an earlier Recv errored):
+// a caching transport holds shared state for each pending request —
+// fetch-table claims that other processes join and wait on — until its Recv.
+func (s *opScratch) finish(t Transport) {
+	for ; s.recvd < s.sent; s.recvd++ {
+		t.Recv(s.reqs[s.recvd].id) // the operation already failed; the reply is moot
 	}
-	fill := func(pc Piece, data []byte) {
-		dst := p[pc.Pos : pc.Pos+pc.Ext.Length]
-		n := copy(dst, data)
-		for j := n; j < len(dst); j++ {
-			dst[j] = 0
-		}
-	}
-	switch rr := resp.(type) {
-	case *wire.ReadResp:
-		if len(grp) != 1 {
-			return fmt.Errorf("pvfs: single read reply for %d pieces", len(grp))
-		}
-		if err := rr.Status.Err(); err != nil {
-			return fmt.Errorf("pvfs: read %q @%d: %w", f.name, grp[0].Ext.Offset, err)
-		}
-		fill(grp[0], rr.Data)
-		return nil
-	case *wire.ReadBlocksResp:
-		if err := rr.Status.Err(); err != nil {
-			return fmt.Errorf("pvfs: read %q: %w", f.name, err)
-		}
-		if len(rr.Lens) != len(grp) {
-			return fmt.Errorf("pvfs: vectored read reply has %d extents, want %d", len(rr.Lens), len(grp))
-		}
-		data := rr.Data
-		for j, pc := range grp {
-			served := int64(rr.Lens[j])
-			if served > pc.Ext.Length || served > int64(len(data)) {
-				return fmt.Errorf("pvfs: vectored read extent %d overlong (%d > %d)", j, served, pc.Ext.Length)
-			}
-			fill(pc, data[:served])
-			data = data[served:]
-		}
-		return nil
-	default:
-		return fmt.Errorf("pvfs: unexpected read reply %v", resp.WireType())
-	}
+	clear(s.sink)
+	clear(s.reqs)
+	s.pieces, s.sink, s.exts, s.reqs = s.pieces[:0], s.sink[:0], s.exts[:0], s.reqs[:0]
+	s.sent, s.recvd = 0, 0
 }
 
 // WriteAt stores p at off using the default (no-coherence) write path and
@@ -592,36 +552,34 @@ func (f *File) writeAtOnce(p []byte, off int64, sync bool) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	pieces, err := PiecesFor(f.id, f.meta, len(f.client.cfg.IODAddrs), off, int64(len(p)))
-	if err != nil {
+	c := f.client
+	s := &c.scratch
+	defer s.finish(c.data)
+	if err := s.plan(f, p, off, int64(len(p)), false); err != nil {
 		return 0, err
 	}
-	// As in readAtOnce, every id sent is Recv'd even when the operation
-	// fails part-way, so the transport's pending table always drains.
-	ids := make([]ReqID, 0, len(pieces))
-	recvd := 0
-	defer func() {
-		for _, id := range ids[recvd:] {
-			f.client.data.Recv(id) // the operation already failed; the reply is moot
-		}
-	}()
-	for _, pc := range pieces {
-		data := p[pc.Pos : pc.Pos+pc.Ext.Length]
+	for i := range s.reqs {
+		r := &s.reqs[i]
+		pc := s.pieces[r.lo]
 		var req wire.Message
 		if sync {
-			req = &wire.SyncWrite{Client: f.client.cfg.ClientID, File: f.id, Offset: pc.Ext.Offset, Data: data}
+			r.sync = wire.SyncWrite{Client: c.cfg.ClientID, File: f.id, Offset: pc.Ext.Offset, Data: s.sink[r.lo]}
+			req = &r.sync
 		} else {
-			req = &wire.Write{Client: f.client.cfg.ClientID, File: f.id, Offset: pc.Ext.Offset, Data: data}
+			r.write = wire.Write{Client: c.cfg.ClientID, File: f.id, Offset: pc.Ext.Offset, Data: s.sink[r.lo]}
+			req = &r.write
 		}
-		id, err := f.client.data.Send(pc.IOD, req)
+		id, err := c.data.Send(pc.IOD, req)
 		if err != nil {
 			return 0, err
 		}
-		ids = append(ids, id)
+		r.id = id
+		s.sent++
 	}
-	for i, pc := range pieces {
-		recvd++
-		resp, err := f.client.data.Recv(ids[i])
+	for i := range s.reqs {
+		r := &s.reqs[i]
+		s.recvd++
+		resp, err := c.data.Recv(r.id)
 		if err != nil {
 			return 0, err
 		}
@@ -635,18 +593,21 @@ func (f *File) writeAtOnce(p []byte, off int64, sync bool) (int, error) {
 			return 0, fmt.Errorf("pvfs: unexpected write reply %v", resp.WireType())
 		}
 		if err := status.Err(); err != nil {
-			return 0, fmt.Errorf("pvfs: write %q @%d: %w", f.name, pc.Ext.Offset, err)
+			return 0, fmt.Errorf("pvfs: write %q @%d: %w", f.name, s.pieces[r.lo].Ext.Offset, err)
 		}
 	}
 	if end := off + int64(len(p)); end > f.meta.Size {
 		f.meta.Size = end
-		resp, err := f.client.mgrCall(&wire.SetSize{File: f.id, Size: end})
+		resp, err := c.mgrCall(&wire.SetSize{File: f.id, Size: end})
 		if err != nil {
 			return 0, err
 		}
 		if sm, ok := resp.(*wire.StatusMsg); !ok || sm.Status != wire.StatusOK {
 			return 0, fmt.Errorf("pvfs: extending %q failed", f.name)
 		}
+		// The file grew: a caching transport bounds its readahead by the
+		// largest size it was told (see StripeHinter).
+		c.hintStripe(f)
 	}
 	return len(p), nil
 }

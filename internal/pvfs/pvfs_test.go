@@ -140,87 +140,6 @@ func TestPiecesTileProperty(t *testing.T) {
 	}
 }
 
-// TestSplitVectorGroup: one iod's pieces must decompose into chunks the
-// iod can answer (extent totals within vectorBudget), so arbitrarily
-// large reads stay servable.
-func TestSplitVectorGroup(t *testing.T) {
-	mk := func(lengths ...int64) []Piece {
-		out := make([]Piece, len(lengths))
-		var off int64
-		for i, l := range lengths {
-			out[i] = Piece{Ext: blockio.Extent{File: 1, Offset: off, Length: l}}
-			off += l
-		}
-		return out
-	}
-	small := mk(4096, 4096, 4096)
-	if got := splitVectorGroup(small); len(got) != 1 || len(got[0]) != 3 {
-		t.Fatalf("small group split to %d chunks", len(got))
-	}
-	// 40 pieces of 1 MB against a ~31 MB budget: must split, every chunk
-	// within budget, nothing lost, order preserved.
-	big := mk(func() []int64 {
-		l := make([]int64, 40)
-		for i := range l {
-			l[i] = 1 << 20
-		}
-		return l
-	}()...)
-	chunks := splitVectorGroup(big)
-	if len(chunks) < 2 {
-		t.Fatalf("oversized group not split (%d chunks)", len(chunks))
-	}
-	total := 0
-	var cursor int64
-	for _, ch := range chunks {
-		var bytes int64
-		for _, pc := range ch {
-			if pc.Ext.Offset != cursor {
-				t.Fatalf("piece order broken at offset %d", pc.Ext.Offset)
-			}
-			cursor += pc.Ext.Length
-			bytes += pc.Ext.Length
-			total++
-		}
-		if bytes > vectorBudget {
-			t.Fatalf("chunk carries %d bytes, budget %d", bytes, vectorBudget)
-		}
-	}
-	if total != 40 {
-		t.Fatalf("split dropped pieces: %d/40", total)
-	}
-}
-
-// TestSplitOversizedPieces: a strip larger than the vector budget (SSize
-// is a u32 from the wire) must be subdivided so every request stays
-// within what an iod will serve.
-func TestSplitOversizedPieces(t *testing.T) {
-	huge := Piece{IOD: 1, Ext: blockio.Extent{File: 1, Offset: 0, Length: vectorBudget*2 + 100}, Pos: 0}
-	tail := Piece{IOD: 2, Ext: blockio.Extent{File: 1, Offset: huge.Ext.Length, Length: 4096}, Pos: huge.Ext.Length}
-	out := splitOversizedPieces([]Piece{huge, tail})
-	if len(out) != 4 { // budget + budget + 100 + tail
-		t.Fatalf("split into %d pieces", len(out))
-	}
-	var cursor int64
-	for _, pc := range out {
-		if pc.Ext.Length > vectorBudget {
-			t.Fatalf("piece of %d bytes exceeds budget", pc.Ext.Length)
-		}
-		if pc.Ext.Offset != cursor || pc.Pos != cursor {
-			t.Fatalf("piece at offset %d pos %d, want %d", pc.Ext.Offset, pc.Pos, cursor)
-		}
-		cursor += pc.Ext.Length
-	}
-	if cursor != huge.Ext.Length+tail.Ext.Length {
-		t.Fatalf("split lost bytes: %d", cursor)
-	}
-	// The common case passes through untouched (no copy).
-	small := []Piece{{IOD: 0, Ext: blockio.Extent{File: 1, Length: 4096}}}
-	if got := splitOversizedPieces(small); &got[0] != &small[0] {
-		t.Fatal("small pieces were copied")
-	}
-}
-
 func TestIODsFor(t *testing.T) {
 	got := IODsFor(meta(2, 3, 4096), 4)
 	want := []int{2, 3, 0}

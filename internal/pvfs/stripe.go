@@ -28,33 +28,53 @@ func PiecesFor(file blockio.FileID, meta wire.FileMeta, totalIODs int, offset, l
 	if length <= 0 {
 		return nil, nil
 	}
+	it, err := iterPieces(file, meta, totalIODs, offset, length, length)
+	if err != nil {
+		return nil, err
+	}
+	var pieces []Piece
+	for pc, ok := it.next(); ok; pc, ok = it.next() {
+		pieces = append(pieces, pc)
+	}
+	return pieces, nil
+}
+
+// pieceIter yields the pieces of PiecesFor one at a time, none longer than
+// maxLen: the request path walks it twice (count, then place) instead of
+// building a slice per operation.
+type pieceIter struct {
+	file                       blockio.FileID
+	ssize, pcount, base, total int64
+	cur, end, pos, maxLen      int64
+}
+
+func iterPieces(file blockio.FileID, meta wire.FileMeta, totalIODs int, offset, length, maxLen int64) (pieceIter, error) {
 	ssize := int64(meta.SSize)
 	pcount := int64(meta.PCount)
 	if ssize <= 0 || pcount <= 0 || totalIODs <= 0 {
-		return nil, fmt.Errorf("pvfs: invalid striping metadata (ssize=%d pcount=%d iods=%d): %w",
+		return pieceIter{}, fmt.Errorf("pvfs: invalid striping metadata (ssize=%d pcount=%d iods=%d): %w",
 			ssize, pcount, totalIODs, wire.ErrBadRequest)
 	}
-	var pieces []Piece
-	pos := int64(0)
-	cur := offset
-	end := offset + length
-	for cur < end {
-		strip := cur / ssize
-		stripEnd := (strip + 1) * ssize
-		pieceEnd := end
-		if stripEnd < pieceEnd {
-			pieceEnd = stripEnd
-		}
-		iod := (int64(meta.Base) + strip%pcount) % int64(totalIODs)
-		pieces = append(pieces, Piece{
-			IOD: int(iod),
-			Ext: blockio.Extent{File: file, Offset: cur, Length: pieceEnd - cur},
-			Pos: pos,
-		})
-		pos += pieceEnd - cur
-		cur = pieceEnd
+	return pieceIter{
+		file: file, ssize: ssize, pcount: pcount, base: int64(meta.Base), total: int64(totalIODs),
+		cur: offset, end: offset + length, maxLen: maxLen,
+	}, nil
+}
+
+func (it *pieceIter) next() (Piece, bool) {
+	if it.cur >= it.end {
+		return Piece{}, false
 	}
-	return pieces, nil
+	strip := it.cur / it.ssize
+	n := min((strip+1)*it.ssize, it.end, it.cur+it.maxLen) - it.cur
+	pc := Piece{
+		IOD: int((it.base + strip%it.pcount) % it.total),
+		Ext: blockio.Extent{File: it.file, Offset: it.cur, Length: n},
+		Pos: it.pos,
+	}
+	it.cur += n
+	it.pos += n
+	return pc, true
 }
 
 // IODsFor returns the distinct iod indices a file with the given metadata

@@ -24,6 +24,15 @@ type ReqID uint64
 // tag (internal/rpc), so a slow iod no longer blocks unrelated requests.
 // A Transport is intended for a single client process; the cache module's
 // shared state behind it is internally synchronized.
+//
+// Lifetimes across the seam. The library reuses its request structs and
+// sink slices from one operation to the next (opScratch), so a Transport
+// may read req — and write through sink, see ReadSinker — until the
+// matching Recv returns and must not keep either afterwards; every
+// in-repo implementation consumes req inside Send (rpc encodes before it
+// returns). In the other direction a response is read-only to the caller:
+// a transport may hand the same immutable message to every request it
+// answers alike (a status-only reply, a faked acknowledgment).
 type Transport interface {
 	Send(iod int, req wire.Message) (ReqID, error)
 	Recv(id ReqID) (wire.Message, error)
@@ -111,9 +120,11 @@ type TenantHinter interface {
 // matching — instead of materializing them in a response message. On a
 // successful Recv every sink byte has been filled: served data first, the
 // remainder zeroed (PVFS sparse semantics), and the response message is
-// status-only. The transport may decline a request (ok false, no request
-// issued) — unsupported message, mismatched sink — and the caller then
-// falls back to the plain Send/Recv path.
+// status-only: only its Status means anything. The transport may decline a
+// request (ok false, no request issued) — unsupported message, mismatched
+// sink — and the caller then falls back to the plain Send/Recv path. Both
+// the sink slice and the buffers it points at belong to the caller: the
+// transport uses them until the matching Recv returns and not after.
 type ReadSinker interface {
 	SendRead(iod int, req wire.Message, sink [][]byte) (id ReqID, ok bool, err error)
 }
@@ -125,7 +136,7 @@ type DirectTransport struct {
 	clients []*rpc.Client
 
 	mu      sync.Mutex
-	pending map[ReqID]*directPending
+	pending map[ReqID]directPending
 	next    ReqID
 }
 
@@ -140,7 +151,7 @@ type directPending struct {
 // first use.
 func NewDirectTransport(network transport.Network, iodAddrs []string) *DirectTransport {
 	t := &DirectTransport{
-		pending: make(map[ReqID]*directPending),
+		pending: make(map[ReqID]directPending),
 		next:    1,
 	}
 	for _, addr := range iodAddrs {
@@ -178,7 +189,7 @@ func (t *DirectTransport) send(iod int, req wire.Message, sink [][]byte) (ReqID,
 	t.mu.Lock()
 	id := t.next
 	t.next++
-	t.pending[id] = &directPending{ch: ch, sink: sink}
+	t.pending[id] = directPending{ch: ch, sink: sink}
 	t.mu.Unlock()
 	return id, nil
 }
@@ -199,51 +210,59 @@ func (t *DirectTransport) Recv(id ReqID) (wire.Message, error) {
 	if p.sink == nil {
 		return res.Msg, nil
 	}
+	// The payload aliases a frame buffer that is released when Recv returns:
+	// scatter it, then strip it from the message this transport decoded.
 	defer res.Release()
-	return drainToSink(res.Msg, p.sink)
+	if _, err := scatterRead(res.Msg, p.sink); err != nil {
+		return nil, err
+	}
+	switch rr := res.Msg.(type) {
+	case *wire.ReadResp:
+		rr.Data = nil
+	case *wire.ReadBlocksResp:
+		rr.Data = nil
+	}
+	return res.Msg, nil
 }
 
-// drainToSink scatters a read response's payload into the sink slices —
-// served bytes first, the rest zeroed (sparse semantics) — and strips the
-// payload from the returned message: its bytes alias a frame buffer that
-// is released when Recv returns.
-func drainToSink(msg wire.Message, sink [][]byte) (wire.Message, error) {
-	fill := func(dst, data []byte) {
-		n := copy(dst, data)
-		clear(dst[n:])
-	}
+// scatterRead returns a read reply's status after scattering the payload of
+// a successful one into the sink slices, one per extent of the request —
+// served bytes first, the rest zeroed (sparse semantics). A nil sink means
+// the bytes were sunk below (see ReadSinker) and only the status is wanted.
+// The reply is not modified.
+func scatterRead(msg wire.Message, sink [][]byte) (wire.Status, error) {
 	switch rr := msg.(type) {
 	case *wire.ReadResp:
+		if rr.Status != wire.StatusOK || sink == nil {
+			return rr.Status, nil
+		}
 		if len(sink) != 1 {
-			return nil, fmt.Errorf("pvfs: single read reply for %d sink extents", len(sink))
+			return 0, fmt.Errorf("pvfs: single read reply for %d extents", len(sink))
 		}
-		if rr.Status == wire.StatusOK {
-			if len(rr.Data) > len(sink[0]) {
-				return nil, fmt.Errorf("pvfs: read reply overlong (%d > %d)", len(rr.Data), len(sink[0]))
-			}
-			fill(sink[0], rr.Data)
+		if len(rr.Data) > len(sink[0]) {
+			return 0, fmt.Errorf("pvfs: read reply overlong (%d > %d)", len(rr.Data), len(sink[0]))
 		}
-		rr.Data = nil
-		return rr, nil
+		clear(sink[0][copy(sink[0], rr.Data):])
+		return rr.Status, nil
 	case *wire.ReadBlocksResp:
-		if rr.Status == wire.StatusOK {
-			if len(rr.Lens) != len(sink) {
-				return nil, fmt.Errorf("pvfs: vectored read reply has %d extents, want %d", len(rr.Lens), len(sink))
-			}
-			data := rr.Data
-			for i, dst := range sink {
-				served := int(rr.Lens[i])
-				if served > len(dst) || served > len(data) {
-					return nil, fmt.Errorf("pvfs: vectored read extent %d overlong (%d > %d)", i, served, len(dst))
-				}
-				fill(dst, data[:served])
-				data = data[served:]
-			}
+		if rr.Status != wire.StatusOK || sink == nil {
+			return rr.Status, nil
 		}
-		rr.Data = nil
-		return rr, nil
+		if len(rr.Lens) != len(sink) {
+			return 0, fmt.Errorf("pvfs: vectored read reply has %d extents, want %d", len(rr.Lens), len(sink))
+		}
+		data := rr.Data
+		for i, dst := range sink {
+			served := int(rr.Lens[i])
+			if served > len(dst) || served > len(data) {
+				return 0, fmt.Errorf("pvfs: vectored read extent %d overlong (%d > %d)", i, served, len(dst))
+			}
+			clear(dst[copy(dst, data[:served]):])
+			data = data[served:]
+		}
+		return rr.Status, nil
 	default:
-		return nil, fmt.Errorf("pvfs: unexpected read reply %v", msg.WireType())
+		return 0, fmt.Errorf("pvfs: unexpected read reply %v", msg.WireType())
 	}
 }
 

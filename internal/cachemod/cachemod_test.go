@@ -121,7 +121,7 @@ func TestCloseSettlesAbandonedRead(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.TenantFetchBudget = 8 })
 	data := bytes.Repeat([]byte{0x5A}, 2*4096)
 	r.seed(0, 12, 0, data)
-	r.mod.SetTenant(12, 3, 1)
+	r.mod.NewTransport().TenantHint(12, 3, 1)
 	req := &wire.Read{File: 12, Offset: 0, Length: 2 * 4096}
 
 	dying := r.mod.NewTransport()

@@ -44,7 +44,6 @@ import (
 
 	"pvfscache/internal/blockio"
 	"pvfscache/internal/cachemod/buffer"
-	"pvfscache/internal/pvfs"
 	"pvfscache/internal/rpc"
 	"pvfscache/internal/wire"
 )
@@ -460,17 +459,18 @@ func (m *Module) landFromPeer(iod int, o tgtSpan, admit admitMode) bool {
 // [off, off+len(dst)) of the installed image copied to dst. Used for
 // read-modify-write and for joiners whose owner left them nothing; both
 // need the block resident afterwards (the write path retries its merge
-// against it), so this path always admits — don't-cache and bypassed files
-// only reach it through read-modify-write, where admission is what makes
-// the merge converge. It neither claims nor joins: a caller resolving an
-// earlier request's join may already own a later claim of the same block
-// (sent, not yet received), which lands only after this returns — waiting
-// on the table here would wait on itself.
-func (m *Module) fetchBlockSpan(iod int, key blockio.BlockKey, off int, dst []byte) error {
+// against it), so this path always admits — must says whether pinned, the
+// caller's once-per-request reading of the file's must-cache hint;
+// don't-cache and bypassed files only reach it through read-modify-write,
+// where admission is what makes the merge converge. It neither claims nor
+// joins: a caller resolving an earlier request's join may already own a
+// later claim of the same block (sent, not yet received), which lands only
+// after this returns — waiting on the table here would wait on itself.
+func (m *Module) fetchBlockSpan(iod int, key blockio.BlockKey, off int, dst []byte, must bool) error {
 	img, mem := lease(&m.slabs, m.buf.BlockSize())
 	defer mem.release()
 	admit := admitDefault
-	if m.cachePolicy(key.File) == pvfs.CacheMust {
+	if must {
 		admit = admitMust
 	}
 	if _, err := m.readInstall(iod, key, img, admit); err != nil {

@@ -279,8 +279,8 @@ func TestFetchProtocolSettlesEveryClaim(t *testing.T) {
 						return honest
 					}
 				}
-				r.mod.SetTenant(file, tenant, 1)
 				owner, joiner := r.mod.NewTransport(), r.mod.NewTransport()
+				owner.TenantHint(file, tenant, 1)
 				req := &wire.ReadBlocks{File: file, Exts: exts}
 
 				// Start the operation; it stops at its first Dial with every
@@ -315,7 +315,7 @@ func TestFetchProtocolSettlesEveryClaim(t *testing.T) {
 						hint.meta.PCount, hint.meta.SSize = 2, fakeBS
 						r.net.failAddr, r.net.failNth = r.addrs[1], 1
 					}
-					r.mod.prefetchRange(file, hint, idxs)
+					r.mod.prefetchRange(file, hint, idxs, admitDefault)
 					close(sendDone)
 				}
 				<-r.net.reached
@@ -449,7 +449,7 @@ func TestStaleFetchPrefetchDrops(t *testing.T) {
 	oldB, newB := bytes.Repeat([]byte{0x0D}, fakeBS), bytes.Repeat([]byte{0xE7}, fakeBS)
 	r := staleRig(t, file, oldB, newB)
 	hint := stripeHint{meta: wire.FileMeta{Size: 1 << 20, PCount: 1, SSize: 1 << 20}, total: 2}
-	r.mod.prefetchRange(file, hint, []int64{0})
+	r.mod.prefetchRange(file, hint, []int64{0}, admitDefault)
 	waitCounter(t, r.reg, "module.prefetch_stale_drops", 1)
 	waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetch claim settled")
 	if got := r.reg.Counter("module.prefetch_stale_drops").Value(); got != 1 {

@@ -43,6 +43,7 @@ package cachemod
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -210,35 +211,22 @@ type Module struct {
 	slabs rpc.BufPool
 	fetchTable
 
-	stripeMu sync.Mutex
-	stripes  map[blockio.FileID]stripeHint
+	// files is the module's one per-file table (see fileState): one lock,
+	// taken shared on the request path, one bound, one eviction rule. qos,
+	// the per-tenant QoS states the records point at (see qos.go), shares
+	// the lock.
+	filesMu sync.RWMutex
+	files   map[blockio.FileID]*fileState
+	qos     map[uint32]*tenantState
 
-	raMu       sync.Mutex
-	ra         map[blockio.FileID]*raState
-	prefetched map[blockio.BlockKey]struct{} // resident blocks not yet hit
-
-	// policies holds the per-file cache-policy hints (pvfs open flags →
-	// CachePolicyHint). polCount mirrors the non-default entry count so
-	// the per-request lookup skips the mutex when no hints are set — the
-	// common case.
-	polMu    sync.Mutex
-	policies map[blockio.FileID]pvfs.CachePolicy
-	polCount atomic.Int64
-
-	// prefetchMarks mirrors len(prefetched) (updated under raMu) so the
-	// per-span hit path can skip the mutex entirely when no marks are
-	// outstanding — the common case for non-scan workloads.
+	// prefetched marks the resident blocks the prefetcher installed that no
+	// demand read has hit yet. It is per block, not per file, so it has a
+	// lock of its own; prefetchMarks mirrors its size so the per-span hit
+	// path skips that lock when no marks are outstanding — the common case
+	// for non-scan workloads.
+	markMu        sync.Mutex
+	prefetched    map[blockio.BlockKey]struct{}
 	prefetchMarks atomic.Int64
-
-	// tenants holds the per-file tenant tags (pvfs open tags →
-	// TenantHint) and qos the per-tenant QoS state (weight, in-flight
-	// read blocks, shed counters; see qos.go). tenantCount mirrors the
-	// tag count so untagged workloads skip the mutex — the policies
-	// pattern.
-	tenantMu    sync.Mutex
-	tenants     map[blockio.FileID]uint32
-	qos         map[uint32]*tenantState
-	tenantCount atomic.Int64
 
 	// traceArm counts requests still to be traced (ArmTrace); traces is
 	// the bounded ring of captured per-request hop logs (see trace.go).
@@ -276,12 +264,9 @@ func New(cfg Config) (*Module, error) {
 		ctr:         newCounters(cfg.Registry),
 		buf:         buffer.New(cfg.Buffer),
 		fetchTable:  fetchTable{fetches: make(map[blockio.BlockKey]*fetchState)},
-		stripes:     make(map[blockio.FileID]stripeHint),
-		ra:          make(map[blockio.FileID]*raState),
-		prefetched:  make(map[blockio.BlockKey]struct{}),
-		policies:    make(map[blockio.FileID]pvfs.CachePolicy),
-		tenants:     make(map[blockio.FileID]uint32),
+		files:       make(map[blockio.FileID]*fileState),
 		qos:         make(map[uint32]*tenantState),
+		prefetched:  make(map[blockio.BlockKey]struct{}),
 		harvestKick: make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 	}
@@ -660,42 +645,80 @@ func (m *Module) waitForSpace(deadline time.Time) bool {
 	}
 }
 
-// SetCachePolicy records a file's per-open cache-policy hint (the
-// discretionary knob; see pvfs.CachePolicy). CacheDefault clears the
-// entry. The table is bounded like the hint tables: hints re-arrive on
-// the next open, so resetting a full table costs a brief lapse, not
-// correctness.
-func (m *Module) SetCachePolicy(file blockio.FileID, policy pvfs.CachePolicy) {
-	m.polMu.Lock()
-	if policy == pvfs.CacheDefault {
-		if _, ok := m.policies[file]; ok {
-			delete(m.policies, file)
-			m.polCount.Add(-1)
-		}
-	} else {
-		if len(m.policies) >= maxHintedFiles {
-			m.policies = make(map[blockio.FileID]pvfs.CachePolicy)
-			m.polCount.Store(0)
-		}
-		if _, ok := m.policies[file]; !ok {
-			m.polCount.Add(1)
-		}
-		m.policies[file] = policy
-	}
-	m.polMu.Unlock()
+// fileState is the module's one per-file record: what libpvfs announced
+// about the file — striping geometry and largest size (StripeHint), cache
+// policy (CachePolicyHint), tenant (TenantHint) — and the scan detector its
+// reads drive. Only the hint methods create records (announce); a request
+// resolves its file's record once (file) and a nil record means every
+// default: no policy, untagged, never detected or prefetched. The policy and
+// the tenant are single words every request reads, hence atomics; a request
+// racing a hint change may legitimately see either side of it.
+type fileState struct {
+	policy atomic.Uint32               // pvfs.CachePolicy
+	tenant atomic.Pointer[tenantState] // nil: untagged
+
+	// mu is a leaf: never held across claim, the buffer or rpc.
+	mu   sync.Mutex
+	hint stripeHint // total == 0: no usable geometry announced
+	ra   raState
 }
 
-// cachePolicy returns a file's hinted policy (CacheDefault when none).
-// The racy polCount fast path is safe: hints are advisory, and a request
-// racing a hint change may legitimately see either side of it.
-func (m *Module) cachePolicy(file blockio.FileID) pvfs.CachePolicy {
-	if m.polCount.Load() == 0 {
-		return pvfs.CacheDefault
+// maxHintedFiles bounds the file table. Everything in a record re-arrives —
+// hints on the next open or refresh, streaks within a few requests — so
+// dropping one costs a brief lapse, not correctness.
+const maxHintedFiles = 4096
+
+// file returns id's record, nil when the file was never announced: the one
+// table lookup of a request.
+func (m *Module) file(id blockio.FileID) *fileState {
+	m.filesMu.RLock()
+	fs := m.files[id]
+	m.filesMu.RUnlock()
+	return fs
+}
+
+// announce returns id's record, creating it: the hint methods' entry. A
+// full table first drops the records holding only what the next StripeHint
+// or a few reads rebuild (geometry, detector); a policy or a tenant tag is
+// lost only when hinted files alone fill the table, which resets it.
+func (m *Module) announce(id blockio.FileID) *fileState {
+	m.filesMu.Lock()
+	defer m.filesMu.Unlock()
+	fs := m.files[id]
+	if fs == nil {
+		if n := len(m.files); n >= maxHintedFiles {
+			maps.DeleteFunc(m.files, func(_ blockio.FileID, rec *fileState) bool {
+				policy, ts := rec.hints()
+				return policy == pvfs.CacheDefault && ts == nil
+			})
+			if len(m.files) == n {
+				clear(m.files)
+			}
+		}
+		fs = &fileState{}
+		m.files[id] = fs
 	}
-	m.polMu.Lock()
-	p := m.policies[file]
-	m.polMu.Unlock()
-	return p
+	return fs
+}
+
+// hints returns the file's cache policy and tenant (CacheDefault and nil
+// for a file never announced).
+func (fs *fileState) hints() (pvfs.CachePolicy, *tenantState) {
+	if fs == nil {
+		return pvfs.CacheDefault, nil
+	}
+	return pvfs.CachePolicy(fs.policy.Load()), fs.tenant.Load()
+}
+
+// streak reports the detector's current streak — the bypass decision's
+// input. Zero when the file has no established pattern.
+func (fs *fileState) streak() int {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.ra.kind == raNone {
+		return 0
+	}
+	return fs.ra.streak
 }
 
 // admitMode is a read request's admission decision, fixed once per
@@ -712,17 +735,17 @@ const (
 // per-open hints first (must-cache always admits, don't-cache never
 // does), then the streaming bypass — a file whose detected scan streak
 // has reached BypassThreshold reads around the cache until the pattern
-// breaks.
-func (m *Module) readAdmitMode(file blockio.FileID) admitMode {
-	switch m.cachePolicy(file) {
+// breaks; streaming reports that this is what decided. A pure read of the
+// record: sendRead counts module.stream_bypasses, once per request.
+func (m *Module) readAdmitMode(fs *fileState) (mode admitMode, streaming bool) {
+	switch policy, _ := fs.hints(); policy {
 	case pvfs.CacheMust:
-		return admitMust
+		return admitMust, false
 	case pvfs.CacheNone:
-		return admitNever
+		return admitNever, false
 	}
-	if t := m.cfg.BypassThreshold; t > 0 && m.streamStreak(file) >= t {
-		m.ctr.streamBypasses.Inc()
-		return admitNever
+	if t := m.cfg.BypassThreshold; t > 0 && fs != nil && fs.streak() >= t {
+		return admitNever, true
 	}
-	return admitDefault
+	return admitDefault, false
 }

@@ -125,6 +125,7 @@ func TestStreamingBypassKicksInMidScan(t *testing.T) {
 	r.seed(0, file, 0, data)
 
 	tr := r.mod.NewTransport()
+	hintAll(tr, file) // the detector runs on announced files only
 	for i := int64(0); i < 8; i++ {
 		resp := readSeq(t, tr, file, i*4096, 4096).(*wire.ReadResp)
 		if !bytes.Equal(resp.Data, data[i*4096:(i+1)*4096]) {
@@ -150,6 +151,28 @@ func TestStreamingBypassKicksInMidScan(t *testing.T) {
 	readSeq(t, tr, file, 8*4096, 4096)
 	if !r.mod.buf.Contains(blockio.BlockKey{File: file, Index: 8}, 0, 4096) {
 		t.Fatal("must-cache hint did not override the stream bypass")
+	}
+}
+
+// TestStreamBypassesCountedOncePerRequest: module.stream_bypasses counts
+// streaming requests, not admission decisions. A bypassed request that also
+// tops up the readahead window has its file's admission mode read twice —
+// once for the prefetch, once for itself — and used to count twice.
+func TestStreamBypassesCountedOncePerRequest(t *testing.T) {
+	r := newRig(t, func(c *Config) { c.BypassThreshold = raMinStreak }) // readahead on
+	const file, reads = 46, 24
+	r.seed(0, file, 0, bytes.Repeat([]byte{0x67}, 64*4096))
+
+	tr := r.mod.NewTransport()
+	hintAll(tr, file)
+	for i := int64(0); i < reads; i++ {
+		readSeq(t, tr, file, i*4096, 4096)
+	}
+	waitCounter(t, r.reg, "module.prefetch_issued", 1) // or the test exercises nothing
+	// The streak reaches the threshold on request raMinStreak-1 (counting
+	// from 0); that request and every later one streams.
+	if got, want := r.reg.Counter("module.stream_bypasses").Value(), int64(reads-(raMinStreak-1)); got != want {
+		t.Fatalf("stream_bypasses = %d after %d streaming reads", got, want)
 	}
 }
 
@@ -239,6 +262,7 @@ func TestBypassedStreamStillCorrectWithDirtyOverlay(t *testing.T) {
 	r.seed(0, file, 0, data)
 
 	tr := r.mod.NewTransport()
+	hintAll(tr, file)
 	// Dirty the first 16 bytes of block 6 via write-behind.
 	dirty := bytes.Repeat([]byte{0xEE}, 16)
 	if ack := sendRecv(t, tr, 0, &wire.Write{File: file, Offset: 6 * 4096, Data: dirty}).(*wire.WriteAck); ack.Status != wire.StatusOK {

@@ -4,14 +4,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pvfscache/internal/blockio"
 	"pvfscache/internal/metrics"
 )
 
 // Multi-tenant QoS: per-principal accounting and overload shedding.
 //
 // libpvfs tags a file with a tenant (principal) id and weight at open time
-// (pvfs.TenantHinter → CachedTransport.TenantHint → SetTenant); the module
+// (pvfs.TenantHinter → CachedTransport.TenantHint); the module
 // then charges the file's dirty frames and in-flight read blocks to that
 // principal. Two bounds keep an antagonist tenant from monopolizing the
 // node:
@@ -44,107 +43,57 @@ type tenantState struct {
 	writeSheds *metrics.Counter
 }
 
-func (m *Module) newTenantState(tenant uint32, weight int) *tenantState {
-	st := &tenantState{tenant: tenant}
-	st.weight.Store(int64(weight))
-	st.readSheds, st.writeSheds = tenantSheds(m.cfg.Registry, tenant)
-	return st
-}
-
-// SetTenant records a file's tenant tag and scheduling weight (the
-// TenantHint seam). Tenant 0 clears the tag. The table is bounded like the
-// other hint tables: tags re-arrive on the next open, so resetting a full
-// table costs a brief attribution lapse, not correctness.
-func (m *Module) SetTenant(file blockio.FileID, tenant uint32, weight int) {
-	if weight < 1 {
-		weight = 1
-	}
-	m.tenantMu.Lock()
-	if tenant == 0 {
-		if _, ok := m.tenants[file]; ok {
-			delete(m.tenants, file)
-			m.tenantCount.Add(-1)
-		}
-	} else {
-		if len(m.tenants) >= maxHintedFiles {
-			m.tenants = make(map[blockio.FileID]uint32)
-			m.tenantCount.Store(0)
-		}
-		if _, ok := m.tenants[file]; !ok {
-			m.tenantCount.Add(1)
-		}
-		m.tenants[file] = tenant
-		st := m.qos[tenant]
-		if st == nil {
-			st = m.newTenantState(tenant, weight)
-			m.qos[tenant] = st
-		} else {
-			st.weight.Store(int64(weight))
-		}
-	}
-	m.tenantMu.Unlock()
-	if tenant != 0 {
-		// The flusher's weighted batch selection shares the same weight.
-		m.buf.SetTenantWeight(tenant, weight)
-	}
-}
-
-// tenantOf returns a file's tenant tag (0 when untagged). The racy
-// tenantCount fast path is safe for the same reason cachePolicy's is:
-// tags are advisory, and a request racing a tag change may legitimately
-// see either side of it.
-func (m *Module) tenantOf(file blockio.FileID) uint32 {
-	if m.tenantCount.Load() == 0 {
-		return 0
-	}
-	m.tenantMu.Lock()
-	t := m.tenants[file]
-	m.tenantMu.Unlock()
-	return t
-}
-
-// tenantState returns (creating if needed) a tenant's QoS state. A state
-// created here rather than by SetTenant starts at weight 1; the next hint
-// updates it.
-func (m *Module) tenantState(tenant uint32) *tenantState {
-	m.tenantMu.Lock()
+// tenantFor returns (creating if needed) a tenant's QoS state at the hinted
+// weight: TenantHint's half of the record, held by pointer in every file
+// the tenant tags so a request never looks a tenant up by id.
+func (m *Module) tenantFor(tenant uint32, weight int) *tenantState {
+	m.filesMu.Lock()
+	defer m.filesMu.Unlock()
 	st := m.qos[tenant]
 	if st == nil {
-		st = m.newTenantState(tenant, 1)
+		st = &tenantState{tenant: tenant}
+		st.readSheds, st.writeSheds = tenantSheds(m.cfg.Registry, tenant)
 		m.qos[tenant] = st
 	}
-	m.tenantMu.Unlock()
+	st.weight.Store(int64(weight))
 	return st
+}
+
+// id is the tenant a state charges; 0 (untagged) for nil.
+func (st *tenantState) id() uint32 {
+	if st == nil {
+		return 0
+	}
+	return st.tenant
 }
 
 // overDirtyQuota reports whether a tenant has reached its dirty-frame
 // quota (TenantDirtyQuota × capacity × weight, minimum one frame).
-func (m *Module) overDirtyQuota(tenant uint32) bool {
-	if m.cfg.TenantDirtyQuota <= 0 || tenant == 0 {
+func (m *Module) overDirtyQuota(st *tenantState) bool {
+	if m.cfg.TenantDirtyQuota <= 0 || st == nil {
 		return false
 	}
-	st := m.tenantState(tenant)
 	quota := int(m.cfg.TenantDirtyQuota*float64(m.buf.Capacity())) * int(st.weight.Load())
 	if quota < 1 {
 		quota = 1
 	}
-	return m.buf.DirtyCountTenant(tenant) >= quota
+	return m.buf.DirtyCountTenant(st.tenant) >= quota
 }
 
 // shedWrite is the write-path overload gate: an over-quota tenant's write
 // first kicks the flusher and waits up to OverloadStall for flush progress
 // (every acked chunk signals space), then sheds if still over. Shedding
 // before any span is buffered keeps the operation cleanly re-issuable.
-func (m *Module) shedWrite(tenant uint32) bool {
-	if !m.overDirtyQuota(tenant) {
+func (m *Module) shedWrite(st *tenantState) bool {
+	if !m.overDirtyQuota(st) {
 		return false
 	}
 	m.kickFlusher()
 	deadline := time.Now().Add(m.cfg.OverloadStall)
-	for m.overDirtyQuota(tenant) {
+	for m.overDirtyQuota(st) {
 		if !m.waitForSpace(deadline) {
-			if m.overDirtyQuota(tenant) {
-				m.tenantState(tenant).writeSheds.Inc()
+			if m.overDirtyQuota(st) {
+				st.writeSheds.Inc()
 				return true
 			}
 			return false
@@ -155,16 +104,15 @@ func (m *Module) shedWrite(tenant uint32) bool {
 
 // acquireFetchBudget charges blocks read blocks to a tenant's in-flight
 // budget. It returns the charged state (nil when budgets are off or the
-// tenant untagged) and whether the request may proceed; a false return
+// file untagged) and whether the request may proceed; a false return
 // means the caller must shed with StatusOverload. A request larger than
 // the whole budget is admitted when the tenant has nothing else in flight,
 // so oversized reads retry until quiet instead of wedging forever. The
 // caller must release exactly once (tenantState.releaseFetch).
-func (m *Module) acquireFetchBudget(tenant uint32, blocks int) (*tenantState, bool) {
-	if m.cfg.TenantFetchBudget <= 0 || tenant == 0 || blocks <= 0 {
+func (m *Module) acquireFetchBudget(st *tenantState, blocks int) (*tenantState, bool) {
+	if m.cfg.TenantFetchBudget <= 0 || st == nil || blocks <= 0 {
 		return nil, true
 	}
-	st := m.tenantState(tenant)
 	limit := int64(m.cfg.TenantFetchBudget) * st.weight.Load()
 	for {
 		cur := st.inflight.Load()
@@ -189,9 +137,9 @@ func (st *tenantState) releaseFetch(blocks int) {
 // TenantInflight reports a tenant's current in-flight read-block charge
 // (tests and the admin endpoint).
 func (m *Module) TenantInflight(tenant uint32) int64 {
-	m.tenantMu.Lock()
+	m.filesMu.RLock()
 	st := m.qos[tenant]
-	m.tenantMu.Unlock()
+	m.filesMu.RUnlock()
 	if st == nil {
 		return 0
 	}

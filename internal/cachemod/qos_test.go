@@ -41,8 +41,8 @@ func TestTenantWriteQuotaShedsAndRecovers(t *testing.T) {
 		c.FlushPeriod = time.Hour         // only shed-kicked drains run
 	})
 	const quota = 16
-	r.mod.SetTenant(7, 1, 1)
 	tr := r.mod.NewTransport()
+	tr.TenantHint(7, 1, 1)
 
 	oks, sheds := 0, 0
 	for i := 0; i < 48; i++ {
@@ -104,8 +104,8 @@ func TestTenantFetchBudget(t *testing.T) {
 		c.TenantFetchBudget = 4
 		c.ReadaheadWindow = -1 // keep fetch counts exactly the demand misses
 	})
-	r.mod.SetTenant(9, 3, 1)
 	tr := r.mod.NewTransport()
+	tr.TenantHint(9, 3, 1)
 
 	// Hold a 3-block fetch in flight: the charge is taken synchronously
 	// at Send, before any round trip completes.
@@ -178,8 +178,8 @@ func TestFetchBudgetReleasedOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mod.Close()
-	mod.SetTenant(5, 2, 1)
 	tr := mod.NewTransport()
+	tr.TenantHint(5, 2, 1)
 
 	id, err := tr.Send(0, &wire.Read{File: 5, Offset: 0, Length: 2 * 4096})
 	if err == nil {

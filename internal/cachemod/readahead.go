@@ -69,48 +69,14 @@ type raState struct {
 	hasFar    bool  // farthest is meaningful
 }
 
-// SetStripeHint records a file's striping geometry so the prefetcher can
-// route block fetches to the right iod. libpvfs calls it (through
-// CachedTransport.StripeHint) whenever it opens or refreshes a file, and
-// when one of its writes extends it.
-func (m *Module) SetStripeHint(file blockio.FileID, meta wire.FileMeta, totalIODs int) {
-	if meta.SSize == 0 || meta.PCount == 0 || totalIODs <= 0 {
-		return // unusable geometry; leave the file unprefetchable
-	}
-	m.stripeMu.Lock()
-	// Bounded: hints are re-learned on the next open/refresh, so resetting
-	// a full table only pauses prefetch briefly instead of letting a
-	// many-file workload grow it forever.
-	if len(m.stripes) >= maxHintedFiles {
-		m.stripes = make(map[blockio.FileID]stripeHint)
-	}
-	m.stripes[file] = stripeHint{meta: meta, total: totalIODs, size: max(meta.Size, m.stripes[file].size)}
-	m.stripeMu.Unlock()
-}
-
-// maxHintedFiles bounds the stripe-hint and scan-detector tables; both
-// rebuild organically (hints on open/refresh, streaks within a few
-// requests), so eviction by reset costs little.
-const maxHintedFiles = 4096
-
-// noteAccess feeds one read request's block range [first, last] to the
-// file's pattern detector and returns the sorted block indices to
-// prefetch now (empty when the access is not part of an established
-// scan, or when the window is already in flight). The detector runs even
-// with prefetching disabled when the streaming bypass needs its streaks.
-func (m *Module) noteAccess(file blockio.FileID, first, last int64) []int64 {
-	if m.cfg.ReadaheadWindow == 0 && m.cfg.BypassThreshold <= 0 {
-		return nil
-	}
-	m.raMu.Lock()
-	defer m.raMu.Unlock()
-	st := m.ra[file]
-	if st == nil {
-		if len(m.ra) >= maxHintedFiles {
-			m.ra = make(map[blockio.FileID]*raState)
-		}
-		st = &raState{}
-		m.ra[file] = st
+// noteAccess feeds one read request's block range [first, last] to a
+// file's pattern detector (the caller holds the record's lock) and returns
+// the sorted block indices to prefetch now (empty when the access is not
+// part of an established scan, or when the window is already in flight).
+// The detector runs even with prefetching disabled when the streaming
+// bypass needs its streaks.
+func (m *Module) noteAccess(st *raState, first, last int64) []int64 {
+	if st.streak == 0 { // the file's first access
 		st.next = last + 1
 		st.streak = 1
 		st.prevFirst = first
@@ -230,19 +196,6 @@ func (m *Module) noteAccess(file blockio.FileID, first, last int64) []int64 {
 	return pred
 }
 
-// streamStreak reports the current detector streak for a file — the
-// bypass decision's input. Zero when the file has no established pattern.
-func (m *Module) streamStreak(file blockio.FileID) int {
-	m.raMu.Lock()
-	st := m.ra[file]
-	streak := 0
-	if st != nil && st.kind != raNone {
-		streak = st.streak
-	}
-	m.raMu.Unlock()
-	return streak
-}
-
 // maybeReadahead runs the detector for one application-level read (via
 // CachedTransport.NoteRead) and launches the prefetcher when a scan is
 // established. The window's blocks are CLAIMED in the fetch table
@@ -253,21 +206,26 @@ func (m *Module) streamStreak(file blockio.FileID) int {
 // place, a demand read that catches up simply joins the in-flight
 // prefetch. Only the network round trips run asynchronously.
 func (m *Module) maybeReadahead(file blockio.FileID, first, last int64) {
-	pred := m.noteAccess(file, first, last)
-	if len(pred) == 0 {
+	if m.cfg.ReadaheadWindow == 0 && m.cfg.BypassThreshold <= 0 {
 		return
 	}
-	m.stripeMu.Lock()
-	hint, ok := m.stripes[file]
-	m.stripeMu.Unlock()
-	if !ok {
-		return // no geometry: cannot route blocks to iods safely
+	fs := m.file(file)
+	if fs == nil {
+		return // never announced: no geometry to route blocks to iods by
+	}
+	fs.mu.Lock()
+	pred := m.noteAccess(&fs.ra, first, last)
+	hint := fs.hint
+	fs.mu.Unlock()
+	if len(pred) == 0 || hint.total == 0 {
+		return
 	}
 	// A replayed stride or a window topped up near the end runs off the
 	// file; pred is ascending, so the blocks that exist are a prefix.
 	eof := blockio.Blocks(hint.size, m.buf.BlockSize())
 	pred = pred[:sort.Search(len(pred), func(i int) bool { return pred[i] >= eof })]
-	m.prefetchRange(file, hint, pred)
+	mode, _ := m.readAdmitMode(fs)
+	m.prefetchRange(file, hint, pred, mode)
 }
 
 // iodForBlock maps one block to the iod storing it, or -1 when the block
@@ -297,8 +255,7 @@ func (m *Module) iodForBlock(hint stripeHint, idx int64) int {
 // Prefetches inherit the file's admission mode: a stream being bypassed
 // keeps its readahead pipelining, but the prefetched blocks are served
 // around the cache like its demand reads.
-func (m *Module) prefetchRange(file blockio.FileID, hint stripeHint, idxs []int64) {
-	mode := m.readAdmitMode(file)
+func (m *Module) prefetchRange(file blockio.FileID, hint stripeHint, idxs []int64, mode admitMode) {
 	perIOD := make(map[int][]tgtSpan)
 	for _, idx := range idxs {
 		iod := m.iodForBlock(hint, idx)
@@ -332,7 +289,7 @@ func (m *Module) prefetchIOD(iod int, file blockio.FileID, runs []fetchRun, mode
 // markPrefetched marks a block the prefetcher installed, so its first
 // demand hit counts in module.prefetch_hits.
 func (m *Module) markPrefetched(key blockio.BlockKey) {
-	m.raMu.Lock()
+	m.markMu.Lock()
 	// The marks are accounting only; evicted-before-hit blocks leave stale
 	// entries behind, so reset rather than grow without bound.
 	if len(m.prefetched) >= 2*m.buf.Capacity() {
@@ -343,7 +300,7 @@ func (m *Module) markPrefetched(key blockio.BlockKey) {
 		m.prefetched[key] = struct{}{}
 		m.prefetchMarks.Add(1)
 	}
-	m.raMu.Unlock()
+	m.markMu.Unlock()
 }
 
 // notePrefetchHit counts a demand access served by a prefetched block
@@ -363,12 +320,12 @@ func (m *Module) dropPrefetchMark(key blockio.BlockKey) bool {
 	if m.prefetchMarks.Load() == 0 {
 		return false
 	}
-	m.raMu.Lock()
+	m.markMu.Lock()
 	_, ok := m.prefetched[key]
 	if ok {
 		delete(m.prefetched, key)
 		m.prefetchMarks.Add(-1)
 	}
-	m.raMu.Unlock()
+	m.markMu.Unlock()
 	return ok
 }

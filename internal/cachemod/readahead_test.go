@@ -17,10 +17,19 @@ import (
 func raModule(window int) *Module {
 	reg := metrics.NewRegistry()
 	return &Module{
-		cfg: Config{ReadaheadWindow: window, Registry: reg},
-		ctr: newCounters(reg),
-		ra:  make(map[blockio.FileID]*raState),
+		cfg:   Config{ReadaheadWindow: window, Registry: reg},
+		ctr:   newCounters(reg),
+		files: make(map[blockio.FileID]*fileState),
 	}
+}
+
+// note feeds one access to file's detector the way maybeReadahead does:
+// through the file's record, under its lock.
+func note(m *Module, file blockio.FileID, first, last int64) []int64 {
+	fs := m.announce(file)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return m.noteAccess(&fs.ra, first, last)
 }
 
 // window collapses a contiguous prediction list to its [lo, hi) range —
@@ -44,27 +53,27 @@ func TestNoteAccessWindowAdvances(t *testing.T) {
 	// The first raMinStreak-1 gap-free requests only establish the scan:
 	// short chains (common under re-read locality) never prefetch.
 	for i := int64(0); i < raMinStreak-1; i++ {
-		if pred := m.noteAccess(1, 2*i, 2*i+1); len(pred) != 0 {
+		if pred := note(m, 1, 2*i, 2*i+1); len(pred) != 0 {
 			t.Fatalf("request %d prefetched %v", i, pred)
 		}
 	}
 	// Request raMinStreak opens the window after the scan's last block.
-	lo, hi := window(t, m.noteAccess(1, 6, 7))
+	lo, hi := window(t, note(m, 1, 6, 7))
 	if lo != 8 || hi != 16 {
 		t.Fatalf("window = [%d,%d), want [8,16)", lo, hi)
 	}
 	// Batched refill: with blocks 8..15 in flight and the scan at 9, more
 	// than half the window is still ahead — no new prefetch yet.
-	if pred := m.noteAccess(1, 8, 9); len(pred) != 0 {
+	if pred := note(m, 1, 8, 9); len(pred) != 0 {
 		t.Fatalf("refilled too early: %v", pred)
 	}
 	// Once the scan eats through half the window, it tops up in one piece.
-	lo, hi = window(t, m.noteAccess(1, 10, 11))
+	lo, hi = window(t, note(m, 1, 10, 11))
 	if lo != 16 || hi != 20 {
 		t.Fatalf("refill window = [%d,%d), want [16,20)", lo, hi)
 	}
 	// A scan that catches up to its window keeps the full depth ahead.
-	lo, hi = window(t, m.noteAccess(1, 12, 19))
+	lo, hi = window(t, note(m, 1, 12, 19))
 	if lo != 20 || hi != 28 {
 		t.Fatalf("caught-up window = [%d,%d), want [20,28)", lo, hi)
 	}
@@ -76,7 +85,7 @@ func TestNoteAccessResetsOnRandomAccess(t *testing.T) {
 		t.Helper()
 		opened := false
 		for i := int64(0); i < raMinStreak; i++ {
-			if len(m.noteAccess(1, base+2*i, base+2*i+1)) != 0 {
+			if len(note(m, 1, base+2*i, base+2*i+1)) != 0 {
 				opened = true
 			}
 		}
@@ -87,7 +96,7 @@ func TestNoteAccessResetsOnRandomAccess(t *testing.T) {
 	establish(0)
 	// A jump breaks the streak: no prefetch, and the issued high-water
 	// clears so a new scan starts from scratch.
-	if pred := m.noteAccess(1, 100, 101); len(pred) != 0 {
+	if pred := note(m, 1, 100, 101); len(pred) != 0 {
 		t.Fatalf("random access prefetched %v", pred)
 	}
 	if got := m.cfg.Registry.Counter("module.readahead_resets").Value(); got != 1 {
@@ -101,14 +110,14 @@ func TestNoteAccessResetsOnRandomAccess(t *testing.T) {
 func TestNoteAccessPerFileIndependent(t *testing.T) {
 	m := raModule(4)
 	for i := int64(0); i < raMinStreak-1; i++ {
-		m.noteAccess(1, i, i)
-		m.noteAccess(2, 50+i, 50+i)
+		note(m, 1, i, i)
+		note(m, 2, 50+i, 50+i)
 	}
 	n := int64(raMinStreak)
-	if lo, hi := window(t, m.noteAccess(1, n-1, n-1)); lo != n || hi != n+4 {
+	if lo, hi := window(t, note(m, 1, n-1, n-1)); lo != n || hi != n+4 {
 		t.Fatalf("file 1 window = [%d,%d), want [%d,%d)", lo, hi, n, n+4)
 	}
-	if lo, hi := window(t, m.noteAccess(2, 50+n-1, 50+n-1)); lo != 50+n || hi != 50+n+4 {
+	if lo, hi := window(t, note(m, 2, 50+n-1, 50+n-1)); lo != 50+n || hi != 50+n+4 {
 		t.Fatalf("file 2 window = [%d,%d), want [%d,%d)", lo, hi, 50+n, 50+n+4)
 	}
 }
@@ -121,7 +130,7 @@ func TestNoteAccessUnalignedScan(t *testing.T) {
 	// 6 KB requests over 4 KB blocks: block ranges [0,1], [1,2], [2,3]...
 	opened := false
 	for i := int64(0); i < raMinStreak+1; i++ {
-		if len(m.noteAccess(1, i, i+1)) != 0 {
+		if len(note(m, 1, i, i+1)) != 0 {
 			opened = true
 		}
 	}
@@ -132,7 +141,7 @@ func TestNoteAccessUnalignedScan(t *testing.T) {
 		t.Fatalf("unaligned scan counted %d resets", got)
 	}
 	// A genuine re-read of an old range still resets.
-	if pred := m.noteAccess(1, 0, 1); len(pred) != 0 {
+	if pred := note(m, 1, 0, 1); len(pred) != 0 {
 		t.Fatal("backward jump prefetched")
 	}
 }
@@ -148,7 +157,7 @@ func TestNoteAccessSubBlockScan(t *testing.T) {
 	// (b,b) each, advancing one block every fourth request.
 	for req := 0; req < 4*(raMinStreak+1); req++ {
 		b := int64(req / 4)
-		if len(m.noteAccess(1, b, b)) != 0 {
+		if len(note(m, 1, b, b)) != 0 {
 			opened = true
 		}
 	}
@@ -163,7 +172,7 @@ func TestNoteAccessSubBlockScan(t *testing.T) {
 func TestNoteAccessDisabled(t *testing.T) {
 	m := raModule(0) // fillDefaults maps negative config here
 	for i := int64(0); i < 2*raMinStreak; i++ {
-		if pred := m.noteAccess(1, i, i); len(pred) != 0 {
+		if pred := note(m, 1, i, i); len(pred) != 0 {
 			t.Fatal("disabled readahead still prefetched")
 		}
 	}
@@ -183,7 +192,7 @@ func TestNoteAccessStridedScan(t *testing.T) {
 	// earlier than an ascending scan's would.
 	var pred []int64
 	for i := int64(0); i < raMinStreak; i++ {
-		pred = m.noteAccess(1, i*stride, i*stride)
+		pred = note(m, 1, i*stride, i*stride)
 		if i+2 <= raMinStreak && len(pred) != 0 {
 			t.Fatalf("access %d predicted %v before the streak was proven", i, pred)
 		}
@@ -202,7 +211,7 @@ func TestNoteAccessStridedScan(t *testing.T) {
 	}
 	// Steady state: each further access predicts one stride step beyond
 	// the farthest already issued — no re-predictions, no stalls.
-	next := m.noteAccess(1, raMinStreak*stride, raMinStreak*stride)
+	next := note(m, 1, raMinStreak*stride, raMinStreak*stride)
 	if len(next) != 1 || next[0] != pred[len(pred)-1]+stride {
 		t.Fatalf("steady-state prediction = %v, want [%d]", next, pred[len(pred)-1]+stride)
 	}
@@ -216,7 +225,7 @@ func TestNoteAccessBackwardScan(t *testing.T) {
 	// Single-block reads at 100, 99, 98, 97: stride -1.
 	var pred []int64
 	for i := int64(0); i < raMinStreak; i++ {
-		pred = m.noteAccess(1, 100-i, 100-i)
+		pred = note(m, 1, 100-i, 100-i)
 	}
 	if len(pred) == 0 {
 		t.Fatal("backward scan never predicted")
@@ -241,7 +250,7 @@ func TestNoteAccessBackwardScan(t *testing.T) {
 	m2 := raModule(4)
 	var p2 []int64
 	for i := int64(0); i < raMinStreak; i++ {
-		p2 = m2.noteAccess(1, raMinStreak-1-i, raMinStreak-1-i)
+		p2 = note(m2, 1, raMinStreak-1-i, raMinStreak-1-i)
 	}
 	for _, idx := range p2 {
 		if idx < 0 {
@@ -256,14 +265,14 @@ func TestNoteAccessBackwardScan(t *testing.T) {
 func TestNoteAccessStridedToAscending(t *testing.T) {
 	m := raModule(8)
 	for i := int64(0); i < raMinStreak; i++ {
-		m.noteAccess(1, i*7, i*7)
+		note(m, 1, i*7, i*7)
 	}
 	base := int64((raMinStreak - 1) * 7)
 	opened := false
 	// The first access after the strided run continues densely; the
 	// ascending streak must rebuild and eventually predict again.
 	for i := int64(1); i < raMinStreak+2; i++ {
-		if len(m.noteAccess(1, base+i, base+i)) != 0 {
+		if len(note(m, 1, base+i, base+i)) != 0 {
 			opened = true
 		}
 	}
@@ -276,22 +285,22 @@ func TestNoteAccessStridedToAscending(t *testing.T) {
 func TestStreamStreak(t *testing.T) {
 	m := raModule(8)
 	m.cfg.BypassThreshold = raMinStreak
-	if got := m.streamStreak(1); got != 0 {
+	if got := m.announce(1).streak(); got != 0 {
 		t.Fatalf("streak = %d before any access", got)
 	}
 	for i := int64(0); i < raMinStreak; i++ {
-		m.noteAccess(1, i, i)
+		note(m, 1, i, i)
 	}
-	if got := m.streamStreak(1); got < raMinStreak {
+	if got := m.announce(1).streak(); got < raMinStreak {
 		t.Fatalf("streak = %d after %d ascending reads", got, raMinStreak)
 	}
-	if mode := m.readAdmitMode(1); mode != admitNever {
+	if mode, streaming := m.readAdmitMode(m.file(1)); mode != admitNever || !streaming {
 		t.Fatalf("admit mode = %v over threshold, want bypass", mode)
 	}
 	// A random jump (delta seeds a new stride candidate) drops below the
 	// threshold again.
-	m.noteAccess(1, 1000, 1000)
-	if mode := m.readAdmitMode(1); mode != admitDefault {
+	note(m, 1, 1000, 1000)
+	if mode, _ := m.readAdmitMode(m.file(1)); mode != admitDefault {
 		t.Fatalf("admit mode = %v after pattern break, want default", mode)
 	}
 }
@@ -303,11 +312,11 @@ func TestNoteAccessDetectorRunsForBypass(t *testing.T) {
 	m := raModule(0)
 	m.cfg.BypassThreshold = raMinStreak
 	for i := int64(0); i < 2*raMinStreak; i++ {
-		if pred := m.noteAccess(1, i, i); len(pred) != 0 {
+		if pred := note(m, 1, i, i); len(pred) != 0 {
 			t.Fatal("disabled readahead still predicted")
 		}
 	}
-	if got := m.streamStreak(1); got < raMinStreak {
+	if got := m.announce(1).streak(); got < raMinStreak {
 		t.Fatalf("streak = %d, want >= %d with bypass enabled", got, raMinStreak)
 	}
 }
@@ -460,10 +469,7 @@ func TestPrefetchJoinCountsAsHit(t *testing.T) {
 	r.mod.fetchMu.Lock()
 	delete(r.mod.fetches, key)
 	r.mod.fetchMu.Unlock()
-	r.mod.raMu.Lock()
-	r.mod.prefetched[key] = struct{}{}
-	r.mod.prefetchMarks.Add(1)
-	r.mod.raMu.Unlock()
+	r.mod.markPrefetched(key)
 	close(st.done)
 
 	resp, err := tr.Recv(id)

@@ -54,7 +54,7 @@ func TestModuleConcurrencyStorm(t *testing.T) {
 		pat := bytes.Repeat([]byte{stormPattern(scanFile, blk, 0)}, stormBS)
 		r.seed(blk%2, scanFile, int64(blk)*stormBS, pat)
 	}
-	mod.SetStripeHint(scanFile, wire.FileMeta{
+	mod.NewTransport().StripeHint(scanFile, wire.FileMeta{
 		Size:   stormScanBlocks * stormBS,
 		Base:   0,
 		PCount: 2,

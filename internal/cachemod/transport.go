@@ -38,11 +38,18 @@ func (m *Module) NewTransport() *CachedTransport {
 }
 
 // StripeHint implements pvfs.StripeHinter: libpvfs announces a file's
-// striping geometry whenever it opens or refreshes a file, which is what
-// lets the module's readahead prefetcher route upcoming blocks to the
-// iods that hold them.
+// striping geometry whenever it opens or refreshes the file, and when one
+// of its writes extends it — which is what lets the module's readahead
+// prefetcher route upcoming blocks to the iods that hold them, and stop at
+// the largest size any hint announced.
 func (t *CachedTransport) StripeHint(file blockio.FileID, meta wire.FileMeta, totalIODs int) {
-	t.m.SetStripeHint(file, meta, totalIODs)
+	if meta.SSize == 0 || meta.PCount == 0 || totalIODs <= 0 {
+		return // unusable geometry; leave the file unprefetchable
+	}
+	fs := t.m.announce(file)
+	fs.mu.Lock()
+	fs.hint = stripeHint{meta: meta, total: totalIODs, size: max(meta.Size, fs.hint.size)}
+	fs.mu.Unlock()
 }
 
 // NoteRead implements pvfs.ReadPatternHinter: libpvfs reports each whole
@@ -59,18 +66,27 @@ func (t *CachedTransport) NoteRead(file blockio.FileID, offset, length int64) {
 }
 
 // CachePolicyHint implements pvfs.CachePolicyHinter: libpvfs forwards a
-// file's per-open cache-policy hint (don't-cache / must-cache / default)
-// and the module applies it to every admission decision for the file.
+// file's per-open cache-policy hint (don't-cache / must-cache / default —
+// the discretionary knob; see pvfs.CachePolicy) and the module applies it
+// to every admission decision for the file.
 func (t *CachedTransport) CachePolicyHint(file blockio.FileID, policy pvfs.CachePolicy) {
-	t.m.SetCachePolicy(file, policy)
+	t.m.announce(file).policy.Store(uint32(policy))
 }
 
 // TenantHint implements pvfs.TenantHinter: libpvfs forwards a file's
 // per-open tenant (principal) tag and scheduling weight, and the module
 // charges the file's dirty frames and in-flight fetches to that principal
-// (see qos.go).
+// (see qos.go). Tenant 0 clears the tag.
 func (t *CachedTransport) TenantHint(file blockio.FileID, tenant uint32, weight int) {
-	t.m.SetTenant(file, tenant, weight)
+	fs := t.m.announce(file)
+	if tenant == 0 {
+		fs.tenant.Store(nil)
+		return
+	}
+	weight = max(weight, 1)
+	fs.tenant.Store(t.m.tenantFor(tenant, weight))
+	// The flusher's weighted batch selection shares the same weight.
+	t.m.buf.SetTenantWeight(tenant, weight)
 }
 
 // pendingOp is the per-request FSM state between Send and Recv, kept by
@@ -398,10 +414,11 @@ func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op
 		firstOff = exts[0].Offset
 	}
 	rt := t.m.traceStart(kind, file, firstOff, total)
-	tenant := t.m.tenantOf(file)
-	qos, budgetOK := t.m.acquireFetchBudget(tenant, nblocks)
+	fs := t.m.file(file)
+	_, ts := fs.hints()
+	qos, budgetOK := t.m.acquireFetchBudget(ts, nblocks)
 	if !budgetOK {
-		rt.finishf("shed overload tenant=%d (%d blocks over budget)", tenant, nblocks)
+		rt.finishf("shed overload tenant=%d (%d blocks over budget)", ts.id(), nblocks)
 		return pendingOp{ready: statusReply(vector, wire.StatusOverload)}, true, nil
 	}
 	reply := statusReply(vector, wire.StatusOK)
@@ -422,7 +439,10 @@ func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op
 			reply = &wire.ReadResp{Status: wire.StatusOK, Data: data}
 		}
 	}
-	admit := t.m.readAdmitMode(file)
+	admit, streaming := t.m.readAdmitMode(fs)
+	if streaming {
+		t.m.ctr.streamBypasses.Inc()
+	}
 	var pr *pendingRead // taken at the first span the cache cannot serve
 	for i, e := range exts {
 		it := blockio.IterSpans(file, e.Offset, e.Length, bs)
@@ -484,7 +504,7 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 	for _, w := range pr.waits {
 		if !t.m.awaitJoin(w) {
 			// Nothing usable was published: fetch synchronously ourselves.
-			if err := t.m.fetchBlockSpan(pr.iod, w.sp.Key, w.sp.Off, w.dst); err != nil && firstErr == nil {
+			if err := t.m.fetchBlockSpan(pr.iod, w.sp.Key, w.sp.Off, w.dst, pr.admit == admitMust); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -513,7 +533,8 @@ func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (pendingOp, error)
 		ch, err := t.m.data[iod].Go(req)
 		return pendingOp{call: ch}, err
 	}
-	if t.m.cachePolicy(req.File) == pvfs.CacheNone {
+	policy, ts := t.m.file(req.File).hints()
+	if policy == pvfs.CacheNone {
 		// Write-around: a don't-cache file's writes go straight through —
 		// buffering them would dirty frames for data the application
 		// declared it will not reuse, and the flusher would pay to drain
@@ -526,13 +547,12 @@ func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (pendingOp, error)
 		return pendingOp{call: ch}, nil
 	}
 	rt := t.m.traceStart("write", req.File, req.Offset, int64(len(req.Data)))
-	tenant := t.m.tenantOf(req.File)
-	if t.m.shedWrite(tenant) {
+	if t.m.shedWrite(ts) {
 		// Overload shed: the tenant is over its dirty-frame quota and the
 		// flusher made no room within OverloadStall. Shedding happens
 		// before any span is buffered, so the whole operation is cleanly
 		// re-issuable by the client's retry loop.
-		rt.finishf("shed overload tenant=%d (%d dirty)", tenant, t.m.buf.DirtyCountTenant(tenant))
+		rt.finishf("shed overload tenant=%d (%d dirty)", ts.id(), t.m.buf.DirtyCountTenant(ts.id()))
 		return pendingOp{ready: writeAckShed}, nil
 	}
 	deadline := time.Now().Add(t.m.cfg.WriteStall)
@@ -540,7 +560,7 @@ func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (pendingOp, error)
 	it := blockio.IterSpans(req.File, req.Offset, int64(len(req.Data)), t.m.buf.BlockSize())
 	for sp, more := it.Next(); more; sp, more = it.Next() {
 		src := req.Data[sp.Pos : sp.Pos+int64(sp.Len)]
-		if err := t.writeSpan(iod, sp, src, deadline, tenant); err != nil {
+		if err := t.writeSpan(iod, sp, src, deadline, ts.id(), policy == pvfs.CacheMust); err != nil {
 			rt.finishf("error: %v", err)
 			return pendingOp{}, err
 		}
@@ -558,8 +578,9 @@ func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (pendingOp, error)
 // writeSpan applies one block span to the cache, handling read-modify-
 // write and cache-full conditions. Dirty frames are charged to tenant
 // (the per-principal quota and the flusher's weighted scheduling key on
-// that attribution).
-func (t *CachedTransport) writeSpan(iod int, sp blockio.Span, src []byte, deadline time.Time, tenant uint32) error {
+// that attribution); must is the file's must-cache hint, for the block a
+// read-modify-write fetches.
+func (t *CachedTransport) writeSpan(iod int, sp blockio.Span, src []byte, deadline time.Time, tenant uint32, must bool) error {
 	for {
 		switch t.m.buf.WriteSpanTenant(sp.Key, iod, sp.Off, src, true, tenant) {
 		case buffer.OutcomeOK:
@@ -570,7 +591,7 @@ func (t *CachedTransport) writeSpan(iod int, sp blockio.Span, src []byte, deadli
 			if t.m.awaitFetch(sp.Key) {
 				continue
 			}
-			if err := t.m.fetchBlockSpan(iod, sp.Key, 0, nil); err != nil {
+			if err := t.m.fetchBlockSpan(iod, sp.Key, 0, nil, must); err != nil {
 				// Cannot complete the merge: write this span through.
 				return t.writeThrough(iod, sp, src)
 			}
@@ -612,7 +633,7 @@ func (t *CachedTransport) writeThrough(iod int, sp blockio.Span, src []byte) err
 // arrives).
 func (t *CachedTransport) sendSyncWrite(iod int, req *wire.SyncWrite) (pendingOp, error) {
 	var it blockio.SpanIter // write-around: the iod gets the data, the cache does not
-	if t.m.cachePolicy(req.File) != pvfs.CacheNone {
+	if policy, _ := t.m.file(req.File).hints(); policy != pvfs.CacheNone {
 		it = blockio.IterSpans(req.File, req.Offset, int64(len(req.Data)), t.m.buf.BlockSize())
 	}
 	for sp, more := it.Next(); more; sp, more = it.Next() {

@@ -27,8 +27,8 @@ func TestCloseWithRecycledAndPendingReads(t *testing.T) {
 		}
 		return honest
 	}
-	r.mod.SetTenant(file, tenant, 1)
 	tr, other := r.mod.NewTransport(), r.mod.NewTransport()
+	tr.TenantHint(file, tenant, 1)
 	read := func(tr *CachedTransport, blk, n int64) (pvfs.ReqID, []byte) {
 		t.Helper()
 		buf := make([]byte, n*fakeBS)

@@ -16,7 +16,7 @@ import (
 // change that adds an allocation, not on a later benchmark run. A ceiling
 // only ever moves down: lower it in the change that removes an allocation.
 //
-// All four are zero: libpvfs plans every operation in its client's one
+// All five are zero: libpvfs plans every operation in its client's one
 // scratch (pvfs.opScratch), the transport keeps its FSM state by value or
 // recycled, and status-only replies are shared messages. The shapes differ
 // in what they make the scratch and the transport carry.
@@ -32,14 +32,19 @@ const (
 	// bufferedWriteAllocs: one piece, one Write, a faked ack (6 before the
 	// scratch).
 	bufferedWriteAllocs = 0
+	// hintedReadAllocs: cachedReadAllocs' read on a file carrying every
+	// per-open hint — a tenant tag charged against a fetch budget and a
+	// must-cache policy — so the module's per-file record is on the path.
+	hintedReadAllocs = 0
 )
 
 // allocCluster boots one caching node whose flusher stays quiet for the
 // length of a test, so that every allocation counted belongs to the
-// measured call, and returns a 1 MB file written and flushed through it.
-func allocCluster(t *testing.T) *pvfs.File {
+// measured call, and returns a process on it and a 1 MB file written and
+// flushed through it. The fetch budget only ever charges tagged files.
+func allocCluster(t *testing.T) (*pvfs.Client, *pvfs.File) {
 	t.Helper()
-	c := startTest(t, Config{IODs: 4, ClientNodes: 1, Caching: true, FlushPeriod: time.Hour})
+	c := startTest(t, Config{IODs: 4, ClientNodes: 1, Caching: true, FlushPeriod: time.Hour, TenantFetchBudget: 64})
 	p, err := c.NewProcess(0)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +60,7 @@ func allocCluster(t *testing.T) *pvfs.File {
 	if err := c.Module(0).FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	return f
+	return p, f
 }
 
 // checkAllocs fails on growth past the ceiling, and on a count below it so
@@ -71,7 +76,7 @@ func checkAllocs(t *testing.T, what string, got float64, ceiling int) {
 }
 
 func TestCachedReadAllocCeiling(t *testing.T) {
-	f := allocCluster(t)
+	_, f := allocCluster(t)
 	buf := make([]byte, 16<<10)
 	n := testing.AllocsPerRun(500, func() { // the warm-up run makes the blocks resident
 		if _, err := f.ReadAt(buf, 64<<10); err != nil {
@@ -84,7 +89,7 @@ func TestCachedReadAllocCeiling(t *testing.T) {
 // The general shape, not only the benchmark's: several pieces grouped over
 // several iods, as plain Reads.
 func TestStripedReadAllocCeiling(t *testing.T) {
-	f := allocCluster(t)
+	_, f := allocCluster(t)
 	buf := make([]byte, 256<<10)
 	n := testing.AllocsPerRun(200, func() {
 		if _, err := f.ReadAt(buf, 0); err != nil {
@@ -97,7 +102,7 @@ func TestStripedReadAllocCeiling(t *testing.T) {
 // Two striping cycles: every iod's two pieces travel as one ReadBlocks, so
 // the extent lists and the vectored status-only reply are on the path.
 func TestVectoredReadAllocCeiling(t *testing.T) {
-	f := allocCluster(t)
+	_, f := allocCluster(t)
 	buf := make([]byte, 512<<10)
 	n := testing.AllocsPerRun(200, func() {
 		if _, err := f.ReadAt(buf, 256<<10); err != nil {
@@ -107,8 +112,27 @@ func TestVectoredReadAllocCeiling(t *testing.T) {
 	checkAllocs(t, "a warm 512 KB cached ReadAt over 2 striping cycles", n, vectoredReadAllocs)
 }
 
+// The tagged path: the read resolves its file's record, charges the
+// tenant's in-flight budget and releases it, and reads the policy — none of
+// which may allocate or insert into a map.
+func TestHintedReadAllocCeiling(t *testing.T) {
+	p, _ := allocCluster(t)
+	f, err := p.OpenWithTenant("alloc.dat", 7, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.HintCachePolicy(pvfs.CacheMust)
+	buf := make([]byte, 16<<10)
+	n := testing.AllocsPerRun(500, func() {
+		if _, err := f.ReadAt(buf, 64<<10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	checkAllocs(t, "a warm 16 KB cached ReadAt of a tenant-tagged must-cache file", n, hintedReadAllocs)
+}
+
 func TestBufferedWriteAllocCeiling(t *testing.T) {
-	f := allocCluster(t)
+	_, f := allocCluster(t)
 	buf := make([]byte, 64<<10)
 	n := testing.AllocsPerRun(500, func() { // rewrites the same 16 dirty blocks: no flush, no eviction
 		if _, err := f.WriteAt(buf, 0); err != nil {

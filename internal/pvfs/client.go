@@ -61,8 +61,16 @@ type Config struct {
 // safe for concurrent use, matching a single-threaded PVFS process; run one
 // Client per simulated process.
 type Client struct {
-	cfg   Config
-	data  Transport
+	cfg  Config
+	data Transport
+	// The transport's optional extensions, resolved once in NewClient (nil
+	// when data does not implement them).
+	stripeHinter  StripeHinter
+	patternHinter ReadPatternHinter
+	policyHinter  CachePolicyHinter
+	tenantHinter  TenantHinter
+	sinker        ReadSinker
+
 	mgr   *rpc.Client
 	files map[blockio.FileID]*File
 	// scratch is the one operation in progress (see opScratch).
@@ -87,7 +95,13 @@ func NewClient(cfg Config) (*Client, error) {
 	}
 	// Metadata traffic is light; one pooled connection suffices.
 	mgr := rpc.NewClient(rpc.ClientConfig{Network: cfg.Network, Addr: cfg.MgrAddr, Conns: 1})
-	return &Client{cfg: cfg, data: data, mgr: mgr, files: make(map[blockio.FileID]*File)}, nil
+	c := &Client{cfg: cfg, data: data, mgr: mgr, files: make(map[blockio.FileID]*File)}
+	c.stripeHinter, _ = data.(StripeHinter)
+	c.patternHinter, _ = data.(ReadPatternHinter)
+	c.policyHinter, _ = data.(CachePolicyHinter)
+	c.tenantHinter, _ = data.(TenantHinter)
+	c.sinker, _ = data.(ReadSinker)
+	return c, nil
 }
 
 // mgrCall performs one synchronous metadata round trip. Metadata replies
@@ -201,8 +215,8 @@ func (c *Client) newFile(name string, id blockio.FileID, meta wire.FileMeta) *Fi
 // it wants one (see StripeHinter); the cache module's readahead needs it
 // to route prefetched blocks to the right daemons.
 func (c *Client) hintStripe(f *File) {
-	if h, ok := c.data.(StripeHinter); ok {
-		h.StripeHint(f.id, f.meta, len(c.cfg.IODAddrs))
+	if c.stripeHinter != nil {
+		c.stripeHinter.StripeHint(f.id, f.meta, len(c.cfg.IODAddrs))
 	}
 }
 
@@ -269,7 +283,7 @@ func (f *File) Size() int64 { return f.meta.Size }
 // HintCachePolicy forwards a cache-policy hint for this file to the
 // transport (see CachePolicy). A no-op on transports without a cache.
 func (f *File) HintCachePolicy(policy CachePolicy) {
-	if h, ok := f.client.data.(CachePolicyHinter); ok {
+	if h := f.client.policyHinter; h != nil {
 		h.CachePolicyHint(f.id, policy)
 	}
 }
@@ -277,7 +291,7 @@ func (f *File) HintCachePolicy(policy CachePolicy) {
 // HintTenant forwards a tenant tag and scheduling weight for this file to
 // the transport (see TenantHinter). A no-op on transports without a cache.
 func (f *File) HintTenant(tenant uint32, weight int) {
-	if h, ok := f.client.data.(TenantHinter); ok {
+	if h := f.client.tenantHinter; h != nil {
 		h.TenantHint(f.id, tenant, weight)
 	}
 }
@@ -346,10 +360,9 @@ func (f *File) readAtOnce(p []byte, off int64) (int, error) {
 	// Report the request to the transport's sequential detector before
 	// the pieces go out, so an established scan's readahead overlaps this
 	// request's own fetches.
-	if h, ok := c.data.(ReadPatternHinter); ok {
-		h.NoteRead(f.id, off, want)
+	if c.patternHinter != nil {
+		c.patternHinter.NoteRead(f.id, off, want)
 	}
-	sinker, canSink := c.data.(ReadSinker)
 	for i := range s.reqs {
 		r := &s.reqs[i]
 		first := s.pieces[r.lo]
@@ -361,11 +374,11 @@ func (f *File) readAtOnce(p []byte, off int64) (int, error) {
 			r.readv = wire.ReadBlocks{Client: c.cfg.ClientID, File: f.id, Exts: s.exts[r.lo:r.hi]}
 			req = &r.readv
 		}
-		if canSink {
+		if c.sinker != nil {
 			// Zero-copy: hand the transport the destination regions of
 			// the caller's buffer so response bytes land there directly,
 			// with no intermediate result buffer or response payload.
-			id, ok, err := sinker.SendRead(first.IOD, req, s.sink[r.lo:r.hi])
+			id, ok, err := c.sinker.SendRead(first.IOD, req, s.sink[r.lo:r.hi])
 			if err != nil {
 				return 0, err
 			}

@@ -53,10 +53,14 @@ func fuzzSampleMessages() []Message {
 		&InvalidAck{Status: StatusOK},
 		&Register{Client: 3, Addr: "node0:9000"},
 		&RegisterAck{Status: StatusOK},
-		&PeerGet{File: 7, Index: 5},
+		&PeerGet{File: 7, Index: 5, Epoch: 4},
 		&PeerGetResp{Status: StatusOK, Data: []byte{9, 9}},
-		&PeerPut{File: 7, Index: 5, Owner: 1, Data: []byte{8, 8}},
+		&PeerPut{File: 7, Index: 5, Owner: 1, Epoch: 4, Data: []byte{8, 8}},
 		&PeerPutAck{Status: StatusOK},
+		&ViewGet{},
+		&ViewResp{Status: StatusOK, Epoch: 4, IDs: []uint32{1, 2}, Addrs: []string{"node1:9100", "node2:9100"}},
+		&JoinView{ID: 2, Addr: "node2:9100"},
+		&LeaveView{ID: 1},
 	}
 }
 

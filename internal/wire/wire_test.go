@@ -53,6 +53,16 @@ func TestRoundTripAllTypes(t *testing.T) {
 		&InvalidAck{Status: StatusOK},
 		&PeerGet{File: 2, Index: 44},
 		&PeerGetResp{Status: StatusOK, Data: []byte("blk")},
+		&ReadBlocks{Client: 5, File: 11, Track: true, Exts: []ReadExtent{{0, 4096}, {12288, 8192}}},
+		&ReadBlocksResp{Status: StatusOK, Lens: []uint32{3, 0, 2}, Data: []byte("abcde")},
+		&Register{Client: 5, Addr: "node5:9000"},
+		&RegisterAck{Status: StatusOK},
+		&PeerPut{File: 2, Index: 44, Owner: 3, Epoch: 9, Data: []byte("blk")},
+		&PeerPutAck{Status: StatusStaleEpoch},
+		&ViewGet{},
+		&ViewResp{Status: StatusOK, Epoch: 9, IDs: []uint32{3}, Addrs: []string{"node3:9100"}},
+		&JoinView{ID: 3, Addr: "node3:9100"},
+		&LeaveView{ID: 3},
 	}
 	for _, m := range msgs {
 		got := roundTrip(t, m)
@@ -285,6 +295,18 @@ func TestLegacyReaderRejectsTaggedFrame(t *testing.T) {
 	}
 	if _, err := ReadMessage(&buf); err == nil {
 		t.Fatal("legacy ReadMessage accepted a tagged frame")
+	}
+}
+
+// TestViewRespListParity: the view's ID and address lists are parallel, so
+// a response whose counts differ is rejected rather than misread.
+func TestViewRespListParity(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, &ViewResp{Epoch: 3, IDs: []uint32{1, 2}, Addrs: []string{"node1:9100"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadMessage(&buf); err == nil {
+		t.Fatal("ViewResp with 2 IDs and 1 address accepted")
 	}
 }
 

@@ -546,6 +546,9 @@ func (c *Cluster) Close() error {
 			}
 		}
 	}
+	if err := c.Mgr.Close(); err != nil && firstErr == nil {
+		firstErr = err
+	}
 	for _, d := range c.IODs {
 		if err := d.Close(); err != nil && firstErr == nil {
 			firstErr = err

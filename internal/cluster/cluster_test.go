@@ -173,6 +173,30 @@ func TestReadPastEOF(t *testing.T) {
 	}
 }
 
+// TestClosedClusterRefusesMetadata: Close stops the mgr, including on the
+// connections it accepted before — a process that already spoke to it
+// cannot keep creating and opening files on a closed cluster.
+func TestClosedClusterRefusesMetadata(t *testing.T) {
+	c := startTest(t, Config{IODs: 2, ClientNodes: 1})
+	p, err := c.NewProcess(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.Create("before.dat", pvfs.StripeSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Create("after.dat", pvfs.StripeSpec{}); err == nil {
+		t.Error("Create succeeded on a closed cluster")
+	}
+	if _, err := p.Open("before.dat"); err == nil {
+		t.Error("Open succeeded on a closed cluster")
+	}
+}
+
 func TestDurabilityViaFlusher(t *testing.T) {
 	// Write through the cache, wait for the background flusher (no manual
 	// FlushAll), then read directly from the iod stores.

@@ -35,6 +35,9 @@ type Server struct {
 	byName map[string]*entry
 	byID   map[blockio.FileID]*entry
 	nextID blockio.FileID
+
+	srvMu   sync.Mutex
+	servers []*rpc.Server
 }
 
 type entry struct {
@@ -184,7 +187,23 @@ func (s *Server) Serve(l transport.Listener) error {
 		}
 		return resp
 	}), rpc.ServerConfig{})
+	s.srvMu.Lock()
+	s.servers = append(s.servers, srv)
+	s.srvMu.Unlock()
 	return srv.Serve(l)
+}
+
+// Close drops every connection Serve accepted; clients see their metadata
+// calls fail. Listeners belong to the caller.
+func (s *Server) Close() error {
+	s.srvMu.Lock()
+	servers := s.servers
+	s.servers = nil
+	s.srvMu.Unlock()
+	for _, srv := range servers {
+		srv.Close()
+	}
+	return nil
 }
 
 // handle dispatches one request message and returns the reply, or nil for

@@ -12,43 +12,43 @@ import (
 // allocation. The /64k samples take the scatter-gather tail on encode and
 // alias the tail on decode.
 var frameAllocPins = map[string]struct{ encode, decode int }{
-	"Create":             {1, 6},
-	"CreateResp":         {1, 5},
-	"Flush":              {1, 6},
-	"Flush/64k":          {1, 6},
-	"FlushAck":           {1, 5},
-	"InvalidAck":         {1, 5},
-	"Invalidate":         {1, 6},
-	"JoinView":           {1, 6},
-	"LeaveView":          {1, 5},
-	"List":               {1, 4},
-	"ListResp":           {1, 7},
-	"Open":               {1, 6},
-	"OpenResp":           {1, 5},
-	"PeerGet":            {1, 5},
-	"PeerGetResp":        {1, 5},
-	"PeerPut":            {1, 5},
-	"PeerPutAck":         {1, 5},
-	"Read":               {1, 5},
-	"ReadBlocks":         {1, 6},
-	"ReadBlocksResp":     {1, 6},
-	"ReadBlocksResp/64k": {3, 6},
-	"ReadResp":           {1, 5},
-	"ReadResp/64k":       {3, 5},
-	"Register":           {1, 6},
-	"RegisterAck":        {1, 5},
-	"SetSize":            {1, 5},
-	"Stat":               {1, 5},
-	"StatResp":           {1, 5},
-	"Status":             {1, 5},
-	"SyncWrite":          {1, 5},
-	"SyncWriteAck":       {1, 5},
-	"Unlink":             {1, 6},
-	"ViewGet":            {1, 4},
-	"ViewResp":           {1, 9},
-	"Write":              {1, 5},
-	"Write/64k":          {3, 5},
-	"WriteAck":           {1, 5},
+	"Create":             {0, 3},
+	"CreateResp":         {0, 2},
+	"Flush":              {0, 3},
+	"Flush/64k":          {0, 3},
+	"FlushAck":           {0, 2},
+	"InvalidAck":         {0, 2},
+	"Invalidate":         {0, 3},
+	"JoinView":           {0, 3},
+	"LeaveView":          {0, 2},
+	"List":               {0, 1},
+	"ListResp":           {0, 4},
+	"Open":               {0, 3},
+	"OpenResp":           {0, 2},
+	"PeerGet":            {0, 2},
+	"PeerGetResp":        {0, 2},
+	"PeerPut":            {0, 2},
+	"PeerPutAck":         {0, 2},
+	"Read":               {0, 2},
+	"ReadBlocks":         {0, 3},
+	"ReadBlocksResp":     {0, 3},
+	"ReadBlocksResp/64k": {0, 3},
+	"ReadResp":           {0, 2},
+	"ReadResp/64k":       {0, 2},
+	"Register":           {0, 3},
+	"RegisterAck":        {0, 2},
+	"SetSize":            {0, 2},
+	"Stat":               {0, 2},
+	"StatResp":           {0, 2},
+	"Status":             {0, 2},
+	"SyncWrite":          {0, 2},
+	"SyncWriteAck":       {0, 2},
+	"Unlink":             {0, 3},
+	"ViewGet":            {0, 1},
+	"ViewResp":           {0, 6},
+	"Write":              {0, 2},
+	"Write/64k":          {0, 2},
+	"WriteAck":           {0, 2},
 }
 
 // allocSamples is the sample set plus the 64 KB shapes the data path sends.

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"net"
 
 	"pvfscache/internal/blockio"
 )
@@ -10,567 +11,297 @@ import (
 // errTruncated reports a payload shorter than its declared fields.
 var errTruncated = errors.New("truncated payload")
 
-// reader is a cursor over a message payload. In alias mode (zero-copy
-// decode, see ReadFrameAliased) bulk byte fields are returned as subslices
-// of buf instead of copies, and aliased records whether any such subslice
-// was actually handed out — if none was, the payload buffer can be
-// recycled immediately.
-type reader struct {
-	buf     []byte
-	pos     int
-	alias   bool
-	aliased bool
+// codec walks one message's fields in wire order. Every message lists its
+// fields once, in a walk method, and that one list drives both directions:
+// encoding appends each field to buf; decoding reads each field from buf at
+// pos into the message. A decode error is sticky — once the payload is
+// short every later field reads nothing — so a walk never checks errors
+// between fields.
+type codec struct {
+	buf []byte
+	pos int // decode cursor
+	dec bool
+	err error
+
+	// alias (decode): bulk byte fields become subslices of buf instead of
+	// copies (ReadFrameAliased); aliased records that one was handed out,
+	// so buf must outlive the message.
+	alias, aliased bool
+
+	// vec (encode): a tail of at least minVecTail bytes is not copied into
+	// buf; tailData keeps it for the frame writer to send from the
+	// caller's buffer as a second segment.
+	vec      bool
+	tailData []byte
+
+	// Scratch a pooled codec carries so that framing allocates nothing:
+	// the header readFrame reads, and the head + tail segment list.
+	hdr  [14]byte
+	vecs [2][]byte
+	bufs net.Buffers
 }
 
-func (r *reader) u8() (byte, error) {
-	if r.pos+1 > len(r.buf) {
-		return 0, errTruncated
+// minVecTail is the smallest payload tail worth a scatter-gather write;
+// below it, one copy into the frame buffer is cheaper than a second write
+// on the transport.
+const minVecTail = 1 << 10
+
+// take returns the next n payload bytes, or nil once the payload is short.
+func (c *codec) take(n int) []byte {
+	if c.err != nil || n > len(c.buf)-c.pos {
+		c.fail()
+		return nil
 	}
-	v := r.buf[r.pos]
-	r.pos++
-	return v, nil
-}
-
-func (r *reader) u16() (uint16, error) {
-	if r.pos+2 > len(r.buf) {
-		return 0, errTruncated
-	}
-	v := binary.BigEndian.Uint16(r.buf[r.pos:])
-	r.pos += 2
-	return v, nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	if r.pos+4 > len(r.buf) {
-		return 0, errTruncated
-	}
-	v := binary.BigEndian.Uint32(r.buf[r.pos:])
-	r.pos += 4
-	return v, nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	if r.pos+8 > len(r.buf) {
-		return 0, errTruncated
-	}
-	v := binary.BigEndian.Uint64(r.buf[r.pos:])
-	r.pos += 8
-	return v, nil
-}
-
-func (r *reader) i64() (int64, error) {
-	v, err := r.u64()
-	return int64(v), err
-}
-
-// count reads a u32 element count and validates it against the bytes left
-// in the payload: each element occupies at least minElemSize encoded bytes,
-// so a count the payload cannot possibly hold is rejected before any
-// allocation. This keeps a hostile 4-byte count from pre-allocating
-// gigabytes.
-func (r *reader) count(minElemSize int) (int, error) {
-	n, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	if int64(n)*int64(minElemSize) > int64(len(r.buf)-r.pos) {
-		return 0, errTruncated
-	}
-	return int(n), nil
-}
-
-func (r *reader) bytes() ([]byte, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if r.pos+int(n) > len(r.buf) {
-		return nil, errTruncated
-	}
-	if r.alias && n > 0 {
-		// Zero-copy: alias the payload buffer. Full slice expression so an
-		// append by the consumer cannot scribble over the next field.
-		v := r.buf[r.pos : r.pos+int(n) : r.pos+int(n)]
-		r.pos += int(n)
-		r.aliased = true
-		return v, nil
-	}
-	v := make([]byte, n)
-	copy(v, r.buf[r.pos:r.pos+int(n)])
-	r.pos += int(n)
-	return v, nil
-}
-
-// str reads a length-prefixed string. The string conversion always copies,
-// so it never aliases the payload buffer even in alias mode.
-func (r *reader) str() (string, error) {
-	n, err := r.u32()
-	if err != nil {
-		return "", err
-	}
-	if r.pos+int(n) > len(r.buf) {
-		return "", errTruncated
-	}
-	v := string(r.buf[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return v, nil
-}
-
-func (r *reader) bool() (bool, error) {
-	v, err := r.u8()
-	return v != 0, err
-}
-
-// append helpers.
-func apU8(b []byte, v byte) []byte    { return append(b, v) }
-func apU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
-func apU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func apU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-func apI64(b []byte, v int64) []byte  { return apU64(b, uint64(v)) }
-func apBytes(b, v []byte) []byte      { return append(apU32(b, uint32(len(v))), v...) }
-func apStr(b []byte, v string) []byte { return append(apU32(b, uint32(len(v))), v...) }
-func apBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func apMeta(b []byte, m FileMeta) []byte {
-	b = apI64(b, m.Size)
-	b = apU32(b, m.Base)
-	b = apU32(b, m.PCount)
-	return apU32(b, m.SSize)
-}
-
-func (r *reader) meta() (FileMeta, error) {
-	var m FileMeta
-	var err error
-	if m.Size, err = r.i64(); err != nil {
-		return m, err
-	}
-	if m.Base, err = r.u32(); err != nil {
-		return m, err
-	}
-	if m.PCount, err = r.u32(); err != nil {
-		return m, err
-	}
-	m.SSize, err = r.u32()
-	return m, err
-}
-
-func (m *Create) append(b []byte) []byte {
-	b = apStr(b, m.Name)
-	b = apU32(b, m.Base)
-	b = apU32(b, m.PCount)
-	return apU32(b, m.SSize)
-}
-
-func (m *Create) decode(r *reader) error {
-	var err error
-	if m.Name, err = r.str(); err != nil {
-		return err
-	}
-	if m.Base, err = r.u32(); err != nil {
-		return err
-	}
-	if m.PCount, err = r.u32(); err != nil {
-		return err
-	}
-	m.SSize, err = r.u32()
-	return err
-}
-
-func (m *CreateResp) append(b []byte) []byte {
-	b = apU16(b, uint16(m.Status))
-	b = apU64(b, uint64(m.File))
-	return apMeta(b, m.Meta)
-}
-
-func (m *CreateResp) decode(r *reader) error {
-	s, err := r.u16()
-	if err != nil {
-		return err
-	}
-	m.Status = Status(s)
-	f, err := r.u64()
-	if err != nil {
-		return err
-	}
-	m.File = blockio.FileID(f)
-	m.Meta, err = r.meta()
-	return err
-}
-
-func (m *Open) append(b []byte) []byte { return apStr(b, m.Name) }
-
-func (m *Open) decode(r *reader) error {
-	var err error
-	m.Name, err = r.str()
-	return err
-}
-
-func (m *OpenResp) append(b []byte) []byte {
-	b = apU16(b, uint16(m.Status))
-	b = apU64(b, uint64(m.File))
-	return apMeta(b, m.Meta)
-}
-
-func (m *OpenResp) decode(r *reader) error {
-	s, err := r.u16()
-	if err != nil {
-		return err
-	}
-	m.Status = Status(s)
-	f, err := r.u64()
-	if err != nil {
-		return err
-	}
-	m.File = blockio.FileID(f)
-	m.Meta, err = r.meta()
-	return err
-}
-
-func (m *Stat) append(b []byte) []byte { return apU64(b, uint64(m.File)) }
-
-func (m *Stat) decode(r *reader) error {
-	f, err := r.u64()
-	m.File = blockio.FileID(f)
-	return err
-}
-
-func (m *StatResp) append(b []byte) []byte {
-	b = apU16(b, uint16(m.Status))
-	return apMeta(b, m.Meta)
-}
-
-func (m *StatResp) decode(r *reader) error {
-	s, err := r.u16()
-	if err != nil {
-		return err
-	}
-	m.Status = Status(s)
-	m.Meta, err = r.meta()
-	return err
-}
-
-func (m *Unlink) append(b []byte) []byte { return apStr(b, m.Name) }
-
-func (m *Unlink) decode(r *reader) error {
-	var err error
-	m.Name, err = r.str()
-	return err
-}
-
-func (m *SetSize) append(b []byte) []byte {
-	b = apU64(b, uint64(m.File))
-	return apI64(b, m.Size)
-}
-
-func (m *SetSize) decode(r *reader) error {
-	f, err := r.u64()
-	if err != nil {
-		return err
-	}
-	m.File = blockio.FileID(f)
-	m.Size, err = r.i64()
-	return err
-}
-
-func (m *List) append(b []byte) []byte { return b }
-func (m *List) decode(r *reader) error { return nil }
-
-func (m *ListResp) append(b []byte) []byte {
-	b = apU16(b, uint16(m.Status))
-	b = apU32(b, uint32(len(m.Names)))
-	for _, n := range m.Names {
-		b = apStr(b, n)
-	}
+	b := c.buf[c.pos : c.pos+n : c.pos+n]
+	c.pos += n
 	return b
 }
 
-func (m *ListResp) decode(r *reader) error {
-	s, err := r.u16()
-	if err != nil {
-		return err
+func (c *codec) fail() {
+	if c.err == nil {
+		c.err = errTruncated
 	}
-	m.Status = Status(s)
-	n, err := r.count(4) // each name is at least a u32 length prefix
-	if err != nil {
-		return err
+}
+
+// check rejects a decoded message that breaks an invariant its fields
+// cannot express on their own.
+func (c *codec) check(ok bool) {
+	if c.dec && !ok {
+		c.fail()
 	}
-	m.Names = make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		name, err := r.str()
-		if err != nil {
-			return err
+}
+
+func (c *codec) bool(v *bool) {
+	if !c.dec {
+		var b byte
+		if *v {
+			b = 1
 		}
-		m.Names = append(m.Names, name)
+		c.buf = append(c.buf, b)
+	} else if b := c.take(1); b != nil {
+		*v = b[0] != 0
 	}
-	return nil
 }
 
-func (m *StatusMsg) append(b []byte) []byte { return apU16(b, uint16(m.Status)) }
-
-func (m *StatusMsg) decode(r *reader) error {
-	s, err := r.u16()
-	m.Status = Status(s)
-	return err
+func (c *codec) u32(v *uint32) {
+	if !c.dec {
+		c.buf = binary.BigEndian.AppendUint32(c.buf, *v)
+	} else if b := c.take(4); b != nil {
+		*v = binary.BigEndian.Uint32(b)
+	}
 }
 
-func (m *Read) append(b []byte) []byte {
-	b = apU32(b, m.Client)
-	b = apU64(b, uint64(m.File))
-	b = apI64(b, m.Offset)
-	b = apI64(b, m.Length)
-	return apBool(b, m.Track)
+func (c *codec) u64(v *uint64) {
+	if !c.dec {
+		c.buf = binary.BigEndian.AppendUint64(c.buf, *v)
+	} else if b := c.take(8); b != nil {
+		*v = binary.BigEndian.Uint64(b)
+	}
 }
 
-func (m *Read) decode(r *reader) error {
-	var err error
-	if m.Client, err = r.u32(); err != nil {
-		return err
+func (c *codec) i64(v *int64) {
+	if !c.dec {
+		c.buf = binary.BigEndian.AppendUint64(c.buf, uint64(*v))
+	} else if b := c.take(8); b != nil {
+		*v = int64(binary.BigEndian.Uint64(b))
 	}
-	f, err := r.u64()
-	if err != nil {
-		return err
-	}
-	m.File = blockio.FileID(f)
-	if m.Offset, err = r.i64(); err != nil {
-		return err
-	}
-	if m.Length, err = r.i64(); err != nil {
-		return err
-	}
-	m.Track, err = r.bool()
-	return err
 }
 
-func (m *ReadResp) appendHead(b []byte) []byte {
-	b = apU16(b, uint16(m.Status))
-	return apU32(b, uint32(len(m.Data)))
+func (c *codec) status(v *Status) {
+	if !c.dec {
+		c.buf = binary.BigEndian.AppendUint16(c.buf, uint16(*v))
+	} else if b := c.take(2); b != nil {
+		*v = Status(binary.BigEndian.Uint16(b))
+	}
 }
 
-func (m *ReadResp) tail() []byte { return m.Data }
+func (c *codec) file(v *blockio.FileID) { c.u64((*uint64)(v)) }
 
-func (m *ReadResp) append(b []byte) []byte { return append(m.appendHead(b), m.Data...) }
-
-func (m *ReadResp) decode(r *reader) error {
-	s, err := r.u16()
-	if err != nil {
-		return err
+// str walks a length-prefixed string. The string conversion always copies,
+// so it never aliases the payload even in alias mode.
+func (c *codec) str(v *string) {
+	if !c.dec {
+		c.buf = append(binary.BigEndian.AppendUint32(c.buf, uint32(len(*v))), *v...)
+		return
 	}
-	m.Status = Status(s)
-	m.Data, err = r.bytes()
-	return err
+	var n uint32
+	c.u32(&n)
+	if b := c.take(int(n)); c.err == nil {
+		*v = string(b)
+	}
 }
 
-func (m *Write) appendHead(b []byte) []byte {
-	b = apU32(b, m.Client)
-	b = apU64(b, uint64(m.File))
-	b = apI64(b, m.Offset)
-	return apU32(b, uint32(len(m.Data)))
+// bytes walks a length-prefixed byte field.
+func (c *codec) bytes(v *[]byte) {
+	if !c.dec {
+		c.buf = append(binary.BigEndian.AppendUint32(c.buf, uint32(len(*v))), *v...)
+		return
+	}
+	var n uint32
+	c.u32(&n)
+	b := c.take(int(n))
+	switch {
+	case c.err != nil:
+	case c.alias && n > 0:
+		// take's full slice expression keeps an append by the consumer
+		// from scribbling over the next field.
+		*v = b
+		c.aliased = true
+	default:
+		*v = append(make([]byte, 0, n), b...)
+	}
 }
 
-func (m *Write) tail() []byte { return m.Data }
-
-func (m *Write) append(b []byte) []byte { return append(m.appendHead(b), m.Data...) }
-
-func (m *Write) decode(r *reader) error {
-	var err error
-	if m.Client, err = r.u32(); err != nil {
-		return err
+// tail walks a message's bulk payload, which must be its final field. On
+// encode with vec set, a payload of at least minVecTail bytes is left in
+// tailData behind its length prefix, and the frame writer sends it straight
+// from the caller's buffer (a writev on TCP, two pipe writes in memory).
+func (c *codec) tail(v *[]byte) {
+	if c.dec || !c.vec || len(*v) < minVecTail {
+		c.bytes(v)
+		return
 	}
-	f, err := r.u64()
-	if err != nil {
-		return err
-	}
-	m.File = blockio.FileID(f)
-	if m.Offset, err = r.i64(); err != nil {
-		return err
-	}
-	m.Data, err = r.bytes()
-	return err
+	c.buf = binary.BigEndian.AppendUint32(c.buf, uint32(len(*v)))
+	c.tailData = *v
 }
 
-func (m *WriteAck) append(b []byte) []byte { return apU16(b, uint16(m.Status)) }
-
-func (m *WriteAck) decode(r *reader) error {
-	s, err := r.u16()
-	m.Status = Status(s)
-	return err
+// count walks a u32 element count. On decode a count the rest of the
+// payload cannot hold, at minElemSize encoded bytes an element, is rejected
+// before anything is allocated, so a hostile 4-byte count cannot
+// pre-allocate gigabytes.
+func (c *codec) count(n, minElemSize int) int {
+	v := uint32(n)
+	c.u32(&v)
+	if c.err != nil || c.dec && int64(v)*int64(minElemSize) > int64(len(c.buf)-c.pos) {
+		c.fail()
+		return 0
+	}
+	return int(v)
 }
 
-func (m *SyncWrite) appendHead(b []byte) []byte {
-	b = apU32(b, m.Client)
-	b = apU64(b, uint64(m.File))
-	b = apI64(b, m.Offset)
-	return apU32(b, uint32(len(m.Data)))
+// list walks a u32-counted slice, each element with elem.
+func list[E any](c *codec, s *[]E, minElemSize int, elem func(*codec, *E)) {
+	n := c.count(len(*s), minElemSize)
+	if c.dec {
+		*s = make([]E, n)
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		elem(c, &(*s)[i])
+	}
 }
 
-func (m *SyncWrite) tail() []byte { return m.Data }
-
-func (m *SyncWrite) append(b []byte) []byte { return append(m.appendHead(b), m.Data...) }
-
-func (m *SyncWrite) decode(r *reader) error {
-	var err error
-	if m.Client, err = r.u32(); err != nil {
-		return err
-	}
-	f, err := r.u64()
-	if err != nil {
-		return err
-	}
-	m.File = blockio.FileID(f)
-	if m.Offset, err = r.i64(); err != nil {
-		return err
-	}
-	m.Data, err = r.bytes()
-	return err
+func (c *codec) meta(m *FileMeta) {
+	c.i64(&m.Size)
+	c.u32(&m.Base)
+	c.u32(&m.PCount)
+	c.u32(&m.SSize)
 }
 
-func (m *SyncWriteAck) append(b []byte) []byte {
-	b = apU16(b, uint16(m.Status))
-	return apU32(b, m.Invalidated)
+func (m *Create) walk(c *codec) {
+	c.str(&m.Name)
+	c.u32(&m.Base)
+	c.u32(&m.PCount)
+	c.u32(&m.SSize)
 }
 
-func (m *SyncWriteAck) decode(r *reader) error {
-	s, err := r.u16()
-	if err != nil {
-		return err
-	}
-	m.Status = Status(s)
-	m.Invalidated, err = r.u32()
-	return err
+func (m *CreateResp) walk(c *codec) {
+	c.status(&m.Status)
+	c.file(&m.File)
+	c.meta(&m.Meta)
 }
 
-func (m *Flush) append(b []byte) []byte {
-	b = apU32(b, m.Client)
-	b = apU64(b, uint64(m.File))
-	b = apU32(b, uint32(len(m.Blocks)))
-	for _, blk := range m.Blocks {
-		b = apI64(b, blk.Index)
-		b = apU32(b, blk.Off)
-		b = apBytes(b, blk.Data)
-	}
-	return b
+func (m *Open) walk(c *codec) { c.str(&m.Name) }
+
+func (m *OpenResp) walk(c *codec) {
+	c.status(&m.Status)
+	c.file(&m.File)
+	c.meta(&m.Meta)
 }
 
-func (m *Flush) decode(r *reader) error {
-	var err error
-	if m.Client, err = r.u32(); err != nil {
-		return err
-	}
-	f, err := r.u64()
-	if err != nil {
-		return err
-	}
-	m.File = blockio.FileID(f)
-	n, err := r.count(16) // index + off + data length prefix
-	if err != nil {
-		return err
-	}
-	m.Blocks = make([]FlushBlock, 0, n)
-	for i := 0; i < n; i++ {
-		var blk FlushBlock
-		if blk.Index, err = r.i64(); err != nil {
-			return err
-		}
-		if blk.Off, err = r.u32(); err != nil {
-			return err
-		}
-		if blk.Data, err = r.bytes(); err != nil {
-			return err
-		}
-		m.Blocks = append(m.Blocks, blk)
-	}
-	return nil
+func (m *Stat) walk(c *codec) { c.file(&m.File) }
+
+func (m *StatResp) walk(c *codec) {
+	c.status(&m.Status)
+	c.meta(&m.Meta)
 }
 
-func (m *FlushAck) append(b []byte) []byte { return apU16(b, uint16(m.Status)) }
+func (m *Unlink) walk(c *codec) { c.str(&m.Name) }
 
-func (m *FlushAck) decode(r *reader) error {
-	s, err := r.u16()
-	m.Status = Status(s)
-	return err
+func (m *SetSize) walk(c *codec) {
+	c.file(&m.File)
+	c.i64(&m.Size)
 }
 
-func (m *Invalidate) append(b []byte) []byte {
-	b = apU64(b, uint64(m.File))
-	b = apBool(b, m.Drain)
-	b = apU32(b, uint32(len(m.Indices)))
-	for _, idx := range m.Indices {
-		b = apI64(b, idx)
-	}
-	return b
+func (m *List) walk(c *codec) {}
+
+func (m *ListResp) walk(c *codec) {
+	c.status(&m.Status)
+	list(c, &m.Names, 4, (*codec).str) // each name is at least its u32 length prefix
 }
 
-func (m *Invalidate) decode(r *reader) error {
-	f, err := r.u64()
-	if err != nil {
-		return err
-	}
-	m.File = blockio.FileID(f)
-	if m.Drain, err = r.bool(); err != nil {
-		return err
-	}
-	n, err := r.count(8)
-	if err != nil {
-		return err
-	}
-	m.Indices = make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		idx, err := r.i64()
-		if err != nil {
-			return err
-		}
-		m.Indices = append(m.Indices, idx)
-	}
-	return nil
+func (m *StatusMsg) walk(c *codec) { c.status(&m.Status) }
+
+func (m *Read) walk(c *codec) {
+	c.u32(&m.Client)
+	c.file(&m.File)
+	c.i64(&m.Offset)
+	c.i64(&m.Length)
+	c.bool(&m.Track)
 }
 
-func (m *InvalidAck) append(b []byte) []byte { return apU16(b, uint16(m.Status)) }
-
-func (m *InvalidAck) decode(r *reader) error {
-	s, err := r.u16()
-	m.Status = Status(s)
-	return err
+func (m *ReadResp) walk(c *codec) {
+	c.status(&m.Status)
+	c.tail(&m.Data)
 }
 
-func (m *PeerGet) append(b []byte) []byte {
-	b = apU64(b, uint64(m.File))
-	b = apI64(b, m.Index)
-	return apU64(b, m.Epoch)
+func (m *Write) walk(c *codec) {
+	c.u32(&m.Client)
+	c.file(&m.File)
+	c.i64(&m.Offset)
+	c.tail(&m.Data)
 }
 
-func (m *PeerGet) decode(r *reader) error {
-	f, err := r.u64()
-	if err != nil {
-		return err
-	}
-	m.File = blockio.FileID(f)
-	if m.Index, err = r.i64(); err != nil {
-		return err
-	}
-	m.Epoch, err = r.u64()
-	return err
+func (m *WriteAck) walk(c *codec) { c.status(&m.Status) }
+
+func (m *SyncWrite) walk(c *codec) {
+	c.u32(&m.Client)
+	c.file(&m.File)
+	c.i64(&m.Offset)
+	c.tail(&m.Data)
 }
 
-func (m *PeerGetResp) appendHead(b []byte) []byte {
-	b = apU16(b, uint16(m.Status))
-	return apU32(b, uint32(len(m.Data)))
+func (m *SyncWriteAck) walk(c *codec) {
+	c.status(&m.Status)
+	c.u32(&m.Invalidated)
 }
 
-func (m *PeerGetResp) tail() []byte { return m.Data }
+func (m *Flush) walk(c *codec) {
+	c.u32(&m.Client)
+	c.file(&m.File)
+	list(c, &m.Blocks, 16, func(c *codec, b *FlushBlock) {
+		c.i64(&b.Index)
+		c.u32(&b.Off)
+		c.bytes(&b.Data)
+	})
+}
 
-func (m *PeerGetResp) append(b []byte) []byte { return append(m.appendHead(b), m.Data...) }
+func (m *FlushAck) walk(c *codec) { c.status(&m.Status) }
 
-func (m *PeerGetResp) decode(r *reader) error {
-	s, err := r.u16()
-	if err != nil {
-		return err
-	}
-	m.Status = Status(s)
-	m.Data, err = r.bytes()
-	return err
+func (m *Invalidate) walk(c *codec) {
+	c.file(&m.File)
+	c.bool(&m.Drain)
+	list(c, &m.Indices, 8, (*codec).i64)
+}
+
+func (m *InvalidAck) walk(c *codec) { c.status(&m.Status) }
+
+func (m *PeerGet) walk(c *codec) {
+	c.file(&m.File)
+	c.i64(&m.Index)
+	c.u64(&m.Epoch)
+}
+
+func (m *PeerGetResp) walk(c *codec) {
+	c.status(&m.Status)
+	c.tail(&m.Data)
 }

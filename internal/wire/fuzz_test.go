@@ -7,7 +7,7 @@ package wire
 //   - no panic: hostile frames and payloads must fail with an error, never
 //     crash the daemon that read them off a socket;
 //   - no over-allocation: a count prefix can only pre-allocate what the
-//     payload it arrived in could possibly hold (the reader.count guard),
+//     payload it arrived in could possibly hold (the codec.count guard),
 //     so a 4-byte hostile count cannot pin gigabytes;
 //   - canonical round trip: anything that decodes re-encodes to a frame
 //     that decodes to the same message and re-encodes identically.
@@ -80,6 +80,7 @@ func encodeFrame(tag uint64, tagged bool, m Message) ([]byte, error) {
 // word, tag bit, type dispatch and every message decoder behind it. Any
 // frame that decodes must round-trip canonically.
 func FuzzDecode(f *testing.F) {
+	requireEveryType(f, fuzzSampleMessages())
 	for _, m := range fuzzSampleMessages() {
 		if enc, err := encodeFrame(0, false, m); err == nil {
 			f.Add(enc)
@@ -147,20 +148,20 @@ func FuzzDecode(f *testing.F) {
 // cache module's fill path depends on.
 func FuzzVectorDecode(f *testing.F) {
 	rb := &ReadBlocks{Client: 1, File: 2, Track: true, Exts: []ReadExtent{{0, 4096}, {8192, 4096}}}
-	f.Add(rb.append(nil))
+	f.Add(encodePayload(rb))
 	resp := &ReadBlocksResp{Status: StatusOK, Lens: []uint32{1, 4}, Data: []byte{1, 2, 3, 4, 5}}
-	f.Add(resp.append(nil))
+	f.Add(encodePayload(resp))
 	f.Add([]byte{0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF}) // hostile counts
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var req ReadBlocks
-		if err := req.decode(&reader{buf: payload}); err == nil {
+		if err := decodePayload(&req, payload); err == nil {
 			if len(req.Exts)*16 > len(payload) {
 				t.Fatalf("ReadBlocks decoded %d extents from %d bytes (over-allocation)",
 					len(req.Exts), len(payload))
 			}
-			enc := req.append(nil)
+			enc := encodePayload(&req)
 			var again ReadBlocks
-			if err := again.decode(&reader{buf: enc}); err != nil {
+			if err := decodePayload(&again, enc); err != nil {
 				t.Fatalf("ReadBlocks re-decode: %v", err)
 			}
 			if !reflect.DeepEqual(req, again) {
@@ -168,7 +169,7 @@ func FuzzVectorDecode(f *testing.F) {
 			}
 		}
 		var rsp ReadBlocksResp
-		if err := rsp.decode(&reader{buf: payload}); err == nil {
+		if err := decodePayload(&rsp, payload); err == nil {
 			if len(rsp.Lens)*4 > len(payload) {
 				t.Fatalf("ReadBlocksResp decoded %d lens from %d bytes (over-allocation)",
 					len(rsp.Lens), len(payload))
@@ -180,9 +181,9 @@ func FuzzVectorDecode(f *testing.F) {
 			if sum != int64(len(rsp.Data)) {
 				t.Fatalf("decode accepted Lens summing %d against %d data bytes", sum, len(rsp.Data))
 			}
-			enc := rsp.append(nil)
+			enc := encodePayload(&rsp)
 			var again ReadBlocksResp
-			if err := again.decode(&reader{buf: enc}); err != nil {
+			if err := decodePayload(&again, enc); err != nil {
 				t.Fatalf("ReadBlocksResp re-decode: %v", err)
 			}
 			if !reflect.DeepEqual(rsp, again) {

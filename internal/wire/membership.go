@@ -40,81 +40,19 @@ func (*ViewResp) WireType() Type  { return TViewResp }
 func (*JoinView) WireType() Type  { return TJoinView }
 func (*LeaveView) WireType() Type { return TLeaveView }
 
-func (m *ViewGet) append(b []byte) []byte { return b }
+func (m *ViewGet) walk(c *codec) {}
 
-func (m *ViewGet) decode(r *reader) error { return nil }
-
-func (m *ViewResp) append(b []byte) []byte {
-	b = apU16(b, uint16(m.Status))
-	b = apU64(b, m.Epoch)
-	b = apU32(b, uint32(len(m.IDs)))
-	for _, id := range m.IDs {
-		b = apU32(b, id)
-	}
-	b = apU32(b, uint32(len(m.Addrs)))
-	for _, a := range m.Addrs {
-		b = apStr(b, a)
-	}
-	return b
+func (m *ViewResp) walk(c *codec) {
+	c.status(&m.Status)
+	c.u64(&m.Epoch)
+	list(c, &m.IDs, 4, (*codec).u32)
+	list(c, &m.Addrs, 4, (*codec).str)
+	c.check(len(m.IDs) == len(m.Addrs)) // parallel lists
 }
 
-func (m *ViewResp) decode(r *reader) error {
-	s, err := r.u16()
-	if err != nil {
-		return err
-	}
-	m.Status = Status(s)
-	if m.Epoch, err = r.u64(); err != nil {
-		return err
-	}
-	n, err := r.count(4)
-	if err != nil {
-		return err
-	}
-	m.IDs = make([]uint32, 0, n)
-	for i := 0; i < n; i++ {
-		id, err := r.u32()
-		if err != nil {
-			return err
-		}
-		m.IDs = append(m.IDs, id)
-	}
-	an, err := r.count(4)
-	if err != nil {
-		return err
-	}
-	if an != n {
-		return errTruncated
-	}
-	m.Addrs = make([]string, 0, an)
-	for i := 0; i < an; i++ {
-		a, err := r.str()
-		if err != nil {
-			return err
-		}
-		m.Addrs = append(m.Addrs, a)
-	}
-	return nil
+func (m *JoinView) walk(c *codec) {
+	c.u32(&m.ID)
+	c.str(&m.Addr)
 }
 
-func (m *JoinView) append(b []byte) []byte {
-	b = apU32(b, m.ID)
-	return apStr(b, m.Addr)
-}
-
-func (m *JoinView) decode(r *reader) error {
-	var err error
-	if m.ID, err = r.u32(); err != nil {
-		return err
-	}
-	m.Addr, err = r.str()
-	return err
-}
-
-func (m *LeaveView) append(b []byte) []byte { return apU32(b, m.ID) }
-
-func (m *LeaveView) decode(r *reader) error {
-	var err error
-	m.ID, err = r.u32()
-	return err
-}
+func (m *LeaveView) walk(c *codec) { c.u32(&m.ID) }

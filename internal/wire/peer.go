@@ -28,41 +28,12 @@ const (
 func (*PeerPut) WireType() Type    { return TPeerPut }
 func (*PeerPutAck) WireType() Type { return TPeerPutAck }
 
-func (m *PeerPut) appendHead(b []byte) []byte {
-	b = apU64(b, uint64(m.File))
-	b = apI64(b, m.Index)
-	b = apU32(b, m.Owner)
-	b = apU64(b, m.Epoch)
-	return apU32(b, uint32(len(m.Data)))
+func (m *PeerPut) walk(c *codec) {
+	c.file(&m.File)
+	c.i64(&m.Index)
+	c.u32(&m.Owner)
+	c.u64(&m.Epoch)
+	c.tail(&m.Data)
 }
 
-func (m *PeerPut) tail() []byte { return m.Data }
-
-func (m *PeerPut) append(b []byte) []byte { return append(m.appendHead(b), m.Data...) }
-
-func (m *PeerPut) decode(r *reader) error {
-	f, err := r.u64()
-	if err != nil {
-		return err
-	}
-	m.File = blockio.FileID(f)
-	if m.Index, err = r.i64(); err != nil {
-		return err
-	}
-	if m.Owner, err = r.u32(); err != nil {
-		return err
-	}
-	if m.Epoch, err = r.u64(); err != nil {
-		return err
-	}
-	m.Data, err = r.bytes()
-	return err
-}
-
-func (m *PeerPutAck) append(b []byte) []byte { return apU16(b, uint16(m.Status)) }
-
-func (m *PeerPutAck) decode(r *reader) error {
-	s, err := r.u16()
-	m.Status = Status(s)
-	return err
-}
+func (m *PeerPutAck) walk(c *codec) { c.status(&m.Status) }

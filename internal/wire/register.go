@@ -22,24 +22,9 @@ const (
 func (*Register) WireType() Type    { return TRegister }
 func (*RegisterAck) WireType() Type { return TRegisterAck }
 
-func (m *Register) append(b []byte) []byte {
-	b = apU32(b, m.Client)
-	return apStr(b, m.Addr)
+func (m *Register) walk(c *codec) {
+	c.u32(&m.Client)
+	c.str(&m.Addr)
 }
 
-func (m *Register) decode(r *reader) error {
-	var err error
-	if m.Client, err = r.u32(); err != nil {
-		return err
-	}
-	m.Addr, err = r.str()
-	return err
-}
-
-func (m *RegisterAck) append(b []byte) []byte { return apU16(b, uint16(m.Status)) }
-
-func (m *RegisterAck) decode(r *reader) error {
-	s, err := r.u16()
-	m.Status = Status(s)
-	return err
-}
+func (m *RegisterAck) walk(c *codec) { c.status(&m.Status) }

@@ -64,83 +64,20 @@ func ValidateExtents(exts []ReadExtent) (total int64, ok bool) {
 func (*ReadBlocks) WireType() Type     { return TReadBlocks }
 func (*ReadBlocksResp) WireType() Type { return TReadBlocksResp }
 
-func (m *ReadBlocks) append(b []byte) []byte {
-	b = apU32(b, m.Client)
-	b = apU64(b, uint64(m.File))
-	b = apBool(b, m.Track)
-	b = apU32(b, uint32(len(m.Exts)))
-	for _, e := range m.Exts {
-		b = apI64(b, e.Offset)
-		b = apI64(b, e.Length)
-	}
-	return b
+func (m *ReadBlocks) walk(c *codec) {
+	c.u32(&m.Client)
+	c.file(&m.File)
+	c.bool(&m.Track)
+	list(c, &m.Exts, 16, func(c *codec, e *ReadExtent) {
+		c.i64(&e.Offset)
+		c.i64(&e.Length)
+	})
 }
 
-func (m *ReadBlocks) decode(r *reader) error {
-	var err error
-	if m.Client, err = r.u32(); err != nil {
-		return err
-	}
-	f, err := r.u64()
-	if err != nil {
-		return err
-	}
-	m.File = blockio.FileID(f)
-	if m.Track, err = r.bool(); err != nil {
-		return err
-	}
-	n, err := r.count(16) // offset + length per extent
-	if err != nil {
-		return err
-	}
-	m.Exts = make([]ReadExtent, 0, n)
-	for i := 0; i < n; i++ {
-		var e ReadExtent
-		if e.Offset, err = r.i64(); err != nil {
-			return err
-		}
-		if e.Length, err = r.i64(); err != nil {
-			return err
-		}
-		m.Exts = append(m.Exts, e)
-	}
-	return nil
-}
-
-func (m *ReadBlocksResp) appendHead(b []byte) []byte {
-	b = apU16(b, uint16(m.Status))
-	b = apU32(b, uint32(len(m.Lens)))
-	for _, n := range m.Lens {
-		b = apU32(b, n)
-	}
-	return apU32(b, uint32(len(m.Data)))
-}
-
-func (m *ReadBlocksResp) tail() []byte { return m.Data }
-
-func (m *ReadBlocksResp) append(b []byte) []byte { return append(m.appendHead(b), m.Data...) }
-
-func (m *ReadBlocksResp) decode(r *reader) error {
-	s, err := r.u16()
-	if err != nil {
-		return err
-	}
-	m.Status = Status(s)
-	n, err := r.count(4)
-	if err != nil {
-		return err
-	}
-	m.Lens = make([]uint32, 0, n)
-	for i := 0; i < n; i++ {
-		l, err := r.u32()
-		if err != nil {
-			return err
-		}
-		m.Lens = append(m.Lens, l)
-	}
-	if m.Data, err = r.bytes(); err != nil {
-		return err
-	}
+func (m *ReadBlocksResp) walk(c *codec) {
+	c.status(&m.Status)
+	list(c, &m.Lens, 4, (*codec).u32)
+	c.tail(&m.Data)
 	// The lengths must tile Data exactly; a mismatch means a corrupt or
 	// hostile peer and would otherwise let Lens address bytes Data does
 	// not hold.
@@ -148,8 +85,5 @@ func (m *ReadBlocksResp) decode(r *reader) error {
 	for _, l := range m.Lens {
 		sum += int64(l)
 	}
-	if sum != int64(len(m.Data)) {
-		return errTruncated
-	}
-	return nil
+	c.check(sum == int64(len(m.Data)))
 }

@@ -57,7 +57,7 @@ func frameFor(typ Type, payload []byte) []byte {
 // TestReadBlocksHostileCount declares an extent count far beyond what the
 // payload holds: decode must reject it before allocating anything.
 func TestReadBlocksHostileCount(t *testing.T) {
-	payload := (&ReadBlocks{Client: 1, File: 2}).append(nil)
+	payload := encodePayload(&ReadBlocks{Client: 1, File: 2})
 	// The extent count is the final u32 of an extent-less encoding.
 	binary.BigEndian.PutUint32(payload[len(payload)-4:], 0xffffffff)
 	if _, err := ReadMessage(bytes.NewReader(frameFor(TReadBlocks, payload))); err == nil {
@@ -68,8 +68,8 @@ func TestReadBlocksHostileCount(t *testing.T) {
 // TestReadBlocksRespHostileCount does the same for the response's length
 // vector.
 func TestReadBlocksRespHostileCount(t *testing.T) {
-	payload := apU16(nil, uint16(StatusOK))
-	payload = apU32(payload, 0xffffffff) // Lens count with no bytes behind it
+	payload := binary.BigEndian.AppendUint16(nil, uint16(StatusOK))
+	payload = binary.BigEndian.AppendUint32(payload, 0xffffffff) // Lens count with no bytes behind it
 	if _, err := ReadMessage(bytes.NewReader(frameFor(TReadBlocksResp, payload))); err == nil {
 		t.Fatal("hostile length count accepted")
 	}
@@ -85,7 +85,7 @@ func TestReadBlocksRespLensMismatch(t *testing.T) {
 		{0xffffffff}, // u32 overflow bait
 	} {
 		m := &ReadBlocksResp{Status: StatusOK, Lens: lens, Data: []byte("abc")}
-		payload := m.append(nil)
+		payload := encodePayload(m)
 		if _, err := ReadMessage(bytes.NewReader(frameFor(TReadBlocksResp, payload))); err == nil {
 			t.Fatalf("lens %v accepted for 3-byte data", lens)
 		}

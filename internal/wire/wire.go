@@ -30,7 +30,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -75,76 +76,10 @@ const (
 
 // String names the message type for logs.
 func (t Type) String() string {
-	switch t {
-	case TCreate:
-		return "Create"
-	case TCreateResp:
-		return "CreateResp"
-	case TOpen:
-		return "Open"
-	case TOpenResp:
-		return "OpenResp"
-	case TStat:
-		return "Stat"
-	case TStatResp:
-		return "StatResp"
-	case TUnlink:
-		return "Unlink"
-	case TSetSize:
-		return "SetSize"
-	case TList:
-		return "List"
-	case TListResp:
-		return "ListResp"
-	case TStatus:
-		return "Status"
-	case TRead:
-		return "Read"
-	case TReadResp:
-		return "ReadResp"
-	case TWrite:
-		return "Write"
-	case TWriteAck:
-		return "WriteAck"
-	case TSyncWrite:
-		return "SyncWrite"
-	case TSyncWriteAck:
-		return "SyncWriteAck"
-	case TReadBlocks:
-		return "ReadBlocks"
-	case TReadBlocksResp:
-		return "ReadBlocksResp"
-	case TFlush:
-		return "Flush"
-	case TFlushAck:
-		return "FlushAck"
-	case TInvalidate:
-		return "Invalidate"
-	case TInvalidAck:
-		return "InvalidAck"
-	case TRegister:
-		return "Register"
-	case TRegisterAck:
-		return "RegisterAck"
-	case TPeerGet:
-		return "PeerGet"
-	case TPeerGetResp:
-		return "PeerGetResp"
-	case TPeerPut:
-		return "PeerPut"
-	case TPeerPutAck:
-		return "PeerPutAck"
-	case TViewGet:
-		return "ViewGet"
-	case TViewResp:
-		return "ViewResp"
-	case TJoinView:
-		return "JoinView"
-	case TLeaveView:
-		return "LeaveView"
-	default:
-		return fmt.Sprintf("Type(0x%04x)", uint16(t))
+	if name, ok := typeNames[t]; ok {
+		return name
 	}
+	return fmt.Sprintf("Type(0x%04x)", uint16(t))
 }
 
 // Status is a protocol-level result code.
@@ -230,10 +165,9 @@ func StatusFor(err error) Status {
 type Message interface {
 	// WireType returns the message's type tag.
 	WireType() Type
-	// append encodes the payload (without the frame header) onto b.
-	append(b []byte) []byte
-	// decode parses the payload from r.
-	decode(r *reader) error
+	// walk lists the payload's fields once, in wire order; the codec
+	// encodes or decodes them (see codec).
+	walk(c *codec)
 }
 
 // FileMeta carries a file's striping metadata and current size, exactly the
@@ -470,79 +404,61 @@ func (*InvalidAck) WireType() Type   { return TInvalidAck }
 func (*PeerGet) WireType() Type      { return TPeerGet }
 func (*PeerGetResp) WireType() Type  { return TPeerGetResp }
 
+// registry holds one constructor per message type; New and Type.String
+// both read it, so registering a message is this one line.
+var registry = map[Type]func() Message{
+	TCreate:         func() Message { return new(Create) },
+	TCreateResp:     func() Message { return new(CreateResp) },
+	TOpen:           func() Message { return new(Open) },
+	TOpenResp:       func() Message { return new(OpenResp) },
+	TStat:           func() Message { return new(Stat) },
+	TStatResp:       func() Message { return new(StatResp) },
+	TUnlink:         func() Message { return new(Unlink) },
+	TSetSize:        func() Message { return new(SetSize) },
+	TList:           func() Message { return new(List) },
+	TListResp:       func() Message { return new(ListResp) },
+	TStatus:         func() Message { return new(StatusMsg) },
+	TRead:           func() Message { return new(Read) },
+	TReadResp:       func() Message { return new(ReadResp) },
+	TWrite:          func() Message { return new(Write) },
+	TWriteAck:       func() Message { return new(WriteAck) },
+	TSyncWrite:      func() Message { return new(SyncWrite) },
+	TSyncWriteAck:   func() Message { return new(SyncWriteAck) },
+	TReadBlocks:     func() Message { return new(ReadBlocks) },
+	TReadBlocksResp: func() Message { return new(ReadBlocksResp) },
+	TFlush:          func() Message { return new(Flush) },
+	TFlushAck:       func() Message { return new(FlushAck) },
+	TInvalidate:     func() Message { return new(Invalidate) },
+	TInvalidAck:     func() Message { return new(InvalidAck) },
+	TRegister:       func() Message { return new(Register) },
+	TRegisterAck:    func() Message { return new(RegisterAck) },
+	TPeerGet:        func() Message { return new(PeerGet) },
+	TPeerGetResp:    func() Message { return new(PeerGetResp) },
+	TPeerPut:        func() Message { return new(PeerPut) },
+	TPeerPutAck:     func() Message { return new(PeerPutAck) },
+	TViewGet:        func() Message { return new(ViewGet) },
+	TViewResp:       func() Message { return new(ViewResp) },
+	TJoinView:       func() Message { return new(JoinView) },
+	TLeaveView:      func() Message { return new(LeaveView) },
+}
+
+// typeNames derives each type's name from its struct, once: StatusMsg is
+// the one struct named apart from its type (it would collide with Status).
+var typeNames = func() map[Type]string {
+	names := make(map[Type]string, len(registry))
+	for t, mk := range registry {
+		names[t] = strings.TrimSuffix(reflect.TypeOf(mk()).Elem().Name(), "Msg")
+	}
+	return names
+}()
+
 // New constructs an empty message of the given type, or nil for unknown
 // types.
 func New(t Type) Message {
-	switch t {
-	case TCreate:
-		return &Create{}
-	case TCreateResp:
-		return &CreateResp{}
-	case TOpen:
-		return &Open{}
-	case TOpenResp:
-		return &OpenResp{}
-	case TStat:
-		return &Stat{}
-	case TStatResp:
-		return &StatResp{}
-	case TUnlink:
-		return &Unlink{}
-	case TSetSize:
-		return &SetSize{}
-	case TList:
-		return &List{}
-	case TListResp:
-		return &ListResp{}
-	case TStatus:
-		return &StatusMsg{}
-	case TRead:
-		return &Read{}
-	case TReadResp:
-		return &ReadResp{}
-	case TWrite:
-		return &Write{}
-	case TWriteAck:
-		return &WriteAck{}
-	case TSyncWrite:
-		return &SyncWrite{}
-	case TSyncWriteAck:
-		return &SyncWriteAck{}
-	case TReadBlocks:
-		return &ReadBlocks{}
-	case TReadBlocksResp:
-		return &ReadBlocksResp{}
-	case TFlush:
-		return &Flush{}
-	case TFlushAck:
-		return &FlushAck{}
-	case TInvalidate:
-		return &Invalidate{}
-	case TInvalidAck:
-		return &InvalidAck{}
-	case TRegister:
-		return &Register{}
-	case TRegisterAck:
-		return &RegisterAck{}
-	case TPeerGet:
-		return &PeerGet{}
-	case TPeerGetResp:
-		return &PeerGetResp{}
-	case TPeerPut:
-		return &PeerPut{}
-	case TPeerPutAck:
-		return &PeerPutAck{}
-	case TViewGet:
-		return &ViewGet{}
-	case TViewResp:
-		return &ViewResp{}
-	case TJoinView:
-		return &JoinView{}
-	case TLeaveView:
-		return &LeaveView{}
-	default:
-		return nil
+	if mk := registry[t]; mk != nil {
+		return mk()
 	}
+	return nil
 }
 
 // tagBit marks a frame whose header carries a u64 request tag. It sits in
@@ -550,21 +466,24 @@ func New(t Type) Message {
 // tagged frames instead of misparsing them.
 const tagBit = 1 << 31
 
-// framePool recycles encode buffers; payloadPool recycles decode buffers.
-// Oversized buffers are not returned so a rare huge message cannot pin
-// memory.
+// codecPool recycles codecs with their encode buffers; payloadPool recycles
+// decode buffers. Oversized buffers are not returned so a rare huge message
+// cannot pin memory.
 var (
-	framePool   = sync.Pool{New: func() any { return make([]byte, 0, 4096) }}
+	codecPool   = sync.Pool{New: func() any { return &codec{buf: make([]byte, 0, 4096)} }}
 	payloadPool = sync.Pool{New: func() any { return make([]byte, 0, 4096) }}
 )
 
 // pooledBufCap bounds the capacity of buffers kept in the pools (1 MB).
 const pooledBufCap = 1 << 20
 
-func putFrameBuf(b []byte) {
-	if cap(b) <= pooledBufCap {
-		framePool.Put(b[:0]) //nolint:staticcheck // slice header allocation is amortized
+// putCodec clears c, keeping frame as its encode buffer, and pools it.
+func putCodec(c *codec, frame []byte) {
+	if cap(frame) > pooledBufCap {
+		frame = nil
 	}
+	*c = codec{buf: frame[:0]}
+	codecPool.Put(c)
 }
 
 func putPayloadBuf(b []byte) {
@@ -603,90 +522,46 @@ func ReleasePayload(b []byte) {
 	putPayloadBuf(b)
 }
 
-// appendFrame encodes a frame (tagged when tagged is true) onto b.
-func appendFrame(b []byte, tag uint64, tagged bool, m Message) ([]byte, error) {
-	start := len(b)
-	b = append(b, 0, 0, 0, 0) // length placeholder
-	b = apU16(b, uint16(m.WireType()))
+// encodeFrame walks m into c.buf behind its frame header (tagged when
+// tagged is set). With vec set, a bulk tail of at least minVecTail bytes
+// stays in c.tailData instead of being copied (see codec.tail).
+func (c *codec) encodeFrame(tag uint64, tagged bool, m Message, vec bool) error {
+	c.buf = binary.BigEndian.AppendUint16(append(c.buf[:0], 0, 0, 0, 0), uint16(m.WireType()))
 	if tagged {
-		b = apU64(b, tag)
+		c.buf = binary.BigEndian.AppendUint64(c.buf, tag)
 	}
-	b = m.append(b)
-	size := len(b) - start - 4
+	c.vec = vec
+	m.walk(c)
+	size := len(c.buf) - 4 + len(c.tailData)
 	if size > MaxMessageSize {
-		return b[:start], ErrTooLarge
-	}
-	word := uint32(size)
-	if tagged {
-		word |= tagBit
-	}
-	binary.BigEndian.PutUint32(b[start:start+4], word)
-	return b, nil
-}
-
-// dataTail is implemented by messages whose encoding is a fixed head
-// followed by one bulk payload as the final field (ReadResp,
-// ReadBlocksResp, Write, SyncWrite, PeerGet/PeerPut responses). writeFrame
-// writes the tail straight from the message's own buffer — a writev on
-// TCP, two pipe writes in memory — instead of copying it into the frame
-// buffer first.
-type dataTail interface {
-	Message
-	// appendHead encodes the payload up to and including the tail's length
-	// prefix.
-	appendHead(b []byte) []byte
-	// tail returns the bulk payload written after the head.
-	tail() []byte
-}
-
-// minVecTail is the smallest payload tail worth a scatter-gather write;
-// below it, one copy into the frame buffer is cheaper than a second write
-// on the transport.
-const minVecTail = 1 << 10
-
-func writeFrame(w io.Writer, tag uint64, tagged bool, m Message) error {
-	if dt, ok := m.(dataTail); ok {
-		if t := dt.tail(); len(t) >= minVecTail {
-			return writeFrameVec(w, tag, tagged, dt, t)
-		}
-	}
-	buf := framePool.Get().([]byte)
-	frame, err := appendFrame(buf, tag, tagged, m)
-	if err != nil {
-		putFrameBuf(buf)
-		return err
-	}
-	_, err = w.Write(frame)
-	putFrameBuf(frame)
-	return err
-}
-
-// writeFrameVec writes header+head from a small pooled buffer and the bulk
-// tail directly from the message's buffer, so a response's payload is
-// never copied into a frame. Callers serialize writes per connection
-// (rpc's per-connection write locks), so the two segments cannot
-// interleave with another frame.
-func writeFrameVec(w io.Writer, tag uint64, tagged bool, m dataTail, tail []byte) error {
-	buf := framePool.Get().([]byte)
-	b := append(buf, 0, 0, 0, 0) // length placeholder
-	b = apU16(b, uint16(m.WireType()))
-	if tagged {
-		b = apU64(b, tag)
-	}
-	b = m.appendHead(b)
-	size := len(b) - 4 + len(tail)
-	if size > MaxMessageSize {
-		putFrameBuf(b)
 		return ErrTooLarge
 	}
 	word := uint32(size)
 	if tagged {
 		word |= tagBit
 	}
-	binary.BigEndian.PutUint32(b[0:4], word)
-	bufs := net.Buffers{b, tail}
-	_, err := bufs.WriteTo(w)
-	putFrameBuf(b)
+	binary.BigEndian.PutUint32(c.buf, word)
+	return nil
+}
+
+// writeFrame encodes m with a pooled codec and writes it: one write, or a
+// head + tail pair when the walk left a bulk tail uncopied, so a response's
+// payload is never copied into a frame. Callers serialize writes per
+// connection (rpc's per-connection write locks), so the two segments
+// cannot interleave with another frame.
+func writeFrame(w io.Writer, tag uint64, tagged bool, m Message) error {
+	c := codecPool.Get().(*codec)
+	err := c.encodeFrame(tag, tagged, m, true)
+	switch {
+	case err != nil:
+	case c.tailData == nil:
+		_, err = w.Write(c.buf)
+	default:
+		c.vecs = [2][]byte{c.buf, c.tailData}
+		c.bufs = c.vecs[:]
+		_, err = c.bufs.WriteTo(w)
+	}
+	putCodec(c, c.buf)
 	return err
 }
 
@@ -737,8 +612,10 @@ func ReadFrameAliased(r io.Reader) (tag uint64, tagged bool, m Message, payload 
 }
 
 func readFrame(r io.Reader, alias bool) (tag uint64, tagged bool, m Message, retained []byte, err error) {
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	c := codecPool.Get().(*codec)
+	defer putCodec(c, c.buf)
+	hdr := c.hdr[:6]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, false, nil, nil, err
 	}
 	word := binary.BigEndian.Uint32(hdr[0:4])
@@ -753,11 +630,11 @@ func readFrame(r io.Reader, alias bool) (tag uint64, tagged bool, m Message, ret
 	}
 	t := Type(binary.BigEndian.Uint16(hdr[4:6]))
 	if tagged {
-		var tb [8]byte
-		if _, err := io.ReadFull(r, tb[:]); err != nil {
+		tb := c.hdr[6:14]
+		if _, err := io.ReadFull(r, tb); err != nil {
 			return 0, false, nil, nil, err
 		}
-		tag = binary.BigEndian.Uint64(tb[:])
+		tag = binary.BigEndian.Uint64(tb)
 	}
 	plen := int(size - min)
 	payload := payloadPool.Get().([]byte)
@@ -774,17 +651,17 @@ func readFrame(r io.Reader, alias bool) (tag uint64, tagged bool, m Message, ret
 		putPayloadBuf(payload)
 		return 0, false, nil, nil, fmt.Errorf("wire: unknown message type 0x%04x", uint16(t))
 	}
-	rd := &reader{buf: payload, alias: alias}
-	derr := m.decode(rd)
-	trailing := len(rd.buf) - rd.pos
-	if derr != nil || trailing != 0 || !rd.aliased {
+	c.buf, c.dec, c.alias = payload, true, alias
+	m.walk(c)
+	trailing := len(payload) - c.pos
+	if c.err != nil || trailing != 0 || !c.aliased {
 		// Nothing in the message aliases the buffer (or the message is
 		// rejected): recycle it now.
 		putPayloadBuf(payload)
 		payload = nil
 	}
-	if derr != nil {
-		return 0, false, nil, nil, fmt.Errorf("wire: decoding %v: %w", t, derr)
+	if c.err != nil {
+		return 0, false, nil, nil, fmt.Errorf("wire: decoding %v: %w", t, c.err)
 	}
 	if trailing != 0 {
 		return 0, false, nil, nil, fmt.Errorf("wire: %d trailing bytes after %v", trailing, t)

@@ -11,6 +11,36 @@ import (
 	"pvfscache/internal/blockio"
 )
 
+// encodePayload returns m's payload, without a frame header.
+func encodePayload(m Message) []byte {
+	var c codec
+	m.walk(&c)
+	return c.buf
+}
+
+// decodePayload walks payload into m in copying mode, without the frame
+// reader's trailing-bytes check.
+func decodePayload(m Message, payload []byte) error {
+	c := codec{buf: payload, dec: true}
+	m.walk(&c)
+	return c.err
+}
+
+// requireEveryType fails unless msgs holds a value of every registered
+// message type, so a sample list cannot silently fall behind the registry.
+func requireEveryType(t testing.TB, msgs []Message) {
+	t.Helper()
+	seen := make(map[Type]bool)
+	for _, m := range msgs {
+		seen[m.WireType()] = true
+	}
+	for typ := range registry {
+		if !seen[typ] {
+			t.Errorf("no sample of registered type %v", typ)
+		}
+	}
+}
+
 // roundTrip encodes m through a buffer and decodes it back.
 func roundTrip(t *testing.T, m Message) Message {
 	t.Helper()
@@ -64,6 +94,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 		&JoinView{ID: 3, Addr: "node3:9100"},
 		&LeaveView{ID: 3},
 	}
+	requireEveryType(t, msgs)
 	for _, m := range msgs {
 		got := roundTrip(t, m)
 		if !reflect.DeepEqual(normalize(got), normalize(m)) {
@@ -314,7 +345,7 @@ func TestViewRespListParity(t *testing.T) {
 // element count: decode must fail instead of pre-allocating gigabytes.
 func TestHostileCountRejected(t *testing.T) {
 	for _, m := range []Message{&Invalidate{}, &Flush{}, &ListResp{}} {
-		payload := m.append(nil)
+		payload := encodePayload(m)
 		// The count is the last u32 in each empty encoding; overwrite it.
 		binary.BigEndian.PutUint32(payload[len(payload)-4:], 0xffffffff)
 		frame := make([]byte, 6, 6+len(payload))

@@ -9,8 +9,8 @@ import (
 
 // TestVectoredEncodeMatchesCopyingEncode checks that the scatter-gather
 // frame writer (head + payload tail) produces byte-identical frames to
-// the copying encoder for every dataTail message, at sizes straddling the
-// minVecTail threshold.
+// the copying encoder for every message with a bulk tail, at sizes
+// straddling the minVecTail threshold.
 func TestVectoredEncodeMatchesCopyingEncode(t *testing.T) {
 	sizes := []int{0, 1, minVecTail - 1, minVecTail, minVecTail + 1, 64 << 10}
 	for _, n := range sizes {
@@ -31,12 +31,12 @@ func TestVectoredEncodeMatchesCopyingEncode(t *testing.T) {
 			if err := WriteTagged(&vec, 42, m); err != nil {
 				t.Fatalf("%v (%d bytes): %v", m.WireType(), n, err)
 			}
-			// Reference: the copying encoder via appendFrame.
-			ref, err := appendFrame(nil, 42, true, m)
-			if err != nil {
+			// Reference: the same walk with every tail copied.
+			var ref codec
+			if err := ref.encodeFrame(42, true, m, false); err != nil {
 				t.Fatalf("%v (%d bytes): %v", m.WireType(), n, err)
 			}
-			if !bytes.Equal(vec.Bytes(), ref) {
+			if !bytes.Equal(vec.Bytes(), ref.buf) {
 				t.Fatalf("%v (%d bytes): vectored frame differs from copying frame", m.WireType(), n)
 			}
 		}

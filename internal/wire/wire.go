@@ -466,24 +466,27 @@ func New(t Type) Message {
 // tagged frames instead of misparsing them.
 const tagBit = 1 << 31
 
-// codecPool recycles codecs with their encode buffers; payloadPool recycles
-// decode buffers. Oversized buffers are not returned so a rare huge message
-// cannot pin memory.
+// encoders recycle codecs with their frame buffers. decoders hold no buffer:
+// a connection's reader keeps its codec while it blocks for the next frame,
+// and must not pin an encode buffer meanwhile. payloadPool recycles decode
+// buffers. Oversized buffers are not returned so a rare huge message cannot
+// pin memory.
 var (
-	codecPool   = sync.Pool{New: func() any { return &codec{buf: make([]byte, 0, 4096)} }}
+	encoders    = sync.Pool{New: func() any { return &codec{buf: make([]byte, 0, 4096)} }}
+	decoders    = sync.Pool{New: func() any { return new(codec) }}
 	payloadPool = sync.Pool{New: func() any { return make([]byte, 0, 4096) }}
 )
 
 // pooledBufCap bounds the capacity of buffers kept in the pools (1 MB).
 const pooledBufCap = 1 << 20
 
-// putCodec clears c, keeping frame as its encode buffer, and pools it.
-func putCodec(c *codec, frame []byte) {
-	if cap(frame) > pooledBufCap {
-		frame = nil
+// putCodec clears c, keeping buf for its next use, and returns it to pool.
+func putCodec(pool *sync.Pool, c *codec, buf []byte) {
+	if cap(buf) > pooledBufCap {
+		buf = nil
 	}
-	*c = codec{buf: frame[:0]}
-	codecPool.Put(c)
+	*c = codec{buf: buf[:0]}
+	pool.Put(c)
 }
 
 func putPayloadBuf(b []byte) {
@@ -550,7 +553,7 @@ func (c *codec) encodeFrame(tag uint64, tagged bool, m Message, vec bool) error 
 // connection (rpc's per-connection write locks), so the two segments
 // cannot interleave with another frame.
 func writeFrame(w io.Writer, tag uint64, tagged bool, m Message) error {
-	c := codecPool.Get().(*codec)
+	c := encoders.Get().(*codec)
 	err := c.encodeFrame(tag, tagged, m, true)
 	switch {
 	case err != nil:
@@ -561,7 +564,7 @@ func writeFrame(w io.Writer, tag uint64, tagged bool, m Message) error {
 		c.bufs = c.vecs[:]
 		_, err = c.bufs.WriteTo(w)
 	}
-	putCodec(c, c.buf)
+	putCodec(&encoders, c, c.buf)
 	return err
 }
 
@@ -612,8 +615,8 @@ func ReadFrameAliased(r io.Reader) (tag uint64, tagged bool, m Message, payload 
 }
 
 func readFrame(r io.Reader, alias bool) (tag uint64, tagged bool, m Message, retained []byte, err error) {
-	c := codecPool.Get().(*codec)
-	defer putCodec(c, c.buf)
+	c := decoders.Get().(*codec)
+	defer putCodec(&decoders, c, nil)
 	hdr := c.hdr[:6]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, false, nil, nil, err

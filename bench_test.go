@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"pvfscache/internal/blockio"
+	"pvfscache/internal/cachemod"
 	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/cluster"
 	"pvfscache/internal/pvfs"
@@ -71,8 +72,8 @@ var benchScanSink byte
 // reads at 64 KB with the default window only, so it cannot show this.
 func benchSequentialScan(b *testing.B, window int) {
 	c, p := startNode(b, cluster.Config{
-		FlushPeriod:     50 * time.Millisecond,
-		ReadaheadWindow: window,
+		FlushPeriod: 50 * time.Millisecond,
+		Module:      cachemod.Config{ReadaheadWindow: window},
 	})
 	const fileBytes = 4 << 20 // the scan cannot fit, readahead must keep up
 	f := createFlushed(b, c, p, "scan.dat", fileBytes)
@@ -120,10 +121,11 @@ func benchScanVsWorkingSet(b *testing.B, pol buffer.Policy) {
 	const wsBlocks = 128    // 512 KB working set: fits the protected segment
 	const scanBlocks = 1024 // 4 MB scan: four times the whole cache
 	c, p := startNode(b, cluster.Config{
-		CacheShards:     1, // one stripe: deterministic replacement order
-		Policy:          pol,
-		ReadaheadWindow: -1, // block-by-block reads isolate admission
-		FlushPeriod:     time.Hour,
+		Module: cachemod.Config{
+			Buffer:          buffer.Config{Shards: 1, Policy: pol}, // one stripe: deterministic replacement order
+			ReadaheadWindow: -1,                                    // block-by-block reads isolate admission
+		},
+		FlushPeriod: time.Hour,
 	})
 	ws := createFlushed(b, c, p, "wsbench.dat", wsBlocks*blockSize)
 	scan := createFlushed(b, c, p, "scanbench.dat", scanBlocks*blockSize)

@@ -10,63 +10,49 @@ import (
 	"pvfscache/internal/workload"
 )
 
-// chaosFlags selects and sizes a chaos run (-chaos mode). The workload
-// seed comes from the shared -seed flag; everything here is deterministic
-// given that seed, and a failing run prints the seed plus a saved trace
-// and the `go test` command that replays it.
-type chaosFlags struct {
-	enabled  bool
-	scenario string
-	fault    string
-	gc       bool
-	tcp      bool
-	clients  int
-	nodes    int
-	ops      int
-	fileSize int64
-	maxIO    int64
-	traceDir string
-}
-
-func registerChaosFlags(cf *chaosFlags) {
-	flag.BoolVar(&cf.enabled, "chaos", false, "run a seeded chaos scenario instead of the micro-benchmark")
-	flag.StringVar(&cf.scenario, "scenario", "sequential", "chaos workload scenario: sequential, strided, zipfian, prodcons, or metadata")
-	flag.StringVar(&cf.fault, "fault", "connkill", "chaos fault: none, connkill, crash, partition, brownout, restart (needs -backend disk, implied), or a membership fault — killpeer, join, drain (imply -gc; gc-safe scenarios only)")
-	flag.BoolVar(&cf.gc, "gc", false, "run the cooperative global cache in mgr-joined mode (gc-safe scenarios only; membership faults imply it)")
-	flag.BoolVar(&cf.tcp, "tcp", false, "run the chaos cluster over loopback TCP instead of the in-memory fabric")
-	flag.IntVar(&cf.clients, "clients", 8, "chaos client processes")
-	flag.IntVar(&cf.nodes, "nodes", 2, "chaos client nodes (clients are spread across them)")
-	flag.IntVar(&cf.ops, "ops", 120, "chaos operations per client")
-	flag.Int64Var(&cf.fileSize, "filesize", 1<<20, "chaos workload file size in bytes")
-	flag.Int64Var(&cf.maxIO, "maxio", 16<<10, "chaos maximum request size in bytes")
-	flag.StringVar(&cf.traceDir, "tracedir", "", "always save the op trace here (failures save one regardless)")
-}
+// The -chaos mode's flags select and size a chaos run. The workload seed
+// comes from the shared -seed flag; everything is deterministic given that
+// seed, and a failing run prints the seed plus a saved trace and the
+// `go test` command that replays it.
+var (
+	chaosMode = flag.Bool("chaos", false, "run a seeded chaos scenario instead of the micro-benchmark")
+	scenario  = flag.String("scenario", "sequential", "chaos workload scenario: sequential, strided, zipfian, prodcons, or metadata")
+	fault     = flag.String("fault", "connkill", "chaos fault: none, connkill, crash, partition, brownout, restart (needs -backend disk, implied), or a membership fault — killpeer, join, drain (imply -gc; gc-safe scenarios only)")
+	chaosGC   = flag.Bool("gc", false, "run the cooperative global cache in mgr-joined mode (gc-safe scenarios only; membership faults imply it)")
+	chaosTCP  = flag.Bool("tcp", false, "run the chaos cluster over loopback TCP instead of the in-memory fabric")
+	clients   = flag.Int("clients", 8, "chaos client processes")
+	nodes     = flag.Int("nodes", 2, "chaos client nodes (clients are spread across them)")
+	ops       = flag.Int("ops", 120, "chaos operations per client")
+	fileSize  = flag.Int64("filesize", 1<<20, "chaos workload file size in bytes")
+	maxIO     = flag.Int64("maxio", 16<<10, "chaos maximum request size in bytes")
+	traceDir  = flag.String("tracedir", "", "always save the op trace here (failures save one regardless)")
+)
 
 // runChaos boots a fault-injected cluster, drives the scenario under the
 // consistency oracle, and reports the verdict. Exit status 1 means the
 // oracle rejected the run.
-func runChaos(cf chaosFlags, sf storageFlags, seed int64) {
-	if _, err := workload.Lookup(cf.scenario); err != nil {
+func runChaos() {
+	if _, err := workload.Lookup(*scenario); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("chaos: %s/%s seed=%d clients=%d nodes=%d ops=%d tcp=%v",
-		cf.scenario, cf.fault, seed, cf.clients, cf.nodes, cf.ops, cf.tcp)
+		*scenario, *fault, *seed, *clients, *nodes, *ops, *chaosTCP)
 	res, err := chaos.Run(chaos.RunConfig{
-		Scenario: cf.scenario,
-		Fault:    cf.fault,
-		Seed:     seed,
+		Scenario: *scenario,
+		Fault:    *fault,
+		Seed:     *seed,
 		Params: workload.Params{
-			Clients:      cf.clients,
-			Nodes:        cf.nodes,
-			OpsPerClient: cf.ops,
-			FileSize:     cf.fileSize,
-			MaxIO:        cf.maxIO,
+			Clients:      *clients,
+			Nodes:        *nodes,
+			OpsPerClient: *ops,
+			FileSize:     *fileSize,
+			MaxIO:        *maxIO,
 		},
-		GlobalCache: cf.gc,
-		TCP:         cf.tcp,
-		Backend:     sf.backend,
-		DataDir:     sf.dataDir,
-		TraceDir:    cf.traceDir,
+		GlobalCache: *chaosGC,
+		TCP:         *chaosTCP,
+		Backend:     *backend,
+		DataDir:     *dataDir,
+		TraceDir:    *traceDir,
 		Log:         log.Printf,
 	})
 	if err != nil {

@@ -17,20 +17,17 @@
 //	           -caching -d 65536 -total 8388608
 //
 // The tool reports per-request latency, total completion time per
-// instance, and the cache-module counters. The -cpuprofile/-memprofile
-// flags write standard pprof profiles (see examples/README.md), and
-// -shards and -flushwindow select the buffer manager's stripe count and
-// each flush stream's in-flight frame window (-flushwindow 1 is one
-// blocking frame at a time). The admission knobs -policy, -ghostfrac and
-// -bypass pick the replacement policy (clock, lru, or the
-// scan-resistant ghost policy), size its ghost history, and enable the
-// streaming read-around. See docs/TUNING.md for the full knob table.
+// instance, and the cache-module counters. The cache module runs at its
+// defaults, the paper's configuration; its tuning knobs are
+// cachemod.Config fields (see docs/TUNING.md), varied by the ablation
+// pairs of `go test -bench`, not by flags here. A run fails (exit status
+// 1) when the final flush cannot drain the write-behind.
 //
 // The in-process iods keep their blocks in memory by default;
 // -backend=disk puts each one on a WAL-backed on-disk store instead
-// (-datadir picks the directory, -fsync the durability policy):
+// (-datadir picks the directory):
 //
-//	pvfs-bench -backend disk -datadir /tmp/pvfs -fsync interval -write
+//	pvfs-bench -backend disk -datadir /tmp/pvfs -write
 //
 // With -chaos the tool instead runs a seeded fault-injection scenario
 // under the consistency oracle:
@@ -41,18 +38,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync"
 	"time"
 
 	"pvfscache/internal/cachemod"
-	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/cluster"
 	"pvfscache/internal/metrics"
 	"pvfscache/internal/microbench"
@@ -60,81 +55,37 @@ import (
 	"pvfscache/internal/transport"
 )
 
+var (
+	mgrAddr   = flag.String("mgr", "", "mgr address (empty boots an in-process cluster)")
+	iodList   = flag.String("iods", "", "comma-separated iod data addresses")
+	flushList = flag.String("flush", "", "comma-separated iod flush addresses, one per -iods entry (empty: no write-behind)")
+	caching   = flag.Bool("caching", true, "enable the cache module")
+	instances = flag.Int("instances", 1, "application instances (degree of multiprogramming)")
+	procs     = flag.Int("p", 2, "processes (nodes) per instance")
+	reqSize   = flag.Int64("d", 64<<10, "request size in bytes (per process)")
+	total     = flag.Int64("total", 4<<20, "bytes moved per process")
+	locality  = flag.Float64("l", 0, "degree of locality in [0,1]")
+	sharing   = flag.Float64("s", 0, "degree of inter-instance sharing in [0,1]")
+	write     = flag.Bool("write", false, "issue writes instead of reads")
+	seed      = flag.Int64("seed", 1, "workload seed")
+	backend   = flag.String("backend", "", "iod storage engine for the in-process cluster: mem (default) or disk")
+	dataDir   = flag.String("datadir", "", "data directory for -backend disk (default: a temp dir, removed at exit)")
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pvfs-bench: ")
-	var (
-		mgrAddr    = flag.String("mgr", "", "mgr address (empty boots an in-process cluster)")
-		iodList    = flag.String("iods", "", "comma-separated iod data addresses")
-		flushList  = flag.String("flush", "", "comma-separated iod flush addresses")
-		caching    = flag.Bool("caching", true, "enable the cache module")
-		instances  = flag.Int("instances", 1, "application instances (degree of multiprogramming)")
-		p          = flag.Int("p", 2, "processes (nodes) per instance")
-		d          = flag.Int64("d", 64<<10, "request size in bytes (per process)")
-		total      = flag.Int64("total", 4<<20, "bytes moved per process")
-		locality   = flag.Float64("l", 0, "degree of locality in [0,1]")
-		sharing    = flag.Float64("s", 0, "degree of inter-instance sharing in [0,1]")
-		write      = flag.Bool("write", false, "issue writes instead of reads")
-		seed       = flag.Int64("seed", 1, "workload seed")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	)
-	var mods modFlags
-	flag.IntVar(&mods.readahead, "readahead", 0, "sequential-readahead window in blocks (0 = default, negative disables)")
-	flag.IntVar(&mods.shards, "shards", 0, "cache lock stripes (0 = power of two >= GOMAXPROCS, 1 = single-mutex ablation)")
-	flag.IntVar(&mods.flushWindow, "flushwindow", 0, "in-flight flush frames per stream (0 = default 4, 1 = one blocking frame at a time)")
-	policyName := flag.String("policy", "clock", "replacement policy: clock, lru, or ghost (scan-resistant)")
-	flag.Float64Var(&mods.ghostFrac, "ghostfrac", 0, "ghost-list size as a fraction of cache capacity under -policy ghost (0 = default 1.0, negative disables)")
-	flag.IntVar(&mods.bypass, "bypass", 0, "sequential streak at which streaming reads bypass the cache (0 = disabled)")
-	var sf storageFlags
-	flag.StringVar(&sf.backend, "backend", "", "iod storage engine for the in-process cluster: mem (default) or disk")
-	flag.StringVar(&sf.dataDir, "datadir", "", "data directory for -backend disk (default: a temp dir, removed at exit)")
-	flag.StringVar(&sf.fsync, "fsync", "", "disk fsync policy: onclose (default), interval, or always")
-	flag.DurationVar(&sf.fsyncInterval, "fsyncinterval", 0, "fsync cadence under -fsync interval (0 = default 100ms)")
-	var cf chaosFlags
-	registerChaosFlags(&cf)
 	flag.Parse()
 
-	if cf.enabled {
-		runChaos(cf, sf, *seed)
+	if *chaosMode {
+		runChaos()
 		return
-	}
-
-	pol, err := buffer.ParsePolicy(*policyName)
-	if err != nil {
-		log.Fatalf("-policy: %v", err)
-	}
-	mods.policy = pol
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			log.Fatalf("-cpuprofile: %v", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("-cpuprofile: %v", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				log.Fatalf("-memprofile: %v", err)
-			}
-			defer f.Close()
-			runtime.GC() // flush dead objects so the profile shows live + cumulative allocs accurately
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				log.Fatalf("-memprofile: %v", err)
-			}
-		}()
 	}
 
 	mb := microbench.Params{
 		Instances:   *instances,
-		Nodes:       *p,
-		RequestSize: *d,
+		Nodes:       *procs,
+		RequestSize: *reqSize,
 		TotalBytes:  *total,
 		Read:        !*write,
 		Locality:    *locality,
@@ -145,44 +96,22 @@ func main() {
 		log.Fatal(err)
 	}
 
+	var err error
 	if *mgrAddr == "" {
-		runInProcess(mb, *caching, mods, sf)
-		return
+		err = runInProcess(mb)
+	} else {
+		err = runAgainst(mb, transport.NewTCP())
 	}
-	if sf.backend != "" {
-		log.Fatal("-backend applies to the in-process cluster only; external daemons own their storage")
+	if err != nil {
+		log.Fatal(err)
 	}
-	iods := splitList(*iodList)
-	flushes := splitList(*flushList)
-	if len(iods) == 0 {
-		log.Fatal("-iods is required with -mgr")
-	}
-	runAgainst(mb, *caching, mods, transport.NewTCP(), *mgrAddr, iods, flushes)
-}
-
-// modFlags collects the cache-module tuning flags (see docs/TUNING.md).
-type modFlags struct {
-	readahead   int
-	shards      int
-	flushWindow int
-	policy      buffer.Policy
-	ghostFrac   float64
-	bypass      int
-}
-
-// storageFlags selects the iod storage engine for in-process clusters.
-type storageFlags struct {
-	backend       string
-	dataDir       string
-	fsync         string
-	fsyncInterval time.Duration
 }
 
 // resolveDataDir returns the data directory to use and a cleanup func.
 // With -backend disk and no -datadir, the run gets a throwaway temp dir.
-func (sf storageFlags) resolveDataDir() (string, func()) {
-	if sf.backend != "disk" || sf.dataDir != "" {
-		return sf.dataDir, func() {}
+func resolveDataDir() (string, func()) {
+	if *backend != "disk" || *dataDir != "" {
+		return *dataDir, func() {}
 	}
 	dir, err := os.MkdirTemp("", "pvfs-bench-data-*")
 	if err != nil {
@@ -206,12 +135,13 @@ func splitList(s string) []string {
 }
 
 // runInProcess boots a full in-memory cluster and runs the benchmark with
-// and without caching for comparison.
-func runInProcess(mb microbench.Params, caching bool, mods modFlags, sf storageFlags) {
-	dataDir, cleanup := sf.resolveDataDir()
+// and without caching for comparison. Closing a cluster runs its final
+// flush; an error there is the run's error.
+func runInProcess(mb microbench.Params) error {
+	dataDir, cleanup := resolveDataDir()
 	defer cleanup()
-	modes := []bool{caching}
-	if caching {
+	modes := []bool{*caching}
+	if *caching {
 		modes = []bool{true, false}
 	}
 	for i, withCache := range modes {
@@ -222,84 +152,76 @@ func runInProcess(mb microbench.Params, caching bool, mods modFlags, sf storageF
 			sub = fmt.Sprintf("%s/mode%d", dataDir, i)
 		}
 		c, err := cluster.Start(cluster.Config{
-			IODs:            4,
-			ClientNodes:     mb.Nodes,
-			Caching:         withCache,
-			FlushPeriod:     100 * time.Millisecond,
-			ReadaheadWindow: mods.readahead,
-			BypassThreshold: mods.bypass,
-			CacheShards:     mods.shards,
-			Policy:          mods.policy,
-			GhostFrac:       mods.ghostFrac,
-			FlushWindow:     mods.flushWindow,
-			Backend:         sf.backend,
-			DataDir:         sub,
-			Fsync:           sf.fsync,
-			FsyncInterval:   sf.fsyncInterval,
+			IODs:        4,
+			ClientNodes: mb.Nodes,
+			Caching:     withCache,
+			FlushPeriod: 100 * time.Millisecond,
+			Backend:     *backend,
+			DataDir:     sub,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		label := "no caching"
-		if withCache {
-			label = "caching"
-		}
-		runWorkload(label, mb, func(node int) (*pvfs.Client, error) { return c.NewProcess(node) })
+		runWorkload(withCache, mb, c.NewProcess)
 		if withCache {
 			printModuleStats(c.Reg)
 		}
-		c.Close()
+		if err := c.Close(); err != nil {
+			return fmt.Errorf("closing the in-process cluster: %w", err)
+		}
 	}
+	return nil
 }
 
-// runAgainst executes the benchmark against external daemons.
-func runAgainst(mb microbench.Params, caching bool, mods modFlags, net transport.Network, mgrAddr string, iods, flushes []string) {
+// runAgainst executes the benchmark against external daemons. Closing
+// each module runs its final flush; an error there is the run's error.
+func runAgainst(mb microbench.Params, net transport.Network) error {
+	if *backend != "" {
+		return errors.New("-backend applies to the in-process cluster only; external daemons own their storage")
+	}
+	iods := splitList(*iodList)
+	if len(iods) == 0 {
+		return errors.New("-iods is required with -mgr")
+	}
 	var modules []*cachemod.Module
-	if caching {
+	if *caching {
 		for node := 0; node < mb.Nodes; node++ {
 			mod, err := cachemod.New(cachemod.Config{
 				Network:       net,
 				ClientID:      uint32(node + 1),
 				IODDataAddrs:  iods,
-				IODFlushAddrs: flushes,
-				Buffer: buffer.Config{
-					Shards:    mods.shards,
-					Policy:    mods.policy,
-					GhostFrac: mods.ghostFrac,
-				},
-				ReadaheadWindow: mods.readahead,
-				BypassThreshold: mods.bypass,
-				FlushWindow:     mods.flushWindow,
+				IODFlushAddrs: splitList(*flushList),
 			})
 			if err != nil {
-				log.Fatalf("cache module for node %d: %v", node, err)
+				return fmt.Errorf("cache module for node %d: %w", node, err)
 			}
-			defer mod.Close()
 			modules = append(modules, mod)
 		}
 	}
-	newProc := func(node int) (*pvfs.Client, error) {
+	runWorkload(*caching, mb, func(node int) (*pvfs.Client, error) {
 		cfg := pvfs.Config{
 			Network:  net,
-			MgrAddr:  mgrAddr,
+			MgrAddr:  *mgrAddr,
 			IODAddrs: iods,
 			ClientID: uint32(node + 1),
 		}
-		if caching {
+		if *caching {
 			cfg.Transport = modules[node].NewTransport()
 		}
 		return pvfs.NewClient(cfg)
+	})
+	var errs []error
+	for node, mod := range modules {
+		if err := mod.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("closing the cache module of node %d: %w", node, err))
+		}
 	}
-	label := "no caching"
-	if caching {
-		label = "caching"
-	}
-	runWorkload(label, mb, newProc)
+	return errors.Join(errs...)
 }
 
 // runWorkload creates the benchmark files, spawns one goroutine per
 // (instance, node) process, and reports timing.
-func runWorkload(label string, mb microbench.Params, newProc func(node int) (*pvfs.Client, error)) {
+func runWorkload(withCache bool, mb microbench.Params, newProc func(node int) (*pvfs.Client, error)) {
 	setup, err := newProc(0)
 	if err != nil {
 		log.Fatal(err)
@@ -383,6 +305,10 @@ func runWorkload(label string, mb microbench.Params, newProc func(node int) (*pv
 		}
 		totalReqs += r.requests
 		totalTime += r.elapsed
+	}
+	label := "no caching"
+	if withCache {
+		label = "caching"
 	}
 	fmt.Printf("[%s] d=%d l=%v s=%v instances=%d p=%d\n",
 		label, mb.RequestSize, mb.Locality, mb.Sharing, mb.Instances, mb.Nodes)

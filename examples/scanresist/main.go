@@ -22,7 +22,7 @@
 //	go run ./examples/scanresist
 //
 // See DESIGN.md §7 for the admission state machine and docs/TUNING.md
-// for the Policy/GhostFrac/BypassThreshold knobs and the per-open
+// for the Policy/BypassThreshold knobs and the per-open
 // cache-policy hints (the seeding phase below uses a don't-cache hint
 // so the storm starts from a cold cache).
 package main
@@ -33,6 +33,7 @@ import (
 	"log"
 	"time"
 
+	"pvfscache/internal/cachemod"
 	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/cluster"
 	"pvfscache/internal/pvfs"
@@ -141,27 +142,29 @@ func run(label string, cfg cluster.Config) int64 {
 func main() {
 	log.SetFlags(0)
 	base := cluster.Config{
-		IODs:            4,
-		ClientNodes:     1,
-		Caching:         true,
-		CacheBlocks:     256,       // 1 MB cache
-		CacheShards:     1,         // one stripe: deterministic replacement order
-		FlushPeriod:     time.Hour, // write-behind is not today's story
-		ReadaheadWindow: -1,        // block-by-block reads keep the admission story visible
+		IODs:        4,
+		ClientNodes: 1,
+		Caching:     true,
+		CacheBlocks: 256,       // 1 MB cache
+		FlushPeriod: time.Hour, // write-behind is not today's story
+		Module: cachemod.Config{
+			Buffer:          buffer.Config{Shards: 1}, // one stripe: deterministic replacement order
+			ReadaheadWindow: -1,                       // block-by-block reads keep the admission story visible
+		},
 	}
 
 	ghostBypass := base
-	ghostBypass.Policy = buffer.PolicyGhost
-	ghostBypass.BypassThreshold = 8
-	withBypass := run("ghost policy + streaming bypass (-policy ghost -bypass 8)", ghostBypass)
+	ghostBypass.Module.Buffer.Policy = buffer.PolicyGhost
+	ghostBypass.Module.BypassThreshold = 8
+	withBypass := run("ghost policy + streaming bypass (Buffer.Policy ghost, BypassThreshold 8)", ghostBypass)
 
 	ghostOnly := base
-	ghostOnly.Policy = buffer.PolicyGhost
-	ghostAlone := run("ghost policy alone (-policy ghost)", ghostOnly)
+	ghostOnly.Module.Buffer.Policy = buffer.PolicyGhost
+	ghostAlone := run("ghost policy alone (Buffer.Policy ghost)", ghostOnly)
 
 	lru := base
-	lru.Policy = buffer.PolicyLRU
-	flushed := run("lru ablation (-policy lru)", lru)
+	lru.Module.Buffer.Policy = buffer.PolicyLRU
+	flushed := run("lru ablation (Buffer.Policy lru)", lru)
 
 	fmt.Printf("\nworking-set refetches after a 4x-cache scan: ghost+bypass %d, ghost %d, lru %d of %d\n",
 		withBypass, ghostAlone, flushed, wsBlocks)

@@ -101,8 +101,8 @@ func main() {
 	piped := storm("pipelined: 4 streams × window 4 (default)", base)
 
 	serial := base
-	serial.FlushWindow = 1
-	serialTime := storm("window 1: 4 streams × one blocking frame (-flushwindow 1)", serial)
+	serial.Module.FlushWindow = 1
+	serialTime := storm("window 1: 4 streams × one blocking frame (FlushWindow 1)", serial)
 
 	fmt.Printf("\nwindow 4 %v vs window 1 %v — over a real network/disk the gap widens\n",
 		piped.Round(10*time.Microsecond), serialTime.Round(10*time.Microsecond))

@@ -168,14 +168,6 @@ type Config struct {
 	// cost two queues, not three: LRU is ghost's segmented queue with
 	// nothing protected and nothing remembered.
 	Policy Policy
-	// GhostFrac sizes PolicyGhost's per-shard ghost list as a fraction of
-	// the shard's frame count (entries are metadata only: one key plus two
-	// pointers). 0 takes the default of 1.0 — remember as many evicted
-	// keys as there are frames, the classic ARC history budget. Negative
-	// disables ghost memory entirely (a segmented-LRU ablation: nothing
-	// ever proves reuse after eviction); values above 4 are clamped.
-	// Ignored by the other policies.
-	GhostFrac float64
 	// Registry receives hit/miss/eviction counters; nil uses a private one.
 	Registry *metrics.Registry
 }
@@ -209,14 +201,6 @@ func (c *Config) fillDefaults() {
 	c.Shards = ceilPow2(c.Shards)
 	for c.Shards > 1 && c.Shards > c.Capacity {
 		c.Shards >>= 1
-	}
-	switch {
-	case c.GhostFrac == 0:
-		c.GhostFrac = 1.0
-	case c.GhostFrac < 0:
-		c.GhostFrac = -1 // normalized "no ghost memory" ablation
-	case c.GhostFrac > 4:
-		c.GhostFrac = 4
 	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
@@ -406,13 +390,12 @@ func New(cfg Config) *Manager {
 		if cfg.Policy == PolicyGhost {
 			// The probation segment keeps at least a quarter of the shard's
 			// frames (so there is always somewhere for unproven blocks to
-			// live and be evicted from); the ghost history remembers
-			// GhostFrac × capacity evicted keys. The other policies leave
-			// both at zero: no protected segment, no history.
+			// live and be evicted from); the ghost history remembers one
+			// evicted key per frame — the classic ARC history budget, and
+			// metadata only (a key plus two pointers). The other policies
+			// leave both at zero: no protected segment, no history.
 			s.protCap = capacity - max(capacity/4, 1)
-			if cfg.GhostFrac > 0 {
-				s.ghost.cap = max(int(cfg.GhostFrac*float64(capacity)+0.5), 1)
-			}
+			s.ghost.cap = capacity
 		}
 		for j := 0; j < capacity; j++ {
 			b := &block{data: backing[next*cfg.BlockSize : (next+1)*cfg.BlockSize]}

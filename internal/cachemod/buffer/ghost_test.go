@@ -28,7 +28,7 @@ func touchAll(t *testing.T, m *Manager, keys ...blockio.BlockKey) {
 }
 
 func TestGhostListBounded(t *testing.T) {
-	m := ghostMgr(8) // GhostFrac defaults to 1.0: ghostCap == capacity
+	m := ghostMgr(8) // one ghost per frame: ghostCap == capacity
 	// Stream far more blocks than capacity+ghostCap through the cache.
 	for i := 0; i < 100; i++ {
 		m.InsertClean(key(1, i), 0, fill(byte(i), 64))
@@ -42,29 +42,6 @@ func TestGhostListBounded(t *testing.T) {
 	}
 	if err := m.CheckConsistency(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGhostFracSizesAndDisables(t *testing.T) {
-	m := New(Config{BlockSize: 64, Capacity: 8, Policy: PolicyGhost, Shards: 1, GhostFrac: 0.5})
-	for i := 0; i < 50; i++ {
-		m.InsertClean(key(1, i), 0, fill(1, 64))
-	}
-	if st := m.Stats(); st.Ghosts > 4 {
-		t.Fatalf("GhostFrac 0.5 of 8 frames kept %d ghosts, want <= 4", st.Ghosts)
-	}
-	// Negative disables the history entirely (pure two-segment ablation).
-	m2 := New(Config{BlockSize: 64, Capacity: 8, Policy: PolicyGhost, Shards: 1, GhostFrac: -1})
-	for i := 0; i < 50; i++ {
-		m2.InsertClean(key(1, i), 0, fill(1, 64))
-	}
-	if st := m2.Stats(); st.Ghosts != 0 {
-		t.Fatalf("negative GhostFrac still kept %d ghosts", st.Ghosts)
-	}
-	for _, m := range []*Manager{m, m2} {
-		if err := m.CheckConsistency(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -185,3 +185,27 @@ func TestFlushAllWaitsForInFlightBlocks(t *testing.T) {
 		t.Fatalf("flushed data not durable (n=%d)", n)
 	}
 }
+
+// TestNewRejectsMismatchedFlushAddrs: with fewer flush addresses than
+// iods, writes to the extra iods were acknowledged from the cache and then
+// had no stream to drain them — FlushAll stalled out and the bytes never
+// reached the iod. New must refuse any flush list that is neither one per
+// iod nor empty (no write-behind).
+func TestNewRejectsMismatchedFlushAddrs(t *testing.T) {
+	data := []string{"iod-0", "iod-1"}
+	for _, flush := range [][]string{nil, {"flush-0", "flush-1"}, {"flush-0"}, {"flush-0", "flush-1", "flush-2"}} {
+		mod, err := New(Config{
+			Network:          transport.NewMem(),
+			ClientID:         1,
+			IODDataAddrs:     data,
+			IODFlushAddrs:    flush,
+			DisableCoherence: true,
+		})
+		if want := len(flush) == 0 || len(flush) == len(data); want != (err == nil) {
+			t.Errorf("%d flush addresses for %d iods: New returned %v", len(flush), len(data), err)
+		}
+		if err == nil {
+			mod.Close()
+		}
+	}
+}

@@ -396,72 +396,6 @@ func TestPressureKickNotStarvedByFailingStream(t *testing.T) {
 	r.down.Store(false)
 }
 
-// TestPressureKickWithStreamlessOwner: with mismatched data/flush
-// address lists (more data iods than flush ports), blocks owned by a
-// streamless iod can become the oldest dirty data. A pressure kick
-// resolving to that owner must fall back to waking every stream — the
-// flushable owners' backlog still frees space — rather than silently
-// dropping the kick and stalling writers into WriteStall.
-func TestPressureKickWithStreamlessOwner(t *testing.T) {
-	net := transport.NewMem()
-	reg := metrics.NewRegistry()
-	var dataAddrs []string
-	var flushAddr string
-	iods := make([]*iod.Server, 2)
-	for i := 0; i < 2; i++ {
-		d := iod.New(i, 4096, net, reg)
-		iods[i] = d
-		dl, err := net.Listen("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { dl.Close() })
-		go d.ServeData(dl)
-		dataAddrs = append(dataAddrs, dl.Addr())
-		if i == 0 {
-			fl, err := net.Listen("")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { fl.Close() })
-			go d.ServeFlush(fl)
-			flushAddr = fl.Addr()
-		}
-	}
-	mod, err := New(Config{
-		Network:          net,
-		ClientID:         1,
-		IODDataAddrs:     dataAddrs,
-		IODFlushAddrs:    []string{flushAddr}, // iod 1 has no flush stream
-		Buffer:           buffer.Config{BlockSize: 4096, Capacity: 32},
-		FlushPeriod:      time.Hour, // only kicks drive the stream
-		DisableCoherence: true,
-		Registry:         reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := bytes.Repeat([]byte{0x21}, 4096)
-	tr := mod.NewTransport()
-	// iod 1's (streamless) block first: it is the oldest dirty data.
-	sendRecv(t, tr, 1, &wire.Write{File: 21, Offset: 0, Data: block})
-	sendRecv(t, tr, 0, &wire.Write{File: 20, Offset: 0, Data: block})
-
-	waitfor.Until(t, 10*time.Second, func() bool {
-		mod.kickFlusher()
-		got := make([]byte, 4096)
-		n, _ := iods[0].Store().ReadAt(20, 0, got)
-		return n == 4096 && bytes.Equal(got, block)
-	}, "iod 0 draining despite the streamless oldest owner")
-	// iod 1's block is permanently stuck (no flush port) — Close's
-	// FlushAll would ride the 30 s stall timeout, so drop the block
-	// first and close manually.
-	mod.Buffer().Invalidate(blockio.BlockKey{File: 21, Index: 0})
-	if err := mod.Close(); err != nil {
-		t.Fatalf("Close after draining the flushable owner: %v", err)
-	}
-}
-
 // TestPipelinedFlushStorm races concurrent writers (re-dirtying blocks
 // mid-flight), invalidations of blocks being flushed, and the windowed
 // multi-stream drain, then asserts the buffer manager's structural

@@ -67,8 +67,9 @@ type Config struct {
 	ClientID uint32
 	// IODDataAddrs lists every iod data-port address, in cluster order.
 	IODDataAddrs []string
-	// IODFlushAddrs lists every iod flush-port address, in cluster order.
-	// Empty disables write-behind (writes go through synchronously).
+	// IODFlushAddrs lists every iod flush-port address, in cluster order:
+	// one per IODDataAddrs entry, or none, which disables write-behind
+	// (writes go through synchronously).
 	IODFlushAddrs []string
 	// Buffer sizes the block cache (see buffer.Config for defaults: 300
 	// blocks of 4 KB — the paper's 1.2 MB cache).
@@ -153,6 +154,9 @@ func (c *Config) fillDefaults() error {
 	}
 	if len(c.IODDataAddrs) == 0 {
 		return errors.New("cachemod: Config.IODDataAddrs is required")
+	}
+	if n := len(c.IODFlushAddrs); n != 0 && n != len(c.IODDataAddrs) {
+		return fmt.Errorf("cachemod: %d flush addresses for %d iods: want one per iod, or none", n, len(c.IODDataAddrs))
 	}
 	if c.FlushPeriod <= 0 {
 		c.FlushPeriod = time.Second
@@ -537,14 +541,6 @@ func (m *Module) kickFlusher() {
 	if !ok {
 		return
 	}
-	if owner < 0 || owner >= len(m.streams) {
-		// A block owned by an iod with no flush stream (mismatched
-		// data/flush address lists) can never drain; waking everyone at
-		// least frees what the flushable owners hold, as the old global
-		// batch did.
-		m.kickAllStreams()
-		return
-	}
 	target := m.streams[owner]
 	if target.failing.Load() {
 		m.kickAllStreams()
@@ -575,11 +571,8 @@ func (m *Module) KillPeerService() {
 // the target iod's stream is kicked, so the other streams keep their
 // write-behind period.
 func (m *Module) DrainIOD(iod int, deadline time.Time) error {
-	if iod < 0 || iod >= len(m.streams) {
-		if n := m.buf.DirtyCountOwned(iod); n > 0 {
-			return fmt.Errorf("cachemod: iod %d has %d dirty blocks but no flush stream", iod, n)
-		}
-		return nil
+	if len(m.streams) == 0 {
+		return nil // no write-behind: nothing is ever dirty
 	}
 	for {
 		n := m.buf.DirtyCountOwned(iod)

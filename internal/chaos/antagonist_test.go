@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pvfscache/internal/cachemod"
 	"pvfscache/internal/cluster"
 	"pvfscache/internal/metrics"
 	"pvfscache/internal/pvfs"
@@ -54,11 +55,13 @@ func antagonistRun(t *testing.T, quota float64) (solo, loaded time.Duration, max
 		Caching:     true,
 		CacheBlocks: antagCacheBlocks,
 		FlushPeriod: 2 * time.Millisecond,
-		FlushWindow: 1, // serialize flush frames so the brownout paces the drain
+		Module: cachemod.Config{
+			FlushWindow: 1, // serialize flush frames so the brownout paces the drain
 
-		WriteStall:       300 * time.Millisecond,
-		OverloadStall:    5 * time.Millisecond,
-		TenantDirtyQuota: quota,
+			WriteStall:       300 * time.Millisecond,
+			OverloadStall:    5 * time.Millisecond,
+			TenantDirtyQuota: quota,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

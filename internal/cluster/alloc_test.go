@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"pvfscache/internal/cachemod"
 	"pvfscache/internal/pvfs"
 )
 
@@ -44,7 +45,8 @@ const (
 // flushed through it. The fetch budget only ever charges tagged files.
 func allocCluster(t *testing.T) (*pvfs.Client, *pvfs.File) {
 	t.Helper()
-	c := startTest(t, Config{IODs: 4, ClientNodes: 1, Caching: true, FlushPeriod: time.Hour, TenantFetchBudget: 64})
+	c := startTest(t, Config{IODs: 4, ClientNodes: 1, Caching: true, FlushPeriod: time.Hour,
+		Module: cachemod.Config{TenantFetchBudget: 64}})
 	p, err := c.NewProcess(0)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 
 	"pvfscache/internal/admin"
 	"pvfscache/internal/cachemod"
-	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/globalcache"
 	"pvfscache/internal/iod"
 	"pvfscache/internal/metrics"
@@ -47,43 +46,25 @@ type Config struct {
 	// Caching enables the per-node cache module — the paper's "caching
 	// version". When false the cluster behaves like original PVFS.
 	Caching bool
-	// BlockSize is the cache block size (default 4 KB).
-	BlockSize int
+	// Module is the template every node's cache-module config is copied
+	// from; its zero value is the paper's configuration (see
+	// cachemod.Config). Module.Buffer.BlockSize also sizes the iods'
+	// blocks. Per node, moduleConfig overwrites exactly these fields:
+	// Network, ClientID, IODDataAddrs, IODFlushAddrs, Registry and
+	// GlobalCache (the wiring), Buffer.Capacity (from CacheBlocks) and
+	// FlushPeriod.
+	Module cachemod.Config
 	// CacheBlocks is the per-node cache capacity in blocks (default 300,
 	// i.e. the paper's 1.2 MB).
 	CacheBlocks int
-	// CacheShards is the number of lock stripes in each node's buffer
-	// manager (see buffer.Config.Shards: 0 picks a power of two ≥
-	// GOMAXPROCS; 1 is the single-mutex ablation baseline).
-	CacheShards int
 	// FlushPeriod overrides the flush streams' interval (default 1s;
 	// tests use shorter).
 	FlushPeriod time.Duration
-	// FlushWindow is each flush stream's bound on concurrent Flush
-	// frames in flight (default 4; 1 = one blocking round trip at a
-	// time). See cachemod.Config.FlushWindow.
-	FlushWindow int
-	// Policy selects the replacement policy (default clock).
-	Policy buffer.Policy
-	// GhostFrac sizes each cache shard's ghost list as a fraction of its
-	// capacity under the ghost policy (0 = default 1.0; negative disables
-	// the ghost history). See buffer.Config.GhostFrac.
-	GhostFrac float64
-	// BypassThreshold is the sequential-streak length at which detected
-	// streaming reads stop being admitted to the cache and are served
-	// read-around instead (0 = disabled; per-open cache-policy hints
-	// override it either way). See cachemod.Config.BypassThreshold.
-	BypassThreshold int
-	// DisableCoherence turns off invalidation listeners and registration.
-	DisableCoherence bool
 	// GlobalCache enables the cooperative global cache extension: node
 	// caches serve each other misses before the iods are consulted. Each
 	// module joins the mgr's epoch-versioned membership view, so nodes
 	// added later (AddCacheNode) enter the ring live.
 	GlobalCache bool
-	// ReadaheadWindow is the cache modules' sequential-readahead depth in
-	// blocks (default 8; negative disables readahead).
-	ReadaheadWindow int
 	// Backend selects the iods' storage engine: "" or "mem" for the
 	// in-memory simdisk store, "disk" for the WAL-backed on-disk engine
 	// (requires DataDir).
@@ -95,24 +76,6 @@ type Config struct {
 	// Fsync is the disk backend's journal fsync policy: "osync",
 	// "interval", or "onclose" (default). See disk.ParsePolicy.
 	Fsync string
-	// FsyncInterval bounds the power-loss window under Fsync="interval"
-	// (default 100ms).
-	FsyncInterval time.Duration
-	// WriteStall bounds how long a buffered write blocks waiting for cache
-	// space before falling back to write-through (0 = cachemod default 2s).
-	WriteStall time.Duration
-	// TenantDirtyQuota bounds each tagged tenant's share of a node cache's
-	// dirty frames; over-quota buffered writes shed with StatusOverload.
-	// 0 (the default) disables quotas — required for oracle-checked chaos
-	// runs, which assume no op errors without injected faults. See
-	// cachemod.Config.TenantDirtyQuota.
-	TenantDirtyQuota float64
-	// TenantFetchBudget bounds each tagged tenant's in-flight read blocks
-	// per node (0 = unlimited). See cachemod.Config.TenantFetchBudget.
-	TenantFetchBudget int
-	// OverloadStall is how long an over-quota write waits for flush
-	// progress before shedding (0 = cachemod default).
-	OverloadStall time.Duration
 	// AdminAddr, when non-empty, starts one admin HTTP endpoint (metrics,
 	// pprof, trace mode; see internal/admin) per caching client node on a
 	// real TCP socket — even when the cluster itself runs the in-memory
@@ -170,9 +133,8 @@ func newBackend(cfg Config, i int) (storage.Backend, error) {
 			return nil, err
 		}
 		return disk.Open(disk.Options{
-			Dir:           filepath.Join(cfg.DataDir, fmt.Sprintf("iod%d", i)),
-			Fsync:         pol,
-			FsyncInterval: cfg.FsyncInterval,
+			Dir:   filepath.Join(cfg.DataDir, fmt.Sprintf("iod%d", i)),
+			Fsync: pol,
 		})
 	}
 	return nil, fmt.Errorf("cluster: unknown backend %q (want \"mem\" or \"disk\")", cfg.Backend)
@@ -230,7 +192,7 @@ func Start(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: iod %d backend: %w", i, err)
 		}
 		c.Backends = append(c.Backends, be)
-		d := iod.NewWithBackend(i, cfg.BlockSize, cfg.Network, cfg.Registry, be)
+		d := iod.NewWithBackend(i, cfg.Module.Buffer.BlockSize, cfg.Network, cfg.Registry, be)
 		c.IODs = append(c.IODs, d)
 		dl, err := cfg.Network.Listen(":0")
 		if err != nil {
@@ -305,38 +267,21 @@ func (c *Cluster) startAdmin(node int, mod *cachemod.Module) error {
 	return nil
 }
 
-// moduleConfig builds the cache-module config for one client node.
+// moduleConfig builds one client node's cache-module config: the
+// Config.Module template with the fields its doc names written over it.
 func (c *Cluster) moduleConfig(node int) cachemod.Config {
-	cfg := c.cfg
-	mc := cachemod.Config{
-		Network:         c.nodeNetwork(node),
-		ClientID:        uint32(node + 1),
-		IODDataAddrs:    c.IODDataAddrs,
-		IODFlushAddrs:   c.IODFlushAddrs,
-		ReadaheadWindow: cfg.ReadaheadWindow,
-		BypassThreshold: cfg.BypassThreshold,
-		Buffer: buffer.Config{
-			BlockSize: cfg.BlockSize,
-			Capacity:  cfg.CacheBlocks,
-			Shards:    cfg.CacheShards,
-			Policy:    cfg.Policy,
-			GhostFrac: cfg.GhostFrac,
-		},
-		FlushPeriod:       cfg.FlushPeriod,
-		FlushWindow:       cfg.FlushWindow,
-		WriteStall:        cfg.WriteStall,
-		TenantDirtyQuota:  cfg.TenantDirtyQuota,
-		TenantFetchBudget: cfg.TenantFetchBudget,
-		OverloadStall:     cfg.OverloadStall,
-		DisableCoherence:  cfg.DisableCoherence,
-		Registry:          cfg.Registry,
+	mc := c.cfg.Module
+	mc.Network = c.nodeNetwork(node)
+	mc.ClientID = uint32(node + 1)
+	mc.IODDataAddrs = c.IODDataAddrs
+	mc.IODFlushAddrs = c.IODFlushAddrs
+	mc.Registry = c.Reg
+	mc.GlobalCache = nil
+	if c.cfg.GlobalCache {
+		mc.GlobalCache = &globalcache.Options{SelfID: uint32(node), MgrAddr: c.MgrAddr}
 	}
-	if cfg.GlobalCache {
-		mc.GlobalCache = &globalcache.Options{
-			SelfID:  uint32(node),
-			MgrAddr: c.MgrAddr,
-		}
-	}
+	mc.Buffer.Capacity = c.cfg.CacheBlocks
+	mc.FlushPeriod = c.cfg.FlushPeriod
 	return mc
 }
 
@@ -436,7 +381,7 @@ func (c *Cluster) RestartIOD(i int) error {
 	if err != nil {
 		return fmt.Errorf("cluster: iod %d restart backend: %w", i, err)
 	}
-	d := iod.NewWithBackend(i, c.cfg.BlockSize, c.Network, c.Reg, be)
+	d := iod.NewWithBackend(i, c.cfg.Module.Buffer.BlockSize, c.Network, c.Reg, be)
 	dl, err := c.Network.Listen(c.IODDataAddrs[i])
 	if err != nil {
 		be.Close()
@@ -498,7 +443,7 @@ func (c *Cluster) RejoinIOD(i int) error {
 	if i < 0 || i >= len(c.IODs) {
 		return fmt.Errorf("cluster: iod %d out of range", i)
 	}
-	d := iod.NewWithBackend(i, c.cfg.BlockSize, c.Network, c.Reg, c.Backends[i])
+	d := iod.NewWithBackend(i, c.cfg.Module.Buffer.BlockSize, c.Network, c.Reg, c.Backends[i])
 	dl, err := c.Network.Listen(c.IODDataAddrs[i])
 	if err != nil {
 		return fmt.Errorf("cluster: iod %d data re-listen: %w", i, err)

@@ -6,7 +6,7 @@ package cluster
 // byte-for-byte against the reference, and after a final flush the file is
 // re-read through a direct (uncached) client to prove the bytes the iods
 // hold equal the reference too. The same seeded workload runs with the
-// single-mutex ablation (CacheShards=1) and the lock-striped manager:
+// single-mutex ablation (Module.Buffer.Shards=1) and the lock-striped manager:
 // sharding is a locking change, so the two runs must be externally
 // indistinguishable — identical bytes at every step.
 
@@ -17,6 +17,8 @@ import (
 	"testing"
 	"time"
 
+	"pvfscache/internal/cachemod"
+	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/pvfs"
 	"pvfscache/internal/testseed"
 )
@@ -44,7 +46,7 @@ func runConsistencyOracleCfg(t *testing.T, shards int, seed int64, edit func(*Co
 		ClientNodes: 1,
 		Caching:     true,
 		CacheBlocks: 48, // 192 KB cache against a 1 MB file: heavy eviction
-		CacheShards: shards,
+		Module:      cachemod.Config{Buffer: buffer.Config{Shards: shards}},
 		FlushPeriod: 5 * time.Millisecond,
 	}
 	if edit != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pvfscache/internal/cachemod"
 	"pvfscache/internal/pvfs"
 	"pvfscache/internal/rpc"
 	"pvfscache/internal/wire"
@@ -230,11 +231,11 @@ func runLeaseStorm(t *testing.T, cfg Config) {
 // many processes, cache 16x smaller than the file, readahead on.
 func TestLeaseLifetimesUnderPoison(t *testing.T) {
 	runLeaseStorm(t, Config{
-		IODs:            4,
-		ClientNodes:     1,
-		Caching:         true,
-		CacheBlocks:     32, // 128 KB vs a 2 MB working set: constant recycling
-		ReadaheadWindow: 16,
+		IODs:        4,
+		ClientNodes: 1,
+		Caching:     true,
+		CacheBlocks: 32, // 128 KB vs a 2 MB working set: constant recycling
+		Module:      cachemod.Config{ReadaheadWindow: 16},
 	})
 }
 
@@ -243,11 +244,11 @@ func TestLeaseLifetimesUnderPoison(t *testing.T) {
 // recycle under the same poison oracle.
 func TestLeaseLifetimesGlobalCachePoison(t *testing.T) {
 	runLeaseStorm(t, Config{
-		IODs:            2,
-		ClientNodes:     2,
-		Caching:         true,
-		CacheBlocks:     64,
-		GlobalCache:     true,
-		ReadaheadWindow: 8,
+		IODs:        2,
+		ClientNodes: 2,
+		Caching:     true,
+		CacheBlocks: 64,
+		GlobalCache: true,
+		Module:      cachemod.Config{ReadaheadWindow: 8},
 	})
 }

@@ -25,7 +25,36 @@ var tuningWiring = map[string]bool{
 	"buffer.Config.Registry":        true,
 	"cluster.Config.Network":        true,
 	"cluster.Config.NodeNetwork":    true,
+	"cluster.Config.Module":         true, // its fields are cachemod.Config's rows
 	"cluster.Config.Registry":       true,
+}
+
+// sharedWithModule lists the only field names cluster.Config may share with
+// cachemod.Config or buffer.Config, each with why the cluster spells it.
+var sharedWithModule = map[string]string{
+	"Network":     "the cluster's fabric; each module gets its node's view of it",
+	"Registry":    "one registry for every daemon, not only the modules",
+	"GlobalCache": "a bool at cluster level; the module's is the membership wiring built from it",
+	"FlushPeriod": "pvfsperf's workloads spell it at cluster level",
+}
+
+// TestConfigDoesNotMirrorModule keeps cluster.Config from growing module
+// knobs back: a cache-module setting belongs on Config.Module, which every
+// node's config is copied from.
+func TestConfigDoesNotMirrorModule(t *testing.T) {
+	module := map[string]bool{}
+	for _, typ := range []reflect.Type{reflect.TypeOf(cachemod.Config{}), reflect.TypeOf(buffer.Config{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			module[typ.Field(i).Name] = true
+		}
+	}
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if _, ok := sharedWithModule[name]; module[name] && !ok {
+			t.Errorf("cluster.Config.%s mirrors a cache-module field: set it on Config.Module instead", name)
+		}
+	}
 }
 
 var backticked = regexp.MustCompile("`([^`]+)`")

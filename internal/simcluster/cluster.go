@@ -14,6 +14,13 @@ import (
 	"pvfscache/internal/wire"
 )
 
+// cacheShards is each node cache's lock-stripe count. The simulator drives
+// the cache from a single goroutine in virtual time, and the paper's
+// figures assume one global clock hand; per-shard clock hands would
+// perturb the regenerated replacement sequences without modeling any real
+// parallelism.
+const cacheShards = 1
+
 // Cluster is one simulated system: client nodes, I/O daemons, and the hub
 // joining them. Data content is not simulated — only timing and the cache
 // policy state, which uses the same buffer.Manager as the live system.
@@ -113,18 +120,13 @@ func New(env *sim.Env, p Params, nIODs, nNodes int, caching bool) *Cluster {
 			space:   env.NewSignal(),
 		}
 		if caching {
-			shards := p.CacheShards
-			if shards == 0 {
-				shards = 1 // keep zero-valued Params deterministic
-			}
 			node.Cache = buffer.New(buffer.Config{
 				BlockSize: p.BlockSize,
 				Capacity:  p.CacheBlocks,
-				Shards:    shards,
+				Shards:    cacheShards,
 				LowWater:  p.LowWater,
 				HighWater: p.HighWater,
 				Policy:    p.Policy,
-				GhostFrac: p.GhostFrac,
 				Registry:  c.Reg,
 			})
 			env.Go(fmt.Sprintf("node%d.flusher", n), node.flusherDaemon)

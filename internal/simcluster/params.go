@@ -54,22 +54,11 @@ type Params struct {
 
 	// CacheBlocks is the per-node cache capacity (300 blocks = 1.2 MB).
 	CacheBlocks int
-	// CacheShards is the buffer manager's lock-stripe count. The simulator
-	// defaults to 1 — it drives the cache from a single goroutine in
-	// virtual time, and the paper's figures assume one global clock hand;
-	// per-shard clock hands would perturb the regenerated replacement
-	// sequences without modeling any real parallelism.
-	CacheShards int
 	// LowWater / HighWater are the harvester watermarks in blocks.
 	LowWater, HighWater int
 	// Policy selects the replacement policy (clock = the paper's
 	// approximate LRU).
 	Policy buffer.Policy
-	// GhostFrac sizes the ghost list as a fraction of the cache capacity
-	// when Policy is the ghost policy (0 = default 1.0; negative
-	// disables the ghost history). Ignored by clock and LRU, so the
-	// zero value leaves every calibrated figure bit-identical.
-	GhostFrac float64
 	// HitCopy is the cache lookup + copy-to-user cost per 4 KB block on a
 	// socket call. The paper bounds it by "less than 400 microseconds";
 	// the slope of its Figure 5(a) implies ~140 µs per block in practice.
@@ -121,7 +110,6 @@ func DefaultParams() Params {
 		IODPageCacheBlocks: 24576, // 96 MB
 
 		CacheBlocks:  300, // 1.2 MB of 4 KB blocks
-		CacheShards:  1,   // deterministic single-stripe policy state
 		LowWater:     30,
 		HighWater:    75,
 		Policy:       buffer.PolicyClock,

@@ -179,7 +179,7 @@ func runAgainst(mb microbench.Params, net transport.Network) error {
 	if *backend != "" {
 		return errors.New("-backend applies to the in-process cluster only; external daemons own their storage")
 	}
-	iods := splitList(*iodList)
+	iods, flushes := splitList(*iodList), splitList(*flushList)
 	if len(iods) == 0 {
 		return errors.New("-iods is required with -mgr")
 	}
@@ -190,7 +190,7 @@ func runAgainst(mb microbench.Params, net transport.Network) error {
 				Network:       net,
 				ClientID:      uint32(node + 1),
 				IODDataAddrs:  iods,
-				IODFlushAddrs: splitList(*flushList),
+				IODFlushAddrs: flushes,
 			})
 			if err != nil {
 				return fmt.Errorf("cache module for node %d: %w", node, err)

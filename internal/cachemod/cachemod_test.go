@@ -2,6 +2,8 @@ package cachemod
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -74,7 +76,7 @@ func (r *rig) seed(iodIdx int, file blockio.FileID, off int64, data []byte) {
 	r.iods[iodIdx].Store().WriteAt(file, off, data)
 }
 
-// sendRecv runs one Send/Recv pair on a transport.
+// sendRecv runs one Send/Recv pair on a transport: every message but a read.
 func sendRecv(t *testing.T, tr pvfs.Transport, iodIdx int, req wire.Message) wire.Message {
 	t.Helper()
 	id, err := tr.Send(iodIdx, req)
@@ -88,6 +90,71 @@ func sendRecv(t *testing.T, tr pvfs.Transport, iodIdx int, req wire.Message) wir
 	return resp
 }
 
+// sinkFor returns a buffer holding exts' bytes packed in order and the sink
+// that tiles it, one slice per extent.
+func sinkFor(exts []wire.ReadExtent) ([]byte, [][]byte) {
+	var total int64
+	for _, e := range exts {
+		total += e.Length
+	}
+	buf, sink := make([]byte, total), make([][]byte, len(exts))
+	rest := buf
+	for i, e := range exts {
+		sink[i], rest = rest[:e.Length], rest[e.Length:]
+	}
+	return buf, sink
+}
+
+// startRead issues [off, off+length) of file as a one-extent ReadBlocks
+// through SendRead — the shape libpvfs gives a single-piece read — and
+// returns the request and the buffer its reply fills.
+func startRead(tr pvfs.Transport, iodIdx int, file blockio.FileID, off, length int64) (pvfs.ReqID, []byte, error) {
+	req := &wire.ReadBlocks{File: file, Exts: []wire.ReadExtent{{Offset: off, Length: length}}}
+	buf, sink := sinkFor(req.Exts)
+	id, ok, err := tr.SendRead(iodIdx, req, sink)
+	if err == nil && !ok {
+		err = errors.New("SendRead declined a one-extent read")
+	}
+	return id, buf, err
+}
+
+// finishRead receives a read and returns the status of its status-only
+// reply.
+func finishRead(tr pvfs.Transport, id pvfs.ReqID) (wire.Status, error) {
+	resp, err := tr.Recv(id)
+	if err != nil {
+		return 0, err
+	}
+	rr, ok := resp.(*wire.ReadBlocksResp)
+	if !ok {
+		return 0, fmt.Errorf("read reply %T", resp)
+	}
+	return rr.Status, nil
+}
+
+// readOnce runs one startRead/finishRead pair.
+func readOnce(tr pvfs.Transport, iodIdx int, file blockio.FileID, off, length int64) ([]byte, wire.Status, error) {
+	id, buf, err := startRead(tr, iodIdx, file, off, length)
+	if err != nil {
+		return nil, 0, err
+	}
+	status, err := finishRead(tr, id)
+	return buf, status, err
+}
+
+// readAt is readOnce for a read that must succeed; it returns the bytes.
+func readAt(t *testing.T, tr pvfs.Transport, iodIdx int, file blockio.FileID, off, length int64) []byte {
+	t.Helper()
+	buf, status, err := readOnce(tr, iodIdx, file, off, length)
+	if err == nil {
+		err = status.Err()
+	}
+	if err != nil {
+		t.Fatalf("read file %d @%d+%d: %v", file, off, length, err)
+	}
+	return buf
+}
+
 func TestReadMissThenHit(t *testing.T) {
 	r := newRig(t, nil)
 	data := bytes.Repeat([]byte{0xAD}, 8192)
@@ -95,16 +162,14 @@ func TestReadMissThenHit(t *testing.T) {
 
 	tr := r.mod.NewTransport()
 	before := r.reg.Snapshot()
-	resp := sendRecv(t, tr, 0, &wire.Read{File: 5, Offset: 0, Length: 8192}).(*wire.ReadResp)
-	if !bytes.Equal(resp.Data, data) {
+	if !bytes.Equal(readAt(t, tr, 0, 5, 0, 8192), data) {
 		t.Fatal("first read wrong data")
 	}
 	mid := r.reg.Snapshot()
 	if d := mid.Diff(before); d["iod.reads"] == 0 {
 		t.Fatal("first read should reach the iod")
 	}
-	resp = sendRecv(t, tr, 0, &wire.Read{File: 5, Offset: 0, Length: 8192}).(*wire.ReadResp)
-	if !bytes.Equal(resp.Data, data) {
+	if !bytes.Equal(readAt(t, tr, 0, 5, 0, 8192), data) {
 		t.Fatal("second read wrong data")
 	}
 	if d := r.reg.Snapshot().Diff(mid); d["iod.reads"] != 0 {
@@ -122,10 +187,9 @@ func TestCloseSettlesAbandonedRead(t *testing.T) {
 	data := bytes.Repeat([]byte{0x5A}, 2*4096)
 	r.seed(0, 12, 0, data)
 	r.mod.NewTransport().TenantHint(12, 3, 1)
-	req := &wire.Read{File: 12, Offset: 0, Length: 2 * 4096}
 
 	dying := r.mod.NewTransport()
-	if _, err := dying.Send(0, req); err != nil {
+	if _, _, err := startRead(dying, 0, 12, 0, 2*4096); err != nil {
 		t.Fatal(err)
 	}
 	if err := dying.Close(); err != nil {
@@ -134,20 +198,14 @@ func TestCloseSettlesAbandonedRead(t *testing.T) {
 
 	got := make(chan []byte, 1)
 	go func() {
-		tr := r.mod.NewTransport()
-		id, err := tr.Send(0, req)
+		b, status, err := readOnce(r.mod.NewTransport(), 0, 12, 0, 2*4096)
+		if err == nil {
+			err = status.Err()
+		}
 		if err != nil {
 			t.Error(err)
-			got <- nil
-			return
 		}
-		resp, err := tr.Recv(id)
-		if err != nil {
-			t.Error(err)
-			got <- nil
-			return
-		}
-		got <- resp.(*wire.ReadResp).Data
+		got <- b
 	}()
 	select {
 	case b := <-got:
@@ -178,11 +236,10 @@ func TestPartialHitSplitsRequest(t *testing.T) {
 
 	tr := r.mod.NewTransport()
 	// Fault in just the middle block.
-	sendRecv(t, tr, 0, &wire.Read{File: 9, Offset: 4096, Length: 4096})
+	readAt(t, tr, 0, 9, 4096, 4096)
 
 	before := r.reg.Snapshot()
-	resp := sendRecv(t, tr, 0, &wire.Read{File: 9, Offset: 0, Length: 3 * 4096}).(*wire.ReadResp)
-	if !bytes.Equal(resp.Data, data) {
+	if !bytes.Equal(readAt(t, tr, 0, 9, 0, 3*4096), data) {
 		t.Fatal("split read wrong data")
 	}
 	d := r.reg.Snapshot().Diff(before)
@@ -255,20 +312,19 @@ func TestSubBlockStridedReadSplitsFetches(t *testing.T) {
 	for i := range exts {
 		exts[i] = wire.ReadExtent{Offset: int64(i) * 4096, Length: 1024}
 	}
+	_, sink := sinkFor(exts)
 	before := r.reg.Snapshot()
-	resp := sendRecv(t, tr, 0, &wire.ReadBlocks{File: file, Exts: exts}).(*wire.ReadBlocksResp)
-	if resp.Status != wire.StatusOK {
-		t.Fatalf("status %d", resp.Status)
+	id, ok, err := tr.SendRead(0, &wire.ReadBlocks{File: file, Exts: exts}, sink)
+	if err != nil || !ok {
+		t.Fatalf("SendRead: ok=%v err=%v", ok, err)
 	}
-	pos := 0
-	for i, l := range resp.Lens {
-		if l != 1024 {
-			t.Fatalf("extent %d served %d bytes", i, l)
-		}
-		if !bytes.Equal(resp.Data[pos:pos+1024], data[i*4096:i*4096+1024]) {
+	if status, err := finishRead(tr, id); err != nil || status != wire.StatusOK {
+		t.Fatalf("status %d, err %v", status, err)
+	}
+	for i, dst := range sink {
+		if !bytes.Equal(dst, data[i*4096:i*4096+1024]) {
 			t.Fatalf("extent %d data wrong", i)
 		}
-		pos += 1024
 	}
 	d := r.reg.Snapshot().Diff(before)
 	if d["iod.reads"] != 2 { // 8191-block batch + 809-block batch
@@ -304,8 +360,7 @@ func TestWriteReadYourOwn(t *testing.T) {
 	tr := r.mod.NewTransport()
 	payload := bytes.Repeat([]byte{0x11}, 10000)
 	sendRecv(t, tr, 0, &wire.Write{File: 3, Offset: 500, Data: payload})
-	resp := sendRecv(t, tr, 0, &wire.Read{File: 3, Offset: 500, Length: 10000}).(*wire.ReadResp)
-	if !bytes.Equal(resp.Data, payload) {
+	if !bytes.Equal(readAt(t, tr, 0, 3, 500, 10000), payload) {
 		t.Fatal("read-your-own-write failed")
 	}
 }
@@ -353,11 +408,11 @@ func TestReadMergesUnflushedWriteWithFetch(t *testing.T) {
 		t.Fatal("write was not buffered dirty")
 	}
 
-	resp := sendRecv(t, tr, 0, &wire.Read{File: 15, Offset: 0, Length: 4096}).(*wire.ReadResp)
-	if !bytes.Equal(resp.Data[100:100+len(fresh)], fresh) {
-		t.Fatalf("read returned stale bytes %q for the unflushed write", resp.Data[100:100+len(fresh)])
+	got := readAt(t, tr, 0, 15, 0, 4096)
+	if !bytes.Equal(got[100:100+len(fresh)], fresh) {
+		t.Fatalf("read returned stale bytes %q for the unflushed write", got[100:100+len(fresh)])
 	}
-	if !bytes.Equal(resp.Data[:100], old[:100]) || !bytes.Equal(resp.Data[100+len(fresh):], old[100+len(fresh):]) {
+	if !bytes.Equal(got[:100], old[:100]) || !bytes.Equal(got[100+len(fresh):], old[100+len(fresh):]) {
 		t.Fatal("bytes outside the write were not served from the fetch")
 	}
 }
@@ -370,7 +425,7 @@ func TestConcurrentTransportsShareCache(t *testing.T) {
 	// Process A faults the data in; processes B..E read concurrently and
 	// must all be served without extra iod traffic.
 	trA := r.mod.NewTransport()
-	sendRecv(t, trA, 0, &wire.Read{File: 8, Offset: 0, Length: 64 * 1024})
+	readAt(t, trA, 0, 8, 0, 64*1024)
 
 	before := r.reg.Snapshot()
 	var wg sync.WaitGroup
@@ -378,18 +433,12 @@ func TestConcurrentTransportsShareCache(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr := r.mod.NewTransport()
-			id, err := tr.Send(0, &wire.Read{File: 8, Offset: 0, Length: 64 * 1024})
-			if err != nil {
-				t.Error(err)
+			got, status, err := readOnce(r.mod.NewTransport(), 0, 8, 0, 64*1024)
+			if err != nil || status != wire.StatusOK {
+				t.Errorf("read: status %v, err %v", status, err)
 				return
 			}
-			resp, err := tr.Recv(id)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if !bytes.Equal(resp.(*wire.ReadResp).Data, data) {
+			if !bytes.Equal(got, data) {
 				t.Error("wrong data")
 			}
 		}()
@@ -412,10 +461,9 @@ func TestFetchDeduplication(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr := r.mod.NewTransport()
-			resp := sendRecv(t, tr, 0, &wire.Read{File: 12, Offset: 0, Length: 128 * 1024})
-			if !bytes.Equal(resp.(*wire.ReadResp).Data, data) {
-				t.Error("wrong data")
+			got, status, err := readOnce(r.mod.NewTransport(), 0, 12, 0, 128*1024)
+			if err != nil || status != wire.StatusOK || !bytes.Equal(got, data) {
+				t.Errorf("wrong data (status %v, err %v)", status, err)
 			}
 		}()
 	}
@@ -451,8 +499,7 @@ func TestSyncWritePassesThrough(t *testing.T) {
 		t.Fatal("sync write left dirty blocks")
 	}
 	before := r.reg.Snapshot()
-	resp := sendRecv(t, tr, 0, &wire.Read{File: 6, Offset: 0, Length: 4096}).(*wire.ReadResp)
-	if !bytes.Equal(resp.Data, payload) {
+	if !bytes.Equal(readAt(t, tr, 0, 6, 0, 4096), payload) {
 		t.Fatal("read after sync write wrong")
 	}
 	if d := r.reg.Snapshot().Diff(before); d["iod.reads"] != 0 {
@@ -464,7 +511,7 @@ func TestInvalidationListener(t *testing.T) {
 	r := newRig(t, nil)
 	tr := r.mod.NewTransport()
 	r.seed(0, 7, 0, make([]byte, 4096))
-	sendRecv(t, tr, 0, &wire.Read{File: 7, Offset: 0, Length: 4096})
+	readAt(t, tr, 0, 7, 0, 4096)
 	if !r.mod.Buffer().Contains(blockio.BlockKey{File: 7, Index: 0}, 0, 4096) {
 		t.Fatal("block not cached")
 	}
@@ -514,10 +561,7 @@ func TestDisableCoherenceSkipsRegistration(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.DisableCoherence = true })
 	tr := r.mod.NewTransport()
 	r.seed(0, 1, 0, make([]byte, 4096))
-	resp := sendRecv(t, tr, 0, &wire.Read{File: 1, Offset: 0, Length: 4096}).(*wire.ReadResp)
-	if resp.Status != wire.StatusOK {
-		t.Fatalf("read status %d", resp.Status)
-	}
+	readAt(t, tr, 0, 1, 0, 4096)
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -548,6 +592,35 @@ func TestPassthroughMessage(t *testing.T) {
 	resp := sendRecv(t, tr, 0, &wire.Register{Client: 42, Addr: "x"})
 	if _, ok := resp.(*wire.RegisterAck); !ok {
 		t.Fatalf("passthrough reply %T", resp)
+	}
+}
+
+// TestSendRefusesReads: SendRead is a read's one way in. Send refuses both
+// read types before touching anything — forwarding one would read the iod
+// past dirty cached bytes — so no claim is registered, no op is pending,
+// no tenant budget is charged and nothing reaches the iod.
+func TestSendRefusesReads(t *testing.T) {
+	r := newRig(t, func(c *Config) { c.TenantFetchBudget = 8 })
+	r.seed(0, 16, 0, bytes.Repeat([]byte{0x3E}, 2*4096))
+	tr := r.mod.NewTransport()
+	tr.TenantHint(16, 4, 1)
+	before := r.reg.Snapshot()
+	for _, req := range []wire.Message{
+		&wire.Read{File: 16, Offset: 0, Length: 2 * 4096},
+		&wire.ReadBlocks{File: 16, Exts: []wire.ReadExtent{{Offset: 0, Length: 2 * 4096}}},
+	} {
+		if id, err := tr.Send(0, req); err == nil {
+			t.Fatalf("Send(%v) = request %d, want an error", req.WireType(), id)
+		}
+	}
+	r.mod.fetchMu.Lock()
+	claims := len(r.mod.fetches)
+	r.mod.fetchMu.Unlock()
+	if claims != 0 || len(tr.pending) != 0 || r.mod.TenantInflight(4) != 0 {
+		t.Fatalf("refused reads left %d claims, %d pending ops, %d budget blocks", claims, len(tr.pending), r.mod.TenantInflight(4))
+	}
+	if d := r.reg.Snapshot().Diff(before); d["iod.reads"] != 0 {
+		t.Fatalf("refused reads reached the iod (%d reads)", d["iod.reads"])
 	}
 }
 

@@ -406,6 +406,10 @@ func (m *Module) landRun(iod int, run fetchRun, data []byte, admit admitMode) er
 		}
 		if st.prefetch {
 			m.ctr.prefetchBlocks.Inc()
+		} else {
+			// A demand install: a mark left by an earlier prefetched copy
+			// that left the cache unhit no longer applies.
+			m.dropPrefetchMark(key)
 		}
 		m.publish(st, key, img, mem, stamp)
 		copy(sp.dst, img[sp.sp.Off:])
@@ -448,6 +452,7 @@ func (m *Module) landFromPeer(iod int, o tgtSpan, admit admitMode) bool {
 	if m.installImage(o.sp.Key, iod, img, admit, o.st.stamp) == buffer.OutcomeStale {
 		return false
 	}
+	m.dropPrefetchMark(o.sp.Key) // a demand install, as in landRun
 	copy(o.dst, img[o.sp.Off:o.sp.Off+o.sp.Len])
 	m.publish(o.st, o.sp.Key, img, mem, o.st.stamp)
 	o.st.decref() // the owner's hold; joiners keep the block alive
@@ -492,6 +497,7 @@ func (m *Module) readInstall(iod int, key blockio.BlockKey, img []byte, admit ad
 			return 0, err
 		}
 		if m.installImage(key, iod, img, admit, stamp) != buffer.OutcomeStale {
+			m.dropPrefetchMark(key) // a demand install, as in landRun
 			return stamp, nil
 		}
 		m.ctr.fetchStaleRetries.Inc()
@@ -502,23 +508,26 @@ func (m *Module) readInstall(iod int, key blockio.BlockKey, img []byte, admit ad
 // (a whole-block buffer), zero-filling past what the iod stores.
 func (m *Module) readBlockInto(iod int, key blockio.BlockKey, dst []byte) error {
 	bs := int64(m.buf.BlockSize())
-	res := m.data[iod].Call(&wire.Read{
+	res := m.data[iod].Call(&wire.ReadBlocks{
 		Client: m.cfg.ClientID,
 		File:   key.File,
-		Offset: key.Index * bs,
-		Length: bs,
 		Track:  true,
+		Exts:   []wire.ReadExtent{{Offset: key.Index * bs, Length: bs}},
 	})
 	if res.Err != nil {
 		return res.Err
 	}
 	defer res.Release()
-	rr, ok := res.Msg.(*wire.ReadResp)
+	rr, ok := res.Msg.(*wire.ReadBlocksResp)
 	if !ok {
 		return fmt.Errorf("cachemod: unexpected fetch reply %v", res.Msg.WireType())
 	}
 	if err := rr.Status.Err(); err != nil {
 		return err
+	}
+	// Only the requester knows what was asked for: one extent, one block.
+	if len(rr.Lens) != 1 || int64(rr.Lens[0]) > bs {
+		return fmt.Errorf("cachemod: block read returned %d extents of %d bytes, want 1 of at most %d", len(rr.Lens), len(rr.Data), bs)
 	}
 	n := copy(dst, rr.Data)
 	clear(dst[n:]) // pooled buffers carry the previous tenant's bytes

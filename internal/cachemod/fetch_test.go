@@ -58,8 +58,6 @@ func (f *fakeIOD) Handle(req wire.Message) wire.Message {
 			rr.Data = append(rr.Data, b...)
 		}
 		honest = rr
-	case *wire.Read:
-		honest = &wire.ReadResp{Status: wire.StatusOK, Data: f.read(r.Offset, r.Length)}
 	case *wire.Write:
 		f.write(r.Offset, r.Data)
 		honest = &wire.WriteAck{Status: wire.StatusOK}
@@ -290,6 +288,7 @@ func TestFetchProtocolSettlesEveryClaim(t *testing.T) {
 					err error
 				}
 				sendc := make(chan sent, 1)
+				var ownerBuf []byte
 				if kind == "demand" {
 					ownerReq := req
 					if row.failDial {
@@ -303,8 +302,13 @@ func TestFetchProtocolSettlesEveryClaim(t *testing.T) {
 						ownerReq = &wire.ReadBlocks{File: file, Exts: big}
 						r.net.failAddr, r.net.failNth = r.addrs[0], 2
 					}
+					buf, sink := sinkFor(ownerReq.Exts)
+					ownerBuf = buf
 					go func() {
-						id, err := owner.Send(0, ownerReq)
+						id, ok, err := owner.SendRead(0, ownerReq, sink)
+						if err == nil && !ok {
+							err = errors.New("SendRead declined")
+						}
 						close(sendDone)
 						sendc <- sent{id, err}
 					}()
@@ -324,18 +328,21 @@ func TestFetchProtocolSettlesEveryClaim(t *testing.T) {
 					t.Fatalf("%d claims registered, want at least %d", len(states), len(idxs))
 				}
 				// A second process joins every block, then the wire opens.
-				jid, err := joiner.Send(0, req)
-				if err != nil {
-					t.Fatal(err)
+				got, jsink := sinkFor(exts)
+				jid, ok, err := joiner.SendRead(0, req, jsink)
+				if err != nil || !ok {
+					t.Fatalf("joiner SendRead: ok=%v err=%v", ok, err)
 				}
 				close(r.net.hold)
 
 				if kind == "demand" {
 					s := <-sendc
 					err := s.err
-					var resp wire.Message
 					if err == nil {
-						resp, err = owner.Recv(s.id)
+						var status wire.Status
+						if status, err = finishRead(owner, s.id); err == nil {
+							err = status.Err()
+						}
 					}
 					switch {
 					case row.cause == nil && err != nil:
@@ -343,17 +350,14 @@ func TestFetchProtocolSettlesEveryClaim(t *testing.T) {
 					case row.cause != nil && (err == nil || !row.cause(err)):
 						t.Fatalf("owner error = %v, want the row's cause", err)
 					case row.cause == nil:
-						got := resp.(*wire.ReadBlocksResp).Data
-						if !bytes.Equal(got[:2*fakeBS], want[:2*fakeBS]) || !bytes.Equal(got[2*fakeBS:], want[3*fakeBS:]) {
+						if !bytes.Equal(ownerBuf[:2*fakeBS], want[:2*fakeBS]) || !bytes.Equal(ownerBuf[2*fakeBS:], want[3*fakeBS:]) {
 							t.Fatal("owner read wrong bytes")
 						}
 					}
 				}
-				resp, err := joiner.Recv(jid)
-				if err != nil {
-					t.Fatalf("joiner read failed: %v", err)
+				if status, err := finishRead(joiner, jid); err != nil || status != wire.StatusOK {
+					t.Fatalf("joiner read failed: status %v, err %v", status, err)
 				}
-				got := resp.(*wire.ReadBlocksResp).Data
 				if !bytes.Equal(got[:2*fakeBS], want[:2*fakeBS]) || !bytes.Equal(got[2*fakeBS:], want[3*fakeBS:]) {
 					t.Fatal("joiner read wrong bytes")
 				}
@@ -429,9 +433,8 @@ func TestStaleFetchDemandRetries(t *testing.T) {
 	const file = 81
 	oldB, newB := bytes.Repeat([]byte{0x0D}, fakeBS), bytes.Repeat([]byte{0xE7}, fakeBS)
 	r := staleRig(t, file, oldB, newB)
-	resp := sendRecv(t, r.mod.NewTransport(), 0, &wire.Read{File: file, Offset: 0, Length: fakeBS}).(*wire.ReadResp)
-	if !bytes.Equal(resp.Data, newB) {
-		t.Fatalf("read returned %#x..., want the acknowledged write %#x", resp.Data[0], newB[0])
+	if got := readAt(t, r.mod.NewTransport(), 0, file, 0, fakeBS); !bytes.Equal(got, newB) {
+		t.Fatalf("read returned %#x..., want the acknowledged write %#x", got[0], newB[0])
 	}
 	if got := r.reg.Counter("module.fetch_stale_retries").Value(); got != 1 {
 		t.Fatalf("fetch_stale_retries = %d, want 1", got)
@@ -462,9 +465,31 @@ func TestStaleFetchPrefetchDrops(t *testing.T) {
 		t.Fatalf("prefetch re-read a stale block (%d retries)", got)
 	}
 	// A demand read now fetches the current store.
-	resp := sendRecv(t, r.mod.NewTransport(), 0, &wire.Read{File: file, Offset: 0, Length: fakeBS}).(*wire.ReadResp)
-	if !bytes.Equal(resp.Data, newB) {
+	if !bytes.Equal(readAt(t, r.mod.NewTransport(), 0, file, 0, fakeBS), newB) {
 		t.Fatal("demand read after the drop returned old bytes")
+	}
+}
+
+// TestBlockReadRejectsMisshapenReply: the synchronous one-block read asks
+// for one extent of one block. A reply with more extents, or a longer one,
+// is refused before a byte of it reaches the cache.
+func TestBlockReadRejectsMisshapenReply(t *testing.T) {
+	key := blockio.BlockKey{File: 84, Index: 0}
+	for _, lens := range [][]uint32{{fakeBS, fakeBS}, {fakeBS + 1}} {
+		r := newFetchRig(t, false, nil)
+		r.iods[0].script = func(req, honest wire.Message) wire.Message {
+			var total uint32
+			for _, l := range lens {
+				total += l
+			}
+			return &wire.ReadBlocksResp{Status: wire.StatusOK, Lens: lens, Data: make([]byte, total)}
+		}
+		if err := r.mod.fetchBlockSpan(0, key, 0, make([]byte, fakeBS), false); err == nil {
+			t.Fatalf("lens %v: misshapen block read accepted", lens)
+		}
+		if r.mod.buf.Contains(key, 0, 1) {
+			t.Fatalf("lens %v: misshapen block read installed", lens)
+		}
 	}
 }
 
@@ -479,27 +504,26 @@ func TestSyncFallbackIgnoresOwnLaterClaim(t *testing.T) {
 	r := newFetchRig(t, false, nil)
 	want := pattern(1)
 	r.iods[0].write(0, want)
-	read := &wire.Read{File: file, Offset: 0, Length: fakeBS}
 	a, tr := r.mod.NewTransport(), r.mod.NewTransport()
-	if _, err := a.Send(0, read); err != nil { // A claims
+	if _, _, err := startRead(a, 0, file, 0, fakeBS); err != nil { // A claims
 		t.Fatal(err)
 	}
-	id0, err := tr.Send(0, read) // T joins A
+	id0, buf0, err := startRead(tr, 0, file, 0, fakeBS) // T joins A
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := r.claims()
-	a.Close()                    // A's claim settles with nothing published
-	id1, err := tr.Send(0, read) // T claims anew
+	a.Close()                                           // A's claim settles with nothing published
+	id1, buf1, err := startRead(tr, 0, file, 0, fakeBS) // T claims anew
 	if err != nil {
 		t.Fatal(err)
 	}
 	second := r.claims()
 	done := make(chan error, 1)
 	go func() {
-		for _, id := range []pvfs.ReqID{id0, id1} {
-			resp, err := tr.Recv(id)
-			if err == nil && !bytes.Equal(resp.(*wire.ReadResp).Data, want) {
+		for i, id := range []pvfs.ReqID{id0, id1} {
+			status, err := finishRead(tr, id)
+			if err == nil && (status != wire.StatusOK || !bytes.Equal([][]byte{buf0, buf1}[i], want)) {
 				err = errors.New("wrong bytes")
 			}
 			if err != nil {

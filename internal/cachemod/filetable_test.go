@@ -38,16 +38,15 @@ func TestFileTableBound(t *testing.T) {
 
 	// The hinted file is still charged to its tenant and still reads around
 	// the cache.
-	id, err := tr.Send(0, &wire.Read{File: hinted, Offset: 0, Length: 2 * 4096})
+	id, buf, err := startRead(tr, 0, hinted, 0, 2*4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := r.mod.TenantInflight(tenant); got != 2 {
 		t.Fatalf("tenant inflight = %d with a 2-block read in flight, want 2: the tag was lost", got)
 	}
-	resp, err := tr.Recv(id)
-	if err != nil || !bytes.Equal(resp.(*wire.ReadResp).Data, data[:2*4096]) {
-		t.Fatalf("hinted read: err %v", err)
+	if status, err := finishRead(tr, id); err != nil || status != wire.StatusOK || !bytes.Equal(buf, data[:2*4096]) {
+		t.Fatalf("hinted read: status %v, err %v", status, err)
 	}
 	if r.mod.buf.Contains(blockio.BlockKey{File: hinted, Index: 0}, 0, 4096) {
 		t.Fatal("don't-cache block became resident: the policy was lost")

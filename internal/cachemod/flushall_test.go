@@ -81,8 +81,7 @@ func TestHostilePeerBlockSizeRejected(t *testing.T) {
 	d.Store().WriteAt(key.File, 0, payload)
 
 	tr := mod.NewTransport()
-	resp := sendRecv(t, tr, 0, &wire.Read{File: key.File, Offset: 0, Length: 4096}).(*wire.ReadResp)
-	if !bytes.Equal(resp.Data, payload) {
+	if !bytes.Equal(readAt(t, tr, 0, key.File, 0, 4096), payload) {
 		t.Fatal("read did not fall through to the iod after the bad peer response")
 	}
 	snap := reg.Snapshot()

@@ -28,8 +28,7 @@ func TestCacheNoneReadAround(t *testing.T) {
 
 	for pass := 0; pass < 2; pass++ {
 		before := r.reg.Snapshot()
-		resp := sendRecv(t, tr, 0, &wire.Read{File: file, Offset: 0, Length: 8192}).(*wire.ReadResp)
-		if !bytes.Equal(resp.Data, data) {
+		if !bytes.Equal(readAt(t, tr, 0, file, 0, 8192), data) {
 			t.Fatalf("pass %d wrong data", pass)
 		}
 		// Every pass reaches the iod: nothing was admitted.
@@ -45,7 +44,7 @@ func TestCacheNoneReadAround(t *testing.T) {
 	}
 	// Clearing the hint restores normal admission.
 	tr.CachePolicyHint(file, pvfs.CacheDefault)
-	sendRecv(t, tr, 0, &wire.Read{File: file, Offset: 0, Length: 8192})
+	readAt(t, tr, 0, file, 0, 8192)
 	if !r.mod.buf.Contains(blockio.BlockKey{File: file, Index: 0}, 0, 4096) {
 		t.Fatal("default policy no longer admits")
 	}
@@ -95,16 +94,15 @@ func TestCacheMustPinsWorkingSet(t *testing.T) {
 
 	tr := r.mod.NewTransport()
 	tr.CachePolicyHint(hot, pvfs.CacheMust)
-	sendRecv(t, tr, 0, &wire.Read{File: hot, Offset: 0, Length: 4096})
+	readAt(t, tr, 0, hot, 0, 4096)
 	for i := int64(0); i < 64; i++ {
-		sendRecv(t, tr, 0, &wire.Read{File: cold, Offset: i * 4096, Length: 4096})
+		readAt(t, tr, 0, cold, i*4096, 4096)
 	}
 	if !r.mod.buf.Contains(blockio.BlockKey{File: hot, Index: 0}, 0, 4096) {
 		t.Fatal("must-cache block displaced by a scan")
 	}
 	before := r.reg.Snapshot()
-	resp := sendRecv(t, tr, 0, &wire.Read{File: hot, Offset: 0, Length: 4096}).(*wire.ReadResp)
-	if !bytes.Equal(resp.Data, hotData) {
+	if !bytes.Equal(readAt(t, tr, 0, hot, 0, 4096), hotData) {
 		t.Fatal("pinned block has wrong data")
 	}
 	if d := r.reg.Snapshot().Diff(before); d["iod.reads"] != 0 {
@@ -127,8 +125,7 @@ func TestStreamingBypassKicksInMidScan(t *testing.T) {
 	tr := r.mod.NewTransport()
 	hintAll(tr, file) // the detector runs on announced files only
 	for i := int64(0); i < 8; i++ {
-		resp := readSeq(t, tr, file, i*4096, 4096).(*wire.ReadResp)
-		if !bytes.Equal(resp.Data, data[i*4096:(i+1)*4096]) {
+		if !bytes.Equal(readSeq(t, tr, file, i*4096, 4096), data[i*4096:(i+1)*4096]) {
 			t.Fatalf("block %d wrong data", i)
 		}
 	}
@@ -215,20 +212,22 @@ func TestStreamingBypassCountsPrefetchedBlocks(t *testing.T) {
 		readSeq(t, tr, file, i*fakeBS, fakeBS)
 	}
 	var ids []pvfs.ReqID
+	var bufs [][]byte
 	for i := int64(engaged + 1); i < nblocks; i++ {
 		tr.NoteRead(file, i*fakeBS, fakeBS)
-		id, err := tr.Send(0, &wire.Read{File: file, Offset: i * fakeBS, Length: fakeBS})
+		id, buf, err := startRead(tr, 0, file, i*fakeBS, fakeBS)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
+		bufs = append(bufs, buf)
 	}
 	close(release)
 	for n, id := range ids {
-		resp, err := tr.Recv(id)
+		status, err := finishRead(tr, id)
 		i := engaged + 1 + n
-		if err != nil || !bytes.Equal(resp.(*wire.ReadResp).Data, image[i*fakeBS:(i+1)*fakeBS]) {
-			t.Fatalf("block %d: wrong data under bypass (err %v)", i, err)
+		if err != nil || status != wire.StatusOK || !bytes.Equal(bufs[n], image[i*fakeBS:(i+1)*fakeBS]) {
+			t.Fatalf("block %d: wrong data under bypass (status %v, err %v)", i, status, err)
 		}
 	}
 	waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetches past the file's end settled")
@@ -270,12 +269,12 @@ func TestBypassedStreamStillCorrectWithDirtyOverlay(t *testing.T) {
 	}
 	// Scan up to and past block 6; by then the stream is bypassed.
 	for i := int64(0); i < 8; i++ {
-		resp := readSeq(t, tr, file, i*4096, 4096).(*wire.ReadResp)
+		got := readSeq(t, tr, file, i*4096, 4096)
 		want := data[i*4096 : (i+1)*4096]
 		if i == 6 {
 			want = append(append([]byte{}, dirty...), data[6*4096+16:(6+1)*4096]...)
 		}
-		if !bytes.Equal(resp.Data, want) {
+		if !bytes.Equal(got, want) {
 			t.Fatalf("block %d wrong data under bypass", i)
 		}
 	}

@@ -109,7 +109,7 @@ func TestTenantFetchBudget(t *testing.T) {
 
 	// Hold a 3-block fetch in flight: the charge is taken synchronously
 	// at Send, before any round trip completes.
-	id1, err := tr.Send(0, &wire.Read{File: 9, Offset: 0, Length: 3 * 4096})
+	id1, _, err := startRead(tr, 0, 9, 0, 3*4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +118,8 @@ func TestTenantFetchBudget(t *testing.T) {
 	}
 
 	// A second 3-block read would put the tenant at 6 > 4: shed.
-	resp := sendRecv(t, tr, 0, &wire.Read{File: 9, Offset: 1 << 20, Length: 3 * 4096}).(*wire.ReadResp)
-	if resp.Status != wire.StatusOverload {
-		t.Fatalf("over-budget read: status %v, want Overload", resp.Status)
+	if _, status, err := readOnce(tr, 0, 9, 1<<20, 3*4096); err != nil || status != wire.StatusOverload {
+		t.Fatalf("over-budget read: status %v (err %v), want Overload", status, err)
 	}
 	if got := r.mod.TenantInflight(3); got != 3 {
 		t.Fatalf("inflight after shed = %d, want 3 (shed must not charge)", got)
@@ -137,22 +136,16 @@ func TestTenantFetchBudget(t *testing.T) {
 
 	// Oversized request (8 blocks > budget 4) admitted when the tenant
 	// has nothing else in flight, and fully released afterwards.
-	resp = sendRecv(t, tr, 0, &wire.Read{File: 9, Offset: 2 << 20, Length: 8 * 4096}).(*wire.ReadResp)
-	if resp.Status != wire.StatusOK {
-		t.Fatalf("oversized idle read: status %v, want OK", resp.Status)
-	}
+	readAt(t, tr, 0, 9, 2<<20, 8*4096)
 	waitTenantInflight(t, r.mod, 3, 0)
 
 	// A full cache hit takes and releases the budget on the synchronous
 	// path — re-read what the oversized fetch just cached.
-	resp = sendRecv(t, tr, 0, &wire.Read{File: 9, Offset: 2 << 20, Length: 8 * 4096}).(*wire.ReadResp)
-	if resp.Status != wire.StatusOK {
-		t.Fatalf("cached re-read: status %v, want OK", resp.Status)
-	}
+	readAt(t, tr, 0, 9, 2<<20, 8*4096)
 	waitTenantInflight(t, r.mod, 3, 0)
 
 	// Untagged files never charge any tenant.
-	sendRecv(t, tr, 0, &wire.Read{File: 10, Offset: 0, Length: 2 * 4096})
+	readAt(t, tr, 0, 10, 0, 2*4096)
 	if got := r.mod.TenantInflight(0); got != 0 {
 		t.Fatalf("tenant 0 inflight = %d, want 0 (untagged is never charged)", got)
 	}
@@ -181,7 +174,7 @@ func TestFetchBudgetReleasedOnError(t *testing.T) {
 	tr := mod.NewTransport()
 	tr.TenantHint(5, 2, 1)
 
-	id, err := tr.Send(0, &wire.Read{File: 5, Offset: 0, Length: 2 * 4096})
+	id, _, err := startRead(tr, 0, 5, 0, 2*4096)
 	if err == nil {
 		if _, rerr := tr.Recv(id); rerr == nil {
 			t.Fatal("read against an unreachable iod succeeded")
@@ -204,7 +197,7 @@ func TestTraceModeCapturesRequests(t *testing.T) {
 	if ack.Status != wire.StatusOK {
 		t.Fatalf("write status %v", ack.Status)
 	}
-	sendRecv(t, tr, 0, &wire.Read{File: 6, Offset: 0, Length: 4096})
+	readAt(t, tr, 0, 6, 0, 4096)
 
 	if got := r.mod.TraceArmed(); got != 0 {
 		t.Fatalf("TraceArmed = %d after two traced requests, want 0", got)
@@ -223,7 +216,7 @@ func TestTraceModeCapturesRequests(t *testing.T) {
 		t.Fatalf("second drain not empty:\n%s", again)
 	}
 	// Disarmed: nothing further is captured.
-	sendRecv(t, tr, 0, &wire.Read{File: 6, Offset: 0, Length: 4096})
+	readAt(t, tr, 0, 6, 0, 4096)
 	if text := r.mod.TraceText(); text != "" {
 		t.Fatalf("disarmed request captured a trace:\n%s", text)
 	}

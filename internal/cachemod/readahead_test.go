@@ -338,11 +338,11 @@ func hintAll(tr *CachedTransport, file blockio.FileID) {
 
 // readSeq performs one application-level read the way libpvfs does:
 // report the whole request to the sequential detector, then send the
-// piece.
-func readSeq(t *testing.T, tr *CachedTransport, file blockio.FileID, off, length int64) wire.Message {
+// piece. It returns the bytes read.
+func readSeq(t *testing.T, tr *CachedTransport, file blockio.FileID, off, length int64) []byte {
 	t.Helper()
 	tr.NoteRead(file, off, length)
-	return sendRecv(t, tr, 0, &wire.Read{File: file, Offset: off, Length: length})
+	return readAt(t, tr, 0, file, off, length)
 }
 
 func TestReadaheadPrefetchesSequentialScan(t *testing.T) {
@@ -365,8 +365,7 @@ func TestReadaheadPrefetchesSequentialScan(t *testing.T) {
 	// no demand fetch reaches the network, and every block counts as a
 	// prefetch hit.
 	before := r.reg.Snapshot()
-	resp := readSeq(t, tr, file, raMinStreak*4096, 8*4096).(*wire.ReadResp)
-	if !bytes.Equal(resp.Data, data[raMinStreak*4096:(raMinStreak+8)*4096]) {
+	if !bytes.Equal(readSeq(t, tr, file, raMinStreak*4096, 8*4096), data[raMinStreak*4096:(raMinStreak+8)*4096]) {
 		t.Fatal("prefetched data wrong")
 	}
 	d := r.reg.Snapshot().Diff(before)
@@ -457,7 +456,7 @@ func TestPrefetchJoinCountsAsHit(t *testing.T) {
 	r.mod.fetchMu.Unlock()
 
 	// The demand read finds the in-flight prefetch and becomes a join.
-	id, err := tr.Send(0, &wire.Read{File: file, Offset: 0, Length: 4096})
+	id, got, err := startRead(tr, 0, file, 0, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,11 +471,10 @@ func TestPrefetchJoinCountsAsHit(t *testing.T) {
 	r.mod.markPrefetched(key)
 	close(st.done)
 
-	resp, err := tr.Recv(id)
-	if err != nil {
-		t.Fatal(err)
+	if status, err := finishRead(tr, id); err != nil || status != wire.StatusOK {
+		t.Fatalf("joined read: status %v, err %v", status, err)
 	}
-	if !bytes.Equal(resp.(*wire.ReadResp).Data, data) {
+	if !bytes.Equal(got, data) {
 		t.Fatal("joined data wrong")
 	}
 	if got := r.reg.Counter("module.prefetch_hits").Value(); got != 1 {
@@ -484,6 +482,37 @@ func TestPrefetchJoinCountsAsHit(t *testing.T) {
 	}
 	if got := r.reg.Counter("module.fetch_joins").Value(); got != 1 {
 		t.Fatalf("fetch_joins = %d, want 1", got)
+	}
+}
+
+// TestDemandInstallDropsStalePrefetchMark: the module is not told about
+// evictions, so a prefetched block that leaves the cache unhit keeps its
+// mark. When a demand fetch re-installs the block, the hits that follow
+// are demand hits and must not count in module.prefetch_hits.
+func TestDemandInstallDropsStalePrefetchMark(t *testing.T) {
+	const file = 35
+	r := newFetchRig(t, false, func(c *Config) { c.Buffer.Capacity = 8 })
+	r.iods[0].image = pattern(1)
+	key := blockio.BlockKey{File: file, Index: 0}
+	hint := stripeHint{meta: wire.FileMeta{Size: 1 << 20, PCount: 1, SSize: 1 << 20}, total: 2}
+	r.mod.prefetchRange(file, hint, []int64{0}, admitDefault)
+	waitCounter(t, r.reg, "module.prefetch_blocks", 1)
+	waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetch settled")
+	// Evict by replacement: push clean filler through the cache.
+	for i := int64(0); r.mod.buf.Contains(key, 0, fakeBS) && i < 64; i++ {
+		r.mod.buf.InsertClean(blockio.BlockKey{File: file + 1, Index: i}, 0, make([]byte, fakeBS))
+	}
+	if r.mod.buf.Contains(key, 0, fakeBS) {
+		t.Fatal("prefetched block was not evicted")
+	}
+	tr := r.mod.NewTransport()
+	for i := 0; i < 2; i++ { // a demand miss, then a hit on what it installed
+		if !bytes.Equal(readAt(t, tr, 0, file, 0, fakeBS), r.iods[0].image) {
+			t.Fatalf("read %d wrong bytes", i)
+		}
+	}
+	if got := r.reg.Counter("module.prefetch_hits").Value(); got != 0 {
+		t.Fatalf("prefetch_hits = %d, want 0: the block was demand-fetched", got)
 	}
 }
 
@@ -495,15 +524,11 @@ func eofRig(t *testing.T, file blockio.FileID, size int64) (r *fetchRig, tr *Cac
 	r.iods[0].image = pattern(int(blockio.Blocks(size, fakeBS)))[:size]
 	farthest, reads = new(atomic.Int64), new(atomic.Int64)
 	r.iods[0].script = func(req, honest wire.Message) wire.Message {
-		switch q := req.(type) {
-		case *wire.ReadBlocks:
+		if q, ok := req.(*wire.ReadBlocks); ok {
 			reads.Add(1)
 			for _, e := range q.Exts {
 				farthest.Store(max(farthest.Load(), e.Offset+e.Length))
 			}
-		case *wire.Read:
-			reads.Add(1)
-			farthest.Store(max(farthest.Load(), q.Offset+q.Length))
 		}
 		return honest
 	}
@@ -520,7 +545,7 @@ func eofRig(t *testing.T, file blockio.FileID, size int64) (r *fetchRig, tr *Cac
 func TestReadaheadStridePastEOFFetchesNothing(t *testing.T) {
 	const file, nblocks = 40, 16
 	r, tr, _, reads := eofRig(t, file, nblocks*fakeBS)
-	sendRecv(t, tr, 0, &wire.Read{File: file, Offset: 0, Length: nblocks * fakeBS}) // warm
+	readAt(t, tr, 0, file, 0, nblocks*fakeBS) // warm
 	warm := reads.Load()
 	// Equal deltas of 3 blocks: the fourth request establishes the stride
 	// and replays it a window ahead — 15 (resident), then 18, 21, … past
@@ -556,8 +581,7 @@ func TestReadaheadScanStopsAtEOF(t *testing.T) {
 		t.Fatalf("a request reached byte %d, past the last block's end %d", got, nblocks*fakeBS)
 	}
 	before := reads.Load()
-	resp := readSeq(t, tr, file, raMinStreak*fakeBS, size-raMinStreak*fakeBS).(*wire.ReadResp)
-	if !bytes.Equal(resp.Data, r.iods[0].image[raMinStreak*fakeBS:]) {
+	if !bytes.Equal(readSeq(t, tr, file, raMinStreak*fakeBS, size-raMinStreak*fakeBS), r.iods[0].image[raMinStreak*fakeBS:]) {
 		t.Fatal("scan tail served wrong bytes")
 	}
 	if reads.Load() != before {

@@ -114,23 +114,13 @@ func TestModuleConcurrencyStorm(t *testing.T) {
 				blk := rng.Intn(stormWriterBlks)
 				nblocks := 1 + rng.Intn(2)
 				length := int64(nblocks) * stormBS
-				id, err := tr.Send(w%2, &wire.Read{File: file, Offset: int64(blk) * stormBS, Length: length})
-				if err != nil {
-					fail("reader %d: %v", g, err)
-					return
-				}
-				resp, err := tr.Recv(id)
-				if err != nil {
-					fail("reader %d: %v", g, err)
-					return
-				}
-				rr, ok := resp.(*wire.ReadResp)
-				if !ok || rr.Status != wire.StatusOK {
-					fail("reader %d: resp %v", g, resp)
+				got, status, err := readOnce(tr, w%2, file, int64(blk)*stormBS, length)
+				if err != nil || status != wire.StatusOK {
+					fail("reader %d: status %v, err %v", g, status, err)
 					return
 				}
 				for b := 0; b < nblocks; b++ {
-					blockBytes := rr.Data[b*stormBS : (b+1)*stormBS]
+					blockBytes := got[b*stormBS : (b+1)*stormBS]
 					for _, v := range blockBytes {
 						if v != blockBytes[0] {
 							fail("reader %d: torn block %d of file %d", g, blk+b, file)
@@ -153,23 +143,13 @@ func TestModuleConcurrencyStorm(t *testing.T) {
 			for blk := 0; blk < stormScanBlocks; blk++ {
 				off := int64(blk) * stormBS
 				tr.NoteRead(scanFile, off, stormBS) // the libpvfs-level hint stream
-				id, err := tr.Send(blk%2, &wire.Read{File: scanFile, Offset: off, Length: stormBS})
-				if err != nil {
-					fail("scanner: %v", err)
-					return
-				}
-				resp, err := tr.Recv(id)
-				if err != nil {
-					fail("scanner: %v", err)
-					return
-				}
-				rr, ok := resp.(*wire.ReadResp)
-				if !ok || rr.Status != wire.StatusOK {
-					fail("scanner: resp %v", resp)
+				got, status, err := readOnce(tr, blk%2, scanFile, off, stormBS)
+				if err != nil || status != wire.StatusOK {
+					fail("scanner: status %v, err %v", status, err)
 					return
 				}
 				want := stormPattern(scanFile, blk, 0)
-				for _, v := range rr.Data {
+				for _, v := range got {
 					if v != want {
 						fail("scanner: block %d read %#x, want %#x", blk, v, want)
 						return

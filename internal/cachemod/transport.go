@@ -102,11 +102,6 @@ type pendingOp struct {
 // read whose bytes went into the caller's sink, indexed by the three
 // statuses the FSM answers with, and the faked write acks.
 var (
-	readStatus = [...]wire.ReadResp{
-		wire.StatusOK:         {Status: wire.StatusOK},
-		wire.StatusBadRequest: {Status: wire.StatusBadRequest},
-		wire.StatusOverload:   {Status: wire.StatusOverload},
-	}
 	readvStatus = [...]wire.ReadBlocksResp{
 		wire.StatusOK:         {Status: wire.StatusOK},
 		wire.StatusBadRequest: {Status: wire.StatusBadRequest},
@@ -116,15 +111,6 @@ var (
 	writeAckShed = &wire.WriteAck{Status: wire.StatusOverload}
 )
 
-// statusReply returns the shared status-only reply of a read: a
-// ReadBlocksResp for a vectored request, a ReadResp for a plain one.
-func statusReply(vector bool, status wire.Status) wire.Message {
-	if vector {
-		return &readvStatus[status]
-	}
-	return &readStatus[status]
-}
-
 // pendingRead tracks a read whose missing pieces are in flight. Every
 // span of the request resolved its destination slice — a region of the
 // request's sink — at classification time. A read served entirely from
@@ -132,8 +118,7 @@ func statusReply(vector bool, status wire.Status) wire.Message {
 // free list and return it when Recv completes them.
 type pendingRead struct {
 	iod     int
-	reply   wire.Message // what a successful Recv returns
-	owned   []tgtSpan    // misses this request fetches; the fetches' runs alias it
+	owned   []tgtSpan // misses this request fetches; the fetches' runs alias it
 	fetches []fetch
 	waits   []tgtSpan // joins: spans riding another owner's fetch
 	admit   admitMode // admission decision, fixed once per request
@@ -180,21 +165,20 @@ func (t *CachedTransport) putRead(pr *pendingRead) {
 	t.mu.Unlock()
 }
 
-// Send implements pvfs.Transport. For reads and writes it runs the cache
-// FSM; any other message passes through to the iod untouched, keeping the
-// module transparent to protocol extensions.
+// Send implements pvfs.Transport. For writes it runs the cache FSM; any
+// other message but a read passes through to the iod untouched, keeping
+// the module transparent to protocol extensions. Reads must come through
+// SendRead: forwarding one would read the iod past dirty cached bytes.
 func (t *CachedTransport) Send(iod int, req wire.Message) (pvfs.ReqID, error) {
 	if iod < 0 || iod >= len(t.m.data) {
 		return 0, fmt.Errorf("cachemod: iod index %d out of range", iod)
 	}
+	if typ := req.WireType(); typ == wire.TRead || typ == wire.TReadBlocks {
+		return 0, fmt.Errorf("cachemod: %v sent without a sink; reads go through SendRead", typ)
+	}
 	var op pendingOp
 	var err error
 	switch r := req.(type) {
-	case *wire.Read, *wire.ReadBlocks:
-		// A read that did not come through SendRead (module tests, a
-		// wrapper that does not forward pvfs.ReadSinker): with no sink the
-		// FSM scatters into the reply's own payload.
-		op, _, err = t.sendRead(iod, req, nil)
 	case *wire.Write:
 		op, err = t.sendWrite(iod, r)
 	case *wire.SyncWrite:
@@ -212,21 +196,21 @@ func (t *CachedTransport) Send(iod int, req wire.Message) (pvfs.ReqID, error) {
 	return t.register(op), nil
 }
 
-// SendRead implements pvfs.ReadSinker: the zero-copy read entry point.
-// sink carries one destination slice per extent of the request (a single
-// slice for a plain Read), and the FSM scatters every byte — cache hits,
-// fetch joins, fetched runs — directly into them; the Recv response is
-// then status-only. It declines (ok=false, caller falls back to
-// Send/Recv) when the message is not a read or the sink does not tile the
-// request.
+// SendRead implements pvfs.ReadSinker: the read entry point. sink carries
+// one destination slice per extent of the ReadBlocks, and the FSM scatters
+// every byte — cache hits, fetch joins, fetched runs — directly into them;
+// the Recv response is then status-only. It declines (ok=false, nothing
+// issued) when the message is not a ReadBlocks or the sink does not tile
+// the request.
 func (t *CachedTransport) SendRead(iod int, req wire.Message, sink [][]byte) (pvfs.ReqID, bool, error) {
 	if iod < 0 || iod >= len(t.m.data) {
 		return 0, false, fmt.Errorf("cachemod: iod index %d out of range", iod)
 	}
-	if sink == nil {
-		return 0, false, nil // nil is Send's spelling of "reply carries the bytes"
+	rb, ok := req.(*wire.ReadBlocks)
+	if !ok {
+		return 0, false, nil
 	}
-	op, ok, err := t.sendRead(iod, req, sink)
+	op, ok, err := t.sendRead(iod, rb, sink)
 	if err != nil || !ok {
 		return 0, false, err
 	}
@@ -354,52 +338,32 @@ func (t *CachedTransport) issueFetches(file blockio.FileID, pr *pendingRead) err
 	return nil
 }
 
-// sendRead runs the cache FSM for a read. libpvfs sends a plain Read when
-// one striping piece of an operation lands on an iod and a ReadBlocks when
-// several do; a plain Read is a one-extent ReadBlocks, and only the reply
-// type differs. Each block span of every extent classifies as a cache hit,
-// a join on an in-flight fetch, or a miss this process must fetch, and all
+// sendRead runs the cache FSM for a read: one ReadBlocks from libpvfs,
+// carrying an extent per striping piece of the operation that lands on
+// this iod. Each block span of every extent classifies as a cache hit, a
+// join on an in-flight fetch, or a miss this process must fetch, and all
 // the misses leave in a single vectored sub-request: a cached block in the
 // middle of the request costs an extent boundary, not an extra round trip.
 // Every span writes straight into its slice of sink (one slice per
-// extent) and the reply is a shared status-only message; with a nil sink
-// (plain Send) the reply's payload is allocated here and becomes the sink.
-// ok is false, with nothing issued, when req is not a read or sink does
-// not tile it.
-func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op pendingOp, ok bool, err error) {
-	var file blockio.FileID
-	var one [1]wire.ReadExtent
-	var exts []wire.ReadExtent
-	kind, vector := "read", false
-	switch r := req.(type) {
-	case *wire.Read:
-		file = r.File
-		one[0] = wire.ReadExtent{Offset: r.Offset, Length: r.Length}
-		exts = one[:]
-	case *wire.ReadBlocks:
-		file = r.File
-		exts = r.Exts
-		kind, vector = "readv", true
-	default:
+// extent) and the reply is a shared status-only message. ok is false, with
+// nothing issued, when sink does not tile the request.
+func (t *CachedTransport) sendRead(iod int, req *wire.ReadBlocks, sink [][]byte) (op pendingOp, ok bool, err error) {
+	file, exts := req.File, req.Exts
+	if len(sink) != len(exts) {
 		return pendingOp{}, false, nil
 	}
-	if sink != nil {
-		if len(sink) != len(exts) {
+	for i, e := range exts {
+		if int64(len(sink[i])) != e.Length {
 			return pendingOp{}, false, nil
-		}
-		for i, e := range exts {
-			if int64(len(sink[i])) != e.Length {
-				return pendingOp{}, false, nil
-			}
 		}
 	}
 	// The extents are attacker-controlled at this boundary (the same
 	// hostile-allocation guard the iod and the wire decoders apply): reject
-	// anything that could not be framed back in a response before
-	// allocating or spanning it.
+	// anything that could not be framed back in a response before spanning
+	// it.
 	total, valid := wire.ValidateExtents(exts)
 	if !valid {
-		return pendingOp{ready: statusReply(vector, wire.StatusBadRequest)}, true, nil
+		return pendingOp{ready: &readvStatus[wire.StatusBadRequest]}, true, nil
 	}
 	bs := t.m.buf.BlockSize()
 	nblocks := 0
@@ -413,31 +377,13 @@ func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op
 	if len(exts) > 0 {
 		firstOff = exts[0].Offset
 	}
-	rt := t.m.traceStart(kind, file, firstOff, total)
+	rt := t.m.traceStart("read", file, firstOff, total)
 	fs := t.m.file(file)
 	_, ts := fs.hints()
 	qos, budgetOK := t.m.acquireFetchBudget(ts, nblocks)
 	if !budgetOK {
 		rt.finishf("shed overload tenant=%d (%d blocks over budget)", ts.id(), nblocks)
-		return pendingOp{ready: statusReply(vector, wire.StatusOverload)}, true, nil
-	}
-	reply := statusReply(vector, wire.StatusOK)
-	if sink == nil {
-		// The cache serves every requested byte (missing data reads as
-		// zero), so extents complete at full length.
-		data := make([]byte, total)
-		sink = make([][]byte, len(exts))
-		lens := make([]uint32, len(exts))
-		rest := data
-		for i, e := range exts {
-			sink[i], rest = rest[:e.Length], rest[e.Length:]
-			lens[i] = uint32(e.Length)
-		}
-		if vector {
-			reply = &wire.ReadBlocksResp{Status: wire.StatusOK, Lens: lens, Data: data}
-		} else {
-			reply = &wire.ReadResp{Status: wire.StatusOK, Data: data}
-		}
+		return pendingOp{ready: &readvStatus[wire.StatusOverload]}, true, nil
 	}
 	admit, streaming := t.m.readAdmitMode(fs)
 	if streaming {
@@ -454,7 +400,7 @@ func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op
 			}
 			if pr == nil {
 				pr = t.takeRead()
-				pr.iod, pr.reply, pr.admit = iod, reply, admit
+				pr.iod, pr.admit = iod, admit
 				pr.qos, pr.qosBlocks, pr.trace = qos, nblocks, rt
 			}
 			t.classifyMiss(sp, dst, pr)
@@ -470,7 +416,7 @@ func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op
 		qos.releaseFetch(nblocks)
 		t.m.ctr.readFullHits.Inc()
 		rt.finishf("full cache hit")
-		return pendingOp{ready: reply}, true, nil
+		return pendingOp{ready: &readvStatus[wire.StatusOK]}, true, nil
 	}
 	rt.hop("classified: %d blocks over %d extents, %d joins, %d misses", nblocks, len(exts), len(pr.waits), len(pr.owned))
 	if err := t.issueFetches(file, pr); err != nil {
@@ -484,7 +430,7 @@ func (t *CachedTransport) sendRead(iod int, req wire.Message, sink [][]byte) (op
 }
 
 // completeRead lands the pending fetches, resolves the joins, and returns
-// the request's reply.
+// the request's status-only reply.
 func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 	// The request stops being in flight when this returns, success or not:
 	// every fetch has landed or aborted and every join resolved, so the
@@ -517,7 +463,7 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 		return nil, firstErr
 	}
 	pr.trace.finishf("ok")
-	return pr.reply, nil
+	return &readvStatus[wire.StatusOK], nil
 }
 
 // --- write path ---

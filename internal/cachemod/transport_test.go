@@ -31,10 +31,9 @@ func TestCloseWithRecycledAndPendingReads(t *testing.T) {
 	tr.TenantHint(file, tenant, 1)
 	read := func(tr *CachedTransport, blk, n int64) (pvfs.ReqID, []byte) {
 		t.Helper()
-		buf := make([]byte, n*fakeBS)
-		id, ok, err := tr.SendRead(0, &wire.Read{File: file, Offset: blk * fakeBS, Length: n * fakeBS}, [][]byte{buf})
-		if err != nil || !ok {
-			t.Fatalf("SendRead: ok=%v err=%v", ok, err)
+		id, buf, err := startRead(tr, 0, file, blk*fakeBS, n*fakeBS)
+		if err != nil {
+			t.Fatal(err)
 		}
 		return id, buf
 	}
@@ -51,7 +50,7 @@ func TestCloseWithRecycledAndPendingReads(t *testing.T) {
 		t.Fatalf("free list holds %d reads, want 1", len(tr.free))
 	}
 	recycled := tr.free[0]
-	if recycled.reply != nil || recycled.qos != nil || len(recycled.owned)+len(recycled.fetches)+len(recycled.waits) != 0 {
+	if recycled.qos != nil || len(recycled.owned)+len(recycled.fetches)+len(recycled.waits) != 0 {
 		t.Fatalf("recycled read still carries state: %+v", recycled)
 	}
 	for _, o := range recycled.owned[:cap(recycled.owned)] {

@@ -2,11 +2,11 @@
 // that stores file strips and answers read/write requests from libpvfs
 // clients. Requests arrive through the shared rpc core (internal/rpc), so
 // tagged clients get concurrent, out-of-order service while legacy peers
-// fall back to FIFO. Besides plain reads, the data port serves vectored
-// reads (wire.ReadBlocks): all requested extents of a connection's
-// request in one pass, packed into a single pooled buffer that is
-// recycled once the response hits the wire. In addition, the daemon
-// carries the two server-side pieces the paper adds:
+// fall back to FIFO. Every read the data port serves is vectored
+// (wire.ReadBlocks): all requested extents of a connection's request in
+// one pass, packed into a single pooled buffer that is recycled once the
+// response hits the wire. In addition, the daemon carries the two
+// server-side pieces the paper adds:
 //
 //   - a separate flush port, served by the "server version of the flusher
 //     thread", which accepts batched dirty-block flushes from the per-node
@@ -124,14 +124,10 @@ func (s *Server) serve(l transport.Listener, handler func(wire.Message) wire.Mes
 	return srv.Serve(l)
 }
 
-// recycleReadBuf returns a written read response's buffer to the pool.
-// Vectored responses carry all their extents in one backing buffer, so
-// they recycle exactly like plain reads.
+// recycleReadBuf returns a written read response's buffer to the pool: a
+// vectored response carries all its extents in one backing buffer.
 func (s *Server) recycleReadBuf(resp wire.Message) {
-	switch rr := resp.(type) {
-	case *wire.ReadResp:
-		s.readBufs.Put(rr.Data)
-	case *wire.ReadBlocksResp:
+	if rr, ok := resp.(*wire.ReadBlocksResp); ok {
 		s.readBufs.Put(rr.Data)
 	}
 }
@@ -159,8 +155,6 @@ func (s *Server) Close() error {
 // handleData dispatches one data-port request.
 func (s *Server) handleData(msg wire.Message) wire.Message {
 	switch m := msg.(type) {
-	case *wire.Read:
-		return s.read(m)
 	case *wire.ReadBlocks:
 		return s.readBlocks(m)
 	case *wire.Write:
@@ -209,28 +203,6 @@ func (s *Server) RegisterClient(client uint32, addr string) {
 	if old != nil {
 		old.Close()
 	}
-}
-
-func (s *Server) read(m *wire.Read) *wire.ReadResp {
-	// The wire length field is attacker-controlled: reject anything that
-	// could not be framed back in a response rather than allocating it.
-	if m.Length < 0 || m.Length > wire.MaxMessageSize/2 {
-		return &wire.ReadResp{Status: wire.StatusBadRequest}
-	}
-	buf := s.readBufs.Get(int(m.Length))
-	n, err := s.store.ReadAt(m.File, m.Offset, buf)
-	if err != nil {
-		s.readBufs.Put(buf)
-		s.ctr.ioErrors.Inc()
-		return &wire.ReadResp{Status: wire.StatusFor(err)}
-	}
-	s.ctr.reads.Inc()
-	s.ctr.readBytes.Add(int64(n))
-	if m.Track && m.Client != 0 {
-		s.trackHolders(m.Client, m.File, m.Offset, m.Length)
-	}
-	s.observe(m.Client, m.File, m.Offset, m.Length, false)
-	return &wire.ReadResp{Status: wire.StatusOK, Data: buf[:n]}
 }
 
 // readBlocks serves a vectored read: every requested extent of the

@@ -43,6 +43,12 @@ func call(t *testing.T, conn transport.Conn, req wire.Message) wire.Message {
 	return resp
 }
 
+// ext is the extent list of a one-extent ReadBlocks, the shape of every
+// single-piece read.
+func ext(off, length int64) []wire.ReadExtent {
+	return []wire.ReadExtent{{Offset: off, Length: length}}
+}
+
 func TestWriteThenRead(t *testing.T) {
 	_, net, data, _ := testDaemon(t)
 	conn, err := net.Dial(data)
@@ -56,34 +62,37 @@ func TestWriteThenRead(t *testing.T) {
 	if wa.Status != wire.StatusOK {
 		t.Fatalf("write status %d", wa.Status)
 	}
-	rr := call(t, conn, &wire.Read{Client: 1, File: 7, Offset: 500, Length: 1000}).(*wire.ReadResp)
+	rr := call(t, conn, &wire.ReadBlocks{Client: 1, File: 7, Exts: ext(500, 1000)}).(*wire.ReadBlocksResp)
 	if rr.Status != wire.StatusOK || !bytes.Equal(rr.Data, payload) {
 		t.Fatalf("read: status=%d len=%d", rr.Status, len(rr.Data))
 	}
 }
 
-func TestReadShortPastEnd(t *testing.T) {
-	_, net, data, _ := testDaemon(t)
+// TestNegativeOffsetWritesFail: offsets are attacker-controlled, and the
+// in-memory store panics on a negative one. Each write path must answer
+// with a non-OK status instead, and the daemon must keep serving.
+func TestNegativeOffsetWritesFail(t *testing.T) {
+	_, net, data, flush := testDaemon(t)
 	conn, _ := net.Dial(data)
 	defer conn.Close()
-	call(t, conn, &wire.Write{File: 1, Offset: 0, Data: []byte("abc")})
-	rr := call(t, conn, &wire.Read{File: 1, Offset: 0, Length: 100}).(*wire.ReadResp)
-	if len(rr.Data) != 3 {
-		t.Fatalf("short read returned %d bytes", len(rr.Data))
-	}
-	rr = call(t, conn, &wire.Read{File: 1, Offset: 50, Length: 10}).(*wire.ReadResp)
-	if len(rr.Data) != 0 {
-		t.Fatalf("read past end returned %d bytes", len(rr.Data))
-	}
-}
+	fconn, _ := net.Dial(flush)
+	defer fconn.Close()
+	payload := bytes.Repeat([]byte{0x5C}, 12)
+	call(t, conn, &wire.Write{File: 2, Offset: 0, Data: payload})
 
-func TestReadRejectsBadLength(t *testing.T) {
-	_, net, data, _ := testDaemon(t)
-	conn, _ := net.Dial(data)
-	defer conn.Close()
-	rr := call(t, conn, &wire.Read{File: 1, Offset: 0, Length: -5}).(*wire.ReadResp)
-	if rr.Status != wire.StatusBadRequest {
-		t.Fatalf("negative length status %d", rr.Status)
+	if wa := call(t, conn, &wire.Write{File: 2, Offset: -8, Data: payload}).(*wire.WriteAck); wa.Status == wire.StatusOK {
+		t.Fatal("Write at offset -8 acknowledged")
+	}
+	if sa := call(t, conn, &wire.SyncWrite{Client: 1, File: 2, Offset: -8, Data: payload}).(*wire.SyncWriteAck); sa.Status == wire.StatusOK {
+		t.Fatal("SyncWrite at offset -8 acknowledged")
+	}
+	fa := call(t, fconn, &wire.Flush{Client: 1, File: 2, Blocks: []wire.FlushBlock{{Index: -2, Data: payload}}}).(*wire.FlushAck)
+	if fa.Status == wire.StatusOK {
+		t.Fatal("Flush of block -2 acknowledged")
+	}
+	rr := call(t, conn, &wire.ReadBlocks{File: 2, Exts: ext(0, 64)}).(*wire.ReadBlocksResp)
+	if rr.Status != wire.StatusOK || !bytes.Equal(rr.Data, payload) {
+		t.Fatalf("read after the rejected writes: status=%d data=%x", rr.Status, rr.Data)
 	}
 }
 
@@ -196,7 +205,7 @@ func TestFlushPortRejectsDataMessages(t *testing.T) {
 	_, net, _, flush := testDaemon(t)
 	conn, _ := net.Dial(flush)
 	defer conn.Close()
-	if err := wire.WriteMessage(conn, &wire.Read{File: 1, Length: 4}); err != nil {
+	if err := wire.WriteMessage(conn, &wire.ReadBlocks{File: 1, Exts: ext(0, 4)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := wire.ReadMessage(conn); err == nil {
@@ -210,16 +219,16 @@ func TestTrackOnlyWhenRequested(t *testing.T) {
 	defer conn.Close()
 	call(t, conn, &wire.Write{File: 4, Offset: 0, Data: make([]byte, 8192)})
 
-	call(t, conn, &wire.Read{Client: 5, File: 4, Offset: 0, Length: 4096, Track: false})
+	call(t, conn, &wire.ReadBlocks{Client: 5, File: 4, Track: false, Exts: ext(0, 4096)})
 	if h := s.Holders(blockio.BlockKey{File: 4, Index: 0}); len(h) != 0 {
 		t.Fatalf("untracked read registered holders %v", h)
 	}
-	call(t, conn, &wire.Read{Client: 5, File: 4, Offset: 0, Length: 8192, Track: true})
+	call(t, conn, &wire.ReadBlocks{Client: 5, File: 4, Track: true, Exts: ext(0, 8192)})
 	if h := s.Holders(blockio.BlockKey{File: 4, Index: 1}); len(h) != 1 || h[0] != 5 {
 		t.Fatalf("tracked read holders %v", h)
 	}
 	// Anonymous clients (id 0) are never tracked.
-	call(t, conn, &wire.Read{Client: 0, File: 4, Offset: 0, Length: 4096, Track: true})
+	call(t, conn, &wire.ReadBlocks{Client: 0, File: 4, Track: true, Exts: ext(0, 4096)})
 	for _, h := range s.Holders(blockio.BlockKey{File: 4, Index: 0}) {
 		if h == 0 {
 			t.Fatal("anonymous client tracked")
@@ -259,7 +268,7 @@ func TestSyncWriteInvalidatesOtherHolders(t *testing.T) {
 	defer conn.Close()
 	call(t, conn, &wire.Write{File: 6, Offset: 0, Data: make([]byte, 8192)})
 	// Client 2 reads blocks 0 and 1 with tracking.
-	call(t, conn, &wire.Read{Client: 2, File: 6, Offset: 0, Length: 8192, Track: true})
+	call(t, conn, &wire.ReadBlocks{Client: 2, File: 6, Track: true, Exts: ext(0, 8192)})
 
 	// Client 1 sync-writes block 0: client 2 must be invalidated.
 	ack := call(t, conn, &wire.SyncWrite{Client: 1, File: 6, Offset: 0, Data: make([]byte, 4096)}).(*wire.SyncWriteAck)
@@ -291,7 +300,7 @@ func TestSyncWriteByHolderDoesNotSelfInvalidate(t *testing.T) {
 	conn, _ := net.Dial(data)
 	defer conn.Close()
 	call(t, conn, &wire.Write{File: 2, Offset: 0, Data: make([]byte, 4096)})
-	call(t, conn, &wire.Read{Client: 7, File: 2, Offset: 0, Length: 4096, Track: true})
+	call(t, conn, &wire.ReadBlocks{Client: 7, File: 2, Track: true, Exts: ext(0, 4096)})
 	ack := call(t, conn, &wire.SyncWrite{Client: 7, File: 2, Offset: 0, Data: make([]byte, 4096)}).(*wire.SyncWriteAck)
 	if ack.Invalidated != 0 {
 		t.Fatalf("writer invalidated itself: %d", ack.Invalidated)
@@ -307,7 +316,7 @@ func TestSyncWriteUnreachableClientDegradesGracefully(t *testing.T) {
 
 	conn, _ := net.Dial(data)
 	defer conn.Close()
-	call(t, conn, &wire.Read{Client: 9, File: 3, Offset: 0, Length: 4096, Track: true})
+	call(t, conn, &wire.ReadBlocks{Client: 9, File: 3, Track: true, Exts: ext(0, 4096)})
 	ack := call(t, conn, &wire.SyncWrite{Client: 1, File: 3, Offset: 0, Data: make([]byte, 4096)}).(*wire.SyncWriteAck)
 	if ack.Status != wire.StatusOK {
 		t.Fatalf("sync write should succeed despite unreachable cache: %d", ack.Status)
@@ -330,7 +339,7 @@ func TestRegisterClientReplacesAddress(t *testing.T) {
 
 	conn, _ := net.Dial(data)
 	defer conn.Close()
-	call(t, conn, &wire.Read{Client: 4, File: 1, Offset: 0, Length: 4096, Track: true})
+	call(t, conn, &wire.ReadBlocks{Client: 4, File: 1, Track: true, Exts: ext(0, 4096)})
 	ack := call(t, conn, &wire.SyncWrite{Client: 1, File: 1, Offset: 0, Data: make([]byte, 4096)}).(*wire.SyncWriteAck)
 	if ack.Invalidated != 1 {
 		t.Fatalf("invalidated = %d", ack.Invalidated)

@@ -71,13 +71,9 @@ func TestBackendErrorsBecomeIOErrorAcks(t *testing.T) {
 	if fa.Status != wire.StatusIOError {
 		t.Fatalf("Flush ack status = %v, want StatusIOError", fa.Status)
 	}
-	rr := call(t, dc, &wire.Read{Client: 1, File: 3, Offset: 0, Length: 512}).(*wire.ReadResp)
+	rr := call(t, dc, &wire.ReadBlocks{Client: 1, File: 3, Exts: ext(0, 512)}).(*wire.ReadBlocksResp)
 	if rr.Status != wire.StatusIOError || len(rr.Data) != 0 {
-		t.Fatalf("Read resp = %v with %d bytes, want StatusIOError and none", rr.Status, len(rr.Data))
-	}
-	br := call(t, dc, &wire.ReadBlocks{Client: 1, File: 3, Exts: []wire.ReadExtent{{Offset: 0, Length: 512}}}).(*wire.ReadBlocksResp)
-	if br.Status != wire.StatusIOError {
-		t.Fatalf("ReadBlocks resp = %v, want StatusIOError", br.Status)
+		t.Fatalf("ReadBlocks resp = %v with %d bytes, want StatusIOError and none", rr.Status, len(rr.Data))
 	}
 
 	// The wire layer maps the status to a retryable error for clients.
@@ -90,7 +86,7 @@ func TestBackendErrorsBecomeIOErrorAcks(t *testing.T) {
 	if wa.Status != wire.StatusOK {
 		t.Fatalf("post-heal write status = %v", wa.Status)
 	}
-	rr = call(t, dc, &wire.Read{Client: 1, File: 3, Offset: 0, Length: 512}).(*wire.ReadResp)
+	rr = call(t, dc, &wire.ReadBlocks{Client: 1, File: 3, Exts: ext(0, 512)}).(*wire.ReadBlocksResp)
 	if rr.Status != wire.StatusOK || !bytes.Equal(rr.Data, payload) {
 		t.Fatalf("post-heal read: %v, %d bytes", rr.Status, len(rr.Data))
 	}

@@ -32,7 +32,7 @@ func TestObserverFeedsSharingClassifier(t *testing.T) {
 		{Index: 1, Data: make([]byte, 4096)},
 	}})
 	// Client 2 consumes both.
-	call(t, conn, &wire.Read{Client: 2, File: 5, Offset: 0, Length: 8192})
+	call(t, conn, &wire.ReadBlocks{Client: 2, File: 5, Exts: ext(0, 8192)})
 
 	sums := tracker.Summarize()
 	if len(sums) != 1 {
@@ -53,7 +53,7 @@ func TestObserverIgnoresAnonymousClients(t *testing.T) {
 	conn, _ := net.Dial(data)
 	defer conn.Close()
 	call(t, conn, &wire.Write{Client: 0, File: 1, Offset: 0, Data: make([]byte, 4096)})
-	call(t, conn, &wire.Read{Client: 0, File: 1, Offset: 0, Length: 4096})
+	call(t, conn, &wire.ReadBlocks{Client: 0, File: 1, Exts: ext(0, 4096)})
 	if count != 0 {
 		t.Errorf("anonymous traffic observed %d times", count)
 	}

@@ -69,7 +69,6 @@ type Client struct {
 	patternHinter ReadPatternHinter
 	policyHinter  CachePolicyHinter
 	tenantHinter  TenantHinter
-	sinker        ReadSinker
 
 	mgr   *rpc.Client
 	files map[blockio.FileID]*File
@@ -100,7 +99,6 @@ func NewClient(cfg Config) (*Client, error) {
 	c.patternHinter, _ = data.(ReadPatternHinter)
 	c.policyHinter, _ = data.(CachePolicyHinter)
 	c.tenantHinter, _ = data.(TenantHinter)
-	c.sinker, _ = data.(ReadSinker)
 	return c, nil
 }
 
@@ -316,12 +314,12 @@ func (f *File) Refresh() error {
 
 // ReadAt fills p from the file starting at off. It follows the libpvfs
 // protocol: every per-iod request of the operation is sent before any
-// response is awaited. When several striping pieces land on the same iod
-// (a request spanning multiple striping cycles) they travel as one
-// vectored ReadBlocks instead of one Read each, so each daemon serves at
-// most one round trip per operation. Reads entirely beyond EOF return
-// (0, io.EOF); reads crossing EOF return short. Bytes inside holes of
-// sparse files read as zero.
+// response is awaited. Each request is a vectored ReadBlocks carrying
+// every striping piece that lands on its iod (one extent for a single
+// piece), so each daemon serves at most one round trip per operation, and
+// the transport sinks the response bytes straight into p. Reads entirely
+// beyond EOF return (0, io.EOF); reads crossing EOF return short. Bytes
+// inside holes of sparse files read as zero.
 //
 // A read shed by a saturated node (wire.ErrOverload) is retried with
 // backoff before the error surfaces; see Config.OverloadRetries.
@@ -351,9 +349,8 @@ func (f *File) readAtOnce(p []byte, off int64) (int, error) {
 	c := f.client
 	s := &c.scratch
 	defer s.finish(c.data)
-	// One request per iod — a vectored one when several pieces land on it —
-	// split only when a huge read would exceed what one response frame can
-	// carry.
+	// One request per iod, split only when a huge read would exceed what one
+	// response frame can carry.
 	if err := s.plan(f, p, off, want, true); err != nil {
 		return 0, err
 	}
@@ -365,34 +362,16 @@ func (f *File) readAtOnce(p []byte, off int64) (int, error) {
 	}
 	for i := range s.reqs {
 		r := &s.reqs[i]
-		first := s.pieces[r.lo]
-		var req wire.Message
-		if r.hi-r.lo == 1 {
-			r.read = wire.Read{Client: c.cfg.ClientID, File: f.id, Offset: first.Ext.Offset, Length: first.Ext.Length}
-			req = &r.read
-		} else {
-			r.readv = wire.ReadBlocks{Client: c.cfg.ClientID, File: f.id, Exts: s.exts[r.lo:r.hi]}
-			req = &r.readv
-		}
-		if c.sinker != nil {
-			// Zero-copy: hand the transport the destination regions of
-			// the caller's buffer so response bytes land there directly,
-			// with no intermediate result buffer or response payload.
-			id, ok, err := c.sinker.SendRead(first.IOD, req, s.sink[r.lo:r.hi])
-			if err != nil {
-				return 0, err
-			}
-			if ok {
-				r.id, r.sunk = id, true
-				s.sent++
-				continue
-			}
-			// Declined (the sink does not fit this transport): fall
-			// back to copying.
-		}
-		id, err := c.data.Send(first.IOD, req)
+		// Zero-copy: hand the transport the destination regions of the
+		// caller's buffer so response bytes land there directly, with no
+		// intermediate result buffer or response payload.
+		r.readv = wire.ReadBlocks{Client: c.cfg.ClientID, File: f.id, Exts: s.exts[r.lo:r.hi]}
+		id, ok, err := c.data.SendRead(s.pieces[r.lo].IOD, &r.readv, s.sink[r.lo:r.hi])
 		if err != nil {
 			return 0, err
+		}
+		if !ok {
+			return 0, fmt.Errorf("pvfs: read %q @%d: transport declined the request", f.name, s.pieces[r.lo].Ext.Offset)
 		}
 		r.id = id
 		s.sent++
@@ -404,17 +383,13 @@ func (f *File) readAtOnce(p []byte, off int64) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		// A sunk request's bytes are already in p (data then zeros) and only
-		// its status remains; otherwise the reply carries them.
-		var dst [][]byte
-		if !r.sunk {
-			dst = s.sink[r.lo:r.hi]
+		// The bytes are already in p (data then zeros); only the status of
+		// the status-only reply remains.
+		rr, ok := resp.(*wire.ReadBlocksResp)
+		if !ok {
+			return 0, fmt.Errorf("pvfs: unexpected read reply %v", resp.WireType())
 		}
-		status, err := scatterRead(resp, dst)
-		if err != nil {
-			return 0, err
-		}
-		if err := status.Err(); err != nil {
+		if err := rr.Status.Err(); err != nil {
 			return 0, fmt.Errorf("pvfs: read %q @%d: %w", f.name, s.pieces[r.lo].Ext.Offset, err)
 		}
 	}
@@ -458,8 +433,6 @@ type opScratch struct {
 type opReq struct {
 	lo, hi int
 	id     ReqID
-	sunk   bool // response scatters straight into the caller's buffer (zero-copy path)
-	read   wire.Read
 	readv  wire.ReadBlocks
 	write  wire.Write
 	sync   wire.SyncWrite

@@ -31,6 +31,13 @@ func (t *shedTransport) Send(iod int, req wire.Message) (ReqID, error) {
 	return id, nil
 }
 
+// SendRead leaves the sink alone: a status-only reply stands for bytes the
+// transport already scattered.
+func (t *shedTransport) SendRead(iod int, req wire.Message, sink [][]byte) (ReqID, bool, error) {
+	id, err := t.Send(iod, req)
+	return id, err == nil, err
+}
+
 func (t *shedTransport) Recv(id ReqID) (wire.Message, error) {
 	req, ok := t.reqs[id]
 	if !ok {
@@ -42,12 +49,11 @@ func (t *shedTransport) Recv(id ReqID) (wire.Message, error) {
 		t.shed--
 		status = wire.StatusOverload
 	}
-	switch r := req.(type) {
+	switch req.(type) {
 	case *wire.Write:
 		return &wire.WriteAck{Status: status}, nil
-	case *wire.Read:
-		data := make([]byte, r.Length)
-		return &wire.ReadResp{Status: status, Data: data}, nil
+	case *wire.ReadBlocks:
+		return &wire.ReadBlocksResp{Status: status}, nil
 	default:
 		return nil, errors.New("unexpected request type")
 	}
@@ -139,6 +145,11 @@ type ioErrTransport struct{ sends int }
 func (t *ioErrTransport) Send(iod int, req wire.Message) (ReqID, error) {
 	t.sends++
 	return 1, nil
+}
+
+func (t *ioErrTransport) SendRead(iod int, req wire.Message, sink [][]byte) (ReqID, bool, error) {
+	id, err := t.Send(iod, req)
+	return id, err == nil, err
 }
 
 func (t *ioErrTransport) Recv(id ReqID) (wire.Message, error) {

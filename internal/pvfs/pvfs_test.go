@@ -211,6 +211,11 @@ func (t *failSendTransport) Send(iod int, req wire.Message) (ReqID, error) {
 	return t.shedTransport.Send(iod, req)
 }
 
+func (t *failSendTransport) SendRead(iod int, req wire.Message, sink [][]byte) (ReqID, bool, error) {
+	id, err := t.Send(iod, req)
+	return id, err == nil, err
+}
+
 // TestFailedSendStillRecvsIssuedRequests: when the Send to a later iod
 // fails, the requests already issued to earlier iods must still be Recv'd.
 // A caching transport holds shared state per pending request (fetch-table

@@ -45,7 +45,7 @@ func (h *hazardTransport) SendRead(iod int, req wire.Message, sink [][]byte) (pv
 	if h.refuse() {
 		return 0, false, errHazard
 	}
-	id, ok, err := h.inner.(pvfs.ReadSinker).SendRead(iod, req, sink)
+	id, ok, err := h.inner.SendRead(iod, req, sink)
 	if ok && err == nil {
 		h.out[id] = true
 	}
@@ -119,6 +119,70 @@ func fill(seed byte, n int) []byte {
 		p[i] = seed + byte(i*7+i/4096)
 	}
 	return p
+}
+
+// TestEveryReadIsVectored: a read has one shape on the wire. A single-piece
+// and a multi-strip ReadAt, through the uncached transport and through the
+// cache module, each reach the iods, and only as ReadBlocks: iod.reads
+// equals iod.vector_reads afterwards. The registry sums the iods and a
+// daemon's vector reads are a subset of its reads, so equal sums mean equal
+// counts at every iod.
+func TestEveryReadIsVectored(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		name := "direct"
+		if cached {
+			name = "cached"
+		}
+		t.Run(name, func(t *testing.T) {
+			cl, err := cluster.Start(cluster.Config{IODs: 3, ClientNodes: 1, Caching: cached, CacheBlocks: 48})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			// The bytes are written around the reader's cache, so its reads
+			// miss and go to the iods.
+			w, err := pvfs.NewClient(pvfs.Config{Network: cl.Network, MgrAddr: cl.MgrAddr, IODAddrs: cl.IODDataAddrs, ClientID: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			fw, err := w.Create("v", pvfs.StripeSpec{SSize: 4096})
+			if err != nil {
+				t.Fatal(err)
+			}
+			img := fill(3, 64<<10)
+			if _, err := fw.WriteAt(img, 0); err != nil {
+				t.Fatal(err)
+			}
+			c, err := cl.NewProcess(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			fr, err := c.Open("v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := &imaged{f: fr, img: img}
+			reads, vreads := cl.Reg.Counter("iod.reads"), cl.Reg.Counter("iod.vector_reads")
+			for _, rd := range []struct {
+				name        string
+				off, length int64
+			}{
+				{"one piece", 5*4096 + 100, 1000},
+				{"eight pieces over three iods", 8 * 4096, 8 * 4096},
+			} {
+				before := reads.Value()
+				m.read(t, rd.off, rd.length)
+				if reads.Value() == before {
+					t.Fatalf("%s: no read reached an iod", rd.name)
+				}
+				if reads.Value() != vreads.Value() {
+					t.Fatalf("%s: iod.reads = %d, iod.vector_reads = %d: a read travelled in another shape", rd.name, reads.Value(), vreads.Value())
+				}
+			}
+		})
+	}
 }
 
 // TestScratchReuseAcrossShapes is the reuse-hazard test of the client's one

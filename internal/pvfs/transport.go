@@ -14,11 +14,13 @@ import (
 type ReqID uint64
 
 // Transport carries libpvfs's split-phase iod traffic. The library first
-// Sends every per-iod request of an operation, then Recvs the responses —
+// sends every per-iod request of an operation, then Recvs the responses —
 // exactly the aggregate-then-wait socket discipline the paper describes.
-// The cache module implements this interface and interposes between the
-// library and the network, just as the kernel module interposes on socket
-// calls; DirectTransport is the uncached original-PVFS path.
+// Reads go through SendRead (ReadSinker), writes and everything else
+// through Send. The cache module implements this interface and interposes
+// between the library and the network, just as the kernel module
+// interposes on socket calls; DirectTransport is the uncached
+// original-PVFS path.
 //
 // Requests may be Recv'd in any order: responses demultiplex by request
 // tag (internal/rpc), so a slow iod no longer blocks unrelated requests.
@@ -29,11 +31,12 @@ type ReqID uint64
 // sink slices from one operation to the next (opScratch), so a Transport
 // may read req — and write through sink, see ReadSinker — until the
 // matching Recv returns and must not keep either afterwards; every
-// in-repo implementation consumes req inside Send (rpc encodes before it
-// returns). In the other direction a response is read-only to the caller:
-// a transport may hand the same immutable message to every request it
-// answers alike (a status-only reply, a faked acknowledgment).
+// in-repo implementation consumes req inside the send call (rpc encodes
+// before it returns). In the other direction a response is read-only to
+// the caller: a transport may hand the same immutable message to every
+// request it answers alike (a status-only reply, a faked acknowledgment).
 type Transport interface {
+	ReadSinker
 	Send(iod int, req wire.Message) (ReqID, error)
 	Recv(id ReqID) (wire.Message, error)
 	Close() error
@@ -113,18 +116,18 @@ type TenantHinter interface {
 	TenantHint(file blockio.FileID, tenant uint32, weight int)
 }
 
-// ReadSinker is an optional Transport extension: the zero-copy read path.
-// SendRead issues a read request (a *wire.Read or *wire.ReadBlocks) whose
-// response bytes the transport scatters directly into sink — one
-// caller-owned destination slice per extent of the request, lengths
-// matching — instead of materializing them in a response message. On a
-// successful Recv every sink byte has been filled: served data first, the
-// remainder zeroed (PVFS sparse semantics), and the response message is
-// status-only: only its Status means anything. The transport may decline a
-// request (ok false, no request issued) — unsupported message, mismatched
-// sink — and the caller then falls back to the plain Send/Recv path. Both
-// the sink slice and the buffers it points at belong to the caller: the
-// transport uses them until the matching Recv returns and not after.
+// ReadSinker is the Transport's read path, and its only one: zero-copy.
+// SendRead issues a *wire.ReadBlocks whose response bytes the transport
+// scatters directly into sink — one caller-owned destination slice per
+// extent of the request, lengths matching — instead of materializing them
+// in a response message. On a successful Recv every sink byte has been
+// filled: served data first, the remainder zeroed (PVFS sparse semantics),
+// and the response is a status-only ReadBlocksResp: only its Status means
+// anything. The transport declines a request it cannot sink (ok false, no
+// request issued) — another message type, a sink that does not tile the
+// extents — and the caller's read fails. Both the sink slice and the
+// buffers it points at belong to the caller: the transport uses them until
+// the matching Recv returns and not after.
 type ReadSinker interface {
 	SendRead(iod int, req wire.Message, sink [][]byte) (id ReqID, ok bool, err error)
 }
@@ -141,7 +144,7 @@ type DirectTransport struct {
 }
 
 // directPending is one outstanding round trip; sink, when non-nil, holds
-// the caller-owned destinations of a zero-copy read (see SendRead).
+// the caller-owned destinations of a read (see SendRead).
 type directPending struct {
 	ch   <-chan rpc.Result
 	sink [][]byte
@@ -169,9 +172,7 @@ func (t *DirectTransport) Send(iod int, req wire.Message) (ReqID, error) {
 // its leased frame buffer straight into the sink slices on Recv — no
 // intermediate result buffer exists on this path.
 func (t *DirectTransport) SendRead(iod int, req wire.Message, sink [][]byte) (ReqID, bool, error) {
-	switch req.(type) {
-	case *wire.Read, *wire.ReadBlocks:
-	default:
+	if _, ok := req.(*wire.ReadBlocks); !ok {
 		return 0, false, nil
 	}
 	id, err := t.send(iod, req, sink)
@@ -213,57 +214,38 @@ func (t *DirectTransport) Recv(id ReqID) (wire.Message, error) {
 	// The payload aliases a frame buffer that is released when Recv returns:
 	// scatter it, then strip it from the message this transport decoded.
 	defer res.Release()
-	if _, err := scatterRead(res.Msg, p.sink); err != nil {
+	rr, ok := res.Msg.(*wire.ReadBlocksResp)
+	if !ok {
+		return nil, fmt.Errorf("pvfs: unexpected read reply %v", res.Msg.WireType())
+	}
+	if err := scatterRead(rr, p.sink); err != nil {
 		return nil, err
 	}
-	switch rr := res.Msg.(type) {
-	case *wire.ReadResp:
-		rr.Data = nil
-	case *wire.ReadBlocksResp:
-		rr.Data = nil
-	}
-	return res.Msg, nil
+	rr.Data = nil
+	return rr, nil
 }
 
-// scatterRead returns a read reply's status after scattering the payload of
-// a successful one into the sink slices, one per extent of the request —
-// served bytes first, the rest zeroed (sparse semantics). A nil sink means
-// the bytes were sunk below (see ReadSinker) and only the status is wanted.
-// The reply is not modified.
-func scatterRead(msg wire.Message, sink [][]byte) (wire.Status, error) {
-	switch rr := msg.(type) {
-	case *wire.ReadResp:
-		if rr.Status != wire.StatusOK || sink == nil {
-			return rr.Status, nil
-		}
-		if len(sink) != 1 {
-			return 0, fmt.Errorf("pvfs: single read reply for %d extents", len(sink))
-		}
-		if len(rr.Data) > len(sink[0]) {
-			return 0, fmt.Errorf("pvfs: read reply overlong (%d > %d)", len(rr.Data), len(sink[0]))
-		}
-		clear(sink[0][copy(sink[0], rr.Data):])
-		return rr.Status, nil
-	case *wire.ReadBlocksResp:
-		if rr.Status != wire.StatusOK || sink == nil {
-			return rr.Status, nil
-		}
-		if len(rr.Lens) != len(sink) {
-			return 0, fmt.Errorf("pvfs: vectored read reply has %d extents, want %d", len(rr.Lens), len(sink))
-		}
-		data := rr.Data
-		for i, dst := range sink {
-			served := int(rr.Lens[i])
-			if served > len(dst) || served > len(data) {
-				return 0, fmt.Errorf("pvfs: vectored read extent %d overlong (%d > %d)", i, served, len(dst))
-			}
-			clear(dst[copy(dst, data[:served]):])
-			data = data[served:]
-		}
-		return rr.Status, nil
-	default:
-		return 0, fmt.Errorf("pvfs: unexpected read reply %v", msg.WireType())
+// scatterRead scatters the payload of a successful read reply into the
+// sink slices, one per extent of the request — served bytes first, the
+// rest zeroed (sparse semantics). A failed reply carries no bytes and
+// leaves the sink alone.
+func scatterRead(rr *wire.ReadBlocksResp, sink [][]byte) error {
+	if rr.Status != wire.StatusOK {
+		return nil
 	}
+	if len(rr.Lens) != len(sink) {
+		return fmt.Errorf("pvfs: vectored read reply has %d extents, want %d", len(rr.Lens), len(sink))
+	}
+	data := rr.Data
+	for i, dst := range sink {
+		served := int(rr.Lens[i])
+		if served > len(dst) || served > len(data) {
+			return fmt.Errorf("pvfs: vectored read extent %d overlong (%d > %d)", i, served, len(dst))
+		}
+		clear(dst[copy(dst, data[:served]):])
+		data = data[served:]
+	}
+	return nil
 }
 
 // Close closes every iod client; outstanding requests fail.

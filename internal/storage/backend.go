@@ -20,6 +20,7 @@ import "pvfscache/internal/blockio"
 // Backend persists the strip data one I/O daemon serves. Files are
 // sparse: reads return short past the last written byte, gaps inside
 // written data read as zeros, and callers treat absent bytes as zero.
+// Offsets come off the wire: a negative one is an error, never a panic.
 // Implementations must be safe for concurrent use.
 //
 // Ordering contract (the delete/write race): operations linearize, and

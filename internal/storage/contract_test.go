@@ -123,6 +123,30 @@ func TestContractShortReadPastEOF(t *testing.T) {
 	})
 }
 
+// TestContractNegativeOffsetIsAnError: offsets reach the backend straight
+// off the wire, so a hostile one must fail the call, not panic the daemon,
+// and leave the file as it was.
+func TestContractNegativeOffsetIsAnError(t *testing.T) {
+	runContract(t, "negative-offset", func(t *testing.T, b storage.Backend) {
+		data := []byte("0123456789")
+		if err := b.WriteAt(7, 0, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.WriteAt(7, -8, []byte("hostile-write")); err == nil {
+			t.Fatal("WriteAt at offset -8 succeeded")
+		}
+		buf := make([]byte, 16)
+		for _, id := range []blockio.FileID{7, 99} { // an existing file and an absent one
+			if n, err := b.ReadAt(id, -1, buf); err == nil {
+				t.Fatalf("ReadAt(file %d) at offset -1 = %d, nil; want an error", id, n)
+			}
+		}
+		if n, err := b.ReadAt(7, 0, buf); n != len(data) || err != nil || !bytes.Equal(buf[:n], data) {
+			t.Fatalf("ReadAt after the rejected calls = %d, %v, %q", n, err, buf[:n])
+		}
+	})
+}
+
 func TestContractOverwrite(t *testing.T) {
 	runContract(t, "overwrite", func(t *testing.T, b storage.Backend) {
 		if err := b.WriteAt(3, 0, bytes.Repeat([]byte{1}, 100)); err != nil {

@@ -545,6 +545,9 @@ func (s *Store) checkpointLocked() error {
 // overlay applied in write order on top. Short reads past the logical
 // size, nil error, absent files read zero bytes — simdisk semantics.
 func (s *Store) ReadAt(id blockio.FileID, off int64, p []byte) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("disk: negative offset %d", off)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.state(); err != nil {

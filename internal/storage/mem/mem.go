@@ -2,13 +2,14 @@
 // the system has always run on — to the storage.Backend interface. It
 // is the default backend: tests, benchmarks, and the discrete-event
 // simulator keep their bit-identical figures, and none of its
-// operations can fail. Durability is explicitly nil: the documented
+// operations can fail but on a negative offset. Durability is explicitly nil: the documented
 // durability window of this backend is "until the process exits", and
 // Crash models exactly that by discarding the store.
 package mem
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 
 	"pvfscache/internal/blockio"
@@ -45,21 +46,29 @@ func Wrap(s *simdisk.Store) *Backend {
 // Store exposes the underlying simdisk store, or nil after Crash.
 func (b *Backend) Store() *simdisk.Store { return b.store.Load() }
 
-// WriteAt implements storage.Backend.
+// WriteAt implements storage.Backend. A negative offset is an error, as
+// on disk: the offset comes off the wire, and the store would panic on it.
 func (b *Backend) WriteAt(id blockio.FileID, off int64, p []byte) error {
 	s := b.store.Load()
 	if s == nil {
 		return ErrCrashed
 	}
+	if off < 0 {
+		return fmt.Errorf("mem backend: negative offset %d", off)
+	}
 	s.WriteAt(id, off, p)
 	return nil
 }
 
-// ReadAt implements storage.Backend.
+// ReadAt implements storage.Backend; a negative offset is an error, as in
+// WriteAt.
 func (b *Backend) ReadAt(id blockio.FileID, off int64, p []byte) (int, error) {
 	s := b.store.Load()
 	if s == nil {
 		return 0, ErrCrashed
+	}
+	if off < 0 {
+		return 0, fmt.Errorf("mem backend: negative offset %d", off)
 	}
 	return s.ReadAt(id, off, p), nil
 }

@@ -51,6 +51,34 @@ func TestFlushRunCoversEveryBlock(t *testing.T) {
 	}
 }
 
+// TestFlushOverflowingBlockRejected: Index*blockSize+Off used to wrap
+// past int64 and land the run at the start of the file with an OK ack.
+// Every run is checked before any is written, so a frame with one bad
+// run lands nothing.
+func TestFlushOverflowingBlockRejected(t *testing.T) {
+	s, _, _, _ := testDaemon(t)
+	good := []byte("GOOD")
+	if err := s.Store().WriteAt(7, 0, good); err != nil {
+		t.Fatal(err)
+	}
+	for _, blocks := range [][]wire.FlushBlock{
+		{{Index: 1 << 52, Data: []byte("EVIL")}},
+		{{Index: -1, Off: 4092, Data: []byte("EVIL")}},
+		{{Index: 0, Off: 4096, Data: []byte("EVIL")}},
+		{{Index: 1<<51 - 1, Off: 4095, Data: []byte("EVIL")}},
+		{{Index: 4, Data: []byte("fine")}, {Index: 1 << 52, Data: []byte("EVIL")}},
+	} {
+		ack := s.handleFlush(&wire.Flush{File: 7, Blocks: blocks}).(*wire.FlushAck)
+		if ack.Status != wire.StatusBadRequest {
+			t.Fatalf("Flush %+v: status %d, want %d", blocks, ack.Status, wire.StatusBadRequest)
+		}
+	}
+	got := make([]byte, 8)
+	if n, err := s.Store().ReadAt(7, 0, got); n != len(good) || err != nil || !bytes.Equal(got[:n], good) {
+		t.Fatalf("offset 0 reads %q (n=%d, err=%v), want %q", got[:n], n, err, good)
+	}
+}
+
 // TestFlushConcurrentFramesFromOneClient pins the property the pipelined
 // write-behind engine relies on: one client's window of Flush frames —
 // disjoint runs, served on parallel server goroutines — applies without

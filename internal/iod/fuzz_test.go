@@ -1,0 +1,164 @@
+package iod
+
+import (
+	"bytes"
+	"math"
+	"testing"
+
+	"pvfscache/internal/blockio"
+	"pvfscache/internal/transport"
+	"pvfscache/internal/wire"
+)
+
+// Operations FuzzIODStore drives, by the input's kind byte.
+const (
+	fuzzWrite      = iota // wire.Write at offset
+	fuzzSyncWrite         // wire.SyncWrite at offset
+	fuzzFlush             // one FlushBlock at index, blockOff
+	fuzzFlushPair         // a valid block over the probe, then the fuzzed one
+	fuzzReadBlocks        // one extent at offset of length
+	fuzzKinds
+)
+
+// fuzzRun is one write the store is expected to hold, oldest first.
+type fuzzRun struct {
+	off  int64
+	data []byte
+}
+
+// expect returns the bytes a read of n bytes at off must return, given
+// the writes the store acknowledged: short past the highest written
+// byte (an empty write writes none), zeros in holes, and the newest
+// write's byte wherever writes overlap.
+func expect(runs []fuzzRun, off int64, n int) []byte {
+	var size int64
+	for _, r := range runs {
+		if len(r.data) > 0 {
+			size = max(size, r.off+int64(len(r.data)))
+		}
+	}
+	if off >= size {
+		return []byte{}
+	}
+	want := make([]byte, min(int64(n), size-off))
+	for _, r := range runs {
+		lo, hi := max(off, r.off), min(off+int64(len(want)), r.off+int64(len(r.data)))
+		if lo < hi {
+			copy(want[lo-off:hi-off], r.data[lo-r.off:hi-r.off])
+		}
+	}
+	return want
+}
+
+// rangeOK is the storage range rule: off ≥ 0 and no int64 overflow.
+func rangeOK(off int64, n int) bool { return off >= 0 && int64(n) <= math.MaxInt64-off }
+
+// FuzzIODStore drives the iod's handlers — Write, SyncWrite, ReadBlocks
+// on the data port, Flush on the flush port — with fuzzer-chosen file,
+// offset, block index, in-block offset and length, over a fresh mem store
+// per input (so a long fuzz run cannot pile up pages). Each input first
+// writes a probe block at offset 0. Nothing may panic, every reply is the
+// request's ack type with a known status, the ack is OK exactly when the
+// range is valid, a successful write reads back byte-identical through
+// ReadBlocks (holes as zeros, into recycled read buffers), and a rejected
+// one leaves the probe unchanged.
+func FuzzIODStore(f *testing.F) {
+	f.Add(uint8(fuzzWrite), uint64(1), int64(3*4096), int64(0), uint32(0), uint32(4096)) // a hole below
+	f.Add(uint8(fuzzSyncWrite), uint64(2), int64(100), int64(0), uint32(0), uint32(9000))
+	f.Add(uint8(fuzzFlush), uint64(3), int64(0), int64(3), uint32(1000), uint32(3*4096+100))
+	f.Add(uint8(fuzzFlushPair), uint64(4), int64(0), int64(16), uint32(0), uint32(64<<10))
+	f.Add(uint8(fuzzReadBlocks), uint64(5), int64(2000), int64(0), uint32(0), uint32(8192))
+
+	probe := bytes.Repeat([]byte("probe!"), 4096/6+1)[:4096]
+	f.Fuzz(func(t *testing.T, kind uint8, file uint64, offset, index int64, blockOff, length uint32) {
+		s := New(0, 4096, transport.NewMem(), nil)
+		const bs = 4096
+		id := blockio.FileID(file)
+		data := make([]byte, length%(64<<10+1))
+		for i := range data {
+			data[i] = byte(i*131 + int(kind) + 1)
+		}
+		ack := s.handleData(&wire.Write{File: id, Data: probe}).(*wire.WriteAck)
+		if ack.Status != wire.StatusOK {
+			t.Fatalf("probe write: status %d", ack.Status)
+		}
+		runs := []fuzzRun{{0, probe}}
+
+		var (
+			resp  wire.Message
+			valid bool
+			add   []fuzzRun
+		)
+		switch kind % fuzzKinds {
+		case fuzzWrite:
+			resp = s.handleData(&wire.Write{Client: 1, File: id, Offset: offset, Data: data})
+			valid, add = rangeOK(offset, len(data)), []fuzzRun{{offset, data}}
+		case fuzzSyncWrite:
+			resp = s.handleData(&wire.SyncWrite{Client: 1, File: id, Offset: offset, Data: data})
+			valid, add = rangeOK(offset, len(data)), []fuzzRun{{offset, data}}
+		case fuzzFlush, fuzzFlushPair:
+			blk := wire.FlushBlock{Index: index, Off: blockOff, Data: data}
+			valid = index >= 0 && blockOff < bs && index <= (math.MaxInt64-int64(blockOff))/bs &&
+				rangeOK(index*bs+int64(blockOff), len(data))
+			blocks := []wire.FlushBlock{blk}
+			if kind%fuzzKinds == fuzzFlushPair {
+				lead := bytes.Repeat([]byte{0xEE}, bs)
+				blocks = []wire.FlushBlock{{Index: 0, Data: lead}, blk}
+				add = append(add, fuzzRun{0, lead})
+			}
+			if valid {
+				add = append(add, fuzzRun{index*bs + int64(blockOff), data})
+			}
+			resp = s.handleFlush(&wire.Flush{Client: 1, File: id, Blocks: blocks})
+		default:
+			resp = s.handleData(&wire.ReadBlocks{File: id, Exts: []wire.ReadExtent{{Offset: offset, Length: int64(len(data))}}})
+			valid = rangeOK(offset, len(data))
+		}
+
+		var status wire.Status
+		switch r := resp.(type) {
+		case *wire.WriteAck:
+			status = r.Status
+		case *wire.SyncWriteAck:
+			status = r.Status
+		case *wire.FlushAck:
+			status = r.Status
+		case *wire.ReadBlocksResp:
+			status = r.Status
+			if status == wire.StatusOK {
+				if want := expect(runs, offset, len(data)); !bytes.Equal(r.Data, want) {
+					t.Fatalf("ReadBlocks(%d, %d) returned %d bytes, want %d", offset, len(data), len(r.Data), len(want))
+				}
+			}
+			s.recycleReadBuf(r)
+		default:
+			t.Fatalf("kind %d: reply %T", kind%fuzzKinds, resp)
+		}
+		if status > wire.StatusOverload {
+			t.Fatalf("kind %d: unknown status %d", kind%fuzzKinds, status)
+		}
+		if (status == wire.StatusOK) != valid {
+			t.Fatalf("kind %d at offset %d index %d off %d len %d: status %d, valid range %v",
+				kind%fuzzKinds, offset, index, blockOff, len(data), status, valid)
+		}
+		if status == wire.StatusOK {
+			runs = append(runs, add...)
+		}
+
+		// Read back every acknowledged run, the probe first: each read
+		// recycles its buffer, so a later read's holes land on stale bytes.
+		for _, r := range runs {
+			for _, lo := range []int64{r.off, max(0, r.off-8192)} {
+				n := min(len(r.data)+int(r.off-lo), 64<<10)
+				rr := s.handleData(&wire.ReadBlocks{File: id, Exts: []wire.ReadExtent{{Offset: lo, Length: int64(n)}}}).(*wire.ReadBlocksResp)
+				if rr.Status != wire.StatusOK {
+					t.Fatalf("read-back at %d: status %d", lo, rr.Status)
+				}
+				if want := expect(runs, lo, n); !bytes.Equal(rr.Data, want) {
+					t.Fatalf("read-back of %d bytes at %d differs from the acknowledged writes", n, lo)
+				}
+				s.recycleReadBuf(rr)
+			}
+		}
+	})
+}

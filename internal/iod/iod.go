@@ -18,6 +18,7 @@ package iod
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -277,6 +278,9 @@ func (s *Server) write(m *wire.Write) *wire.WriteAck {
 // stale frames can be rejected; until then the client's backoff merely
 // narrows the window.
 func (s *Server) flush(m *wire.Flush) *wire.FlushAck {
+	if !s.validFlush(m) {
+		return &wire.FlushAck{Status: wire.StatusBadRequest}
+	}
 	bs := int64(s.blockSize)
 	blocks := int64(0)
 	for _, blk := range m.Blocks {
@@ -297,6 +301,23 @@ func (s *Server) flush(m *wire.Flush) *wire.FlushAck {
 	s.ctr.flushBlocks.Add(blocks)
 	s.ctr.flushRuns.Add(int64(len(m.Blocks)))
 	return &wire.FlushAck{Status: wire.StatusOK}
+}
+
+// validFlush checks every run's range before any of them is written, as
+// the cache module validates a vectored response before it lands: an
+// Index*blockSize+Off that overflowed would wrap onto the start of the
+// file, and a frame rejected halfway would have half landed.
+func (s *Server) validFlush(m *wire.Flush) bool {
+	bs := int64(s.blockSize)
+	for _, blk := range m.Blocks {
+		if blk.Index < 0 || int64(blk.Off) >= bs || blk.Index > (math.MaxInt64-int64(blk.Off))/bs {
+			return false
+		}
+		if storage.CheckRange(blk.Index*bs+int64(blk.Off), len(blk.Data)) != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // syncWrite performs the paper's coherent write: persist, then invalidate

@@ -68,9 +68,9 @@ func TestWriteThenRead(t *testing.T) {
 	}
 }
 
-// TestNegativeOffsetWritesFail: offsets are attacker-controlled, and the
-// in-memory store panics on a negative one. Each write path must answer
-// with a non-OK status instead, and the daemon must keep serving.
+// TestNegativeOffsetWritesFail: offsets are attacker-controlled. Each
+// write path must answer a negative one with a non-OK status, and the
+// daemon must keep serving.
 func TestNegativeOffsetWritesFail(t *testing.T) {
 	_, net, data, flush := testDaemon(t)
 	conn, _ := net.Dial(data)

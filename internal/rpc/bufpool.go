@@ -11,17 +11,27 @@ const defaultBufCap = 1 << 20
 // from a BufPool in their handler and return them from the Server's
 // AfterWrite hook once the frame encoder is done with them.
 //
+// Buffers travel in *[]byte holders, and the holders are recycled through
+// a pool of their own, so in steady state neither Get nor Put allocates
+// (boxing a slice header for sync.Pool would cost one allocation a Put).
+//
 // The zero value is ready to use.
 type BufPool struct {
 	// MaxCap overrides the retained-capacity bound (default 1 MB).
-	MaxCap int
-	pool   sync.Pool
+	MaxCap  int
+	pool    sync.Pool // *[]byte holding a buffer
+	holders sync.Pool // empty *[]byte, for the next Put
 }
 
 // Get returns an n-byte buffer, reusing a pooled one when large enough.
 func (p *BufPool) Get(n int) []byte {
-	if b, ok := p.pool.Get().(*[]byte); ok && cap(*b) >= n {
-		return (*b)[:n]
+	if h, ok := p.pool.Get().(*[]byte); ok {
+		b := *h
+		*h = nil
+		p.holders.Put(h)
+		if cap(b) >= n {
+			return b[:n]
+		}
 	}
 	return make([]byte, n)
 }
@@ -35,6 +45,10 @@ func (p *BufPool) Put(b []byte) {
 	if b == nil || cap(b) > max {
 		return
 	}
-	b = b[:0]
-	p.pool.Put(&b)
+	h, _ := p.holders.Get().(*[]byte)
+	if h == nil {
+		h = new([]byte)
+	}
+	*h = b[:0]
+	p.pool.Put(h)
 }

@@ -2,10 +2,13 @@ package simdisk
 
 import (
 	"bytes"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"pvfscache/internal/blockio"
 )
 
 func TestStoreReadWriteRoundTrip(t *testing.T) {
@@ -35,6 +38,92 @@ func TestStoreSparseReadIsZeroFilled(t *testing.T) {
 		if b != 0 {
 			t.Fatalf("byte %d = %x, want 0 (sparse hole)", i, b)
 		}
+	}
+}
+
+// A hole inside the size reads as zeros written into the caller's
+// buffer: the iod reads into pooled buffers that still hold an earlier
+// response's bytes, so skipping a hole would leak them.
+func TestStoreHoleReadClearsDirtyBuffer(t *testing.T) {
+	s := NewStore()
+	s.WriteAt(1, 10, []byte("head"))           // page 0, partly written
+	s.WriteAt(1, 3*pageSize+5, []byte("tail")) // pages 1 and 2 are holes
+	size := s.Size(1)
+	buf := bytes.Repeat([]byte{0xAA}, int(size)+100)
+	if n := s.ReadAt(1, 0, buf); int64(n) != size {
+		t.Fatalf("n = %d, want %d", n, size)
+	}
+	want := make([]byte, size)
+	copy(want[10:], "head")
+	copy(want[3*pageSize+5:], "tail")
+	if !bytes.Equal(buf[:size], want) {
+		t.Fatal("hole bytes were not cleared in the caller's buffer")
+	}
+	if buf[size] != 0xAA {
+		t.Fatal("ReadAt wrote past the bytes it returned")
+	}
+}
+
+// Writes and reads that straddle page edges agree with a flat reference.
+func TestStorePageStraddleMatchesReference(t *testing.T) {
+	s := NewStore()
+	ref := make([]byte, 6*pageSize)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		off := rng.Intn(len(ref) - 1)
+		if i%2 == 0 { // pin half the writes to a page edge
+			off = (1+rng.Intn(4))*pageSize - rng.Intn(3)
+		}
+		p := make([]byte, 1+rng.Intn(min(len(ref)-off, 2*pageSize+2)))
+		rng.Read(p)
+		s.WriteAt(4, int64(off), p)
+		copy(ref[off:], p)
+	}
+	size := int(s.Size(4))
+	for i := 0; i < 500; i++ {
+		off := rng.Intn(size)
+		buf := bytes.Repeat([]byte{0xAA}, 1+rng.Intn(2*pageSize+2))
+		n := s.ReadAt(4, int64(off), buf)
+		if want := min(len(buf), size-off); n != want {
+			t.Fatalf("ReadAt(%d, %d) = %d, want %d", off, len(buf), n, want)
+		}
+		if !bytes.Equal(buf[:n], ref[off:off+n]) {
+			t.Fatalf("ReadAt(%d, %d) differs from the reference", off, len(buf))
+		}
+	}
+}
+
+// ResidentBytes counts the pages written, whatever the offsets, and
+// Delete releases them.
+func TestStoreResidentBytesCountsWrittenPages(t *testing.T) {
+	s := NewStore()
+	steps := []struct {
+		id    blockio.FileID
+		off   int64
+		n     int
+		pages int64 // held after the step
+	}{
+		{1, 0, 1, 1},                     // first byte: one page
+		{1, 100, 200, 1},                 // same page
+		{1, pageSize - 1, 2, 2},          // straddles into page 1
+		{1, 1 << 40, 10, 3},              // far offset: one page
+		{2, 16 * pageSize, 16 << 10, 7},  // an aligned 16 KB: 4 pages
+		{2, 64 * pageSize, 64 << 10, 23}, // a 64 KB strip: 16 pages
+	}
+	for _, st := range steps {
+		s.WriteAt(st.id, st.off, make([]byte, st.n))
+		if got := s.ResidentBytes(); got != st.pages*pageSize {
+			t.Fatalf("after %d bytes at %d of file %d: ResidentBytes = %d, want %d",
+				st.n, st.off, st.id, got, st.pages*pageSize)
+		}
+	}
+	s.Delete(1)
+	if got := s.ResidentBytes(); got != 20*pageSize {
+		t.Fatalf("after Delete(1): ResidentBytes = %d, want %d", got, 20*pageSize)
+	}
+	s.Delete(2)
+	if got := s.ResidentBytes(); got != 0 {
+		t.Fatalf("after deleting every file: ResidentBytes = %d, want 0", got)
 	}
 }
 

@@ -15,13 +15,21 @@
 // as retryable.
 package storage
 
-import "pvfscache/internal/blockio"
+import (
+	"fmt"
+	"math"
+
+	"pvfscache/internal/blockio"
+)
 
 // Backend persists the strip data one I/O daemon serves. Files are
 // sparse: reads return short past the last written byte, gaps inside
 // written data read as zeros, and callers treat absent bytes as zero.
-// Offsets come off the wire: a negative one is an error, never a panic.
-// Implementations must be safe for concurrent use.
+// Sparse in space too: memory (mem) and space (disk) are proportional to
+// the bytes written, not to the offsets they were written at.
+// Offsets come off the wire, so WriteAt and ReadAt apply CheckRange: a
+// negative offset or a range whose end overflows int64 is an error,
+// never a panic. Implementations must be safe for concurrent use.
 //
 // Ordering contract (the delete/write race): operations linearize, and
 // an operation's linearization point lies between its call and its
@@ -57,6 +65,18 @@ type Backend interface {
 	// Close releases the backend's resources after making acknowledged
 	// writes durable (an implicit Sync).
 	Close() error
+}
+
+// CheckRange is the range rule of WriteAt and ReadAt: it returns an error
+// for a negative offset or for an off+n that overflows int64.
+func CheckRange(off int64, n int) error {
+	if off < 0 {
+		return fmt.Errorf("storage: negative offset %d", off)
+	}
+	if int64(n) > math.MaxInt64-off {
+		return fmt.Errorf("storage: range of %d bytes at offset %d overflows int64", n, off)
+	}
+	return nil
 }
 
 // Crasher is implemented by backends that can simulate a fail-stop:

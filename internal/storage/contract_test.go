@@ -3,6 +3,7 @@ package storage_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -143,6 +144,73 @@ func TestContractNegativeOffsetIsAnError(t *testing.T) {
 		}
 		if n, err := b.ReadAt(7, 0, buf); n != len(data) || err != nil || !bytes.Equal(buf[:n], data) {
 			t.Fatalf("ReadAt after the rejected calls = %d, %v, %q", n, err, buf[:n])
+		}
+	})
+}
+
+// TestContractOverflowingRangeIsAnError: a range whose end overflows
+// int64 is as hostile as a negative offset. It must fail the call, not
+// panic the daemon, and leave the file as it was.
+func TestContractOverflowingRangeIsAnError(t *testing.T) {
+	runContract(t, "overflowing-range", func(t *testing.T, b storage.Backend) {
+		data := []byte("0123456789")
+		if err := b.WriteAt(1, 0, data); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			off int64
+			n   int
+		}{{math.MaxInt64 - 1, 4}, {math.MaxInt64 - 8191, 8192}, {math.MaxInt64, 1}} {
+			if err := b.WriteAt(1, c.off, make([]byte, c.n)); err == nil {
+				t.Fatalf("WriteAt of %d bytes at %d succeeded", c.n, c.off)
+			}
+			if n, err := b.ReadAt(1, c.off, make([]byte, c.n)); err == nil {
+				t.Fatalf("ReadAt of %d bytes at %d = %d, nil; want an error", c.n, c.off, n)
+			}
+		}
+		if sz, err := b.Size(1); sz != int64(len(data)) || err != nil {
+			t.Fatalf("Size after the rejected calls = %d, %v; want %d", sz, err, len(data))
+		}
+		buf := make([]byte, 16)
+		if n, err := b.ReadAt(1, 0, buf); n != len(data) || err != nil || !bytes.Equal(buf[:n], data) {
+			t.Fatalf("ReadAt after the rejected calls = %d, %v, %q", n, err, buf[:n])
+		}
+	})
+}
+
+// TestContractFarOffsetIsSparse: a write far past the end costs the
+// bytes written, not the offset — on the mem engine a contiguous buffer
+// made this an out-of-memory crash — and the hole below it reads as
+// zeros written into the caller's buffer.
+func TestContractFarOffsetIsSparse(t *testing.T) {
+	runContract(t, "far-offset", func(t *testing.T, b storage.Backend) {
+		const far = int64(1) << 40
+		data := []byte("far-away-bytes")
+		if err := b.WriteAt(2, far, data); err != nil {
+			t.Fatalf("WriteAt at 1<<40: %v", err)
+		}
+		if sz, err := b.Size(2); sz != far+int64(len(data)) || err != nil {
+			t.Fatalf("Size = %d, %v; want %d", sz, err, far+int64(len(data)))
+		}
+		got := make([]byte, len(data))
+		if n, err := b.ReadAt(2, far, got); n != len(data) || err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("ReadAt(1<<40) = %d, %v, %q", n, err, got[:n])
+		}
+		const span = 8192
+		tail := far + int64(len(data)) - span // the hole's last bytes, then data
+		for _, off := range []int64{0, far / 2, tail} {
+			gap := bytes.Repeat([]byte{0xAA}, span) // poison: zeros must come from the backend
+			n, err := b.ReadAt(2, off, gap)
+			if n != len(gap) || err != nil {
+				t.Fatalf("ReadAt(gap at %d) = %d, %v", off, n, err)
+			}
+			want := make([]byte, span)
+			if off == tail {
+				copy(want[span-len(data):], data)
+			}
+			if !bytes.Equal(gap, want) {
+				t.Fatalf("gap read at %d is not zeros (then the written bytes)", off)
+			}
 		}
 	})
 }

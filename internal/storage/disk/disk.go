@@ -371,11 +371,11 @@ func (s *Store) journalAppend(rec record) error {
 // and tail are journaled and staged in the overlay (a range holding no
 // whole block is journaled as one record).
 func (s *Store) WriteAt(id blockio.FileID, off int64, p []byte) error {
+	if err := storage.CheckRange(off, len(p)); err != nil {
+		return err
+	}
 	if len(p) == 0 {
 		return nil
-	}
-	if off < 0 {
-		return fmt.Errorf("disk: negative offset %d", off)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -545,8 +545,8 @@ func (s *Store) checkpointLocked() error {
 // overlay applied in write order on top. Short reads past the logical
 // size, nil error, absent files read zero bytes — simdisk semantics.
 func (s *Store) ReadAt(id blockio.FileID, off int64, p []byte) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("disk: negative offset %d", off)
+	if err := storage.CheckRange(off, len(p)); err != nil {
+		return 0, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -12,43 +12,43 @@ import (
 // allocation. The /64k samples take the scatter-gather tail on encode and
 // alias the tail on decode.
 var frameAllocPins = map[string]struct{ encode, decode int }{
-	"Create":             {0, 3},
-	"CreateResp":         {0, 2},
-	"Flush":              {0, 3},
-	"Flush/64k":          {0, 3},
-	"FlushAck":           {0, 2},
-	"InvalidAck":         {0, 2},
-	"Invalidate":         {0, 3},
-	"JoinView":           {0, 3},
-	"LeaveView":          {0, 2},
-	"List":               {0, 1},
-	"ListResp":           {0, 4},
-	"Open":               {0, 3},
-	"OpenResp":           {0, 2},
-	"PeerGet":            {0, 2},
-	"PeerGetResp":        {0, 2},
-	"PeerPut":            {0, 2},
-	"PeerPutAck":         {0, 2},
-	"Read":               {0, 2},
-	"ReadBlocks":         {0, 3},
-	"ReadBlocksResp":     {0, 3},
-	"ReadBlocksResp/64k": {0, 3},
-	"ReadResp":           {0, 2},
-	"ReadResp/64k":       {0, 2},
-	"Register":           {0, 3},
-	"RegisterAck":        {0, 2},
-	"SetSize":            {0, 2},
-	"Stat":               {0, 2},
-	"StatResp":           {0, 2},
-	"Status":             {0, 2},
-	"SyncWrite":          {0, 2},
-	"SyncWriteAck":       {0, 2},
-	"Unlink":             {0, 3},
-	"ViewGet":            {0, 1},
-	"ViewResp":           {0, 6},
-	"Write":              {0, 2},
-	"Write/64k":          {0, 2},
-	"WriteAck":           {0, 2},
+	"Create":             {0, 2},
+	"CreateResp":         {0, 1},
+	"Flush":              {0, 2},
+	"Flush/64k":          {0, 2},
+	"FlushAck":           {0, 1},
+	"InvalidAck":         {0, 1},
+	"Invalidate":         {0, 2},
+	"JoinView":           {0, 2},
+	"LeaveView":          {0, 1},
+	"List":               {0, 0},
+	"ListResp":           {0, 3},
+	"Open":               {0, 2},
+	"OpenResp":           {0, 1},
+	"PeerGet":            {0, 1},
+	"PeerGetResp":        {0, 1},
+	"PeerPut":            {0, 1},
+	"PeerPutAck":         {0, 1},
+	"Read":               {0, 1},
+	"ReadBlocks":         {0, 2},
+	"ReadBlocksResp":     {0, 2},
+	"ReadBlocksResp/64k": {0, 2},
+	"ReadResp":           {0, 1},
+	"ReadResp/64k":       {0, 1},
+	"Register":           {0, 2},
+	"RegisterAck":        {0, 1},
+	"SetSize":            {0, 1},
+	"Stat":               {0, 1},
+	"StatResp":           {0, 1},
+	"Status":             {0, 1},
+	"SyncWrite":          {0, 1},
+	"SyncWriteAck":       {0, 1},
+	"Unlink":             {0, 2},
+	"ViewGet":            {0, 0},
+	"ViewResp":           {0, 5},
+	"Write":              {0, 1},
+	"Write/64k":          {0, 1},
+	"WriteAck":           {0, 1},
 }
 
 // allocSamples is the sample set plus the 64 KB shapes the data path sends.

@@ -469,12 +469,15 @@ const tagBit = 1 << 31
 // encoders recycle codecs with their frame buffers. decoders hold no buffer:
 // a connection's reader keeps its codec while it blocks for the next frame,
 // and must not pin an encode buffer meanwhile. payloadPool recycles decode
-// buffers. Oversized buffers are not returned so a rare huge message cannot
-// pin memory.
+// buffers in *[]byte holders, and payloadHolders recycles the emptied
+// holders, so neither taking a buffer nor returning one allocates.
+// Oversized buffers are not returned so a rare huge message cannot pin
+// memory.
 var (
-	encoders    = sync.Pool{New: func() any { return &codec{buf: make([]byte, 0, 4096)} }}
-	decoders    = sync.Pool{New: func() any { return new(codec) }}
-	payloadPool = sync.Pool{New: func() any { return make([]byte, 0, 4096) }}
+	encoders       = sync.Pool{New: func() any { return &codec{buf: make([]byte, 0, 4096)} }}
+	decoders       = sync.Pool{New: func() any { return new(codec) }}
+	payloadPool    = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+	payloadHolders sync.Pool
 )
 
 // pooledBufCap bounds the capacity of buffers kept in the pools (1 MB).
@@ -489,10 +492,28 @@ func putCodec(pool *sync.Pool, c *codec, buf []byte) {
 	pool.Put(c)
 }
 
-func putPayloadBuf(b []byte) {
-	if cap(b) <= pooledBufCap {
-		payloadPool.Put(b[:0]) //nolint:staticcheck
+// getPayloadBuf returns an n-byte decode buffer from payloadPool.
+func getPayloadBuf(n int) []byte {
+	h := payloadPool.Get().(*[]byte)
+	b := *h
+	*h = nil
+	payloadHolders.Put(h)
+	if cap(b) < n {
+		return make([]byte, n)
 	}
+	return b[:n]
+}
+
+func putPayloadBuf(b []byte) {
+	if cap(b) > pooledBufCap {
+		return
+	}
+	h, _ := payloadHolders.Get().(*[]byte)
+	if h == nil {
+		h = new([]byte)
+	}
+	*h = b[:0]
+	payloadPool.Put(h)
 }
 
 // poisonPayloads, when set, overwrites every payload buffer released via
@@ -640,11 +661,7 @@ func readFrame(r io.Reader, alias bool) (tag uint64, tagged bool, m Message, ret
 		tag = binary.BigEndian.Uint64(tb)
 	}
 	plen := int(size - min)
-	payload := payloadPool.Get().([]byte)
-	if cap(payload) < plen {
-		payload = make([]byte, plen)
-	}
-	payload = payload[:plen]
+	payload := getPayloadBuf(plen)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		putPayloadBuf(payload)
 		return 0, false, nil, nil, err

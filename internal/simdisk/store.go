@@ -73,7 +73,7 @@ func (s *Store) file(id blockio.FileID, create bool) *fileData {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if f = s.files[id]; f == nil {
-		f = &fileData{}
+		f = &fileData{pages: make(map[int64]*[pageSize]byte)}
 		s.files[id] = f
 	}
 	return f
@@ -97,9 +97,6 @@ func (s *Store) WriteAt(id blockio.FileID, off int64, p []byte) {
 			// observable — the delete is ordered before it.
 			f.mu.Unlock()
 			continue
-		}
-		if f.pages == nil {
-			f.pages = make(map[int64]*[pageSize]byte)
 		}
 		f.size = max(f.size, off+int64(len(p)))
 		for len(p) > 0 {

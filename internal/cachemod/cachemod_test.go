@@ -13,6 +13,7 @@ import (
 	"pvfscache/internal/iod"
 	"pvfscache/internal/metrics"
 	"pvfscache/internal/pvfs"
+	"pvfscache/internal/rpc"
 	"pvfscache/internal/transport"
 	"pvfscache/internal/wire"
 )
@@ -516,19 +517,13 @@ func TestInvalidationListener(t *testing.T) {
 		t.Fatal("block not cached")
 	}
 	// Another client's sync write invalidates our copy via the iod.
-	direct, err := r.net.Dial(r.addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := rpc.NewClient(rpc.ClientConfig{Network: r.net, Addr: r.addrs[0]})
 	defer direct.Close()
-	if err := wire.WriteMessage(direct, &wire.SyncWrite{Client: 99, File: 7, Offset: 0, Data: make([]byte, 4096)}); err != nil {
-		t.Fatal(err)
+	res := direct.Call(&wire.SyncWrite{Client: 99, File: 7, Offset: 0, Data: make([]byte, 4096)})
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
-	resp, err := wire.ReadMessage(direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack := resp.(*wire.SyncWriteAck); ack.Invalidated != 1 {
+	if ack := res.Msg.(*wire.SyncWriteAck); ack.Invalidated != 1 {
 		t.Fatalf("invalidated %d", ack.Invalidated)
 	}
 	if r.mod.Buffer().Contains(blockio.BlockKey{File: 7, Index: 0}, 0, 4096) {

@@ -260,21 +260,15 @@ func TestStartRejectsBadOptions(t *testing.T) {
 // block size gets a bad-request ack instead of panicking the node.
 func TestOversizedPeerPutRejected(t *testing.T) {
 	r := newRig(t, 2, 1, Options{})
-	conn, err := r.net.Dial(addrOf(1))
-	if err != nil {
-		t.Fatal(err)
+	c := rpc.NewClient(rpc.ClientConfig{Network: r.net, Addr: addrOf(1)})
+	defer c.Close()
+	res := c.Call(&wire.PeerPut{File: 1, Index: 0, Data: make([]byte, 2*testBlock)})
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
-	defer conn.Close()
-	if err := wire.WriteMessage(conn, &wire.PeerPut{File: 1, Index: 0, Data: make([]byte, 2*testBlock)}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := wire.ReadMessage(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ack, ok := resp.(*wire.PeerPutAck)
+	ack, ok := res.Msg.(*wire.PeerPutAck)
 	if !ok || ack.Status != wire.StatusBadRequest {
-		t.Fatalf("oversized put got %+v", resp)
+		t.Fatalf("oversized put got %+v", res.Msg)
 	}
 }
 

@@ -17,11 +17,7 @@ import (
 // flusher's cache.
 func TestFlushRunCoversEveryBlock(t *testing.T) {
 	s, net, _, flush := testDaemon(t)
-	conn, err := net.Dial(flush)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dial(t, net, flush)
 
 	// A run starting mid-block 2 and covering blocks 2..5 (tail partial).
 	run := make([]byte, 3*4096+100)

@@ -1,12 +1,11 @@
 // Package iod implements the PVFS I/O daemon: the per-node data server
 // that stores file strips and answers read/write requests from libpvfs
 // clients. Requests arrive through the shared rpc core (internal/rpc), so
-// tagged clients get concurrent, out-of-order service while legacy peers
-// fall back to FIFO. Every read the data port serves is vectored
-// (wire.ReadBlocks): all requested extents of a connection's request in
-// one pass, packed into a single pooled buffer that is recycled once the
-// response hits the wire. In addition, the daemon carries the two
-// server-side pieces the paper adds:
+// clients get concurrent, out-of-order service. Every read the data port
+// serves is vectored (wire.ReadBlocks): all requested extents of a
+// connection's request in one pass, packed into a single pooled buffer
+// that is recycled once the response hits the wire. In addition, the
+// daemon carries the two server-side pieces the paper adds:
 //
 //   - a separate flush port, served by the "server version of the flusher
 //     thread", which accepts batched dirty-block flushes from the per-node
@@ -111,10 +110,9 @@ func (s *Server) ServeData(l transport.Listener) error { return s.serve(l, s.han
 // This is the server half of the flusher protocol.
 func (s *Server) ServeFlush(l transport.Listener) error { return s.serve(l, s.handleFlush) }
 
-// serve runs one rpc.Server over the listener. Tagged clients (the cache
-// modules and libpvfs) get concurrent out-of-order service; untagged
-// legacy clients are served FIFO. Read buffers return to the pool once
-// each response hits the wire.
+// serve runs one rpc.Server over the listener: clients (the cache modules
+// and libpvfs) get concurrent out-of-order service. Read buffers return to
+// the pool once each response hits the wire.
 func (s *Server) serve(l transport.Listener, handler func(wire.Message) wire.Message) error {
 	srv := rpc.NewServer(rpc.HandlerFunc(handler), rpc.ServerConfig{
 		AfterWrite: s.recycleReadBuf,

@@ -31,16 +31,24 @@ func testDaemon(t *testing.T) (*Server, transport.Network, string, string) {
 	return s, net, "iod-data", "iod-flush"
 }
 
-func call(t *testing.T, conn transport.Conn, req wire.Message) wire.Message {
+// dial returns a one-connection client of the port at addr, closed when
+// the test ends.
+func dial(t *testing.T, net transport.Network, addr string) *rpc.Client {
 	t.Helper()
-	if err := wire.WriteMessage(conn, req); err != nil {
-		t.Fatal(err)
+	c := rpc.NewClient(rpc.ClientConfig{Network: net, Addr: addr, Conns: 1})
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// call makes one round trip. The reply's byte fields alias a frame buffer
+// that is never released, so they stay valid for the rest of the test.
+func call(t *testing.T, c *rpc.Client, req wire.Message) wire.Message {
+	t.Helper()
+	res := c.Call(req)
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
-	resp, err := wire.ReadMessage(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
+	return res.Msg
 }
 
 // ext is the extent list of a one-extent ReadBlocks, the shape of every
@@ -51,11 +59,7 @@ func ext(off, length int64) []wire.ReadExtent {
 
 func TestWriteThenRead(t *testing.T) {
 	_, net, data, _ := testDaemon(t)
-	conn, err := net.Dial(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dial(t, net, data)
 
 	payload := bytes.Repeat([]byte{0x42}, 1000)
 	wa := call(t, conn, &wire.Write{Client: 1, File: 7, Offset: 500, Data: payload}).(*wire.WriteAck)
@@ -73,10 +77,8 @@ func TestWriteThenRead(t *testing.T) {
 // daemon must keep serving.
 func TestNegativeOffsetWritesFail(t *testing.T) {
 	_, net, data, flush := testDaemon(t)
-	conn, _ := net.Dial(data)
-	defer conn.Close()
-	fconn, _ := net.Dial(flush)
-	defer fconn.Close()
+	conn := dial(t, net, data)
+	fconn := dial(t, net, flush)
 	payload := bytes.Repeat([]byte{0x5C}, 12)
 	call(t, conn, &wire.Write{File: 2, Offset: 0, Data: payload})
 
@@ -98,8 +100,7 @@ func TestNegativeOffsetWritesFail(t *testing.T) {
 
 func TestVectoredReadServesAllExtents(t *testing.T) {
 	_, net, data, _ := testDaemon(t)
-	conn, _ := net.Dial(data)
-	defer conn.Close()
+	conn := dial(t, net, data)
 	payload := bytes.Repeat([]byte{0xA5}, 16<<10)
 	call(t, conn, &wire.Write{Client: 1, File: 3, Offset: 0, Data: payload})
 
@@ -135,8 +136,7 @@ func TestVectoredReadServesAllExtents(t *testing.T) {
 
 func TestVectoredReadRejectsHostileExtents(t *testing.T) {
 	_, net, data, _ := testDaemon(t)
-	conn, _ := net.Dial(data)
-	defer conn.Close()
+	conn := dial(t, net, data)
 	for _, exts := range [][]wire.ReadExtent{
 		{{Offset: 0, Length: -1}},
 		{{Offset: -1, Length: 4096}},
@@ -152,8 +152,7 @@ func TestVectoredReadRejectsHostileExtents(t *testing.T) {
 
 func TestVectoredReadTracksHolders(t *testing.T) {
 	s, net, data, _ := testDaemon(t)
-	conn, _ := net.Dial(data)
-	defer conn.Close()
+	conn := dial(t, net, data)
 	call(t, conn, &wire.Write{Client: 1, File: 5, Offset: 0, Data: make([]byte, 12<<10)})
 	call(t, conn, &wire.ReadBlocks{Client: 9, File: 5, Track: true, Exts: []wire.ReadExtent{
 		{Offset: 0, Length: 4096},
@@ -171,8 +170,7 @@ func TestVectoredReadTracksHolders(t *testing.T) {
 
 func TestFlushPortWritesBlocks(t *testing.T) {
 	s, net, _, flush := testDaemon(t)
-	conn, _ := net.Dial(flush)
-	defer conn.Close()
+	conn := dial(t, net, flush)
 
 	fa := call(t, conn, &wire.Flush{
 		Client: 3,
@@ -203,20 +201,15 @@ func TestFlushPortWritesBlocks(t *testing.T) {
 
 func TestFlushPortRejectsDataMessages(t *testing.T) {
 	_, net, _, flush := testDaemon(t)
-	conn, _ := net.Dial(flush)
-	defer conn.Close()
-	if err := wire.WriteMessage(conn, &wire.ReadBlocks{File: 1, Exts: ext(0, 4)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.ReadMessage(conn); err == nil {
-		t.Fatal("flush port served a data message")
+	conn := dial(t, net, flush)
+	if res := conn.Call(&wire.ReadBlocks{File: 1, Exts: ext(0, 4)}); res.Err == nil {
+		t.Fatalf("flush port served a data message: %v", res.Msg.WireType())
 	}
 }
 
 func TestTrackOnlyWhenRequested(t *testing.T) {
 	s, net, data, _ := testDaemon(t)
-	conn, _ := net.Dial(data)
-	defer conn.Close()
+	conn := dial(t, net, data)
 	call(t, conn, &wire.Write{File: 4, Offset: 0, Data: make([]byte, 8192)})
 
 	call(t, conn, &wire.ReadBlocks{Client: 5, File: 4, Track: false, Exts: ext(0, 4096)})
@@ -264,8 +257,7 @@ func TestSyncWriteInvalidatesOtherHolders(t *testing.T) {
 	dropped := invalListener(t, net, "client2-inval")
 	s.RegisterClient(2, "client2-inval")
 
-	conn, _ := net.Dial(data)
-	defer conn.Close()
+	conn := dial(t, net, data)
 	call(t, conn, &wire.Write{File: 6, Offset: 0, Data: make([]byte, 8192)})
 	// Client 2 reads blocks 0 and 1 with tracking.
 	call(t, conn, &wire.ReadBlocks{Client: 2, File: 6, Track: true, Exts: ext(0, 8192)})
@@ -297,8 +289,7 @@ func TestSyncWriteByHolderDoesNotSelfInvalidate(t *testing.T) {
 	dropped := invalListener(t, net, "client7-inval")
 	s.RegisterClient(7, "client7-inval")
 
-	conn, _ := net.Dial(data)
-	defer conn.Close()
+	conn := dial(t, net, data)
 	call(t, conn, &wire.Write{File: 2, Offset: 0, Data: make([]byte, 4096)})
 	call(t, conn, &wire.ReadBlocks{Client: 7, File: 2, Track: true, Exts: ext(0, 4096)})
 	ack := call(t, conn, &wire.SyncWrite{Client: 7, File: 2, Offset: 0, Data: make([]byte, 4096)}).(*wire.SyncWriteAck)
@@ -314,8 +305,7 @@ func TestSyncWriteUnreachableClientDegradesGracefully(t *testing.T) {
 	s, net, data, _ := testDaemon(t)
 	s.RegisterClient(9, "nowhere") // never listening
 
-	conn, _ := net.Dial(data)
-	defer conn.Close()
+	conn := dial(t, net, data)
 	call(t, conn, &wire.ReadBlocks{Client: 9, File: 3, Track: true, Exts: ext(0, 4096)})
 	ack := call(t, conn, &wire.SyncWrite{Client: 1, File: 3, Offset: 0, Data: make([]byte, 4096)}).(*wire.SyncWriteAck)
 	if ack.Status != wire.StatusOK {
@@ -337,8 +327,7 @@ func TestRegisterClientReplacesAddress(t *testing.T) {
 	dropped := invalListener(t, net, "live")
 	s.RegisterClient(4, "live")
 
-	conn, _ := net.Dial(data)
-	defer conn.Close()
+	conn := dial(t, net, data)
 	call(t, conn, &wire.ReadBlocks{Client: 4, File: 1, Track: true, Exts: ext(0, 4096)})
 	ack := call(t, conn, &wire.SyncWrite{Client: 1, File: 1, Offset: 0, Data: make([]byte, 4096)}).(*wire.SyncWriteAck)
 	if ack.Invalidated != 1 {
@@ -358,8 +347,7 @@ func TestDefaultBlockSizeApplied(t *testing.T) {
 
 func TestRegisterOverWire(t *testing.T) {
 	s, net, data, _ := testDaemon(t)
-	conn, _ := net.Dial(data)
-	defer conn.Close()
+	conn := dial(t, net, data)
 	ra := call(t, conn, &wire.Register{Client: 11, Addr: "somewhere"}).(*wire.RegisterAck)
 	if ra.Status != wire.StatusOK {
 		t.Fatalf("register status %d", ra.Status)

@@ -40,16 +40,8 @@ func faultyDaemon(t *testing.T) (*storage.Faulty, transport.Network) {
 // OK service on the same connections.
 func TestBackendErrorsBecomeIOErrorAcks(t *testing.T) {
 	fb, net := faultyDaemon(t)
-	dc, err := net.Dial("iod-data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dc.Close()
-	fc, err := net.Dial("iod-flush")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fc.Close()
+	dc := dial(t, net, "iod-data")
+	fc := dial(t, net, "iod-flush")
 
 	payload := bytes.Repeat([]byte{7}, 512)
 	fb.SetErr(errors.New("disk on fire"))
@@ -97,11 +89,7 @@ func TestBackendErrorsBecomeIOErrorAcks(t *testing.T) {
 // of it; re-applying the landed runs is idempotent).
 func TestFlushPartialFailureFailsWholeFrame(t *testing.T) {
 	fb, net := faultyDaemon(t)
-	fc, err := net.Dial("iod-flush")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fc.Close()
+	fc := dial(t, net, "iod-flush")
 
 	// Healthy first, then broken: the frame below writes run 0 fine and
 	// trips on run 1 only if the error lands between — instead, break it

@@ -21,10 +21,8 @@ func TestObserverFeedsSharingClassifier(t *testing.T) {
 		mu.Unlock()
 	})
 
-	conn, _ := net.Dial(data)
-	defer conn.Close()
-	fconn, _ := net.Dial(flush)
-	defer fconn.Close()
+	conn := dial(t, net, data)
+	fconn := dial(t, net, flush)
 
 	// Client 1 produces two blocks (one via write, one via flush).
 	call(t, conn, &wire.Write{Client: 1, File: 5, Offset: 0, Data: make([]byte, 4096)})
@@ -50,8 +48,7 @@ func TestObserverIgnoresAnonymousClients(t *testing.T) {
 	s, net, data, _ := testDaemon(t)
 	count := 0
 	s.SetObserver(func(uint32, blockio.FileID, int64, bool) { count++ })
-	conn, _ := net.Dial(data)
-	defer conn.Close()
+	conn := dial(t, net, data)
 	call(t, conn, &wire.Write{Client: 0, File: 1, Offset: 0, Data: make([]byte, 4096)})
 	call(t, conn, &wire.ReadBlocks{Client: 0, File: 1, Exts: ext(0, 4096)})
 	if count != 0 {
@@ -65,8 +62,7 @@ func TestObserverSyncWrite(t *testing.T) {
 	s.SetObserver(func(_ uint32, _ blockio.FileID, _ int64, write bool) {
 		events = append(events, write)
 	})
-	conn, _ := net.Dial(data)
-	defer conn.Close()
+	conn := dial(t, net, data)
 	call(t, conn, &wire.SyncWrite{Client: 3, File: 2, Offset: 0, Data: make([]byte, 8192)})
 	if len(events) != 2 || !events[0] || !events[1] {
 		t.Errorf("sync write events = %v, want two writes", events)

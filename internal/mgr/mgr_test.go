@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"pvfscache/internal/metrics"
+	"pvfscache/internal/rpc"
 	"pvfscache/internal/transport"
 	"pvfscache/internal/wire"
 )
@@ -209,22 +210,16 @@ func TestServeOverNetwork(t *testing.T) {
 	go s.Serve(l)
 	defer l.Close()
 
-	conn, err := net.Dial("mgr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	c := rpc.NewClient(rpc.ClientConfig{Network: net, Addr: "mgr"})
+	defer c.Close()
 
 	call := func(req wire.Message) wire.Message {
 		t.Helper()
-		if err := wire.WriteMessage(conn, req); err != nil {
-			t.Fatal(err)
+		res := c.Call(req)
+		if res.Err != nil {
+			t.Fatal(res.Err)
 		}
-		resp, err := wire.ReadMessage(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
+		return res.Msg
 	}
 
 	cr := call(&wire.Create{Name: "net-file", SSize: 4096}).(*wire.CreateResp)
@@ -267,29 +262,16 @@ func TestServeDropsConnOnGarbage(t *testing.T) {
 	go s.Serve(l)
 	defer l.Close()
 
-	conn, err := net.Dial("mgr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// One pooled connection: the call after the drop redials.
+	c := rpc.NewClient(rpc.ClientConfig{Network: net, Addr: "mgr", Conns: 1})
+	defer c.Close()
 	// A data-port message is not served by mgr: connection closes.
-	if err := wire.WriteMessage(conn, &wire.Read{File: 1, Length: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.ReadMessage(conn); err == nil {
+	if res := c.Call(&wire.Read{File: 1, Length: 4}); res.Err == nil {
 		t.Fatal("expected connection drop on non-mgr message")
 	}
-	conn.Close()
 	// The server keeps serving new connections.
-	conn2, err := net.Dial("mgr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	if err := wire.WriteMessage(conn2, &wire.List{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.ReadMessage(conn2); err != nil {
-		t.Fatalf("server died after bad client: %v", err)
+	if res := c.Call(&wire.List{}); res.Err != nil {
+		t.Fatalf("server died after bad client: %v", res.Err)
 	}
 }
 

@@ -11,9 +11,8 @@
 //     internal/mgr, internal/globalcache and the cache module's
 //     invalidation listener.
 //
-// Client always tags: every server in the system is a Server. Server also
-// accepts untagged frames (a peer outside the process that never sets the
-// tag bit) and serves such a connection serially, in FIFO order.
+// Every frame is tagged (see wire.WriteTagged); a peer that sends an
+// untagged one has its connection dropped.
 //
 // Buffers move zero-copy: requests and responses are decoded with their
 // bulk payload fields aliasing the connection's pooled frame buffer. On
@@ -288,7 +287,7 @@ func (cc *clientConn) send(req wire.Message) (<-chan Result, transport.Conn, err
 // connection fails or is replaced.
 func (cc *clientConn) readLoop(conn transport.Conn) {
 	for {
-		tag, tagged, msg, payload, err := wire.ReadFrameAliased(conn)
+		tag, _, msg, payload, err := wire.ReadFrameAliased(conn)
 		cc.mu.Lock()
 		if cc.conn != conn {
 			// A newer connection replaced this one; stop quietly.
@@ -302,9 +301,9 @@ func (cc *clientConn) readLoop(conn transport.Conn) {
 			return
 		}
 		ch := cc.pending[tag]
-		if !tagged || ch == nil {
-			cc.failLocked(fmt.Errorf("rpc: unsolicited %v from %s (tagged %v, tag %d)",
-				msg.WireType(), cc.client.cfg.Addr, tagged, tag))
+		if ch == nil {
+			cc.failLocked(fmt.Errorf("rpc: unsolicited %v from %s (tag %d)",
+				msg.WireType(), cc.client.cfg.Addr, tag))
 			cc.mu.Unlock()
 			wire.ReleasePayload(payload)
 			return

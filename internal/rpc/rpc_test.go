@@ -190,28 +190,40 @@ func TestRedialAfterPeerCrash(t *testing.T) {
 	t.Fatalf("client never recovered after peer revival: %v", lastErr)
 }
 
-// TestLegacyRawClient drives the server with bare wire.WriteMessage /
-// ReadMessage calls — the exact protocol the seed's clients spoke.
-func TestLegacyRawClient(t *testing.T) {
+// TestUntaggedFrameDropsConnection sends a Stat in the retired untagged
+// form ([u32 len][u16 type][payload], no tag bit): the server drops that
+// connection without answering, and a tagged client is still served.
+func TestUntaggedFrameDropsConnection(t *testing.T) {
 	net := transport.NewMem()
-	_, addr := startServer(t, net, echoHandler(), ServerConfig{})
+	h := HandlerFunc(func(m wire.Message) wire.Message {
+		st, ok := m.(*wire.Stat)
+		if !ok {
+			return nil
+		}
+		return &wire.StatResp{Status: wire.StatusOK, Meta: wire.FileMeta{Size: int64(st.File)}}
+	})
+	_, addr := startServer(t, net, h, ServerConfig{})
 	conn, err := net.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	for i := 0; i < 4; i++ {
-		if err := wire.WriteMessage(conn, &wire.Read{Offset: int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-		m, err := wire.ReadMessage(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rr := m.(*wire.ReadResp)
-		if int64(binary.BigEndian.Uint64(rr.Data)) != int64(i) {
-			t.Fatalf("legacy round trip %d: wrong echo", i)
-		}
+	untaggedStat := []byte{0, 0, 0, 0x0a, 0x01, 0x05, 0, 0, 0, 0, 0, 0, 0, 7}
+	if _, err := conn.Write(untaggedStat); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := conn.Read(make([]byte, 64)); err == nil {
+		t.Fatalf("untagged frame answered with %d bytes, want the connection dropped", n)
+	}
+
+	c := NewClient(ClientConfig{Network: net, Addr: addr, Conns: 1})
+	defer c.Close()
+	res := c.Call(&wire.Stat{File: 7})
+	if res.Err != nil {
+		t.Fatalf("tagged call after a dropped untagged peer: %v", res.Err)
+	}
+	if sr := res.Msg.(*wire.StatResp); sr.Meta.Size != 7 {
+		t.Fatalf("stat answered %+v", sr)
 	}
 }
 

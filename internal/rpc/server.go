@@ -8,8 +8,8 @@ import (
 	"pvfscache/internal/wire"
 )
 
-// DefaultConcurrency bounds how many tagged requests one connection may
-// have in service at once when ServerConfig leaves Concurrency zero.
+// DefaultConcurrency bounds how many requests one connection may have in
+// service at once when ServerConfig leaves Concurrency zero.
 const DefaultConcurrency = 8
 
 // Handler serves one request. Returning nil closes the connection: it
@@ -33,9 +33,8 @@ func (f HandlerFunc) Handle(req wire.Message) wire.Message { return f(req) }
 
 // ServerConfig tunes a Server.
 type ServerConfig struct {
-	// Concurrency bounds in-service requests per connection in tagged mode
-	// (default DefaultConcurrency). Untagged (legacy) connections are
-	// always served serially, preserving FIFO response order.
+	// Concurrency bounds in-service requests per connection (default
+	// DefaultConcurrency).
 	Concurrency int
 	// AfterWrite, when non-nil, runs after each response has been written
 	// to the wire. Handlers use it to recycle response buffers (e.g. the
@@ -44,10 +43,11 @@ type ServerConfig struct {
 }
 
 // Server accepts connections and dispatches framed requests to a Handler.
-// Tagged requests on one connection are served concurrently (bounded by
+// Requests on one connection are served concurrently (bounded by
 // Concurrency) and their responses carry the request's tag, so they may
-// complete out of order; untagged connections get the legacy serial FIFO
-// service. One Server may serve any number of listeners.
+// complete out of order. A frame that fails to decode, untagged ones
+// included (wire.ErrUntagged), drops its connection. One Server may serve
+// any number of listeners.
 type Server struct {
 	h   Handler
 	cfg ServerConfig
@@ -122,9 +122,8 @@ func (s *Server) untrack(conn transport.Conn) {
 	s.mu.Unlock()
 }
 
-// serveConn reads frames until the connection fails. Tagged requests fan
-// out to bounded workers; untagged requests are served inline so their
-// responses keep request order.
+// serveConn reads frames until the connection fails, fanning requests out
+// to bounded workers.
 func (s *Server) serveConn(conn transport.Conn) {
 	defer s.wg.Done()
 	defer s.untrack(conn)
@@ -142,29 +141,9 @@ func (s *Server) serveConn(conn transport.Conn) {
 		// Zero-copy request decode: the message's payload fields alias
 		// payload, released as soon as the handler has consumed them (the
 		// Handler contract forbids retaining request bytes past Handle).
-		tag, tagged, msg, payload, err := wire.ReadFrameAliased(conn)
+		tag, _, msg, payload, err := wire.ReadFrameAliased(conn)
 		if err != nil {
 			return
-		}
-		if !tagged {
-			resp := s.h.Handle(msg)
-			wire.ReleasePayload(payload)
-			if resp == nil {
-				return
-			}
-			// A peer may mix tagged and untagged frames on one
-			// connection; share the write lock with the tagged workers
-			// so frames never interleave.
-			writeMu.Lock()
-			err := wire.WriteMessage(conn, resp)
-			writeMu.Unlock()
-			if err != nil {
-				return
-			}
-			if s.cfg.AfterWrite != nil {
-				s.cfg.AfterWrite(resp)
-			}
-			continue
 		}
 		sem <- struct{}{}
 		workers.Add(1)

@@ -23,10 +23,9 @@ type codec struct {
 	dec bool
 	err error
 
-	// alias (decode): bulk byte fields become subslices of buf instead of
-	// copies (ReadFrameAliased); aliased records that one was handed out,
-	// so buf must outlive the message.
-	alias, aliased bool
+	// aliased (decode): a bulk byte field was handed out as a subslice of
+	// buf (every decode is zero-copy), so buf must outlive the message.
+	aliased bool
 
 	// vec (encode): a tail of at least minVecTail bytes is not copied into
 	// buf; tailData keeps it for the frame writer to send from the
@@ -118,7 +117,7 @@ func (c *codec) status(v *Status) {
 func (c *codec) file(v *blockio.FileID) { c.u64((*uint64)(v)) }
 
 // str walks a length-prefixed string. The string conversion always copies,
-// so it never aliases the payload even in alias mode.
+// so it never aliases the payload.
 func (c *codec) str(v *string) {
 	if !c.dec {
 		c.buf = append(binary.BigEndian.AppendUint32(c.buf, uint32(len(*v))), *v...)
@@ -131,7 +130,9 @@ func (c *codec) str(v *string) {
 	}
 }
 
-// bytes walks a length-prefixed byte field.
+// bytes walks a length-prefixed byte field. On decode the field aliases
+// the payload; take's full slice expression keeps an append by the
+// consumer from scribbling over the next field.
 func (c *codec) bytes(v *[]byte) {
 	if !c.dec {
 		c.buf = append(binary.BigEndian.AppendUint32(c.buf, uint32(len(*v))), *v...)
@@ -139,16 +140,9 @@ func (c *codec) bytes(v *[]byte) {
 	}
 	var n uint32
 	c.u32(&n)
-	b := c.take(int(n))
-	switch {
-	case c.err != nil:
-	case c.alias && n > 0:
-		// take's full slice expression keeps an append by the consumer
-		// from scribbling over the next field.
+	if b := c.take(int(n)); c.err == nil {
 		*v = b
-		c.aliased = true
-	default:
-		*v = append(make([]byte, 0, n), b...)
+		c.aliased = c.aliased || n > 0
 	}
 }
 

@@ -55,10 +55,10 @@ func TestFlushRunRoundTrip(t *testing.T) {
 	}
 	in := &Flush{Client: 3, File: 11, Blocks: []FlushBlock{{Index: 5, Off: 4019, Data: run}}}
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, in); err != nil {
+	if err := WriteTagged(&buf, 1, in); err != nil {
 		t.Fatal(err)
 	}
-	_, _, msg, err := ReadFrame(&buf)
+	msg, err := readMessage(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

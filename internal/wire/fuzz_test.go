@@ -10,7 +10,9 @@ package wire
 //     payload it arrived in could possibly hold (the codec.count guard),
 //     so a 4-byte hostile count cannot pin gigabytes;
 //   - canonical round trip: anything that decodes re-encodes to a frame
-//     that decodes to the same message and re-encodes identically.
+//     that decodes to the same message and re-encodes identically;
+//   - no alias outlives its buffer: a decode with every recycled payload
+//     buffer poisoned re-encodes exactly like one without.
 //
 // CI runs each target for a ~30 s smoke (see .github/workflows/ci.yml);
 // the committed corpora under testdata/fuzz keep the interesting inputs
@@ -18,6 +20,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -65,27 +69,56 @@ func fuzzSampleMessages() []Message {
 }
 
 // encodeFrame frames m exactly as the transport writers do.
-func encodeFrame(tag uint64, tagged bool, m Message) ([]byte, error) {
+func encodeFrame(tag uint64, m Message) ([]byte, error) {
 	var buf bytes.Buffer
-	var err error
-	if tagged {
-		err = WriteTagged(&buf, tag, m)
-	} else {
-		err = WriteMessage(&buf, m)
-	}
+	err := WriteTagged(&buf, tag, m)
 	return buf.Bytes(), err
+}
+
+// untagged rewrites a frame in the retired untagged form, [u32
+// len][u16 type][payload] with no tag bit and no tag, which a reader must
+// reject with ErrUntagged.
+func untagged(frame []byte) []byte {
+	out := binary.BigEndian.AppendUint32(nil, binary.BigEndian.Uint32(frame)&^tagBit-8)
+	out = append(out, frame[4:6]...)
+	return append(out, frame[14:]...)
+}
+
+// decodeEncoding decodes one frame, re-encodes the message while its
+// payload is still held, then releases the payload. With poison set,
+// every payload buffer recycled during the decode — by the decoder itself
+// when it judged that nothing aliases it, or by the release — is stamped
+// with PoisonByte first, so a field that aliases a buffer the decoder
+// already gave back re-encodes as poison.
+func decodeEncoding(t *testing.T, frame []byte, poison bool) (Message, []byte) {
+	t.Helper()
+	SetPoisonReleased(poison)
+	defer SetPoisonReleased(false)
+	tag, tagged, m, payload, err := ReadFrameAliased(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatalf("decode (poison %v): %v", poison, err)
+	}
+	if !tagged {
+		t.Fatalf("%v decoded without its tag", m.WireType())
+	}
+	enc, err := encodeFrame(tag, m)
+	ReleasePayload(payload)
+	if err != nil {
+		t.Fatalf("decoded %v does not re-encode: %v", m.WireType(), err)
+	}
+	return m, enc
 }
 
 // FuzzDecode feeds arbitrary bytes through the full frame reader — length
 // word, tag bit, type dispatch and every message decoder behind it. Any
-// frame that decodes must round-trip canonically.
+// frame that decodes must round-trip canonically and decode the same with
+// recycled buffers poisoned; an untagged length word must be rejected as
+// ErrUntagged.
 func FuzzDecode(f *testing.F) {
 	requireEveryType(f, fuzzSampleMessages())
 	for _, m := range fuzzSampleMessages() {
-		if enc, err := encodeFrame(0, false, m); err == nil {
-			f.Add(enc)
-		}
-		if enc, err := encodeFrame(0xDEADBEEF, true, m); err == nil {
+		if enc, err := encodeFrame(0xDEADBEEF, m); err == nil {
+			f.Add(untagged(enc))
 			f.Add(enc)
 		}
 	}
@@ -94,47 +127,28 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x0b})
 	f.Add([]byte{0x80, 0x00, 0x00, 0x02, 0x01, 0x0b})
-	f.Add([]byte{0x00, 0x00, 0x00, 0x02, 0x7f, 0x7f})
-	f.Add([]byte{0x00, 0x00, 0x00, 0x0e, 0x04, 0x01, // Invalidate
-		0, 0, 0, 0, 0, 0, 0, 7, 0xFF, 0xFF, 0xFF, 0xFF}) // count 2^32-1
+	f.Add(frameFor(Type(0x7f7f), nil))
+	f.Add(frameFor(TInvalidate, []byte{0, 0, 0, 0, 0, 0, 0, 7, 0,
+		0xFF, 0xFF, 0xFF, 0xFF})) // count 2^32-1
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tag, tagged, m, err := ReadFrame(bytes.NewReader(data))
-		// The zero-copy decoder must accept and reject exactly the same
-		// frames as the copying one, and decode to the same message.
-		ztag, ztagged, zm, payload, zerr := ReadFrameAliased(bytes.NewReader(data))
-		if (err == nil) != (zerr == nil) {
-			t.Fatalf("decode modes disagree: copying err %v, aliased err %v", err, zerr)
-		}
+		_, _, m, payload, err := ReadFrameAliased(bytes.NewReader(data))
 		if err != nil {
+			if payload != nil {
+				t.Fatalf("rejected frame returned a payload: %v", err)
+			}
+			if len(data) >= 4 && data[0]&0x80 == 0 && !errors.Is(err, ErrUntagged) {
+				t.Fatalf("untagged length word rejected with %v, want ErrUntagged", err)
+			}
 			return // rejected cleanly; not panicking is the property
 		}
-		if ztag != tag || ztagged != tagged || zm.WireType() != m.WireType() {
-			t.Fatalf("aliased decode header diverged: %d/%v/%v vs %d/%v/%v",
-				tag, tagged, m.WireType(), ztag, ztagged, zm.WireType())
-		}
-		zenc, err := encodeFrame(ztag, ztagged, zm)
-		if err != nil {
-			t.Fatalf("aliased-decoded %v does not re-encode: %v", zm.WireType(), err)
-		}
 		ReleasePayload(payload)
-		enc1, err := encodeFrame(tag, tagged, m)
-		if err != nil {
-			t.Fatalf("decoded %v does not re-encode: %v", m.WireType(), err)
+		_, enc1 := decodeEncoding(t, data, false)
+		if _, poisoned := decodeEncoding(t, data, true); !bytes.Equal(enc1, poisoned) {
+			t.Fatalf("%v: a decoded field aliases a payload buffer the decoder recycled", m.WireType())
 		}
-		if !bytes.Equal(enc1, zenc) {
-			t.Fatalf("%v: aliased decode diverged from copying decode", m.WireType())
-		}
-		tag2, tagged2, m2, err := ReadFrame(bytes.NewReader(enc1))
-		if err != nil {
-			t.Fatalf("re-encoded %v does not decode: %v", m.WireType(), err)
-		}
-		if tag2 != tag || tagged2 != tagged || m2.WireType() != m.WireType() {
-			t.Fatalf("frame header changed across round trip: tag %d/%v -> %d/%v type %v -> %v",
-				tag, tagged, tag2, tagged2, m.WireType(), m2.WireType())
-		}
-		enc2, err := encodeFrame(tag2, tagged2, m2)
-		if err != nil {
-			t.Fatalf("second re-encode failed: %v", err)
+		m2, enc2 := decodeEncoding(t, enc1, false)
+		if m2.WireType() != m.WireType() {
+			t.Fatalf("type changed across round trip: %v -> %v", m.WireType(), m2.WireType())
 		}
 		if !bytes.Equal(enc1, enc2) {
 			t.Fatalf("%v encoding not canonical", m.WireType())
@@ -194,8 +208,9 @@ func FuzzVectorDecode(f *testing.F) {
 }
 
 // FuzzFrameRoundTrip builds messages from structured fuzz inputs, frames
-// them (tagged and untagged), and requires the decoder to be an exact
-// inverse — field-for-field via the canonical re-encoding.
+// them, and requires the decoder to be an exact inverse — field-for-field
+// via the canonical re-encoding. tagged only drives the messages' Track
+// fields; it stays in the signature so the committed corpus still parses.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint8(0), uint64(7), int64(4096), int64(8192), []byte("payload"), uint64(1), true)
 	f.Add(uint8(1), uint64(1), int64(0), int64(0), []byte{}, uint64(0), false)
@@ -220,16 +235,17 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		case 5:
 			m = &PeerPut{File: blockio.FileID(file), Index: a, Owner: uint32(b), Data: blob}
 		}
-		enc, err := encodeFrame(tag, tagged, m)
+		enc, err := encodeFrame(tag, m)
 		if err != nil {
 			return // e.g. a blob pushing the frame past MaxMessageSize
 		}
-		tag2, tagged2, got, err := ReadFrame(bytes.NewReader(enc))
+		tag2, tagged2, got, payload, err := ReadFrameAliased(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatalf("valid %v frame rejected: %v", m.WireType(), err)
 		}
-		if tagged2 != tagged || (tagged && tag2 != tag) {
-			t.Fatalf("tag lost: %d/%v -> %d/%v", tag, tagged, tag2, tagged2)
+		defer ReleasePayload(payload)
+		if !tagged2 || tag2 != tag {
+			t.Fatalf("tag lost: %d -> %d/%v", tag, tag2, tagged2)
 		}
 		if got.WireType() != m.WireType() {
 			t.Fatalf("type changed: %v -> %v", m.WireType(), got.WireType())
@@ -237,7 +253,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// Compare via re-encoding: nil and empty slices frame identically,
 		// so this is exact field equality without reflect's nil-vs-empty
 		// false negatives.
-		reEnc, err := encodeFrame(tag, tagged, got)
+		reEnc, err := encodeFrame(tag, got)
 		if err != nil {
 			t.Fatalf("decoded %v does not re-encode: %v", got.WireType(), err)
 		}

@@ -25,21 +25,18 @@ func (s *segments) Write(p []byte) (int, error) {
 }
 
 // goldenFrames renders one line per frame: a label, then the hex of each
-// write the frame writer made. The cases are every sample message, untagged
-// and tagged, plus each bulk-tail message with a payload one byte below and
-// one byte above minVecTail, where the writer switches from one copied
-// frame to a head + tail pair of writes.
+// write the frame writer made. The cases are every sample message, plus
+// each bulk-tail message with a payload one byte below and one byte above
+// minVecTail, where the writer switches from one copied frame to a head +
+// tail pair of writes.
 func goldenFrames(t *testing.T) string {
 	type frameCase struct {
-		label  string
-		tagged bool
-		m      Message
+		label string
+		m     Message
 	}
 	var cases []frameCase
 	for _, m := range fuzzSampleMessages() {
-		cases = append(cases,
-			frameCase{m.WireType().String() + "/untagged", false, m},
-			frameCase{m.WireType().String() + "/tagged", true, m})
+		cases = append(cases, frameCase{m.WireType().String() + "/tagged", m})
 	}
 	for _, n := range []int{minVecTail - 1, minVecTail + 1} {
 		data := make([]byte, n)
@@ -54,18 +51,13 @@ func goldenFrames(t *testing.T) string {
 			&PeerGetResp{Status: StatusOK, Data: data},
 			&PeerPut{File: 3, Index: 5, Owner: 2, Epoch: 6, Data: data},
 		} {
-			cases = append(cases, frameCase{fmt.Sprintf("%v/tail%d", m.WireType(), n), true, m})
+			cases = append(cases, frameCase{fmt.Sprintf("%v/tail%d", m.WireType(), n), m})
 		}
 	}
 
 	var out strings.Builder
 	for _, c := range cases {
-		write := func(w io.Writer) error {
-			if c.tagged {
-				return WriteTagged(w, 0x0102030405060708, c.m)
-			}
-			return WriteMessage(w, c.m)
-		}
+		write := func(w io.Writer) error { return WriteTagged(w, 0x0102030405060708, c.m) }
 		var buf bytes.Buffer
 		var segs segments
 		if err := write(&buf); err != nil {

@@ -46,11 +46,11 @@ func TestReadBlocksRespRoundTrip(t *testing.T) {
 	}
 }
 
-// frameFor wraps a raw payload in an untagged frame of the given type.
+// frameFor wraps a raw payload in a frame of the given type, with tag 1.
 func frameFor(typ Type, payload []byte) []byte {
-	frame := make([]byte, 6, 6+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)+2))
-	binary.BigEndian.PutUint16(frame[4:6], uint16(typ))
+	frame := binary.BigEndian.AppendUint32(nil, uint32(2+8+len(payload))|tagBit)
+	frame = binary.BigEndian.AppendUint16(frame, uint16(typ))
+	frame = binary.BigEndian.AppendUint64(frame, 1)
 	return append(frame, payload...)
 }
 
@@ -60,7 +60,7 @@ func TestReadBlocksHostileCount(t *testing.T) {
 	payload := encodePayload(&ReadBlocks{Client: 1, File: 2})
 	// The extent count is the final u32 of an extent-less encoding.
 	binary.BigEndian.PutUint32(payload[len(payload)-4:], 0xffffffff)
-	if _, err := ReadMessage(bytes.NewReader(frameFor(TReadBlocks, payload))); err == nil {
+	if _, err := readMessage(bytes.NewReader(frameFor(TReadBlocks, payload))); err == nil {
 		t.Fatal("hostile extent count accepted")
 	}
 }
@@ -70,7 +70,7 @@ func TestReadBlocksHostileCount(t *testing.T) {
 func TestReadBlocksRespHostileCount(t *testing.T) {
 	payload := binary.BigEndian.AppendUint16(nil, uint16(StatusOK))
 	payload = binary.BigEndian.AppendUint32(payload, 0xffffffff) // Lens count with no bytes behind it
-	if _, err := ReadMessage(bytes.NewReader(frameFor(TReadBlocksResp, payload))); err == nil {
+	if _, err := readMessage(bytes.NewReader(frameFor(TReadBlocksResp, payload))); err == nil {
 		t.Fatal("hostile length count accepted")
 	}
 }
@@ -86,7 +86,7 @@ func TestReadBlocksRespLensMismatch(t *testing.T) {
 	} {
 		m := &ReadBlocksResp{Status: StatusOK, Lens: lens, Data: []byte("abc")}
 		payload := encodePayload(m)
-		if _, err := ReadMessage(bytes.NewReader(frameFor(TReadBlocksResp, payload))); err == nil {
+		if _, err := readMessage(bytes.NewReader(frameFor(TReadBlocksResp, payload))); err == nil {
 			t.Fatalf("lens %v accepted for 3-byte data", lens)
 		}
 	}

@@ -2,27 +2,22 @@
 // library, the metadata server (mgr), the I/O daemons (iod), and the cache
 // module's background threads (flusher, coherence).
 //
-// Framing is [u32 payload length][u16 message type][payload]. All integers
-// are big-endian. Variable-length fields are length-prefixed. The format is
-// hand-rolled on encoding/binary so the module stays stdlib-only.
-//
-// A frame may additionally carry a request tag so that responses can
-// complete out of order (see internal/rpc): when the high bit of the
-// length word is set, a u64 tag follows the type and the length counts
-// type + tag + payload. Untagged peers never set the bit, and a legacy
-// reader that receives a tagged frame fails cleanly with ErrTooLarge
-// rather than misparsing, because the bit lies far above MaxMessageSize.
+// Every frame is [u32 length|1<<31][u16 message type][u64 tag][payload].
+// All integers are big-endian; variable-length fields are length-prefixed;
+// the length counts type + tag + payload. The peer echoes the tag on the
+// response, so responses complete out of order (see internal/rpc). The
+// high bit of the length word marks the tag; a length word without it
+// fails with ErrUntagged. The format is hand-rolled on encoding/binary so
+// the module stays stdlib-only.
 //
 // The protocol deliberately mirrors the structure described in the paper:
 // data reads/writes and sync-writes travel on an iod's data port, flushes
 // travel on a separate flush port served by the iod-side flusher peer, and
 // invalidations travel from iods to the per-node cache module.
 //
-// Reads come in two shapes: Read fetches one contiguous range, and
-// ReadBlocks (see vector.go) fetches several disjoint extents of a file
-// from one iod in a single round trip — the cache module's miss engine
-// and readahead prefetcher, and libpvfs's multi-piece striped reads, ride
-// the vectored form.
+// Every read is a ReadBlocks (see vector.go): several disjoint extents of a
+// file from one iod in a single round trip. Read and ReadResp remain only
+// as a header-only pair for pvfsperf's rpc probe.
 package wire
 
 import (
@@ -135,6 +130,7 @@ var (
 	ErrDraining   = errors.New("wire: peer draining")
 	ErrOverload   = errors.New("wire: node overloaded, retry")
 	ErrTooLarge   = errors.New("wire: message exceeds size limit")
+	ErrUntagged   = errors.New("wire: untagged frame")
 )
 
 // StatusFor maps an error back to a status code for the server side.
@@ -461,9 +457,8 @@ func New(t Type) Message {
 	return nil
 }
 
-// tagBit marks a frame whose header carries a u64 request tag. It sits in
-// the length word, far above MaxMessageSize, so untagged readers reject
-// tagged frames instead of misparsing them.
+// tagBit marks a frame whose header carries a u64 request tag, which every
+// frame does. It sits in the length word, far above MaxMessageSize.
 const tagBit = 1 << 31
 
 // encoders recycle codecs with their frame buffers. decoders hold no buffer:
@@ -504,23 +499,11 @@ func getPayloadBuf(n int) []byte {
 	return b[:n]
 }
 
-func putPayloadBuf(b []byte) {
-	if cap(b) > pooledBufCap {
-		return
-	}
-	h, _ := payloadHolders.Get().(*[]byte)
-	if h == nil {
-		h = new([]byte)
-	}
-	*h = b[:0]
-	payloadPool.Put(h)
-}
-
-// poisonPayloads, when set, overwrites every payload buffer released via
-// ReleasePayload with PoisonByte before recycling it. Tests enable it so
-// an alias that outlives its lease reads an obvious poison pattern (and
-// trips the race detector on concurrent reuse) instead of silently reading
-// stale-but-plausible bytes.
+// poisonPayloads, when set, overwrites every payload buffer with
+// PoisonByte as it is recycled, whether the decoder recycles it or the
+// caller releases it. Tests enable it so an alias that outlives its buffer
+// reads an obvious poison pattern (and trips the race detector on
+// concurrent reuse) instead of silently reading stale-but-plausible bytes.
 var poisonPayloads atomic.Bool
 
 // PoisonByte is the fill pattern SetPoisonReleased stamps over released
@@ -533,7 +516,7 @@ func SetPoisonReleased(on bool) { poisonPayloads.Store(on) }
 
 // ReleasePayload recycles a payload buffer obtained from ReadFrameAliased.
 // It must be called exactly once, after every alias into the buffer is
-// dead. Nil is a no-op.
+// dead. Nil is a no-op. It is the one place a payload buffer is recycled.
 func ReleasePayload(b []byte) {
 	if b == nil {
 		return
@@ -543,39 +526,42 @@ func ReleasePayload(b []byte) {
 			b[i] = PoisonByte
 		}
 	}
-	putPayloadBuf(b)
+	if cap(b) > pooledBufCap {
+		return
+	}
+	h, _ := payloadHolders.Get().(*[]byte)
+	if h == nil {
+		h = new([]byte)
+	}
+	*h = b[:0]
+	payloadPool.Put(h)
 }
 
-// encodeFrame walks m into c.buf behind its frame header (tagged when
-// tagged is set). With vec set, a bulk tail of at least minVecTail bytes
-// stays in c.tailData instead of being copied (see codec.tail).
-func (c *codec) encodeFrame(tag uint64, tagged bool, m Message, vec bool) error {
+// encodeFrame walks m into c.buf behind its frame header. With vec set, a
+// bulk tail of at least minVecTail bytes stays in c.tailData instead of
+// being copied (see codec.tail).
+func (c *codec) encodeFrame(tag uint64, m Message, vec bool) error {
 	c.buf = binary.BigEndian.AppendUint16(append(c.buf[:0], 0, 0, 0, 0), uint16(m.WireType()))
-	if tagged {
-		c.buf = binary.BigEndian.AppendUint64(c.buf, tag)
-	}
+	c.buf = binary.BigEndian.AppendUint64(c.buf, tag)
 	c.vec = vec
 	m.walk(c)
 	size := len(c.buf) - 4 + len(c.tailData)
 	if size > MaxMessageSize {
 		return ErrTooLarge
 	}
-	word := uint32(size)
-	if tagged {
-		word |= tagBit
-	}
-	binary.BigEndian.PutUint32(c.buf, word)
+	binary.BigEndian.PutUint32(c.buf, uint32(size)|tagBit)
 	return nil
 }
 
-// writeFrame encodes m with a pooled codec and writes it: one write, or a
-// head + tail pair when the walk left a bulk tail uncopied, so a response's
-// payload is never copied into a frame. Callers serialize writes per
-// connection (rpc's per-connection write locks), so the two segments
-// cannot interleave with another frame.
-func writeFrame(w io.Writer, tag uint64, tagged bool, m Message) error {
+// WriteTagged frames and writes m to w with a request tag; the peer echoes
+// the tag on the response so replies can complete out of order. It makes
+// one write, or a head + tail pair when the walk left a bulk tail
+// uncopied, so a response's payload is never copied into a frame. Callers
+// serialize writes per connection (rpc's per-connection write locks), so
+// the two segments cannot interleave with another frame.
+func WriteTagged(w io.Writer, tag uint64, m Message) error {
 	c := encoders.Get().(*codec)
-	err := c.encodeFrame(tag, tagged, m, true)
+	err := c.encodeFrame(tag, m, true)
 	switch {
 	case err != nil:
 	case c.tailData == nil:
@@ -589,95 +575,49 @@ func writeFrame(w io.Writer, tag uint64, tagged bool, m Message) error {
 	return err
 }
 
-// WriteMessage frames and writes m to w in the untagged (legacy) format.
-func WriteMessage(w io.Writer, m Message) error {
-	return writeFrame(w, 0, false, m)
-}
-
-// WriteTagged frames and writes m to w with a request tag; the peer echoes
-// the tag on the response so replies can complete out of order.
-func WriteTagged(w io.Writer, tag uint64, m Message) error {
-	return writeFrame(w, tag, true, m)
-}
-
-// ReadMessage reads one untagged framed message from r. A tagged frame
-// fails with ErrTooLarge (the tag bit lies above the size limit).
-func ReadMessage(r io.Reader) (Message, error) {
-	_, tagged, m, err := ReadFrame(r)
-	if err != nil {
-		return nil, err
-	}
-	if tagged {
-		return nil, ErrTooLarge
-	}
-	return m, nil
-}
-
-// ReadFrame reads one framed message from r, accepting both the untagged
-// and the tagged format, and reports which one arrived. Every
-// variable-length field of the returned message is an independent copy.
-// The copying decode is kept on purpose: it is one flag of the decoder
-// ReadFrameAliased shares, the simplest possible peer for the
-// raw-connection tests (via ReadMessage), and the reference the
-// fuzz-equivalence targets compare the aliased decode against.
-func ReadFrame(r io.Reader) (tag uint64, tagged bool, m Message, err error) {
-	tag, tagged, m, _, err = readFrame(r, false)
-	return tag, tagged, m, err
-}
-
-// ReadFrameAliased is ReadFrame in zero-copy mode: bulk payload fields of
-// the decoded message (ReadResp.Data, Write.Data, flush block data, peer
-// block data, ...) alias the returned payload buffer instead of being
-// copied out of it. The caller owns payload and must pass it to
-// ReleasePayload exactly once, after every alias is dead; payload is nil
-// when the message kept no alias (the buffer was recycled internally).
+// ReadFrameAliased reads one frame from r and decodes it zero-copy: bulk
+// payload fields of the message (Write.Data, flush block data, peer block
+// data, ...) alias the returned payload buffer instead of being copied out
+// of it. The caller owns payload and must pass it to ReleasePayload
+// exactly once, after every alias is dead; payload is nil when the message
+// kept no alias (the buffer was recycled internally). tagged is true on
+// every nil-error return: a frame without the tag bit fails with
+// ErrUntagged, judged from its length word alone.
 func ReadFrameAliased(r io.Reader) (tag uint64, tagged bool, m Message, payload []byte, err error) {
-	return readFrame(r, true)
-}
-
-func readFrame(r io.Reader, alias bool) (tag uint64, tagged bool, m Message, retained []byte, err error) {
 	c := decoders.Get().(*codec)
 	defer putCodec(&decoders, c, nil)
-	hdr := c.hdr[:6]
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	hdr := c.hdr[:]
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return 0, false, nil, nil, err
 	}
-	word := binary.BigEndian.Uint32(hdr[0:4])
-	tagged = word&tagBit != 0
+	word := binary.BigEndian.Uint32(hdr[:4])
 	size := word &^ tagBit
-	min := uint32(2)
-	if tagged {
-		min = 2 + 8
-	}
-	if size < min || size > MaxMessageSize {
+	switch {
+	case word&tagBit == 0:
+		return 0, false, nil, nil, ErrUntagged
+	case size < 2+8 || size > MaxMessageSize:
 		return 0, false, nil, nil, ErrTooLarge
 	}
-	t := Type(binary.BigEndian.Uint16(hdr[4:6]))
-	if tagged {
-		tb := c.hdr[6:14]
-		if _, err := io.ReadFull(r, tb); err != nil {
-			return 0, false, nil, nil, err
-		}
-		tag = binary.BigEndian.Uint64(tb)
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return 0, false, nil, nil, err
 	}
-	plen := int(size - min)
-	payload := getPayloadBuf(plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		putPayloadBuf(payload)
+	t := Type(binary.BigEndian.Uint16(hdr[4:6]))
+	tag = binary.BigEndian.Uint64(hdr[6:14])
+	if payload, err = readPayload(r, int(size-2-8)); err != nil {
 		return 0, false, nil, nil, err
 	}
 	m = New(t)
 	if m == nil {
-		putPayloadBuf(payload)
+		ReleasePayload(payload)
 		return 0, false, nil, nil, fmt.Errorf("wire: unknown message type 0x%04x", uint16(t))
 	}
-	c.buf, c.dec, c.alias = payload, true, alias
+	c.buf, c.dec = payload, true
 	m.walk(c)
 	trailing := len(payload) - c.pos
 	if c.err != nil || trailing != 0 || !c.aliased {
 		// Nothing in the message aliases the buffer (or the message is
 		// rejected): recycle it now.
-		putPayloadBuf(payload)
+		ReleasePayload(payload)
 		payload = nil
 	}
 	if c.err != nil {
@@ -686,5 +626,23 @@ func readFrame(r io.Reader, alias bool) (tag uint64, tagged bool, m Message, ret
 	if trailing != 0 {
 		return 0, false, nil, nil, fmt.Errorf("wire: %d trailing bytes after %v", trailing, t)
 	}
-	return tag, tagged, m, payload, nil
+	return tag, true, m, payload, nil
+}
+
+// readPayload reads an n-byte payload. Up to pooledBufCap it is one pooled
+// buffer; beyond that the buffer doubles as bytes arrive, so a header that
+// declares more than its peer sends pins memory in proportion to what
+// arrived, not to what was declared.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	b := getPayloadBuf(min(n, pooledBufCap))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, b[got:]); err != nil {
+			ReleasePayload(b)
+			return nil, err
+		}
+		if got = len(b); got == n {
+			return b, nil
+		}
+		b = append(b, make([]byte, min(got, n-got))...)
+	}
 }

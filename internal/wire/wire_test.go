@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -18,8 +19,8 @@ func encodePayload(m Message) []byte {
 	return c.buf
 }
 
-// decodePayload walks payload into m in copying mode, without the frame
-// reader's trailing-bytes check.
+// decodePayload walks payload into m, without the frame reader's
+// trailing-bytes check; byte fields alias payload.
 func decodePayload(m Message, payload []byte) error {
 	c := codec{buf: payload, dec: true}
 	m.walk(&c)
@@ -41,14 +42,21 @@ func requireEveryType(t testing.TB, msgs []Message) {
 	}
 }
 
+// readMessage decodes one frame from r. The message's byte fields alias a
+// payload buffer that is never released, so they stay valid.
+func readMessage(r io.Reader) (Message, error) {
+	_, _, m, _, err := ReadFrameAliased(r)
+	return m, err
+}
+
 // roundTrip encodes m through a buffer and decodes it back.
 func roundTrip(t *testing.T, m Message) Message {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, m); err != nil {
+	if err := WriteTagged(&buf, 1, m); err != nil {
 		t.Fatalf("write %v: %v", m.WireType(), err)
 	}
-	got, err := ReadMessage(&buf)
+	got, err := readMessage(&buf)
 	if err != nil {
 		t.Fatalf("read %v: %v", m.WireType(), err)
 	}
@@ -146,7 +154,7 @@ func TestEmptyCollections(t *testing.T) {
 }
 
 func TestReadMessageTruncatedHeader(t *testing.T) {
-	_, err := ReadMessage(bytes.NewReader([]byte{0, 0, 0}))
+	_, err := readMessage(bytes.NewReader([]byte{0x80, 0, 0}))
 	if err == nil {
 		t.Fatal("expected error on truncated header")
 	}
@@ -154,11 +162,11 @@ func TestReadMessageTruncatedHeader(t *testing.T) {
 
 func TestReadMessageTruncatedPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, &Read{File: 1, Offset: 2, Length: 3}); err != nil {
+	if err := WriteTagged(&buf, 1, &Read{File: 1, Offset: 2, Length: 3}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	_, err := ReadMessage(bytes.NewReader(raw[:len(raw)-2]))
+	_, err := readMessage(bytes.NewReader(raw[:len(raw)-2]))
 	if err == nil {
 		t.Fatal("expected error on truncated payload")
 	}
@@ -168,8 +176,8 @@ func TestReadMessageTruncatedPayload(t *testing.T) {
 }
 
 func TestReadMessageUnknownType(t *testing.T) {
-	frame := []byte{0, 0, 0, 2, 0xFF, 0xFF}
-	_, err := ReadMessage(bytes.NewReader(frame))
+	frame := frameFor(Type(0xFFFF), nil)
+	_, err := readMessage(bytes.NewReader(frame))
 	if err == nil {
 		t.Fatal("expected unknown-type error")
 	}
@@ -177,7 +185,7 @@ func TestReadMessageUnknownType(t *testing.T) {
 
 func TestReadMessageOversize(t *testing.T) {
 	frame := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0}
-	_, err := ReadMessage(bytes.NewReader(frame))
+	_, err := readMessage(bytes.NewReader(frame))
 	if err != ErrTooLarge {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}
@@ -186,14 +194,13 @@ func TestReadMessageOversize(t *testing.T) {
 func TestReadMessageTrailingBytes(t *testing.T) {
 	// A Stat payload is exactly 8 bytes; declare 2 extra.
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, &Stat{File: 1}); err != nil {
+	if err := WriteTagged(&buf, 1, &Stat{File: 1}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	raw = append(raw, 0xEE, 0xEE)
-	// patch the length field: payload = 2 (type) ... wait, length counts type+payload
-	raw[3] += 2
-	_, err := ReadMessage(bytes.NewReader(raw))
+	raw[3] += 2 // the length word counts type + tag + payload
+	_, err := readMessage(bytes.NewReader(raw))
 	if err == nil {
 		t.Fatal("expected trailing-bytes error")
 	}
@@ -231,10 +238,10 @@ func TestReadRoundTripProperty(t *testing.T) {
 	f := func(client uint32, file uint64, off, length int64, track bool) bool {
 		m := &Read{Client: client, File: blockio.FileID(file), Offset: off, Length: length, Track: track}
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, m); err != nil {
+		if err := WriteTagged(&buf, 1, m); err != nil {
 			return false
 		}
-		got, err := ReadMessage(&buf)
+		got, err := readMessage(&buf)
 		if err != nil {
 			return false
 		}
@@ -250,10 +257,10 @@ func TestWriteRoundTripProperty(t *testing.T) {
 	f := func(data []byte, off int64) bool {
 		m := &Write{Client: 1, File: 2, Offset: off, Data: data}
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, m); err != nil {
+		if err := WriteTagged(&buf, 1, m); err != nil {
 			return false
 		}
-		got, err := ReadMessage(&buf)
+		got, err := readMessage(&buf)
 		if err != nil {
 			return false
 		}
@@ -268,17 +275,17 @@ func TestWriteRoundTripProperty(t *testing.T) {
 func TestBackToBackMessages(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 10; i++ {
-		if err := WriteMessage(&buf, &Stat{File: blockio.FileID(i)}); err != nil {
+		if err := WriteTagged(&buf, uint64(i), &Stat{File: blockio.FileID(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 10; i++ {
-		m, err := ReadMessage(&buf)
+		tag, _, m, _, err := ReadFrameAliased(&buf)
 		if err != nil {
 			t.Fatalf("msg %d: %v", i, err)
 		}
-		if got := m.(*Stat).File; got != blockio.FileID(i) {
-			t.Errorf("msg %d: file = %d", i, got)
+		if got := m.(*Stat).File; got != blockio.FileID(i) || tag != uint64(i) {
+			t.Errorf("msg %d: file = %d, tag = %d", i, got, tag)
 		}
 	}
 }
@@ -289,7 +296,7 @@ func TestTaggedRoundTrip(t *testing.T) {
 	if err := WriteTagged(&buf, 0xdeadbeefcafe, want); err != nil {
 		t.Fatal(err)
 	}
-	tag, tagged, m, err := ReadFrame(&buf)
+	tag, tagged, m, _, err := ReadFrameAliased(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,30 +309,18 @@ func TestTaggedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadFrameAcceptsUntagged(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, &Stat{File: 9}); err != nil {
-		t.Fatal(err)
-	}
-	tag, tagged, m, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tagged || tag != 0 {
-		t.Fatalf("untagged frame reported tag %#x tagged %v", tag, tagged)
-	}
-	if m.(*Stat).File != 9 {
-		t.Fatalf("bad payload: %+v", m)
-	}
-}
-
-func TestLegacyReaderRejectsTaggedFrame(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteTagged(&buf, 42, &Stat{File: 9}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadMessage(&buf); err == nil {
-		t.Fatal("legacy ReadMessage accepted a tagged frame")
+// TestUntaggedFrameRejected: a frame without the tag bit in its length
+// word is the retired untagged form, rejected from the length word alone —
+// before the type, the payload or any buffer.
+func TestUntaggedFrameRejected(t *testing.T) {
+	for _, frame := range [][]byte{
+		{0, 0, 0, 0x0a, 0x01, 0x05, 0, 0, 0, 0, 0, 0, 0, 7}, // an untagged Stat
+		{0, 0, 0, 0x0a},                // its length word, and nothing behind it
+		{0x7F, 0xFF, 0xFF, 0xFF, 0, 0}, // an untagged length past the limit
+	} {
+		if _, err := readMessage(bytes.NewReader(frame)); err != ErrUntagged {
+			t.Errorf("% x: err %v, want ErrUntagged", frame, err)
+		}
 	}
 }
 
@@ -333,10 +328,10 @@ func TestLegacyReaderRejectsTaggedFrame(t *testing.T) {
 // a response whose counts differ is rejected rather than misread.
 func TestViewRespListParity(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, &ViewResp{Epoch: 3, IDs: []uint32{1, 2}, Addrs: []string{"node1:9100"}}); err != nil {
+	if err := WriteTagged(&buf, 1, &ViewResp{Epoch: 3, IDs: []uint32{1, 2}, Addrs: []string{"node1:9100"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMessage(&buf); err == nil {
+	if _, err := readMessage(&buf); err == nil {
 		t.Fatal("ViewResp with 2 IDs and 1 address accepted")
 	}
 }
@@ -348,12 +343,53 @@ func TestHostileCountRejected(t *testing.T) {
 		payload := encodePayload(m)
 		// The count is the last u32 in each empty encoding; overwrite it.
 		binary.BigEndian.PutUint32(payload[len(payload)-4:], 0xffffffff)
-		frame := make([]byte, 6, 6+len(payload))
-		binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)+2))
-		binary.BigEndian.PutUint16(frame[4:6], uint16(m.WireType()))
-		frame = append(frame, payload...)
-		if _, err := ReadMessage(bytes.NewReader(frame)); err == nil {
+		if _, err := readMessage(bytes.NewReader(frameFor(m.WireType(), payload))); err == nil {
 			t.Errorf("%v: hostile count accepted", m.WireType())
+		}
+	}
+}
+
+// TestHeaderOnlyFrameAllocation sends a header that declares a
+// MaxMessageSize payload and then ends: the reader may take one pooled
+// buffer, not the declared 64 MB, so an idle hostile connection pins
+// little memory while its read blocks.
+func TestHeaderOnlyFrameAllocation(t *testing.T) {
+	hdr := frameFor(TWrite, nil)
+	binary.BigEndian.PutUint32(hdr, MaxMessageSize|tagBit)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, payload, err := ReadFrameAliased(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil || payload != nil {
+		t.Fatalf("header-only frame: err %v, payload retained %v", err, payload != nil)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+		t.Fatalf("header-only frame allocated %d bytes, want ≤ 2 MB", got)
+	}
+}
+
+// TestLargeFrameRoundTrip: a payload past the pooled buffer size grows as
+// it arrives and still decodes byte-identical; cut short, it is rejected.
+func TestLargeFrameRoundTrip(t *testing.T) {
+	data := make([]byte, 5<<20+1)
+	for i := range data {
+		data[i] = byte(i * 131)
+	}
+	var buf bytes.Buffer
+	if err := WriteTagged(&buf, 9, &Write{Client: 1, File: 2, Offset: 3, Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	m, err := readMessage(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := m.(*Write); w.Offset != 3 || !bytes.Equal(w.Data, data) {
+		t.Fatalf("5 MB Write decoded %d bytes at offset %d, not the sent ones", len(w.Data), w.Offset)
+	}
+	for _, cut := range []int{len(frame) - 1, 3 << 20, pooledBufCap + 14, 100} {
+		if _, _, _, payload, err := ReadFrameAliased(bytes.NewReader(frame[:cut])); err == nil || payload != nil {
+			t.Fatalf("frame cut at %d bytes: err %v, payload retained %v", cut, err, payload != nil)
 		}
 	}
 }

@@ -63,10 +63,10 @@ func (p *fuzzProg) name() string {
 }
 
 // file picks an ID the mgr handed out (live or unlinked), or a raw one.
-func (p *fuzzProg) file(issued []blockio.FileID) blockio.FileID {
+func (p *fuzzProg) file(given []blockio.FileID) blockio.FileID {
 	sel := p.byte()
-	if sel < 0xC0 && len(issued) > 0 {
-		return issued[int(sel)%len(issued)]
+	if sel < 0xC0 && len(given) > 0 {
+		return given[int(sel)%len(given)]
 	}
 	return blockio.FileID(p.uint(8))
 }
@@ -76,7 +76,7 @@ func (p *fuzzProg) file(issued []blockio.FileID) blockio.FileID {
 type mgrModel struct {
 	byName  map[string]blockio.FileID
 	meta    map[blockio.FileID]wire.FileMeta // live files
-	issued  []blockio.FileID                 // every ID handed out
+	given   []blockio.FileID                 // every ID handed out
 	members map[uint32]string
 	epoch   uint64
 }
@@ -183,16 +183,17 @@ func FuzzMgrHandle(f *testing.F) {
 				if want.SSize == 0 {
 					want.SSize = DefaultStripSize
 				}
-				if r.Meta != want || r.File == 0 || slices.Contains(md.issued, r.File) {
+				if r.Meta != want || r.File == 0 || slices.Contains(md.given, r.File) {
 					t.Fatalf("create %+v answered file %d meta %+v; want a fresh ID and %+v", req, r.File, r.Meta, want)
 				}
 				md.byName[req.Name], md.meta[r.File] = r.File, r.Meta
-				md.issued = append(md.issued, r.File)
-				md.checkFile(t, s, req.Name, r.File)
+				md.given = append(md.given, r.File)
+				md.checkName(t, s, req.Name)
+				md.checkID(t, s, r.File)
 			case fuzzOpen:
 				md.checkName(t, s, p.name())
 			case fuzzStat:
-				md.checkID(t, s, p.file(md.issued))
+				md.checkID(t, s, p.file(md.given))
 			case fuzzUnlink:
 				req := &wire.Unlink{Name: p.name()}
 				r := reply[*wire.StatusMsg](t, req, s.handle(req))
@@ -207,7 +208,7 @@ func FuzzMgrHandle(f *testing.F) {
 					md.checkID(t, s, id)
 				}
 			case fuzzSetSize:
-				req := &wire.SetSize{File: p.file(md.issued), Size: int64(p.uint(8))}
+				req := &wire.SetSize{File: p.file(md.given), Size: int64(p.uint(8))}
 				r := reply[*wire.StatusMsg](t, req, s.handle(req))
 				meta, live := md.meta[req.File]
 				want := wire.StatusOK
@@ -279,13 +280,6 @@ func (md *mgrModel) checkID(t *testing.T, s *Server, id blockio.FileID) {
 	case ok && (r.Status != wire.StatusOK || r.Meta != meta):
 		t.Fatalf("stat %d: status %d meta %+v, want %+v", id, r.Status, r.Meta, meta)
 	}
-}
-
-// checkFile checks a just-created file through both Open and Stat.
-func (md *mgrModel) checkFile(t *testing.T, s *Server, name string, id blockio.FileID) {
-	t.Helper()
-	md.checkName(t, s, name)
-	md.checkID(t, s, id)
 }
 
 // checkView sends a membership request and checks the view it answers

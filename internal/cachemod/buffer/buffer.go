@@ -225,8 +225,12 @@ type block struct {
 
 	validOff, validLen int
 	dirtyOff, dirtyLen int
-	written            bool   // any write this residency (dirtying or sync)
-	dirtySeq           uint64 // manager-wide age stamp of the dirty enqueue
+	written            bool // any write this residency (dirtying or sync)
+	// prefetched marks a frame the prefetcher installed that no demand
+	// read has hit yet (see AdmitPrefetch). The frame-recycle point clears
+	// it, so the mark never outlives the bytes it describes.
+	prefetched bool
+	dirtySeq   uint64 // manager-wide age stamp of the dirty enqueue
 	// inflight is the token of the flush snapshot in flight to the iod —
 	// the key's write stamp when it was cut (see snapshotForFlush) — or 0
 	// when none is. Only a dirty block is ever in flight.
@@ -431,12 +435,25 @@ func (m *Manager) ShardCount() int { return len(m.shards) }
 // ReadSpan copies the bytes [off, off+len(dst)) of the block into dst if
 // they are all valid in the cache. It returns false — and counts a miss —
 // otherwise. A hit marks the block referenced and refreshes its LRU
-// position within its shard.
+// position within its shard. It leaves the frame's prefetch bit alone.
 func (m *Manager) ReadSpan(key blockio.BlockKey, off int, dst []byte) bool {
+	hit, _ := m.readSpan(key, off, dst, false)
+	return hit
+}
+
+// ReadSpanDemand is ReadSpan for a demand read: in the same lock
+// acquisition a hit consumes the frame's prefetch bit, and prefetchHit
+// reports whether it was set — this is the first demand hit on a block the
+// prefetcher installed.
+func (m *Manager) ReadSpanDemand(key blockio.BlockKey, off int, dst []byte) (hit, prefetchHit bool) {
+	return m.readSpan(key, off, dst, true)
+}
+
+func (m *Manager) readSpan(key blockio.BlockKey, off int, dst []byte, consume bool) (hit, prefetchHit bool) {
 	if len(dst) == 0 {
-		return true
+		return true, false
 	}
-	return m.shardFor(key).readSpan(key, off, dst)
+	return m.shardFor(key).readSpan(key, off, dst, consume)
 }
 
 // Contains reports whether the whole span is valid in the cache without
@@ -480,7 +497,7 @@ func (m *Manager) InsertClean(key blockio.BlockKey, owner int, data []byte) Outc
 	if len(data) > m.cfg.BlockSize {
 		panic("buffer: InsertClean data exceeds block size")
 	}
-	return m.shardFor(key).insertClean(key, owner, data, false)
+	return m.shardFor(key).insertClean(key, owner, data)
 }
 
 // WriteStamp returns the block's current write stamp. The stamp advances
@@ -502,7 +519,7 @@ func (m *Manager) WriteStamp(key blockio.BlockKey) uint32 {
 // the caller's buffer to the canonical bytes, in one shard-lock
 // acquisition. data should be a whole-block buffer; it is mutated in
 // place so that the copy the caller goes on to hand out — to readers,
-// fetch-join waiters, the readahead marks, the global cache — matches
+// fetch-join waiters, the global cache — matches
 // what the cache holds: resident valid bytes win over the fetch. They are
 // this node's newest view of the block (unflushed dirty data has not
 // reached the iod at all, and even just-cleaned data may have landed at
@@ -525,20 +542,33 @@ func (m *Manager) InstallFetched(key blockio.BlockKey, owner int, data []byte, s
 	if len(data) != m.cfg.BlockSize {
 		panic("buffer: InstallFetched requires a whole-block image")
 	}
-	return m.shardFor(key).installFetched(key, owner, data, false, stamp)
+	return m.shardFor(key).installFetched(key, owner, data, 0, stamp)
 }
 
-// InstallFetchedAdmit is InstallFetched with the discretionary-admission
-// override: must set means the caller carries a must-cache hint, so under
-// PolicyGhost the block is admitted into the protected segment directly
-// (its reuse is asserted by the application, not proven by history) and is
-// never rejected by the admission gate. Under the other policies must has
-// no effect.
-func (m *Manager) InstallFetchedAdmit(key blockio.BlockKey, owner int, data []byte, must bool, stamp uint32) Outcome {
+// Admit qualifies an install of a fetched image (InstallFetchedAdmit). The
+// zero value is a plain demand install.
+type Admit uint8
+
+const (
+	// AdmitMust is the discretionary-admission override: the caller carries
+	// a must-cache hint, so under PolicyGhost the block is admitted into the
+	// protected segment directly (its reuse is asserted by the application,
+	// not proven by history) and is never rejected by the admission gate.
+	// Under the other policies it has no effect.
+	AdmitMust Admit = 1 << iota
+	// AdmitPrefetch marks a speculative install: the frame carries a
+	// prefetch bit until a demand read consumes it (ReadSpanDemand,
+	// OverlaySpan) or the frame is recycled (eviction or invalidation). An
+	// install without it is a demand install and clears the bit.
+	AdmitPrefetch
+)
+
+// InstallFetchedAdmit is InstallFetched qualified by admit (see Admit).
+func (m *Manager) InstallFetchedAdmit(key blockio.BlockKey, owner int, data []byte, admit Admit, stamp uint32) Outcome {
 	if len(data) != m.cfg.BlockSize {
 		panic("buffer: InstallFetchedAdmit requires a whole-block image")
 	}
-	return m.shardFor(key).installFetched(key, owner, data, must, stamp)
+	return m.shardFor(key).installFetched(key, owner, data, admit, stamp)
 }
 
 // PatchResident overlays the block's resident valid bytes onto data (a
@@ -564,9 +594,11 @@ func (m *Manager) PatchResident(key blockio.BlockKey, data []byte, stamp uint32)
 // request that joined later may have begun after further writes were
 // acked into the cache; re-overlaying at copy time serves the node's
 // newest view instead of the pre-write snapshot. A non-resident block
-// leaves dst untouched.
-func (m *Manager) OverlaySpan(key blockio.BlockKey, off int, dst []byte) {
-	m.shardFor(key).overlaySpan(key, off, dst)
+// leaves dst untouched. The overlay is a demand access to the resident
+// frame, so like ReadSpanDemand it consumes the frame's prefetch bit and
+// reports whether it was set.
+func (m *Manager) OverlaySpan(key blockio.BlockKey, off int, dst []byte) (prefetchHit bool) {
+	return m.shardFor(key).overlaySpan(key, off, dst)
 }
 
 // NoteBypass counts one block intentionally served around the cache (the
@@ -958,10 +990,10 @@ func (m *Manager) FreeCount() int {
 // resident block routes to the shard holding it and sits on exactly one
 // replacement queue — the one the policy reads — the dirty queues hold
 // exactly the dirty blocks, only a dirty block carries an in-flight token,
-// a free frame carries no links and no token, and the ghost history is a
-// bounded set of non-resident keys. It is meant for tests (the concurrency
-// stress wall calls it after every storm); it takes each shard's lock in
-// turn.
+// a free frame carries no links, no token and no prefetch bit, and the
+// ghost history is a bounded set of non-resident keys. It is meant for
+// tests (the concurrency stress wall calls it after every storm); it takes
+// each shard's lock in turn.
 func (m *Manager) CheckConsistency() error {
 	total := 0
 	for i, s := range m.shards {

@@ -186,6 +186,68 @@ func TestInstallFetchedPatchesCallerBuffer(t *testing.T) {
 	}
 }
 
+// TestPrefetchBitLifecycle follows a frame's prefetch bit: a prefetch
+// install sets it, the first demand read (ReadSpanDemand or OverlaySpan)
+// consumes it and a plain ReadSpan leaves it alone, and eviction,
+// invalidation and a demand install each clear it — so a frame a later
+// write allocates for the key never reports a prefetch hit.
+func TestPrefetchBitLifecycle(t *testing.T) {
+	install := func(m *Manager, k blockio.BlockKey, admit Admit) {
+		t.Helper()
+		if got := m.InstallFetchedAdmit(k, 0, fill(1, 64), admit, m.WriteStamp(k)); got != OutcomeOK {
+			t.Fatalf("install %v: %v", k, got)
+		}
+	}
+	demand := func(m *Manager, k blockio.BlockKey) bool {
+		t.Helper()
+		hit, prefetched := m.ReadSpanDemand(k, 8, make([]byte, 8))
+		if !hit {
+			t.Fatalf("demand read of %v missed", k)
+		}
+		return prefetched
+	}
+
+	m := mgr(4, PolicyClock)
+	k := key(1, 0)
+	install(m, k, AdmitPrefetch)
+	if !m.ReadSpan(k, 0, make([]byte, 8)) || !demand(m, k) {
+		t.Fatal("ReadSpan consumed the bit, or the first demand read did not report it")
+	}
+	if demand(m, k) {
+		t.Fatal("second demand read reported a prefetch hit")
+	}
+	install(m, k, AdmitPrefetch|AdmitMust)
+	if !m.OverlaySpan(k, 0, make([]byte, 8)) || m.OverlaySpan(k, 0, make([]byte, 8)) || demand(m, k) {
+		t.Fatal("OverlaySpan did not consume the bit exactly once")
+	}
+
+	for name, drop := range map[string]func(m *Manager, k blockio.BlockKey){
+		"eviction": func(m *Manager, k blockio.BlockKey) {
+			for i := 0; m.Contains(k, 0, 64) && i < 64; i++ {
+				m.InsertClean(key(9, i), 0, fill(9, 64))
+			}
+		},
+		"invalidate":     func(m *Manager, k blockio.BlockKey) { m.Invalidate(k) },
+		"demand install": func(m *Manager, k blockio.BlockKey) { install(m, k, 0) },
+	} {
+		m := mgr(4, PolicyClock)
+		install(m, k, AdmitPrefetch)
+		drop(m, k)
+		if !m.Contains(k, 0, 64) {
+			// The frame was recycled: a write allocates a fresh one.
+			if got := m.WriteSpan(k, 0, 0, fill(2, 64), true); got != OutcomeOK {
+				t.Fatalf("%s: write %v", name, got)
+			}
+		}
+		if demand(m, k) {
+			t.Errorf("%s: the prefetch bit survived", name)
+		}
+		if err := m.CheckConsistency(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestDirtyFlushCycle(t *testing.T) {
 	m := mgr(8, PolicyClock)
 	m.WriteSpan(key(1, 0), 3, 4, fill(1, 12), true)

@@ -176,7 +176,7 @@ func TestGhostAdmissionGateRejectsUnproven(t *testing.T) {
 	}
 	// A must-cache install (per-open hint) also overrides, landing
 	// pinned-protected.
-	if got := m.InstallFetchedAdmit(key(2, 2), 0, fill(5, 64), true, m.WriteStamp(key(2, 2))); got != OutcomeOK {
+	if got := m.InstallFetchedAdmit(key(2, 2), 0, fill(5, 64), AdmitMust, m.WriteStamp(key(2, 2))); got != OutcomeOK {
 		t.Fatalf("must-cache install = %v", got)
 	}
 	if err := m.CheckConsistency(); err != nil {

@@ -230,6 +230,9 @@ func TestRequestPathAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { m.ReadSpan(key(1, 7), 0, buf) }); n != 0 {
 		t.Errorf("hit: %v allocs/op, want 0", n)
 	}
+	if n := testing.AllocsPerRun(1000, func() { m.ReadSpanDemand(key(1, 7), 0, buf) }); n != 0 {
+		t.Errorf("demand hit: %v allocs/op, want 0", n)
+	}
 	next := capacity
 	if n := testing.AllocsPerRun(1000, func() {
 		m.InsertClean(key(1, next%(4*capacity)), 0, buf)
@@ -265,8 +268,8 @@ func TestRequestPathAllocatesNothing(t *testing.T) {
 
 // TestCheckConsistencyCatchesQueueDamage corrupts one invariant at a time
 // and expects the checker to object: a resident frame on a queue its
-// policy does not read, a free frame still carrying a token or a link, a
-// clean frame marked in flight.
+// policy does not read, a free frame still carrying a token, a link or a
+// prefetch bit, a clean frame marked in flight.
 func TestCheckConsistencyCatchesQueueDamage(t *testing.T) {
 	damage := map[string]func(s *shard, resident, free *block){
 		"resident on the wrong queue": func(s *shard, resident, _ *block) {
@@ -276,6 +279,7 @@ func TestCheckConsistencyCatchesQueueDamage(t *testing.T) {
 		"resident on no queue":     func(_ *shard, resident, _ *block) { resident.repl.unlink() },
 		"free frame with a token":  func(_ *shard, _, free *block) { free.inflight = 7 },
 		"free frame still linked":  func(s *shard, _, free *block) { s.dirtyQ.pushBack(&free.dirt) },
+		"free frame prefetched":    func(_ *shard, _, free *block) { free.prefetched = true },
 		"clean frame in flight":    func(_ *shard, resident, _ *block) { resident.inflight = 7 },
 		"queue length out of step": func(s *shard, _, _ *block) { s.ring.n++ },
 	}

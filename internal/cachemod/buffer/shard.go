@@ -63,22 +63,26 @@ type shard struct {
 	ghostHits, admissionRejects, protectedEvictions, bypassReads atomic.Int64
 }
 
-// readSpan is ReadSpan for keys routed to this shard.
-func (s *shard) readSpan(key blockio.BlockKey, off int, dst []byte) bool {
+// readSpan is ReadSpan for keys routed to this shard; consume takes the
+// frame's prefetch bit on a hit and reports whether it was set.
+func (s *shard) readSpan(key blockio.BlockKey, off int, dst []byte, consume bool) (hit, prefetched bool) {
 	s.mu.Lock()
 	b, ok := s.table[key]
 	if !ok || !covers(b.validOff, b.validLen, off, len(dst)) {
 		s.mu.Unlock()
 		s.misses.Add(1)
 		s.ctrs.misses.Inc()
-		return false
+		return false, false
 	}
 	copy(dst, b.data[off:off+len(dst)])
 	s.touch(b)
+	if consume {
+		prefetched, b.prefetched = b.prefetched, false
+	}
 	s.mu.Unlock()
 	s.hits.Add(1)
 	s.ctrs.hits.Inc()
-	return true
+	return true, prefetched
 }
 
 // contains is Contains for keys routed to this shard.
@@ -150,17 +154,17 @@ func (s *shard) advanceStamp(key blockio.BlockKey) {
 }
 
 // insertClean is InsertClean for keys routed to this shard.
-func (s *shard) insertClean(key blockio.BlockKey, owner int, data []byte, must bool) Outcome {
+func (s *shard) insertClean(key blockio.BlockKey, owner int, data []byte) Outcome {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.insertCleanLocked(key, owner, data, must)
+	return s.insertCleanLocked(key, owner, data, 0)
 }
 
 // installFetched is InstallFetched for keys routed to this shard: check
 // the fetcher's stamp, patch the caller's image with the resident valid
 // bytes, then install it, all under one lock so the stamp check, the
 // installed copy, and the handed-out copy cannot diverge in between.
-func (s *shard) installFetched(key blockio.BlockKey, owner int, data []byte, must bool, stamp uint32) Outcome {
+func (s *shard) installFetched(key blockio.BlockKey, owner int, data []byte, admit Admit, stamp uint32) Outcome {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stamps[key] != stamp {
@@ -172,21 +176,23 @@ func (s *shard) installFetched(key blockio.BlockKey, owner int, data []byte, mus
 	if b, ok := s.table[key]; ok && b.validLen > 0 {
 		copy(data[b.validOff:], b.data[b.validOff:b.validOff+b.validLen])
 	}
-	return s.insertCleanLocked(key, owner, data, must)
+	return s.insertCleanLocked(key, owner, data, admit)
 }
 
 // overlaySpan is OverlaySpan for keys routed to this shard.
-func (s *shard) overlaySpan(key blockio.BlockKey, off int, dst []byte) {
+func (s *shard) overlaySpan(key blockio.BlockKey, off int, dst []byte) (prefetched bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.table[key]
 	if !ok || b.validLen == 0 {
-		return
+		return false
 	}
 	lo, hi := max(b.validOff, off), min(b.validOff+b.validLen, off+len(dst))
 	if lo < hi {
 		copy(dst[lo-off:], b.data[lo:hi])
 	}
+	prefetched, b.prefetched = b.prefetched, false
+	return prefetched
 }
 
 // patchResident is PatchResident for keys routed to this shard.
@@ -210,10 +216,13 @@ func (s *shard) writeStamp(key blockio.BlockKey) uint32 {
 	return s.stamps[key]
 }
 
-// insertCleanLocked is insertClean's body (s.mu held).
-func (s *shard) insertCleanLocked(key blockio.BlockKey, owner int, data []byte, must bool) Outcome {
+// insertCleanLocked is insertClean's body (s.mu held). The install sets
+// the frame's prefetch bit when admit carries AdmitPrefetch and clears it
+// otherwise.
+func (s *shard) insertCleanLocked(key blockio.BlockKey, owner int, data []byte, admit Admit) Outcome {
 	b, ok := s.table[key]
 	if !ok {
+		must := admit&AdmitMust != 0
 		b = s.allocate(key, owner, must, must)
 		if b == nil {
 			s.ctrs.insertNoSpace.Inc()
@@ -222,6 +231,7 @@ func (s *shard) insertCleanLocked(key blockio.BlockKey, owner int, data []byte, 
 		n := copy(b.data, data)
 		zero(b.data[n:])
 		b.validOff, b.validLen = 0, s.cfg.BlockSize
+		b.prefetched = admit&AdmitPrefetch != 0
 		return OutcomeOK
 	}
 	// Merge: resident valid bytes win — they are this node's newest view
@@ -243,6 +253,7 @@ func (s *shard) insertCleanLocked(key blockio.BlockKey, owner int, data []byte, 
 		zero(b.data[ve:])
 	}
 	b.validOff, b.validLen = 0, s.cfg.BlockSize
+	b.prefetched = admit&AdmitPrefetch != 0
 	s.touch(b)
 	return OutcomeOK
 }
@@ -487,7 +498,9 @@ func (s *shard) evictBlock(v *block) {
 }
 
 // removeBlock detaches a block from its queues and returns its frame, with
-// no residency state left on it, to the free list.
+// no residency state left on it, to the free list. It is the one
+// frame-recycle point (eviction and every invalidation), so clearing the
+// prefetch bit here is what keeps a mark from outliving its bytes.
 func (s *shard) removeBlock(b *block) {
 	if b.written {
 		// A written block leaving the table advances its write stamp: an
@@ -506,6 +519,7 @@ func (s *shard) removeBlock(b *block) {
 		s.markClean(b)
 	}
 	b.inflight = 0
+	b.prefetched = false
 	b.validOff, b.validLen = 0, 0
 	s.free = append(s.free, b)
 }
@@ -673,8 +687,8 @@ func (s *shard) checkConsistency(shardIdx int, mask uint64) error {
 		}
 	}
 	for _, b := range s.free {
-		if b.repl != (link{b: b}) || b.dirt != (link{b: b}) || b.dirtyLen != 0 || b.inflight != 0 {
-			return fmt.Errorf("shard %d: free frame retains links, dirty state or an in-flight token", shardIdx)
+		if b.repl != (link{b: b}) || b.dirt != (link{b: b}) || b.dirtyLen != 0 || b.inflight != 0 || b.prefetched {
+			return fmt.Errorf("shard %d: free frame retains links, dirty state, an in-flight token or a prefetch bit", shardIdx)
 		}
 	}
 	return s.ghost.check(s, shardIdx, mask)

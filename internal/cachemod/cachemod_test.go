@@ -552,13 +552,6 @@ func TestWriteLargerThanCacheCompletes(t *testing.T) {
 	}
 }
 
-func TestDisableCoherenceSkipsRegistration(t *testing.T) {
-	r := newRig(t, func(c *Config) { c.DisableCoherence = true })
-	tr := r.mod.NewTransport()
-	r.seed(0, 1, 0, make([]byte, 4096))
-	readAt(t, tr, 0, 1, 0, 4096)
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("missing network accepted")

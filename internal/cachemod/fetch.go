@@ -229,16 +229,16 @@ func (m *Module) awaitJoin(w tgtSpan) bool {
 	// cache. Re-overlay the resident valid bytes — and, because the overlay
 	// only helps while the newer bytes are resident, check the stamp: if it
 	// moved past the one the install validated, the write may be flushed
-	// and evicted already (rule 5).
-	m.buf.OverlaySpan(key, off, w.dst)
+	// and evicted already (rule 5). The overlay reads the resident frame,
+	// so it is the join's demand access: it consumes the prefetch bit.
+	if m.buf.OverlaySpan(key, off, w.dst) {
+		m.ctr.prefetchHits.Inc()
+	}
 	fresh := m.buf.WriteStamp(key) == st.finalStamp
 	if !fresh {
 		m.ctr.joinStaleRefetches.Inc()
 	}
 	m.ctr.fetchJoins.Inc()
-	if st.prefetch {
-		m.notePrefetchHit(key)
-	}
 	return fresh
 }
 
@@ -377,7 +377,7 @@ func (m *Module) landRun(iod int, run fetchRun, data []byte, admit admitMode) er
 		// written mid-flight — possibly flushed and evicted, leaving nothing
 		// resident to patch from — is refused whole and re-read (readInstall).
 		stamp := st.stamp
-		if m.installImage(key, iod, img, admit, stamp) == buffer.OutcomeStale {
+		if m.installImage(key, iod, img, admit, st.prefetch, stamp) == buffer.OutcomeStale {
 			if st.prefetch {
 				// Prefetch difference: a stale image is dropped, not re-read.
 				// Nobody asked for the block yet, so a synchronous re-read
@@ -395,10 +395,8 @@ func (m *Module) landRun(iod int, run fetchRun, data []byte, admit admitMode) er
 		case admit == admitNever:
 			m.buf.NoteBypass(key)
 		case st.prefetch:
-			// Prefetch differences: the block gets a readahead mark (the
-			// hit-ratio accounting) and is not pushed to the global cache —
-			// speculation must not spend the home node's frames.
-			m.markPrefetched(key)
+			// Prefetch difference: the block is not pushed to the global
+			// cache — speculation must not spend the home node's frames.
 		case m.gcNode != nil:
 			// Feed the global cache: the home node copies the block before
 			// Push returns, so the slab's lifetime is not extended.
@@ -406,10 +404,6 @@ func (m *Module) landRun(iod int, run fetchRun, data []byte, admit admitMode) er
 		}
 		if st.prefetch {
 			m.ctr.prefetchBlocks.Inc()
-		} else {
-			// A demand install: a mark left by an earlier prefetched copy
-			// that left the cache unhit no longer applies.
-			m.dropPrefetchMark(key)
 		}
 		m.publish(st, key, img, mem, stamp)
 		copy(sp.dst, img[sp.sp.Off:])
@@ -421,13 +415,21 @@ func (m *Module) landRun(iod int, run fetchRun, data []byte, admit admitMode) er
 // stamp its fetch was claimed under, patching img in place so the copy
 // handed on matches what the cache holds (resident valid bytes win).
 // Read-around (admitNever: don't-cache hint or streaming bypass) patches
-// without admitting. OutcomeStale means the block was written since stamp
-// and img is untouched.
-func (m *Module) installImage(key blockio.BlockKey, iod int, img []byte, admit admitMode, stamp uint32) buffer.Outcome {
+// without admitting. A prefetch install sets the frame's prefetch bit (the
+// readahead hit accounting); any other install clears it. OutcomeStale
+// means the block was written since stamp and img is untouched.
+func (m *Module) installImage(key blockio.BlockKey, iod int, img []byte, admit admitMode, prefetch bool, stamp uint32) buffer.Outcome {
 	if admit == admitNever {
 		return m.buf.PatchResident(key, img, stamp)
 	}
-	return m.buf.InstallFetchedAdmit(key, iod, img, admit == admitMust, stamp)
+	var a buffer.Admit
+	if admit == admitMust {
+		a |= buffer.AdmitMust
+	}
+	if prefetch {
+		a |= buffer.AdmitPrefetch
+	}
+	return m.buf.InstallFetchedAdmit(key, iod, img, a, stamp)
 }
 
 // landFromPeer is the global-cache extension: it probes the home node of a
@@ -449,10 +451,9 @@ func (m *Module) landFromPeer(iod int, o tgtSpan, admit admitMode) bool {
 		m.ctr.gcacheBadResp.Inc()
 		return false
 	}
-	if m.installImage(o.sp.Key, iod, img, admit, o.st.stamp) == buffer.OutcomeStale {
+	if m.installImage(o.sp.Key, iod, img, admit, false, o.st.stamp) == buffer.OutcomeStale {
 		return false
 	}
-	m.dropPrefetchMark(o.sp.Key) // a demand install, as in landRun
 	copy(o.dst, img[o.sp.Off:o.sp.Off+o.sp.Len])
 	m.publish(o.st, o.sp.Key, img, mem, o.st.stamp)
 	o.st.decref() // the owner's hold; joiners keep the block alive
@@ -496,8 +497,7 @@ func (m *Module) readInstall(iod int, key blockio.BlockKey, img []byte, admit ad
 		if err := m.readBlockInto(iod, key, img); err != nil {
 			return 0, err
 		}
-		if m.installImage(key, iod, img, admit, stamp) != buffer.OutcomeStale {
-			m.dropPrefetchMark(key) // a demand install, as in landRun
+		if m.installImage(key, iod, img, admit, false, stamp) != buffer.OutcomeStale {
 			return stamp, nil
 		}
 		m.ctr.fetchStaleRetries.Inc()

@@ -22,9 +22,10 @@ import (
 const fakeBS = 4096
 
 // fakeIOD is a scripted iod: one rpc.Server (data and flush port alike)
-// over a single in-memory image every file reads from. script, when set,
-// sees each request with the honest reply and returns what goes on the
-// wire instead; a nil reply drops the connection (an rpc error).
+// over a single in-memory image every file reads from. It accepts every
+// Register and never invalidates. script, when set, sees each request with
+// the honest reply and returns what goes on the wire instead; a nil reply
+// drops the connection (an rpc error).
 type fakeIOD struct {
 	mu     sync.Mutex
 	image  []byte
@@ -50,6 +51,8 @@ func (f *fakeIOD) write(off int64, p []byte) {
 func (f *fakeIOD) Handle(req wire.Message) wire.Message {
 	var honest wire.Message
 	switch r := req.(type) {
+	case *wire.Register:
+		honest = &wire.RegisterAck{Status: wire.StatusOK}
 	case *wire.ReadBlocks:
 		rr := &wire.ReadBlocksResp{Status: wire.StatusOK}
 		for _, e := range r.Exts {
@@ -76,13 +79,13 @@ func (f *fakeIOD) Handle(req wire.Message) wire.Message {
 	return honest
 }
 
-// scriptNet lets a test stop the module at its first Dial — after every
-// claim of the operation under test is registered and before any of them
-// can land or settle — and fail one chosen dial.
+// scriptNet lets a test stop the module at its first Dial once hold is
+// set — after every claim of the operation under test is registered and
+// before any of them can land or settle — and fail one chosen dial.
 type scriptNet struct {
 	transport.Network
 	hold    chan struct{} // non-nil: every Dial waits for it to close
-	reached chan struct{} // closed when the first Dial arrives
+	reached chan struct{} // closed when the first held Dial arrives
 
 	mu       sync.Mutex
 	once     sync.Once
@@ -96,8 +99,8 @@ func (n *scriptNet) Dial(addr string) (transport.Conn, error) {
 	n.dials[addr]++
 	refuse := addr == n.failAddr && n.dials[addr] == n.failNth
 	n.mu.Unlock()
-	n.once.Do(func() { close(n.reached) })
 	if n.hold != nil {
+		n.once.Do(func() { close(n.reached) })
 		<-n.hold
 	}
 	if refuse {
@@ -119,9 +122,6 @@ func newFetchRig(t *testing.T, hold bool, cfgEdit func(*Config)) *fetchRig {
 	t.Helper()
 	r := &fetchRig{reg: metrics.NewRegistry()}
 	r.net = &scriptNet{Network: transport.NewMem(), reached: make(chan struct{}), dials: make(map[string]int)}
-	if hold {
-		r.net.hold = make(chan struct{})
-	}
 	for i := range r.iods {
 		r.iods[i] = &fakeIOD{}
 		l, err := r.net.Listen("")
@@ -140,7 +140,6 @@ func newFetchRig(t *testing.T, hold bool, cfgEdit func(*Config)) *fetchRig {
 		IODFlushAddrs:     r.addrs[:],
 		Buffer:            buffer.Config{BlockSize: fakeBS, Capacity: 64},
 		FlushPeriod:       time.Hour,
-		DisableCoherence:  true,
 		TenantFetchBudget: 1 << 14,
 		Registry:          r.reg,
 	}
@@ -153,6 +152,17 @@ func newFetchRig(t *testing.T, hold bool, cfgEdit func(*Config)) *fetchRig {
 	}
 	t.Cleanup(func() { mod.Close() })
 	r.mod = mod
+	if hold {
+		// New registered over the data clients, dialing every data port.
+		// Swap in undialed clients and forget those dials, so the
+		// operation under test makes the first Dial, the one hold stops.
+		for i, rc := range mod.data {
+			rc.Close()
+			mod.data[i] = rpc.NewClient(rpc.ClientConfig{Network: r.net, Addr: cfg.IODDataAddrs[i]})
+		}
+		r.net.dials = make(map[string]int)
+		r.net.hold = make(chan struct{})
+	}
 	return r
 }
 

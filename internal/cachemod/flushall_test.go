@@ -48,11 +48,10 @@ func TestHostilePeerBlockSizeRejected(t *testing.T) {
 	defer stub.Close()
 
 	mod, err := New(Config{
-		Network:          net,
-		ClientID:         1,
-		IODDataAddrs:     []string{dl.Addr()},
-		Buffer:           buffer.Config{BlockSize: 4096, Capacity: 16},
-		DisableCoherence: true,
+		Network:      net,
+		ClientID:     1,
+		IODDataAddrs: []string{dl.Addr()},
+		Buffer:       buffer.Config{BlockSize: 4096, Capacity: 16},
 		GlobalCache: &globalcache.Options{
 			SelfID: 1,
 			Peers: []membership.Member{
@@ -191,14 +190,24 @@ func TestFlushAllWaitsForInFlightBlocks(t *testing.T) {
 // reached the iod. New must refuse any flush list that is neither one per
 // iod nor empty (no write-behind).
 func TestNewRejectsMismatchedFlushAddrs(t *testing.T) {
-	data := []string{"iod-0", "iod-1"}
+	net := transport.NewMem()
+	var data []string
+	for i := 0; i < 2; i++ {
+		l, err := net.Listen("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := rpc.NewServer(&fakeIOD{}, rpc.ServerConfig{})
+		go srv.Serve(l)
+		t.Cleanup(func() { l.Close(); srv.Close() })
+		data = append(data, l.Addr())
+	}
 	for _, flush := range [][]string{nil, {"flush-0", "flush-1"}, {"flush-0"}, {"flush-0", "flush-1", "flush-2"}} {
 		mod, err := New(Config{
-			Network:          transport.NewMem(),
-			ClientID:         1,
-			IODDataAddrs:     data,
-			IODFlushAddrs:    flush,
-			DisableCoherence: true,
+			Network:       net,
+			ClientID:      1,
+			IODDataAddrs:  data,
+			IODFlushAddrs: flush,
 		})
 		if want := len(flush) == 0 || len(flush) == len(data); want != (err == nil) {
 			t.Errorf("%d flush addresses for %d iods: New returned %v", len(flush), len(data), err)

@@ -96,11 +96,10 @@ func benchFlushModule(b *testing.B, dirty, window int) (*Module, func()) {
 			Capacity:  dirty * 2, // headroom: hash skew cannot starve a shard
 			Shards:    4,
 		},
-		FlushPeriod:      time.Hour, // drains run only on FlushAll's kicks
-		FlushBatch:       flushBatchFor(window),
-		FlushWindow:      window,
-		DisableCoherence: true,
-		Registry:         reg,
+		FlushPeriod: time.Hour, // drains run only on FlushAll's kicks
+		FlushBatch:  flushBatchFor(window),
+		FlushWindow: window,
+		Registry:    reg,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -196,11 +195,10 @@ func benchFlushModuleDisk(b *testing.B, dirty, window int) (*Module, func()) {
 			Capacity:  dirty * 2,
 			Shards:    4,
 		},
-		FlushPeriod:      time.Hour,
-		FlushBatch:       flushBatchFor(window),
-		FlushWindow:      window,
-		DisableCoherence: true,
-		Registry:         reg,
+		FlushPeriod: time.Hour,
+		FlushBatch:  flushBatchFor(window),
+		FlushWindow: window,
+		Registry:    reg,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -128,12 +128,6 @@ type Config struct {
 	// disables the bypass; per-open hints (CacheNone/CacheMust) override
 	// it either way.
 	BypassThreshold int
-	// DisableCoherence skips the invalidation listener and iod
-	// registration; sync-writes then behave like plain writes plus a
-	// server write-through. Kept on purpose: it selects no second data
-	// path, only whether New opens the listener — the module tests that
-	// stand in a bare fake iod (no Register handler) depend on it.
-	DisableCoherence bool
 	// GlobalCache, when non-nil, enables the cooperative global cache
 	// extension (the paper's §5 ongoing work): this module serves its
 	// blocks to peers and probes a block's replica set before fetching
@@ -223,15 +217,6 @@ type Module struct {
 	files   map[blockio.FileID]*fileState
 	qos     map[uint32]*tenantState
 
-	// prefetched marks the resident blocks the prefetcher installed that no
-	// demand read has hit yet. It is per block, not per file, so it has a
-	// lock of its own; prefetchMarks mirrors its size so the per-span hit
-	// path skips that lock when no marks are outstanding — the common case
-	// for non-scan workloads.
-	markMu        sync.Mutex
-	prefetched    map[blockio.BlockKey]struct{}
-	prefetchMarks atomic.Int64
-
 	// traceArm counts requests still to be traced (ArmTrace); traces is
 	// the bounded ring of captured per-request hop logs (see trace.go).
 	traceArm atomic.Int64
@@ -257,8 +242,7 @@ type Module struct {
 }
 
 // New builds and starts a module: background threads launch, the
-// invalidation listener opens, and the module registers with every iod
-// (unless coherence is disabled).
+// invalidation listener opens, and the module registers with every iod.
 func New(cfg Config) (*Module, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -270,7 +254,6 @@ func New(cfg Config) (*Module, error) {
 		fetchTable:  fetchTable{fetches: make(map[blockio.BlockKey]*fetchState)},
 		files:       make(map[blockio.FileID]*fileState),
 		qos:         make(map[uint32]*tenantState),
-		prefetched:  make(map[blockio.BlockKey]struct{}),
 		harvestKick: make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 	}
@@ -286,28 +269,26 @@ func New(cfg Config) (*Module, error) {
 		}))
 	}
 
-	if !cfg.DisableCoherence {
-		l, err := cfg.Network.Listen(":0")
-		if err != nil {
-			return nil, fmt.Errorf("cachemod: invalidation listener: %w", err)
+	l, err := cfg.Network.Listen(":0")
+	if err != nil {
+		return nil, fmt.Errorf("cachemod: invalidation listener: %w", err)
+	}
+	m.invalListener = l
+	m.invalServer = rpc.NewServer(rpc.HandlerFunc(m.handleInvalidate), rpc.ServerConfig{})
+	m.wg.Add(1)
+	go func() {
+		defer m.wg.Done()
+		m.invalServer.Serve(l)
+	}()
+	for i, rc := range m.data {
+		res := rc.Call(&wire.Register{Client: cfg.ClientID, Addr: l.Addr()})
+		if res.Err != nil {
+			m.Close()
+			return nil, fmt.Errorf("cachemod: registering with iod %d: %w", i, res.Err)
 		}
-		m.invalListener = l
-		m.invalServer = rpc.NewServer(rpc.HandlerFunc(m.handleInvalidate), rpc.ServerConfig{})
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			m.invalServer.Serve(l)
-		}()
-		for i, rc := range m.data {
-			res := rc.Call(&wire.Register{Client: cfg.ClientID, Addr: l.Addr()})
-			if res.Err != nil {
-				m.Close()
-				return nil, fmt.Errorf("cachemod: registering with iod %d: %w", i, res.Err)
-			}
-			if _, ok := res.Msg.(*wire.RegisterAck); !ok {
-				m.Close()
-				return nil, fmt.Errorf("cachemod: iod %d register reply %v", i, res.Msg.WireType())
-			}
+		if _, ok := res.Msg.(*wire.RegisterAck); !ok {
+			m.Close()
+			return nil, fmt.Errorf("cachemod: iod %d register reply %v", i, res.Msg.WireType())
 		}
 	}
 
@@ -389,12 +370,8 @@ func (m *Module) Close() error {
 		if m.gcNode != nil {
 			m.gcNode.Close()
 		}
-		if m.invalListener != nil {
-			m.invalListener.Close()
-		}
-		if m.invalServer != nil {
-			m.invalServer.Close()
-		}
+		m.invalListener.Close()
+		m.invalServer.Close()
 		m.spaceCond.Broadcast()
 		m.wg.Wait()
 		for _, rc := range m.data {
@@ -513,7 +490,6 @@ func (m *Module) handleInvalidate(msg wire.Message) wire.Message {
 		} else {
 			m.buf.Invalidate(key)
 		}
-		m.dropPrefetchMark(key)
 	}
 	m.ctr.invalidationsRx.Inc()
 	return &wire.InvalidAck{Status: wire.StatusOK}

@@ -3,11 +3,13 @@ package cachemod
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/metrics"
+	"pvfscache/internal/rpc"
 	"pvfscache/internal/transport"
 	"pvfscache/internal/wire"
 )
@@ -30,16 +32,43 @@ func waitTenantInflight(t *testing.T, m *Module, tenant uint32, want int64) {
 	}
 }
 
+// gatedFlushPort serves a flush port that forwards every request to the
+// one at addr and holds each reply until gate closes.
+func gatedFlushPort(t *testing.T, net transport.Network, addr string, gate <-chan struct{}) string {
+	t.Helper()
+	l, err := net.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := rpc.NewClient(rpc.ClientConfig{Network: net, Addr: addr})
+	srv := rpc.NewServer(rpc.HandlerFunc(func(msg wire.Message) wire.Message {
+		res := fwd.Call(msg)
+		<-gate
+		return res.Msg // nil on error: the connection drops
+	}), rpc.ServerConfig{})
+	go srv.Serve(l)
+	t.Cleanup(func() { l.Close(); srv.Close(); fwd.Close() })
+	return l.Addr()
+}
+
 // TestTenantWriteQuotaShedsAndRecovers drives one tagged tenant into its
 // dirty quota: over-quota writes must shed with StatusOverload instead of
 // queueing, the tenant's dirty residency must never exceed the quota, and
 // after a drain the same tenant buffers again.
 func TestTenantWriteQuotaShedsAndRecovers(t *testing.T) {
+	// The tenant's writes go to iod 0, whose flush acks are held while the
+	// quota is probed: a shed-kicked drain cannot free quota mid-phase, so
+	// exactly the quota's worth of writes buffers and the rest shed.
+	gate := make(chan struct{})
 	r := newRig(t, func(c *Config) {
 		c.TenantDirtyQuota = 0.25         // 16 of the rig's 64 frames
 		c.OverloadStall = time.Nanosecond // shed immediately, don't wait for drain
 		c.FlushPeriod = time.Hour         // only shed-kicked drains run
+		c.IODFlushAddrs[0] = gatedFlushPort(t, c.Network, c.IODFlushAddrs[0], gate)
 	})
+	var release sync.Once
+	open := func() { release.Do(func() { close(gate) }) }
+	t.Cleanup(open) // runs before the rig's Close, whose final flush needs acks
 	const quota = 16
 	tr := r.mod.NewTransport()
 	tr.TenantHint(7, 1, 1)
@@ -61,11 +90,8 @@ func TestTenantWriteQuotaShedsAndRecovers(t *testing.T) {
 			t.Fatalf("tenant dirty residency %d exceeds quota %d", got, quota)
 		}
 	}
-	if sheds == 0 {
-		t.Fatal("no writes shed: the quota never engaged")
-	}
-	if oks < quota {
-		t.Fatalf("only %d writes buffered, want at least the quota %d", oks, quota)
+	if oks != quota || sheds != 48-quota {
+		t.Fatalf("%d writes buffered and %d shed, want %d and %d", oks, sheds, quota, 48-quota)
 	}
 	if v := r.reg.Counter(metrics.Labeled("module.tenant_write_sheds", "tenant", "1")).Value(); v == 0 {
 		t.Fatal("tenant_write_sheds counter never incremented")
@@ -73,6 +99,7 @@ func TestTenantWriteQuotaShedsAndRecovers(t *testing.T) {
 
 	// Recovery: a full drain releases the quota and the tenant is
 	// admitted again — shedding is load feedback, not a penalty box.
+	open()
 	if err := r.mod.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,18 +179,29 @@ func TestTenantFetchBudget(t *testing.T) {
 }
 
 // TestFetchBudgetReleasedOnError pins the leak-proofing of the budget
-// protocol: when every fetch fails (iod unreachable), the tenant's charge
-// must still return to zero — a leaked charge would throttle the tenant
-// forever on a transient outage.
+// protocol: when every fetch fails (the iod drops the connection), the
+// tenant's charge must still return to zero — a leaked charge would
+// throttle the tenant forever on a transient outage.
 func TestFetchBudgetReleasedOnError(t *testing.T) {
 	net := transport.NewMem()
+	l, err := net.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := rpc.NewServer(&fakeIOD{script: func(req, honest wire.Message) wire.Message {
+		if _, ok := req.(*wire.ReadBlocks); ok {
+			return nil // every fetch fails
+		}
+		return honest
+	}}, rpc.ServerConfig{})
+	go srv.Serve(l)
+	defer func() { l.Close(); srv.Close() }()
 	mod, err := New(Config{
 		Network:           net,
 		ClientID:          1,
-		IODDataAddrs:      []string{"dead:0"}, // nothing listens: dials are refused
-		IODFlushAddrs:     []string{"dead:1"},
+		IODDataAddrs:      []string{l.Addr()},
+		IODFlushAddrs:     []string{l.Addr()},
 		Buffer:            buffer.Config{BlockSize: 4096, Capacity: 16},
-		DisableCoherence:  true,
 		TenantFetchBudget: 8,
 		Registry:          metrics.NewRegistry(),
 	})

@@ -285,47 +285,3 @@ func (m *Module) prefetchIOD(iod int, file blockio.FileID, runs []fetchRun, mode
 		m.ctr.prefetchIssued.Inc()
 	}
 }
-
-// markPrefetched marks a block the prefetcher installed, so its first
-// demand hit counts in module.prefetch_hits.
-func (m *Module) markPrefetched(key blockio.BlockKey) {
-	m.markMu.Lock()
-	// The marks are accounting only; evicted-before-hit blocks leave stale
-	// entries behind, so reset rather than grow without bound.
-	if len(m.prefetched) >= 2*m.buf.Capacity() {
-		m.prefetched = make(map[blockio.BlockKey]struct{})
-		m.prefetchMarks.Store(0)
-	}
-	if _, dup := m.prefetched[key]; !dup {
-		m.prefetched[key] = struct{}{}
-		m.prefetchMarks.Add(1)
-	}
-	m.markMu.Unlock()
-}
-
-// notePrefetchHit counts a demand access served by a prefetched block
-// (once per block: the mark clears on first use).
-func (m *Module) notePrefetchHit(key blockio.BlockKey) {
-	if m.dropPrefetchMark(key) {
-		m.ctr.prefetchHits.Inc()
-	}
-}
-
-// dropPrefetchMark forgets a block's prefetched mark (first use, or
-// invalidation) and reports whether it had one. It runs on every cache-hit
-// span, so the no-marks case — every workload that is not mid-scan — must
-// not touch the shared mutex. The racy fast-path load is safe because the
-// marks are accounting only.
-func (m *Module) dropPrefetchMark(key blockio.BlockKey) bool {
-	if m.prefetchMarks.Load() == 0 {
-		return false
-	}
-	m.markMu.Lock()
-	_, ok := m.prefetched[key]
-	if ok {
-		delete(m.prefetched, key)
-		m.prefetchMarks.Add(-1)
-	}
-	m.markMu.Unlock()
-	return ok
-}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pvfscache/internal/blockio"
+	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/chaos/waitfor"
 	"pvfscache/internal/metrics"
 	"pvfscache/internal/wire"
@@ -441,7 +442,9 @@ func TestReadaheadDisabledByConfig(t *testing.T) {
 // arriving while a prefetch is still on the wire joins it rather than
 // fetching again, and still counts as a prefetch hit. The prefetch's
 // fetch-table entry is staged by hand so the interleaving is
-// deterministic: claim, demand read joins, prefetch publishes.
+// deterministic: claim, demand read joins, prefetch publishes. The join
+// consumes the frame's prefetch bit, so a demand hit after it is not a
+// second prefetch hit.
 func TestPrefetchJoinCountsAsHit(t *testing.T) {
 	r := newRig(t, nil)
 	const file = 34
@@ -460,15 +463,16 @@ func TestPrefetchJoinCountsAsHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Publish exactly as prefetchIOD does.
+	// Install and publish as prefetchIOD does.
 	block := make([]byte, 4096)
 	copy(block, data)
-	r.mod.buf.InsertClean(key, 0, block)
+	if got := r.mod.buf.InstallFetchedAdmit(key, 0, block, buffer.AdmitPrefetch, r.mod.buf.WriteStamp(key)); got != buffer.OutcomeOK {
+		t.Fatalf("prefetch install: %v", got)
+	}
 	st.data = block
 	r.mod.fetchMu.Lock()
 	delete(r.mod.fetches, key)
 	r.mod.fetchMu.Unlock()
-	r.mod.markPrefetched(key)
 	close(st.done)
 
 	if status, err := finishRead(tr, id); err != nil || status != wire.StatusOK {
@@ -483,12 +487,18 @@ func TestPrefetchJoinCountsAsHit(t *testing.T) {
 	if got := r.reg.Counter("module.fetch_joins").Value(); got != 1 {
 		t.Fatalf("fetch_joins = %d, want 1", got)
 	}
+	if !bytes.Equal(readAt(t, tr, 0, file, 0, 4096), data) {
+		t.Fatal("demand hit after the join: wrong bytes")
+	}
+	if got := r.reg.Counter("module.prefetch_hits").Value(); got != 1 {
+		t.Fatalf("prefetch_hits = %d after a demand hit, want 1", got)
+	}
 }
 
-// TestDemandInstallDropsStalePrefetchMark: the module is not told about
-// evictions, so a prefetched block that leaves the cache unhit keeps its
-// mark. When a demand fetch re-installs the block, the hits that follow
-// are demand hits and must not count in module.prefetch_hits.
+// TestDemandInstallDropsStalePrefetchMark: a prefetched block that leaves
+// the cache unhit takes its mark with it. When a demand fetch re-installs
+// the block, the hits that follow are demand hits and must not count in
+// module.prefetch_hits.
 func TestDemandInstallDropsStalePrefetchMark(t *testing.T) {
 	const file = 35
 	r := newFetchRig(t, false, func(c *Config) { c.Buffer.Capacity = 8 })
@@ -513,6 +523,70 @@ func TestDemandInstallDropsStalePrefetchMark(t *testing.T) {
 	}
 	if got := r.reg.Counter("module.prefetch_hits").Value(); got != 0 {
 		t.Fatalf("prefetch_hits = %d, want 0: the block was demand-fetched", got)
+	}
+}
+
+// TestWriteReallocDropsStalePrefetchMark: a frame a write allocates holds
+// none of the prefetcher's bytes, so hits on it are demand hits. Two ways
+// to leave a prefetch behind with no frame: the prefetched copy is evicted
+// unhit, or the prefetch install finds no space and installs nothing.
+func TestWriteReallocDropsStalePrefetchMark(t *testing.T) {
+	const file = 36
+	key := blockio.BlockKey{File: file, Index: 0}
+	hint := stripeHint{meta: wire.FileMeta{Size: 1 << 20, PCount: 1, SSize: 1 << 20}, total: 2}
+	filler := func(i int64) blockio.BlockKey { return blockio.BlockKey{File: file + 1, Index: i} }
+	cases := []struct {
+		name   string
+		before func(r *fetchRig) // runs before the prefetch
+		after  func(r *fetchRig) // runs after it: the block must be gone
+	}{
+		{"evicted unhit", nil, func(r *fetchRig) {
+			for i := int64(0); r.mod.buf.Contains(key, 0, fakeBS) && i < 64; i++ {
+				r.mod.buf.InsertClean(filler(i), 0, make([]byte, fakeBS))
+			}
+		}},
+		{"install refused", func(r *fetchRig) {
+			// Every frame dirty: the prefetch install finds no victim.
+			for i := int64(0); i < 8; i++ {
+				if got := r.mod.buf.WriteSpan(filler(i), 0, 0, make([]byte, fakeBS), true); got != buffer.OutcomeOK {
+					t.Fatalf("filler write: %v", got)
+				}
+			}
+		}, func(r *fetchRig) {
+			if got := r.reg.Counter("cache.insert_nospace").Value(); got != 1 {
+				t.Fatalf("insert_nospace = %d, want 1", got)
+			}
+			if err := r.mod.FlushAll(); err != nil { // make room for the write
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newFetchRig(t, false, func(c *Config) { c.Buffer.Capacity, c.Buffer.Shards = 8, 1 })
+			r.iods[0].image = pattern(1)
+			if tc.before != nil {
+				tc.before(r)
+			}
+			r.mod.prefetchRange(file, hint, []int64{0}, admitDefault)
+			waitCounter(t, r.reg, "module.prefetch_blocks", 1)
+			waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetch settled")
+			tc.after(r)
+			if r.mod.buf.Contains(key, 0, fakeBS) {
+				t.Fatal("the prefetched block is resident")
+			}
+			tr := r.mod.NewTransport()
+			payload := bytes.Repeat([]byte{0x5A}, fakeBS)
+			if ack := sendRecv(t, tr, 0, &wire.Write{Client: 1, File: file, Data: payload}).(*wire.WriteAck); ack.Status != wire.StatusOK {
+				t.Fatalf("write: %v", ack.Status)
+			}
+			if !bytes.Equal(readAt(t, tr, 0, file, 0, fakeBS), payload) {
+				t.Fatal("read-back did not return the written bytes")
+			}
+			if got := r.reg.Counter("module.prefetch_hits").Value(); got != 0 {
+				t.Fatalf("prefetch_hits = %d, want 0: the prefetcher never brought these bytes in", got)
+			}
+		})
 	}
 }
 

@@ -394,8 +394,10 @@ func (t *CachedTransport) sendRead(iod int, req *wire.ReadBlocks, sink [][]byte)
 		it := blockio.IterSpans(file, e.Offset, e.Length, bs)
 		for sp, more := it.Next(); more; sp, more = it.Next() {
 			dst := sink[i][sp.Pos : sp.Pos+int64(sp.Len)]
-			if t.m.buf.ReadSpan(sp.Key, sp.Off, dst) {
-				t.m.notePrefetchHit(sp.Key)
+			if hit, prefetched := t.m.buf.ReadSpanDemand(sp.Key, sp.Off, dst); hit {
+				if prefetched {
+					t.m.ctr.prefetchHits.Inc()
+				}
 				continue
 			}
 			if pr == nil {

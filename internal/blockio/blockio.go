@@ -48,9 +48,6 @@ type Span struct {
 	Pos int64 // offset of this span within the original request buffer
 }
 
-// Full reports whether the span covers the entire block.
-func (s Span) Full(blockSize int) bool { return s.Off == 0 && s.Len == blockSize }
-
 // FileOffset returns the absolute file offset of the span's first byte.
 func (s Span) FileOffset(blockSize int) int64 {
 	return s.Key.Index*int64(blockSize) + int64(s.Off)
@@ -130,61 +127,4 @@ type Extent struct {
 	File   FileID
 	Offset int64
 	Length int64
-}
-
-// End returns the exclusive end offset of the extent.
-func (e Extent) End() int64 { return e.Offset + e.Length }
-
-// Empty reports whether the extent covers no bytes.
-func (e Extent) Empty() bool { return e.Length <= 0 }
-
-// Overlaps reports whether e and o share at least one byte of the same file.
-func (e Extent) Overlaps(o Extent) bool {
-	return e.File == o.File && e.Offset < o.End() && o.Offset < e.End()
-}
-
-// Intersect returns the overlapping byte range of e and o. The boolean is
-// false when they do not overlap.
-func (e Extent) Intersect(o Extent) (Extent, bool) {
-	if !e.Overlaps(o) {
-		return Extent{}, false
-	}
-	start := maxI64(e.Offset, o.Offset)
-	end := minI64(e.End(), o.End())
-	return Extent{File: e.File, Offset: start, Length: end - start}, true
-}
-
-// MergeAdjacent coalesces sorted, same-file extents that touch or overlap.
-// The input must be sorted by (File, Offset); the output preserves order.
-func MergeAdjacent(exts []Extent) []Extent {
-	if len(exts) == 0 {
-		return nil
-	}
-	out := make([]Extent, 0, len(exts))
-	cur := exts[0]
-	for _, e := range exts[1:] {
-		if e.File == cur.File && e.Offset <= cur.End() {
-			if e.End() > cur.End() {
-				cur.Length = e.End() - cur.Offset
-			}
-			continue
-		}
-		out = append(out, cur)
-		cur = e
-	}
-	return append(out, cur)
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

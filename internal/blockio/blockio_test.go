@@ -17,7 +17,7 @@ func TestSpansSingleBlock(t *testing.T) {
 	if s.Off != 100 || s.Len != 200 || s.Pos != 0 {
 		t.Errorf("span = %+v", s)
 	}
-	if s.Full(DefaultBlockSize) {
+	if full(s) {
 		t.Error("partial span reported Full")
 	}
 }
@@ -31,7 +31,7 @@ func TestSpansAlignedMultiBlock(t *testing.T) {
 		if s.Key.Index != int64(i) {
 			t.Errorf("span %d index = %d", i, s.Key.Index)
 		}
-		if !s.Full(DefaultBlockSize) {
+		if !full(s) {
 			t.Errorf("span %d not full: %+v", i, s)
 		}
 		if s.Pos != int64(i*DefaultBlockSize) {
@@ -51,7 +51,7 @@ func TestSpansUnalignedStraddle(t *testing.T) {
 	if spans[0].Off != DefaultBlockSize-10 || spans[0].Len != 10 {
 		t.Errorf("first span %+v", spans[0])
 	}
-	if !spans[1].Full(DefaultBlockSize) {
+	if !full(spans[1]) {
 		t.Errorf("middle span %+v", spans[1])
 	}
 	if spans[2].Off != 0 || spans[2].Len != 10 {
@@ -142,60 +142,5 @@ func TestBlocks(t *testing.T) {
 	}
 }
 
-func TestExtentOverlapIntersect(t *testing.T) {
-	a := Extent{File: 1, Offset: 100, Length: 100}
-	b := Extent{File: 1, Offset: 150, Length: 100}
-	c := Extent{File: 2, Offset: 150, Length: 100}
-	d := Extent{File: 1, Offset: 200, Length: 10}
-
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("a and b should overlap")
-	}
-	if a.Overlaps(c) {
-		t.Error("different files must not overlap")
-	}
-	if a.Overlaps(d) {
-		t.Error("touching extents do not overlap")
-	}
-	got, ok := a.Intersect(b)
-	if !ok || got.Offset != 150 || got.Length != 50 {
-		t.Errorf("Intersect = %+v ok=%v", got, ok)
-	}
-}
-
-func TestMergeAdjacent(t *testing.T) {
-	in := []Extent{
-		{File: 1, Offset: 0, Length: 10},
-		{File: 1, Offset: 10, Length: 10},
-		{File: 1, Offset: 25, Length: 5},
-		{File: 2, Offset: 30, Length: 5},
-	}
-	out := MergeAdjacent(in)
-	want := []Extent{
-		{File: 1, Offset: 0, Length: 20},
-		{File: 1, Offset: 25, Length: 5},
-		{File: 2, Offset: 30, Length: 5},
-	}
-	if len(out) != len(want) {
-		t.Fatalf("got %v", out)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("merge[%d] = %+v, want %+v", i, out[i], want[i])
-		}
-	}
-	if MergeAdjacent(nil) != nil {
-		t.Error("merge(nil) != nil")
-	}
-}
-
-func TestMergeAdjacentOverlapContained(t *testing.T) {
-	in := []Extent{
-		{File: 1, Offset: 0, Length: 100},
-		{File: 1, Offset: 10, Length: 20}, // fully contained
-	}
-	out := MergeAdjacent(in)
-	if len(out) != 1 || out[0].Length != 100 {
-		t.Errorf("got %+v", out)
-	}
-}
+// full reports whether a span covers its entire block.
+func full(s Span) bool { return s.Off == 0 && s.Len == DefaultBlockSize }

@@ -85,21 +85,6 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy maps a policy name ("clock", "lru", "ghost") to its Policy,
-// for command-line flags.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "clock":
-		return PolicyClock, nil
-	case "lru":
-		return PolicyLRU, nil
-	case "ghost":
-		return PolicyGhost, nil
-	default:
-		return 0, fmt.Errorf("buffer: unknown policy %q (want clock, lru or ghost)", s)
-	}
-}
-
 // Outcome reports the result of a cache mutation.
 type Outcome int
 

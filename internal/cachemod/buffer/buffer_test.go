@@ -703,7 +703,7 @@ func TestWriteReadRoundTripProperty(t *testing.T) {
 }
 
 func TestPolicyString(t *testing.T) {
-	if PolicyClock.String() != "clock" || PolicyLRU.String() != "lru" {
+	if PolicyClock.String() != "clock" || PolicyLRU.String() != "lru" || PolicyGhost.String() != "ghost" {
 		t.Error("policy names")
 	}
 	if Policy(9).String() == "" {

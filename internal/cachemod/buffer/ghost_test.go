@@ -247,24 +247,6 @@ func TestGhostPatchResidentAndNoteBypass(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Policy
-	}{{"clock", PolicyClock}, {"lru", PolicyLRU}, {"ghost", PolicyGhost}} {
-		got, err := ParsePolicy(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Fatalf("round trip %q -> %q", tc.in, got.String())
-		}
-	}
-	if _, err := ParsePolicy("arc4random"); err == nil {
-		t.Fatal("unknown policy parsed")
-	}
-}
-
 // TestGhostStorm mixes a scanner, working-set readers, a writer and an
 // invalidator against a sharded ghost-policy manager; run with -race.
 // The oracle is CheckConsistency (segment partition, protCap, ghost

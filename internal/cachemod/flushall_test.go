@@ -126,6 +126,9 @@ func TestFlushAllWaitsForInFlightBlocks(t *testing.T) {
 	}
 	defer fl.Close()
 	stub := rpc.NewServer(rpc.HandlerFunc(func(msg wire.Message) wire.Message {
+		if _, ok := msg.(*wire.Register); ok {
+			return &wire.RegisterAck{Status: wire.StatusOK}
+		}
 		fm, ok := msg.(*wire.Flush)
 		if !ok {
 			return nil

@@ -72,6 +72,9 @@ func benchFlushModule(b *testing.B, dirty, window int) (*Module, func()) {
 		}
 		b.Cleanup(func() { fl.Close() })
 		srv := rpc.NewServer(rpc.HandlerFunc(func(msg wire.Message) wire.Message {
+			if _, ok := msg.(*wire.Register); ok {
+				return &wire.RegisterAck{Status: wire.StatusOK}
+			}
 			if _, ok := msg.(*wire.Flush); !ok {
 				return nil
 			}

@@ -156,7 +156,7 @@ type flushRig struct {
 	iods    []*iod.Server
 	mod     *Module
 	down    atomic.Bool
-	calls   atomic.Int64  // flush frames that reached iod 1's port
+	calls   atomic.Int64  // flush frames that reached iod 1's port while up
 	hold    atomic.Bool   // iod 1 applies a frame, then sits on its ack ...
 	release chan struct{} // ... until this is closed
 }
@@ -181,18 +181,23 @@ func newFlushRig(t *testing.T, cfgEdit func(*Config)) *flushRig {
 		if i == 1 {
 			// iod 1's flush port: a gate in front of the real daemon.
 			// While down, frames kill their connection (the daemon is
-			// unreachable); when up, the write is applied like the real
+			// unreachable), the Register a fresh connection opens with
+			// included; when up, the write is applied like the real
 			// flush handler would.
 			d := d
 			srv := rpc.NewServer(rpc.HandlerFunc(func(msg wire.Message) wire.Message {
+				if r.down.Load() {
+					return nil // drop the connection: iod down
+				}
+				if reg, ok := msg.(*wire.Register); ok {
+					d.RegisterClient(reg.Client, reg.Addr)
+					return &wire.RegisterAck{Status: wire.StatusOK}
+				}
 				fm, ok := msg.(*wire.Flush)
 				if !ok {
 					return nil
 				}
 				r.calls.Add(1)
-				if r.down.Load() {
-					return nil // drop the connection: iod down
-				}
 				for _, blk := range fm.Blocks {
 					d.Store().WriteAt(fm.File, blk.Index*4096+int64(blk.Off), blk.Data)
 				}

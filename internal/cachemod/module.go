@@ -241,8 +241,10 @@ type Module struct {
 	wg          sync.WaitGroup
 }
 
-// New builds and starts a module: background threads launch, the
-// invalidation listener opens, and the module registers with every iod.
+// New builds and starts a module: background threads launch and the
+// invalidation listener opens. The module registers with an iod on every
+// connection it opens to it (see registeringNetwork), so New itself
+// contacts no iod.
 func New(cfg Config) (*Module, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -258,16 +260,6 @@ func New(cfg Config) (*Module, error) {
 		stop:        make(chan struct{}),
 	}
 	m.spaceCond = sync.NewCond(&m.spaceMu)
-	for _, addr := range cfg.IODDataAddrs {
-		m.data = append(m.data, rpc.NewClient(rpc.ClientConfig{
-			Network: cfg.Network, Addr: addr,
-		}))
-	}
-	for _, addr := range cfg.IODFlushAddrs {
-		m.flush = append(m.flush, rpc.NewClient(rpc.ClientConfig{
-			Network: cfg.Network, Addr: addr,
-		}))
-	}
 
 	l, err := cfg.Network.Listen(":0")
 	if err != nil {
@@ -280,16 +272,12 @@ func New(cfg Config) (*Module, error) {
 		defer m.wg.Done()
 		m.invalServer.Serve(l)
 	}()
-	for i, rc := range m.data {
-		res := rc.Call(&wire.Register{Client: cfg.ClientID, Addr: l.Addr()})
-		if res.Err != nil {
-			m.Close()
-			return nil, fmt.Errorf("cachemod: registering with iod %d: %w", i, res.Err)
-		}
-		if _, ok := res.Msg.(*wire.RegisterAck); !ok {
-			m.Close()
-			return nil, fmt.Errorf("cachemod: iod %d register reply %v", i, res.Msg.WireType())
-		}
+	iodNet := registeringNetwork{Network: cfg.Network, reg: wire.Register{Client: cfg.ClientID, Addr: l.Addr()}}
+	for _, addr := range cfg.IODDataAddrs {
+		m.data = append(m.data, rpc.NewClient(rpc.ClientConfig{Network: iodNet, Addr: addr}))
+	}
+	for _, addr := range cfg.IODFlushAddrs {
+		m.flush = append(m.flush, rpc.NewClient(rpc.ClientConfig{Network: iodNet, Addr: addr}))
 	}
 
 	if cfg.GlobalCache != nil {
@@ -328,6 +316,45 @@ func New(cfg Config) (*Module, error) {
 	m.wg.Add(1)
 	go m.harvesterLoop()
 	return m, nil
+}
+
+// registeringNetwork dials the module's iod connections, data and flush
+// ports alike: a fresh connection carries one Register round trip before
+// the rpc client may send anything on it. An iod keeps client addresses
+// only in memory, so one that restarted or rejoined learns this cache's
+// invalidation address before the cache's first request on the new
+// connection can make it a holder of any block.
+type registeringNetwork struct {
+	transport.Network
+	reg wire.Register
+}
+
+func (n registeringNetwork) Dial(addr string) (transport.Conn, error) {
+	conn, err := n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.register(conn); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("cachemod: registering with %s: %w", addr, err)
+	}
+	return conn, nil
+}
+
+func (n registeringNetwork) register(conn transport.Conn) error {
+	if err := wire.WriteTagged(conn, 0, &n.reg); err != nil {
+		return err
+	}
+	_, _, msg, payload, err := wire.ReadFrameAliased(conn)
+	if err != nil {
+		return err
+	}
+	wire.ReleasePayload(payload)
+	ack, ok := msg.(*wire.RegisterAck)
+	if !ok {
+		return fmt.Errorf("register reply %v", msg.WireType())
+	}
+	return ack.Status.Err()
 }
 
 // Buffer exposes the underlying buffer manager (stats, tests).

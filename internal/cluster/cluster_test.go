@@ -386,6 +386,107 @@ func TestSyncWriteInvalidatesRemoteCache(t *testing.T) {
 	w.Close()
 }
 
+// TestSyncWriteInvalidatesAfterRejoin: a drained and rejoined daemon
+// starts with no client addresses, so a cache whose first contact after
+// the rejoin is a read (data port) or a flush (flush port) must
+// re-register on that connection, or the next sync-write's invalidation
+// cannot reach it and it keeps serving the old bytes.
+func TestSyncWriteInvalidatesAfterRejoin(t *testing.T) {
+	for _, viaFlush := range []bool{false, true} {
+		t.Run(firstContactName(viaFlush), func(t *testing.T) {
+			syncWriteAfterReboot(t, Config{}, viaFlush, func(c *Cluster) error {
+				if err := c.DrainIOD(0, 10*time.Second); err != nil {
+					return err
+				}
+				return c.RejoinIOD(0)
+			})
+		})
+	}
+}
+
+// TestSyncWriteInvalidatesAfterRestart is the crash/restart twin on the
+// disk backend: the reopened daemon's client table is empty too.
+func TestSyncWriteInvalidatesAfterRestart(t *testing.T) {
+	for _, viaFlush := range []bool{false, true} {
+		t.Run(firstContactName(viaFlush), func(t *testing.T) {
+			cfg := Config{Backend: "disk", DataDir: t.TempDir()}
+			syncWriteAfterReboot(t, cfg, viaFlush, func(c *Cluster) error {
+				if err := c.CrashIOD(0); err != nil {
+					return err
+				}
+				return c.RestartIOD(0)
+			})
+		})
+	}
+}
+
+func firstContactName(viaFlush bool) string {
+	if viaFlush {
+		return "flush"
+	}
+	return "read"
+}
+
+// syncWriteAfterReboot runs one iod and two cache nodes: node 0 writes
+// block 0, the daemon reboots, node 1 takes its first copy of the block
+// (a read, or a flush of its own write), node 0 sync-writes the block,
+// and node 1 must read node 0's bytes.
+func syncWriteAfterReboot(t *testing.T, cfg Config, viaFlush bool, reboot func(*Cluster) error) {
+	t.Helper()
+	cfg.IODs, cfg.ClientNodes, cfg.Caching, cfg.FlushPeriod = 1, 2, true, time.Hour
+	c := startTest(t, cfg)
+	const bs = 4096
+	w, err := c.NewProcess(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	fw, err := w.Create("reboot.dat", pvfs.StripeSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.WriteAt(bytes.Repeat([]byte{1}, bs), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := reboot(c); err != nil {
+		t.Fatalf("reboot: %v", err)
+	}
+
+	r, err := c.NewProcess(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	fr, err := r.Open("reboot.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, bs)
+	if viaFlush {
+		if _, err := fr.WriteAt(bytes.Repeat([]byte{5}, bs), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Module(1).FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	} else if _, err := fr.ReadAt(buf, 0); err != nil || buf[0] != 1 {
+		t.Fatalf("node 1 first read = %d, %v; want 1", buf[0], err)
+	}
+
+	if _, err := fw.SyncWriteAt(bytes.Repeat([]byte{2}, bs), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fr.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if buf[0] != 2 {
+		t.Fatalf("node 1 read %d after node 0's sync-write, want 2", buf[0])
+	}
+}
+
 func TestLocalityZeroStillCorrect(t *testing.T) {
 	// A workload with no reuse (every block read once) must return correct
 	// data through the caching path.

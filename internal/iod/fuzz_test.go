@@ -3,6 +3,7 @@ package iod
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"pvfscache/internal/blockio"
@@ -74,10 +75,7 @@ func FuzzIODStore(f *testing.F) {
 		s := New(0, 4096, transport.NewMem(), nil)
 		const bs = 4096
 		id := blockio.FileID(file)
-		data := make([]byte, length%(64<<10+1))
-		for i := range data {
-			data[i] = byte(i*131 + int(kind) + 1)
-		}
+		data := fuzzBytes(int(length%(64<<10+1)), kind)
 		ack := s.handleData(&wire.Write{File: id, Data: probe}).(*wire.WriteAck)
 		if ack.Status != wire.StatusOK {
 			t.Fatalf("probe write: status %d", ack.Status)
@@ -145,20 +143,198 @@ func FuzzIODStore(f *testing.F) {
 			runs = append(runs, add...)
 		}
 
-		// Read back every acknowledged run, the probe first: each read
-		// recycles its buffer, so a later read's holes land on stale bytes.
-		for _, r := range runs {
-			for _, lo := range []int64{r.off, max(0, r.off-8192)} {
-				n := min(len(r.data)+int(r.off-lo), 64<<10)
-				rr := s.handleData(&wire.ReadBlocks{File: id, Exts: []wire.ReadExtent{{Offset: lo, Length: int64(n)}}}).(*wire.ReadBlocksResp)
-				if rr.Status != wire.StatusOK {
-					t.Fatalf("read-back at %d: status %d", lo, rr.Status)
+		checkReadBack(t, s, id, runs)
+	})
+}
+
+// checkReadBack reads back every acknowledged run, the probe first, from
+// its start and from 8 KB below it: each read recycles its buffer, so a
+// later read's holes land on stale bytes.
+func checkReadBack(t *testing.T, s *Server, id blockio.FileID, runs []fuzzRun) {
+	t.Helper()
+	for _, r := range runs {
+		for _, lo := range []int64{r.off, max(0, r.off-8192)} {
+			n := min(len(r.data)+int(r.off-lo), 64<<10)
+			rr := s.handleData(&wire.ReadBlocks{File: id, Exts: []wire.ReadExtent{{Offset: lo, Length: int64(n)}}}).(*wire.ReadBlocksResp)
+			if rr.Status != wire.StatusOK {
+				t.Fatalf("read-back at %d: status %d", lo, rr.Status)
+			}
+			if want := expect(runs, lo, n); !bytes.Equal(rr.Data, want) {
+				t.Fatalf("read-back of %d bytes at %d differs from the acknowledged writes", n, lo)
+			}
+			s.recycleReadBuf(rr)
+		}
+	}
+}
+
+// fuzzBytes is a length-n payload whose bytes depend on seed.
+func fuzzBytes(n int, seed uint8) []byte {
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i*131 + int(seed) + 1)
+	}
+	return data
+}
+
+// Messages FuzzIODHandle sends, by the input's kind byte.
+const (
+	handleReadBlocks = iota // extents (offset, length) and (index, blockOff)
+	handleWrite
+	handleSyncWrite
+	handleRegister
+	handleFlush    // one FlushBlock at index, blockOff
+	handleUnserved // wire.Invalidate: the iod sends it, neither port serves it
+	handleKinds
+)
+
+// FuzzIODHandle feeds one message with fuzzer-chosen fields — client,
+// file, Track, offsets, block index and in-block offset, lengths, and a
+// registration address — to the data port's or the flush port's handler
+// of a fresh mem-backed iod. Before it, client 7 registers at an address
+// nothing listens on and holds the probe block through a tracked read, so
+// every sync-write over the probe fans out an invalidation that fails.
+// Nothing may panic; a port that does not serve the message answers nil;
+// otherwise the reply is the request's ack type with a known status, OK
+// exactly when the range is valid. An OK read returns the model's bytes,
+// an OK Register records the address, an OK sync-write by another client
+// drops client 7 from the blocks it covers without counting it
+// invalidated, and every acknowledged write reads back afterwards.
+func FuzzIODHandle(f *testing.F) {
+	f.Add(uint8(handleReadBlocks), false, uint32(3), uint64(1), true, int64(0), int64(8192), uint32(100), uint32(4096), "")
+	f.Add(uint8(handleWrite), false, uint32(3), uint64(1), false, int64(2000), int64(0), uint32(0), uint32(9000), "")
+	f.Add(uint8(handleSyncWrite), false, uint32(3), uint64(1), false, int64(100), int64(0), uint32(0), uint32(100), "")
+	f.Add(uint8(handleSyncWrite), false, uint32(7), uint64(1), false, int64(0), int64(0), uint32(0), uint32(4096), "")
+	f.Add(uint8(handleRegister), false, uint32(9), uint64(0), false, int64(0), int64(0), uint32(0), uint32(0), "cache-9")
+	f.Add(uint8(handleRegister), true, uint32(7), uint64(0), false, int64(0), int64(0), uint32(0), uint32(0), "elsewhere")
+	f.Add(uint8(handleFlush), true, uint32(3), uint64(1), false, int64(0), int64(1), uint32(1000), uint32(5000), "")
+	f.Add(uint8(handleFlush), false, uint32(3), uint64(1), false, int64(0), int64(1), uint32(0), uint32(10), "")
+	f.Add(uint8(handleUnserved), false, uint32(0), uint64(1), false, int64(0), int64(0), uint32(0), uint32(0), "")
+
+	probe := bytes.Repeat([]byte("probe!"), 4096/6+1)[:4096]
+	f.Fuzz(func(t *testing.T, kind uint8, flushPort bool, client uint32, file uint64, track bool,
+		offset, index int64, blockOff, length uint32, addr string) {
+		const bs, holder = 4096, uint32(7)
+		s := New(0, bs, transport.NewMem(), nil)
+		id := blockio.FileID(file)
+		if s.handleData(&wire.Write{File: id, Data: probe}).(*wire.WriteAck).Status != wire.StatusOK {
+			t.Fatal("probe write failed")
+		}
+		s.handleData(&wire.Register{Client: holder, Addr: "nowhere"})
+		rr := s.handleData(&wire.ReadBlocks{Client: holder, File: id, Track: true, Exts: []wire.ReadExtent{{Length: bs}}}).(*wire.ReadBlocksResp)
+		s.recycleReadBuf(rr)
+		runs := []fuzzRun{{0, probe}}
+		data := fuzzBytes(int(length%(64<<10+1)), kind)
+
+		var (
+			msg         wire.Message
+			reply       wire.Type // the ack type of msg
+			valid       = true
+			add         []fuzzRun
+			dataServes  = true // the data port serves msg
+			flushServes = false
+			exts        []wire.ReadExtent
+		)
+		k := kind % handleKinds
+		switch k {
+		case handleReadBlocks:
+			exts = []wire.ReadExtent{{Offset: offset, Length: int64(len(data))}, {Offset: index, Length: int64(int32(blockOff))}}
+			var total int64
+			for _, e := range exts {
+				total += max(e.Length, 0)
+				valid = valid && e.Offset >= 0 && e.Length >= 0 && e.Length <= wire.MaxMessageSize/2 &&
+					total <= wire.MaxMessageSize/2 && rangeOK(e.Offset, int(e.Length))
+			}
+			msg, reply = &wire.ReadBlocks{Client: client, File: id, Track: track, Exts: exts}, wire.TReadBlocksResp
+		case handleWrite:
+			msg, reply = &wire.Write{Client: client, File: id, Offset: offset, Data: data}, wire.TWriteAck
+			valid, add = rangeOK(offset, len(data)), []fuzzRun{{offset, data}}
+		case handleSyncWrite:
+			msg, reply = &wire.SyncWrite{Client: client, File: id, Offset: offset, Data: data}, wire.TSyncWriteAck
+			valid, add = rangeOK(offset, len(data)), []fuzzRun{{offset, data}}
+		case handleRegister:
+			msg, reply = &wire.Register{Client: client, Addr: addr}, wire.TRegisterAck
+			flushServes = true
+		case handleFlush:
+			msg, reply = &wire.Flush{Client: client, File: id, Blocks: []wire.FlushBlock{{Index: index, Off: blockOff, Data: data}}}, wire.TFlushAck
+			valid = index >= 0 && blockOff < bs && index <= (math.MaxInt64-int64(blockOff))/bs &&
+				rangeOK(index*bs+int64(blockOff), len(data))
+			add = []fuzzRun{{index*bs + int64(blockOff), data}}
+			dataServes, flushServes = false, true
+		default:
+			msg = &wire.Invalidate{File: id, Indices: []int64{index}}
+			dataServes = false
+		}
+
+		handle, served := s.handleData, dataServes
+		if flushPort {
+			handle, served = s.handleFlush, flushServes
+		}
+		resp := handle(msg)
+		if !served {
+			if resp != nil {
+				t.Fatalf("%v (flush port %v): reply %T, want none", msg.WireType(), flushPort, resp)
+			}
+			checkReadBack(t, s, id, runs)
+			return
+		}
+
+		if resp == nil || resp.WireType() != reply {
+			t.Fatalf("%v: reply %T", msg.WireType(), resp)
+		}
+		var status wire.Status
+		switch r := resp.(type) {
+		case *wire.ReadBlocksResp:
+			status = r.Status
+			if k == handleReadBlocks && status == wire.StatusOK {
+				var want []byte
+				for i, e := range exts {
+					ext := expect(runs, e.Offset, int(e.Length))
+					if int(r.Lens[i]) != len(ext) {
+						t.Fatalf("extent %d at %d: served %d bytes, want %d", i, e.Offset, r.Lens[i], len(ext))
+					}
+					want = append(want, ext...)
 				}
-				if want := expect(runs, lo, n); !bytes.Equal(rr.Data, want) {
-					t.Fatalf("read-back of %d bytes at %d differs from the acknowledged writes", n, lo)
+				if !bytes.Equal(r.Data, want) {
+					t.Fatal("ReadBlocks data differs from the model")
 				}
-				s.recycleReadBuf(rr)
+			}
+			s.recycleReadBuf(r)
+		case *wire.WriteAck:
+			status = r.Status
+		case *wire.SyncWriteAck:
+			status = r.Status
+			if r.Invalidated != 0 {
+				t.Fatalf("sync-write counted %d invalidations delivered to an unreachable holder", r.Invalidated)
+			}
+		case *wire.RegisterAck:
+			status = r.Status
+		case *wire.FlushAck:
+			status = r.Status
+		}
+		if status > wire.StatusOverload {
+			t.Fatalf("%v: unknown status %d", msg.WireType(), status)
+		}
+		if (status == wire.StatusOK) != valid {
+			t.Fatalf("%v at offset %d index %d off %d len %d: status %d, valid range %v",
+				msg.WireType(), offset, index, blockOff, len(data), status, valid)
+		}
+		if status == wire.StatusOK {
+			runs = append(runs, add...)
+		}
+		switch {
+		case status != wire.StatusOK:
+		case k == handleRegister:
+			s.mu.Lock()
+			got := s.clients[client]
+			s.mu.Unlock()
+			if got != addr {
+				t.Fatalf("client %d registered at %q, want %q", client, got, addr)
+			}
+		case k == handleSyncWrite && client != holder && len(data) > 0 && offset < bs:
+			if slices.Contains(s.Holders(blockio.BlockKey{File: id}), holder) {
+				t.Fatal("a sync-write over the probe block left its unreachable holder in the directory")
 			}
 		}
+		checkReadBack(t, s, id, runs)
 	})
 }

@@ -52,16 +52,7 @@ type Server struct {
 	servers []*rpc.Server
 
 	readBufs rpc.BufPool // read buffers, recycled after each response is written
-
-	observer AccessObserver
 }
-
-// AccessObserver receives one callback per block touched by client
-// traffic. It feeds the sharing-pattern classifier (internal/sharing) —
-// the paper's "classify different sharing patterns" ongoing-work item.
-// Callbacks run on request-serving goroutines and must be fast and
-// thread-safe.
-type AccessObserver func(client uint32, file blockio.FileID, block int64, write bool)
 
 type holderSet map[uint32]struct{}
 
@@ -161,40 +152,40 @@ func (s *Server) handleData(msg wire.Message) wire.Message {
 	case *wire.SyncWrite:
 		return s.syncWrite(m)
 	case *wire.Register:
-		s.RegisterClient(m.Client, m.Addr)
-		return &wire.RegisterAck{Status: wire.StatusOK}
+		return s.register(m)
 	default:
 		return nil
 	}
 }
 
-// handleFlush dispatches one flush-port request.
+// handleFlush dispatches one flush-port request. A cache module registers
+// on each connection it opens, so the flush port answers Register too.
 func (s *Server) handleFlush(msg wire.Message) wire.Message {
-	m, ok := msg.(*wire.Flush)
-	if !ok {
+	switch m := msg.(type) {
+	case *wire.Flush:
+		return s.flush(m)
+	case *wire.Register:
+		return s.register(m)
+	default:
 		return nil
 	}
-	return s.flush(m)
 }
 
-// SetObserver installs the access observer. Call before serving traffic.
-func (s *Server) SetObserver(obs AccessObserver) { s.observer = obs }
-
-// observe reports every block of a range to the observer, if any.
-func (s *Server) observe(client uint32, file blockio.FileID, off, length int64, write bool) {
-	if s.observer == nil || client == 0 {
-		return
-	}
-	first, count := blockio.BlockRange(off, length, s.blockSize)
-	for i := int64(0); i < count; i++ {
-		s.observer(client, file, first+i, write)
-	}
+func (s *Server) register(m *wire.Register) *wire.RegisterAck {
+	s.RegisterClient(m.Client, m.Addr)
+	return &wire.RegisterAck{Status: wire.StatusOK}
 }
 
 // RegisterClient records the invalidation address for a client cache.
-// Re-registering replaces the address and drops any cached connection.
+// Re-registering at a new address drops any cached connection; the same
+// address again (every connection a module opens registers) keeps it, so
+// an invalidation in flight on it is not cut off.
 func (s *Server) RegisterClient(client uint32, addr string) {
 	s.mu.Lock()
+	if prev, ok := s.clients[client]; ok && prev == addr {
+		s.mu.Unlock()
+		return
+	}
 	old := s.inval[client]
 	s.clients[client] = addr
 	delete(s.inval, client)
@@ -230,7 +221,6 @@ func (s *Server) readBlocks(m *wire.ReadBlocks) *wire.ReadBlocksResp {
 		if m.Track && m.Client != 0 {
 			s.trackHolders(m.Client, m.File, e.Offset, e.Length)
 		}
-		s.observe(m.Client, m.File, e.Offset, e.Length, false)
 	}
 	s.ctr.reads.Inc()
 	s.ctr.vectorReads.Inc()
@@ -249,7 +239,6 @@ func (s *Server) write(m *wire.Write) *wire.WriteAck {
 	}
 	s.ctr.writes.Inc()
 	s.ctr.writeBytes.Add(int64(len(m.Data)))
-	s.observe(m.Client, m.File, m.Offset, int64(len(m.Data)), true)
 	return &wire.WriteAck{Status: wire.StatusOK}
 }
 
@@ -328,7 +317,6 @@ func (s *Server) syncWrite(m *wire.SyncWrite) *wire.SyncWriteAck {
 		return &wire.SyncWriteAck{Status: wire.StatusFor(err)}
 	}
 	s.ctr.syncWrites.Inc()
-	s.observe(m.Client, m.File, m.Offset, int64(len(m.Data)), true)
 
 	victims := s.collectVictims(m.Client, m.File, m.Offset, int64(len(m.Data)))
 	invalidated := uint32(0)
@@ -423,23 +411,17 @@ func (s *Server) holdRange(client uint32, file blockio.FileID, off, length int64
 }
 
 // trackFlushed registers the flusher as a holder of every block an
-// applied Flush frame covers — one directory lock per frame — and tells
-// the observer about each.
+// applied Flush frame covers — one directory lock per frame.
 func (s *Server) trackFlushed(m *wire.Flush) {
-	if m.Client == 0 {
+	if m.Client == 0 || s.draining.Load() {
 		return
 	}
 	bs := int64(s.blockSize)
-	if !s.draining.Load() {
-		s.mu.Lock()
-		for _, blk := range m.Blocks {
-			s.holdRange(m.Client, m.File, blk.Index*bs+int64(blk.Off), int64(len(blk.Data)))
-		}
-		s.mu.Unlock()
-	}
+	s.mu.Lock()
 	for _, blk := range m.Blocks {
-		s.observe(m.Client, m.File, blk.Index*bs+int64(blk.Off), int64(len(blk.Data)), true)
+		s.holdRange(m.Client, m.File, blk.Index*bs+int64(blk.Off), int64(len(blk.Data)))
 	}
+	s.mu.Unlock()
 }
 
 // collectVictims removes every holder other than writer from the directory

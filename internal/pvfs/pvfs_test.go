@@ -140,23 +140,6 @@ func TestPiecesTileProperty(t *testing.T) {
 	}
 }
 
-func TestIODsFor(t *testing.T) {
-	got := IODsFor(meta(2, 3, 4096), 4)
-	want := []int{2, 3, 0}
-	if len(got) != len(want) {
-		t.Fatalf("iods = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("iods = %v, want %v", got, want)
-		}
-	}
-	// PCount larger than the cluster clamps.
-	if got := IODsFor(meta(0, 9, 4096), 3); len(got) != 3 {
-		t.Errorf("clamped iods = %v", got)
-	}
-}
-
 func TestNewClientValidation(t *testing.T) {
 	if _, err := NewClient(Config{}); err == nil {
 		t.Error("missing network accepted")

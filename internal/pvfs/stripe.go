@@ -76,17 +76,3 @@ func (it *pieceIter) next() (Piece, bool) {
 	it.pos += n
 	return pc, true
 }
-
-// IODsFor returns the distinct iod indices a file with the given metadata
-// is striped over.
-func IODsFor(meta wire.FileMeta, totalIODs int) []int {
-	n := int(meta.PCount)
-	if n > totalIODs {
-		n = totalIODs
-	}
-	out := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, (int(meta.Base)+i)%totalIODs)
-	}
-	return out
-}

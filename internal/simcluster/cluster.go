@@ -2,7 +2,6 @@ package simcluster
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"pvfscache/internal/blockio"
@@ -47,8 +46,7 @@ type fileEntry struct {
 }
 
 // IOD is one simulated I/O daemon: a single-threaded server with a disk
-// and an OS page cache, plus the flush-port peer and the per-block
-// coherence directory of the paper.
+// and an OS page cache, plus the flush-port peer of the paper.
 type IOD struct {
 	c    *Cluster
 	id   int
@@ -59,8 +57,6 @@ type IOD struct {
 
 	pageCache map[blockio.BlockKey]struct{}
 	pageFIFO  []blockio.BlockKey
-
-	dir map[blockio.BlockKey]map[int]struct{} // block -> holder node ids
 }
 
 // Node is one simulated client node: a CPU, and (when caching) the shared
@@ -105,7 +101,6 @@ func New(env *sim.Env, p Params, nIODs, nNodes int, caching bool) *Cluster {
 				TransferRate: p.DiskRate,
 			},
 			pageCache: make(map[blockio.BlockKey]struct{}),
-			dir:       make(map[blockio.BlockKey]map[int]struct{}),
 		}
 		c.nicOrder[io.NIC] = len(c.nicOrder)
 		c.IODs = append(c.IODs, io)
@@ -259,36 +254,6 @@ func (io *IOD) serveWrite(p *sim.Proc, file blockio.FileID, off, length int64) {
 	io.c.Reg.Counter("sim.iod_writes").Inc()
 }
 
-// track records that a node's cache holds the blocks of a range.
-func (io *IOD) track(node int, file blockio.FileID, off, length int64) {
-	first, count := blockio.BlockRange(off, length, io.c.P.BlockSize)
-	for i := int64(0); i < count; i++ {
-		key := blockio.BlockKey{File: file, Index: first + i}
-		hs := io.dir[key]
-		if hs == nil {
-			hs = make(map[int]struct{})
-			io.dir[key] = hs
-		}
-		hs[node] = struct{}{}
-	}
-}
-
-// victims removes and returns every holder of the range except writer.
-func (io *IOD) victims(writer int, file blockio.FileID, off, length int64) map[int][]int64 {
-	first, count := blockio.BlockRange(off, length, io.c.P.BlockSize)
-	out := make(map[int][]int64)
-	for i := int64(0); i < count; i++ {
-		key := blockio.BlockKey{File: file, Index: first + i}
-		for n := range io.dir[key] {
-			if n != writer {
-				out[n] = append(out[n], key.Index)
-				delete(io.dir[key], n)
-			}
-		}
-	}
-	return out
-}
-
 // --- client request paths ---
 
 // rpc performs one request/response round trip from a node process to an
@@ -343,43 +308,4 @@ func (c *Cluster) Write(p *sim.Proc, node *Node, file blockio.FileID, meta wire.
 		node.cachedWrite(p, pc.IOD, pc.Ext)
 	}
 	c.Reg.Counter("sim.app_writes").Inc()
-}
-
-// SyncWrite performs one coherent write call: data to cache and iod, with
-// the iod invalidating every other holder before acknowledging.
-func (c *Cluster) SyncWrite(p *sim.Proc, node *Node, file blockio.FileID, meta wire.FileMeta, off, length int64) {
-	node.CPU.Use(p, c.P.ReqOverhead)
-	pieces := c.pieces(file, meta, off, length)
-	for _, pc := range pieces {
-		io := c.IODs[pc.IOD]
-		ext := pc.Ext
-		if node.Cache != nil {
-			node.cacheCleanSpans(p, pc.IOD, ext)
-		}
-		c.rpc(p, node, io, ext.Length, 0, func(p *sim.Proc) {
-			io.serveWrite(p, file, ext.Offset, ext.Length)
-			// Invalidation fan-out before the ack, in deterministic
-			// victim order.
-			vict := io.victims(node.id, file, ext.Offset, ext.Length)
-			ids := make([]int, 0, len(vict))
-			for v := range vict {
-				ids = append(ids, v)
-			}
-			sort.Ints(ids)
-			for _, victim := range ids {
-				idxs := vict[victim]
-				vn := c.Nodes[victim]
-				c.transfer(p, io.NIC, vn.NIC, int64(len(idxs))*12)
-				if vn.Cache != nil {
-					for _, idx := range idxs {
-						vn.Cache.Invalidate(blockio.BlockKey{File: file, Index: idx})
-					}
-				}
-				c.transfer(p, vn.NIC, io.NIC, 0)
-				c.Reg.Counter("sim.invalidations").Inc()
-			}
-			io.track(node.id, file, ext.Offset, ext.Length)
-		})
-	}
-	c.Reg.Counter("sim.app_syncwrites").Inc()
 }

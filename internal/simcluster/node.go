@@ -69,7 +69,6 @@ func (n *Node) cachedRead(p *sim.Proc, iod int, ext blockio.Extent) {
 				sig.Fire()
 			}
 		}
-		io.track(n.id, ext.File, runOff, runLen)
 		start = end
 	}
 
@@ -146,18 +145,6 @@ func (n *Node) cachedWrite(p *sim.Proc, iod int, ext blockio.Extent) {
 			n.dirtyHint = true
 			c.Reg.Counter("sim.write_stalls").Inc()
 			n.space.Wait(p)
-		}
-	}
-}
-
-// cacheCleanSpans updates the cache with sync-written data (valid but
-// clean: the iod receives the same bytes synchronously).
-func (n *Node) cacheCleanSpans(p *sim.Proc, iod int, ext blockio.Extent) {
-	c := n.c
-	spans := blockio.Spans(ext.File, ext.Offset, ext.Length, c.P.BlockSize)
-	for _, sp := range spans {
-		if n.Cache.WriteSpan(sp.Key, iod, sp.Off, c.zeroBlock[:sp.Len], false) == buffer.OutcomeOK {
-			n.CPU.Use(p, c.copyCost(sp.Len))
 		}
 	}
 }
@@ -309,15 +296,14 @@ func (n *Node) sendFlushGroup(p *sim.Proc, g flushGroup) {
 	for _, it := range g.items {
 		payload += int64(len(it.Data)) + wire.FlushBlockOverhead
 	}
-	c.rpc(p, n, io, payload, 0, func(p *sim.Proc) { io.serveFlush(p, n.id, g) })
+	c.rpc(p, n, io, payload, 0, func(p *sim.Proc) { io.serveFlush(p, g) })
 	n.Cache.FlushDone(g.items)
 	c.Reg.Counter("sim.flush_rounds").Inc()
 	c.Reg.Counter("sim.flushed_blocks").Add(int64(len(g.items)))
 }
 
-// serveFlush charges the iod-side cost of absorbing one flush message and
-// records the flusher's node as a holder of the flushed blocks.
-func (io *IOD) serveFlush(p *sim.Proc, node int, g flushGroup) {
+// serveFlush charges the iod-side cost of absorbing one flush message.
+func (io *IOD) serveFlush(p *sim.Proc, g flushGroup) {
 	io.CPU.Acquire(p)
 	var total int64
 	for _, it := range g.items {
@@ -326,12 +312,6 @@ func (io *IOD) serveFlush(p *sim.Proc, node int, g flushGroup) {
 	p.Sleep(io.c.P.IODService + io.c.P.memTime(total))
 	for _, it := range g.items {
 		io.pageInsert(it.Key)
-		hs := io.dir[it.Key]
-		if hs == nil {
-			hs = make(map[int]struct{})
-			io.dir[it.Key] = hs
-		}
-		hs[node] = struct{}{}
 	}
 	io.CPU.Release(p)
 }

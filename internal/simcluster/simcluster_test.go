@@ -210,34 +210,6 @@ func TestColocationVsSpreadZeroLocality(t *testing.T) {
 	}
 }
 
-func TestSyncWriteInvalidatesInSim(t *testing.T) {
-	env := sim.NewEnv()
-	c := New(env, DefaultParams(), 2, 2, true)
-	id := c.CreateFile("x", 1<<20, true)
-	_, meta := c.Lookup("x")
-
-	done := 0
-	env.Go("reader-then-check", func(p *sim.Proc) {
-		// Node 0 reads, caching blocks.
-		c.Read(p, c.Nodes[0], id, meta, 0, 64<<10)
-		if c.Nodes[0].Cache.Stats().Resident == 0 {
-			t.Error("node 0 cache empty after read")
-		}
-		// Node 1 sync-writes the same range.
-		c.SyncWrite(p, c.Nodes[1], id, meta, 0, 64<<10)
-		// Node 0's copies must be gone.
-		if got := c.Nodes[0].Cache.Stats().Resident; got != 0 {
-			t.Errorf("node 0 still holds %d blocks after invalidation", got)
-		}
-		done++
-		c.Finish()
-	})
-	env.Run()
-	if done != 1 {
-		t.Fatal("sim process did not finish")
-	}
-}
-
 func TestWarmVsColdFirstRead(t *testing.T) {
 	// A cold file pays disk time on first access; a warm one does not.
 	read := func(warm bool) time.Duration {

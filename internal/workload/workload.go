@@ -334,9 +334,9 @@ func genZipfian(p Params) (*Spec, error) {
 // consume. Each pair has its own file; the producer writes the whole
 // file, flushes, and only after a global barrier does the consumer (on a
 // different node when one exists) read it back. The flush + barrier is
-// exactly the hand-off the system's weak inter-node coherence guarantees,
-// and the access order it produces classifies as producer-consumer in
-// internal/sharing's taxonomy.
+// exactly the hand-off the system's weak inter-node coherence guarantees:
+// the consumer's node holds no copy before the barrier, so it reads the
+// producer's flushed bytes from the iod.
 func genProdCons(p Params) (*Spec, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

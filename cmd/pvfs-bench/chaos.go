@@ -17,7 +17,7 @@ import (
 var (
 	chaosMode = flag.Bool("chaos", false, "run a seeded chaos scenario instead of the micro-benchmark")
 	scenario  = flag.String("scenario", "sequential", "chaos workload scenario: sequential, strided, zipfian, prodcons, or metadata")
-	fault     = flag.String("fault", "connkill", "chaos fault: none, connkill, crash, partition, brownout, restart (needs -backend disk, implied), or a membership fault — killpeer, join, drain (imply -gc; gc-safe scenarios only)")
+	fault     = flag.String("fault", "connkill", "chaos fault: none, connkill, crash, partition, brownout, restart (needs -backend disk, implied), drain, or a membership fault — killpeer, join (imply -gc; gc-safe scenarios only)")
 	chaosGC   = flag.Bool("gc", false, "run the cooperative global cache in mgr-joined mode (gc-safe scenarios only; membership faults imply it)")
 	chaosTCP  = flag.Bool("tcp", false, "run the chaos cluster over loopback TCP instead of the in-memory fabric")
 	clients   = flag.Int("clients", 8, "chaos client processes")

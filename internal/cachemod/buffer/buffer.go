@@ -486,16 +486,18 @@ func (m *Manager) InsertClean(key blockio.BlockKey, owner int, data []byte) Outc
 }
 
 // WriteStamp returns the block's current write stamp. The stamp advances
-// under the shard lock on every dirtying write and again when a block
-// that was written this residency leaves the table (eviction or
-// invalidation) — the two events after which an image fetched from the
-// iod earlier may no longer be the newest acknowledged data (a write the
-// fetch predates can be applied, flushed, and evicted entirely within the
-// fetch's flight, leaving nothing resident to patch it from). A fetch
-// records the stamp when it is issued and presents it at install time;
-// the install is refused (OutcomeStale) if the stamp moved. The stamp map
-// keeps one word per written key for the manager's lifetime — bounded by
-// file blocks ever dirtied on this node, never by cache capacity.
+// under the shard lock on every dirtying write, again when a block that
+// was written this residency leaves the table (eviction or
+// invalidation), and on every Invalidate or InvalidateClean, resident or
+// not (only an InvalidateClean that keeps a dirty block leaves it) — the
+// events after which an image fetched from the iod earlier may no longer
+// be the newest acknowledged data (a write the fetch predates can be
+// applied, flushed, and evicted entirely within the fetch's flight, or
+// land at the iod from another node, leaving nothing resident to patch it
+// from). A fetch records the stamp when it is issued and presents it at
+// install time; the install is refused (OutcomeStale) if the stamp moved.
+// The stamp map keeps one word per key written or invalidated on this
+// node for the manager's lifetime — never bounded by cache capacity.
 func (m *Manager) WriteStamp(key blockio.BlockKey) uint32 {
 	return m.shardFor(key).writeStamp(key)
 }

@@ -30,12 +30,13 @@ type shard struct {
 	mu    sync.Mutex
 	table map[blockio.BlockKey]*block
 	// stamps is the per-key write-stamp table (see Manager.WriteStamp): a
-	// key's stamp advances on every dirtying write and when a written
-	// block leaves the table, and installs of fetched images are refused
-	// when the stamp moved past the fetcher's snapshot. Entries persist
-	// after eviction — that is the point: the stamp must outlive the frame
-	// so a fetch that straddled a write+flush+evict cycle is detectably
-	// stale. One uint32 per key ever written on this node.
+	// key's stamp advances on every dirtying write, when a written block
+	// leaves the table and on every invalidation, and installs of fetched
+	// images are refused when the stamp moved past the fetcher's snapshot.
+	// Entries persist after eviction — that is the point: the stamp must
+	// outlive the frame so a fetch that straddled a write+flush+evict
+	// cycle, or a remote write's invalidation, is detectably stale. One
+	// uint32 per key ever written or invalidated on this node.
 	stamps map[blockio.BlockKey]uint32
 	free   []*block
 
@@ -358,30 +359,33 @@ func (s *shard) flushFailed(it FlushItem) {
 
 // invalidate drops one block of this shard. Any ghost memory of the key is
 // dropped too — an invalidated block's history must not later count as
-// proof of reuse (no resurrection of invalidated keys).
+// proof of reuse (no resurrection of invalidated keys). The key's write
+// stamp advances whether or not the block is resident: the bytes changed
+// elsewhere, so a fetch already in flight carries an image that predates
+// the invalidation and must be refused at install.
 func (s *shard) invalidate(key blockio.BlockKey) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ghost.forget(key)
-	b, ok := s.table[key]
-	if !ok {
-		return false
-	}
-	s.removeBlock(b)
-	s.ctrs.invalidations.Inc()
-	return true
+	return s.invalidateLocked(key)
 }
 
 // invalidateClean is invalidate restricted to blocks with no unflushed
-// writes; dirty or in-flight blocks survive (see Manager.InvalidateClean).
+// writes; dirty or in-flight blocks survive, stamp unmoved, so their
+// flush acks still match (see Manager.InvalidateClean).
 func (s *shard) invalidateClean(key blockio.BlockKey) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, ok := s.table[key]
-	if ok && b.dirty() {
+	if b, ok := s.table[key]; ok && b.dirty() {
 		return false
 	}
+	return s.invalidateLocked(key)
+}
+
+// invalidateLocked is invalidate's body (s.mu held).
+func (s *shard) invalidateLocked(key blockio.BlockKey) bool {
 	s.ghost.forget(key)
+	s.advanceStamp(key)
+	b, ok := s.table[key]
 	if !ok {
 		return false
 	}

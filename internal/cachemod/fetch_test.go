@@ -23,7 +23,7 @@ const fakeBS = 4096
 
 // fakeIOD is a scripted iod: one rpc.Server (data and flush port alike)
 // over a single in-memory image every file reads from. It accepts every
-// Register and never invalidates. script, when set, sees each request with
+// Register and never invalidates on its own. script, when set, sees each request with
 // the honest reply and returns what goes on the wire instead; a nil reply
 // drops the connection (an rpc error).
 type fakeIOD struct {
@@ -400,11 +400,19 @@ func TestFetchProtocolSettlesEveryClaim(t *testing.T) {
 	}
 }
 
+// staleRaces are the interleavings staleRig puts inside one fetch's
+// flight, each after which the fetched image is no longer the newest
+// acknowledged data:
+//   - local: this node writes the block, flushes it and evicts it;
+//   - remote: another node's sync-write lands at the iod, whose
+//     invalidation reaches this node while block 0 is not resident;
+//   - drain: the same, with a drain invalidation (InvalidateClean).
+var staleRaces = []string{"local", "remote", "drain"}
+
 // staleRig is a rig whose iod 0, on the first ReadBlocks for block 0,
-// captures the old bytes, then — before replying with them — writes the
-// block through the module, flushes it, and evicts it: the whole PR 10
-// race inside one fetch's flight, deterministically.
-func staleRig(t *testing.T, file blockio.FileID, oldB, newB []byte) *fetchRig {
+// captures the old bytes, then — before replying with them — runs the
+// named race (staleRaces) against the module, deterministically.
+func staleRig(t *testing.T, race string, file blockio.FileID, oldB, newB []byte) *fetchRig {
 	r := newFetchRig(t, false, func(c *Config) { c.Buffer.Capacity = 8 })
 	key := blockio.BlockKey{File: file, Index: 0}
 	r.iods[0].image = append([]byte(nil), oldB...)
@@ -412,6 +420,11 @@ func staleRig(t *testing.T, file blockio.FileID, oldB, newB []byte) *fetchRig {
 	r.iods[0].script = func(req, honest wire.Message) wire.Message {
 		if _, ok := req.(*wire.ReadBlocks); !ok || raced.Swap(true) {
 			return honest
+		}
+		if race != "local" {
+			r.iods[0].write(0, newB)
+			r.mod.handleInvalidate(&wire.Invalidate{File: file, Indices: []int64{0}, Drain: race == "drain"})
+			return honest // the pre-write image
 		}
 		tr := r.mod.NewTransport()
 		id, err := tr.Send(0, &wire.Write{File: file, Offset: 0, Data: newB})
@@ -436,47 +449,55 @@ func staleRig(t *testing.T, file blockio.FileID, oldB, newB []byte) *fetchRig {
 	return r
 }
 
-// TestStaleFetchDemandRetries: a demand fetch whose block is written,
-// flushed and evicted while the fetch is in flight must not serve or
-// install the pre-write image; it re-reads once against a fresh stamp.
+// TestStaleFetchDemandRetries: a demand fetch whose block is overtaken by
+// a staleRaces interleaving while the fetch is in flight must not serve
+// or install the pre-write image; it re-reads once against a fresh stamp.
 func TestStaleFetchDemandRetries(t *testing.T) {
 	const file = 81
-	oldB, newB := bytes.Repeat([]byte{0x0D}, fakeBS), bytes.Repeat([]byte{0xE7}, fakeBS)
-	r := staleRig(t, file, oldB, newB)
-	if got := readAt(t, r.mod.NewTransport(), 0, file, 0, fakeBS); !bytes.Equal(got, newB) {
-		t.Fatalf("read returned %#x..., want the acknowledged write %#x", got[0], newB[0])
-	}
-	if got := r.reg.Counter("module.fetch_stale_retries").Value(); got != 1 {
-		t.Fatalf("fetch_stale_retries = %d, want 1", got)
-	}
-	got := make([]byte, fakeBS)
-	if !r.mod.buf.ReadSpan(blockio.BlockKey{File: file, Index: 0}, 0, got) || !bytes.Equal(got, newB) {
-		t.Fatal("cache does not hold the re-read image")
+	for _, race := range staleRaces {
+		t.Run(race, func(t *testing.T) {
+			oldB, newB := bytes.Repeat([]byte{0x0D}, fakeBS), bytes.Repeat([]byte{0xE7}, fakeBS)
+			r := staleRig(t, race, file, oldB, newB)
+			if got := readAt(t, r.mod.NewTransport(), 0, file, 0, fakeBS); !bytes.Equal(got, newB) {
+				t.Fatalf("read returned %#x..., want the acknowledged write %#x", got[0], newB[0])
+			}
+			if got := r.reg.Counter("module.fetch_stale_retries").Value(); got != 1 {
+				t.Fatalf("fetch_stale_retries = %d, want 1", got)
+			}
+			got := make([]byte, fakeBS)
+			if !r.mod.buf.ReadSpan(blockio.BlockKey{File: file, Index: 0}, 0, got) || !bytes.Equal(got, newB) {
+				t.Fatal("cache does not hold the re-read image")
+			}
+		})
 	}
 }
 
-// TestStaleFetchPrefetchDrops: the same race against a prefetch. The
+// TestStaleFetchPrefetchDrops: the same races against a prefetch. The
 // speculative image is dropped, not re-read and not installed.
 func TestStaleFetchPrefetchDrops(t *testing.T) {
 	const file = 82
-	oldB, newB := bytes.Repeat([]byte{0x0D}, fakeBS), bytes.Repeat([]byte{0xE7}, fakeBS)
-	r := staleRig(t, file, oldB, newB)
-	hint := stripeHint{meta: wire.FileMeta{Size: 1 << 20, PCount: 1, SSize: 1 << 20}, total: 2}
-	r.mod.prefetchRange(file, hint, []int64{0}, admitDefault)
-	waitCounter(t, r.reg, "module.prefetch_stale_drops", 1)
-	waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetch claim settled")
-	if got := r.reg.Counter("module.prefetch_stale_drops").Value(); got != 1 {
-		t.Fatalf("prefetch_stale_drops = %d, want 1", got)
-	}
-	if r.mod.buf.Contains(blockio.BlockKey{File: file, Index: 0}, 0, fakeBS) {
-		t.Fatal("stale prefetched image was installed")
-	}
-	if got := r.reg.Counter("module.fetch_stale_retries").Value(); got != 0 {
-		t.Fatalf("prefetch re-read a stale block (%d retries)", got)
-	}
-	// A demand read now fetches the current store.
-	if !bytes.Equal(readAt(t, r.mod.NewTransport(), 0, file, 0, fakeBS), newB) {
-		t.Fatal("demand read after the drop returned old bytes")
+	for _, race := range staleRaces {
+		t.Run(race, func(t *testing.T) {
+			oldB, newB := bytes.Repeat([]byte{0x0D}, fakeBS), bytes.Repeat([]byte{0xE7}, fakeBS)
+			r := staleRig(t, race, file, oldB, newB)
+			hint := stripeHint{meta: wire.FileMeta{Size: 1 << 20, PCount: 1, SSize: 1 << 20}, total: 2}
+			r.mod.prefetchRange(file, hint, []int64{0}, admitDefault)
+			waitCounter(t, r.reg, "module.prefetch_stale_drops", 1)
+			waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetch claim settled")
+			if got := r.reg.Counter("module.prefetch_stale_drops").Value(); got != 1 {
+				t.Fatalf("prefetch_stale_drops = %d, want 1", got)
+			}
+			if r.mod.buf.Contains(blockio.BlockKey{File: file, Index: 0}, 0, fakeBS) {
+				t.Fatal("stale prefetched image was installed")
+			}
+			if got := r.reg.Counter("module.fetch_stale_retries").Value(); got != 0 {
+				t.Fatalf("prefetch re-read a stale block (%d retries)", got)
+			}
+			// A demand read now fetches the current store.
+			if !bytes.Equal(readAt(t, r.mod.NewTransport(), 0, file, 0, fakeBS), newB) {
+				t.Fatal("demand read after the drop returned old bytes")
+			}
+		})
 	}
 }
 

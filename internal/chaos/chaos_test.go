@@ -20,17 +20,15 @@ func cellParams(t *testing.T) workload.Params {
 	return p
 }
 
-func runCell(t *testing.T, scenario, fault string, tcp bool) {
+// runCell runs one cell: cfg names the scenario, the fault and the
+// cluster's shape; the seed, the sizing and the log come from t.
+func runCell(t *testing.T, cfg RunConfig) {
 	t.Helper()
-	seed := testseed.Base(t)
-	res, err := Run(RunConfig{
-		Scenario: scenario,
-		Fault:    fault,
-		Seed:     seed,
-		Params:   cellParams(t),
-		TCP:      tcp,
-		Log:      t.Logf,
-	})
+	cfg.Seed = testseed.Base(t)
+	cfg.Params = cellParams(t)
+	cfg.Log = t.Logf
+	fault := cfg.Fault
+	res, err := Run(cfg)
 	if errors.Is(err, ErrTCPUnavailable) {
 		t.Skipf("%v", err)
 	}
@@ -67,7 +65,7 @@ func TestChaosMatrix(t *testing.T) {
 	for _, sc := range workload.Scenarios() {
 		for _, fault := range Faults() {
 			t.Run(sc.Name+"/"+fault, func(t *testing.T) {
-				runCell(t, sc.Name, fault, false)
+				runCell(t, RunConfig{Scenario: sc.Name, Fault: fault})
 			})
 		}
 	}
@@ -78,11 +76,13 @@ func TestChaosMatrix(t *testing.T) {
 // throughout while a peer cache dies, a new node joins the ring, or an
 // iod drains and rejoins mid-workload — and the oracle still demands
 // byte-for-byte durability with op errors bounded by the fault window.
+// Drain needs no global cache (TestChaosMatrix runs it without one);
+// these cells hand an iod's holders off with the ring running.
 func TestChaosMembership(t *testing.T) {
 	for _, sc := range GCSafeScenarios() {
-		for _, fault := range MembershipFaults() {
+		for _, fault := range append(MembershipFaults(), "drain") {
 			t.Run(sc+"/"+fault, func(t *testing.T) {
-				runCell(t, sc, fault, false)
+				runCell(t, RunConfig{Scenario: sc, Fault: fault, GlobalCache: true})
 			})
 		}
 	}
@@ -96,7 +96,7 @@ func TestChaosMatrixTCP(t *testing.T) {
 	for _, sc := range []string{"sequential", "prodcons"} {
 		for _, fault := range Faults() {
 			t.Run(sc+"/"+fault, func(t *testing.T) {
-				runCell(t, sc, fault, true)
+				runCell(t, RunConfig{Scenario: sc, Fault: fault, TCP: true})
 			})
 		}
 	}
@@ -135,16 +135,20 @@ func TestChaosScaleStormLong(t *testing.T) {
 	if os.Getenv("CHAOS_LONG") == "" {
 		t.Skip("set CHAOS_LONG=1 to run the 512-client storm tier")
 	}
-	cases := []struct{ scenario, fault string }{
-		{"zipfian", "restart"},  // shared hot-spot cache over a crash/recover cycle
-		{"sequential", "drain"}, // streaming writers while an iod retires and rejoins
+	cases := []struct {
+		scenario, fault string
+		gc              bool
+	}{
+		{"zipfian", "restart", false}, // shared hot-spot cache over a crash/recover cycle
+		{"sequential", "drain", true}, // streaming writers while an iod retires and rejoins
 	}
 	for _, tc := range cases {
 		t.Run(tc.scenario+"/"+tc.fault, func(t *testing.T) {
 			res, err := Run(RunConfig{
-				Scenario: tc.scenario,
-				Fault:    tc.fault,
-				Seed:     testseed.Base(t),
+				Scenario:    tc.scenario,
+				Fault:       tc.fault,
+				GlobalCache: tc.gc,
+				Seed:        testseed.Base(t),
 				Params: workload.Params{
 					Clients: 512, Nodes: 4, OpsPerClient: 12,
 					FileSize: 4 << 20, MaxIO: 4 << 10,

@@ -10,10 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pvfscache/internal/cachemod"
 	"pvfscache/internal/chaos/waitfor"
 	"pvfscache/internal/cluster"
-	"pvfscache/internal/pvfs"
 	"pvfscache/internal/transport"
 	"pvfscache/internal/workload"
 )
@@ -34,8 +32,11 @@ import (
 //     process actually dies (ports closed, backend volatile state gone)
 //     and reboots from the same data directory — so the run exercises
 //     journal replay, not just reconnection. Forces the disk backend.
+//   - drain: one iod is gracefully drained (modules flush what they owe
+//     it, remaining holders are handed off) and rejoined; op errors are
+//     bounded by the down window exactly as for a crash
 func Faults() []string {
-	return []string{"none", "connkill", "crash", "partition", "brownout", "restart"}
+	return []string{"none", "connkill", "crash", "partition", "brownout", "restart", "drain"}
 }
 
 // MembershipFaults lists the global-cache membership faults. They are
@@ -52,10 +53,7 @@ func Faults() []string {
 //   - join: a new caching node joins the live ring mid-run — the mgr
 //     bumps the epoch, peers refetch the view on stale-epoch answers —
 //     with no op errors
-//   - drain: one iod is gracefully drained (modules flush what they owe
-//     it, remaining holders are handed off) and rejoined; op errors are
-//     bounded by the down window exactly as for a crash
-func MembershipFaults() []string { return []string{"killpeer", "join", "drain"} }
+func MembershipFaults() []string { return []string{"killpeer", "join"} }
 
 // GCSafeScenarios are the workload scenarios whose block-sharing shape
 // keeps the global cache coherent: no node ever re-reads a block another
@@ -227,7 +225,12 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 	defer cl.Close()
 
-	r := &runner{cfg: cfg, spec: spec, ctl: ctl, cl: cl}
+	s, err := newSession(cl, spec, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	defer s.close()
+	r := &runner{session: s, cfg: cfg, ctl: ctl}
 	res, err := r.run()
 	if res != nil {
 		res.DataDir = dataDir
@@ -280,144 +283,32 @@ func gcSafeScenario(s string) bool {
 
 func nodeOrigin(node int) string { return fmt.Sprintf("node%d", node) }
 
+// runner is one Run: the session driven concurrently under the fault
+// plan, every op recorded.
 type runner struct {
-	cfg  RunConfig
-	spec *workload.Spec
-	ctl  *Controller
-	cl   *cluster.Cluster
-
-	oracle *Oracle
-	rec    *workload.Recorder
-
-	violMu sync.Mutex
-	viols  []error
-}
-
-func (r *runner) violation(err error) {
-	r.violMu.Lock()
-	if len(r.viols) < 8 {
-		r.viols = append(r.viols, err)
-	}
-	r.violMu.Unlock()
+	*session
+	cfg RunConfig
+	ctl *Controller
+	rec *workload.Recorder
 }
 
 func (r *runner) run() (*RunResult, error) {
 	spec, cfg := r.spec, r.cfg
-	r.oracle = NewOracle(cfg.Seed, spec.Files)
-
-	// Setup: create every file at full size with the deterministic
-	// initial pattern, through a direct (uncached) client on the raw
-	// fabric, so the cluster and the oracle's reference images agree
-	// before any client starts.
-	setup, err := pvfs.NewClient(pvfs.Config{
-		Network: r.cl.Network, MgrAddr: r.cl.MgrAddr, IODAddrs: r.cl.IODDataAddrs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer setup.Close()
-	for fi, fs := range spec.Files {
-		f, err := setup.Create(fs.Name, pvfs.StripeSpec{SSize: uint32(fs.SSize), PCount: uint32(fs.PCount)})
-		if err != nil {
-			return nil, fmt.Errorf("chaos: setup create %s: %w", fs.Name, err)
-		}
-		img := r.oracle.InitImage(fi)
-		for off := 0; off < len(img); off += 256 << 10 {
-			end := min(off+256<<10, len(img))
-			if _, err := f.WriteAt(img[off:end], int64(off)); err != nil {
-				return nil, fmt.Errorf("chaos: setup write %s @%d: %w", fs.Name, off, err)
-			}
-		}
-	}
-
-	// Per-client processes and open handles, placed per the spec.
-	type clientCtx struct {
-		proc  *pvfs.Client
-		files []*pvfs.File
-		mod   *cachemod.Module
-	}
-	clients := make([]clientCtx, len(spec.Ops))
-	for c := range clients {
-		node := spec.Placement[c]
-		proc, err := r.cl.NewProcess(node)
-		if err != nil {
-			return nil, err
-		}
-		defer proc.Close()
-		cc := clientCtx{proc: proc, mod: r.cl.Module(node)}
-		for _, fs := range spec.Files {
-			f, err := proc.Open(fs.Name)
-			if err != nil {
-				return nil, fmt.Errorf("chaos: client %d open %s: %w", c, fs.Name, err)
-			}
-			cc.files = append(cc.files, f)
-		}
-		clients[c] = cc
-	}
-
 	r.rec = workload.NewRecorder()
 	plan := newFaultPlan(r)
 	go plan.run()
 
-	bar := newBarrier(len(clients))
+	r.bar = newBarrier(len(r.clients))
 	var wg sync.WaitGroup
-	for c := range clients {
+	for c := range r.clients {
 		wg.Add(1)
-		go func(c int, cc clientCtx) {
+		go func(c int) {
 			defer wg.Done()
-			buf := make([]byte, spec.Params.MaxIO)
 			for _, op := range spec.Ops[c] {
 				op = r.rec.Begin(op)
-				switch op.Kind {
-				case workload.KindWrite:
-					data := r.oracle.BeginWrite(op)
-					_, err := cc.files[op.File].WriteAt(data, op.Off)
-					r.oracle.EndWrite(op, err)
-					r.rec.End(op, err)
-				case workload.KindRead:
-					snap := r.oracle.BeginRead(op)
-					n, err := cc.files[op.File].ReadAt(buf[:op.Len], op.Off)
-					if err == nil && int64(n) != op.Len {
-						err = fmt.Errorf("chaos: short read %d of %d", n, op.Len)
-					}
-					if err == nil {
-						if cerr := r.oracle.CheckRead(op, snap, buf[:op.Len]); cerr != nil {
-							r.violation(cerr)
-							err = cerr
-						}
-					} else {
-						r.oracle.AbortRead(op)
-					}
-					r.rec.End(op, err)
-				case workload.KindFlush:
-					// A flush op must eventually succeed — faults heal well
-					// inside the deadline, and producer-consumer hand-offs
-					// depend on durability before the barrier.
-					var ferr error
-					waitfor.Poll(20*time.Second, func() bool {
-						ferr = cc.mod.FlushAll()
-						return ferr == nil
-					})
-					r.rec.End(op, ferr)
-				case workload.KindBarrier:
-					bar.wait()
-					r.rec.End(op, nil)
-				case workload.KindCreate:
-					f, err := cc.proc.Create(scratchName(c, op.File), pvfs.StripeSpec{})
-					if f != nil {
-						f.Close()
-					}
-					r.rec.End(op, err)
-				case workload.KindUnlink:
-					r.rec.End(op, cc.proc.Unlink(scratchName(c, op.File)))
-				case workload.KindList:
-					_, err := cc.proc.List()
-					r.rec.End(op, err)
-				default:
-					r.rec.End(op, fmt.Errorf("chaos: unexecutable op kind %v", op.Kind))
-				}
+				r.rec.End(op, r.do(op))
 			}
-		}(c, clients[c])
+		}(c)
 	}
 	wg.Wait()
 	plan.finish()
@@ -425,14 +316,7 @@ func (r *runner) run() (*RunResult, error) {
 	// Heal everything that could still be in force, then drain every
 	// cache so the durable check sees the whole run.
 	r.ctl.Heal()
-	var drainErr error
-	waitfor.Poll(20*time.Second, func() bool {
-		drainErr = r.cl.FlushAll()
-		return drainErr == nil
-	})
-	if cfg.Meddle != nil {
-		cfg.Meddle(r.cl)
-	}
+	durableErr := r.durable(cfg.Meddle)
 
 	trace := r.rec.Trace(spec.Scenario, spec.Params)
 	res := &RunResult{
@@ -443,39 +327,10 @@ func (r *runner) run() (*RunResult, error) {
 		Elapsed:    time.Duration(r.rec.Since()),
 	}
 
-	var failure error
+	failure := durableErr
 	fail := func(format string, args ...any) {
 		if failure == nil {
 			failure = fmt.Errorf(format, args...)
-		}
-	}
-	if drainErr != nil {
-		fail("chaos: final drain never succeeded: %v", drainErr)
-	}
-
-	// Durable image check through a fresh direct client.
-	if failure == nil {
-		final, err := pvfs.NewClient(pvfs.Config{
-			Network: r.cl.Network, MgrAddr: r.cl.MgrAddr, IODAddrs: r.cl.IODDataAddrs,
-		})
-		if err != nil {
-			return res, err
-		}
-		defer final.Close()
-		handles := make([]*pvfs.File, len(spec.Files))
-		for fi, fs := range spec.Files {
-			if handles[fi], err = final.Open(fs.Name); err != nil {
-				return res, fmt.Errorf("chaos: final open %s: %w", fs.Name, err)
-			}
-		}
-		if err := r.oracle.FinalCheck(func(file int, off int64, p []byte) error {
-			n, err := handles[file].ReadAt(p, off)
-			if err == nil && n != len(p) {
-				err = fmt.Errorf("short read %d of %d", n, len(p))
-			}
-			return err
-		}); err != nil {
-			fail("%v", err)
 		}
 	}
 	res.DoubtWrites, res.DoubtBytes = r.oracle.DoubtStats()
@@ -501,11 +356,9 @@ func (r *runner) run() (*RunResult, error) {
 				rec.Seq, time.Duration(rec.T), time.Duration(winStart), time.Duration(end), rec.Err)
 		}
 	}
-	r.violMu.Lock()
-	for _, v := range r.viols {
+	for _, v := range r.violations() {
 		fail("%v", v)
 	}
-	r.violMu.Unlock()
 
 	// Persist the trace: always when a directory was asked for, and on
 	// failure so the printed path reproduces the run.
@@ -531,37 +384,6 @@ func (r *runner) run() (*RunResult, error) {
 		spec.Scenario, cfg.Fault, cfg.Seed, res.Ops, res.OpErrors,
 		res.DoubtWrites, res.DoubtBytes, res.FaultStart, res.FaultEnd, res.Elapsed)
 	return res, failure
-}
-
-func scratchName(client, id int) string {
-	return fmt.Sprintf("wl/scratch-c%d-%d", client, id)
-}
-
-// barrier is a cyclic rendezvous for the client goroutines.
-type barrier struct {
-	mu      sync.Mutex
-	n       int
-	arrived int
-	ch      chan struct{}
-}
-
-func newBarrier(n int) *barrier {
-	return &barrier{n: n, ch: make(chan struct{})}
-}
-
-func (b *barrier) wait() {
-	b.mu.Lock()
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		close(b.ch)
-		b.ch = make(chan struct{})
-		b.mu.Unlock()
-		return
-	}
-	ch := b.ch
-	b.mu.Unlock()
-	<-ch
 }
 
 // faultPlan schedules one seeded fault against the running workload. The

@@ -4,21 +4,20 @@ import (
 	"fmt"
 	"sort"
 
-	"pvfscache/internal/cachemod"
 	"pvfscache/internal/cluster"
-	"pvfscache/internal/pvfs"
 	"pvfscache/internal/workload"
 )
 
 // Replay re-executes a recorded chaos trace deterministically in-process:
 // it verifies the trace's ops are exactly what its seed + scenario
 // regenerate (so a trace file and a seed are interchangeable evidence),
-// boots a fresh fault-free cluster, and executes every record in the
-// recorded global order on a single thread — same clients, same files,
-// same offsets, same payloads (regenerated from the op parameters). The
-// oracle judges every read and the final image; with no faults injected
-// the run must be byte-perfect, so any disagreement points at a real
-// data-path bug rather than at scheduling.
+// boots a fresh fault-free cluster, and drives Run's session through
+// every record in the recorded global order on a single thread — same
+// clients, same files, same offsets, same payloads (regenerated from the
+// op parameters). The oracle judges every read and the final image; with
+// no faults injected, an op may fail only where the recorded run's did,
+// so any disagreement points at a real data-path bug rather than at
+// scheduling.
 func Replay(tr *workload.Trace, logf func(format string, args ...any)) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -42,129 +41,24 @@ func Replay(tr *workload.Trace, logf func(format string, args ...any)) error {
 		return err
 	}
 	defer cl.Close()
-
-	oracle := NewOracle(tr.Params.Seed, spec.Files)
-	setup, err := pvfs.NewClient(pvfs.Config{
-		Network: cl.Network, MgrAddr: cl.MgrAddr, IODAddrs: cl.IODDataAddrs,
-	})
+	s, err := newSession(cl, spec, tr.Params.Seed)
 	if err != nil {
-		return err
+		return fmt.Errorf("chaos: replay setup: %w", err)
 	}
-	defer setup.Close()
-	for fi, fs := range spec.Files {
-		f, err := setup.Create(fs.Name, pvfs.StripeSpec{SSize: uint32(fs.SSize), PCount: uint32(fs.PCount)})
-		if err != nil {
-			return fmt.Errorf("chaos: replay setup create %s: %w", fs.Name, err)
-		}
-		img := oracle.InitImage(fi)
-		for off := 0; off < len(img); off += 256 << 10 {
-			end := min(off+256<<10, len(img))
-			if _, err := f.WriteAt(img[off:end], int64(off)); err != nil {
-				return fmt.Errorf("chaos: replay setup write %s: %w", fs.Name, err)
-			}
-		}
-	}
-
-	type clientCtx struct {
-		proc  *pvfs.Client
-		files []*pvfs.File
-		mod   *cachemod.Module
-	}
-	clients := make([]clientCtx, len(spec.Ops))
-	for c := range clients {
-		node := spec.Placement[c]
-		proc, err := cl.NewProcess(node)
-		if err != nil {
-			return err
-		}
-		defer proc.Close()
-		cc := clientCtx{proc: proc, mod: cl.Module(node)}
-		for _, fs := range spec.Files {
-			f, err := proc.Open(fs.Name)
-			if err != nil {
-				return err
-			}
-			cc.files = append(cc.files, f)
-		}
-		clients[c] = cc
-	}
+	defer s.close()
 
 	recs := make([]workload.Record, len(tr.Records))
 	copy(recs, tr.Records)
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
-	buf := make([]byte, spec.Params.MaxIO)
 	for _, rec := range recs {
-		op := rec.Op
-		if op.Client < 0 || op.Client >= len(clients) {
-			return fmt.Errorf("chaos: replay record %d names client %d", op.Seq, op.Client)
-		}
-		cc := clients[op.Client]
-		switch op.Kind {
-		case workload.KindWrite:
-			data := oracle.BeginWrite(op)
-			_, err := cc.files[op.File].WriteAt(data, op.Off)
-			oracle.EndWrite(op, err)
-			if err != nil {
-				return fmt.Errorf("chaos: replay write op %d failed without faults: %w", op.Seq, err)
-			}
-		case workload.KindRead:
-			snap := oracle.BeginRead(op)
-			n, err := cc.files[op.File].ReadAt(buf[:op.Len], op.Off)
-			if err != nil || int64(n) != op.Len {
-				return fmt.Errorf("chaos: replay read op %d: n=%d err=%v", op.Seq, n, err)
-			}
-			if err := oracle.CheckRead(op, snap, buf[:op.Len]); err != nil {
-				return fmt.Errorf("chaos: replay diverged: %w", err)
-			}
-		case workload.KindFlush:
-			if err := cc.mod.FlushAll(); err != nil {
-				return fmt.Errorf("chaos: replay flush op %d: %w", op.Seq, err)
-			}
-		case workload.KindBarrier:
-			// Single-threaded Seq-order execution makes the rendezvous a
-			// no-op: everything before the barrier already ran.
-		case workload.KindCreate:
-			f, err := cc.proc.Create(scratchName(op.Client, op.File), pvfs.StripeSpec{})
-			if err != nil {
-				return fmt.Errorf("chaos: replay create op %d: %w", op.Seq, err)
-			}
-			f.Close()
-		case workload.KindUnlink:
-			// The original may have failed this op mid-fault (nothing to
-			// unlink); replay tolerates the same.
-			if err := cc.proc.Unlink(scratchName(op.Client, op.File)); err != nil && rec.Err == "" {
-				return fmt.Errorf("chaos: replay unlink op %d: %w", op.Seq, err)
-			}
-		case workload.KindList:
-			if _, err := cc.proc.List(); err != nil {
-				return fmt.Errorf("chaos: replay list op %d: %w", op.Seq, err)
-			}
+		if err := s.do(rec.Op); err != nil && rec.Err == "" {
+			return fmt.Errorf("chaos: replay %v op %d failed where the recorded run did not: %w", rec.Kind, rec.Seq, err)
 		}
 	}
-
-	if err := cl.FlushAll(); err != nil {
-		return fmt.Errorf("chaos: replay final drain: %w", err)
+	if v := s.violations(); len(v) > 0 {
+		return fmt.Errorf("chaos: replay diverged: %w", v[0])
 	}
-	final, err := pvfs.NewClient(pvfs.Config{
-		Network: cl.Network, MgrAddr: cl.MgrAddr, IODAddrs: cl.IODDataAddrs,
-	})
-	if err != nil {
-		return err
-	}
-	defer final.Close()
-	handles := make([]*pvfs.File, len(spec.Files))
-	for fi, fs := range spec.Files {
-		if handles[fi], err = final.Open(fs.Name); err != nil {
-			return err
-		}
-	}
-	if err := oracle.FinalCheck(func(file int, off int64, p []byte) error {
-		n, err := handles[file].ReadAt(p, off)
-		if err == nil && n != len(p) {
-			err = fmt.Errorf("short read %d of %d", n, len(p))
-		}
-		return err
-	}); err != nil {
+	if err := s.durable(nil); err != nil {
 		return fmt.Errorf("chaos: replay durable image diverged: %w", err)
 	}
 	logf("chaos: replay of %d records completed byte-perfect", len(recs))

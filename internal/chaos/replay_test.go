@@ -18,7 +18,7 @@ var traceFlag = flag.String("trace", "", "chaos trace file to replay")
 
 // TestChaosReplay replays a trace deterministically in-process. With
 // -trace it replays that file; without it, it self-tests the loop by
-// recording a faulted run and replaying its trace.
+// recording a faulted run of each listed scenario and replaying its trace.
 func TestChaosReplay(t *testing.T) {
 	if *traceFlag != "" {
 		tr, err := workload.Load(*traceFlag)
@@ -30,30 +30,35 @@ func TestChaosReplay(t *testing.T) {
 		}
 		return
 	}
-	seed := testseed.Base(t)
-	res, err := Run(RunConfig{
-		Scenario: "prodcons",
-		Fault:    "connkill",
-		Seed:     seed,
-		Params:   cellParams(t),
-		TraceDir: t.TempDir(),
-		Log:      t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("recording run: %v", err)
-	}
-	if res.TracePath == "" {
-		t.Fatal("run saved no trace despite TraceDir")
-	}
-	tr, err := workload.Load(res.TracePath)
-	if err != nil {
-		t.Fatalf("loading recorded trace: %v", err)
-	}
-	if len(tr.Records) != res.Ops {
-		t.Fatalf("trace has %d records, run reported %d ops", len(tr.Records), res.Ops)
-	}
-	if err := Replay(tr, t.Logf); err != nil {
-		t.Fatalf("replay of recorded run: %v", err)
+	// prodcons replays shared data hand-offs; metadata replays create,
+	// unlink and list.
+	for _, sc := range []string{"prodcons", "metadata"} {
+		t.Run(sc, func(t *testing.T) {
+			res, err := Run(RunConfig{
+				Scenario: sc,
+				Fault:    "connkill",
+				Seed:     testseed.Base(t),
+				Params:   cellParams(t),
+				TraceDir: t.TempDir(),
+				Log:      t.Logf,
+			})
+			if err != nil {
+				t.Fatalf("recording run: %v", err)
+			}
+			if res.TracePath == "" {
+				t.Fatal("run saved no trace despite TraceDir")
+			}
+			tr, err := workload.Load(res.TracePath)
+			if err != nil {
+				t.Fatalf("loading recorded trace: %v", err)
+			}
+			if len(tr.Records) != res.Ops {
+				t.Fatalf("trace has %d records, run reported %d ops", len(tr.Records), res.Ops)
+			}
+			if err := Replay(tr, t.Logf); err != nil {
+				t.Fatalf("replay of recorded run: %v", err)
+			}
+		})
 	}
 }
 

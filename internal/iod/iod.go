@@ -199,11 +199,21 @@ func (s *Server) RegisterClient(client uint32, addr string) {
 // connection's request in one pass over the store, packed densely into a
 // single pooled buffer (recycled by recycleReadBuf once the response has
 // hit the wire). Extent lengths are attacker-controlled, so each one and
-// their sum are bounded before any allocation.
+// their sum are bounded before any allocation. A tracked read records its
+// client as a holder of every extent before the first store read: a
+// sync-write landing between that read and the reply then invalidates
+// the reader, which otherwise would install the old bytes unseen.
 func (s *Server) readBlocks(m *wire.ReadBlocks) *wire.ReadBlocksResp {
 	total, ok := wire.ValidateExtents(m.Exts)
 	if !ok {
 		return &wire.ReadBlocksResp{Status: wire.StatusBadRequest}
+	}
+	if m.Track && m.Client != 0 && !s.draining.Load() {
+		s.mu.Lock()
+		for _, e := range m.Exts {
+			s.holdRange(m.Client, m.File, e.Offset, e.Length)
+		}
+		s.mu.Unlock()
 	}
 	buf := s.readBufs.Get(int(total))
 	lens := make([]uint32, len(m.Exts))
@@ -218,9 +228,6 @@ func (s *Server) readBlocks(m *wire.ReadBlocks) *wire.ReadBlocksResp {
 		lens[i] = uint32(n)
 		pos += n
 		s.ctr.readBytes.Add(int64(n))
-		if m.Track && m.Client != 0 {
-			s.trackHolders(m.Client, m.File, e.Offset, e.Length)
-		}
 	}
 	s.ctr.reads.Inc()
 	s.ctr.vectorReads.Inc()

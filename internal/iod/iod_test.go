@@ -2,11 +2,14 @@ package iod
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"pvfscache/internal/blockio"
 	"pvfscache/internal/metrics"
 	"pvfscache/internal/rpc"
+	"pvfscache/internal/storage"
+	"pvfscache/internal/storage/mem"
 	"pvfscache/internal/transport"
 	"pvfscache/internal/wire"
 )
@@ -281,6 +284,60 @@ func TestSyncWriteInvalidatesOtherHolders(t *testing.T) {
 	h := s.Holders(blockio.BlockKey{File: 6, Index: 0})
 	if len(h) != 1 || h[0] != 1 {
 		t.Fatalf("block 0 holders %v", h)
+	}
+}
+
+// parkedBackend parks the first ReadAt inside the store, before it
+// reads, until release is closed.
+type parkedBackend struct {
+	storage.Backend
+	once    sync.Once
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (b *parkedBackend) ReadAt(id blockio.FileID, off int64, p []byte) (int, error) {
+	b.once.Do(func() {
+		close(b.parked)
+		<-b.release
+	})
+	return b.Backend.ReadAt(id, off, p)
+}
+
+// TestSyncWriteDuringTrackedReadInvalidatesReader: a sync-write that lands
+// while a tracked read is inside the store must still find the reader in
+// the directory and invalidate it before acking — the reader's reply may
+// carry the bytes from before the write.
+func TestSyncWriteDuringTrackedReadInvalidatesReader(t *testing.T) {
+	net := transport.NewMem()
+	pb := &parkedBackend{Backend: mem.New(), parked: make(chan struct{}), release: make(chan struct{})}
+	s := NewWithBackend(0, 4096, net, metrics.NewRegistry(), pb)
+	l, err := net.Listen("iod-data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.ServeData(l)
+	t.Cleanup(func() { l.Close(); s.Close() })
+	dropped := invalListener(t, net, "client2-inval")
+	s.RegisterClient(2, "client2-inval")
+
+	reader, writer := dial(t, net, "iod-data"), dial(t, net, "iod-data")
+	call(t, writer, &wire.Write{File: 6, Offset: 0, Data: make([]byte, 4096)})
+	read := make(chan rpc.Result, 1)
+	go func() {
+		read <- reader.Call(&wire.ReadBlocks{Client: 2, File: 6, Track: true, Exts: ext(0, 4096)})
+	}()
+	<-pb.parked
+	ack := call(t, writer, &wire.SyncWrite{Client: 1, File: 6, Offset: 0, Data: make([]byte, 4096)}).(*wire.SyncWriteAck)
+	close(pb.release)
+	if res := <-read; res.Err != nil || res.Msg.(*wire.ReadBlocksResp).Status != wire.StatusOK {
+		t.Fatalf("tracked read: %v %v", res.Err, res.Msg)
+	}
+	if ack.Status != wire.StatusOK || ack.Invalidated != 1 {
+		t.Fatalf("sync write status %d invalidated %d, want OK and 1", ack.Status, ack.Invalidated)
+	}
+	if len(*dropped) != 1 || (*dropped)[0] != 0 {
+		t.Fatalf("client 2 asked to drop %v, want [0]", *dropped)
 	}
 }
 

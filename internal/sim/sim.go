@@ -82,12 +82,6 @@ type Proc struct {
 	wake chan struct{}
 }
 
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the owning environment.
-func (p *Proc) Env() *Env { return p.env }
-
 // Go spawns a process that starts at the current virtual time.
 func (e *Env) Go(name string, fn func(p *Proc)) {
 	p := &Proc{env: e, name: name, wake: make(chan struct{})}
@@ -248,9 +242,3 @@ func (r *Resource) Use(p *Proc, d time.Duration) {
 	p.Sleep(d)
 	r.Release(p)
 }
-
-// InUse returns the number of held units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of queued processes.
-func (r *Resource) QueueLen() int { return len(r.queue) }

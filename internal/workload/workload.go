@@ -3,11 +3,10 @@
 // ROADMAP item 5 ("thousands of clients, seeded faults, one oracle").
 //
 // A Scenario turns Params into a Spec: the files to create, the node each
-// client runs on, and one deterministic op stream per client. The same
-// Spec runs against the live cluster (internal/chaos drives it and judges
-// every run with the consistency oracle) and against the discrete-event
-// simulator (RunSim in this package), so a contention pattern observed
-// live can be re-examined on the calibrated model and vice versa.
+// client runs on, and one deterministic op stream per client. The live
+// cluster executes it: internal/chaos drives every op through one
+// executor, concurrently under faults or serially from a trace, and
+// judges every run with the consistency oracle.
 //
 // Two properties make the streams verifiable and replayable:
 //

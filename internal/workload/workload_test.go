@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"path/filepath"
 	"testing"
-
-	"pvfscache/internal/sim"
-	"pvfscache/internal/simcluster"
 )
 
 func TestScenariosDeterministic(t *testing.T) {
@@ -220,51 +217,5 @@ func TestTraceDecodeRejectsGarbage(t *testing.T) {
 		// padded); truncation of a non-empty one is the real risk, covered
 		// by fuzzing the decoder below.
 		t.Skip("padding tolerated")
-	}
-}
-
-func TestRunSimAllScenarios(t *testing.T) {
-	for _, sc := range Scenarios() {
-		t.Run(sc.Name, func(t *testing.T) {
-			p := Params{Clients: 4, Nodes: 2, OpsPerClient: 24, FileSize: 128 << 10, MaxIO: 8 << 10, Seed: 13}
-			spec, err := sc.Generate(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			env := sim.NewEnv()
-			c := simcluster.New(env, simcluster.DefaultParams(), 4, 2, true)
-			res, err := RunSim(c, spec)
-			if err != nil {
-				t.Fatalf("sim run: %v", err)
-			}
-			if res.Elapsed <= 0 {
-				t.Fatalf("no virtual time elapsed (ops=%d)", res.Ops)
-			}
-			t.Logf("%s: %d data ops, %d skipped, %v virtual", sc.Name, res.Ops, res.Skipped, res.Elapsed)
-		})
-	}
-}
-
-func TestRunSimDeterministic(t *testing.T) {
-	run := func() (SimResult, error) {
-		sc, _ := Lookup("zipfian")
-		spec, err := sc.Generate(Params{Clients: 3, OpsPerClient: 30, FileSize: 64 << 10, MaxIO: 4 << 10, Seed: 99})
-		if err != nil {
-			return SimResult{}, err
-		}
-		env := sim.NewEnv()
-		c := simcluster.New(env, simcluster.DefaultParams(), 2, 2, true)
-		return RunSim(c, spec)
-	}
-	a, err := run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("sim runs diverged: %+v vs %+v", a, b)
 	}
 }

@@ -58,7 +58,7 @@ import (
 var (
 	mgrAddr   = flag.String("mgr", "", "mgr address (empty boots an in-process cluster)")
 	iodList   = flag.String("iods", "", "comma-separated iod data addresses")
-	flushList = flag.String("flush", "", "comma-separated iod flush addresses, one per -iods entry (empty: no write-behind)")
+	flushList = flag.String("flush", "", "comma-separated iod flush addresses, one per -iods entry (required with -caching)")
 	caching   = flag.Bool("caching", true, "enable the cache module")
 	instances = flag.Int("instances", 1, "application instances (degree of multiprogramming)")
 	procs     = flag.Int("p", 2, "processes (nodes) per instance")

@@ -3,17 +3,15 @@
 // 1 MB cache), warms a 512 KB working set until it is promoted to the
 // protected segment, then streams a 4 MB file through the cache — four
 // times the cache's size — and re-reads the working set to see how much
-// of it survived. The same storm runs under three configurations:
+// of it survived. The same storm runs under two configurations:
 //
-//   - the ghost policy with the streaming bypass: the detected scan is
-//     served read-around after a few blocks and never admitted at all
-//   - the ghost policy alone: the scan is admitted to probation, where
-//     it can only evict itself — the protected working set is untouched
+//   - the ghost policy: the scan is admitted to probation, where it can
+//     only evict itself — the protected working set is untouched
 //   - the LRU ablation: one list, so the scan flushes the working set
 //
 // Each run prints the admission counters (cache.ghost_hits,
-// cache.admission_rejects, cache.bypass_reads, cache.protected_evictions
-// and module.stream_bypasses) and the number of working-set blocks that
+// cache.admission_rejects and cache.protected_evictions) and the number
+// of working-set blocks that
 // had to be refetched from the iods afterwards — zero under the ghost
 // policy, the whole set under LRU. A revisit of recently evicted scan
 // blocks lights up the ghost list: under the ghost policy they are
@@ -22,9 +20,7 @@
 //	go run ./examples/scanresist
 //
 // See DESIGN.md §7 for the admission state machine and docs/TUNING.md
-// for the Policy/BypassThreshold knobs and the per-open
-// cache-policy hints (the seeding phase below uses a don't-cache hint
-// so the storm starts from a cold cache).
+// for the Policy knob.
 package main
 
 import (
@@ -60,25 +56,28 @@ func run(label string, cfg cluster.Config) int64 {
 	}
 	defer proc.Close()
 
-	// Seed both files write-around: a don't-cache hint routes the writes
-	// straight to the iods, so the measured phases start from a cold,
-	// clean cache.
+	// Seed both files, flush them to the iods and drop them from the
+	// cache, so the measured phases start from a cold, clean cache.
 	seed := func(name string, blocks int) *pvfs.File {
 		f, err := proc.Create(name, pvfs.StripeSpec{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		f.HintCachePolicy(pvfs.CacheNone)
 		if _, err := f.WriteAt(bytes.Repeat([]byte{0xA7}, blocks*blockSize), 0); err != nil {
 			log.Fatal(err)
 		}
-		f.HintCachePolicy(pvfs.CacheDefault)
 		return f
 	}
 	ws := seed("ws.dat", wsBlocks)
 	scan := seed("scan.dat", scanBlocks)
 	defer ws.Close()
 	defer scan.Close()
+	if err := c.FlushAll(); err != nil {
+		log.Fatal(err)
+	}
+	for _, f := range []*pvfs.File{ws, scan} {
+		c.Module(0).Buffer().InvalidateFile(f.ID())
+	}
 
 	readSeq := func(f *pvfs.File, blocks int) {
 		buf := make([]byte, blockSize)
@@ -115,8 +114,6 @@ func run(label string, cfg cluster.Config) int64 {
 	fmt.Printf("[%s]\n", label)
 	fmt.Printf("  scan:    %d blocks evicted — %d from the protected segment; %d admissions rejected\n",
 		d["cache.evictions"], d["cache.protected_evictions"], d["cache.admission_rejects"])
-	fmt.Printf("           %d block reads bypassed the cache (%d detected-stream requests)\n",
-		d["cache.bypass_reads"], d["module.stream_bypasses"])
 
 	// Revisit 32 recently evicted scan blocks (in permuted order, so the
 	// revisit itself is not detected as a stream). Under the ghost policy
@@ -146,28 +143,22 @@ func main() {
 		ClientNodes: 1,
 		Caching:     true,
 		CacheBlocks: 256,       // 1 MB cache
-		FlushPeriod: time.Hour, // write-behind is not today's story
+		FlushPeriod: time.Hour, // the seeding phase drains the write-behind itself
 		Module: cachemod.Config{
 			Buffer:          buffer.Config{Shards: 1}, // one stripe: deterministic replacement order
 			ReadaheadWindow: -1,                       // block-by-block reads keep the admission story visible
 		},
 	}
 
-	ghostBypass := base
-	ghostBypass.Module.Buffer.Policy = buffer.PolicyGhost
-	ghostBypass.Module.BypassThreshold = 8
-	withBypass := run("ghost policy + streaming bypass (Buffer.Policy ghost, BypassThreshold 8)", ghostBypass)
-
-	ghostOnly := base
-	ghostOnly.Module.Buffer.Policy = buffer.PolicyGhost
-	ghostAlone := run("ghost policy alone (Buffer.Policy ghost)", ghostOnly)
+	ghost := base
+	ghost.Module.Buffer.Policy = buffer.PolicyGhost
+	kept := run("ghost policy (Buffer.Policy ghost)", ghost)
 
 	lru := base
 	lru.Module.Buffer.Policy = buffer.PolicyLRU
 	flushed := run("lru ablation (Buffer.Policy lru)", lru)
 
-	fmt.Printf("\nworking-set refetches after a 4x-cache scan: ghost+bypass %d, ghost %d, lru %d of %d\n",
-		withBypass, ghostAlone, flushed, wsBlocks)
-	fmt.Println("the ghost policy's probation segment lets the scan only evict itself;")
-	fmt.Println("the bypass keeps the detected stream out of the cache entirely.")
+	fmt.Printf("\nworking-set refetches after a 4x-cache scan: ghost %d, lru %d of %d\n",
+		kept, flushed, wsBlocks)
+	fmt.Println("the ghost policy's probation segment lets the scan only evict itself.")
 }

@@ -560,11 +560,11 @@ func (m *Manager) InstallFetchedAdmit(key blockio.BlockKey, owner int, data []by
 
 // PatchResident overlays the block's resident valid bytes onto data (a
 // whole-block image) without admitting anything: the read-around path's
-// half of InstallFetched's resident-wins patch. A bypassed fetch must
+// half of InstallFetched's resident-wins patch. A read-around fetch must
 // still serve this node's newest view of the block — resident bytes may be
 // dirtier or newer than what the iod returned — even though the fetched
 // image is never installed. The stamp check is the same as
-// InstallFetched's: a bypassed image whose block was written mid-flight
+// InstallFetched's: a read-around image whose block was written mid-flight
 // is refused (OutcomeStale), because the newer write may already have
 // been flushed and evicted, leaving no resident bytes to patch from.
 func (m *Manager) PatchResident(key blockio.BlockKey, data []byte, stamp uint32) Outcome {
@@ -589,7 +589,7 @@ func (m *Manager) OverlaySpan(key blockio.BlockKey, off int, dst []byte) (prefet
 }
 
 // NoteBypass counts one block intentionally served around the cache (the
-// streaming-bypass and don't-cache read paths). The count lands on the
+// don't-cache read path). The count lands on the
 // shard the block would have occupied, so per-shard bypass pressure is
 // visible in the folded stats.
 func (m *Manager) NoteBypass(key blockio.BlockKey) {

@@ -43,7 +43,7 @@ import (
 // the probation front); a history of cap 0 remembers nothing, so nothing
 // is ever proven and the admission gate never fires.
 //
-// State diagram (DESIGN.md §7 reproduces this with the bypass path):
+// State diagram (DESIGN.md §7 reproduces this with the read-around path):
 //
 //	            miss, admit                     touch
 //	  absent ────────────────▶ probation ────────────────▶ protected

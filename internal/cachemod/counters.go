@@ -26,7 +26,6 @@ type counters struct {
 	readSubrequests    *metrics.Counter
 	readVectorFetches  *metrics.Counter
 	readFullHits       *metrics.Counter
-	writeAround        *metrics.Counter
 	writesBuffered     *metrics.Counter
 	writeStalls        *metrics.Counter
 	writeThrough       *metrics.Counter
@@ -38,7 +37,6 @@ type counters struct {
 	flushCoalesced     *metrics.Counter
 	harvested          *metrics.Counter
 	invalidationsRx    *metrics.Counter
-	streamBypasses     *metrics.Counter
 }
 
 func newCounters(reg *metrics.Registry) counters {
@@ -57,7 +55,6 @@ func newCounters(reg *metrics.Registry) counters {
 		readSubrequests:    reg.Counter("module.read_subrequests"),
 		readVectorFetches:  reg.Counter("module.read_vector_fetches"),
 		readFullHits:       reg.Counter("module.read_full_hits"),
-		writeAround:        reg.Counter("module.write_around"),
 		writesBuffered:     reg.Counter("module.writes_buffered"),
 		writeStalls:        reg.Counter("module.write_stalls"),
 		writeThrough:       reg.Counter("module.write_through"),
@@ -69,7 +66,6 @@ func newCounters(reg *metrics.Registry) counters {
 		flushCoalesced:     reg.Counter("module.flush_coalesced"),
 		harvested:          reg.Counter("module.harvested"),
 		invalidationsRx:    reg.Counter("module.invalidations_rx"),
-		streamBypasses:     reg.Counter("module.stream_bypasses"),
 	}
 }
 

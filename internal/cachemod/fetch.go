@@ -44,6 +44,7 @@ import (
 
 	"pvfscache/internal/blockio"
 	"pvfscache/internal/cachemod/buffer"
+	"pvfscache/internal/pvfs"
 	"pvfscache/internal/rpc"
 	"pvfscache/internal/wire"
 )
@@ -297,12 +298,12 @@ func (m *Module) issue(iod int, file blockio.FileID, runs []fetchRun, track bool
 
 // land completes one fetch from its round-trip result: every claim of f is
 // published or retired and the owner's holds dropped when it returns, and
-// the response lease is released. admit is the request's admission decision
-// (see installImage).
-func (m *Module) land(f fetch, admit admitMode, res rpc.Result) error {
+// the response lease is released. policy is the request's reading of the
+// file's cache-policy hint (see installImage).
+func (m *Module) land(f fetch, policy pvfs.CachePolicy, res rpc.Result) error {
 	err := res.Err
 	if err == nil {
-		err = m.landResp(f, admit, res.Msg)
+		err = m.landResp(f, policy, res.Msg)
 		// The payload has been copied into the run slabs (or rejected); its
 		// leased frame buffer is dead either way.
 		res.Release()
@@ -317,7 +318,7 @@ func (m *Module) land(f fetch, admit admitMode, res rpc.Result) error {
 // fetch can only be answered by a ReadBlocksResp with one entry per run.
 // Validation covers every run before any run lands, so a hostile response
 // is rejected whole rather than half-published.
-func (m *Module) landResp(f fetch, admit admitMode, msg wire.Message) error {
+func (m *Module) landResp(f fetch, policy pvfs.CachePolicy, msg wire.Message) error {
 	rr, ok := msg.(*wire.ReadBlocksResp)
 	if !ok {
 		return fmt.Errorf("cachemod: fetch failed: %v", msg.WireType())
@@ -342,7 +343,7 @@ func (m *Module) landResp(f fetch, admit admitMode, msg wire.Message) error {
 	data := rr.Data
 	for i, run := range f.runs {
 		served := int(rr.Lens[i])
-		if err := m.landRun(f.iod, run, data[:served], admit); err != nil {
+		if err := m.landRun(f.iod, run, data[:served], policy); err != nil {
 			return err
 		}
 		data = data[served:]
@@ -357,7 +358,7 @@ func (m *Module) landResp(f fetch, admit admitMode, msg wire.Message) error {
 // published state's reference drains. A block it does not publish — a
 // prefetch drop, or the rest of the run after an error — is retired by the
 // caller's settle.
-func (m *Module) landRun(iod int, run fetchRun, data []byte, admit admitMode) error {
+func (m *Module) landRun(iod int, run fetchRun, data []byte, policy pvfs.CachePolicy) error {
 	bs := m.buf.BlockSize()
 	slab, mem := lease(&m.slabs, len(run.spans)*bs)
 	defer mem.release() // the creator's hold
@@ -377,7 +378,7 @@ func (m *Module) landRun(iod int, run fetchRun, data []byte, admit admitMode) er
 		// written mid-flight — possibly flushed and evicted, leaving nothing
 		// resident to patch from — is refused whole and re-read (readInstall).
 		stamp := st.stamp
-		if m.installImage(key, iod, img, admit, st.prefetch, stamp) == buffer.OutcomeStale {
+		if m.installImage(key, iod, img, policy, st.prefetch, stamp) == buffer.OutcomeStale {
 			if st.prefetch {
 				// Prefetch difference: a stale image is dropped, not re-read.
 				// Nobody asked for the block yet, so a synchronous re-read
@@ -387,12 +388,12 @@ func (m *Module) landRun(iod int, run fetchRun, data []byte, admit admitMode) er
 			}
 			m.ctr.fetchStaleRetries.Inc()
 			var err error
-			if stamp, err = m.readInstall(iod, key, img, admit); err != nil {
+			if stamp, err = m.readInstall(iod, key, img, policy); err != nil {
 				return err
 			}
 		}
 		switch {
-		case admit == admitNever:
+		case policy == pvfs.CacheNone:
 			m.buf.NoteBypass(key)
 		case st.prefetch:
 			// Prefetch difference: the block is not pushed to the global
@@ -414,16 +415,17 @@ func (m *Module) landRun(iod int, run fetchRun, data []byte, admit admitMode) er
 // installImage offers a fetched whole-block image to the cache against the
 // stamp its fetch was claimed under, patching img in place so the copy
 // handed on matches what the cache holds (resident valid bytes win).
-// Read-around (admitNever: don't-cache hint or streaming bypass) patches
-// without admitting. A prefetch install sets the frame's prefetch bit (the
-// readahead hit accounting); any other install clears it. OutcomeStale
-// means the block was written since stamp and img is untouched.
-func (m *Module) installImage(key blockio.BlockKey, iod int, img []byte, admit admitMode, prefetch bool, stamp uint32) buffer.Outcome {
-	if admit == admitNever {
+// A don't-cache file's image is read-around: patched, never admitted; a
+// must-cache file's is admitted pinned. A prefetch install sets the
+// frame's prefetch bit (the readahead hit accounting); any other install
+// clears it. OutcomeStale means the block was written since stamp and img
+// is untouched.
+func (m *Module) installImage(key blockio.BlockKey, iod int, img []byte, policy pvfs.CachePolicy, prefetch bool, stamp uint32) buffer.Outcome {
+	if policy == pvfs.CacheNone {
 		return m.buf.PatchResident(key, img, stamp)
 	}
 	var a buffer.Admit
-	if admit == admitMust {
+	if policy == pvfs.CacheMust {
 		a |= buffer.AdmitMust
 	}
 	if prefetch {
@@ -437,7 +439,7 @@ func (m *Module) installImage(key blockio.BlockKey, iod int, img []byte, admit a
 // install, span copy, publish — without going to the iod. False leaves the
 // claim owned and unlanded: a miss, a malformed reply, or a copy outdated
 // by a local write all fall through to the iod fetch, which revalidates.
-func (m *Module) landFromPeer(iod int, o tgtSpan, admit admitMode) bool {
+func (m *Module) landFromPeer(iod int, o tgtSpan, policy pvfs.CachePolicy) bool {
 	bs := m.buf.BlockSize()
 	img, mem := lease(&m.slabs, bs)
 	defer mem.release()
@@ -451,7 +453,7 @@ func (m *Module) landFromPeer(iod int, o tgtSpan, admit admitMode) bool {
 		m.ctr.gcacheBadResp.Inc()
 		return false
 	}
-	if m.installImage(o.sp.Key, iod, img, admit, false, o.st.stamp) == buffer.OutcomeStale {
+	if m.installImage(o.sp.Key, iod, img, policy, false, o.st.stamp) == buffer.OutcomeStale {
 		return false
 	}
 	copy(o.dst, img[o.sp.Off:o.sp.Off+o.sp.Len])
@@ -463,23 +465,18 @@ func (m *Module) landFromPeer(iod int, o tgtSpan, admit admitMode) bool {
 
 // fetchBlockSpan is the synchronous one-block fetch: read, install, with
 // [off, off+len(dst)) of the installed image copied to dst. Used for
-// read-modify-write and for joiners whose owner left them nothing; both
-// need the block resident afterwards (the write path retries its merge
-// against it), so this path always admits — must says whether pinned, the
-// caller's once-per-request reading of the file's must-cache hint;
-// don't-cache and bypassed files only reach it through read-modify-write,
-// where admission is what makes the merge converge. It neither claims nor
-// joins: a caller resolving an earlier request's join may already own a
-// later claim of the same block (sent, not yet received), which lands only
-// after this returns — waiting on the table here would wait on itself.
-func (m *Module) fetchBlockSpan(iod int, key blockio.BlockKey, off int, dst []byte, must bool) error {
+// read-modify-write and for joiners whose owner left them nothing; policy
+// is the caller's once-per-request reading of the file's hint, so a
+// don't-cache joiner reads around like its request (read-modify-write
+// never passes CacheNone: its merge converges only against a resident
+// block). It neither claims nor joins: a caller resolving an earlier
+// request's join may already own a later claim of the same block (sent,
+// not yet received), which lands only after this returns — waiting on the
+// table here would wait on itself.
+func (m *Module) fetchBlockSpan(iod int, key blockio.BlockKey, off int, dst []byte, policy pvfs.CachePolicy) error {
 	img, mem := lease(&m.slabs, m.buf.BlockSize())
 	defer mem.release()
-	admit := admitDefault
-	if must {
-		admit = admitMust
-	}
-	if _, err := m.readInstall(iod, key, img, admit); err != nil {
+	if _, err := m.readInstall(iod, key, img, policy); err != nil {
 		return err
 	}
 	copy(dst, img[off:])
@@ -491,13 +488,13 @@ func (m *Module) fetchBlockSpan(iod int, key blockio.BlockKey, off int, dst []by
 // going around while a write races the read: the loop ends when a read
 // lands with no concurrent write to its block. It returns the stamp the
 // install validated against.
-func (m *Module) readInstall(iod int, key blockio.BlockKey, img []byte, admit admitMode) (uint32, error) {
+func (m *Module) readInstall(iod int, key blockio.BlockKey, img []byte, policy pvfs.CachePolicy) (uint32, error) {
 	for {
 		stamp := m.buf.WriteStamp(key) // rule 1: before the iod reads
-		if err := m.readBlockInto(iod, key, img); err != nil {
+		if err := m.readBlockInto(iod, key, img, policy != pvfs.CacheNone); err != nil {
 			return 0, err
 		}
-		if m.installImage(key, iod, img, admit, false, stamp) != buffer.OutcomeStale {
+		if m.installImage(key, iod, img, policy, false, stamp) != buffer.OutcomeStale {
 			return stamp, nil
 		}
 		m.ctr.fetchStaleRetries.Inc()
@@ -505,13 +502,14 @@ func (m *Module) readInstall(iod int, key blockio.BlockKey, img []byte, admit ad
 }
 
 // readBlockInto reads one whole block synchronously from its iod into dst
-// (a whole-block buffer), zero-filling past what the iod stores.
-func (m *Module) readBlockInto(iod int, key blockio.BlockKey, dst []byte) error {
+// (a whole-block buffer), zero-filling past what the iod stores. track is
+// as in issue.
+func (m *Module) readBlockInto(iod int, key blockio.BlockKey, dst []byte, track bool) error {
 	bs := int64(m.buf.BlockSize())
 	res := m.data[iod].Call(&wire.ReadBlocks{
 		Client: m.cfg.ClientID,
 		File:   key.File,
-		Track:  true,
+		Track:  track,
 		Exts:   []wire.ReadExtent{{Offset: key.Index * bs, Length: bs}},
 	})
 	if res.Err != nil {

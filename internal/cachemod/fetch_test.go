@@ -329,7 +329,7 @@ func TestFetchProtocolSettlesEveryClaim(t *testing.T) {
 						hint.meta.PCount, hint.meta.SSize = 2, fakeBS
 						r.net.failAddr, r.net.failNth = r.addrs[1], 1
 					}
-					r.mod.prefetchRange(file, hint, idxs, admitDefault)
+					r.mod.prefetchRange(file, hint, idxs, pvfs.CacheDefault)
 					close(sendDone)
 				}
 				<-r.net.reached
@@ -481,7 +481,7 @@ func TestStaleFetchPrefetchDrops(t *testing.T) {
 			oldB, newB := bytes.Repeat([]byte{0x0D}, fakeBS), bytes.Repeat([]byte{0xE7}, fakeBS)
 			r := staleRig(t, race, file, oldB, newB)
 			hint := stripeHint{meta: wire.FileMeta{Size: 1 << 20, PCount: 1, SSize: 1 << 20}, total: 2}
-			r.mod.prefetchRange(file, hint, []int64{0}, admitDefault)
+			r.mod.prefetchRange(file, hint, []int64{0}, pvfs.CacheDefault)
 			waitCounter(t, r.reg, "module.prefetch_stale_drops", 1)
 			waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetch claim settled")
 			if got := r.reg.Counter("module.prefetch_stale_drops").Value(); got != 1 {
@@ -515,7 +515,7 @@ func TestBlockReadRejectsMisshapenReply(t *testing.T) {
 			}
 			return &wire.ReadBlocksResp{Status: wire.StatusOK, Lens: lens, Data: make([]byte, total)}
 		}
-		if err := r.mod.fetchBlockSpan(0, key, 0, make([]byte, fakeBS), false); err == nil {
+		if err := r.mod.fetchBlockSpan(0, key, 0, make([]byte, fakeBS), pvfs.CacheDefault); err == nil {
 			t.Fatalf("lens %v: misshapen block read accepted", lens)
 		}
 		if r.mod.buf.Contains(key, 0, 1) {
@@ -577,4 +577,46 @@ func TestSyncFallbackIgnoresOwnLaterClaim(t *testing.T) {
 	}
 	r.checkSettled(t, first, 0)
 	r.checkSettled(t, second, 0)
+}
+
+// TestCacheNoneJoinFallbackReadsAround: a don't-cache read that joins a
+// fetch the owner leaves empty falls back to a synchronous fetch of its
+// own, and that fetch reads around like the request: the bytes are served,
+// the block is not admitted.
+func TestCacheNoneJoinFallbackReadsAround(t *testing.T) {
+	const file = 85
+	r := newFetchRig(t, false, nil)
+	want := pattern(1)
+	r.iods[0].write(0, want)
+	release := make(chan struct{})
+	var first atomic.Bool
+	r.iods[0].script = func(req, honest wire.Message) wire.Message {
+		if _, ok := req.(*wire.ReadBlocks); ok && first.CompareAndSwap(false, true) {
+			<-release // the prefetch: answered empty once the demand read joined
+			return &wire.ReadBlocksResp{Status: wire.StatusOK, Lens: []uint32{0}}
+		}
+		return honest
+	}
+	tr := r.mod.NewTransport()
+	tr.CachePolicyHint(file, pvfs.CacheNone)
+	hint := stripeHint{meta: wire.FileMeta{Size: 1 << 20, PCount: 1, SSize: 1 << 20}, total: 2}
+	r.mod.prefetchRange(file, hint, []int64{0}, pvfs.CacheNone)
+	id, buf, err := startRead(tr, 0, file, 0, fakeBS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.reg.Counter("module.read_vector_fetches").Value(); got != 0 {
+		t.Fatalf("read_vector_fetches = %d, want 0: the demand read must join the prefetch", got)
+	}
+	close(release)
+	status, err := finishRead(tr, id)
+	if err != nil || status != wire.StatusOK || !bytes.Equal(buf, want) {
+		t.Fatalf("joined read: status %v, err %v, right bytes %v", status, err, bytes.Equal(buf, want))
+	}
+	if got := r.reg.Counter("module.sync_fetches").Value(); got != 1 {
+		t.Fatalf("sync_fetches = %d, want 1", got)
+	}
+	if r.mod.buf.Contains(blockio.BlockKey{File: file, Index: 0}, 0, 1) {
+		t.Fatal("the don't-cache join fallback admitted its block")
+	}
 }

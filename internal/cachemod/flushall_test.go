@@ -29,8 +29,14 @@ func TestHostilePeerBlockSizeRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fl, err := net.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer dl.Close()
+	defer fl.Close()
 	go d.ServeData(dl)
+	go d.ServeFlush(fl)
 
 	// Peer 0 is a stub that always claims a hit with an oversize block.
 	pl, err := net.Listen("gc-hostile-peer")
@@ -48,10 +54,11 @@ func TestHostilePeerBlockSizeRejected(t *testing.T) {
 	defer stub.Close()
 
 	mod, err := New(Config{
-		Network:      net,
-		ClientID:     1,
-		IODDataAddrs: []string{dl.Addr()},
-		Buffer:       buffer.Config{BlockSize: 4096, Capacity: 16},
+		Network:       net,
+		ClientID:      1,
+		IODDataAddrs:  []string{dl.Addr()},
+		IODFlushAddrs: []string{fl.Addr()},
+		Buffer:        buffer.Config{BlockSize: 4096, Capacity: 16},
 		GlobalCache: &globalcache.Options{
 			SelfID: 1,
 			Peers: []membership.Member{
@@ -190,8 +197,9 @@ func TestFlushAllWaitsForInFlightBlocks(t *testing.T) {
 // TestNewRejectsMismatchedFlushAddrs: with fewer flush addresses than
 // iods, writes to the extra iods were acknowledged from the cache and then
 // had no stream to drain them — FlushAll stalled out and the bytes never
-// reached the iod. New must refuse any flush list that is neither one per
-// iod nor empty (no write-behind).
+// reached the iod. New must refuse any flush list that is not one per iod,
+// the empty one included: without flush streams writes went around the
+// cache, past the node's resident copies.
 func TestNewRejectsMismatchedFlushAddrs(t *testing.T) {
 	net := transport.NewMem()
 	var data []string
@@ -212,7 +220,7 @@ func TestNewRejectsMismatchedFlushAddrs(t *testing.T) {
 			IODDataAddrs:  data,
 			IODFlushAddrs: flush,
 		})
-		if want := len(flush) == 0 || len(flush) == len(data); want != (err == nil) {
+		if want := len(flush) == len(data); want != (err == nil) {
 			t.Errorf("%d flush addresses for %d iods: New returned %v", len(flush), len(data), err)
 		}
 		if err == nil {

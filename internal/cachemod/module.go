@@ -68,8 +68,8 @@ type Config struct {
 	// IODDataAddrs lists every iod data-port address, in cluster order.
 	IODDataAddrs []string
 	// IODFlushAddrs lists every iod flush-port address, in cluster order:
-	// one per IODDataAddrs entry, or none, which disables write-behind
-	// (writes go through synchronously).
+	// one per IODDataAddrs entry. Required: every write goes through the
+	// cache, and the flush streams are the only way it reaches an iod.
 	IODFlushAddrs []string
 	// Buffer sizes the block cache (see buffer.Config for defaults: 300
 	// blocks of 4 KB — the paper's 1.2 MB cache).
@@ -119,15 +119,6 @@ type Config struct {
 	// StripeHint) to know which iod holds each upcoming block; files
 	// without a hint are never prefetched.
 	ReadaheadWindow int
-	// BypassThreshold is the streaming-bypass trigger: once a file's
-	// detected scan streak (ascending, strided or backward — the same
-	// state machine that drives readahead) reaches this many requests,
-	// its demand reads and prefetches are served read-around — pooled
-	// transient buffers, never admitted, never evicting dirty or
-	// protected frames — until the pattern breaks. 0 (the default)
-	// disables the bypass; per-open hints (CacheNone/CacheMust) override
-	// it either way.
-	BypassThreshold int
 	// GlobalCache, when non-nil, enables the cooperative global cache
 	// extension (the paper's §5 ongoing work): this module serves its
 	// blocks to peers and probes a block's replica set before fetching
@@ -149,8 +140,8 @@ func (c *Config) fillDefaults() error {
 	if len(c.IODDataAddrs) == 0 {
 		return errors.New("cachemod: Config.IODDataAddrs is required")
 	}
-	if n := len(c.IODFlushAddrs); n != 0 && n != len(c.IODDataAddrs) {
-		return fmt.Errorf("cachemod: %d flush addresses for %d iods: want one per iod, or none", n, len(c.IODDataAddrs))
+	if n := len(c.IODFlushAddrs); n != len(c.IODDataAddrs) {
+		return fmt.Errorf("cachemod: %d flush addresses for %d iods: want one per iod", n, len(c.IODDataAddrs))
 	}
 	if c.FlushPeriod <= 0 {
 		c.FlushPeriod = time.Second
@@ -184,9 +175,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.ReadaheadWindow > 1024 {
 		c.ReadaheadWindow = 1024
-	}
-	if c.BypassThreshold < 0 {
-		c.BypassThreshold = 0 // disabled
 	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
@@ -363,14 +351,10 @@ func (m *Module) Buffer() *buffer.Manager { return m.buf }
 // Registry returns the module's metrics registry.
 func (m *Module) Registry() *metrics.Registry { return m.cfg.Registry }
 
-// WriteBehind reports whether the module buffers writes (flush ports were
-// configured).
-func (m *Module) WriteBehind() bool { return len(m.flush) > 0 }
-
 // StreamHealth reports each flush stream's failure state, one entry per
-// iod in cluster order (empty without write-behind). Tests and the chaos
-// harness use it to watch a stream enter backoff when its daemon dies and
-// recover when the daemon returns.
+// iod in cluster order. Tests and the chaos harness use it to watch a
+// stream enter backoff when its daemon dies and recover when the daemon
+// returns.
 func (m *Module) StreamHealth() []StreamHealth {
 	out := make([]StreamHealth, len(m.streams))
 	for i, s := range m.streams {
@@ -390,9 +374,7 @@ func (m *Module) Close() error {
 	var err error
 	m.stopOnce.Do(func() {
 		// Final flush: drain the dirty list before tearing down.
-		if len(m.flush) > 0 {
-			err = m.FlushAll()
-		}
+		err = m.FlushAll()
 		close(m.stop)
 		if m.gcNode != nil {
 			m.gcNode.Close()
@@ -434,9 +416,6 @@ const flushAllTimeout = 30 * time.Second
 // steady state that never drains still errors after the timeout rather
 // than blocking forever.)
 func (m *Module) FlushAll() error {
-	if len(m.streams) == 0 {
-		return nil
-	}
 	minSeen := m.buf.DirtyCount()
 	if minSeen == 0 {
 		return nil
@@ -537,9 +516,6 @@ func (m *Module) handleInvalidate(msg wire.Message) wire.Message {
 // eligible (clean cache, or every dirty block already in flight) no
 // kick is sent at all.
 func (m *Module) kickFlusher() {
-	if len(m.streams) == 0 {
-		return
-	}
 	owner, ok := m.buf.OldestDirtyOwner()
 	if !ok {
 		return
@@ -574,9 +550,6 @@ func (m *Module) KillPeerService() {
 // the target iod's stream is kicked, so the other streams keep their
 // write-behind period.
 func (m *Module) DrainIOD(iod int, deadline time.Time) error {
-	if len(m.streams) == 0 {
-		return nil // no write-behind: nothing is ever dirty
-	}
 	for {
 		n := m.buf.DirtyCountOwned(iod)
 		if n == 0 {
@@ -704,44 +677,4 @@ func (fs *fileState) hints() (pvfs.CachePolicy, *tenantState) {
 		return pvfs.CacheDefault, nil
 	}
 	return pvfs.CachePolicy(fs.policy.Load()), fs.tenant.Load()
-}
-
-// streak reports the detector's current streak — the bypass decision's
-// input. Zero when the file has no established pattern.
-func (fs *fileState) streak() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.ra.kind == raNone {
-		return 0
-	}
-	return fs.ra.streak
-}
-
-// admitMode is a read request's admission decision, fixed once per
-// request so every block of the request is treated alike.
-type admitMode uint8
-
-const (
-	admitDefault admitMode = iota // normal install (policy decides eviction)
-	admitMust                     // always admit, pinned protected
-	admitNever                    // read-around: serve, never install
-)
-
-// readAdmitMode decides how a file's fetched blocks enter the cache:
-// per-open hints first (must-cache always admits, don't-cache never
-// does), then the streaming bypass — a file whose detected scan streak
-// has reached BypassThreshold reads around the cache until the pattern
-// breaks; streaming reports that this is what decided. A pure read of the
-// record: sendRead counts module.stream_bypasses, once per request.
-func (m *Module) readAdmitMode(fs *fileState) (mode admitMode, streaming bool) {
-	switch policy, _ := fs.hints(); policy {
-	case pvfs.CacheMust:
-		return admitMust, false
-	case pvfs.CacheNone:
-		return admitNever, false
-	}
-	if t := m.cfg.BypassThreshold; t > 0 && fs != nil && fs.streak() >= t {
-		return admitNever, true
-	}
-	return admitDefault, false
 }

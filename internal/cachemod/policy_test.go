@@ -1,8 +1,8 @@
 package cachemod
 
-// Live tests for the discretionary-admission surface: per-open
-// cache-policy hints (don't-cache / must-cache) and the streaming bypass
-// that routes detected scans around the cache.
+// Live tests for the discretionary-admission surface: the per-open
+// cache-policy hints (don't-cache / must-cache), the one input to a read's
+// admission. Writes ignore the hint: every write goes through the cache.
 
 import (
 	"bytes"
@@ -50,30 +50,56 @@ func TestCacheNoneReadAround(t *testing.T) {
 	}
 }
 
-func TestCacheNoneWriteAround(t *testing.T) {
-	r := newRig(t, nil)
+// TestCacheNoneWritesGoThroughTheCache: a don't-cache hint steers reads
+// only. A write or sync-write to a block that is already resident — clean
+// after a read, or dirty after a buffered write — must update the resident
+// copy: the next read returns the new bytes, and a later flush of the
+// resident block must not put the older bytes back at the iod. Writing
+// around the cache broke both.
+func TestCacheNoneWritesGoThroughTheCache(t *testing.T) {
 	const file = 41
-	tr := r.mod.NewTransport()
-	tr.CachePolicyHint(file, pvfs.CacheNone)
-
-	payload := bytes.Repeat([]byte{0x62}, 4096)
-	ack := sendRecv(t, tr, 0, &wire.Write{File: file, Offset: 0, Data: payload}).(*wire.WriteAck)
-	if ack.Status != wire.StatusOK {
-		t.Fatalf("write-around status %v", ack.Status)
+	oldB, newB := bytes.Repeat([]byte{0x61}, 4096), bytes.Repeat([]byte{0x62}, 4096)
+	resident := []struct {
+		name string
+		make func(t *testing.T, r *rig, tr *CachedTransport)
+	}{
+		{"clean", func(t *testing.T, r *rig, tr *CachedTransport) {
+			r.seed(0, file, 0, oldB)
+			readAt(t, tr, 0, file, 0, 4096)
+		}},
+		{"dirty", func(t *testing.T, r *rig, tr *CachedTransport) {
+			sendRecv(t, tr, 0, &wire.Write{Client: 1, File: file, Data: oldB})
+		}},
 	}
-	if got := r.reg.Counter("module.write_around").Value(); got != 1 {
-		t.Fatalf("write_around = %d, want 1", got)
+	// Client is the module's own id, as libpvfs sends it: a sync-write's iod
+	// invalidates every holder but the writer.
+	writes := []wire.Message{
+		&wire.Write{Client: 1, File: file, Data: newB},
+		&wire.SyncWrite{Client: 1, File: file, Data: newB},
 	}
-	if got := r.reg.Counter("module.writes_buffered").Value(); got != 0 {
-		t.Fatalf("writes_buffered = %d, want 0", got)
-	}
-	if n := r.mod.buf.DirtyCount(); n != 0 {
-		t.Fatalf("%d dirty blocks after a write-around", n)
-	}
-	// The iod has the bytes already — no flush needed.
-	got := make([]byte, 4096)
-	if n, _ := r.iods[0].Store().ReadAt(file, 0, got); n != len(got) || !bytes.Equal(got, payload) {
-		t.Fatal("write-around bytes did not reach the iod")
+	for _, res := range resident {
+		for _, w := range writes {
+			t.Run(res.name+"/"+w.WireType().String(), func(t *testing.T) {
+				r := newRig(t, func(c *Config) { c.FlushPeriod = time.Hour })
+				tr := r.mod.NewTransport()
+				res.make(t, r, tr)
+				if !r.mod.buf.Contains(blockio.BlockKey{File: file, Index: 0}, 0, 4096) {
+					t.Fatal("setup left the block not resident")
+				}
+				tr.CachePolicyHint(file, pvfs.CacheNone)
+				sendRecv(t, tr, 0, w)
+				if got := readAt(t, tr, 0, file, 0, 4096); !bytes.Equal(got, newB) {
+					t.Fatalf("read after an acknowledged %v returned %#x, want %#x", w.WireType(), got[0], newB[0])
+				}
+				if err := r.mod.FlushAll(); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]byte, 4096)
+				if n, _ := r.iods[0].Store().ReadAt(file, 0, got); n != len(got) || !bytes.Equal(got, newB) {
+					t.Fatalf("iod holds %#x after FlushAll, want %#x", got[0], newB[0])
+				}
+			})
+		}
 	}
 }
 
@@ -113,75 +139,15 @@ func TestCacheMustPinsWorkingSet(t *testing.T) {
 	}
 }
 
-func TestStreamingBypassKicksInMidScan(t *testing.T) {
-	r := newRig(t, func(c *Config) {
-		c.ReadaheadWindow = -1 // isolate the bypass from prefetch traffic
-		c.BypassThreshold = raMinStreak
-	})
-	const file = 42
-	data := bytes.Repeat([]byte{0x63}, 16*4096)
-	r.seed(0, file, 0, data)
-
-	tr := r.mod.NewTransport()
-	hintAll(tr, file) // the detector runs on announced files only
-	for i := int64(0); i < 8; i++ {
-		if !bytes.Equal(readSeq(t, tr, file, i*4096, 4096), data[i*4096:(i+1)*4096]) {
-			t.Fatalf("block %d wrong data", i)
-		}
-	}
-	// The scan's head (streak below threshold) was admitted; its tail was
-	// served read-around.
-	if !r.mod.buf.Contains(blockio.BlockKey{File: file, Index: 0}, 0, 4096) {
-		t.Fatal("pre-threshold block not cached")
-	}
-	if r.mod.buf.Contains(blockio.BlockKey{File: file, Index: 7}, 0, 4096) {
-		t.Fatal("post-threshold stream block was admitted")
-	}
-	if st := r.mod.buf.Stats(); st.BypassReads == 0 {
-		t.Fatal("bypass_reads not counted")
-	}
-	if got := r.reg.Counter("module.stream_bypasses").Value(); got == 0 {
-		t.Fatal("stream_bypasses not counted")
-	}
-	// A must-cache hint overrides the bypass even mid-stream.
-	tr.CachePolicyHint(file, pvfs.CacheMust)
-	readSeq(t, tr, file, 8*4096, 4096)
-	if !r.mod.buf.Contains(blockio.BlockKey{File: file, Index: 8}, 0, 4096) {
-		t.Fatal("must-cache hint did not override the stream bypass")
-	}
-}
-
-// TestStreamBypassesCountedOncePerRequest: module.stream_bypasses counts
-// streaming requests, not admission decisions. A bypassed request that also
-// tops up the readahead window has its file's admission mode read twice —
-// once for the prefetch, once for itself — and used to count twice.
-func TestStreamBypassesCountedOncePerRequest(t *testing.T) {
-	r := newRig(t, func(c *Config) { c.BypassThreshold = raMinStreak }) // readahead on
-	const file, reads = 46, 24
-	r.seed(0, file, 0, bytes.Repeat([]byte{0x67}, 64*4096))
-
-	tr := r.mod.NewTransport()
-	hintAll(tr, file)
-	for i := int64(0); i < reads; i++ {
-		readSeq(t, tr, file, i*4096, 4096)
-	}
-	waitCounter(t, r.reg, "module.prefetch_issued", 1) // or the test exercises nothing
-	// The streak reaches the threshold on request raMinStreak-1 (counting
-	// from 0); that request and every later one streams.
-	if got, want := r.reg.Counter("module.stream_bypasses").Value(), int64(reads-(raMinStreak-1)); got != want {
-		t.Fatalf("stream_bypasses = %d after %d streaming reads", got, want)
-	}
-}
-
-// TestStreamingBypassCountsPrefetchedBlocks is the sibling with readahead
-// on: once the bypass engages, the stream's blocks arrive through both
-// the demand path and the prefetcher, and cache.bypass_reads must count
-// every block served around the cache exactly once, whichever path
-// fetched it. The fake iod holds the prefetch replies until the demand
-// reads have joined them, so each block is fetched exactly once.
-func TestStreamingBypassCountsPrefetchedBlocks(t *testing.T) {
-	const file, nblocks, engaged = 44, 16, raMinStreak - 1 // first bypassed block
-	r := newFetchRig(t, false, func(c *Config) { c.BypassThreshold = raMinStreak })
+// TestCacheNoneCountsPrefetchedBlocks: a don't-cache file's scan keeps its
+// readahead, so its blocks arrive through both the demand path and the
+// prefetcher, and cache.bypass_reads must count every block served around
+// the cache exactly once, whichever path fetched it. The fake iod holds
+// the prefetch replies until the demand reads have joined them, so each
+// block is fetched exactly once.
+func TestCacheNoneCountsPrefetchedBlocks(t *testing.T) {
+	const file, nblocks, opens = 44, 16, raMinStreak - 1 // block whose read opens the window
+	r := newFetchRig(t, false, nil)
 	image := pattern(nblocks)
 	r.iods[0].image = image
 	release := make(chan struct{})
@@ -192,7 +158,7 @@ func TestStreamingBypassCountsPrefetchedBlocks(t *testing.T) {
 		if !ok {
 			return honest
 		}
-		if rb.Exts[0].Offset > engaged*fakeBS {
+		if rb.Exts[0].Offset > opens*fakeBS {
 			<-release // a prefetch: demand reads of these blocks only ever join
 		}
 		mu.Lock()
@@ -208,12 +174,13 @@ func TestStreamingBypassCountsPrefetchedBlocks(t *testing.T) {
 
 	tr := r.mod.NewTransport()
 	hintAll(tr, file)
-	for i := int64(0); i <= engaged; i++ {
+	tr.CachePolicyHint(file, pvfs.CacheNone)
+	for i := int64(0); i <= opens; i++ {
 		readSeq(t, tr, file, i*fakeBS, fakeBS)
 	}
 	var ids []pvfs.ReqID
 	var bufs [][]byte
-	for i := int64(engaged + 1); i < nblocks; i++ {
+	for i := int64(opens + 1); i < nblocks; i++ {
 		tr.NoteRead(file, i*fakeBS, fakeBS)
 		id, buf, err := startRead(tr, 0, file, i*fakeBS, fakeBS)
 		if err != nil {
@@ -225,9 +192,9 @@ func TestStreamingBypassCountsPrefetchedBlocks(t *testing.T) {
 	close(release)
 	for n, id := range ids {
 		status, err := finishRead(tr, id)
-		i := engaged + 1 + n
+		i := opens + 1 + n
 		if err != nil || status != wire.StatusOK || !bytes.Equal(bufs[n], image[i*fakeBS:(i+1)*fakeBS]) {
-			t.Fatalf("block %d: wrong data under bypass (status %v, err %v)", i, status, err)
+			t.Fatalf("block %d: wrong data read around (status %v, err %v)", i, status, err)
 		}
 	}
 	waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetches past the file's end settled")
@@ -242,40 +209,39 @@ func TestStreamingBypassCountsPrefetchedBlocks(t *testing.T) {
 	if r.reg.Counter("module.prefetch_blocks").Value() == 0 {
 		t.Fatal("no block arrived through the prefetcher")
 	}
-	if got, want := r.mod.buf.Stats().BypassReads, int64(nblocks-engaged); got != want {
-		t.Fatalf("bypass_reads = %d, want %d: every block served after the bypass engaged, demand- and prefetch-fetched alike", got, want)
+	if got := r.mod.buf.Stats().BypassReads; got != nblocks {
+		t.Fatalf("bypass_reads = %d, want %d: every block, demand- and prefetch-fetched alike", got, nblocks)
 	}
 }
 
-func TestBypassedStreamStillCorrectWithDirtyOverlay(t *testing.T) {
-	// The read-around path must still overlay resident dirty bytes on the
-	// fetched image: a buffered write followed by a bypassed stream read
-	// of the same block returns the written bytes, not the iod's stale
-	// copy.
-	r := newRig(t, func(c *Config) {
-		c.ReadaheadWindow = -1
-		c.BypassThreshold = raMinStreak
-	})
+// TestCacheNoneReadOverlaysDirtyBytes: the read-around path must still
+// overlay resident dirty bytes on the fetched image: a buffered write
+// followed by a don't-cache read of the same block returns the written
+// bytes, not the iod's stale copy.
+func TestCacheNoneReadOverlaysDirtyBytes(t *testing.T) {
+	r := newRig(t, func(c *Config) { c.ReadaheadWindow = -1 })
 	const file = 43
-	data := bytes.Repeat([]byte{0x64}, 16*4096)
+	data := bytes.Repeat([]byte{0x64}, 8*4096)
 	r.seed(0, file, 0, data)
 
 	tr := r.mod.NewTransport()
-	hintAll(tr, file)
-	// Dirty the first 16 bytes of block 6 via write-behind.
+	tr.CachePolicyHint(file, pvfs.CacheNone)
+	// Dirty the first 16 bytes of block 6: the write is buffered.
 	dirty := bytes.Repeat([]byte{0xEE}, 16)
 	if ack := sendRecv(t, tr, 0, &wire.Write{File: file, Offset: 6 * 4096, Data: dirty}).(*wire.WriteAck); ack.Status != wire.StatusOK {
 		t.Fatal("write failed")
 	}
-	// Scan up to and past block 6; by then the stream is bypassed.
 	for i := int64(0); i < 8; i++ {
-		got := readSeq(t, tr, file, i*4096, 4096)
+		got := readAt(t, tr, 0, file, i*4096, 4096)
 		want := data[i*4096 : (i+1)*4096]
 		if i == 6 {
 			want = append(append([]byte{}, dirty...), data[6*4096+16:(6+1)*4096]...)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("block %d wrong data under bypass", i)
+			t.Fatalf("block %d wrong data read around", i)
 		}
+	}
+	if r.mod.buf.Contains(blockio.BlockKey{File: file, Index: 0}, 0, 4096) {
+		t.Fatal("don't-cache read admitted its block")
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"sort"
 
 	"pvfscache/internal/blockio"
+	"pvfscache/internal/pvfs"
 	"pvfscache/internal/wire"
 )
 
@@ -55,8 +56,8 @@ const (
 	raStrided        // constant-stride scan; stride < 0 is a backward scan
 )
 
-// raState tracks one file's access-pattern detector: the shared streak
-// machine behind both readahead and the streaming-bypass decision.
+// raState tracks one file's access-pattern detector: the streak machine
+// behind readahead.
 type raState struct {
 	next   int64 // block index a continuing dense ascending scan would start at
 	streak int   // consecutive requests following the detected pattern
@@ -73,8 +74,6 @@ type raState struct {
 // file's pattern detector (the caller holds the record's lock) and returns
 // the sorted block indices to prefetch now (empty when the access is not
 // part of an established scan, or when the window is already in flight).
-// The detector runs even with prefetching disabled when the streaming
-// bypass needs its streaks.
 func (m *Module) noteAccess(st *raState, first, last int64) []int64 {
 	if st.streak == 0 { // the file's first access
 		st.next = last + 1
@@ -206,7 +205,7 @@ func (m *Module) noteAccess(st *raState, first, last int64) []int64 {
 // place, a demand read that catches up simply joins the in-flight
 // prefetch. Only the network round trips run asynchronously.
 func (m *Module) maybeReadahead(file blockio.FileID, first, last int64) {
-	if m.cfg.ReadaheadWindow == 0 && m.cfg.BypassThreshold <= 0 {
+	if m.cfg.ReadaheadWindow == 0 {
 		return
 	}
 	fs := m.file(file)
@@ -224,8 +223,8 @@ func (m *Module) maybeReadahead(file blockio.FileID, first, last int64) {
 	// file; pred is ascending, so the blocks that exist are a prefix.
 	eof := blockio.Blocks(hint.size, m.buf.BlockSize())
 	pred = pred[:sort.Search(len(pred), func(i int) bool { return pred[i] >= eof })]
-	mode, _ := m.readAdmitMode(fs)
-	m.prefetchRange(file, hint, pred, mode)
+	policy, _ := fs.hints()
+	m.prefetchRange(file, hint, pred, policy)
 }
 
 // iodForBlock maps one block to the iod storing it, or -1 when the block
@@ -252,10 +251,10 @@ func (m *Module) iodForBlock(hint stripeHint, idx int64) int {
 // index list (sorted ascending, duplicates tolerated) synchronously,
 // routes them to their owning iods, and launches one asynchronous fetch
 // per iod (several when the window outgrows one response frame).
-// Prefetches inherit the file's admission mode: a stream being bypassed
-// keeps its readahead pipelining, but the prefetched blocks are served
-// around the cache like its demand reads.
-func (m *Module) prefetchRange(file blockio.FileID, hint stripeHint, idxs []int64, mode admitMode) {
+// Prefetches follow the file's cache-policy hint: a don't-cache file keeps
+// its readahead pipelining, but the prefetched blocks are served around
+// the cache like its demand reads.
+func (m *Module) prefetchRange(file blockio.FileID, hint stripeHint, idxs []int64, policy pvfs.CachePolicy) {
 	perIOD := make(map[int][]tgtSpan)
 	for _, idx := range idxs {
 		iod := m.iodForBlock(hint, idx)
@@ -270,18 +269,18 @@ func (m *Module) prefetchRange(file blockio.FileID, hint stripeHint, idxs []int6
 	}
 	for iod, owned := range perIOD {
 		for _, batch := range groupRuns(owned, maxFetchBlocks(m.buf.BlockSize())) {
-			go m.prefetchIOD(iod, file, batch, mode)
+			go m.prefetchIOD(iod, file, batch, policy)
 		}
 	}
 }
 
 // prefetchIOD runs one prefetch round trip: issue the claimed runs and
-// land the reply (or, for a bypassed stream, serve it to joiners without
+// land the reply (or, for a don't-cache file, serve it to joiners without
 // admission). Off the caller's thread because issue writes the request
 // synchronously.
-func (m *Module) prefetchIOD(iod int, file blockio.FileID, runs []fetchRun, mode admitMode) {
-	f, err := m.issue(iod, file, runs, mode != admitNever)
-	if err == nil && m.land(f, mode, <-f.ch) == nil {
+func (m *Module) prefetchIOD(iod int, file blockio.FileID, runs []fetchRun, policy pvfs.CachePolicy) {
+	f, err := m.issue(iod, file, runs, policy != pvfs.CacheNone)
+	if err == nil && m.land(f, policy, <-f.ch) == nil {
 		m.ctr.prefetchIssued.Inc()
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/chaos/waitfor"
 	"pvfscache/internal/metrics"
+	"pvfscache/internal/pvfs"
 	"pvfscache/internal/wire"
 )
 
@@ -282,46 +283,6 @@ func TestNoteAccessStridedToAscending(t *testing.T) {
 	}
 }
 
-// TestStreamStreak: the bypass decision's input tracks the detector.
-func TestStreamStreak(t *testing.T) {
-	m := raModule(8)
-	m.cfg.BypassThreshold = raMinStreak
-	if got := m.announce(1).streak(); got != 0 {
-		t.Fatalf("streak = %d before any access", got)
-	}
-	for i := int64(0); i < raMinStreak; i++ {
-		note(m, 1, i, i)
-	}
-	if got := m.announce(1).streak(); got < raMinStreak {
-		t.Fatalf("streak = %d after %d ascending reads", got, raMinStreak)
-	}
-	if mode, streaming := m.readAdmitMode(m.file(1)); mode != admitNever || !streaming {
-		t.Fatalf("admit mode = %v over threshold, want bypass", mode)
-	}
-	// A random jump (delta seeds a new stride candidate) drops below the
-	// threshold again.
-	note(m, 1, 1000, 1000)
-	if mode, _ := m.readAdmitMode(m.file(1)); mode != admitDefault {
-		t.Fatalf("admit mode = %v after pattern break, want default", mode)
-	}
-}
-
-// TestNoteAccessDetectorRunsForBypass: with readahead disabled but a
-// bypass threshold set, the detector still tracks streaks (it must — the
-// bypass keys on them) while predicting nothing.
-func TestNoteAccessDetectorRunsForBypass(t *testing.T) {
-	m := raModule(0)
-	m.cfg.BypassThreshold = raMinStreak
-	for i := int64(0); i < 2*raMinStreak; i++ {
-		if pred := note(m, 1, i, i); len(pred) != 0 {
-			t.Fatal("disabled readahead still predicted")
-		}
-	}
-	if got := m.announce(1).streak(); got < raMinStreak {
-		t.Fatalf("streak = %d, want >= %d with bypass enabled", got, raMinStreak)
-	}
-}
-
 // waitCounter polls a counter until it reaches want (prefetch is
 // asynchronous by design).
 func waitCounter(t *testing.T, reg *metrics.Registry, name string, want int64) {
@@ -505,7 +466,7 @@ func TestDemandInstallDropsStalePrefetchMark(t *testing.T) {
 	r.iods[0].image = pattern(1)
 	key := blockio.BlockKey{File: file, Index: 0}
 	hint := stripeHint{meta: wire.FileMeta{Size: 1 << 20, PCount: 1, SSize: 1 << 20}, total: 2}
-	r.mod.prefetchRange(file, hint, []int64{0}, admitDefault)
+	r.mod.prefetchRange(file, hint, []int64{0}, pvfs.CacheDefault)
 	waitCounter(t, r.reg, "module.prefetch_blocks", 1)
 	waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetch settled")
 	// Evict by replacement: push clean filler through the cache.
@@ -568,7 +529,7 @@ func TestWriteReallocDropsStalePrefetchMark(t *testing.T) {
 			if tc.before != nil {
 				tc.before(r)
 			}
-			r.mod.prefetchRange(file, hint, []int64{0}, admitDefault)
+			r.mod.prefetchRange(file, hint, []int64{0}, pvfs.CacheDefault)
 			waitCounter(t, r.reg, "module.prefetch_blocks", 1)
 			waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetch settled")
 			tc.after(r)

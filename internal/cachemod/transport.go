@@ -68,7 +68,8 @@ func (t *CachedTransport) NoteRead(file blockio.FileID, offset, length int64) {
 // CachePolicyHint implements pvfs.CachePolicyHinter: libpvfs forwards a
 // file's per-open cache-policy hint (don't-cache / must-cache / default —
 // the discretionary knob; see pvfs.CachePolicy) and the module applies it
-// to every admission decision for the file.
+// to every read admission decision for the file. Writes ignore it: every
+// write goes through the cache.
 func (t *CachedTransport) CachePolicyHint(file blockio.FileID, policy pvfs.CachePolicy) {
 	t.m.announce(file).policy.Store(uint32(policy))
 }
@@ -120,8 +121,8 @@ type pendingRead struct {
 	iod     int
 	owned   []tgtSpan // misses this request fetches; the fetches' runs alias it
 	fetches []fetch
-	waits   []tgtSpan // joins: spans riding another owner's fetch
-	admit   admitMode // admission decision, fixed once per request
+	waits   []tgtSpan        // joins: spans riding another owner's fetch
+	policy  pvfs.CachePolicy // the file's hint, read once per request
 
 	// qos is the tenant state charged qosBlocks in-flight read blocks at
 	// classification time (nil when budgets are off); trace is the armed
@@ -307,7 +308,7 @@ func (t *CachedTransport) classifyMiss(sp blockio.Span, dst []byte, pr *pendingR
 	// to the iod. A read-around request skips the probe: its blocks must
 	// not be installed here, and a stream hammering the peer ring would
 	// displace exactly the shared blocks the ring exists for.
-	if t.m.gcNode != nil && pr.admit != admitNever && t.m.landFromPeer(pr.iod, o, pr.admit) {
+	if t.m.gcNode != nil && pr.policy != pvfs.CacheNone && t.m.landFromPeer(pr.iod, o, pr.policy) {
 		return
 	}
 	pr.owned = append(pr.owned, o)
@@ -321,7 +322,7 @@ func (t *CachedTransport) classifyMiss(sp blockio.Span, dst []byte, pr *pendingR
 func (t *CachedTransport) issueFetches(file blockio.FileID, pr *pendingRead) error {
 	batches := groupRuns(pr.owned, maxFetchBlocks(t.m.buf.BlockSize()))
 	for i, batch := range batches {
-		f, err := t.m.issue(pr.iod, file, batch, pr.admit != admitNever)
+		f, err := t.m.issue(pr.iod, file, batch, pr.policy != pvfs.CacheNone)
 		if err != nil {
 			// issue settled the failing batch and the caller abandons the
 			// fetches in flight; the batches not yet issued hold claims too,
@@ -378,16 +379,11 @@ func (t *CachedTransport) sendRead(iod int, req *wire.ReadBlocks, sink [][]byte)
 		firstOff = exts[0].Offset
 	}
 	rt := t.m.traceStart("read", file, firstOff, total)
-	fs := t.m.file(file)
-	_, ts := fs.hints()
+	policy, ts := t.m.file(file).hints()
 	qos, budgetOK := t.m.acquireFetchBudget(ts, nblocks)
 	if !budgetOK {
 		rt.finishf("shed overload tenant=%d (%d blocks over budget)", ts.id(), nblocks)
 		return pendingOp{ready: &readvStatus[wire.StatusOverload]}, true, nil
-	}
-	admit, streaming := t.m.readAdmitMode(fs)
-	if streaming {
-		t.m.ctr.streamBypasses.Inc()
 	}
 	var pr *pendingRead // taken at the first span the cache cannot serve
 	for i, e := range exts {
@@ -402,7 +398,7 @@ func (t *CachedTransport) sendRead(iod int, req *wire.ReadBlocks, sink [][]byte)
 			}
 			if pr == nil {
 				pr = t.takeRead()
-				pr.iod, pr.admit = iod, admit
+				pr.iod, pr.policy = iod, policy
 				pr.qos, pr.qosBlocks, pr.trace = qos, nblocks, rt
 			}
 			t.classifyMiss(sp, dst, pr)
@@ -440,7 +436,7 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 	defer pr.releaseBudget()
 	var firstErr error
 	for _, f := range pr.fetches {
-		if err := t.m.land(f, pr.admit, <-f.ch); err != nil {
+		if err := t.m.land(f, pr.policy, <-f.ch); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -452,7 +448,7 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 	for _, w := range pr.waits {
 		if !t.m.awaitJoin(w) {
 			// Nothing usable was published: fetch synchronously ourselves.
-			if err := t.m.fetchBlockSpan(pr.iod, w.sp.Key, w.sp.Off, w.dst, pr.admit == admitMust); err != nil && firstErr == nil {
+			if err := t.m.fetchBlockSpan(pr.iod, w.sp.Key, w.sp.Off, w.dst, pr.policy); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -475,24 +471,13 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 // space blocks (bounded by WriteStall) and finally falls back to writing
 // through, which matches the paper's "writes may need to block for
 // availability of cache space" behaviour for requests larger than the
-// cache.
+// cache. A don't-cache file's writes are buffered like any other: going
+// around the cache would leave an older resident copy for the next read,
+// or for a later flush to write over the new bytes at the iod.
 func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (pendingOp, error) {
-	if !t.m.WriteBehind() {
-		ch, err := t.m.data[iod].Go(req)
-		return pendingOp{call: ch}, err
-	}
 	policy, ts := t.m.file(req.File).hints()
 	if policy == pvfs.CacheNone {
-		// Write-around: a don't-cache file's writes go straight through —
-		// buffering them would dirty frames for data the application
-		// declared it will not reuse, and the flusher would pay to drain
-		// them anyway.
-		ch, err := t.m.data[iod].Go(req)
-		if err != nil {
-			return pendingOp{}, err
-		}
-		t.m.ctr.writeAround.Inc()
-		return pendingOp{call: ch}, nil
+		policy = pvfs.CacheDefault // a write's read-modify-write admits (see writeSpan)
 	}
 	rt := t.m.traceStart("write", req.File, req.Offset, int64(len(req.Data)))
 	if t.m.shedWrite(ts) {
@@ -508,7 +493,7 @@ func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (pendingOp, error)
 	it := blockio.IterSpans(req.File, req.Offset, int64(len(req.Data)), t.m.buf.BlockSize())
 	for sp, more := it.Next(); more; sp, more = it.Next() {
 		src := req.Data[sp.Pos : sp.Pos+int64(sp.Len)]
-		if err := t.writeSpan(iod, sp, src, deadline, ts.id(), policy == pvfs.CacheMust); err != nil {
+		if err := t.writeSpan(iod, sp, src, deadline, ts.id(), policy); err != nil {
 			rt.finishf("error: %v", err)
 			return pendingOp{}, err
 		}
@@ -526,9 +511,10 @@ func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (pendingOp, error)
 // writeSpan applies one block span to the cache, handling read-modify-
 // write and cache-full conditions. Dirty frames are charged to tenant
 // (the per-principal quota and the flusher's weighted scheduling key on
-// that attribution); must is the file's must-cache hint, for the block a
-// read-modify-write fetches.
-func (t *CachedTransport) writeSpan(iod int, sp blockio.Span, src []byte, deadline time.Time, tenant uint32, must bool) error {
+// that attribution); policy admits the block a read-modify-write fetches —
+// pinned for a must-cache file, never read-around, since the merge
+// converges only against a resident block.
+func (t *CachedTransport) writeSpan(iod int, sp blockio.Span, src []byte, deadline time.Time, tenant uint32, policy pvfs.CachePolicy) error {
 	for {
 		switch t.m.buf.WriteSpanTenant(sp.Key, iod, sp.Off, src, true, tenant) {
 		case buffer.OutcomeOK:
@@ -539,7 +525,7 @@ func (t *CachedTransport) writeSpan(iod int, sp blockio.Span, src []byte, deadli
 			if t.m.awaitFetch(sp.Key) {
 				continue
 			}
-			if err := t.m.fetchBlockSpan(iod, sp.Key, 0, nil, must); err != nil {
+			if err := t.m.fetchBlockSpan(iod, sp.Key, 0, nil, policy); err != nil {
 				// Cannot complete the merge: write this span through.
 				return t.writeThrough(iod, sp, src)
 			}
@@ -578,12 +564,9 @@ func (t *CachedTransport) writeThrough(iod int, sp blockio.Span, src []byte) err
 // sendSyncWrite propagates the write both to the cache and to the iod; the
 // iod invalidates every other cache before acknowledging. The local cache
 // copy is updated as clean (the iod already holds these bytes when the ack
-// arrives).
+// arrives), whatever the file's cache policy.
 func (t *CachedTransport) sendSyncWrite(iod int, req *wire.SyncWrite) (pendingOp, error) {
-	var it blockio.SpanIter // write-around: the iod gets the data, the cache does not
-	if policy, _ := t.m.file(req.File).hints(); policy != pvfs.CacheNone {
-		it = blockio.IterSpans(req.File, req.Offset, int64(len(req.Data)), t.m.buf.BlockSize())
-	}
+	it := blockio.IterSpans(req.File, req.Offset, int64(len(req.Data)), t.m.buf.BlockSize())
 	for sp, more := it.Next(); more; sp, more = it.Next() {
 		src := req.Data[sp.Pos : sp.Pos+int64(sp.Len)]
 		switch t.m.buf.WriteSpan(sp.Key, iod, sp.Off, src, false) {

@@ -66,22 +66,21 @@ type ReadPatternHinter interface {
 
 // CachePolicy is a per-open caching hint — the paper's discretionary
 // knob exposed to applications. It travels from an open flag through the
-// transport (CachePolicyHinter) into the cache module's admission
-// decisions; DirectTransport has no cache, so the hint is meaningful only
-// on caching transports.
+// transport (CachePolicyHinter) into the cache module's read-admission
+// decisions; writes always go through the node's cache. DirectTransport
+// has no cache, so the hint is meaningful only on caching transports.
 type CachePolicy uint8
 
 const (
 	// CacheDefault leaves the decision to the cache: the replacement
-	// policy admits and the stream detector may bypass.
+	// policy admits.
 	CacheDefault CachePolicy = iota
 	// CacheNone is don't-cache: reads are served around the cache
-	// (read-around) and buffered writes go straight through
-	// (write-around). For data the application knows it will not reuse.
+	// (read-around), still seeing this node's resident dirty bytes. For
+	// data the application knows it will not reuse.
 	CacheNone
 	// CacheMust is must-cache: blocks are always admitted — straight
-	// into the protected working set under the ghost policy — and the
-	// file is never stream-bypassed.
+	// into the protected working set under the ghost policy.
 	CacheMust
 )
 

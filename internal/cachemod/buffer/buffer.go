@@ -41,9 +41,10 @@
 package buffer
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -231,9 +232,10 @@ func (b *block) dirty() bool { return b.dirtyLen > 0 }
 
 // FlushItem is a snapshot of one dirty span handed to the flusher.
 //
-// One take snapshots into one buffer, cut into block-sized slots in the
-// order the items are returned; slot k holds item k's span at its offset
-// within the block, so Data is a sub-slice of that shared buffer. Slot is
+// One take snapshots into one buffer, its TakeScratch's slab, cut into
+// block-sized slots in the order the items are returned; slot k holds item
+// k's span at its offset within the block, so Data is a sub-slice of that
+// shared buffer and lives as long as the take (see TakeScratch). Slot is
 // the item's 1-based slot number (0: Data stands alone). Two items with
 // consecutive Slots whose spans tile the block boundary — the first
 // dirty to its block's end, the second from its block's start — are
@@ -634,7 +636,7 @@ type takeReq struct {
 // FlushFailed (it did not). An item that is never handed back wedges its
 // block: still dirty, never evictable, never flushable again.
 func (m *Manager) TakeDirty(max int) []FlushItem {
-	return m.takeDirtyMerged(anyOwner, max, false)
+	return m.takeDirtyMerged(new(TakeScratch), anyOwner, max, false)
 }
 
 // anyOwner disables the owner filter in the candidate collection.
@@ -652,15 +654,40 @@ const anyOwner = -1
 // ownership contract applies unchanged: every item must reach FlushDone
 // or FlushFailed exactly once.
 func (m *Manager) TakeDirtyOwned(owner, max int) []FlushItem {
-	return m.takeDirtyMerged(owner, max, true)
+	return m.takeDirtyMerged(new(TakeScratch), owner, max, true)
+}
+
+// TakeDirtyOwnedInto is TakeDirtyOwned working in sc instead of fresh
+// storage, so that a flush stream that keeps one TakeScratch for its
+// lifetime takes its steady-state bursts without allocating.
+func (m *Manager) TakeDirtyOwnedInto(sc *TakeScratch, owner, max int) []FlushItem {
+	return m.takeDirtyMerged(sc, owner, max, true)
+}
+
+// TakeScratch is a take's working storage: the snapshot slab the items'
+// Data point into, the item slice itself, and the candidate and per-shard
+// request lists. The zero value is ready; each take reuses what the last
+// one grew, and the slab never outgrows the largest take (max blocks of
+// BlockSize bytes).
+//
+// Lifetime: a take's items and their bytes are valid until the next take
+// into the same scratch. Before that take the owner must have handed every
+// item back (FlushDone or FlushFailed) and finished every write of a frame
+// cut from their Data — take → frame → write → ack, then reuse. One
+// scratch serves one take at a time.
+type TakeScratch struct {
+	slab     []byte
+	items    []FlushItem
+	cands    []dirtyCand
+	perShard [][]takeReq
 }
 
 // takeDirtyMerged is the two-pass collect/merge/snapshot body shared by
-// TakeDirty and TakeDirtyOwned. runOrder sorts the selected
-// candidates by (file, index) before they are snapshotted, so the take's
-// buffer holds each run of adjacent blocks as one contiguous stretch (see
-// FlushItem) and the per-iod flush streams frame it without copying.
-func (m *Manager) takeDirtyMerged(owner, max int, runOrder bool) []FlushItem {
+// every take. runOrder sorts the selected candidates by (file, index)
+// before they are snapshotted, so the slab holds each run of adjacent
+// blocks as one contiguous stretch (see FlushItem) and the per-iod flush
+// streams frame it without copying.
+func (m *Manager) takeDirtyMerged(sc *TakeScratch, owner, max int, runOrder bool) []FlushItem {
 	collect := max
 	if max > 0 && m.hasWeights.Load() {
 		// Weighted apportioning must see candidates younger than the
@@ -669,11 +696,12 @@ func (m *Manager) takeDirtyMerged(owner, max int, runOrder bool) []FlushItem {
 		// data copied) and bounded by capacity, so collect them all.
 		collect = 0
 	}
-	var cands []dirtyCand
+	cands := sc.cands[:0]
 	for i, s := range m.shards {
 		cands = s.collectDirtyCandidates(collect, i, owner, cands)
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].seq < cands[j].seq })
+	sc.cands = cands
+	slices.SortFunc(cands, func(a, b dirtyCand) int { return cmp.Compare(a.seq, b.seq) })
 	if max > 0 && len(cands) > max {
 		if m.hasWeights.Load() {
 			cands = m.apportionByWeight(cands, max)
@@ -682,24 +710,33 @@ func (m *Manager) takeDirtyMerged(owner, max int, runOrder bool) []FlushItem {
 		}
 	}
 	if runOrder {
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].key.File != cands[j].key.File {
-				return cands[i].key.File < cands[j].key.File
+		slices.SortFunc(cands, func(a, b dirtyCand) int {
+			if c := cmp.Compare(a.key.File, b.key.File); c != 0 {
+				return c
 			}
-			return cands[i].key.Index < cands[j].key.Index
+			return cmp.Compare(a.key.Index, b.key.Index)
 		})
 	}
-	perShard := make([][]takeReq, len(m.shards))
-	for i, c := range cands {
-		perShard[c.shard] = append(perShard[c.shard], takeReq{key: c.key, pos: i})
+	if len(sc.perShard) != len(m.shards) {
+		sc.perShard = make([][]takeReq, len(m.shards))
 	}
-	// Not pooled: a frame cut from this buffer may still be encoded by a
-	// timed-out rpc call after the flusher has moved on.
-	burst := make([]byte, len(cands)*m.cfg.BlockSize)
-	taken := make([]FlushItem, len(cands))
-	for i, reqs := range perShard {
+	for i := range sc.perShard {
+		sc.perShard[i] = sc.perShard[i][:0]
+	}
+	for i, c := range cands {
+		sc.perShard[c.shard] = append(sc.perShard[c.shard], takeReq{key: c.key, pos: i})
+	}
+	if n := len(cands) * m.cfg.BlockSize; cap(sc.slab) < n {
+		sc.slab = make([]byte, n)
+	}
+	if cap(sc.items) < len(cands) {
+		sc.items = make([]FlushItem, len(cands))
+	}
+	taken := sc.items[:len(cands)]
+	clear(taken)
+	for i, reqs := range sc.perShard {
 		if len(reqs) > 0 {
-			m.shards[i].takeKeys(reqs, owner, burst, taken)
+			m.shards[i].takeKeys(reqs, owner, sc.slab, taken)
 		}
 	}
 	// A candidate claimed or cleaned between the passes left its slot

@@ -501,6 +501,74 @@ func TestStaleFetchPrefetchDrops(t *testing.T) {
 	}
 }
 
+// TestStallWriteThroughOvertakesFetch: a write that finds the cache full
+// of in-flight dirty blocks stalls for WriteStall and then writes through
+// to the iod. A demand fetch of the same block, in flight across that
+// write, must not install its pre-write image once the flushes land and
+// free a frame: the write-through moves the block's write stamp, so the
+// install is refused as stale and re-read, and no later read returns
+// bytes older than the acknowledged write.
+func TestStallWriteThroughOvertakesFetch(t *testing.T) {
+	const file, capacity = 85, 4
+	const k = capacity // the block read and written: not among the fillers
+	oldB, newB := bytes.Repeat([]byte{0x0D}, fakeBS), bytes.Repeat([]byte{0xE7}, fakeBS)
+	r := newFetchRig(t, false, func(c *Config) {
+		c.Buffer.Capacity = capacity
+		c.WriteStall = 20 * time.Millisecond
+	})
+	r.iods[0].image = append(make([]byte, k*fakeBS), oldB...)
+	flushHeld, fetchHeld := make(chan struct{}), make(chan struct{})
+	releaseFlush, releaseFetch := make(chan struct{}), make(chan struct{})
+	var flushOnce, fetchOnce sync.Once
+	r.iods[0].script = func(req, honest wire.Message) wire.Message {
+		switch req := req.(type) {
+		case *wire.Flush:
+			flushOnce.Do(func() { close(flushHeld) })
+			<-releaseFlush
+		case *wire.ReadBlocks:
+			if req.Exts[0].Offset == k*fakeBS {
+				fetchOnce.Do(func() { close(fetchHeld) })
+				<-releaseFetch // honest holds the image from before the write
+			}
+		}
+		return honest
+	}
+	tr := r.mod.NewTransport()
+	// Fill every frame with dirty blocks and hold their flush in flight:
+	// none can be evicted, so the write below finds no frame.
+	for i := int64(0); i < capacity; i++ {
+		sendRecv(t, tr, 0, &wire.Write{File: file, Offset: i * fakeBS, Data: bytes.Repeat([]byte{byte(i)}, fakeBS)})
+	}
+	r.mod.kickAllStreams()
+	<-flushHeld
+	// The demand fetch of block k, held at the iod.
+	rd := r.mod.NewTransport()
+	id, first, err := startRead(rd, 0, file, k*fakeBS, fakeBS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-fetchHeld
+	if ack := sendRecv(t, tr, 0, &wire.Write{File: file, Offset: k * fakeBS, Data: newB}); ack.(*wire.WriteAck).Status != wire.StatusOK {
+		t.Fatalf("stalled write: %v", ack)
+	}
+	if got := r.reg.Counter("module.write_through").Value(); got != 1 {
+		t.Fatalf("write_through = %d, want 1 (the write did not stall into the fallback)", got)
+	}
+	// The flushes land and free their frames; then the fetch lands.
+	close(releaseFlush)
+	waitfor.Until(t, 5*time.Second, func() bool { return r.mod.buf.DirtyCount() == 0 }, "held flushes acknowledged")
+	close(releaseFetch)
+	if status, err := finishRead(rd, id); err != nil || status != wire.StatusOK {
+		t.Fatalf("overtaken read: status %v, err %v", status, err)
+	}
+	if !bytes.Equal(first, oldB) && !bytes.Equal(first, newB) {
+		t.Fatalf("overtaken read returned %#x..., neither image", first[0])
+	}
+	if got := readAt(t, tr, 0, file, k*fakeBS, fakeBS); !bytes.Equal(got, newB) {
+		t.Fatalf("read after the acknowledged write returned %#x..., want %#x", got[0], newB[0])
+	}
+}
+
 // TestBlockReadRejectsMisshapenReply: the synchronous one-block read asks
 // for one extent of one block. A reply with more extents, or a longer one,
 // is refused before a byte of it reaches the cache.

@@ -75,6 +75,21 @@ type flushStream struct {
 	// chaos harness and Module.StreamHealth expose.
 	errors  atomic.Int64
 	backoff atomic.Int64
+
+	// Drain storage, owned by the loop goroutine and reused by every
+	// burst, so a steady-state burst allocates nothing: the take's
+	// snapshot slab and item lists, the frames cut from them, and the
+	// window of frames in flight. At most FlushBatch×FlushWindow blocks
+	// of slab (1 MB at the defaults). Reuse is safe because sendChunks
+	// returns only after every chunk's Call has returned, and Call returns
+	// only after its frame's write has: no frame still reads the slab
+	// when the next take overwrites it.
+	take    buffer.TakeScratch
+	frames  flushFrames
+	window  chan struct{} // capacity FlushWindow: one slot per frame in flight
+	sending sync.WaitGroup
+	errMu   sync.Mutex
+	sendErr error // the burst's first failure
 }
 
 // StreamHealth is one flush stream's externally visible state.
@@ -139,11 +154,11 @@ func (s *flushStream) loop() {
 func (s *flushStream) drain() error {
 	burst := s.m.cfg.FlushBatch * s.m.cfg.FlushWindow
 	for {
-		items := s.m.buf.TakeDirtyOwned(s.iod, burst)
+		items := s.m.buf.TakeDirtyOwnedInto(&s.take, s.iod, burst)
 		if len(items) == 0 {
 			return nil
 		}
-		err := s.sendChunks(buildFlushChunks(s.m.cfg.ClientID, items, s.m.buf.BlockSize()))
+		err := s.sendChunks(buildFlushChunks(&s.frames, s.m.cfg.ClientID, items, s.m.buf.BlockSize()))
 		if err != nil {
 			return err
 		}
@@ -157,8 +172,16 @@ func (s *flushStream) drain() error {
 // the unit of acknowledgment: the whole chunk is marked clean or
 // re-queued together.
 type flushChunk struct {
-	msg   *wire.Flush
+	msg   wire.Flush
 	items []buffer.FlushItem
+}
+
+// flushFrames is the storage buildFlushChunks frames a burst into,
+// reused from burst to burst: the chunks, and one array holding every
+// chunk's FlushBlock runs.
+type flushFrames struct {
+	chunks []flushChunk
+	blocks []wire.FlushBlock
 }
 
 // buildFlushChunks coalesces a run-ordered snapshot (TakeDirtyOwned's
@@ -171,18 +194,20 @@ type flushChunk struct {
 // take's buffer (buffer.FlushItem.Slot), where tiling spans are
 // contiguous, so a run's data is a slice of that buffer, not a copy.
 // Runs pack into chunks of at most flushChunkTarget accounted bytes, one
-// file per chunk (the Flush header names a single file).
-func buildFlushChunks(client uint32, items []buffer.FlushItem, blockSize int) []flushChunk {
-	var chunks []flushChunk
-	var cur flushChunk
-	curBytes := 0
-	closeCur := func() {
-		if len(cur.items) > 0 {
-			chunks = append(chunks, cur)
-			cur = flushChunk{}
-			curBytes = 0
-		}
+// file per chunk (the Flush header names a single file). A chunk's runs
+// are consecutive items, so its items are a subslice of items; the
+// chunks and their runs live in fr until the next call.
+func buildFlushChunks(fr *flushFrames, client uint32, items []buffer.FlushItem, blockSize int) []flushChunk {
+	// Every run holds an item and every chunk a run, so len(items) bounds
+	// both counts: sized up front, neither array moves while chunks point
+	// into it.
+	if cap(fr.chunks) < len(items) {
+		fr.chunks = make([]flushChunk, 0, len(items))
+		fr.blocks = make([]wire.FlushBlock, 0, len(items))
 	}
+	chunks, blocks := fr.chunks[:0], fr.blocks[:0]
+	var cur *flushChunk
+	first, firstRun, curBytes := 0, 0, 0 // cur's first item and run, its accounted bytes
 	for i := 0; i < len(items); {
 		// Maximal contiguous run starting at i, bounded (run bytes plus
 		// its framing overhead) by the chunk target so a run always fits
@@ -199,25 +224,26 @@ func buildFlushChunks(client uint32, items []buffer.FlushItem, blockSize int) []
 			runBytes += len(items[j].Data)
 			j++
 		}
-		run := items[i:j]
-		if cur.msg != nil &&
-			(cur.msg.File != run[0].Key.File ||
+		if cur != nil &&
+			(cur.msg.File != items[i].Key.File ||
 				curBytes+runBytes+wire.FlushBlockOverhead > flushChunkTarget) {
-			closeCur()
+			cur = nil
 		}
-		if cur.msg == nil {
-			cur.msg = &wire.Flush{Client: client, File: run[0].Key.File}
+		if cur == nil {
+			chunks = append(chunks, flushChunk{msg: wire.Flush{Client: client, File: items[i].Key.File}})
+			cur = &chunks[len(chunks)-1]
+			first, firstRun, curBytes = i, len(blocks), 0
 		}
-		cur.msg.Blocks = append(cur.msg.Blocks, wire.FlushBlock{
-			Index: run[0].Key.Index,
-			Off:   uint32(run[0].Off),
-			Data:  run[0].Data[:runBytes:runBytes],
+		blocks = append(blocks, wire.FlushBlock{
+			Index: items[i].Key.Index,
+			Off:   uint32(items[i].Off),
+			Data:  items[i].Data[:runBytes:runBytes],
 		})
-		cur.items = append(cur.items, run...)
+		cur.msg.Blocks = blocks[firstRun:len(blocks):len(blocks)]
+		cur.items = items[first:j:j]
 		curBytes += runBytes + wire.FlushBlockOverhead
 		i = j
 	}
-	closeCur()
 	return chunks
 }
 
@@ -228,60 +254,63 @@ func buildFlushChunks(client uint32, items []buffer.FlushItem, blockSize int) []
 // failed chunk's blocks are re-queued. After the first failure no
 // further chunk is framed onto the wire; the remainder re-queues
 // immediately so the stream backs off as a unit while the other streams
-// keep draining.
+// keep draining. It returns once every chunk's send has returned.
 func (s *flushStream) sendChunks(chunks []flushChunk) error {
 	m := s.m
-	sem := make(chan struct{}, m.cfg.FlushWindow)
-	var (
-		wg       sync.WaitGroup
-		failed   atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		failed.Store(true)
-	}
-	for _, c := range chunks {
-		if failed.Load() {
+	s.sendErr = nil // the last burst's senders are done (sending.Wait)
+	for i := range chunks {
+		c := &chunks[i]
+		if s.burstErr() != nil {
 			m.buf.FlushFailed(c.items)
 			m.ctr.flushRequeued.Add(int64(len(c.items)))
 			continue
 		}
-		sem <- struct{}{} // window slot
-		wg.Add(1)
-		go func(c flushChunk) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			res := s.client.Call(c.msg)
-			err := res.Err
-			if err == nil {
-				if ack, ok := res.Msg.(*wire.FlushAck); !ok {
-					err = fmt.Errorf("cachemod: unexpected flush reply %v from iod %d",
-						res.Msg.WireType(), s.iod)
-				} else {
-					err = ack.Status.Err()
-				}
-			}
-			if err != nil {
-				fail(err)
-				m.buf.FlushFailed(c.items)
-				m.ctr.flushRequeued.Add(int64(len(c.items)))
-				return
-			}
-			m.buf.FlushDone(c.items)
-			m.ctr.flushRounds.Inc()
-			m.ctr.flushedBlocks.Add(int64(len(c.items)))
-			if merged := len(c.items) - len(c.msg.Blocks); merged > 0 {
-				m.ctr.flushCoalesced.Add(int64(merged))
-			}
-			m.signalSpace()
-		}(c)
+		s.window <- struct{}{}
+		s.sending.Add(1)
+		go s.sendChunk(c)
 	}
-	wg.Wait()
-	return firstErr
+	s.sending.Wait()
+	return s.sendErr
+}
+
+// burstErr returns the current burst's first failure, if any.
+func (s *flushStream) burstErr() error {
+	s.errMu.Lock()
+	defer s.errMu.Unlock()
+	return s.sendErr
+}
+
+// sendChunk sends one chunk in its own window slot and hands its items
+// back: to FlushDone on an OK ack, else to FlushFailed.
+func (s *flushStream) sendChunk(c *flushChunk) {
+	m := s.m
+	defer s.sending.Done()
+	defer func() { <-s.window }()
+	res := s.client.Call(&c.msg)
+	err := res.Err
+	if err == nil {
+		if ack, ok := res.Msg.(*wire.FlushAck); !ok {
+			err = fmt.Errorf("cachemod: unexpected flush reply %v from iod %d",
+				res.Msg.WireType(), s.iod)
+		} else {
+			err = ack.Status.Err()
+		}
+	}
+	if err != nil {
+		s.errMu.Lock()
+		if s.sendErr == nil {
+			s.sendErr = err
+		}
+		s.errMu.Unlock()
+		m.buf.FlushFailed(c.items)
+		m.ctr.flushRequeued.Add(int64(len(c.items)))
+		return
+	}
+	m.buf.FlushDone(c.items)
+	m.ctr.flushRounds.Inc()
+	m.ctr.flushedBlocks.Add(int64(len(c.items)))
+	if merged := len(c.items) - len(c.msg.Blocks); merged > 0 {
+		m.ctr.flushCoalesced.Add(int64(merged))
+	}
+	m.signalSpace()
 }

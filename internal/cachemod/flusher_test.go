@@ -63,7 +63,7 @@ func TestBuildFlushChunksCoalescesRuns(t *testing.T) {
 		// File 2 always opens a new chunk (one file per Flush frame).
 		span{2, 0, 0, bs},
 	)
-	chunks := buildFlushChunks(9, items, bs)
+	chunks := buildFlushChunks(new(flushFrames), 9, items, bs)
 	if len(chunks) != 2 {
 		t.Fatalf("chunks = %d, want 2 (one per file)", len(chunks))
 	}
@@ -109,7 +109,7 @@ func TestBuildFlushChunksNeverJoinsSeparateSnapshots(t *testing.T) {
 	const bs = 4096
 	items := append(takeOf(bs, span{1, 0, 0, bs}), takeOf(bs, span{1, 1, 0, bs})...)
 	items[0].Slot, items[1].Slot = 0, 0
-	chunks := buildFlushChunks(1, items, bs)
+	chunks := buildFlushChunks(new(flushFrames), 1, items, bs)
 	if len(chunks) != 1 || len(chunks[0].msg.Blocks) != 2 {
 		t.Fatalf("separate snapshots were joined: %d chunks, %+v", len(chunks), chunks)
 	}
@@ -128,7 +128,7 @@ func TestBuildFlushChunksSplitsAtTarget(t *testing.T) {
 	for i := range spans {
 		spans[i] = span{1, i, 0, bs}
 	}
-	chunks := buildFlushChunks(1, takeOf(bs, spans...), bs)
+	chunks := buildFlushChunks(new(flushFrames), 1, takeOf(bs, spans...), bs)
 	if len(chunks) < 3 {
 		t.Fatalf("chunks = %d, want >= 3 for %d bytes", len(chunks), n*bs)
 	}
@@ -535,4 +535,62 @@ func sendRecvNoT(tr pvfs.Transport, iodIdx int, req wire.Message) error {
 		return fmt.Errorf("write ack status %v", ack.Status)
 	}
 	return nil
+}
+
+// TestReusedSlabKeepsBurstsApart drains many bursts through each stream's
+// one reused snapshot slab while the flush ports make some calls time out
+// (the chunk re-queues and is sent again from a later burst's slab). Every
+// block is written once with bytes of its own, one file per iod (a fake
+// iod's image is shared by every file), so each iod must end up
+// holding exactly the written image: a frame that read a slot after the
+// next take overwrote it would leave another block's bytes behind.
+func TestReusedSlabKeepsBurstsApart(t *testing.T) {
+	const file, blocks = 90, 256
+	const timeout = 20 * time.Millisecond
+	r := newFetchRig(t, false, func(c *Config) {
+		c.Buffer.Capacity = 32
+		c.FlushBatch, c.FlushWindow = 4, 2 // 8-block bursts
+	})
+	for i, s := range r.mod.streams {
+		// Flush clients whose calls time out; no drain has run yet, and
+		// the first one starts from a kick sent after this store.
+		s.client.Close()
+		s.client = rpc.NewClient(rpc.ClientConfig{Network: r.net, Addr: r.addrs[i], CallTimeout: timeout})
+		r.mod.flush[i] = s.client
+	}
+	for _, f := range r.iods {
+		var frames atomic.Int64
+		f.script = func(req, honest wire.Message) wire.Message {
+			if _, ok := req.(*wire.Flush); ok && frames.Add(1)%4 == 0 {
+				time.Sleep(3 * timeout) // this call times out
+			}
+			return honest
+		}
+	}
+	payload := func(iod, blk int) []byte {
+		p := make([]byte, fakeBS)
+		for i := range p {
+			p[i] = byte(iod*131 + blk*7 + i%13)
+		}
+		return p
+	}
+	tr := r.mod.NewTransport()
+	for blk := 0; blk < blocks; blk++ {
+		for iod := range r.iods {
+			sendRecv(t, tr, iod, &wire.Write{File: file + blockio.FileID(iod), Offset: int64(blk) * fakeBS, Data: payload(iod, blk)})
+		}
+	}
+	if err := r.mod.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if r.reg.Counter("module.flush_requeued").Value() == 0 {
+		t.Fatal("no flush call timed out and re-queued")
+	}
+	for iod, f := range r.iods {
+		for blk := 0; blk < blocks; blk++ {
+			if got := f.read(int64(blk)*fakeBS, fakeBS); !bytes.Equal(got, payload(iod, blk)) {
+				t.Fatalf("iod %d block %d holds bytes that were not written there: %x want %x", iod, blk, got[:16], payload(iod, blk)[:16])
+			}
+		}
+	}
 }

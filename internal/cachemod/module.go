@@ -296,7 +296,8 @@ func New(cfg Config) (*Module, error) {
 	}
 
 	for i, rc := range m.flush {
-		s := &flushStream{m: m, iod: i, client: rc, kick: make(chan struct{}, 1)}
+		s := &flushStream{m: m, iod: i, client: rc, kick: make(chan struct{}, 1),
+			window: make(chan struct{}, m.cfg.FlushWindow)}
 		m.streams = append(m.streams, s)
 		m.wg.Add(1)
 		go s.loop()

@@ -541,6 +541,10 @@ func (t *CachedTransport) writeSpan(iod int, sp blockio.Span, src []byte, deadli
 }
 
 // writeThrough sends one span straight to the iod, bypassing the cache.
+// An acknowledged write moves the block's write stamp (InvalidateClean
+// advances it even when nothing is resident), so a fetch of the block in
+// flight across the write is refused at install instead of caching the
+// pre-write image.
 func (t *CachedTransport) writeThrough(iod int, sp blockio.Span, src []byte) error {
 	t.m.ctr.writeThrough.Inc()
 	res := t.m.data[iod].Call(&wire.Write{
@@ -556,7 +560,11 @@ func (t *CachedTransport) writeThrough(iod int, sp blockio.Span, src []byte) err
 	if !ok {
 		return fmt.Errorf("cachemod: unexpected write-through reply %v", res.Msg.WireType())
 	}
-	return ack.Status.Err()
+	if err := ack.Status.Err(); err != nil {
+		return err
+	}
+	t.m.buf.InvalidateClean(sp.Key)
+	return nil
 }
 
 // --- sync-write path ---

@@ -17,10 +17,12 @@ import (
 // change that adds an allocation, not on a later benchmark run. A ceiling
 // only ever moves down: lower it in the change that removes an allocation.
 //
-// All five are zero: libpvfs plans every operation in its client's one
-// scratch (pvfs.opScratch), the transport keeps its FSM state by value or
-// recycled, and status-only replies are shared messages. The shapes differ
-// in what they make the scratch and the transport carry.
+// The five request shapes are zero: libpvfs plans every operation in its
+// client's one scratch (pvfs.opScratch), the transport keeps its FSM state
+// by value or recycled, and status-only replies are shared messages. The
+// shapes differ in what they make the scratch and the transport carry. The
+// sixth, a write-behind drain round, is not zero: it counts a round trip
+// to the iod and the iod's work as well.
 const (
 	// cachedReadAllocs is pvfsperf's hit_shared allocs_per_op: one piece,
 	// one plain Read, a full hit (11 before the scratch).
@@ -37,13 +39,19 @@ const (
 	// per-open hint — a tenant tag charged against a fetch budget and a
 	// must-cache policy — so the module's per-file record is on the path.
 	hintedReadAllocs = 0
+	// flushDrainAllocs: one 64 KB rewrite, drained as one Flush frame to
+	// one iod by FlushAll (51 before each flush stream reused its take
+	// and framing storage). The take and the framing allocate nothing;
+	// what is left is the chunk's sender goroutine, the call's reply
+	// channel, FlushAll's timed wait and the iod's side of the call.
+	flushDrainAllocs = 12
 )
 
 // allocCluster boots one caching node whose flusher stays quiet for the
 // length of a test, so that every allocation counted belongs to the
-// measured call, and returns a process on it and a 1 MB file written and
-// flushed through it. The fetch budget only ever charges tagged files.
-func allocCluster(t *testing.T) (*pvfs.Client, *pvfs.File) {
+// measured call, and returns it, a process on it and a 1 MB file written
+// and flushed through it. The fetch budget only ever charges tagged files.
+func allocCluster(t *testing.T) (*Cluster, *pvfs.Client, *pvfs.File) {
 	t.Helper()
 	c := startTest(t, Config{IODs: 4, ClientNodes: 1, Caching: true, FlushPeriod: time.Hour,
 		Module: cachemod.Config{TenantFetchBudget: 64}})
@@ -62,7 +70,7 @@ func allocCluster(t *testing.T) (*pvfs.Client, *pvfs.File) {
 	if err := c.Module(0).FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	return p, f
+	return c, p, f
 }
 
 // checkAllocs fails on growth past the ceiling, and on a count below it so
@@ -78,7 +86,7 @@ func checkAllocs(t *testing.T, what string, got float64, ceiling int) {
 }
 
 func TestCachedReadAllocCeiling(t *testing.T) {
-	_, f := allocCluster(t)
+	_, _, f := allocCluster(t)
 	buf := make([]byte, 16<<10)
 	n := testing.AllocsPerRun(500, func() { // the warm-up run makes the blocks resident
 		if _, err := f.ReadAt(buf, 64<<10); err != nil {
@@ -91,7 +99,7 @@ func TestCachedReadAllocCeiling(t *testing.T) {
 // The general shape, not only the benchmark's: several pieces grouped over
 // several iods, as plain Reads.
 func TestStripedReadAllocCeiling(t *testing.T) {
-	_, f := allocCluster(t)
+	_, _, f := allocCluster(t)
 	buf := make([]byte, 256<<10)
 	n := testing.AllocsPerRun(200, func() {
 		if _, err := f.ReadAt(buf, 0); err != nil {
@@ -104,7 +112,7 @@ func TestStripedReadAllocCeiling(t *testing.T) {
 // Two striping cycles: every iod's two pieces travel as one ReadBlocks, so
 // the extent lists and the vectored status-only reply are on the path.
 func TestVectoredReadAllocCeiling(t *testing.T) {
-	_, f := allocCluster(t)
+	_, _, f := allocCluster(t)
 	buf := make([]byte, 512<<10)
 	n := testing.AllocsPerRun(200, func() {
 		if _, err := f.ReadAt(buf, 256<<10); err != nil {
@@ -118,7 +126,7 @@ func TestVectoredReadAllocCeiling(t *testing.T) {
 // tenant's in-flight budget and releases it, and reads the policy — none of
 // which may allocate or insert into a map.
 func TestHintedReadAllocCeiling(t *testing.T) {
-	p, _ := allocCluster(t)
+	_, p, _ := allocCluster(t)
 	f, err := p.OpenWithTenant("alloc.dat", 7, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +142,7 @@ func TestHintedReadAllocCeiling(t *testing.T) {
 }
 
 func TestBufferedWriteAllocCeiling(t *testing.T) {
-	_, f := allocCluster(t)
+	_, _, f := allocCluster(t)
 	buf := make([]byte, 64<<10)
 	n := testing.AllocsPerRun(500, func() { // rewrites the same 16 dirty blocks: no flush, no eviction
 		if _, err := f.WriteAt(buf, 0); err != nil {
@@ -142,4 +150,25 @@ func TestBufferedWriteAllocCeiling(t *testing.T) {
 		}
 	})
 	checkAllocs(t, "a buffered 64 KB WriteAt", n, bufferedWriteAllocs)
+}
+
+// One write-behind drain round: a steady-state 64 KB rewrite of resident
+// blocks, then FlushAll, which kicks every flush stream and waits until
+// the dirty count reads zero. It skips under -race like wire's
+// TestFrameAllocPins; CI runs the pins once without the race detector.
+func TestFlushDrainAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	c, _, f := allocCluster(t)
+	buf := make([]byte, 64<<10)
+	n := testing.AllocsPerRun(200, func() {
+		if _, err := f.WriteAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Module(0).FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	checkAllocs(t, "a 64 KB rewrite and its drain", n, flushDrainAllocs)
 }

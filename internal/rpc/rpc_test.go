@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -124,6 +125,67 @@ func TestConnectionPoolReuse(t *testing.T) {
 	}
 	if d := net.dials.Load(); d > 2 {
 		t.Fatalf("dialed %d times for a pool of 2", d)
+	}
+}
+
+// parkingNetwork dials connections whose Write of a payload-sized segment
+// parks until the test releases it: a transport that still holds the
+// request's bytes.
+type parkingNetwork struct {
+	transport.Network
+	size    int           // a Write of exactly this many bytes parks
+	parked  chan struct{} // receives once per parked Write
+	release chan struct{} // closing it lets every parked Write proceed
+}
+
+func (n *parkingNetwork) Dial(addr string) (transport.Conn, error) {
+	c, err := n.Network.Dial(addr)
+	return &parkingConn{Conn: c, n: n}, err
+}
+
+type parkingConn struct {
+	transport.Conn
+	n *parkingNetwork
+}
+
+func (c *parkingConn) Write(p []byte) (int, error) {
+	if len(p) == c.n.size {
+		c.n.parked <- struct{}{}
+		<-c.n.release
+	}
+	return c.Conn.Write(p)
+}
+
+// TestCallReturnsAfterItsWrite pins the borrow that lets a caller reuse a
+// request's buffer as soon as Call returns (the flush streams' snapshot
+// slab): Call does not return while the transport's Write still holds the
+// request's bytes — with no CallTimeout, and with one that runs out many
+// times over during the held write, since its timer starts only once the
+// write has returned.
+func TestCallReturnsAfterItsWrite(t *testing.T) {
+	const size = 64 << 10
+	for _, timeout := range []time.Duration{0, time.Millisecond} {
+		t.Run(fmt.Sprint(timeout), func(t *testing.T) {
+			net := &parkingNetwork{Network: transport.NewMem(), size: size,
+				parked: make(chan struct{}, 1), release: make(chan struct{})}
+			_, addr := startServer(t, net, HandlerFunc(func(wire.Message) wire.Message {
+				return &wire.WriteAck{Status: wire.StatusOK}
+			}), ServerConfig{})
+			c := NewClient(ClientConfig{Network: net, Addr: addr, CallTimeout: timeout})
+			defer c.Close()
+			returned := make(chan Result, 1)
+			go func() { returned <- c.Call(&wire.Write{File: 1, Data: make([]byte, size)}) }()
+			<-net.parked
+			select {
+			case res := <-returned:
+				t.Fatalf("Call returned (%v) while its write was still held", res.Err)
+			case <-time.After(20 * time.Millisecond):
+			}
+			close(net.release)
+			if res := <-returned; res.Err != nil && (timeout == 0 || !errors.Is(res.Err, ErrCallTimeout)) {
+				t.Fatalf("Call after the write was released: %v", res.Err)
+			}
+		})
 	}
 }
 

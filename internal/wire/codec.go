@@ -27,22 +27,30 @@ type codec struct {
 	// buf (every decode is zero-copy), so buf must outlive the message.
 	aliased bool
 
-	// vec (encode): a tail of at least minVecTail bytes is not copied into
-	// buf; tailData keeps it for the frame writer to send from the
-	// caller's buffer as a second segment.
-	vec      bool
-	tailData []byte
+	// vec (encode): a bulk byte field of at least minVecTail bytes is not
+	// copied into buf; segs keeps it, behind its length prefix, for the
+	// frame writer to send from the caller's buffer as a segment of its
+	// own.
+	vec  bool
+	segs []vecSeg
 
 	// Scratch a pooled codec carries so that framing allocates nothing:
-	// the header readFrame reads, and the head + tail segment list.
+	// the header readFrame reads, and the frame's segment list.
 	hdr  [14]byte
-	vecs [2][]byte
+	vecs [][]byte
 	bufs net.Buffers
 }
 
-// minVecTail is the smallest payload tail worth a scatter-gather write;
-// below it, one copy into the frame buffer is cheaper than a second write
-// on the transport.
+// vecSeg is one bulk field left out of an encoded buf: data goes on the
+// wire right after buf[:at].
+type vecSeg struct {
+	at   int
+	data []byte
+}
+
+// minVecTail is the smallest bulk field worth a segment of its own in a
+// scatter-gather write; below it, one copy into the frame buffer is
+// cheaper than a second write on the transport.
 const minVecTail = 1 << 10
 
 // take returns the next n payload bytes, or nil once the payload is short.
@@ -132,10 +140,18 @@ func (c *codec) str(v *string) {
 
 // bytes walks a length-prefixed byte field. On decode the field aliases
 // the payload; take's full slice expression keeps an append by the
-// consumer from scribbling over the next field.
+// consumer from scribbling over the next field. On encode with vec set, a
+// field of at least minVecTail bytes is left in segs behind its length
+// prefix, and the frame writer sends it straight from the caller's buffer
+// (one writev on TCP, one pipe write per segment in memory).
 func (c *codec) bytes(v *[]byte) {
 	if !c.dec {
-		c.buf = append(binary.BigEndian.AppendUint32(c.buf, uint32(len(*v))), *v...)
+		c.buf = binary.BigEndian.AppendUint32(c.buf, uint32(len(*v)))
+		if c.vec && len(*v) >= minVecTail {
+			c.segs = append(c.segs, vecSeg{at: len(c.buf), data: *v})
+		} else {
+			c.buf = append(c.buf, *v...)
+		}
 		return
 	}
 	var n uint32
@@ -144,19 +160,6 @@ func (c *codec) bytes(v *[]byte) {
 		*v = b
 		c.aliased = c.aliased || n > 0
 	}
-}
-
-// tail walks a message's bulk payload, which must be its final field. On
-// encode with vec set, a payload of at least minVecTail bytes is left in
-// tailData behind its length prefix, and the frame writer sends it straight
-// from the caller's buffer (a writev on TCP, two pipe writes in memory).
-func (c *codec) tail(v *[]byte) {
-	if c.dec || !c.vec || len(*v) < minVecTail {
-		c.bytes(v)
-		return
-	}
-	c.buf = binary.BigEndian.AppendUint32(c.buf, uint32(len(*v)))
-	c.tailData = *v
 }
 
 // count walks a u32 element count. On decode a count the rest of the
@@ -245,14 +248,14 @@ func (m *Read) walk(c *codec) {
 
 func (m *ReadResp) walk(c *codec) {
 	c.status(&m.Status)
-	c.tail(&m.Data)
+	c.bytes(&m.Data)
 }
 
 func (m *Write) walk(c *codec) {
 	c.u32(&m.Client)
 	c.file(&m.File)
 	c.i64(&m.Offset)
-	c.tail(&m.Data)
+	c.bytes(&m.Data)
 }
 
 func (m *WriteAck) walk(c *codec) { c.status(&m.Status) }
@@ -261,7 +264,7 @@ func (m *SyncWrite) walk(c *codec) {
 	c.u32(&m.Client)
 	c.file(&m.File)
 	c.i64(&m.Offset)
-	c.tail(&m.Data)
+	c.bytes(&m.Data)
 }
 
 func (m *SyncWriteAck) walk(c *codec) {
@@ -297,5 +300,5 @@ func (m *PeerGet) walk(c *codec) {
 
 func (m *PeerGetResp) walk(c *codec) {
 	c.status(&m.Status)
-	c.tail(&m.Data)
+	c.bytes(&m.Data)
 }

@@ -33,7 +33,7 @@ func (m *PeerPut) walk(c *codec) {
 	c.i64(&m.Index)
 	c.u32(&m.Owner)
 	c.u64(&m.Epoch)
-	c.tail(&m.Data)
+	c.bytes(&m.Data)
 }
 
 func (m *PeerPutAck) walk(c *codec) { c.status(&m.Status) }

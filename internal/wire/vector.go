@@ -77,7 +77,7 @@ func (m *ReadBlocks) walk(c *codec) {
 func (m *ReadBlocksResp) walk(c *codec) {
 	c.status(&m.Status)
 	list(c, &m.Lens, 4, (*codec).u32)
-	c.tail(&m.Data)
+	c.bytes(&m.Data)
 	// The lengths must tile Data exactly; a mismatch means a corrupt or
 	// hostile peer and would otherwise let Lens address bytes Data does
 	// not hold.

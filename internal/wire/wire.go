@@ -183,10 +183,13 @@ type FileMeta struct {
 // single contiguous run, and the iod writes the whole run with one store
 // call, recording every covered block in its coherence directory.
 //
-// Ownership: on the encode side Data is borrowed from the sender for the
-// duration of the write (the flusher's snapshot buffers); on the decode
-// side it aliases the connection's pooled frame buffer and must be
-// consumed before the server handler returns (see rpc.Server).
+// Ownership: on the encode side Data is borrowed from the sender until
+// WriteTagged returns: a run of at least 1 KB is not copied into the frame
+// but sent from the sender's buffer (a flush stream's snapshot slab) as a
+// segment of the scatter-gather write, so the sender may reuse that
+// buffer only once the write has returned. On the decode side it aliases
+// the connection's pooled frame buffer and must be consumed before the
+// server handler returns (see rpc.Server).
 type FlushBlock struct {
 	Index int64
 	Off   uint32
@@ -478,12 +481,16 @@ var (
 // pooledBufCap bounds the capacity of buffers kept in the pools (1 MB).
 const pooledBufCap = 1 << 20
 
-// putCodec clears c, keeping buf for its next use, and returns it to pool.
+// putCodec clears c, keeping buf and the segment scratch for its next use
+// (emptied, so a pooled codec pins no caller's bytes), and returns it to
+// pool.
 func putCodec(pool *sync.Pool, c *codec, buf []byte) {
 	if cap(buf) > pooledBufCap {
 		buf = nil
 	}
-	*c = codec{buf: buf[:0]}
+	clear(c.segs)
+	clear(c.vecs)
+	*c = codec{buf: buf[:0], segs: c.segs[:0], vecs: c.vecs[:0]}
 	pool.Put(c)
 }
 
@@ -537,15 +544,18 @@ func ReleasePayload(b []byte) {
 	payloadPool.Put(h)
 }
 
-// encodeFrame walks m into c.buf behind its frame header. With vec set, a
-// bulk tail of at least minVecTail bytes stays in c.tailData instead of
-// being copied (see codec.tail).
+// encodeFrame walks m into c.buf behind its frame header. With vec set,
+// every bulk field of at least minVecTail bytes stays in c.segs instead of
+// being copied (see codec.bytes).
 func (c *codec) encodeFrame(tag uint64, m Message, vec bool) error {
 	c.buf = binary.BigEndian.AppendUint16(append(c.buf[:0], 0, 0, 0, 0), uint16(m.WireType()))
 	c.buf = binary.BigEndian.AppendUint64(c.buf, tag)
 	c.vec = vec
 	m.walk(c)
-	size := len(c.buf) - 4 + len(c.tailData)
+	size := len(c.buf) - 4
+	for _, sg := range c.segs {
+		size += len(sg.data)
+	}
 	if size > MaxMessageSize {
 		return ErrTooLarge
 	}
@@ -555,20 +565,33 @@ func (c *codec) encodeFrame(tag uint64, m Message, vec bool) error {
 
 // WriteTagged frames and writes m to w with a request tag; the peer echoes
 // the tag on the response so replies can complete out of order. It makes
-// one write, or a head + tail pair when the walk left a bulk tail
-// uncopied, so a response's payload is never copied into a frame. Callers
+// one write, or one scatter-gather write of the head pieces and the bulk
+// fields the walk left uncopied, so no bulk field is ever copied into a
+// frame: a Write's data, a response's payload and every run of a Flush go
+// out from the caller's buffer. m's bytes are borrowed only until
+// WriteTagged returns; every transport copies them inside Write. Callers
 // serialize writes per connection (rpc's per-connection write locks), so
-// the two segments cannot interleave with another frame.
+// the segments cannot interleave with another frame.
 func WriteTagged(w io.Writer, tag uint64, m Message) error {
 	c := encoders.Get().(*codec)
 	err := c.encodeFrame(tag, m, true)
 	switch {
 	case err != nil:
-	case c.tailData == nil:
+	case len(c.segs) == 0:
 		_, err = w.Write(c.buf)
 	default:
-		c.vecs = [2][]byte{c.buf, c.tailData}
-		c.bufs = c.vecs[:]
+		at := 0
+		for _, sg := range c.segs {
+			if sg.at > at {
+				c.vecs = append(c.vecs, c.buf[at:sg.at])
+			}
+			c.vecs = append(c.vecs, sg.data)
+			at = sg.at
+		}
+		if at < len(c.buf) {
+			c.vecs = append(c.vecs, c.buf[at:])
+		}
+		c.bufs = c.vecs
 		_, err = c.bufs.WriteTo(w)
 	}
 	putCodec(&encoders, c, c.buf)

@@ -8,9 +8,11 @@ import (
 )
 
 // TestVectoredEncodeMatchesCopyingEncode checks that the scatter-gather
-// frame writer (head + payload tail) produces byte-identical frames to
-// the copying encoder for every message with a bulk tail, at sizes
-// straddling the minVecTail threshold.
+// frame writer (head pieces + uncopied bulk fields) produces
+// byte-identical frames to the copying encoder for every message with a
+// bulk field, at sizes straddling the minVecTail threshold — a Flush with
+// several runs included, where some runs are segments of their own and
+// others are copied between them.
 func TestVectoredEncodeMatchesCopyingEncode(t *testing.T) {
 	sizes := []int{0, 1, minVecTail - 1, minVecTail, minVecTail + 1, 64 << 10}
 	for _, n := range sizes {
@@ -25,6 +27,12 @@ func TestVectoredEncodeMatchesCopyingEncode(t *testing.T) {
 			&SyncWrite{Client: 7, File: 3, Offset: 99, Data: data},
 			&PeerGetResp{Status: StatusOK, Data: data},
 			&PeerPut{File: 3, Index: 5, Owner: 2, Data: data},
+			&Flush{Client: 7, File: 3, Blocks: []FlushBlock{
+				{Index: 1, Off: 5, Data: data},
+				{Index: 4, Data: data[:n/2]},
+				{Index: 9, Off: 1, Data: data[:min(n, 3)]},
+				{Index: 12, Data: data},
+			}},
 		}
 		for _, m := range msgs {
 			var vec bytes.Buffer

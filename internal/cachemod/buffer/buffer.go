@@ -504,6 +504,14 @@ func (m *Manager) WriteStamp(key blockio.BlockKey) uint32 {
 	return m.shardFor(key).writeStamp(key)
 }
 
+// FlushPending reports whether a flush snapshot of key cut before stamp (a
+// WriteStamp read after a write) is still in flight: bytes older than that
+// write, not yet acknowledged by the iod. A sync-write waits until it is
+// not, so the older flush cannot land at the iod after the sync-write.
+func (m *Manager) FlushPending(key blockio.BlockKey, stamp uint32) bool {
+	return m.shardFor(key).flushPending(key, stamp)
+}
+
 // InstallFetched installs a freshly fetched whole-block image and patches
 // the caller's buffer to the canonical bytes, in one shard-lock
 // acquisition. data should be a whole-block buffer; it is mutated in

@@ -101,9 +101,9 @@ func (s *shard) writeSpan(key blockio.BlockKey, owner, off int, src []byte, mark
 	defer s.mu.Unlock()
 	b, ok := s.table[key]
 	if !ok {
-		// Writes always admit (must): rejecting one would stall the writer
-		// behind the write-through escape hatch for no memory saved — the
-		// dirty data has to live somewhere until it reaches the iod.
+		// Writes always admit (must): rejecting one would stall the writer,
+		// and shed it past WriteStall, for no memory saved — the dirty data
+		// has to live somewhere until it reaches the iod.
 		b = s.allocate(key, owner, true, false)
 		if b == nil {
 			s.ctrs.writeNoSpace.Inc()
@@ -152,6 +152,15 @@ func (s *shard) advanceStamp(key blockio.BlockKey) {
 		v = 1
 	}
 	s.stamps[key] = v
+}
+
+// flushPending is FlushPending for keys routed to this shard. Stamps are
+// compared in serial-number order, so a wrapped counter still orders them.
+func (s *shard) flushPending(key blockio.BlockKey, stamp uint32) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, ok := s.table[key]
+	return ok && b.inflight != 0 && int32(b.inflight-stamp) < 0
 }
 
 // insertClean is InsertClean for keys routed to this shard.
@@ -370,12 +379,13 @@ func (s *shard) invalidate(key blockio.BlockKey) bool {
 }
 
 // invalidateClean is invalidate restricted to blocks with no unflushed
-// writes; dirty or in-flight blocks survive, stamp unmoved, so their
-// flush acks still match (see Manager.InvalidateClean).
+// writes; dirty or in-flight blocks survive, but their stamp moves too
+// (see Manager.InvalidateClean).
 func (s *shard) invalidateClean(key blockio.BlockKey) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if b, ok := s.table[key]; ok && b.dirty() {
+		s.advanceStamp(key)
 		return false
 	}
 	return s.invalidateLocked(key)

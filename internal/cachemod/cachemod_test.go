@@ -532,8 +532,8 @@ func TestInvalidationListener(t *testing.T) {
 }
 
 func TestWriteLargerThanCacheCompletes(t *testing.T) {
-	// 64-block cache (256 KB); write 1 MB. Stalls and write-through
-	// fallbacks must keep the data intact.
+	// 64-block cache (256 KB); write 1 MB, 4× the capacity. The write
+	// stalls for frames the flushes free and must keep the data intact.
 	r := newRig(t, func(c *Config) {
 		c.WriteStall = 200 * time.Millisecond
 	})
@@ -542,6 +542,9 @@ func TestWriteLargerThanCacheCompletes(t *testing.T) {
 	ack := sendRecv(t, tr, 0, &wire.Write{File: 13, Offset: 0, Data: payload}).(*wire.WriteAck)
 	if ack.Status != wire.StatusOK {
 		t.Fatalf("ack %d", ack.Status)
+	}
+	if stalls := r.reg.Counter("module.write_stalls").Value(); stalls == 0 {
+		t.Fatal("a write of 4× the cache never stalled for a frame")
 	}
 	if err := r.mod.FlushAll(); err != nil {
 		t.Fatal(err)

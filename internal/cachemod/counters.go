@@ -28,7 +28,6 @@ type counters struct {
 	readFullHits       *metrics.Counter
 	writesBuffered     *metrics.Counter
 	writeStalls        *metrics.Counter
-	writeThrough       *metrics.Counter
 	syncWrites         *metrics.Counter
 	flushErrors        *metrics.Counter
 	flushRequeued      *metrics.Counter
@@ -57,7 +56,6 @@ func newCounters(reg *metrics.Registry) counters {
 		readFullHits:       reg.Counter("module.read_full_hits"),
 		writesBuffered:     reg.Counter("module.writes_buffered"),
 		writeStalls:        reg.Counter("module.write_stalls"),
-		writeThrough:       reg.Counter("module.write_through"),
 		syncWrites:         reg.Counter("module.sync_writes"),
 		flushErrors:        reg.Counter("module.flush_errors"),
 		flushRequeued:      reg.Counter("module.flush_requeued"),

@@ -64,6 +64,9 @@ func (f *fakeIOD) Handle(req wire.Message) wire.Message {
 	case *wire.Write:
 		f.write(r.Offset, r.Data)
 		honest = &wire.WriteAck{Status: wire.StatusOK}
+	case *wire.SyncWrite:
+		f.write(r.Offset, r.Data)
+		honest = &wire.SyncWriteAck{Status: wire.StatusOK}
 	case *wire.Flush:
 		for _, blk := range r.Blocks {
 			f.write(blk.Index*fakeBS+int64(blk.Off), blk.Data)
@@ -501,71 +504,300 @@ func TestStaleFetchPrefetchDrops(t *testing.T) {
 	}
 }
 
-// TestStallWriteThroughOvertakesFetch: a write that finds the cache full
-// of in-flight dirty blocks stalls for WriteStall and then writes through
-// to the iod. A demand fetch of the same block, in flight across that
-// write, must not install its pre-write image once the flushes land and
-// free a frame: the write-through moves the block's write stamp, so the
-// install is refused as stale and re-read, and no later read returns
-// bytes older than the acknowledged write.
-func TestStallWriteThroughOvertakesFetch(t *testing.T) {
-	const file, capacity = 85, 4
-	const k = capacity // the block read and written: not among the fillers
-	oldB, newB := bytes.Repeat([]byte{0x0D}, fakeBS), bytes.Repeat([]byte{0xE7}, fakeBS)
-	r := newFetchRig(t, false, func(c *Config) {
-		c.Buffer.Capacity = capacity
-		c.WriteStall = 20 * time.Millisecond
-	})
-	r.iods[0].image = append(make([]byte, k*fakeBS), oldB...)
-	flushHeld, fetchHeld := make(chan struct{}), make(chan struct{})
-	releaseFlush, releaseFetch := make(chan struct{}), make(chan struct{})
+// fullCacheRig is a capacity-4 fetchRig whose frames all hold dirty
+// blocks of file 1 (block i filled with byte i) with their flushes held at
+// iod 0, so no frame can be freed: a write of any other block finds no
+// frame. heldFetch, when true, also holds the first ReadBlocks of block
+// k, carrying the image from before anything the test writes; release
+// lets the flushes land and frees their frames.
+type fullCacheRig struct {
+	*fetchRig
+	tr                      *CachedTransport
+	fetchHeld, releaseFetch chan struct{}
+	releaseFlush            chan struct{}
+}
+
+const fullCap, fullK = 4, 4 // capacity, and the block read and written (not a filler)
+
+func newFullCacheRig(t *testing.T, oldB []byte) *fullCacheRig {
+	r := &fullCacheRig{
+		fetchRig: newFetchRig(t, false, func(c *Config) {
+			c.Buffer.Capacity = fullCap
+			c.WriteStall = 20 * time.Millisecond
+		}),
+		fetchHeld: make(chan struct{}), releaseFetch: make(chan struct{}), releaseFlush: make(chan struct{}),
+	}
+	r.iods[0].image = append(make([]byte, fullK*fakeBS), oldB...)
+	flushHeld := make(chan struct{})
 	var flushOnce, fetchOnce sync.Once
 	r.iods[0].script = func(req, honest wire.Message) wire.Message {
 		switch req := req.(type) {
 		case *wire.Flush:
 			flushOnce.Do(func() { close(flushHeld) })
-			<-releaseFlush
+			<-r.releaseFlush
 		case *wire.ReadBlocks:
-			if req.Exts[0].Offset == k*fakeBS {
-				fetchOnce.Do(func() { close(fetchHeld) })
-				<-releaseFetch // honest holds the image from before the write
+			if req.Exts[0].Offset == fullK*fakeBS {
+				fetchOnce.Do(func() { close(r.fetchHeld) })
+				<-r.releaseFetch // honest holds the image from before the write
 			}
 		}
 		return honest
 	}
-	tr := r.mod.NewTransport()
-	// Fill every frame with dirty blocks and hold their flush in flight:
-	// none can be evicted, so the write below finds no frame.
-	for i := int64(0); i < capacity; i++ {
-		sendRecv(t, tr, 0, &wire.Write{File: file, Offset: i * fakeBS, Data: bytes.Repeat([]byte{byte(i)}, fakeBS)})
+	t.Cleanup(r.release)
+	r.tr = r.mod.NewTransport()
+	for i := int64(0); i < fullCap; i++ {
+		sendRecv(t, r.tr, 0, &wire.Write{File: 1, Offset: i * fakeBS, Data: bytes.Repeat([]byte{byte(i)}, fakeBS)})
 	}
 	r.mod.kickAllStreams()
 	<-flushHeld
-	// The demand fetch of block k, held at the iod.
+	return r
+}
+
+// release lets the held flushes land (idempotent; Cleanup calls it too).
+func (r *fullCacheRig) release() {
+	select {
+	case <-r.releaseFlush:
+	default:
+		close(r.releaseFlush)
+	}
+	select {
+	case <-r.releaseFetch:
+	default:
+		close(r.releaseFetch)
+	}
+}
+
+// startHeldRead starts a demand read of block fullK and returns once its
+// fetch is held at the iod.
+func (r *fullCacheRig) startHeldRead(t *testing.T) (*CachedTransport, pvfs.ReqID) {
+	t.Helper()
 	rd := r.mod.NewTransport()
-	id, first, err := startRead(rd, 0, file, k*fakeBS, fakeBS)
+	id, _, err := startRead(rd, 0, 1, fullK*fakeBS, fakeBS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-fetchHeld
-	if ack := sendRecv(t, tr, 0, &wire.Write{File: file, Offset: k * fakeBS, Data: newB}); ack.(*wire.WriteAck).Status != wire.StatusOK {
-		t.Fatalf("stalled write: %v", ack)
+	<-r.fetchHeld
+	return rd, id
+}
+
+// TestStalledWriteShedsWhileFetchInFlight: a write that finds the cache full
+// of in-flight dirty blocks waits for flush progress, and when WriteStall
+// passes with none it is shed with StatusOverload: no byte of it reaches
+// the iod. A demand fetch of the same block is in flight across the shed
+// write and its retry; once the flushes land and the retry is buffered,
+// the fetch must not install its pre-write image — the retry moved the
+// block's write stamp — and the read after the retry's ack returns the
+// retry's bytes.
+func TestStalledWriteShedsWhileFetchInFlight(t *testing.T) {
+	oldB, newB := bytes.Repeat([]byte{0x0D}, fakeBS), bytes.Repeat([]byte{0xE7}, fakeBS)
+	r := newFullCacheRig(t, oldB)
+	rd, id := r.startHeldRead(t)
+	write := &wire.Write{File: 1, Offset: fullK * fakeBS, Data: newB}
+	if ack := sendRecv(t, r.tr, 0, write).(*wire.WriteAck); !errors.Is(ack.Status.Err(), wire.ErrOverload) {
+		t.Fatalf("stalled write: status %v, want overload", ack.Status)
 	}
-	if got := r.reg.Counter("module.write_through").Value(); got != 1 {
-		t.Fatalf("write_through = %d, want 1 (the write did not stall into the fallback)", got)
+	if got := r.iods[0].read(fullK*fakeBS, fakeBS); !bytes.Equal(got, oldB) {
+		t.Fatalf("shed write reached the iod: %#x...", got[0])
 	}
-	// The flushes land and free their frames; then the fetch lands.
-	close(releaseFlush)
+	// The flushes land and free their frames; the retry is buffered while
+	// the fetch is still held, then the fetch lands.
+	close(r.releaseFlush)
 	waitfor.Until(t, 5*time.Second, func() bool { return r.mod.buf.DirtyCount() == 0 }, "held flushes acknowledged")
-	close(releaseFetch)
+	if ack := sendRecv(t, r.tr, 0, write).(*wire.WriteAck); ack.Status != wire.StatusOK {
+		t.Fatalf("retried write: status %v", ack.Status)
+	}
+	close(r.releaseFetch)
 	if status, err := finishRead(rd, id); err != nil || status != wire.StatusOK {
 		t.Fatalf("overtaken read: status %v, err %v", status, err)
 	}
-	if !bytes.Equal(first, oldB) && !bytes.Equal(first, newB) {
-		t.Fatalf("overtaken read returned %#x..., neither image", first[0])
-	}
-	if got := readAt(t, tr, 0, file, k*fakeBS, fakeBS); !bytes.Equal(got, newB) {
+	if got := readAt(t, r.tr, 0, 1, fullK*fakeBS, fakeBS); !bytes.Equal(got, newB) {
 		t.Fatalf("read after the acknowledged write returned %#x..., want %#x", got[0], newB[0])
+	}
+}
+
+// TestWriteAgainstStalledFlushPortSheds: with every frame dirty and the
+// flush port stalled, a write waits WriteStall for flush progress, is
+// shed with ErrOverload, and leaves the iod's bytes unchanged — also
+// after the flush port recovers and the cache drains.
+func TestWriteAgainstStalledFlushPortSheds(t *testing.T) {
+	oldB := bytes.Repeat([]byte{0x0D}, fakeBS)
+	r := newFullCacheRig(t, oldB)
+	start := time.Now()
+	ack := sendRecv(t, r.tr, 0, &wire.Write{File: 1, Offset: fullK * fakeBS, Data: bytes.Repeat([]byte{0xE7}, fakeBS)})
+	if err := ack.(*wire.WriteAck).Status.Err(); !errors.Is(err, wire.ErrOverload) {
+		t.Fatalf("write against a stalled flush port: %v, want ErrOverload", err)
+	}
+	if waited := time.Since(start); waited < r.mod.cfg.WriteStall {
+		t.Fatalf("shed after %v, before WriteStall (%v)", waited, r.mod.cfg.WriteStall)
+	}
+	if got := r.reg.Counter("module.write_stalls").Value(); got != 1 {
+		t.Fatalf("write_stalls = %d, want 1", got)
+	}
+	r.release()
+	if err := r.mod.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.iods[0].read(fullK*fakeBS, fakeBS); !bytes.Equal(got, oldB) {
+		t.Fatalf("shed write reached the iod: %#x...", got[0])
+	}
+}
+
+// TestSyncWriteWithoutFrameOvertakesFetch: a sync-write that finds no
+// frame skips the cache and goes to the iod, which never invalidates the
+// writer's own node. A demand fetch of the block, in flight across the
+// write, must not install its pre-write image after the ack: the ack moves
+// the block's write stamp.
+func TestSyncWriteWithoutFrameOvertakesFetch(t *testing.T) {
+	oldB, newB := bytes.Repeat([]byte{0x0D}, fakeBS), bytes.Repeat([]byte{0xE7}, fakeBS)
+	r := newFullCacheRig(t, oldB)
+	rd, id := r.startHeldRead(t)
+	if ack := sendRecv(t, r.tr, 0, &wire.SyncWrite{File: 1, Offset: fullK * fakeBS, Data: newB}).(*wire.SyncWriteAck); ack.Status != wire.StatusOK {
+		t.Fatalf("sync-write: status %v", ack.Status)
+	}
+	close(r.releaseFlush)
+	waitfor.Until(t, 5*time.Second, func() bool { return r.mod.buf.DirtyCount() == 0 }, "held flushes acknowledged")
+	close(r.releaseFetch)
+	if status, err := finishRead(rd, id); err != nil || status != wire.StatusOK {
+		t.Fatalf("overtaken read: status %v, err %v", status, err)
+	}
+	if got := readAt(t, r.tr, 0, 1, fullK*fakeBS, fakeBS); !bytes.Equal(got, newB) {
+		t.Fatalf("read after the acknowledged sync-write returned %#x..., want %#x", got[0], newB[0])
+	}
+}
+
+// TestSyncWriteIntoGapOvertakesFetch: a sync-write into a resident
+// partial block, in a range that does not touch the block's valid bytes,
+// cannot merge and skips the cache. The block's demand fetch, in flight
+// across the write, must not leave the gap — the range just written
+// included — filled from its pre-write image after the ack: whether the
+// partial copy is clean (left by an earlier sync-write) or dirty (a
+// buffered write), and whether the fetch lands after the ack or, holding
+// the image the iod served before the write, between the iod's write and
+// the ack.
+func TestSyncWriteIntoGapOvertakesFetch(t *testing.T) {
+	const file, half = 86, fakeBS / 2
+	head := bytes.Repeat([]byte{0x5A}, 100)
+	for _, tc := range []struct {
+		name       string
+		head       wire.Message
+		fetchFirst bool
+	}{
+		{"clean", &wire.SyncWrite{File: file, Offset: 0, Data: head}, false},
+		{"dirty", &wire.Write{File: file, Offset: 0, Data: head}, false},
+		{"dirty/fetch-lands-first", &wire.Write{File: file, Offset: 0, Data: head}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newFetchRig(t, false, nil)
+			r.iods[0].image = bytes.Repeat([]byte{0x0D}, fakeBS)
+			tr := r.mod.NewTransport()
+			sendRecv(t, tr, 0, tc.head) // the block's first bytes: a partial copy
+			fetchHeld, releaseFetch, releaseAck := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			r.iods[0].script = func(req, honest wire.Message) wire.Message {
+				switch req.(type) {
+				case *wire.ReadBlocks:
+					once.Do(func() { close(fetchHeld) })
+					<-releaseFetch
+				case *wire.SyncWrite:
+					<-releaseAck // the iod holds the bytes; the ack waits
+				}
+				return honest
+			}
+			rd := r.mod.NewTransport()
+			id, _, err := startRead(rd, 0, file, 0, fakeBS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-fetchHeld
+			tail := bytes.Repeat([]byte{0xE7}, half)
+			sw, err := tr.Send(0, &wire.SyncWrite{File: file, Offset: half, Data: tail})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.fetchFirst {
+				waitfor.Until(t, 5*time.Second, func() bool {
+					return bytes.Equal(r.iods[0].read(half, half), tail)
+				}, "the iod applied the sync-write")
+				close(releaseFetch)
+				if status, err := finishRead(rd, id); err != nil || status != wire.StatusOK {
+					t.Fatalf("overtaken read: status %v, err %v", status, err)
+				}
+			}
+			close(releaseAck)
+			if ack, err := tr.Recv(sw); err != nil || ack.(*wire.SyncWriteAck).Status != wire.StatusOK {
+				t.Fatalf("sync-write: %v, %v", ack, err)
+			}
+			if !tc.fetchFirst {
+				close(releaseFetch)
+				if status, err := finishRead(rd, id); err != nil || status != wire.StatusOK {
+					t.Fatalf("overtaken read: status %v, err %v", status, err)
+				}
+			}
+			if got := readAt(t, tr, 0, file, half, half); !bytes.Equal(got, tail) {
+				t.Fatalf("read after the acknowledged sync-write returned %#x..., want %#x", got[0], tail[0])
+			}
+		})
+	}
+}
+
+// TestSyncWriteWaitsForInFlightFlush: a sync-write of a block whose flush
+// is in flight must not reach the iod before that flush does. The fake
+// iod holds the Flush until the sync-write is acknowledged (or, when the
+// module rightly holds the sync-write back, until the test gives up
+// waiting for it) and only then applies the Flush's bytes. After both
+// acknowledgments the iod must hold the sync-write's bytes, not the
+// flush's older ones.
+func TestSyncWriteWaitsForInFlightFlush(t *testing.T) {
+	const file = 87
+	r := newFetchRig(t, false, nil)
+	flushHeld, releaseFlush, flushDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	r.iods[0].script = func(req, honest wire.Message) wire.Message {
+		fl, ok := req.(*wire.Flush)
+		first := false
+		if ok {
+			once.Do(func() { first = true })
+		}
+		if first {
+			close(flushHeld)
+			<-releaseFlush
+			for _, blk := range fl.Blocks { // the flush lands now
+				r.iods[0].write(blk.Index*fakeBS+int64(blk.Off), blk.Data)
+			}
+			close(flushDone)
+		}
+		return honest
+	}
+	tr := r.mod.NewTransport()
+	sendRecv(t, tr, 0, &wire.Write{File: file, Offset: 0, Data: bytes.Repeat([]byte{0x0D}, fakeBS)})
+	r.mod.kickAllStreams()
+	<-flushHeld
+	newB := bytes.Repeat([]byte{0xE7}, fakeBS)
+	acked := make(chan wire.Message, 1)
+	go func() {
+		id, err := tr.Send(0, &wire.SyncWrite{File: file, Offset: 0, Data: newB})
+		if err != nil {
+			acked <- nil
+			return
+		}
+		resp, _ := tr.Recv(id)
+		acked <- resp
+	}()
+	var ack wire.Message
+	select {
+	case ack = <-acked:
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(releaseFlush)
+	if ack == nil {
+		ack = <-acked
+	}
+	if a, ok := ack.(*wire.SyncWriteAck); !ok || a.Status != wire.StatusOK {
+		t.Fatalf("sync-write reply %v", ack)
+	}
+	<-flushDone
+	if got := r.iods[0].read(0, fakeBS); !bytes.Equal(got, newB) {
+		t.Fatalf("after both acks the iod holds %#x..., want the sync-write's %#x", got[0], newB[0])
 	}
 }
 

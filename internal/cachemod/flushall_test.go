@@ -228,3 +228,46 @@ func TestNewRejectsMismatchedFlushAddrs(t *testing.T) {
 		}
 	}
 }
+
+// TestProgressSignalBeforeWaitWakes: a signal sent after a waiter took the
+// progress channel, but before it blocks on it, still wakes it; and a
+// signal with no waiter allocates nothing (every flush ack sends one).
+func TestProgressSignalBeforeWaitWakes(t *testing.T) {
+	var p progress
+	ch := p.next()
+	p.signal()
+	select {
+	case <-ch:
+	default:
+		t.Fatal("a signal between taking the channel and waiting on it was lost")
+	}
+	if p.next() == ch {
+		t.Fatal("the signal did not start a new generation")
+	}
+	p.signal()
+	if allocs := testing.AllocsPerRun(100, p.signal); allocs != 0 {
+		t.Fatalf("a signal with no waiter allocates %v times", allocs)
+	}
+}
+
+// TestAwaitWakesOnSignalDuringCheck: a signal sent while await's check
+// runs — a harvest that frees a frame just after a write found none —
+// wakes the wait at once rather than after the stall.
+func TestAwaitWakesOnSignalDuringCheck(t *testing.T) {
+	r := newFetchRig(t, false, nil)
+	calls := 0
+	start := time.Now()
+	done := r.mod.await(10*time.Second, func() (done, progressed bool) {
+		calls++
+		if calls == 1 {
+			r.mod.progress.signal()
+		}
+		return calls > 1, true
+	})
+	if !done || calls != 2 {
+		t.Fatalf("await = %v after %d checks, want true after 2", done, calls)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Fatalf("the signal sent during the check was lost: woke after %v", waited)
+	}
+}

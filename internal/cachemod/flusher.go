@@ -100,10 +100,11 @@ type StreamHealth struct {
 	Backoff time.Duration // current retry delay (0 while healthy)
 }
 
-// kickStream wakes the stream's loop if it is idle; kicks coalesce.
-func (s *flushStream) kickStream() {
+// kick wakes the loop waiting on ch — a flush stream's or the
+// harvester's — if it is idle; kicks coalesce (ch has capacity 1).
+func kick(ch chan struct{}) {
 	select {
-	case s.kick <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }
@@ -142,7 +143,7 @@ func (s *flushStream) loop() {
 			return
 		case <-t.C:
 		}
-		s.kickStream() // retry the backlog after the backoff
+		kick(s.kick) // retry the backlog after the backoff
 	}
 }
 
@@ -312,5 +313,5 @@ func (s *flushStream) sendChunk(c *flushChunk) {
 	if merged := len(c.items) - len(c.msg.Blocks); merged > 0 {
 		m.ctr.flushCoalesced.Add(int64(merged))
 	}
-	m.signalSpace()
+	m.progress.signal()
 }

@@ -361,9 +361,9 @@ func TestStaleFlushAckAfterInvalidateRewrite(t *testing.T) {
 // targets the stream owning the oldest dirty data — but when that
 // stream's iod is down, pinning every kick on it would let healthy
 // backlogs idle behind it (writers would stall the full WriteStall and
-// degrade to write-through even though draining the other iods frees
-// space immediately). Once the target stream is failing, kickFlusher
-// must fall back to waking every stream.
+// be shed even though draining the other iods frees space immediately).
+// Once the target stream is failing, kickFlusher must fall back to
+// waking every stream.
 func TestPressureKickNotStarvedByFailingStream(t *testing.T) {
 	r := newFlushRig(t, nil)
 	r.down.Store(true)
@@ -374,7 +374,7 @@ func TestPressureKickNotStarvedByFailingStream(t *testing.T) {
 	// resolves to stream 1.
 	sendRecv(t, tr, 1, &wire.Write{File: 11, Offset: 0, Data: block})
 	// Let stream 1 fail once so it is marked failing.
-	r.mod.streams[1].kickStream()
+	kick(r.mod.streams[1].kick)
 	waitfor.Until(t, 10*time.Second, func() bool {
 		return r.mod.streams[1].failing.Load()
 	}, "stream 1 entering the failing state")

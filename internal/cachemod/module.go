@@ -85,8 +85,12 @@ type Config struct {
 	// Kept on purpose: the antagonist wall needs 1 so a browned-out iod
 	// paces its own drain, and the drain benchmarks use 1 as their control.
 	FlushWindow int
-	// WriteStall bounds how long a write blocks waiting for cache space
-	// before falling back to write-through (default 2s).
+	// WriteStall is a deadline on flush progress (default 2s): a write that
+	// finds no frame, or a sync-write behind its block's in-flight flush,
+	// waits while flush acks or harvests keep coming, and the wait restarts
+	// at each one. When WriteStall passes with none, the write is shed with
+	// StatusOverload: the bytes of the span that found no frame never reach
+	// the iod, and the client's overload retry re-issues the operation.
 	WriteStall time.Duration
 	// TenantDirtyQuota bounds one tagged tenant's share of the cache's
 	// dirty frames: a tenant may hold at most TenantDirtyQuota × capacity
@@ -155,27 +159,15 @@ func (c *Config) fillDefaults() error {
 	if c.WriteStall <= 0 {
 		c.WriteStall = 2 * time.Second
 	}
-	if c.TenantDirtyQuota < 0 {
-		c.TenantDirtyQuota = 0 // disabled
-	}
-	if c.TenantDirtyQuota > 1 {
-		c.TenantDirtyQuota = 1
-	}
-	if c.TenantFetchBudget < 0 {
-		c.TenantFetchBudget = 0 // disabled
-	}
+	c.TenantDirtyQuota = min(max(c.TenantDirtyQuota, 0), 1) // 0: disabled
+	c.TenantFetchBudget = max(c.TenantFetchBudget, 0)       // 0: disabled
 	if c.OverloadStall <= 0 {
 		c.OverloadStall = 20 * time.Millisecond
 	}
 	if c.ReadaheadWindow == 0 {
 		c.ReadaheadWindow = 8
 	}
-	if c.ReadaheadWindow < 0 {
-		c.ReadaheadWindow = 0 // disabled
-	}
-	if c.ReadaheadWindow > 1024 {
-		c.ReadaheadWindow = 1024
-	}
+	c.ReadaheadWindow = min(max(c.ReadaheadWindow, 0), 1024) // 0: disabled
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
 	}
@@ -211,8 +203,9 @@ type Module struct {
 	traceMu  sync.Mutex
 	traces   []string
 
-	spaceMu   sync.Mutex
-	spaceCond *sync.Cond
+	// progress is signalled by every flush ack and every harvest that
+	// frees frames; every wait in the module waits on it (see await).
+	progress progress
 
 	invalListener transport.Listener
 	invalServer   *rpc.Server
@@ -247,8 +240,6 @@ func New(cfg Config) (*Module, error) {
 		harvestKick: make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 	}
-	m.spaceCond = sync.NewCond(&m.spaceMu)
-
 	l, err := cfg.Network.Listen(":0")
 	if err != nil {
 		return nil, fmt.Errorf("cachemod: invalidation listener: %w", err)
@@ -349,9 +340,6 @@ func (n registeringNetwork) register(conn transport.Conn) error {
 // Buffer exposes the underlying buffer manager (stats, tests).
 func (m *Module) Buffer() *buffer.Manager { return m.buf }
 
-// Registry returns the module's metrics registry.
-func (m *Module) Registry() *metrics.Registry { return m.cfg.Registry }
-
 // StreamHealth reports each flush stream's failure state, one entry per
 // iod in cluster order. Tests and the chaos harness use it to watch a
 // stream enter backoff when its daemon dies and recover when the daemon
@@ -382,7 +370,6 @@ func (m *Module) Close() error {
 		}
 		m.invalListener.Close()
 		m.invalServer.Close()
-		m.spaceCond.Broadcast()
 		m.wg.Wait()
 		for _, rc := range m.data {
 			rc.Close()
@@ -403,6 +390,12 @@ func (m *Module) Close() error {
 // than the timeout's worth of other rounds) never trips it.
 const flushAllTimeout = 30 * time.Second
 
+// awaitPoll is how often a wait re-checks its condition with no progress
+// signal in between: a failed flush chunk clears its blocks' in-flight
+// marks, and an invalidation drops blocks, without one; and FlushAll and
+// DrainIOD re-kick their streams this often.
+const awaitPoll = 50 * time.Millisecond
+
 // FlushAll synchronously drains the entire dirty list (used on Close and
 // by tests needing durability): it kicks every flush stream and waits for
 // the dirty count to reach zero, so the drain runs at the full pipelined
@@ -421,38 +414,29 @@ func (m *Module) FlushAll() error {
 	if minSeen == 0 {
 		return nil
 	}
-	deadline := time.Now().Add(flushAllTimeout)
 	m.kickAllStreams()
 	lastKick := time.Now()
-	for {
-		// Event-driven wait: every acked chunk broadcasts signalSpace, so
-		// the common case wakes on drain progress; the short deadline
-		// bounds the wait when no acks are flowing (chunks failing, or
-		// the tail of the backlog in flight on a slow port).
-		m.waitForSpace(time.Now().Add(5 * time.Millisecond))
-		n := m.buf.DirtyCount()
-		if n == 0 {
-			return nil
-		}
-		if n < minSeen {
-			minSeen = n
-			deadline = time.Now().Add(flushAllTimeout)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("cachemod: %d dirty blocks remain after FlushAll stalled for %v", n, flushAllTimeout)
+	n := minSeen
+	if m.await(flushAllTimeout, func() (done, progressed bool) {
+		if n = m.buf.DirtyCount(); n < minSeen {
+			minSeen, progressed = n, true
 		}
 		// Re-kick sparingly. A kicked stream drains its whole backlog and
 		// a failing stream re-kicks itself after backoff, so most
-		// wake-ups need no new kick — constant kicking would have every
-		// idle stream re-scanning all shards for nothing. But concurrent
-		// writers can dirty blocks after a stream's round ended, and a
-		// block re-dirtied while in flight becomes eligible only once its
-		// ack lands, so nudge the streams periodically.
-		if time.Since(lastKick) >= 50*time.Millisecond {
+		// wake-ups need no new kick — kicking at every ack would have
+		// every idle stream re-scanning all shards for nothing. But
+		// concurrent writers can dirty blocks after a stream's round
+		// ended, and a block re-dirtied while in flight becomes eligible
+		// only once its ack lands, so nudge the streams periodically.
+		if n > 0 && time.Since(lastKick) >= awaitPoll {
 			m.kickAllStreams()
 			lastKick = time.Now()
 		}
+		return n == 0, progressed
+	}) {
+		return nil
 	}
+	return fmt.Errorf("cachemod: %d dirty blocks remain after FlushAll stalled for %v", n, flushAllTimeout)
 }
 
 // harvesterLoop is the paper's harvester kernel thread: whenever the free
@@ -477,7 +461,7 @@ func (m *Module) harvesterLoop() {
 				m.kickFlusher()
 			}
 			if freed > 0 {
-				m.signalSpace()
+				m.progress.signal()
 			}
 		}
 	}
@@ -526,7 +510,7 @@ func (m *Module) kickFlusher() {
 		m.kickAllStreams()
 		return
 	}
-	target.kickStream()
+	kick(target.kick)
 }
 
 // GlobalCacheNode exposes the module's global-cache node, or nil when the
@@ -551,69 +535,97 @@ func (m *Module) KillPeerService() {
 // the target iod's stream is kicked, so the other streams keep their
 // write-behind period.
 func (m *Module) DrainIOD(iod int, deadline time.Time) error {
-	for {
-		n := m.buf.DirtyCountOwned(iod)
-		if n == 0 {
-			return nil
+	n := 0
+	if m.await(time.Until(deadline), func() (done, _ bool) {
+		if n = m.buf.DirtyCountOwned(iod); n > 0 {
+			kick(m.streams[iod].kick)
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("cachemod: drain iod %d: %d dirty blocks remain at deadline", iod, n)
-		}
-		m.streams[iod].kickStream()
-		// Every acked chunk broadcasts signalSpace; the short bound covers
-		// a stream whose chunks are failing (as in FlushAll).
-		m.waitForSpace(time.Now().Add(min(time.Until(deadline), 5*time.Millisecond)))
+		return n == 0, false
+	}) {
+		return nil
 	}
+	return fmt.Errorf("cachemod: drain iod %d: %d dirty blocks remain at deadline", iod, n)
 }
 
 // kickAllStreams wakes every flush stream (FlushAll's full-width drain).
 func (m *Module) kickAllStreams() {
 	for _, s := range m.streams {
-		s.kickStream()
+		kick(s.kick)
 	}
 }
 
-func (m *Module) kickHarvester() {
-	select {
-	case m.harvestKick <- struct{}{}:
-	default:
+// progress is the module's one flush-progress signal, a generation
+// channel: next hands out the channel the following signal closes, and
+// signal closes it and clears it, so a signal with no waiter allocates
+// nothing. A waiter takes the channel before it re-checks its condition,
+// so a signal sent between the check and the wait is never lost: it has
+// already closed the channel the waiter holds.
+type progress struct {
+	mu sync.Mutex
+	ch chan struct{}
+}
+
+// next returns the channel the next signal closes.
+func (p *progress) next() <-chan struct{} {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.ch == nil {
+		p.ch = make(chan struct{})
+	}
+	return p.ch
+}
+
+// signal wakes every waiter.
+func (p *progress) signal() {
+	p.mu.Lock()
+	if p.ch != nil {
+		close(p.ch)
+		p.ch = nil
+	}
+	p.mu.Unlock()
+}
+
+// await blocks until check reports done and returns true; it is the one
+// wait of the module. check runs once up front and again at every
+// progress signal and every awaitPoll, each time after the next signal's
+// channel was taken. stall is a deadline on progress: it restarts
+// whenever check reports progressed, and when it passes await returns
+// check's verdict one last time. It returns false when the module stops.
+// The wait keeps one timer, whatever the number of wake-ups, and takes it
+// from a pool: a steady-state wait allocates only the channels it waits
+// on.
+func (m *Module) await(stall time.Duration, check func() (done, progressed bool)) bool {
+	step := min(awaitPoll, stall)
+	timer := timers.Get().(*time.Timer)
+	timer.Reset(step)
+	defer func() { timer.Stop(); timers.Put(timer) }()
+	deadline := time.Now().Add(stall)
+	for {
+		ch := m.progress.next()
+		done, progressed := check()
+		if done {
+			return true
+		}
+		if progressed {
+			deadline = time.Now().Add(stall)
+		}
+		select {
+		case <-ch:
+		case <-timer.C:
+			if left := time.Until(deadline); left > 0 {
+				timer.Reset(min(step, left))
+				continue
+			}
+			done, _ := check()
+			return done
+		case <-m.stop:
+			return false
+		}
 	}
 }
 
-func (m *Module) signalSpace() {
-	m.spaceMu.Lock()
-	m.spaceCond.Broadcast()
-	m.spaceMu.Unlock()
-}
-
-// waitForSpace blocks until signalSpace or the deadline; it returns false
-// on timeout or shutdown.
-func (m *Module) waitForSpace(deadline time.Time) bool {
-	done := make(chan struct{})
-	timer := time.AfterFunc(time.Until(deadline), func() {
-		close(done)
-		m.signalSpace()
-	})
-	defer timer.Stop()
-	m.spaceMu.Lock()
-	defer m.spaceMu.Unlock()
-	select {
-	case <-m.stop:
-		return false
-	case <-done:
-		return false
-	default:
-	}
-	m.spaceCond.Wait()
-	select {
-	case <-m.stop:
-		return false
-	case <-done:
-		return false
-	default:
-		return true
-	}
-}
+// timers recycles await's timers (each is Reset when taken).
+var timers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
 // fileState is the module's one per-file record: what libpvfs announced
 // about the file — striping geometry and largest size (StripeHint), cache

@@ -2,7 +2,6 @@ package cachemod
 
 import (
 	"sync/atomic"
-	"time"
 
 	"pvfscache/internal/metrics"
 )
@@ -82,24 +81,18 @@ func (m *Module) overDirtyQuota(st *tenantState) bool {
 
 // shedWrite is the write-path overload gate: an over-quota tenant's write
 // first kicks the flusher and waits up to OverloadStall for flush progress
-// (every acked chunk signals space), then sheds if still over. Shedding
+// to bring the tenant under its quota, then sheds if still over. Shedding
 // before any span is buffered keeps the operation cleanly re-issuable.
 func (m *Module) shedWrite(st *tenantState) bool {
 	if !m.overDirtyQuota(st) {
 		return false
 	}
 	m.kickFlusher()
-	deadline := time.Now().Add(m.cfg.OverloadStall)
-	for m.overDirtyQuota(st) {
-		if !m.waitForSpace(deadline) {
-			if m.overDirtyQuota(st) {
-				st.writeSheds.Inc()
-				return true
-			}
-			return false
-		}
+	if m.await(m.cfg.OverloadStall, func() (done, _ bool) { return !m.overDirtyQuota(st), false }) {
+		return false
 	}
-	return false
+	st.writeSheds.Inc()
+	return true
 }
 
 // acquireFetchBudget charges blocks read blocks to a tenant's in-flight

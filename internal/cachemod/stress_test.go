@@ -191,15 +191,8 @@ func TestModuleConcurrencyStorm(t *testing.T) {
 	}
 
 	// No dirty block was evicted: after FlushAll every writer block's last
-	// acknowledged generation must be durable at its iod. (If cache
-	// pressure ever forced a write through, ordering against an in-flight
-	// flush of an older generation is not defined — skip the byte oracle
-	// rather than flake; the storm is sized so this does not happen.)
-	snap := r.reg.Snapshot()
-	if wt := snap.Counters["module.write_through"]; wt > 0 {
-		t.Logf("skipping durability oracle: %d writes fell back to write-through", wt)
-		return
-	}
+	// acknowledged generation must be durable at its iod. Every write went
+	// through the cache, so the oracle always runs.
 	for w := 0; w < 2; w++ {
 		file := blockio.FileID(w + 1)
 		got := make([]byte, stormBS)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"pvfscache/internal/blockio"
 	"pvfscache/internal/cachemod/buffer"
@@ -96,6 +95,10 @@ type pendingOp struct {
 	ready wire.Message      // response already known (fake ack, full cache hit)
 	read  *pendingRead      // read with outstanding transfers
 	call  <-chan rpc.Result // passthrough round trip
+	// sync is a sync-write in flight to iod; Recv settles its spans in
+	// the cache once the reply is in (rewriteSync).
+	sync *wire.SyncWrite
+	iod  int
 }
 
 // Replies that carry nothing but a status are shared, immutable messages
@@ -110,6 +113,7 @@ var (
 	}
 	writeAckOK   = &wire.WriteAck{Status: wire.StatusOK}
 	writeAckShed = &wire.WriteAck{Status: wire.StatusOverload}
+	syncAckShed  = &wire.SyncWriteAck{Status: wire.StatusOverload}
 )
 
 // pendingRead tracks a read whose missing pieces are in flight. Every
@@ -247,6 +251,9 @@ func (t *CachedTransport) Recv(id pvfs.ReqID) (wire.Message, error) {
 		return resp, err
 	case op.call != nil:
 		res := <-op.call
+		if op.sync != nil {
+			t.rewriteSync(op.iod, op.sync, false)
+		}
 		return res.Msg, res.Err
 	default:
 		return nil, fmt.Errorf("cachemod: empty pending op %d", id)
@@ -467,13 +474,14 @@ func (t *CachedTransport) completeRead(pr *pendingRead) (wire.Message, error) {
 // --- write path ---
 
 // sendWrite performs the write on the cache and fakes the acknowledgment;
-// the flusher propagates the data later. A write that cannot get cache
-// space blocks (bounded by WriteStall) and finally falls back to writing
-// through, which matches the paper's "writes may need to block for
-// availability of cache space" behaviour for requests larger than the
-// cache. A don't-cache file's writes are buffered like any other: going
-// around the cache would leave an older resident copy for the next read,
-// or for a later flush to write over the new bytes at the iod.
+// the flusher propagates the data later. Every write takes this path: a
+// span that finds no frame waits for flush progress (the paper's "writes
+// may need to block for availability of cache space"), and one that sees
+// none for WriteStall is shed with StatusOverload — its bytes never reach
+// the iod, and the client's overload retry re-issues the operation. A
+// don't-cache file's writes are buffered like any other: going around the
+// cache would leave an older resident copy for the next read, or for a
+// later flush to write over the new bytes at the iod.
 func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (pendingOp, error) {
 	policy, ts := t.m.file(req.File).hints()
 	if policy == pvfs.CacheNone {
@@ -488,12 +496,14 @@ func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (pendingOp, error)
 		rt.finishf("shed overload tenant=%d (%d dirty)", ts.id(), t.m.buf.DirtyCountTenant(ts.id()))
 		return pendingOp{ready: writeAckShed}, nil
 	}
-	deadline := time.Now().Add(t.m.cfg.WriteStall)
 	spans := 0
 	it := blockio.IterSpans(req.File, req.Offset, int64(len(req.Data)), t.m.buf.BlockSize())
 	for sp, more := it.Next(); more; sp, more = it.Next() {
 		src := req.Data[sp.Pos : sp.Pos+int64(sp.Len)]
-		if err := t.writeSpan(iod, sp, src, deadline, ts.id(), policy); err != nil {
+		if err := t.writeSpan(iod, sp, src, ts.id(), policy); errors.Is(err, wire.ErrOverload) {
+			rt.finishf("shed: %v", err)
+			return pendingOp{ready: writeAckShed}, nil
+		} else if err != nil {
 			rt.finishf("error: %v", err)
 			return pendingOp{}, err
 		}
@@ -513,58 +523,38 @@ func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (pendingOp, error)
 // (the per-principal quota and the flusher's weighted scheduling key on
 // that attribution); policy admits the block a read-modify-write fetches —
 // pinned for a must-cache file, never read-around, since the merge
-// converges only against a resident block.
-func (t *CachedTransport) writeSpan(iod int, sp blockio.Span, src []byte, deadline time.Time, tenant uint32, policy pvfs.CachePolicy) error {
-	for {
-		switch t.m.buf.WriteSpanTenant(sp.Key, iod, sp.Off, src, true, tenant) {
+// converges only against a resident block. A span that finds no frame
+// waits for flush progress, retrying at every flush ack or harvest, and
+// fails with wire.ErrOverload after WriteStall passes with none, so the
+// operation is shed; a failed read-modify-write fetch fails it with the
+// fetch's error (an overloaded iod's included).
+func (t *CachedTransport) writeSpan(iod int, sp blockio.Span, src []byte, tenant uint32, policy pvfs.CachePolicy) error {
+	write := func() buffer.Outcome { return t.m.buf.WriteSpanTenant(sp.Key, iod, sp.Off, src, true, tenant) }
+	for out := write(); ; {
+		switch out {
 		case buffer.OutcomeOK:
 			return nil
 		case buffer.OutcomeNeedFetch:
 			// Another process may already be fetching this block: let it
 			// land and retry the merge.
-			if t.m.awaitFetch(sp.Key) {
-				continue
+			if !t.m.awaitFetch(sp.Key) {
+				if err := t.m.fetchBlockSpan(iod, sp.Key, 0, nil, policy); err != nil {
+					return err
+				}
 			}
-			if err := t.m.fetchBlockSpan(iod, sp.Key, 0, nil, policy); err != nil {
-				// Cannot complete the merge: write this span through.
-				return t.writeThrough(iod, sp, src)
-			}
+			out = write()
 		case buffer.OutcomeNoSpace:
-			t.m.kickHarvester()
+			kick(t.m.harvestKick)
 			t.m.kickFlusher()
 			t.m.ctr.writeStalls.Inc()
-			if !t.m.waitForSpace(deadline) {
-				return t.writeThrough(iod, sp, src)
+			if !t.m.await(t.m.cfg.WriteStall, func() (done, progressed bool) {
+				out = write()
+				return out != buffer.OutcomeNoSpace, true
+			}) {
+				return fmt.Errorf("cachemod: no flush progress for %v: %w", t.m.cfg.WriteStall, wire.ErrOverload)
 			}
 		}
 	}
-}
-
-// writeThrough sends one span straight to the iod, bypassing the cache.
-// An acknowledged write moves the block's write stamp (InvalidateClean
-// advances it even when nothing is resident), so a fetch of the block in
-// flight across the write is refused at install instead of caching the
-// pre-write image.
-func (t *CachedTransport) writeThrough(iod int, sp blockio.Span, src []byte) error {
-	t.m.ctr.writeThrough.Inc()
-	res := t.m.data[iod].Call(&wire.Write{
-		Client: t.m.cfg.ClientID,
-		File:   sp.Key.File,
-		Offset: sp.FileOffset(t.m.buf.BlockSize()),
-		Data:   src,
-	})
-	if res.Err != nil {
-		return res.Err
-	}
-	ack, ok := res.Msg.(*wire.WriteAck)
-	if !ok {
-		return fmt.Errorf("cachemod: unexpected write-through reply %v", res.Msg.WireType())
-	}
-	if err := ack.Status.Err(); err != nil {
-		return err
-	}
-	t.m.buf.InvalidateClean(sp.Key)
-	return nil
 }
 
 // --- sync-write path ---
@@ -572,26 +562,49 @@ func (t *CachedTransport) writeThrough(iod int, sp blockio.Span, src []byte) err
 // sendSyncWrite propagates the write both to the cache and to the iod; the
 // iod invalidates every other cache before acknowledging. The local cache
 // copy is updated as clean (the iod already holds these bytes when the ack
-// arrives), whatever the file's cache policy.
+// arrives), whatever the file's cache policy. The write is sent only once
+// no flush of its blocks snapshotted before its cache write is in flight,
+// so that older flush cannot land at the iod after it. That is the writes'
+// wait for flush progress: when WriteStall passes with none, nothing is
+// sent and the operation is shed with StatusOverload — and its bytes are
+// buffered as a write's, so what the cache already shows still reaches
+// the iod.
 func (t *CachedTransport) sendSyncWrite(iod int, req *wire.SyncWrite) (pendingOp, error) {
 	it := blockio.IterSpans(req.File, req.Offset, int64(len(req.Data)), t.m.buf.BlockSize())
 	for sp, more := it.Next(); more; sp, more = it.Next() {
-		src := req.Data[sp.Pos : sp.Pos+int64(sp.Len)]
-		switch t.m.buf.WriteSpan(sp.Key, iod, sp.Off, src, false) {
-		case buffer.OutcomeOK:
-		case buffer.OutcomeNeedFetch:
-			// Merging would leave an unknown gap inside the block. The
-			// resident valid bytes are untouched by this write, so they
-			// remain correct; simply skip caching the new span rather than
-			// fetch on the critical path of a coherent write.
-		case buffer.OutcomeNoSpace:
-			// Not cacheable right now; the server still gets the data.
+		// A span that finds no frame, or a resident partial block whose gap
+		// it cannot merge, is skipped here and settled after the reply.
+		t.m.buf.WriteSpan(sp.Key, iod, sp.Off, req.Data[sp.Pos:sp.Pos+int64(sp.Len)], false)
+		stamp := t.m.buf.WriteStamp(sp.Key)
+		pending := func() (done, progressed bool) { return !t.m.buf.FlushPending(sp.Key, stamp), true }
+		if done, _ := pending(); done || t.m.await(t.m.cfg.WriteStall, pending) {
+			continue
 		}
+		t.rewriteSync(iod, req, true)
+		return pendingOp{ready: syncAckShed}, nil
 	}
 	ch, err := t.m.data[iod].Go(req)
 	if err != nil {
 		return pendingOp{}, err
 	}
 	t.m.ctr.syncWrites.Inc()
-	return pendingOp{call: ch}, nil
+	return pendingOp{call: ch, sync: req, iod: iod}, nil
+}
+
+// rewriteSync writes every span of a sync-write into the cache again. Recv
+// calls it once the reply is in — any reply: the iod may hold the bytes
+// now. That lands a span skipped at the send in a block a fetch completed
+// since, and a span that still cannot land moves its key's write stamp
+// and drops a clean copy: a fetch of the block claimed before the reply
+// carries the old image and is refused at install. Moving the stamp
+// before the send would not do: a fetch claimed between the move and the
+// iod's write still reads the old bytes. A shed sync-write calls it with
+// dirty set, buffering its bytes as a write's.
+func (t *CachedTransport) rewriteSync(iod int, req *wire.SyncWrite, dirty bool) {
+	it := blockio.IterSpans(req.File, req.Offset, int64(len(req.Data)), t.m.buf.BlockSize())
+	for sp, more := it.Next(); more; sp, more = it.Next() {
+		if t.m.buf.WriteSpan(sp.Key, iod, sp.Off, req.Data[sp.Pos:sp.Pos+int64(sp.Len)], dirty) != buffer.OutcomeOK && !dirty {
+			t.m.buf.InvalidateClean(sp.Key)
+		}
+	}
 }

@@ -218,8 +218,8 @@ func TestAntagonistBoundedDegradation(t *testing.T) {
 		t.Logf("antagonist metrics written to %s", path)
 	}
 
-	// Ablation: same storm, quotas off. The victim's latency is still
-	// softened by the write-through fallback, but the occupancy shape is
+	// Ablation: same storm, quotas off. The victim's writes wait for flush
+	// progress behind the antagonist's backlog, and the occupancy shape is
 	// unbounded — the antagonist's backlog dwarfs the quota line.
 	soloOff, loadedOff, maxDirtyOff, _ := antagonistRun(t, 0)
 	t.Logf("quotas off: victim p99 solo=%v loaded=%v, antagonist peak dirty %d blocks",

@@ -41,10 +41,12 @@ const (
 	hintedReadAllocs = 0
 	// flushDrainAllocs: one 64 KB rewrite, drained as one Flush frame to
 	// one iod by FlushAll (51 before each flush stream reused its take
-	// and framing storage). The take and the framing allocate nothing;
-	// what is left is the chunk's sender goroutine, the call's reply
-	// channel, FlushAll's timed wait and the iod's side of the call.
-	flushDrainAllocs = 12
+	// and framing storage, 12 while FlushAll's every wake-up made a
+	// channel, a timer and its closure). The take and the framing
+	// allocate nothing; what is left is the chunk's sender goroutine, the
+	// call's reply channel, the progress channel FlushAll waits on (its
+	// timer is pooled) and the iod's side of the call.
+	flushDrainAllocs = 10
 )
 
 // allocCluster boots one caching node whose flusher stays quiet for the

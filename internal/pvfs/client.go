@@ -520,9 +520,11 @@ func (f *File) SyncWriteAt(p []byte, off int64) (int, error) {
 	return f.writeAt(p, off, true)
 }
 
-// writeAt retries whole shed operations like ReadAt does: an overloaded
-// cache module rejects the write before buffering anything, so the
-// operation is re-issuable from scratch.
+// writeAt retries whole shed operations like ReadAt does. A cache module
+// sheds a write over its tenant's quota before buffering anything, and
+// one that saw no flush progress before the span that found no frame; a
+// write of the same bytes again is harmless either way, so the operation
+// is re-issuable from scratch.
 func (f *File) writeAt(p []byte, off int64, sync bool) (n int, err error) {
 	err = f.client.retryOverload(func() error {
 		n, err = f.writeAtOnce(p, off, sync)

@@ -80,8 +80,8 @@ type ClientConfig struct {
 
 // Client issues concurrent round trips to one peer over a pool of
 // connections. Connections are dialed lazily, redialed on the call after a
-// failure (the failure itself is sticky: every request in flight on the
-// broken connection fails), and shared by any number of goroutines.
+// failure, and shared by any number of goroutines; a failure fails every
+// request in flight on the broken connection.
 type Client struct {
 	cfg    ClientConfig
 	closed atomic.Bool
@@ -107,7 +107,6 @@ type clientConn struct {
 
 	mu      sync.Mutex
 	conn    transport.Conn
-	err     error                  // sticky until the next call redials
 	pending map[uint64]chan Result // tag -> waiter; its size is the load
 	nextTag uint64
 }
@@ -235,10 +234,6 @@ func (cc *clientConn) send(req wire.Message) (<-chan Result, transport.Conn, err
 		cc.mu.Unlock()
 		return nil, nil, ErrClosed
 	}
-	if cc.err != nil {
-		// One redial attempt per call after a failure.
-		cc.err = nil
-	}
 	if cc.conn == nil {
 		// Dial without holding mu (writeMu already excludes concurrent
 		// dialers), so a slow dial does not stall response delivery or
@@ -256,7 +251,6 @@ func (cc *clientConn) send(req wire.Message) (<-chan Result, transport.Conn, err
 			return nil, nil, ErrClosed
 		}
 		cc.conn = conn
-		cc.err = nil
 		cc.pending = make(map[uint64]chan Result)
 		go cc.readLoop(conn)
 	}
@@ -326,7 +320,6 @@ func (cc *clientConn) failLocked(err error) {
 		cc.conn.Close()
 		cc.conn = nil
 	}
-	cc.err = err
 	for _, ch := range cc.pending {
 		ch <- Result{Err: err}
 	}

@@ -109,8 +109,9 @@ type Config struct {
 	// budget.
 	TenantFetchBudget int
 	// OverloadStall bounds how long an over-quota write waits for flush
-	// progress before shedding (default 20ms). Deliberately much shorter
-	// than WriteStall: a shed is a fast, explicit retry signal
+	// progress before shedding (default 20ms), in all: unlike WriteStall it
+	// does not restart at each sign of progress. Deliberately much shorter
+	// than WriteStall: a quota shed is a fast, explicit retry signal
 	// (wire.StatusOverload → pvfs.Client backoff), not a stall.
 	OverloadStall time.Duration
 	// ReadaheadWindow is how many blocks the scan-readahead prefetcher

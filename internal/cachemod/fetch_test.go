@@ -509,7 +509,8 @@ func TestStaleFetchPrefetchDrops(t *testing.T) {
 // iod 0, so no frame can be freed: a write of any other block finds no
 // frame. heldFetch, when true, also holds the first ReadBlocks of block
 // k, carrying the image from before anything the test writes; release
-// lets the flushes land and frees their frames.
+// lets the flushes land and frees their frames. stall is the module's
+// WriteStall.
 type fullCacheRig struct {
 	*fetchRig
 	tr                      *CachedTransport
@@ -519,11 +520,11 @@ type fullCacheRig struct {
 
 const fullCap, fullK = 4, 4 // capacity, and the block read and written (not a filler)
 
-func newFullCacheRig(t *testing.T, oldB []byte) *fullCacheRig {
+func newFullCacheRig(t *testing.T, oldB []byte, stall time.Duration) *fullCacheRig {
 	r := &fullCacheRig{
 		fetchRig: newFetchRig(t, false, func(c *Config) {
 			c.Buffer.Capacity = fullCap
-			c.WriteStall = 20 * time.Millisecond
+			c.WriteStall = stall
 		}),
 		fetchHeld: make(chan struct{}), releaseFetch: make(chan struct{}), releaseFlush: make(chan struct{}),
 	}
@@ -590,7 +591,7 @@ func (r *fullCacheRig) startHeldRead(t *testing.T) (*CachedTransport, pvfs.ReqID
 // retry's bytes.
 func TestStalledWriteShedsWhileFetchInFlight(t *testing.T) {
 	oldB, newB := bytes.Repeat([]byte{0x0D}, fakeBS), bytes.Repeat([]byte{0xE7}, fakeBS)
-	r := newFullCacheRig(t, oldB)
+	r := newFullCacheRig(t, oldB, 20*time.Millisecond)
 	rd, id := r.startHeldRead(t)
 	write := &wire.Write{File: 1, Offset: fullK * fakeBS, Data: newB}
 	if ack := sendRecv(t, r.tr, 0, write).(*wire.WriteAck); !errors.Is(ack.Status.Err(), wire.ErrOverload) {
@@ -618,17 +619,34 @@ func TestStalledWriteShedsWhileFetchInFlight(t *testing.T) {
 // TestWriteAgainstStalledFlushPortSheds: with every frame dirty and the
 // flush port stalled, a write waits WriteStall for flush progress, is
 // shed with ErrOverload, and leaves the iod's bytes unchanged — also
-// after the flush port recovers and the cache drains.
+// after the flush port recovers and the cache drains. WriteStall is well
+// above awaitPoll: the wait's periodic re-checks are not progress, so they
+// must not push the deadline back.
 func TestWriteAgainstStalledFlushPortSheds(t *testing.T) {
+	const stall = 300 * time.Millisecond
 	oldB := bytes.Repeat([]byte{0x0D}, fakeBS)
-	r := newFullCacheRig(t, oldB)
+	r := newFullCacheRig(t, oldB, stall)
 	start := time.Now()
-	ack := sendRecv(t, r.tr, 0, &wire.Write{File: 1, Offset: fullK * fakeBS, Data: bytes.Repeat([]byte{0xE7}, fakeBS)})
-	if err := ack.(*wire.WriteAck).Status.Err(); !errors.Is(err, wire.ErrOverload) {
-		t.Fatalf("write against a stalled flush port: %v, want ErrOverload", err)
+	acked := make(chan wire.Message, 1)
+	go func() {
+		var resp wire.Message
+		id, err := r.tr.Send(0, &wire.Write{File: 1, Offset: fullK * fakeBS, Data: bytes.Repeat([]byte{0xE7}, fakeBS)})
+		if err == nil {
+			resp, _ = r.tr.Recv(id)
+		}
+		acked <- resp
+	}()
+	var resp wire.Message
+	select {
+	case resp = <-acked:
+	case <-time.After(10 * stall):
+		t.Fatalf("write against a stalled flush port still blocked after %v (WriteStall %v)", 10*stall, stall)
 	}
-	if waited := time.Since(start); waited < r.mod.cfg.WriteStall {
-		t.Fatalf("shed after %v, before WriteStall (%v)", waited, r.mod.cfg.WriteStall)
+	if ack, ok := resp.(*wire.WriteAck); !ok || !errors.Is(ack.Status.Err(), wire.ErrOverload) {
+		t.Fatalf("write against a stalled flush port: reply %v, want ErrOverload", resp)
+	}
+	if waited := time.Since(start); waited < stall {
+		t.Fatalf("shed after %v, before WriteStall (%v)", waited, stall)
 	}
 	if got := r.reg.Counter("module.write_stalls").Value(); got != 1 {
 		t.Fatalf("write_stalls = %d, want 1", got)
@@ -649,7 +667,7 @@ func TestWriteAgainstStalledFlushPortSheds(t *testing.T) {
 // the block's write stamp.
 func TestSyncWriteWithoutFrameOvertakesFetch(t *testing.T) {
 	oldB, newB := bytes.Repeat([]byte{0x0D}, fakeBS), bytes.Repeat([]byte{0xE7}, fakeBS)
-	r := newFullCacheRig(t, oldB)
+	r := newFullCacheRig(t, oldB, 20*time.Millisecond)
 	rd, id := r.startHeldRead(t)
 	if ack := sendRecv(t, r.tr, 0, &wire.SyncWrite{File: 1, Offset: fullK * fakeBS, Data: newB}).(*wire.SyncWriteAck); ack.Status != wire.StatusOK {
 		t.Fatalf("sync-write: status %v", ack.Status)
@@ -737,6 +755,31 @@ func TestSyncWriteIntoGapOvertakesFetch(t *testing.T) {
 				t.Fatalf("read after the acknowledged sync-write returned %#x..., want %#x", got[0], tail[0])
 			}
 		})
+	}
+}
+
+// TestRefusedSyncWriteLeavesNoCopy: a sync-write the iod refuses with an
+// error status was never applied there, so the bytes the send wrote into
+// the cache must not outlive the reply: the read after it returns what
+// the iod holds.
+func TestRefusedSyncWriteLeavesNoCopy(t *testing.T) {
+	const file = 88
+	oldB, newB := bytes.Repeat([]byte{0x0D}, fakeBS), bytes.Repeat([]byte{0xE7}, fakeBS)
+	r := newFetchRig(t, false, nil)
+	r.iods[0].image = append([]byte(nil), oldB...)
+	r.iods[0].script = func(req, honest wire.Message) wire.Message {
+		if _, ok := req.(*wire.SyncWrite); ok {
+			r.iods[0].write(0, oldB) // undo the fake's write: the iod refused it
+			return &wire.SyncWriteAck{Status: wire.StatusIOError}
+		}
+		return honest
+	}
+	tr := r.mod.NewTransport()
+	if ack := sendRecv(t, tr, 0, &wire.SyncWrite{File: file, Offset: 0, Data: newB}).(*wire.SyncWriteAck); ack.Status != wire.StatusIOError {
+		t.Fatalf("sync-write: status %v, want %v", ack.Status, wire.StatusIOError)
+	}
+	if got := readAt(t, tr, 0, file, 0, fakeBS); !bytes.Equal(got, oldB) {
+		t.Fatalf("read after the refused sync-write returned %#x..., want the iod's %#x", got[0], oldB[0])
 	}
 }
 

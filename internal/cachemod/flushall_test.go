@@ -2,6 +2,7 @@ package cachemod
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -257,17 +258,46 @@ func TestAwaitWakesOnSignalDuringCheck(t *testing.T) {
 	r := newFetchRig(t, false, nil)
 	calls := 0
 	start := time.Now()
-	done := r.mod.await(10*time.Second, func() (done, progressed bool) {
+	done := r.mod.await(10*time.Second, func(signalled bool) (done, progressed bool) {
 		calls++
 		if calls == 1 {
 			r.mod.progress.signal()
 		}
-		return calls > 1, true
+		return calls > 1 && signalled, signalled
 	})
 	if !done || calls != 2 {
 		t.Fatalf("await = %v after %d checks, want true after 2", done, calls)
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
 		t.Fatalf("the signal sent during the check was lost: woke after %v", waited)
+	}
+}
+
+// TestAwaitPollIsNotProgress: with no progress signal, a wait whose check
+// reports only the signal as progress gives up after its stall, although
+// the stall spans several awaitPoll re-checks; none of them restarts it.
+func TestAwaitPollIsNotProgress(t *testing.T) {
+	r := newFetchRig(t, false, nil)
+	const stall = 6 * awaitPoll
+	var polls atomic.Int32
+	start := time.Now()
+	result := make(chan bool, 1)
+	go func() { // Cleanup's Close ends a wait that never gives up
+		result <- r.mod.await(stall, func(signalled bool) (done, progressed bool) {
+			polls.Add(1)
+			return false, signalled
+		})
+	}()
+	var done bool
+	select {
+	case done = <-result:
+	case <-time.After(10 * stall):
+		t.Fatalf("await still waiting after %v, %d checks (stall %v)", 10*stall, polls.Load(), stall)
+	}
+	if waited := time.Since(start); done || waited < stall {
+		t.Fatalf("await = %v after %v, want false after about %v", done, waited, stall)
+	}
+	if n := polls.Load(); n < 3 {
+		t.Fatalf("%d checks, want a re-check every %v", n, awaitPoll)
 	}
 }

@@ -160,15 +160,27 @@ func (c *Config) fillDefaults() error {
 	if c.WriteStall <= 0 {
 		c.WriteStall = 2 * time.Second
 	}
-	c.TenantDirtyQuota = min(max(c.TenantDirtyQuota, 0), 1) // 0: disabled
-	c.TenantFetchBudget = max(c.TenantFetchBudget, 0)       // 0: disabled
+	if c.TenantDirtyQuota < 0 {
+		c.TenantDirtyQuota = 0 // disabled
+	}
+	if c.TenantDirtyQuota > 1 {
+		c.TenantDirtyQuota = 1
+	}
+	if c.TenantFetchBudget < 0 {
+		c.TenantFetchBudget = 0 // disabled
+	}
 	if c.OverloadStall <= 0 {
 		c.OverloadStall = 20 * time.Millisecond
 	}
 	if c.ReadaheadWindow == 0 {
 		c.ReadaheadWindow = 8
 	}
-	c.ReadaheadWindow = min(max(c.ReadaheadWindow, 0), 1024) // 0: disabled
+	if c.ReadaheadWindow < 0 {
+		c.ReadaheadWindow = 0 // disabled
+	}
+	if c.ReadaheadWindow > 1024 {
+		c.ReadaheadWindow = 1024
+	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
 	}
@@ -341,6 +353,9 @@ func (n registeringNetwork) register(conn transport.Conn) error {
 // Buffer exposes the underlying buffer manager (stats, tests).
 func (m *Module) Buffer() *buffer.Manager { return m.buf }
 
+// Registry returns the module's metrics registry.
+func (m *Module) Registry() *metrics.Registry { return m.cfg.Registry }
+
 // StreamHealth reports each flush stream's failure state, one entry per
 // iod in cluster order. Tests and the chaos harness use it to watch a
 // stream enter backoff when its daemon dies and recover when the daemon
@@ -412,13 +427,8 @@ const awaitPoll = 50 * time.Millisecond
 // than blocking forever.)
 func (m *Module) FlushAll() error {
 	minSeen := m.buf.DirtyCount()
-	if minSeen == 0 {
-		return nil
-	}
-	m.kickAllStreams()
-	lastKick := time.Now()
-	n := minSeen
-	if m.await(flushAllTimeout, func() (done, progressed bool) {
+	n, lastKick := minSeen, time.Time{} // the first check kicks
+	if m.await(flushAllTimeout, func(bool) (done, progressed bool) {
 		if n = m.buf.DirtyCount(); n < minSeen {
 			minSeen, progressed = n, true
 		}
@@ -537,7 +547,7 @@ func (m *Module) KillPeerService() {
 // write-behind period.
 func (m *Module) DrainIOD(iod int, deadline time.Time) error {
 	n := 0
-	if m.await(time.Until(deadline), func() (done, _ bool) {
+	if m.await(time.Until(deadline), func(bool) (done, _ bool) {
 		if n = m.buf.DirtyCountOwned(iod); n > 0 {
 			kick(m.streams[iod].kick)
 		}
@@ -588,44 +598,44 @@ func (p *progress) signal() {
 
 // await blocks until check reports done and returns true; it is the one
 // wait of the module. check runs once up front and again at every
-// progress signal and every awaitPoll, each time after the next signal's
-// channel was taken. stall is a deadline on progress: it restarts
-// whenever check reports progressed, and when it passes await returns
-// check's verdict one last time. It returns false when the module stops.
-// The wait keeps one timer, whatever the number of wake-ups, and takes it
-// from a pool: a steady-state wait allocates only the channels it waits
-// on.
-func (m *Module) await(stall time.Duration, check func() (done, progressed bool)) bool {
-	step := min(awaitPoll, stall)
+// progress signal and after every awaitPoll without one, each time after
+// the next signal's channel was taken; signalled tells it whether a
+// progress signal woke this run. stall is a deadline on progress: it
+// restarts whenever check reports progressed, and once it has passed
+// await returns the next check's verdict. A wait whose progress is the
+// signal itself reports signalled, so the awaitPoll re-checks never push
+// the deadline back. It returns false when the module stops. The wait
+// keeps one timer, whatever the number of wake-ups, and takes it from a
+// pool: a steady-state wait allocates only the channels it waits on.
+func (m *Module) await(stall time.Duration, check func(signalled bool) (done, progressed bool)) bool {
 	timer := timers.Get().(*time.Timer)
-	timer.Reset(step)
 	defer func() { timer.Stop(); timers.Put(timer) }()
 	deadline := time.Now().Add(stall)
-	for {
+	for signalled := false; ; {
 		ch := m.progress.next()
-		done, progressed := check()
-		if done {
-			return true
-		}
+		done, progressed := check(signalled)
 		if progressed {
 			deadline = time.Now().Add(stall)
 		}
+		left := time.Until(deadline)
+		if done || left <= 0 {
+			return done
+		}
+		timer.Reset(min(awaitPoll, left))
 		select {
 		case <-ch:
+			signalled = true
 		case <-timer.C:
-			if left := time.Until(deadline); left > 0 {
-				timer.Reset(min(step, left))
-				continue
-			}
-			done, _ := check()
-			return done
+			signalled = false
 		case <-m.stop:
 			return false
 		}
 	}
 }
 
-// timers recycles await's timers (each is Reset when taken).
+// timers recycles await's timers (await Resets one at each wake). A new timer
+// is three allocations — the timer, its channel and the channel's buffer —
+// on every FlushAll, DrainIOD and stalled write.
 var timers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
 // fileState is the module's one per-file record: what libpvfs announced

@@ -88,7 +88,7 @@ func (m *Module) shedWrite(st *tenantState) bool {
 		return false
 	}
 	m.kickFlusher()
-	if m.await(m.cfg.OverloadStall, func() (done, _ bool) { return !m.overDirtyQuota(st), false }) {
+	if m.await(m.cfg.OverloadStall, func(bool) (done, _ bool) { return !m.overDirtyQuota(st), false }) {
 		return false
 	}
 	st.writeSheds.Inc()

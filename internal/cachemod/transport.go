@@ -252,7 +252,8 @@ func (t *CachedTransport) Recv(id pvfs.ReqID) (wire.Message, error) {
 	case op.call != nil:
 		res := <-op.call
 		if op.sync != nil {
-			t.rewriteSync(op.iod, op.sync, false)
+			ack, _ := res.Msg.(*wire.SyncWriteAck)
+			t.rewriteSync(op.iod, op.sync, res.Err == nil && ack != nil && ack.Status == wire.StatusOK, false)
 		}
 		return res.Msg, res.Err
 	default:
@@ -547,9 +548,9 @@ func (t *CachedTransport) writeSpan(iod int, sp blockio.Span, src []byte, tenant
 			kick(t.m.harvestKick)
 			t.m.kickFlusher()
 			t.m.ctr.writeStalls.Inc()
-			if !t.m.await(t.m.cfg.WriteStall, func() (done, progressed bool) {
+			if !t.m.await(t.m.cfg.WriteStall, func(signalled bool) (done, progressed bool) {
 				out = write()
-				return out != buffer.OutcomeNoSpace, true
+				return out != buffer.OutcomeNoSpace, signalled
 			}) {
 				return fmt.Errorf("cachemod: no flush progress for %v: %w", t.m.cfg.WriteStall, wire.ErrOverload)
 			}
@@ -576,11 +577,11 @@ func (t *CachedTransport) sendSyncWrite(iod int, req *wire.SyncWrite) (pendingOp
 		// it cannot merge, is skipped here and settled after the reply.
 		t.m.buf.WriteSpan(sp.Key, iod, sp.Off, req.Data[sp.Pos:sp.Pos+int64(sp.Len)], false)
 		stamp := t.m.buf.WriteStamp(sp.Key)
-		pending := func() (done, progressed bool) { return !t.m.buf.FlushPending(sp.Key, stamp), true }
-		if done, _ := pending(); done || t.m.await(t.m.cfg.WriteStall, pending) {
+		pending := func(signalled bool) (done, progressed bool) { return !t.m.buf.FlushPending(sp.Key, stamp), signalled }
+		if done, _ := pending(false); done || t.m.await(t.m.cfg.WriteStall, pending) {
 			continue
 		}
-		t.rewriteSync(iod, req, true)
+		t.rewriteSync(iod, req, true, true)
 		return pendingOp{ready: syncAckShed}, nil
 	}
 	ch, err := t.m.data[iod].Go(req)
@@ -591,19 +592,22 @@ func (t *CachedTransport) sendSyncWrite(iod int, req *wire.SyncWrite) (pendingOp
 	return pendingOp{call: ch, sync: req, iod: iod}, nil
 }
 
-// rewriteSync writes every span of a sync-write into the cache again. Recv
-// calls it once the reply is in — any reply: the iod may hold the bytes
-// now. That lands a span skipped at the send in a block a fetch completed
-// since, and a span that still cannot land moves its key's write stamp
-// and drops a clean copy: a fetch of the block claimed before the reply
-// carries the old image and is refused at install. Moving the stamp
-// before the send would not do: a fetch claimed between the move and the
-// iod's write still reads the old bytes. A shed sync-write calls it with
-// dirty set, buffering its bytes as a write's.
-func (t *CachedTransport) rewriteSync(iod int, req *wire.SyncWrite, dirty bool) {
+// rewriteSync settles every span of a sync-write in the cache. Recv calls
+// it once the reply is in. After an OK ack (keep) it writes each span
+// again: that lands a span skipped at the send in a block a fetch
+// completed since, and a span that still cannot land moves its key's
+// write stamp and drops a clean copy, so a fetch of the block claimed
+// before the reply carries the old image and is refused at install.
+// Moving the stamp before the send would not do: a fetch claimed between
+// the move and the iod's write still reads the old bytes. After an error
+// status or a failed call the iod may not hold the bytes, so each span
+// only moves its stamp and drops the clean copy the send wrote. A shed
+// sync-write calls it with keep and dirty set, buffering its bytes as a
+// write's.
+func (t *CachedTransport) rewriteSync(iod int, req *wire.SyncWrite, keep, dirty bool) {
 	it := blockio.IterSpans(req.File, req.Offset, int64(len(req.Data)), t.m.buf.BlockSize())
 	for sp, more := it.Next(); more; sp, more = it.Next() {
-		if t.m.buf.WriteSpan(sp.Key, iod, sp.Off, req.Data[sp.Pos:sp.Pos+int64(sp.Len)], dirty) != buffer.OutcomeOK && !dirty {
+		if !keep || t.m.buf.WriteSpan(sp.Key, iod, sp.Off, req.Data[sp.Pos:sp.Pos+int64(sp.Len)], dirty) != buffer.OutcomeOK && !dirty {
 			t.m.buf.InvalidateClean(sp.Key)
 		}
 	}

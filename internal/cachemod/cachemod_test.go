@@ -267,7 +267,8 @@ func TestGroupRunsBoundsFetchSize(t *testing.T) {
 		}
 	}
 	var out []fetchRun
-	for _, batch := range groupRuns(owned, 4) {
+	s := fetchScratch{owned: owned}
+	for _, batch := range s.groupRuns(4) {
 		blocks := 0
 		for _, run := range batch {
 			blocks += len(run.spans)

@@ -11,7 +11,8 @@ package cachemod
 //	          joiner's reference under the table lock
 //	groupRuns group the claimed blocks into runs of consecutive indices and
 //	          the runs into batches, each bounded by one response frame
-//	issue     put one batch on the wire as a vectored ReadBlocks
+//	issue     put each batch on the wire as a vectored ReadBlocks, built in
+//	          the fetcher's scratch (issueAll)
 //	land      validate the ReadBlocksResp once, copy each run frame → one
 //	          pooled slab, install every block against its stamp
 //	          (installImage), publish it to the joiners, copy the request's
@@ -23,13 +24,21 @@ package cachemod
 // Ownership rules. (1) The stamp is read before the state is registered,
 // so a write applied at any later point — even one flushed and evicted
 // before the image lands — moves the stamp and the install refuses the
-// image. (2) A joiner takes its reference while it holds fetchMu and sees
-// the state in the table; the owner removes the entry before it drops its
-// own reference, so the count cannot drain under a joiner. (3) Every
-// holder calls decref exactly once; the last one out returns the slab to
-// its pool. (4) done closes exactly once, in publish or in settle, after
-// data/err are set. (5) A published image is only as new as finalStamp: a
+// image. (2) A joiner, or awaitFetch, takes its reference while it holds
+// fetchMu and sees the state in the table; the owner removes the entry
+// before it drops its own reference, so the count cannot drain under a
+// joiner. (3) Every holder calls decref exactly once, and only after its
+// wait on done has returned; the last one out returns the slab to its pool
+// and the state, reset, to fetchStates — so a state is never recycled
+// under a holder, and no pointer to it may be used without a reference.
+// (4) The done gate opens exactly once, in publish or in settle, after
+// data/err/finalStamp are set. (5) A published image is only as new as finalStamp: a
 // joiner copying it later re-checks the stamp (awaitJoin).
+//
+// Everything a fetch uses is recycled, so a miss allocates per request,
+// not per block: states and slabs (with their memRef headers) come from
+// pools, and the runs, batches, extent list and ReadBlocks of a fetcher
+// live in its fetchScratch, kept by a recycled pendingRead or prefetchJob.
 //
 // The prefetcher differs from a demand fetch in four deliberate ways, each
 // a branch on fetchState.prefetch in landRun giving its reason. The
@@ -51,24 +60,44 @@ import (
 
 // memRef counts the readers of one pooled buffer shared by the fetchStates
 // published from it — a run's slab, or a single peer-fetched block. The
-// buffer returns to its pool when the count drains to zero.
+// header and its buffer return to their slabPool together when the count
+// drains to zero.
 type memRef struct {
 	buf  []byte
-	pool *rpc.BufPool
+	pool *slabPool
 	refs atomic.Int32
 }
 
-// lease takes an n-byte buffer from pool with one reference, held by the
-// caller.
-func lease(pool *rpc.BufPool, n int) ([]byte, *memRef) {
-	r := &memRef{buf: pool.Get(n), pool: pool}
+// maxSlabCap bounds the capacity of a slab its pool keeps (1 MB), so one
+// oversized run cannot pin memory for good.
+const maxSlabCap = 1 << 20
+
+// slabPool recycles the slabs fetched images land in, each with the memRef
+// header that counts its readers, so a lease allocates nothing in steady
+// state. The zero value is ready to use.
+type slabPool struct{ p sync.Pool }
+
+// lease takes an n-byte slab with one reference, held by the caller. The
+// slab carries its previous tenant's bytes.
+func (sp *slabPool) lease(n int) ([]byte, *memRef) {
+	r, _ := sp.p.Get().(*memRef)
+	if r == nil {
+		r = &memRef{pool: sp}
+	}
+	if cap(r.buf) < n {
+		r.buf = make([]byte, n)
+	}
+	r.buf = r.buf[:n]
 	r.refs.Store(1)
 	return r.buf, r
 }
 
 func (r *memRef) release() {
 	if r.refs.Add(-1) == 0 {
-		r.pool.Put(r.buf)
+		if cap(r.buf) > maxSlabCap {
+			r.buf = nil
+		}
+		r.pool.p.Put(r)
 	}
 }
 
@@ -76,10 +105,14 @@ func (r *memRef) release() {
 // first requester owns the network transfer, later requesters wait on done
 // and then read the block from data (which survives even if the insert was
 // bypassed for lack of space). refs counts the holders entitled to read
-// data after done closes: the owner plus every joiner.
+// the state after done opens: the owner plus every joiner and awaitFetch.
+// States are pooled (fetchStates): the last holder's decref resets and
+// returns it, so a state is one claim's only while someone holds it.
 type fetchState struct {
-	done     chan struct{}
-	data     []byte // full block, zero-padded; set before done closes
+	// done is the gate: Add(1) at claim, Done exactly once in publish or
+	// settle, Wait for every holder that waits on the fetch.
+	done     sync.WaitGroup
+	data     []byte // full block, zero-padded; set before done opens
 	err      error
 	prefetch bool // transfer issued by the readahead prefetcher
 
@@ -87,7 +120,7 @@ type fetchState struct {
 	// registered; the install presents it so an image that predates a write
 	// applied (and possibly flushed and evicted) during the flight is
 	// refused (buffer.OutcomeStale). finalStamp is the stamp the successful
-	// install validated against — set before done closes, it lets late
+	// install validated against — set before done opens, it lets late
 	// joiners detect writes that landed after publication.
 	stamp      uint32
 	finalStamp uint32
@@ -96,19 +129,31 @@ type fetchState struct {
 	mem  *memRef // backing allocation of data; nil until published
 }
 
+// fetchStates recycles fetch states across claims (rule 3).
+var fetchStates = sync.Pool{New: func() any { return new(fetchState) }}
+
 // newFetchState returns a state with one reference, held by the fetch
-// owner.
+// owner, and its gate closed.
 func newFetchState(prefetch bool) *fetchState {
-	st := &fetchState{done: make(chan struct{}), prefetch: prefetch}
+	st := fetchStates.Get().(*fetchState)
+	st.prefetch = prefetch
 	st.refs.Store(1)
+	st.done.Add(1)
 	return st
 }
 
-// decref drops one holder; the last one out releases the backing buffer.
+// decref drops one holder; the last one out releases the backing buffer
+// and recycles the state, emptied of everything its claim set.
 func (st *fetchState) decref() {
-	if st.refs.Add(-1) == 0 && st.mem != nil {
+	if st.refs.Add(-1) != 0 {
+		return
+	}
+	if st.mem != nil {
 		st.mem.release()
 	}
+	st.data, st.err, st.mem = nil, nil, nil
+	st.stamp, st.finalStamp = 0, 0
+	fetchStates.Put(st)
 }
 
 // fetchTable (embedded in Module) deduplicates concurrent fetches of one
@@ -145,7 +190,8 @@ type fetch struct {
 // claim registers a fetch of key, or joins the one in flight. The owner
 // (true) must land or settle the returned state; a joiner holds a data
 // reference to drop after done (awaitJoin). The prefetcher never joins —
-// it has no destination to copy to — so it takes no reference.
+// it has no destination to copy to — so it takes no reference, and must
+// not touch a state it does not own.
 func (m *Module) claim(key blockio.BlockKey, prefetch bool) (*fetchState, bool) {
 	stamp := m.buf.WriteStamp(key) // rule 1: before registration
 	m.fetchMu.Lock()
@@ -178,7 +224,7 @@ func (m *Module) publish(st *fetchState, key blockio.BlockKey, img []byte, mem *
 	mem.refs.Add(1)
 	st.mem, st.data, st.finalStamp = mem, img, stamp
 	m.unregister(key, st)
-	close(st.done)
+	st.done.Done()
 }
 
 // settle is the owner's exit from its claims, taken exactly once per fetch:
@@ -192,24 +238,30 @@ func (m *Module) settle(runs []fetchRun, err error) {
 			if st.data == nil {
 				m.unregister(sp.sp.Key, st)
 				st.err = err
-				close(st.done)
+				st.done.Done()
 			}
 			st.decref()
 		}
 	}
 }
 
-// awaitFetch waits out key's in-flight fetch, if any, without taking a
-// data reference: the caller (a read-modify-write) retries against the
-// cache, not the image.
+// awaitFetch waits out key's in-flight fetch, if any. The caller (a
+// read-modify-write) retries against the cache, not the image, but it
+// still holds a reference for the wait (rule 2): the gate must not be
+// recycled for another claim while it waits on it.
 func (m *Module) awaitFetch(key blockio.BlockKey) bool {
 	m.fetchMu.Lock()
 	st := m.fetches[key]
-	m.fetchMu.Unlock()
 	if st != nil {
-		<-st.done
+		st.refs.Add(1)
 	}
-	return st != nil
+	m.fetchMu.Unlock()
+	if st == nil {
+		return false
+	}
+	st.done.Wait()
+	st.decref()
+	return true
 }
 
 // awaitJoin resolves a join: it waits for the owner, copies the span out
@@ -219,7 +271,7 @@ func (m *Module) awaitFetch(key blockio.BlockKey) bool {
 // the caller fetches for itself (fetchBlockSpan).
 func (m *Module) awaitJoin(w tgtSpan) bool {
 	st, key, off := w.st, w.sp.Key, w.sp.Off
-	<-st.done
+	st.done.Wait()
 	defer st.decref()
 	if st.err != nil || st.data == nil {
 		return false
@@ -250,14 +302,39 @@ func maxFetchBlocks(bs int) int {
 	return max(wire.MaxMessageSize/2/bs-1, 1)
 }
 
-// groupRuns groups claimed blocks (ascending) into runs of consecutive
+// fetchScratch is one fetcher's storage for the fetch protocol: the
+// claimed spans, their runs and batches, the fetches in flight, and the
+// extent list and request of the next issue. A pendingRead or a
+// prefetchJob keeps one and is recycled with it, so a fetch re-uses its
+// slices instead of re-making them.
+type fetchScratch struct {
+	owned   []tgtSpan // claimed misses; the runs alias it
+	runs    []fetchRun
+	batches [][]fetchRun // the batches alias runs
+	fetches []fetch      // issued round trips; their runs alias runs
+	exts    []wire.ReadExtent
+	req     wire.ReadBlocks // encoded before Go returns (DESIGN §4 rule 6)
+}
+
+// reset empties the scratch so it pins no slab, fetchState or caller
+// buffer, keeping its capacity.
+func (s *fetchScratch) reset() {
+	clear(s.owned)
+	clear(s.runs)
+	clear(s.batches)
+	clear(s.fetches)
+	s.owned, s.runs, s.batches, s.fetches = s.owned[:0], s.runs[:0], s.batches[:0], s.fetches[:0]
+}
+
+// groupRuns groups the claimed blocks (ascending) into runs of consecutive
 // indices and the runs into batches, one fetch each. Rounding spans up to
 // whole blocks can inflate a fetch far past the request's bytes (sub-block
 // extents each cost a full block), so every run — an oversized one splits
 // into several that fetch separately — and every batch is bounded by
 // maxBlocks, what one response frame can carry.
-func groupRuns(owned []tgtSpan, maxBlocks int) [][]fetchRun {
-	var runs []fetchRun
+func (s *fetchScratch) groupRuns(maxBlocks int) [][]fetchRun {
+	owned := s.owned
+	runs := s.runs[:0]
 	for start := 0; start < len(owned); {
 		end := start + 1
 		for end < len(owned) && end-start < maxBlocks && owned[end].sp.Key.Index == owned[end-1].sp.Key.Index+1 {
@@ -266,7 +343,7 @@ func groupRuns(owned []tgtSpan, maxBlocks int) [][]fetchRun {
 		runs = append(runs, fetchRun{firstIdx: owned[start].sp.Key.Index, spans: owned[start:end]})
 		start = end
 	}
-	var batches [][]fetchRun
+	batches := s.batches[:0]
 	for start := 0; start < len(runs); {
 		end, blocks := start+1, len(runs[start].spans)
 		for end < len(runs) && blocks+len(runs[end].spans) <= maxBlocks {
@@ -276,19 +353,44 @@ func groupRuns(owned []tgtSpan, maxBlocks int) [][]fetchRun {
 		batches = append(batches, runs[start:end])
 		start = end
 	}
+	s.runs, s.batches = runs, batches
 	return batches
 }
 
-// issue puts one batch of runs on the wire as a vectored ReadBlocks. track
-// asks the iod to record this node as a holder (false for read-around: the
-// blocks never enter the cache). On error the batch's claims are settled.
-func (m *Module) issue(iod int, file blockio.FileID, runs []fetchRun, track bool) (fetch, error) {
-	bs := int64(m.buf.BlockSize())
-	exts := make([]wire.ReadExtent, len(runs))
-	for i, run := range runs {
-		exts[i] = wire.ReadExtent{Offset: run.firstIdx * bs, Length: int64(len(run.spans)) * bs}
+// issueAll puts the owned spans on the wire: one vectored ReadBlocks per
+// batch, every run an extent, all in flight before the first response is
+// awaited. track is as in issue. On error the failing batch and every
+// batch not yet issued are settled; the fetches already in s.fetches are
+// the caller's to land or settle.
+func (m *Module) issueAll(s *fetchScratch, iod int, file blockio.FileID, track bool) error {
+	batches := s.groupRuns(maxFetchBlocks(m.buf.BlockSize()))
+	for i, batch := range batches {
+		f, err := m.issue(s, iod, file, batch, track)
+		if err != nil {
+			// Later readers of the unissued blocks would wait on their
+			// claims forever.
+			for _, rest := range batches[i+1:] {
+				m.settle(rest, err)
+			}
+			return err
+		}
+		s.fetches = append(s.fetches, f)
 	}
-	ch, err := m.data[iod].Go(&wire.ReadBlocks{Client: m.cfg.ClientID, File: file, Track: track, Exts: exts})
+	return nil
+}
+
+// issue puts one batch of runs on the wire as a vectored ReadBlocks built
+// in s. track asks the iod to record this node as a holder (false for
+// read-around: the blocks never enter the cache). On error the batch's
+// claims are settled.
+func (m *Module) issue(s *fetchScratch, iod int, file blockio.FileID, runs []fetchRun, track bool) (fetch, error) {
+	bs := int64(m.buf.BlockSize())
+	s.exts = s.exts[:0]
+	for _, run := range runs {
+		s.exts = append(s.exts, wire.ReadExtent{Offset: run.firstIdx * bs, Length: int64(len(run.spans)) * bs})
+	}
+	s.req = wire.ReadBlocks{Client: m.cfg.ClientID, File: file, Track: track, Exts: s.exts}
+	ch, err := m.data[iod].Go(&s.req)
 	if err != nil {
 		m.settle(runs, err)
 		return fetch{}, err
@@ -360,7 +462,7 @@ func (m *Module) landResp(f fetch, policy pvfs.CachePolicy, msg wire.Message) er
 // caller's settle.
 func (m *Module) landRun(iod int, run fetchRun, data []byte, policy pvfs.CachePolicy) error {
 	bs := m.buf.BlockSize()
-	slab, mem := lease(&m.slabs, len(run.spans)*bs)
+	slab, mem := m.slabs.lease(len(run.spans) * bs)
 	defer mem.release() // the creator's hold
 	n := copy(slab, data)
 	clear(slab[n:]) // pooled buffers carry the previous tenant's bytes
@@ -441,7 +543,7 @@ func (m *Module) installImage(key blockio.BlockKey, iod int, img []byte, policy 
 // by a local write all fall through to the iod fetch, which revalidates.
 func (m *Module) landFromPeer(iod int, o tgtSpan, policy pvfs.CachePolicy) bool {
 	bs := m.buf.BlockSize()
-	img, mem := lease(&m.slabs, bs)
+	img, mem := m.slabs.lease(bs)
 	defer mem.release()
 	n, ok := m.gcNode.Get(o.sp.Key, img)
 	if !ok {
@@ -474,7 +576,7 @@ func (m *Module) landFromPeer(iod int, o tgtSpan, policy pvfs.CachePolicy) bool 
 // not yet received), which lands only after this returns — waiting on the
 // table here would wait on itself.
 func (m *Module) fetchBlockSpan(iod int, key blockio.BlockKey, off int, dst []byte, policy pvfs.CachePolicy) error {
-	img, mem := lease(&m.slabs, m.buf.BlockSize())
+	img, mem := m.slabs.lease(m.buf.BlockSize())
 	defer mem.release()
 	if _, err := m.readInstall(iod, key, img, policy); err != nil {
 		return err

@@ -169,35 +169,72 @@ func newFetchRig(t *testing.T, hold bool, cfgEdit func(*Config)) *fetchRig {
 	return r
 }
 
-// claims snapshots the fetch table.
-func (r *fetchRig) claims() map[blockio.BlockKey]*fetchState {
+// claims snapshots the fetch table. The rig holds one reference per
+// snapshotted state, taken under fetchMu as a joiner takes it, so a state
+// is not recycled for another claim while the test still inspects it; the
+// references drop when the test ends.
+func (r *fetchRig) claims(t *testing.T) map[blockio.BlockKey]*fetchState {
 	r.mod.fetchMu.Lock()
-	defer r.mod.fetchMu.Unlock()
 	out := make(map[blockio.BlockKey]*fetchState, len(r.mod.fetches))
 	for k, st := range r.mod.fetches {
+		st.refs.Add(1)
 		out[k] = st
 	}
+	r.mod.fetchMu.Unlock()
+	t.Cleanup(func() {
+		for _, st := range out {
+			st.decref()
+		}
+	})
 	return out
 }
 
+// inFlight counts the fetch table's entries.
+func (r *fetchRig) inFlight() int {
+	r.mod.fetchMu.Lock()
+	defer r.mod.fetchMu.Unlock()
+	return len(r.mod.fetches)
+}
+
 // checkSettled asserts the protocol's exit invariants for every snapshotted
-// state: done closed, no holder left on the state or its slab, nothing in
-// the table, and the tenant's in-flight budget returned.
+// state: its gate open, no holder left on the state or its slab but the
+// rig's own reference (claims), nothing in the table, and the tenant's
+// in-flight budget returned.
 func (r *fetchRig) checkSettled(t *testing.T, states map[blockio.BlockKey]*fetchState, tenant uint32) {
 	t.Helper()
+	opened := make(chan struct{})
+	go func() {
+		for _, st := range states {
+			st.done.Wait()
+		}
+		close(opened)
+	}()
+	select {
+	case <-opened:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a claim's gate never opened")
+	}
+	// A published state holds one reference on its slab; the rig's holds
+	// keep those alive, and nothing else may.
+	slabHolds := make(map[*memRef]int32)
+	for _, st := range states {
+		if st.mem != nil {
+			slabHolds[st.mem]++
+		}
+	}
 	waitfor.Until(t, 5*time.Second, func() bool {
 		for _, st := range states {
-			select {
-			case <-st.done:
-			default:
-				return false
-			}
-			if st.refs.Load() != 0 || (st.mem != nil && st.mem.refs.Load() != 0) {
+			if st.refs.Load() != 1 {
 				return false
 			}
 		}
-		return len(r.claims()) == 0
-	}, "every claim settled: done closed, refs drained, table empty")
+		for mem, n := range slabHolds {
+			if mem.refs.Load() != n {
+				return false
+			}
+		}
+		return r.inFlight() == 0
+	}, "every claim settled: gate open, refs drained to the rig's own, table empty")
 	waitTenantInflight(t, r.mod, tenant, 0)
 }
 
@@ -336,7 +373,7 @@ func TestFetchProtocolSettlesEveryClaim(t *testing.T) {
 					close(sendDone)
 				}
 				<-r.net.reached
-				states := r.claims()
+				states := r.claims(t)
 				if len(states) < len(idxs) {
 					t.Fatalf("%d claims registered, want at least %d", len(states), len(idxs))
 				}
@@ -486,7 +523,7 @@ func TestStaleFetchPrefetchDrops(t *testing.T) {
 			hint := stripeHint{meta: wire.FileMeta{Size: 1 << 20, PCount: 1, SSize: 1 << 20}, total: 2}
 			r.mod.prefetchRange(file, hint, []int64{0}, pvfs.CacheDefault)
 			waitCounter(t, r.reg, "module.prefetch_stale_drops", 1)
-			waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetch claim settled")
+			waitfor.Until(t, 5*time.Second, func() bool { return r.inFlight() == 0 }, "prefetch claim settled")
 			if got := r.reg.Counter("module.prefetch_stale_drops").Value(); got != 1 {
 				t.Fatalf("prefetch_stale_drops = %d, want 1", got)
 			}
@@ -886,13 +923,13 @@ func TestSyncFallbackIgnoresOwnLaterClaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := r.claims()
+	first := r.claims(t)
 	a.Close()                                           // A's claim settles with nothing published
 	id1, buf1, err := startRead(tr, 0, file, 0, fakeBS) // T claims anew
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := r.claims()
+	second := r.claims(t)
 	done := make(chan error, 1)
 	go func() {
 		for i, id := range []pvfs.ReqID{id0, id1} {
@@ -961,5 +998,93 @@ func TestCacheNoneJoinFallbackReadsAround(t *testing.T) {
 	}
 	if r.mod.buf.Contains(blockio.BlockKey{File: file, Index: 0}, 0, 1) {
 		t.Fatal("the don't-cache join fallback admitted its block")
+	}
+}
+
+// settleOne is an owner's exit from a single claim, as land or abandon
+// takes it.
+func (r *fetchRig) settleOne(key blockio.BlockKey, st *fetchState, err error) {
+	r.mod.settle([]fetchRun{{firstIdx: key.Index, spans: []tgtSpan{{sp: blockio.Span{Key: key}, st: st}}}}, err)
+}
+
+// TestRecycledStateStartsClean: fetch states are pooled, so a new claim
+// often gets the state its block's previous claim used. Whatever that
+// claim set — a published image, its slab, its stamps, a failure — must
+// not reach the new one: a leftover image would read as published to
+// settle (which then never opens the gate) and would serve a joiner the
+// old bytes.
+func TestRecycledStateStartsClean(t *testing.T) {
+	r := newFetchRig(t, false, nil)
+	key := blockio.BlockKey{File: 91, Index: 0}
+	var prev *fetchState
+	reused := 0
+	for i := 0; i < 200; i++ {
+		st, owner := r.mod.claim(key, false)
+		if !owner {
+			t.Fatalf("claim %d joined a settled fetch", i)
+		}
+		if st == prev {
+			reused++
+		}
+		if st.data != nil || st.err != nil || st.mem != nil || st.finalStamp != 0 ||
+			st.stamp != r.mod.buf.WriteStamp(key) || st.refs.Load() != 1 {
+			t.Fatalf("claim %d starts with a previous claim's state: data %d bytes, err %v, mem %v, stamp %d, final %d, refs %d",
+				i, len(st.data), st.err, st.mem != nil, st.stamp, st.finalStamp, st.refs.Load())
+		}
+		if i%2 == 0 {
+			img, mem := r.mod.slabs.lease(fakeBS)
+			r.mod.publish(st, key, img, mem, 77)
+			mem.release() // the creator's hold
+			r.settleOne(key, st, nil)
+		} else {
+			st.stamp = 99
+			r.settleOne(key, st, errors.New("fetch failed"))
+		}
+		prev = st
+	}
+	if reused == 0 {
+		t.Fatal("no claim re-used a recycled state: the test checked nothing")
+	}
+}
+
+// TestAwaitFetchHoldsItsState: a read-modify-write waits out an in-flight
+// fetch through awaitFetch while the block is claimed and settled over and
+// over. awaitFetch holds a reference for its wait, so the state it waits
+// on cannot be recycled for the next claim mid-wait; without it the next
+// claim re-arms a gate that a waiter is still inside (the race detector
+// and sync.WaitGroup's reuse check both report it).
+func TestAwaitFetchHoldsItsState(t *testing.T) {
+	r := newFetchRig(t, false, nil)
+	key := blockio.BlockKey{File: 92, Index: 0}
+	stop := make(chan struct{})
+	var waiters sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		waiters.Add(1)
+		go func() {
+			defer waiters.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					r.mod.awaitFetch(key)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		st, owner := r.mod.claim(key, false)
+		if !owner {
+			t.Fatalf("claim %d joined a settled fetch", i)
+		}
+		r.settleOne(key, st, nil)
+	}
+	close(stop)
+	done := make(chan struct{})
+	go func() { waiters.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("an awaitFetch never returned")
 	}
 }

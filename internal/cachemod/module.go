@@ -199,7 +199,7 @@ type Module struct {
 
 	// slabs recycles the pooled buffers fetched images land in; fetchTable
 	// deduplicates in-flight fetches (see fetch.go for both).
-	slabs rpc.BufPool
+	slabs slabPool
 	fetchTable
 
 	// files is the module's one per-file table (see fileState): one lock,

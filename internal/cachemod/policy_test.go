@@ -197,7 +197,7 @@ func TestCacheNoneCountsPrefetchedBlocks(t *testing.T) {
 			t.Fatalf("block %d: wrong data read around (status %v, err %v)", i, status, err)
 		}
 	}
-	waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetches past the file's end settled")
+	waitfor.Until(t, 5*time.Second, func() bool { return r.inFlight() == 0 }, "prefetches past the file's end settled")
 
 	mu.Lock()
 	defer mu.Unlock()

@@ -22,7 +22,9 @@ package cachemod
 // owning iod with the same round-robin arithmetic libpvfs uses.
 
 import (
+	"slices"
 	"sort"
+	"sync"
 
 	"pvfscache/internal/blockio"
 	"pvfscache/internal/pvfs"
@@ -72,14 +74,16 @@ type raState struct {
 
 // noteAccess feeds one read request's block range [first, last] to a
 // file's pattern detector (the caller holds the record's lock) and returns
-// the sorted block indices to prefetch now (empty when the access is not
-// part of an established scan, or when the window is already in flight).
-func (m *Module) noteAccess(st *raState, first, last int64) []int64 {
+// the sorted block indices to prefetch now in pred's storage (empty, with
+// pred's capacity kept, when the access is not part of an established
+// scan, or when the window is already in flight).
+func (m *Module) noteAccess(st *raState, first, last int64, pred []int64) []int64 {
+	pred = pred[:0]
 	if st.streak == 0 { // the file's first access
 		st.next = last + 1
 		st.streak = 1
 		st.prevFirst = first
-		return nil
+		return pred
 	}
 	// A continuation starts exactly where the scan left off, or one block
 	// earlier with new ground covered: an unaligned scan (request size
@@ -107,7 +111,7 @@ func (m *Module) noteAccess(st *raState, first, last int64) []int64 {
 		st.streak++
 		st.next = last + 1
 	case first >= st.next-1 && last < st.next:
-		return nil // neutral: still inside the covered tail block
+		return pred // neutral: still inside the covered tail block
 	default:
 		delta := first - st.prevFirst
 		if st.kind == raStrided && delta == st.stride {
@@ -132,7 +136,7 @@ func (m *Module) noteAccess(st *raState, first, last int64) []int64 {
 	}
 	st.prevFirst = first
 	if st.streak < raMinStreak || m.cfg.ReadaheadWindow == 0 {
-		return nil
+		return pred
 	}
 	window := int64(m.cfg.ReadaheadWindow)
 	if st.kind == raAscend {
@@ -141,7 +145,7 @@ func (m *Module) noteAccess(st *raState, first, last int64) []int64 {
 		// piece. One prefetch round trip thus covers several demand
 		// requests instead of trickling a few blocks per request.
 		if remaining := st.issued - (last + 1); remaining > window/2 {
-			return nil
+			return pred
 		}
 		lo := last + 1
 		if st.issued > lo {
@@ -149,10 +153,9 @@ func (m *Module) noteAccess(st *raState, first, last int64) []int64 {
 		}
 		hi := last + 1 + window
 		if hi <= lo {
-			return nil
+			return pred
 		}
 		st.issued = hi
-		pred := make([]int64, 0, hi-lo)
 		for idx := lo; idx < hi; idx++ {
 			pred = append(pred, idx)
 		}
@@ -164,13 +167,12 @@ func (m *Module) noteAccess(st *raState, first, last int64) []int64 {
 	// step per access instead of re-predicting the whole window.
 	span := last - first + 1
 	if span <= 0 {
-		return nil
+		return pred
 	}
 	maxSteps := window / span
 	if maxSteps < 1 {
 		maxSteps = 1
 	}
-	var pred []int64
 	for k := int64(1); k <= maxSteps; k++ {
 		start := first + k*st.stride
 		if start < 0 {
@@ -190,7 +192,7 @@ func (m *Module) noteAccess(st *raState, first, last int64) []int64 {
 	if st.stride < 0 {
 		// Backward predictions come out descending; the per-iod extent
 		// grouping downstream assumes ascending indices.
-		sort.Slice(pred, func(i, j int) bool { return pred[i] < pred[j] })
+		slices.Sort(pred)
 	}
 	return pred
 }
@@ -212,10 +214,13 @@ func (m *Module) maybeReadahead(file blockio.FileID, first, last int64) {
 	if fs == nil {
 		return // never announced: no geometry to route blocks to iods by
 	}
+	scratch := predictions.Get().(*[]int64)
+	defer predictions.Put(scratch)
 	fs.mu.Lock()
-	pred := m.noteAccess(&fs.ra, first, last)
+	pred := m.noteAccess(&fs.ra, first, last, *scratch)
 	hint := fs.hint
 	fs.mu.Unlock()
+	*scratch = pred
 	if len(pred) == 0 || hint.total == 0 {
 		return
 	}
@@ -226,6 +231,9 @@ func (m *Module) maybeReadahead(file blockio.FileID, first, last int64) {
 	policy, _ := fs.hints()
 	m.prefetchRange(file, hint, pred, policy)
 }
+
+// predictions recycles noteAccess's index lists between readahead rounds.
+var predictions = sync.Pool{New: func() any { return new([]int64) }}
 
 // iodForBlock maps one block to the iod storing it, or -1 when the block
 // does not map cleanly to a single daemon (strip size not a multiple of
@@ -247,15 +255,27 @@ func (m *Module) iodForBlock(hint stripeHint, idx int64) int {
 	return iod
 }
 
+// prefetchJob is one prefetch goroutine's storage: the iod it fetches
+// from and the fetch scratch its claims are issued from. Jobs are pooled;
+// prefetchRange fills one per iod, chained through next, and the goroutine
+// that runs it returns it.
+type prefetchJob struct {
+	fetchScratch
+	iod  int
+	next *prefetchJob
+}
+
+var prefetchJobs = sync.Pool{New: func() any { return new(prefetchJob) }}
+
 // prefetchRange claims the uncached, un-inflight blocks of the predicted
 // index list (sorted ascending, duplicates tolerated) synchronously,
-// routes them to their owning iods, and launches one asynchronous fetch
-// per iod (several when the window outgrows one response frame).
-// Prefetches follow the file's cache-policy hint: a don't-cache file keeps
-// its readahead pipelining, but the prefetched blocks are served around
-// the cache like its demand reads.
+// routes them to their owning iods, and launches one asynchronous round
+// trip per iod (several fetches when the window outgrows one response
+// frame). Prefetches follow the file's cache-policy hint: a don't-cache
+// file keeps its readahead pipelining, but the prefetched blocks are
+// served around the cache like its demand reads.
 func (m *Module) prefetchRange(file blockio.FileID, hint stripeHint, idxs []int64, policy pvfs.CachePolicy) {
-	perIOD := make(map[int][]tgtSpan)
+	var jobs *prefetchJob
 	for _, idx := range idxs {
 		iod := m.iodForBlock(hint, idx)
 		key := blockio.BlockKey{File: file, Index: idx}
@@ -263,24 +283,41 @@ func (m *Module) prefetchRange(file blockio.FileID, hint stripeHint, idxs []int6
 			continue
 		}
 		// Not the owner: a demand fetch or an earlier prefetch has it.
-		if st, owner := m.claim(key, true); owner {
-			perIOD[iod] = append(perIOD[iod], tgtSpan{sp: blockio.Span{Key: key}, st: st})
+		st, owner := m.claim(key, true)
+		if !owner {
+			continue
 		}
+		j := jobs
+		for j != nil && j.iod != iod {
+			j = j.next
+		}
+		if j == nil {
+			j = prefetchJobs.Get().(*prefetchJob)
+			j.iod, j.next, jobs = iod, jobs, j
+		}
+		j.owned = append(j.owned, tgtSpan{sp: blockio.Span{Key: key}, st: st})
 	}
-	for iod, owned := range perIOD {
-		for _, batch := range groupRuns(owned, maxFetchBlocks(m.buf.BlockSize())) {
-			go m.prefetchIOD(iod, file, batch, policy)
-		}
+	// Every claim is in the table before any round trip starts.
+	for j := jobs; j != nil; {
+		next := j.next
+		j.next = nil
+		go m.prefetchIOD(j, file, policy)
+		j = next
 	}
 }
 
-// prefetchIOD runs one prefetch round trip: issue the claimed runs and
-// land the reply (or, for a don't-cache file, serve it to joiners without
-// admission). Off the caller's thread because issue writes the request
-// synchronously.
-func (m *Module) prefetchIOD(iod int, file blockio.FileID, runs []fetchRun, policy pvfs.CachePolicy) {
-	f, err := m.issue(iod, file, runs, policy != pvfs.CacheNone)
-	if err == nil && m.land(f, policy, <-f.ch) == nil {
-		m.ctr.prefetchIssued.Inc()
+// prefetchIOD runs one iod's prefetch round trips: issue the claimed runs
+// and land every reply (or, for a don't-cache file, serve it to joiners
+// without admission). Off the caller's thread because issue writes the
+// request synchronously.
+func (m *Module) prefetchIOD(j *prefetchJob, file blockio.FileID, policy pvfs.CachePolicy) {
+	// A failed issue settled what it did not send; what it sent lands.
+	m.issueAll(&j.fetchScratch, j.iod, file, policy != pvfs.CacheNone)
+	for _, f := range j.fetches {
+		if m.land(f, policy, <-f.ch) == nil {
+			m.ctr.prefetchIssued.Inc()
+		}
 	}
+	j.reset()
+	prefetchJobs.Put(j)
 }

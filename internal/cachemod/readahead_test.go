@@ -31,7 +31,7 @@ func note(m *Module, file blockio.FileID, first, last int64) []int64 {
 	fs := m.announce(file)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return m.noteAccess(&fs.ra, first, last)
+	return m.noteAccess(&fs.ra, first, last, nil)
 }
 
 // window collapses a contiguous prediction list to its [lo, hi) range —
@@ -414,7 +414,7 @@ func TestPrefetchJoinCountsAsHit(t *testing.T) {
 
 	tr := r.mod.NewTransport()
 	key := blockio.BlockKey{File: file, Index: 0}
-	st := &fetchState{done: make(chan struct{}), prefetch: true}
+	st := newFetchState(true)
 	r.mod.fetchMu.Lock()
 	r.mod.fetches[key] = st
 	r.mod.fetchMu.Unlock()
@@ -431,10 +431,9 @@ func TestPrefetchJoinCountsAsHit(t *testing.T) {
 		t.Fatalf("prefetch install: %v", got)
 	}
 	st.data = block
-	r.mod.fetchMu.Lock()
-	delete(r.mod.fetches, key)
-	r.mod.fetchMu.Unlock()
-	close(st.done)
+	r.mod.unregister(key, st)
+	st.done.Done()
+	st.decref() // the owner's hold
 
 	if status, err := finishRead(tr, id); err != nil || status != wire.StatusOK {
 		t.Fatalf("joined read: status %v, err %v", status, err)
@@ -468,7 +467,7 @@ func TestDemandInstallDropsStalePrefetchMark(t *testing.T) {
 	hint := stripeHint{meta: wire.FileMeta{Size: 1 << 20, PCount: 1, SSize: 1 << 20}, total: 2}
 	r.mod.prefetchRange(file, hint, []int64{0}, pvfs.CacheDefault)
 	waitCounter(t, r.reg, "module.prefetch_blocks", 1)
-	waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetch settled")
+	waitfor.Until(t, 5*time.Second, func() bool { return r.inFlight() == 0 }, "prefetch settled")
 	// Evict by replacement: push clean filler through the cache.
 	for i := int64(0); r.mod.buf.Contains(key, 0, fakeBS) && i < 64; i++ {
 		r.mod.buf.InsertClean(blockio.BlockKey{File: file + 1, Index: i}, 0, make([]byte, fakeBS))
@@ -531,7 +530,7 @@ func TestWriteReallocDropsStalePrefetchMark(t *testing.T) {
 			}
 			r.mod.prefetchRange(file, hint, []int64{0}, pvfs.CacheDefault)
 			waitCounter(t, r.reg, "module.prefetch_blocks", 1)
-			waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetch settled")
+			waitfor.Until(t, 5*time.Second, func() bool { return r.inFlight() == 0 }, "prefetch settled")
 			tc.after(r)
 			if r.mod.buf.Contains(key, 0, fakeBS) {
 				t.Fatal("the prefetched block is resident")
@@ -590,7 +589,7 @@ func TestReadaheadStridePastEOFFetchesNothing(t *testing.T) {
 	}
 	waitfor.Stable(t, 20*time.Millisecond, func() bool { return reads.Load() == warm },
 		"no iod read for a stride replayed past EOF on a warm file")
-	if n := len(r.claims()); n != 0 {
+	if n := r.inFlight(); n != 0 {
 		t.Fatalf("%d claims left for blocks past EOF", n)
 	}
 	if got := r.reg.Counter("module.prefetch_issued").Value(); got != 0 {
@@ -611,7 +610,7 @@ func TestReadaheadScanStopsAtEOF(t *testing.T) {
 	}
 	// The window would be blocks 4..11; 4..9 exist.
 	waitCounter(t, r.reg, "module.prefetch_blocks", nblocks-raMinStreak)
-	waitfor.Until(t, 5*time.Second, func() bool { return len(r.claims()) == 0 }, "prefetch settled")
+	waitfor.Until(t, 5*time.Second, func() bool { return r.inFlight() == 0 }, "prefetch settled")
 	if got := farthest.Load(); got > nblocks*fakeBS {
 		t.Fatalf("a request reached byte %d, past the last block's end %d", got, nblocks*fakeBS)
 	}

@@ -122,11 +122,12 @@ var (
 // the cache never has one; the others take theirs from the transport's
 // free list and return it when Recv completes them.
 type pendingRead struct {
-	iod     int
-	owned   []tgtSpan // misses this request fetches; the fetches' runs alias it
-	fetches []fetch
-	waits   []tgtSpan        // joins: spans riding another owner's fetch
-	policy  pvfs.CachePolicy // the file's hint, read once per request
+	// fetchScratch holds the misses this request fetches (owned) and the
+	// storage their fetches are built and tracked in.
+	fetchScratch
+	iod    int
+	waits  []tgtSpan        // joins: spans riding another owner's fetch
+	policy pvfs.CachePolicy // the file's hint, read once per request
 
 	// qos is the tenant state charged qosBlocks in-flight read blocks at
 	// classification time (nil when budgets are off); trace is the armed
@@ -161,10 +162,9 @@ func (t *CachedTransport) takeRead() *pendingRead {
 // settled, every join resolved. It is emptied first, so the free list pins
 // no slab, fetchState or caller buffer.
 func (t *CachedTransport) putRead(pr *pendingRead) {
-	clear(pr.owned)
-	clear(pr.fetches)
+	pr.reset()
 	clear(pr.waits)
-	*pr = pendingRead{owned: pr.owned[:0], fetches: pr.fetches[:0], waits: pr.waits[:0]}
+	*pr = pendingRead{fetchScratch: pr.fetchScratch, waits: pr.waits[:0]}
 	t.mu.Lock()
 	t.free = append(t.free, pr)
 	t.mu.Unlock()
@@ -322,31 +322,6 @@ func (t *CachedTransport) classifyMiss(sp blockio.Span, dst []byte, pr *pendingR
 	pr.owned = append(pr.owned, o)
 }
 
-// issueFetches puts the owned miss spans on the wire as one vectored
-// ReadBlocks carrying every run of consecutive blocks as an extent
-// (several fetches when the runs outgrow one response frame). The
-// sub-requests of a request are all in flight before the first response is
-// awaited.
-func (t *CachedTransport) issueFetches(file blockio.FileID, pr *pendingRead) error {
-	batches := groupRuns(pr.owned, maxFetchBlocks(t.m.buf.BlockSize()))
-	for i, batch := range batches {
-		f, err := t.m.issue(pr.iod, file, batch, pr.policy != pvfs.CacheNone)
-		if err != nil {
-			// issue settled the failing batch and the caller abandons the
-			// fetches in flight; the batches not yet issued hold claims too,
-			// and later readers of those blocks would wait on them forever.
-			for _, rest := range batches[i+1:] {
-				t.m.settle(rest, err)
-			}
-			return err
-		}
-		pr.fetches = append(pr.fetches, f)
-		t.m.ctr.readSubrequests.Inc()
-		t.m.ctr.readVectorFetches.Inc()
-	}
-	return nil
-}
-
 // sendRead runs the cache FSM for a read: one ReadBlocks from libpvfs,
 // carrying an extent per striping piece of the operation that lands on
 // this iod. Each block span of every extent classifies as a cache hit, a
@@ -425,7 +400,12 @@ func (t *CachedTransport) sendRead(iod int, req *wire.ReadBlocks, sink [][]byte)
 		return pendingOp{ready: &readvStatus[wire.StatusOK]}, true, nil
 	}
 	rt.hop("classified: %d blocks over %d extents, %d joins, %d misses", nblocks, len(exts), len(pr.waits), len(pr.owned))
-	if err := t.issueFetches(file, pr); err != nil {
+	err = t.m.issueAll(&pr.fetchScratch, iod, file, policy != pvfs.CacheNone)
+	t.m.ctr.readSubrequests.Add(int64(len(pr.fetches)))
+	t.m.ctr.readVectorFetches.Add(int64(len(pr.fetches)))
+	if err != nil {
+		// issueAll settled the batches it did not issue; abandon settles
+		// the fetches in flight.
 		t.abandon(pr, err)
 		t.putRead(pr)
 		rt.finishf("issue error: %v", err)

@@ -63,6 +63,19 @@ func TestCloseWithRecycledAndPendingReads(t *testing.T) {
 			t.Fatal("recycled read pins a fetch")
 		}
 	}
+	if cap(recycled.runs) == 0 || cap(recycled.exts) == 0 {
+		t.Fatal("recycled read dropped its fetch scratch")
+	}
+	for _, run := range recycled.runs[:cap(recycled.runs)] {
+		if run.spans != nil {
+			t.Fatal("recycled read's runs pin its spans")
+		}
+	}
+	for _, batch := range recycled.batches[:cap(recycled.batches)] {
+		if batch != nil {
+			t.Fatal("recycled read's batches pin its runs")
+		}
+	}
 
 	// Two reads stay pending behind the gate; the first re-uses the
 	// recycled struct. A second process joins one of them.
@@ -72,7 +85,7 @@ func TestCloseWithRecycledAndPendingReads(t *testing.T) {
 		t.Fatal("pending reads did not take the recycled struct first")
 	}
 	jid, jbuf := read(other, 4, 2)
-	states := r.claims()
+	states := r.claims(t)
 	if len(states) != 4 {
 		t.Fatalf("%d claims registered, want 4", len(states))
 	}
@@ -112,5 +125,5 @@ func TestCloseWithRecycledAndPendingReads(t *testing.T) {
 	if len(tr.free) != 1 {
 		t.Fatalf("free list holds %d reads after a miss and a hit, want 1", len(tr.free))
 	}
-	r.checkSettled(t, r.claims(), tenant)
+	r.checkSettled(t, r.claims(t), tenant)
 }

@@ -21,8 +21,8 @@ import (
 // client's one scratch (pvfs.opScratch), the transport keeps its FSM state
 // by value or recycled, and status-only replies are shared messages. The
 // shapes differ in what they make the scratch and the transport carry. The
-// sixth, a write-behind drain round, is not zero: it counts a round trip
-// to the iod and the iod's work as well.
+// last two, a write-behind drain round and a cold miss, are not zero: they
+// count a round trip to the iod and the iod's work as well.
 const (
 	// cachedReadAllocs is pvfsperf's hit_shared allocs_per_op: one piece,
 	// one plain Read, a full hit (11 before the scratch).
@@ -47,6 +47,15 @@ const (
 	// call's reply channel, the progress channel FlushAll waits on (its
 	// timer is pooled) and the iod's side of the call.
 	flushDrainAllocs = 10
+	// coldMissAllocs: a 64 KB read of 16 missing blocks, fetched as one
+	// run (48 before fetch states, slabs and the fetch scratch were
+	// recycled). The cache module allocates nothing. A heap profile at
+	// -memprofilerate 1 puts 9.5 of the rest on the round trip: rpc's
+	// reply channel (2) and the server's per-request goroutine (2), the
+	// decode of the ReadBlocks at the iod (struct and extent list, 2), the
+	// iod's reply (1), the client's lease (1) and its decode of the reply
+	// (struct 1, lengths every other call); it names no site for the last.
+	coldMissAllocs = 11
 )
 
 // allocCluster boots one caching node whose flusher stays quiet for the
@@ -173,4 +182,46 @@ func TestFlushDrainAllocCeiling(t *testing.T) {
 		}
 	})
 	checkAllocs(t, "a 64 KB rewrite and its drain", n, flushDrainAllocs)
+}
+
+// TestColdMissAllocCeiling: a 64 KB ReadAt whose every block misses —
+// readahead off, cycling over a file twice the cache — so each call is one
+// vectored fetch of one 16-block run from one iod, landed, installed over
+// evicted frames and copied out.
+func TestColdMissAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const cacheBlocks, chunk = 64, 64 << 10
+	c := startTest(t, Config{IODs: 4, ClientNodes: 1, Caching: true, CacheBlocks: cacheBlocks, FlushPeriod: time.Hour,
+		Module: cachemod.Config{ReadaheadWindow: -1}})
+	p, err := c.NewProcess(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	f, err := p.Create("cold.dat", pvfs.StripeSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 2 * cacheBlocks * 4096
+	if _, err := f.WriteAt(make([]byte, size), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Module(0).FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, chunk)
+	var off int64
+	before := c.Reg.Snapshot()
+	n := testing.AllocsPerRun(200, func() {
+		if _, err := f.ReadAt(buf, off); err != nil {
+			t.Fatal(err)
+		}
+		off = (off + chunk) % size
+	})
+	if d := c.Reg.Snapshot().Diff(before); d["module.read_full_hits"] != 0 {
+		t.Fatalf("%d of the reads hit the cache: the pin measures misses", d["module.read_full_hits"])
+	}
+	checkAllocs(t, "a cold 64 KB ReadAt", n, coldMissAllocs)
 }

@@ -224,45 +224,29 @@ func (cc *clientConn) load() int {
 // can abort) no matter where the write blocks. The transport.Conn the
 // request rode is returned so Call's timeout can fail exactly that
 // connection and no newer one.
+//
+// A pooled connection can be dead before its read loop has noticed — the
+// peer restarted since the last call. A frame whose write failed never
+// reaches a handler (the server decodes whole frames only, and failLocked
+// closes the connection), so send re-sends it once on a fresh dial when
+// the failed connection was dialed before this send. A failed fresh
+// connection is the caller's error.
 func (cc *clientConn) send(req wire.Message) (<-chan Result, transport.Conn, error) {
-	ch := make(chan Result, 1)
 	cc.writeMu.Lock()
 	defer cc.writeMu.Unlock()
-
-	cc.mu.Lock()
-	if cc.client.closed.Load() {
-		cc.mu.Unlock()
-		return nil, nil, ErrClosed
-	}
-	if cc.conn == nil {
-		// Dial without holding mu (writeMu already excludes concurrent
-		// dialers), so a slow dial does not stall response delivery or
-		// load inspection on the pool.
-		cc.mu.Unlock()
-		conn, err := cc.client.cfg.Network.Dial(cc.client.cfg.Addr)
+	for {
+		ch := make(chan Result, 1)
+		conn, tag, fresh, err := cc.register(ch)
 		if err != nil {
-			cc.client.noteFailure()
-			return nil, nil, fmt.Errorf("rpc: dialing %s: %w", cc.client.cfg.Addr, err)
+			return nil, nil, err
+		}
+		werr := wire.WriteTagged(conn, tag, req)
+		if werr == nil {
+			return ch, conn, nil
 		}
 		cc.mu.Lock()
-		if cc.client.closed.Load() {
-			cc.mu.Unlock()
-			conn.Close()
-			return nil, nil, ErrClosed
-		}
-		cc.conn = conn
-		cc.pending = make(map[uint64]chan Result)
-		go cc.readLoop(conn)
-	}
-	conn := cc.conn
-	cc.nextTag++
-	tag := cc.nextTag
-	cc.pending[tag] = ch
-	cc.mu.Unlock()
-
-	if werr := wire.WriteTagged(conn, tag, req); werr != nil {
-		cc.mu.Lock()
-		if errors.Is(werr, wire.ErrTooLarge) {
+		tooLarge := errors.Is(werr, wire.ErrTooLarge)
+		if tooLarge {
 			// Encode-side rejection: no byte reached the wire, the
 			// connection is still aligned. Withdraw only this waiter.
 			if cc.pending[tag] == ch {
@@ -272,9 +256,49 @@ func (cc *clientConn) send(req wire.Message) (<-chan Result, transport.Conn, err
 			cc.failLocked(werr)
 		}
 		cc.mu.Unlock()
-		return nil, nil, fmt.Errorf("rpc: sending %v to %s: %w", req.WireType(), cc.client.cfg.Addr, werr)
+		if tooLarge || fresh {
+			return nil, nil, fmt.Errorf("rpc: sending %v to %s: %w", req.WireType(), cc.client.cfg.Addr, werr)
+		}
+		// The stale connection is gone and its waiter failed: the next
+		// pass dials, and registers a new waiter.
 	}
-	return ch, conn, nil
+}
+
+// register returns the live connection, dialing one if there is none
+// (fresh), and files ch under a new tag on it. The caller holds writeMu.
+func (cc *clientConn) register(ch chan Result) (conn transport.Conn, tag uint64, fresh bool, err error) {
+	cc.mu.Lock()
+	if cc.client.closed.Load() {
+		cc.mu.Unlock()
+		return nil, 0, false, ErrClosed
+	}
+	if cc.conn == nil {
+		// Dial without holding mu (writeMu already excludes concurrent
+		// dialers), so a slow dial does not stall response delivery or
+		// load inspection on the pool.
+		cc.mu.Unlock()
+		conn, err := cc.client.cfg.Network.Dial(cc.client.cfg.Addr)
+		if err != nil {
+			cc.client.noteFailure()
+			return nil, 0, false, fmt.Errorf("rpc: dialing %s: %w", cc.client.cfg.Addr, err)
+		}
+		cc.mu.Lock()
+		if cc.client.closed.Load() {
+			cc.mu.Unlock()
+			conn.Close()
+			return nil, 0, false, ErrClosed
+		}
+		cc.conn = conn
+		cc.pending = make(map[uint64]chan Result)
+		go cc.readLoop(conn)
+		fresh = true
+	}
+	conn = cc.conn
+	cc.nextTag++
+	tag = cc.nextTag
+	cc.pending[tag] = ch
+	cc.mu.Unlock()
+	return conn, tag, fresh, nil
 }
 
 // readLoop demultiplexes responses from conn to their waiters until the

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -250,6 +251,96 @@ func TestRedialAfterPeerCrash(t *testing.T) {
 		return
 	}
 	t.Fatalf("client never recovered after peer revival: %v", lastErr)
+}
+
+// deafNetwork dials connections whose read loop does not see the peer go
+// away: a failed Read is held until the client closes the connection
+// itself. That pins the window in which a pooled connection is dead but
+// not yet failed, so the next send finds it by its write alone.
+type deafNetwork struct {
+	transport.Network
+	mu    sync.Mutex
+	dials int
+}
+
+func (n *deafNetwork) Dial(addr string) (transport.Conn, error) {
+	n.mu.Lock()
+	n.dials++
+	n.mu.Unlock()
+	c, err := n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &deafConn{Conn: c, closed: make(chan struct{})}, nil
+}
+
+func (n *deafNetwork) dialed() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.dials
+}
+
+type deafConn struct {
+	transport.Conn
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (c *deafConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err != nil {
+		<-c.closed
+	}
+	return n, err
+}
+
+func (c *deafConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestSendRedialsDeadPooledConn restarts the peer between two calls while
+// the client's read loop has not noticed: the next Call's write fails on
+// the dead pooled connection, and send re-sends the frame once on a fresh
+// dial instead of failing the call. With the peer gone for good, the fresh
+// dial's failure is the call's error.
+func TestSendRedialsDeadPooledConn(t *testing.T) {
+	mem := transport.NewMem()
+	net := &deafNetwork{Network: mem}
+	serve := func() func() {
+		l, err := mem.Listen("peer")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewServer(echoHandler(), ServerConfig{})
+		go s.Serve(l)
+		return func() { l.Close(); s.Close() }
+	}
+	stop := serve()
+	c := NewClient(ClientConfig{Network: net, Addr: "peer", Conns: 1})
+	defer c.Close()
+	if got := echoed(t, c.Call(&wire.Read{Offset: 1})); got != 1 {
+		t.Fatalf("echo = %d, want 1", got)
+	}
+
+	stop() // the restart: every server-side connection closes
+	stop = serve()
+	if got := echoed(t, c.Call(&wire.Read{Offset: 2})); got != 2 {
+		t.Fatalf("echo after restart = %d, want 2", got)
+	}
+	if n := net.dialed(); n != 2 {
+		t.Fatalf("%d dials, want 2: one redial after the restart", n)
+	}
+
+	stop() // gone for good: the redial is refused
+	res := c.Call(&wire.Read{Offset: 3})
+	res.Release()
+	if res.Err == nil || !strings.Contains(res.Err.Error(), "dialing") {
+		t.Fatalf("call to a stopped peer = %v, want the redial's error", res.Err)
+	}
+	if n := net.dialed(); n != 3 {
+		t.Fatalf("%d dials, want 3: one redial, no more", n)
+	}
 }
 
 // TestUntaggedFrameDropsConnection sends a Stat in the retired untagged

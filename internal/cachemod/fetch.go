@@ -27,13 +27,14 @@ package cachemod
 // image. (2) A joiner, or awaitFetch, takes its reference while it holds
 // fetchMu and sees the state in the table; the owner removes the entry
 // before it drops its own reference, so the count cannot drain under a
-// joiner. (3) Every holder calls decref exactly once, and only after its
-// wait on done has returned; the last one out returns the slab to its pool
-// and the state, reset, to fetchStates — so a state is never recycled
-// under a holder, and no pointer to it may be used without a reference.
+// joiner. (3) Every holder calls decref exactly once — one that waits on
+// done, only after its wait has returned; the last one out returns the
+// slab to its pool and the state, reset, to fetchStates — so a state is
+// never recycled under a holder, and no pointer to it may be used without
+// a reference.
 // (4) The done gate opens exactly once, in publish or in settle, after
-// data/err/finalStamp are set. (5) A published image is only as new as finalStamp: a
-// joiner copying it later re-checks the stamp (awaitJoin).
+// data/err/finalStamp are set. (5) A published image is only as new as
+// finalStamp: a joiner copying it later re-checks the stamp (awaitJoin).
 //
 // Everything a fetch uses is recycled, so a miss allocates per request,
 // not per block: states and slabs (with their memRef headers) come from

@@ -312,7 +312,7 @@ func (m *Module) prefetchRange(file blockio.FileID, hint stripeHint, idxs []int6
 // request synchronously.
 func (m *Module) prefetchIOD(j *prefetchJob, file blockio.FileID, policy pvfs.CachePolicy) {
 	// A failed issue settled what it did not send; what it sent lands.
-	m.issueAll(&j.fetchScratch, j.iod, file, policy != pvfs.CacheNone)
+	_ = m.issueAll(&j.fetchScratch, j.iod, file, policy != pvfs.CacheNone)
 	for _, f := range j.fetches {
 		if m.land(f, policy, <-f.ch) == nil {
 			m.ctr.prefetchIssued.Inc()

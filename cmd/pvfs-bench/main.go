@@ -13,8 +13,7 @@
 //	pvfs-bench -d 65536 -l 0.5 -s 0.5 -instances 2 -p 2
 //
 //	# against a running TCP cluster, caching enabled
-//	pvfs-bench -mgr host:7000 -iods h1:7010,h2:7010 -flush h1:7011,h2:7011 \
-//	           -caching -d 65536 -total 8388608
+//	pvfs-bench -mgr host:7000 -iods h1:7010,h2:7010 -caching -d 65536 -total 8388608
 //
 // The tool reports per-request latency, total completion time per
 // instance, and the cache-module counters. The cache module runs at its
@@ -57,8 +56,7 @@ import (
 
 var (
 	mgrAddr   = flag.String("mgr", "", "mgr address (empty boots an in-process cluster)")
-	iodList   = flag.String("iods", "", "comma-separated iod data addresses")
-	flushList = flag.String("flush", "", "comma-separated iod flush addresses, one per -iods entry (required with -caching)")
+	iodList   = flag.String("iods", "", "comma-separated iod addresses")
 	caching   = flag.Bool("caching", true, "enable the cache module")
 	instances = flag.Int("instances", 1, "application instances (degree of multiprogramming)")
 	procs     = flag.Int("p", 2, "processes (nodes) per instance")
@@ -179,7 +177,7 @@ func runAgainst(mb microbench.Params, net transport.Network) error {
 	if *backend != "" {
 		return errors.New("-backend applies to the in-process cluster only; external daemons own their storage")
 	}
-	iods, flushes := splitList(*iodList), splitList(*flushList)
+	iods := splitList(*iodList)
 	if len(iods) == 0 {
 		return errors.New("-iods is required with -mgr")
 	}
@@ -187,10 +185,9 @@ func runAgainst(mb microbench.Params, net transport.Network) error {
 	if *caching {
 		for node := 0; node < mb.Nodes; node++ {
 			mod, err := cachemod.New(cachemod.Config{
-				Network:       net,
-				ClientID:      uint32(node + 1),
-				IODDataAddrs:  iods,
-				IODFlushAddrs: flushes,
+				Network:      net,
+				ClientID:     uint32(node + 1),
+				IODDataAddrs: iods,
 			})
 			if err != nil {
 				return fmt.Errorf("cache module for node %d: %w", node, err)

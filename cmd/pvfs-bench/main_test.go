@@ -11,9 +11,8 @@ import (
 // untunedFlags lists the flags that need no docs/TUNING.md row, each with
 // why.
 var untunedFlags = map[string]string{
-	"mgr":   "wiring: an external cluster's address (TUNING.md's preamble)",
-	"iods":  "wiring: an external cluster's addresses",
-	"flush": "wiring: an external cluster's addresses",
+	"mgr":  "wiring: an external cluster's address (TUNING.md's preamble)",
+	"iods": "wiring: an external cluster's addresses",
 
 	"chaos":    "the -chaos reproducer; docs/TESTING.md catalogues it",
 	"scenario": "-chaos reproducer",

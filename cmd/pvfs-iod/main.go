@@ -1,11 +1,11 @@
-// Command pvfs-iod runs one I/O daemon over TCP: a data port for
-// read/write/sync-write traffic and a flush port for the cache modules'
-// write-behind batches.
+// Command pvfs-iod runs one I/O daemon over TCP on one address, which
+// serves read/write/sync-write traffic and the cache modules'
+// write-behind flushes alike.
 //
-//	pvfs-iod -id 0 -data :7010 -flush :7011
+//	pvfs-iod -id 0 -data :7010
 //
-// Run one instance per storage node, then list every daemon's data and
-// flush addresses (in -id order) on the clients.
+// Run one instance per storage node, then list every daemon's address
+// (in -id order) on the clients.
 package main
 
 import (
@@ -23,8 +23,7 @@ func main() {
 	log.SetPrefix("pvfs-iod: ")
 	var (
 		id        = flag.Int("id", 0, "daemon index in the cluster iod list")
-		dataAddr  = flag.String("data", ":7010", "data port listen address")
-		flushAddr = flag.String("flush", ":7011", "flush port listen address")
+		dataAddr  = flag.String("data", ":7010", "listen address")
 		blockSize = flag.Int("block", 4096, "cache block size used for the coherence directory")
 		adminAddr = flag.String("admin", "", "admin HTTP listen address (metrics, pprof); empty disables")
 	)
@@ -35,11 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen data %s: %v", *dataAddr, err)
 	}
-	fl, err := net.Listen(*flushAddr)
-	if err != nil {
-		log.Fatalf("listen flush %s: %v", *flushAddr, err)
-	}
-	log.Printf("iod %d: data on %s, flush on %s", *id, dl.Addr(), fl.Addr())
+	log.Printf("iod %d: serving on %s", *id, dl.Addr())
 
 	reg := metrics.NewRegistry()
 	if *adminAddr != "" {
@@ -52,10 +47,7 @@ func main() {
 	}
 
 	srv := iod.New(*id, *blockSize, net, reg)
-	errs := make(chan error, 2)
-	go func() { errs <- srv.ServeData(dl) }()
-	go func() { errs <- srv.ServeFlush(fl) }()
-	if err := <-errs; err != nil {
+	if err := srv.ServeData(dl); err != nil {
 		log.Fatalf("serve: %v", err)
 	}
 }

@@ -520,8 +520,8 @@ func (m *Manager) FlushPending(key blockio.BlockKey, stamp uint32) bool {
 // what the cache holds: resident valid bytes win over the fetch. They are
 // this node's newest view of the block (unflushed dirty data has not
 // reached the iod at all, and even just-cleaned data may have landed at
-// the iod after the fetch was served there — the data and flush ports
-// race); foreign writers are handled by coherence invalidation, which
+// the iod after the fetch was served there — the iod serves a
+// connection's requests concurrently); foreign writers are handled by coherence invalidation, which
 // drops the resident block entirely. Every fetch-install path must use
 // this instead of a bare InsertClean, or a read of a partially valid
 // block can surface the iod's stale bytes for the valid range.

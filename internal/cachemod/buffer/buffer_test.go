@@ -137,7 +137,7 @@ func TestInsertCleanPreservesCleanValidBytes(t *testing.T) {
 	// Resident VALID bytes win over a fetched image even when clean: a
 	// just-flushed block's bytes may have landed at the iod after the
 	// fetch was served there, so the fetch can be stale for the valid
-	// range (the data and flush ports race).
+	// range (the iod serves a connection's requests concurrently).
 	m := mgr(4, PolicyClock)
 	m.WriteSpan(key(1, 0), 0, 8, fill(5, 8), true)
 	m.FlushDone(m.TakeDirty(0)) // now clean, valid [8,16)

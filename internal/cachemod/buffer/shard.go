@@ -303,7 +303,7 @@ func (s *shard) oldestDirty() (owner int, seq uint64, ok bool) {
 // takeKeys snapshots the requested blocks for flushing, skipping any that
 // were cleaned, invalidated, re-owned (invalidated and re-written from a
 // different iod — an owner-filtered take must not route a block to the
-// wrong flush port), or claimed by a concurrent round since they were
+// wrong flush stream), or claimed by a concurrent round since they were
 // collected. Request r's snapshot lands in slot r.pos of burst and in
 // out[r.pos]; a skipped request leaves both untouched.
 func (s *shard) takeKeys(reqs []takeReq, owner int, burst []byte, out []FlushItem) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -32,33 +33,24 @@ func newRig(t *testing.T, cfgEdit func(*Config)) *rig {
 	net := transport.NewMem()
 	reg := metrics.NewRegistry()
 	r := &rig{net: net, reg: reg}
-	var dataAddrs, flushAddrs []string
 	for i := 0; i < 2; i++ {
 		d := iod.New(i, 4096, net, reg)
 		r.iods = append(r.iods, d)
-		dl, err := net.Listen("")
+		l, err := net.Listen("")
 		if err != nil {
 			t.Fatal(err)
 		}
-		fl, err := net.Listen("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { dl.Close(); fl.Close() })
-		go d.ServeData(dl)
-		go d.ServeFlush(fl)
-		dataAddrs = append(dataAddrs, dl.Addr())
-		flushAddrs = append(flushAddrs, fl.Addr())
+		t.Cleanup(func() { l.Close() })
+		go d.ServeData(l)
+		r.addrs = append(r.addrs, l.Addr())
 	}
-	r.addrs = dataAddrs
 	cfg := Config{
-		Network:       net,
-		ClientID:      1,
-		IODDataAddrs:  dataAddrs,
-		IODFlushAddrs: flushAddrs,
-		Buffer:        buffer.Config{BlockSize: 4096, Capacity: 64},
-		FlushPeriod:   20 * time.Millisecond,
-		Registry:      reg,
+		Network:      net,
+		ClientID:     1,
+		IODDataAddrs: slices.Clone(r.addrs), // an edit may front an iod; r.addrs stays direct
+		Buffer:       buffer.Config{BlockSize: 4096, Capacity: 64},
+		FlushPeriod:  20 * time.Millisecond,
+		Registry:     reg,
 	}
 	if cfgEdit != nil {
 		cfgEdit(&cfg)
@@ -620,21 +612,17 @@ func TestCloseFlushesDirtyBlocks(t *testing.T) {
 	net := transport.NewMem()
 	reg := metrics.NewRegistry()
 	d := iod.New(0, 4096, net, reg)
-	dl, _ := net.Listen("")
-	fl, _ := net.Listen("")
-	defer dl.Close()
-	defer fl.Close()
-	go d.ServeData(dl)
-	go d.ServeFlush(fl)
+	l, _ := net.Listen("")
+	defer l.Close()
+	go d.ServeData(l)
 
 	mod, err := New(Config{
-		Network:       net,
-		ClientID:      1,
-		IODDataAddrs:  []string{dl.Addr()},
-		IODFlushAddrs: []string{fl.Addr()},
-		Buffer:        buffer.Config{BlockSize: 4096, Capacity: 16},
-		FlushPeriod:   time.Hour, // flusher never fires on its own
-		Registry:      reg,
+		Network:      net,
+		ClientID:     1,
+		IODDataAddrs: []string{l.Addr()},
+		Buffer:       buffer.Config{BlockSize: 4096, Capacity: 16},
+		FlushPeriod:  time.Hour, // flusher never fires on its own
+		Registry:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,8 +21,8 @@ import (
 
 const fakeBS = 4096
 
-// fakeIOD is a scripted iod: one rpc.Server (data and flush port alike)
-// over a single in-memory image every file reads from. It accepts every
+// fakeIOD is a scripted iod: one rpc.Server over a single in-memory
+// image every file reads from. It accepts every
 // Register and never invalidates on its own. script, when set, sees each request with
 // the honest reply and returns what goes on the wire instead; a nil reply
 // drops the connection (an rpc error).
@@ -140,7 +140,6 @@ func newFetchRig(t *testing.T, hold bool, cfgEdit func(*Config)) *fetchRig {
 		Network:           r.net,
 		ClientID:          1,
 		IODDataAddrs:      r.addrs[:],
-		IODFlushAddrs:     r.addrs[:],
 		Buffer:            buffer.Config{BlockSize: fakeBS, Capacity: 64},
 		FlushPeriod:       time.Hour,
 		TenantFetchBudget: 1 << 14,
@@ -156,12 +155,14 @@ func newFetchRig(t *testing.T, hold bool, cfgEdit func(*Config)) *fetchRig {
 	t.Cleanup(func() { mod.Close() })
 	r.mod = mod
 	if hold {
-		// New registered over the data clients, dialing every data port.
-		// Swap in undialed clients and forget those dials, so the
-		// operation under test makes the first Dial, the one hold stops.
+		// New registered over the iod clients, dialing every iod. Swap
+		// in undialed clients, the flush streams' too, and forget those
+		// dials, so the operation under test makes the first Dial, the
+		// one hold stops.
 		for i, rc := range mod.data {
 			rc.Close()
 			mod.data[i] = rpc.NewClient(rpc.ClientConfig{Network: r.net, Addr: cfg.IODDataAddrs[i]})
+			mod.streams[i].client = mod.data[i]
 		}
 		r.net.dials = make(map[string]int)
 		r.net.hold = make(chan struct{})
@@ -654,9 +655,9 @@ func TestStalledWriteShedsWhileFetchInFlight(t *testing.T) {
 }
 
 // TestWriteAgainstStalledFlushPortSheds: with every frame dirty and the
-// flush port stalled, a write waits WriteStall for flush progress, is
-// shed with ErrOverload, and leaves the iod's bytes unchanged — also
-// after the flush port recovers and the cache drains. WriteStall is well
+// iod's Flush replies stalled, a write waits WriteStall for flush
+// progress, is shed with ErrOverload, and leaves the iod's bytes
+// unchanged — also after the flushes recover and the cache drains. WriteStall is well
 // above awaitPoll: the wait's periodic re-checks are not progress, so they
 // must not push the deadline back.
 func TestWriteAgainstStalledFlushPortSheds(t *testing.T) {
@@ -677,10 +678,10 @@ func TestWriteAgainstStalledFlushPortSheds(t *testing.T) {
 	select {
 	case resp = <-acked:
 	case <-time.After(10 * stall):
-		t.Fatalf("write against a stalled flush port still blocked after %v (WriteStall %v)", 10*stall, stall)
+		t.Fatalf("write against stalled flushes still blocked after %v (WriteStall %v)", 10*stall, stall)
 	}
 	if ack, ok := resp.(*wire.WriteAck); !ok || !errors.Is(ack.Status.Err(), wire.ErrOverload) {
-		t.Fatalf("write against a stalled flush port: reply %v, want ErrOverload", resp)
+		t.Fatalf("write against stalled flushes: reply %v, want ErrOverload", resp)
 	}
 	if waited := time.Since(start); waited < stall {
 		t.Fatalf("shed after %v, before WriteStall (%v)", waited, stall)

@@ -1,7 +1,7 @@
 package cachemod
 
 // The write-storm drain pair: FlushAll over a full dirty cache spread
-// across 4 iods whose flush ports have a realistic per-frame service
+// across 4 iods whose Flush handlers have a realistic per-frame service
 // time (disk write + network, modeled as a sleep, the same technique as
 // internal/rpc's BenchmarkMultiplexedPool — on a single-core runner a
 // sleep is the only latency that can genuinely overlap). The pipelined
@@ -45,8 +45,8 @@ func flushBatchFor(window int) int {
 	return 0 // default 64, × the default window of 4
 }
 
-// benchFlushModule assembles a module whose 4 flush ports ack after
-// flushServiceTime. Returns the module and a dirty-fill function that
+// benchFlushModule assembles a module whose 4 iods are stubs that ack
+// each Flush after flushServiceTime. Returns the module and a dirty-fill function that
 // dirties `dirty` blocks (spread evenly across the 4 iods, one file per
 // iod). The cache is sized with headroom above the dirty set so the fill
 // itself never stalls on space pressure and kicks no mid-fill flush —
@@ -55,22 +55,15 @@ func benchFlushModule(b *testing.B, dirty, window int) (*Module, func()) {
 	b.Helper()
 	net := transport.NewMem()
 	reg := metrics.NewRegistry()
-	d := iod.New(0, 4096, net, reg)
-	dl, err := net.Listen("")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { dl.Close() })
-	go d.ServeData(dl)
 
 	const iods = 4
-	var dataAddrs, flushAddrs []string
+	var addrs []string
 	for i := 0; i < iods; i++ {
-		fl, err := net.Listen("")
+		l, err := net.Listen("")
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Cleanup(func() { fl.Close() })
+		b.Cleanup(func() { l.Close() })
 		srv := rpc.NewServer(rpc.HandlerFunc(func(msg wire.Message) wire.Message {
 			if _, ok := msg.(*wire.Register); ok {
 				return &wire.RegisterAck{Status: wire.StatusOK}
@@ -81,19 +74,15 @@ func benchFlushModule(b *testing.B, dirty, window int) (*Module, func()) {
 			time.Sleep(flushServiceTime)
 			return &wire.FlushAck{Status: wire.StatusOK}
 		}), rpc.ServerConfig{})
-		go srv.Serve(fl)
+		go srv.Serve(l)
 		b.Cleanup(func() { srv.Close() })
-		// All data ports reach the same backing iod; owners differ only
-		// for flush routing.
-		dataAddrs = append(dataAddrs, dl.Addr())
-		flushAddrs = append(flushAddrs, fl.Addr())
+		addrs = append(addrs, l.Addr())
 	}
 
 	mod, err := New(Config{
-		Network:       net,
-		ClientID:      1,
-		IODDataAddrs:  dataAddrs,
-		IODFlushAddrs: flushAddrs,
+		Network:      net,
+		ClientID:     1,
+		IODDataAddrs: addrs,
 		Buffer: buffer.Config{
 			BlockSize: 4096,
 			Capacity:  dirty * 2, // headroom: hash skew cannot starve a shard
@@ -156,7 +145,7 @@ func BenchmarkFlushDrainPipelined(b *testing.B) { benchFlushDrain(b, 0) }
 func BenchmarkFlushDrainSerial(b *testing.B) { benchFlushDrain(b, 1) }
 
 // benchFlushModuleDisk is the real-disk variant of benchFlushModule: the
-// four flush ports are four real iods, each over its own WAL-backed disk
+// four iods are real ones, each over its own WAL-backed disk
 // backend in a temp directory. No modeled sleep — the service time is
 // the journal append + page-cache write the engine actually pays.
 func benchFlushModuleDisk(b *testing.B, dirty, window int) (*Module, func()) {
@@ -165,7 +154,7 @@ func benchFlushModuleDisk(b *testing.B, dirty, window int) (*Module, func()) {
 	reg := metrics.NewRegistry()
 
 	const iods = 4
-	var dataAddrs, flushAddrs []string
+	var addrs []string
 	for i := 0; i < iods; i++ {
 		store, err := disk.Open(disk.Options{Dir: filepath.Join(b.TempDir(), "iod")})
 		if err != nil {
@@ -173,26 +162,19 @@ func benchFlushModuleDisk(b *testing.B, dirty, window int) (*Module, func()) {
 		}
 		b.Cleanup(func() { store.Close() })
 		d := iod.NewWithBackend(i, 4096, net, reg, store)
-		dl, err := net.Listen("")
+		l, err := net.Listen("")
 		if err != nil {
 			b.Fatal(err)
 		}
-		fl, err := net.Listen("")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { dl.Close(); fl.Close(); d.Close() })
-		go d.ServeData(dl)
-		go d.ServeFlush(fl)
-		dataAddrs = append(dataAddrs, dl.Addr())
-		flushAddrs = append(flushAddrs, fl.Addr())
+		b.Cleanup(func() { l.Close(); d.Close() })
+		go d.ServeData(l)
+		addrs = append(addrs, l.Addr())
 	}
 
 	mod, err := New(Config{
-		Network:       net,
-		ClientID:      1,
-		IODDataAddrs:  dataAddrs,
-		IODFlushAddrs: flushAddrs,
+		Network:      net,
+		ClientID:     1,
+		IODDataAddrs: addrs,
 		Buffer: buffer.Config{
 			BlockSize: 4096,
 			Capacity:  dirty * 2,

@@ -30,26 +30,20 @@ func TestFlushIOErrorRequeuesAndRetries(t *testing.T) {
 	reg := metrics.NewRegistry()
 	fb := storage.NewFaulty(mem.New())
 	d := iod.NewWithBackend(0, 4096, net, reg, fb)
-	dl, err := net.Listen("")
+	l, err := net.Listen("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := net.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dl.Close(); fl.Close(); d.Close() })
-	go d.ServeData(dl)
-	go d.ServeFlush(fl)
+	t.Cleanup(func() { l.Close(); d.Close() })
+	go d.ServeData(l)
 
 	mod, err := New(Config{
-		Network:       net,
-		ClientID:      1,
-		IODDataAddrs:  []string{dl.Addr()},
-		IODFlushAddrs: []string{fl.Addr()},
-		Buffer:        buffer.Config{BlockSize: 4096, Capacity: 64},
-		FlushPeriod:   time.Hour,
-		Registry:      reg,
+		Network:      net,
+		ClientID:     1,
+		IODDataAddrs: []string{l.Addr()},
+		Buffer:       buffer.Config{BlockSize: 4096, Capacity: 64},
+		FlushPeriod:  time.Hour,
+		Registry:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -148,15 +148,15 @@ func TestBuildFlushChunksSplitsAtTarget(t *testing.T) {
 	}
 }
 
-// flushRig is a three-iod harness whose middle iod's flush port can be
-// taken down (connections drop) and brought back, or made to hold its acks.
+// flushRig is a three-iod harness whose middle iod can be taken down
+// (connections drop) and brought back, or made to hold its Flush acks.
 type flushRig struct {
 	net     *transport.MemNetwork
 	reg     *metrics.Registry
 	iods    []*iod.Server
 	mod     *Module
 	down    atomic.Bool
-	calls   atomic.Int64  // flush frames that reached iod 1's port while up
+	calls   atomic.Int64  // flush frames that reached iod 1 while up
 	hold    atomic.Bool   // iod 1 applies a frame, then sits on its ack ...
 	release chan struct{} // ... until this is closed
 }
@@ -164,38 +164,36 @@ type flushRig struct {
 func newFlushRig(t *testing.T, cfgEdit func(*Config)) *flushRig {
 	t.Helper()
 	r := &flushRig{net: transport.NewMem(), reg: metrics.NewRegistry(), release: make(chan struct{})}
-	var dataAddrs, flushAddrs []string
+	var addrs []string
 	for i := 0; i < 3; i++ {
 		d := iod.New(i, 4096, r.net, r.reg)
 		r.iods = append(r.iods, d)
-		dl, err := r.net.Listen("")
+		l, err := r.net.Listen("")
 		if err != nil {
 			t.Fatal(err)
 		}
-		fl, err := r.net.Listen("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { dl.Close(); fl.Close() })
-		go d.ServeData(dl)
+		t.Cleanup(func() { l.Close() })
+		go d.ServeData(l)
 		if i == 1 {
-			// iod 1's flush port: a gate in front of the real daemon.
-			// While down, frames kill their connection (the daemon is
-			// unreachable), the Register a fresh connection opens with
-			// included; when up, the write is applied like the real
-			// flush handler would.
+			// iod 1's address: a gate in front of the real daemon.
+			// While down, every frame kills its connection — reads,
+			// writes and the Register a fresh connection opens with
+			// included — because the daemon is unreachable. When up, a
+			// Flush is applied like the real handler would and the rest
+			// pass through to the daemon.
+			fwd := rpc.NewClient(rpc.ClientConfig{Network: r.net, Addr: l.Addr()})
+			gl, err := r.net.Listen("")
+			if err != nil {
+				t.Fatal(err)
+			}
 			d := d
 			srv := rpc.NewServer(rpc.HandlerFunc(func(msg wire.Message) wire.Message {
 				if r.down.Load() {
 					return nil // drop the connection: iod down
 				}
-				if reg, ok := msg.(*wire.Register); ok {
-					d.RegisterClient(reg.Client, reg.Addr)
-					return &wire.RegisterAck{Status: wire.StatusOK}
-				}
 				fm, ok := msg.(*wire.Flush)
 				if !ok {
-					return nil
+					return fwd.Call(msg).Msg // nil on error: the connection drops
 				}
 				r.calls.Add(1)
 				for _, blk := range fm.Blocks {
@@ -206,22 +204,19 @@ func newFlushRig(t *testing.T, cfgEdit func(*Config)) *flushRig {
 				}
 				return &wire.FlushAck{Status: wire.StatusOK}
 			}), rpc.ServerConfig{})
-			go srv.Serve(fl)
-			t.Cleanup(func() { srv.Close() })
-		} else {
-			go d.ServeFlush(fl)
+			go srv.Serve(gl)
+			t.Cleanup(func() { gl.Close(); srv.Close(); fwd.Close() })
+			l = gl
 		}
-		dataAddrs = append(dataAddrs, dl.Addr())
-		flushAddrs = append(flushAddrs, fl.Addr())
+		addrs = append(addrs, l.Addr())
 	}
 	cfg := Config{
-		Network:       r.net,
-		ClientID:      1,
-		IODDataAddrs:  dataAddrs,
-		IODFlushAddrs: flushAddrs,
-		Buffer:        buffer.Config{BlockSize: 4096, Capacity: 128},
-		FlushPeriod:   time.Hour, // only kicks and FlushAll drive the streams
-		Registry:      r.reg,
+		Network:      r.net,
+		ClientID:     1,
+		IODDataAddrs: addrs,
+		Buffer:       buffer.Config{BlockSize: 4096, Capacity: 128},
+		FlushPeriod:  time.Hour, // only kicks and FlushAll drive the streams
+		Registry:     r.reg,
 	}
 	if cfgEdit != nil {
 		cfgEdit(&cfg)
@@ -236,7 +231,7 @@ func newFlushRig(t *testing.T, cfgEdit func(*Config)) *flushRig {
 }
 
 // TestFlushStreamFailureIsolation is the failure-isolation regression:
-// with one iod's flush port down, the other streams must drain their
+// with one iod down, the other streams must drain their
 // backlog, the down iod's chunks must re-queue (not be lost, not block
 // the others), and once the iod recovers FlushAll must succeed with every
 // byte durable.
@@ -271,7 +266,7 @@ func TestFlushStreamFailureIsolation(t *testing.T) {
 		return r.mod.Buffer().DirtyCount() <= blocks
 	}, "healthy streams draining around the down iod")
 	// Only iod 1's blocks remain, re-queued and intact — repeated kicks
-	// must not lose (or duplicate) them while the port stays down.
+	// must not lose (or duplicate) them while iod 1 stays down.
 	waitfor.Stable(t, 40*time.Millisecond, func() bool {
 		r.mod.kickAllStreams()
 		return r.mod.Buffer().DirtyCount() == blocks
@@ -538,7 +533,7 @@ func sendRecvNoT(tr pvfs.Transport, iodIdx int, req wire.Message) error {
 }
 
 // TestReusedSlabKeepsBurstsApart drains many bursts through each stream's
-// one reused snapshot slab while the flush ports make some calls time out
+// one reused snapshot slab while the iods make some Flush calls time out
 // (the chunk re-queues and is sent again from a later burst's slab). Every
 // block is written once with bytes of its own, one file per iod (a fake
 // iod's image is shared by every file), so each iod must end up
@@ -552,11 +547,11 @@ func TestReusedSlabKeepsBurstsApart(t *testing.T) {
 		c.FlushBatch, c.FlushWindow = 4, 2 // 8-block bursts
 	})
 	for i, s := range r.mod.streams {
-		// Flush clients whose calls time out; no drain has run yet, and
-		// the first one starts from a kick sent after this store.
-		s.client.Close()
+		// Stream clients whose calls time out; no drain has run yet, and
+		// the first one starts from a kick sent after this store. The
+		// module's own client for the iod still carries its reads.
 		s.client = rpc.NewClient(rpc.ClientConfig{Network: r.net, Addr: r.addrs[i], CallTimeout: timeout})
-		r.mod.flush[i] = s.client
+		t.Cleanup(func() { s.client.Close() })
 	}
 	for _, f := range r.iods {
 		var frames atomic.Int64

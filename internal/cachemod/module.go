@@ -65,12 +65,9 @@ type Config struct {
 	Network transport.Network
 	// ClientID identifies this node's cache to the iods. Must be nonzero.
 	ClientID uint32
-	// IODDataAddrs lists every iod data-port address, in cluster order.
+	// IODDataAddrs lists every iod's address, in cluster order. Reads,
+	// sync-writes and the flush streams' frames share its connections.
 	IODDataAddrs []string
-	// IODFlushAddrs lists every iod flush-port address, in cluster order:
-	// one per IODDataAddrs entry. Required: every write goes through the
-	// cache, and the flush streams are the only way it reaches an iod.
-	IODFlushAddrs []string
 	// Buffer sizes the block cache (see buffer.Config for defaults: 300
 	// blocks of 4 KB — the paper's 1.2 MB cache).
 	Buffer buffer.Config
@@ -145,9 +142,6 @@ func (c *Config) fillDefaults() error {
 	if len(c.IODDataAddrs) == 0 {
 		return errors.New("cachemod: Config.IODDataAddrs is required")
 	}
-	if n := len(c.IODFlushAddrs); n != len(c.IODDataAddrs) {
-		return fmt.Errorf("cachemod: %d flush addresses for %d iods: want one per iod", n, len(c.IODDataAddrs))
-	}
 	if c.FlushPeriod <= 0 {
 		c.FlushPeriod = time.Second
 	}
@@ -194,8 +188,7 @@ type Module struct {
 	ctr counters
 	buf *buffer.Manager
 
-	data  []*rpc.Client // per-iod data-port clients (module-owned, pooled)
-	flush []*rpc.Client // per-iod flush-port clients
+	data []*rpc.Client // per-iod clients (module-owned, pooled)
 
 	// slabs recycles the pooled buffers fetched images land in; fetchTable
 	// deduplicates in-flight fetches (see fetch.go for both).
@@ -268,9 +261,6 @@ func New(cfg Config) (*Module, error) {
 	for _, addr := range cfg.IODDataAddrs {
 		m.data = append(m.data, rpc.NewClient(rpc.ClientConfig{Network: iodNet, Addr: addr}))
 	}
-	for _, addr := range cfg.IODFlushAddrs {
-		m.flush = append(m.flush, rpc.NewClient(rpc.ClientConfig{Network: iodNet, Addr: addr}))
-	}
 
 	if cfg.GlobalCache != nil {
 		opts := *cfg.GlobalCache
@@ -299,7 +289,7 @@ func New(cfg Config) (*Module, error) {
 		}
 	}
 
-	for i, rc := range m.flush {
+	for i, rc := range m.data {
 		s := &flushStream{m: m, iod: i, client: rc, kick: make(chan struct{}, 1),
 			window: make(chan struct{}, m.cfg.FlushWindow)}
 		m.streams = append(m.streams, s)
@@ -311,9 +301,10 @@ func New(cfg Config) (*Module, error) {
 	return m, nil
 }
 
-// registeringNetwork dials the module's iod connections, data and flush
-// ports alike: a fresh connection carries one Register round trip before
-// the rpc client may send anything on it. An iod keeps client addresses
+// registeringNetwork dials the module's iod connections: a fresh
+// connection carries one Register round trip before the rpc client may
+// send anything on it, whether it goes on to carry reads, sync-writes or
+// flush frames. An iod keeps client addresses
 // only in memory, so one that restarted or rejoined learns this cache's
 // invalidation address before the cache's first request on the new
 // connection can make it a holder of any block.
@@ -390,9 +381,6 @@ func (m *Module) Close() error {
 		for _, rc := range m.data {
 			rc.Close()
 		}
-		for _, rc := range m.flush {
-			rc.Close()
-		}
 	})
 	return err
 }
@@ -419,7 +407,7 @@ const awaitPoll = 50 * time.Millisecond
 // one serial sweep. Blocks already in flight on a stream are invisible to
 // TakeDirtyOwned, so FlushAll simply waits for those frames to land; it
 // errors only after flushAllTimeout passes without the dirty count making
-// any progress — which means a flush port is persistently failing, since
+// any progress — which means an iod is persistently refusing flushes, since
 // every failed chunk re-queues its blocks for the stream's next (backed
 // off) attempt. (With concurrent writers continuously re-dirtying the
 // cache, "progress" means a new low-water mark of the dirty count; a

@@ -32,9 +32,9 @@ func waitTenantInflight(t *testing.T, m *Module, tenant uint32, want int64) {
 	}
 }
 
-// gatedFlushPort serves a flush port that forwards every request to the
-// one at addr and holds each reply until gate closes.
-func gatedFlushPort(t *testing.T, net transport.Network, addr string, gate <-chan struct{}) string {
+// gatedFlushes fronts the iod at addr: it forwards every request there
+// and holds each Flush reply until gate closes.
+func gatedFlushes(t *testing.T, net transport.Network, addr string, gate <-chan struct{}) string {
 	t.Helper()
 	l, err := net.Listen("")
 	if err != nil {
@@ -43,7 +43,9 @@ func gatedFlushPort(t *testing.T, net transport.Network, addr string, gate <-cha
 	fwd := rpc.NewClient(rpc.ClientConfig{Network: net, Addr: addr})
 	srv := rpc.NewServer(rpc.HandlerFunc(func(msg wire.Message) wire.Message {
 		res := fwd.Call(msg)
-		<-gate
+		if _, ok := msg.(*wire.Flush); ok {
+			<-gate
+		}
 		return res.Msg // nil on error: the connection drops
 	}), rpc.ServerConfig{})
 	go srv.Serve(l)
@@ -64,7 +66,7 @@ func TestTenantWriteQuotaShedsAndRecovers(t *testing.T) {
 		c.TenantDirtyQuota = 0.25         // 16 of the rig's 64 frames
 		c.OverloadStall = time.Nanosecond // shed immediately, don't wait for drain
 		c.FlushPeriod = time.Hour         // only shed-kicked drains run
-		c.IODFlushAddrs[0] = gatedFlushPort(t, c.Network, c.IODFlushAddrs[0], gate)
+		c.IODDataAddrs[0] = gatedFlushes(t, c.Network, c.IODDataAddrs[0], gate)
 	})
 	var release sync.Once
 	open := func() { release.Do(func() { close(gate) }) }
@@ -200,7 +202,6 @@ func TestFetchBudgetReleasedOnError(t *testing.T) {
 		Network:           net,
 		ClientID:          1,
 		IODDataAddrs:      []string{l.Addr()},
-		IODFlushAddrs:     []string{l.Addr()},
 		Buffer:            buffer.Config{BlockSize: 4096, Capacity: 16},
 		TenantFetchBudget: 8,
 		Registry:          metrics.NewRegistry(),

@@ -38,7 +38,7 @@ func p99(samples []time.Duration) time.Duration {
 	return samples[(len(samples)*99)/100]
 }
 
-// antagonistRun boots one caching node over a browned-out flush path,
+// antagonistRun boots one caching node over browned-out iods,
 // runs a solo victim baseline, then lets antagonist writers saturate the
 // shared cache while the victim keeps issuing small writes. It returns
 // the victim's solo and under-load p99 latencies, the peak dirty-frame
@@ -69,10 +69,10 @@ func antagonistRun(t *testing.T, quota float64) (solo, loaded time.Duration, max
 	defer cl.Close()
 	reg = cl.Reg
 
-	// Slow every flush-port write: the drain becomes the bottleneck, so
+	// Slow every write to the iods: the drain becomes the bottleneck, so
 	// the antagonist's dirty backlog actually accumulates instead of
 	// vanishing into an infinitely fast in-memory iod.
-	ctl.Brownout(5*time.Millisecond, cl.IODFlushAddrs...)
+	ctl.Brownout(5*time.Millisecond, cl.IODDataAddrs...)
 	defer ctl.Heal() // runs before cl.Close: the final FlushAll drains at full speed
 
 	proc, err := cl.NewProcess(0)

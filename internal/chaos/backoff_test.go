@@ -11,7 +11,7 @@ import (
 	"pvfscache/internal/transport"
 )
 
-// TestFlushBackoffUnderIODDeath kills one iod's flush port under dirty
+// TestFlushBackoffUnderIODDeath kills one iod under dirty
 // write-behind data and watches the per-stream health surface: the dead
 // daemon's stream must enter backoff and keep retrying (errors advance),
 // the other streams must stay healthy, and when the daemon returns the
@@ -44,10 +44,10 @@ func TestFlushBackoffUnderIODDeath(t *testing.T) {
 		}
 	}
 
-	// Fail-stop iod 0's flush port, then dirty blocks striped over both
+	// Fail-stop iod 0, then dirty blocks striped over both
 	// daemons (default 64 KB strips: the first strip of each cycle is iod
 	// 0's).
-	ctl.Cut(cl.IODFlushAddrs[0])
+	ctl.Cut(cl.IODDataAddrs[0])
 	proc, err := cl.NewProcess(0)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestFlushBackoffUnderIODDeath(t *testing.T) {
 
 	// Restore the daemon: the stream must recover, the backlog drain, and
 	// the health surface go quiet again.
-	ctl.Restore(cl.IODFlushAddrs[0])
+	ctl.Restore(cl.IODDataAddrs[0])
 	waitfor.Until(t, 10*time.Second, func() bool {
 		return mod.FlushAll() == nil
 	}, "drain succeeding after restore")

@@ -13,6 +13,7 @@ import (
 	"pvfscache/internal/chaos/waitfor"
 	"pvfscache/internal/cluster"
 	"pvfscache/internal/transport"
+	"pvfscache/internal/wire"
 	"pvfscache/internal/workload"
 )
 
@@ -448,8 +449,7 @@ func (p *faultPlan) run() {
 		return
 	}
 	iod := p.rng.Intn(len(r.cl.IODDataAddrs))
-	dataAddr := r.cl.IODDataAddrs[iod]
-	flushAddr := r.cl.IODFlushAddrs[iod]
+	addr := r.cl.IODDataAddrs[iod]
 	startFrac := 0.1 + 0.25*p.rng.Float64()
 	dur := time.Duration(30+p.rng.Intn(60)) * time.Millisecond
 	origins := make([]string, r.spec.Params.Nodes)
@@ -463,7 +463,7 @@ func (p *faultPlan) run() {
 			return
 		}
 		p.markStart()
-		r.ctl.KillConns(dataAddr, flushAddr)
+		r.ctl.KillConns(addr)
 		p.markEnd()
 		r.cfg.Log("chaos: killed conns to iod %d", iod)
 
@@ -472,7 +472,7 @@ func (p *faultPlan) run() {
 			return
 		}
 		p.markStart()
-		r.ctl.Partition(origins, []string{dataAddr, flushAddr})
+		r.ctl.Partition(origins, []string{addr})
 		r.cfg.Log("chaos: partitioned iod %d from %v", iod, origins)
 		p.hold(dur)
 		r.ctl.Heal()
@@ -483,25 +483,18 @@ func (p *faultPlan) run() {
 			return
 		}
 		p.markStart()
-		r.ctl.Brownout(2*time.Millisecond, dataAddr, flushAddr)
+		r.ctl.Brownout(2*time.Millisecond, addr)
 		r.cfg.Log("chaos: brownout on iod %d", iod)
 		p.hold(dur)
 		r.ctl.Heal()
 		p.markEnd()
 
 	case "crash":
-		trig := make(chan struct{})
-		r.ctl.ArmShortWrite(flushAddr, p.rng.Intn(2), func() {
-			p.markStart()
-			r.ctl.Cut(dataAddr, flushAddr)
-			close(trig)
-		})
-		r.cfg.Log("chaos: armed crash of iod %d on its flush port", iod)
-		if !p.awaitTrigger(trig, flushAddr) {
+		if !p.cutOnFlush(iod, addr) {
 			return // never fired: fault skipped this run
 		}
 		p.hold(dur)
-		r.ctl.Restore(dataAddr, flushAddr)
+		r.ctl.Restore(addr)
 		p.markEnd()
 		r.cfg.Log("chaos: restored iod %d", iod)
 
@@ -560,14 +553,7 @@ func (p *faultPlan) run() {
 		// — journal replay under live traffic. The controller Cut keeps
 		// clients from racing the reboot; Restore lifts it only after the
 		// new daemon is listening.
-		trig := make(chan struct{})
-		r.ctl.ArmShortWrite(flushAddr, p.rng.Intn(2), func() {
-			p.markStart()
-			r.ctl.Cut(dataAddr, flushAddr)
-			close(trig)
-		})
-		r.cfg.Log("chaos: armed kill-and-restart of iod %d on its flush port", iod)
-		if !p.awaitTrigger(trig, flushAddr) {
+		if !p.cutOnFlush(iod, addr) {
 			return
 		}
 		if err := r.cl.CrashIOD(iod); err != nil {
@@ -578,32 +564,41 @@ func (p *faultPlan) run() {
 		if err := r.cl.RestartIOD(iod); err != nil {
 			r.violation(fmt.Errorf("chaos: RestartIOD(%d): %w", iod, err))
 		}
-		r.ctl.Restore(dataAddr, flushAddr)
+		r.ctl.Restore(addr)
 		p.markEnd()
 		r.cfg.Log("chaos: rebooted iod %d from its data dir", iod)
 	}
 }
 
-// awaitTrigger waits for an armed short-write to fire, giving it one
-// last chance after the workload drains (dirty data still flushes on
-// the period). It reports false when the arm never fired and was
-// disarmed — the fault sat the run out.
-func (p *faultPlan) awaitTrigger(trig chan struct{}, flushAddr string) bool {
+// cutOnFlush arms a short write of one of the next Flush frames to iod's
+// address, whose hook cuts the address, and waits for it to fire: the
+// stream sees a torn frame exactly as a crashed peer would leave it,
+// while reads on the same address pass until the cut. The arm gets one
+// last chance after the workload drains (dirty data still flushes on the
+// period). It reports false when the arm never fired and was disarmed —
+// the fault sat the run out.
+func (p *faultPlan) cutOnFlush(iod int, addr string) bool {
+	trig := make(chan struct{})
+	p.r.ctl.ArmShortWrite(addr, wire.TFlush, p.rng.Intn(2), func() {
+		p.markStart()
+		p.r.ctl.Cut(addr)
+		close(trig)
+	})
+	p.r.cfg.Log("chaos: armed a cut of iod %d on a Flush frame", iod)
 	select {
 	case <-trig:
-		return true
 	case <-p.stop:
 		select {
 		case <-trig:
-			return true
 		case <-time.After(2 * p.r.cfg.FlushPeriod):
-			if p.r.ctl.Disarm(flushAddr) {
+			if p.r.ctl.Disarm(addr) {
 				return false
 			}
 			<-trig // fired concurrently with the disarm race
-			return true
 		}
 	}
+	p.r.cfg.Log("chaos: cut iod %d mid-Flush", iod)
+	return true
 }
 
 // finish ends the plan: signals the run is over, waits for the scheduler

@@ -9,12 +9,14 @@
 package chaos
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"pvfscache/internal/transport"
+	"pvfscache/internal/wire"
 )
 
 // ErrInjected marks every error the fault layer originates, so tests can
@@ -42,6 +44,7 @@ type Controller struct {
 }
 
 type shortArm struct {
+	typ   wire.Type
 	count int
 	hook  func()
 }
@@ -188,18 +191,21 @@ func (c *Controller) KillConns(addrs ...string) {
 }
 
 // ArmShortWrite arms a one-shot fault on an address: the (after+1)-th
-// write to it delivers only half its bytes, fires hook, and kills the
-// connection. Arming the flush port of an iod and cutting the daemon
-// from the hook is the "iod crashes mid-flush" scenario: the stream sees
-// a torn frame exactly as a crashed peer would leave it. Disarm cancels
-// a pending arm; it reports whether the arm was still pending.
-func (c *Controller) ArmShortWrite(addr string, after int, hook func()) {
+// frame of type typ written to it delivers only half of the write that
+// starts it, fires hook, and kills the connection. Frames of other types
+// pass whole and are not counted. Arming wire.TFlush at an iod and
+// cutting the daemon from the hook is the "iod crashes mid-flush"
+// scenario: the stream sees a torn frame exactly as a crashed peer would
+// leave it, while the reads sharing the address pass. Disarm cancels a
+// pending arm.
+func (c *Controller) ArmShortWrite(addr string, typ wire.Type, after int, hook func()) {
 	c.mu.Lock()
-	c.arms[addr] = &shortArm{count: after + 1, hook: hook}
+	c.arms[addr] = &shortArm{typ: typ, count: after + 1, hook: hook}
 	c.mu.Unlock()
 }
 
-// Disarm cancels a pending ArmShortWrite.
+// Disarm cancels a pending ArmShortWrite; it reports whether the arm was
+// still pending.
 func (c *Controller) Disarm(addr string) bool {
 	c.mu.Lock()
 	_, ok := c.arms[addr]
@@ -214,6 +220,10 @@ type faultConn struct {
 	origin string
 	addr   string
 	raw    transport.Conn
+
+	// frameRem is how many bytes of the frame being written are still to
+	// come (c.mu held); a write that finds it 0 starts a frame.
+	frameRem int
 
 	killMu sync.Mutex
 	killed bool
@@ -233,11 +243,13 @@ func (fc *faultConn) Write(p []byte) (int, error) {
 	}
 	delay := c.slow[fc.addr]
 	var fire *shortArm
-	if arm := c.arms[fc.addr]; arm != nil {
-		arm.count--
-		if arm.count <= 0 {
-			delete(c.arms, fc.addr)
-			fire = arm
+	if typ, starts := fc.nextFrame(p); starts {
+		if arm := c.arms[fc.addr]; arm != nil && arm.typ == typ {
+			arm.count--
+			if arm.count <= 0 {
+				delete(c.arms, fc.addr)
+				fire = arm
+			}
 		}
 	}
 	c.mu.Unlock()
@@ -255,6 +267,20 @@ func (fc *faultConn) Write(p []byte) (int, error) {
 			ErrInjected, fc.addr, n, len(p))
 	}
 	return fc.raw.Write(p)
+}
+
+// nextFrame accounts p against the frame being written (c.mu held) and
+// reports the type of the frame p starts, if it starts one. The write
+// that starts a frame carries at least its length word and type, as
+// wire.WriteTagged's writes do; the rest of the frame may follow in
+// further writes.
+func (fc *faultConn) nextFrame(p []byte) (typ wire.Type, starts bool) {
+	if fc.frameRem == 0 && len(p) >= 6 {
+		fc.frameRem = 4 + int(binary.BigEndian.Uint32(p)&^(1<<31))
+		typ, starts = wire.Type(binary.BigEndian.Uint16(p[4:])), true
+	}
+	fc.frameRem = max(fc.frameRem-len(p), 0)
+	return typ, starts
 }
 
 func (fc *faultConn) Close() error { return fc.kill() }

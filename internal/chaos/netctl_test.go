@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"pvfscache/internal/chaos/waitfor"
 	"pvfscache/internal/transport"
+	"pvfscache/internal/wire"
 )
 
 // echoAccept starts a listener that drains (and discards) everything
@@ -156,6 +158,16 @@ func TestBrownoutDelaysWrites(t *testing.T) {
 	}
 }
 
+// frame encodes one tagged frame the way the rpc layer writes it.
+func frame(t *testing.T, m wire.Message) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := wire.WriteTagged(&b, 1, m); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 func TestShortWriteDeliversHalfFiresHookKillsConn(t *testing.T) {
 	ctl := NewController(transport.NewMem())
 	v := ctl.View("a")
@@ -175,34 +187,35 @@ func TestShortWriteDeliversHalfFiresHookKillsConn(t *testing.T) {
 	}()
 
 	hooked := make(chan struct{})
-	ctl.ArmShortWrite(l.Addr(), 1, func() { close(hooked) })
+	ctl.ArmShortWrite(l.Addr(), wire.TWrite, 1, func() { close(hooked) })
 	c, err := v.Dial(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write([]byte("first-ok")); err != nil {
+	first := frame(t, &wire.Write{File: 7, Data: []byte("first-ok")})
+	if _, err := c.Write(first); err != nil {
 		t.Fatalf("write before the armed count: %v", err)
 	}
-	payload := []byte("0123456789abcdef")
-	n, err := c.Write(payload)
+	second := frame(t, &wire.Write{File: 7, Data: []byte("0123456789abcdef")})
+	n, err := c.Write(second)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("armed write: n=%d err=%v, want ErrInjected", n, err)
 	}
-	if n != len(payload)/2 {
-		t.Fatalf("armed write delivered %d bytes, want %d", n, len(payload)/2)
+	if n != len(second)/2 {
+		t.Fatalf("armed write delivered %d bytes, want %d", n, len(second)/2)
 	}
 	select {
 	case <-hooked:
 	case <-time.After(time.Second):
 		t.Fatal("hook never fired")
 	}
-	if _, err := c.Write([]byte("x")); err == nil {
+	if _, err := c.Write(first); err == nil {
 		t.Fatal("conn survived the short write")
 	}
 	// The peer sees exactly the pre-arm bytes plus the torn half frame.
 	select {
 	case b := <-got:
-		want := "first-ok" + "01234567"
+		want := string(first) + string(second[:len(second)/2])
 		if string(b) != want {
 			t.Fatalf("peer received %q, want %q", b, want)
 		}
@@ -211,6 +224,85 @@ func TestShortWriteDeliversHalfFiresHookKillsConn(t *testing.T) {
 	}
 	if ctl.Disarm(l.Addr()) {
 		t.Fatal("arm still pending after firing")
+	}
+}
+
+// TestShortWriteCountsFramesOfItsType arms a tear of the second Flush
+// frame on an address that also carries reads: the first Flush, whose
+// block data goes out in writes of their own, counts once; the
+// ReadBlocks frame between them is not counted and arrives whole; and
+// the next Flush is torn.
+func TestShortWriteCountsFramesOfItsType(t *testing.T) {
+	ctl := NewController(transport.NewMem())
+	v := ctl.View("node0")
+	l, err := v.Listen(":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	type result struct {
+		msgs []wire.Message
+		err  error
+	}
+	got := make(chan result, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		var r result
+		for {
+			_, _, m, _, err := wire.ReadFrameAliased(c)
+			if err != nil {
+				r.err = err
+				break
+			}
+			r.msgs = append(r.msgs, m)
+		}
+		got <- r
+	}()
+
+	hooked := make(chan struct{})
+	ctl.ArmShortWrite(l.Addr(), wire.TFlush, 1, func() { close(hooked) })
+	c, err := v.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Block data that reads like a Flush header: only the length word of
+	// the write that starts a frame may say where the next one starts.
+	look := frame(t, &wire.Flush{File: 7})[:6]
+	data := bytes.Repeat(look, (8<<10)/len(look)+1)[:8<<10]
+	flush := &wire.Flush{Client: 1, File: 7, Blocks: []wire.FlushBlock{{Index: 0, Data: data}}}
+	if err := wire.WriteTagged(c, 1, flush); err != nil {
+		t.Fatalf("first Flush: %v", err)
+	}
+	read := &wire.ReadBlocks{Client: 1, File: 7, Exts: []wire.ReadExtent{{Offset: 0, Length: 4096}}}
+	if err := wire.WriteTagged(c, 2, read); err != nil {
+		t.Fatalf("ReadBlocks frame torn by a Flush arm: %v", err)
+	}
+	select {
+	case <-hooked:
+		t.Fatal("arm fired before the second Flush")
+	default:
+	}
+	if err := wire.WriteTagged(c, 3, flush); !errors.Is(err, ErrInjected) {
+		t.Fatalf("second Flush: err=%v, want ErrInjected", err)
+	}
+	select {
+	case <-hooked:
+	case <-time.After(time.Second):
+		t.Fatal("hook never fired")
+	}
+	select {
+	case r := <-got:
+		if len(r.msgs) != 2 || r.msgs[0].WireType() != wire.TFlush || r.msgs[1].WireType() != wire.TReadBlocks {
+			t.Fatalf("peer decoded %d whole frames (%v), want the first Flush and the ReadBlocks", len(r.msgs), r.msgs)
+		}
+		if r.err == nil || r.err == io.EOF {
+			t.Fatalf("peer read err=%v after the torn Flush, want a short frame", r.err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("peer never saw the connection end")
 	}
 }
 

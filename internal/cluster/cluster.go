@@ -1,5 +1,5 @@
 // Package cluster assembles a complete live system: one metadata server,
-// a set of I/O daemons (each with a data port and a flush port), and a
+// a set of I/O daemons (one address each), and a
 // cache module per client node. It is the programmatic equivalent of
 // booting the paper's 6-node testbed, over either the in-memory transport
 // (tests, examples, benchmarks) or TCP (the cmd/ binaries).
@@ -50,7 +50,7 @@ type Config struct {
 	// from; its zero value is the paper's configuration (see
 	// cachemod.Config). Module.Buffer.BlockSize also sizes the iods'
 	// blocks. Per node, moduleConfig overwrites exactly these fields:
-	// Network, ClientID, IODDataAddrs, IODFlushAddrs, Registry and
+	// Network, ClientID, IODDataAddrs, Registry and
 	// GlobalCache (the wiring), Buffer.Capacity (from CacheBlocks) and
 	// FlushPeriod.
 	Module cachemod.Config
@@ -99,9 +99,8 @@ type Cluster struct {
 	Admins     []*admin.Server
 	AdminAddrs []string
 
-	MgrAddr       string
-	IODDataAddrs  []string
-	IODFlushAddrs []string
+	MgrAddr      string
+	IODDataAddrs []string
 
 	// Backends holds each iod's storage backend; the cluster owns their
 	// lifecycle (iod.Close never closes its backend) so CrashIOD /
@@ -110,13 +109,9 @@ type Cluster struct {
 
 	cfg       Config
 	listeners []transport.Listener // mgr listener(s)
-	iodPorts  []iodPort            // per-iod data + flush listeners
+	iodPorts  []transport.Listener // one listener per iod
 	nextProc  map[int]int
 	nodeNet   func(node int) transport.Network
-}
-
-type iodPort struct {
-	data, flush transport.Listener
 }
 
 // newBackend builds iod i's storage backend from the cluster config.
@@ -182,7 +177,7 @@ func Start(cfg Config) (*Cluster, error) {
 	c.MgrAddr = ml.Addr()
 	go c.Mgr.Serve(ml)
 
-	// I/O daemons: a data port and a flush port each, over a storage
+	// I/O daemons: one listener each, over a storage
 	// backend the cluster owns (so a daemon can be crashed and rebooted
 	// onto the same backend directory).
 	for i := 0; i < cfg.IODs; i++ {
@@ -197,19 +192,11 @@ func Start(cfg Config) (*Cluster, error) {
 		dl, err := cfg.Network.Listen(":0")
 		if err != nil {
 			c.Close()
-			return nil, fmt.Errorf("cluster: iod %d data listener: %w", i, err)
+			return nil, fmt.Errorf("cluster: iod %d listener: %w", i, err)
 		}
-		fl, err := cfg.Network.Listen(":0")
-		if err != nil {
-			dl.Close()
-			c.Close()
-			return nil, fmt.Errorf("cluster: iod %d flush listener: %w", i, err)
-		}
-		c.iodPorts = append(c.iodPorts, iodPort{data: dl, flush: fl})
+		c.iodPorts = append(c.iodPorts, dl)
 		c.IODDataAddrs = append(c.IODDataAddrs, dl.Addr())
-		c.IODFlushAddrs = append(c.IODFlushAddrs, fl.Addr())
 		go d.ServeData(dl)
-		go d.ServeFlush(fl)
 	}
 
 	// Cache modules, one per client node. With the global cache enabled
@@ -274,7 +261,6 @@ func (c *Cluster) moduleConfig(node int) cachemod.Config {
 	mc.Network = c.nodeNetwork(node)
 	mc.ClientID = uint32(node + 1)
 	mc.IODDataAddrs = c.IODDataAddrs
-	mc.IODFlushAddrs = c.IODFlushAddrs
 	mc.Registry = c.Reg
 	mc.GlobalCache = nil
 	if c.cfg.GlobalCache {
@@ -347,7 +333,7 @@ func (c *Cluster) FlushAll() error {
 	return firstErr
 }
 
-// CrashIOD fail-stops daemon i: both ports close, in-flight requests
+// CrashIOD fail-stops daemon i: its listener closes, in-flight requests
 // die at the clients, and the backend drops its volatile state exactly
 // like a killed process would (a disk backend keeps its directory; the
 // mem backend loses everything — that asymmetry is the point). The
@@ -356,9 +342,7 @@ func (c *Cluster) CrashIOD(i int) error {
 	if i < 0 || i >= len(c.IODs) {
 		return fmt.Errorf("cluster: iod %d out of range", i)
 	}
-	p := c.iodPorts[i]
-	p.data.Close()
-	p.flush.Close()
+	c.iodPorts[i].Close()
 	c.IODs[i].Close()
 	be := c.Backends[i]
 	if cr, ok := be.(storage.Crasher); ok {
@@ -370,7 +354,7 @@ func (c *Cluster) CrashIOD(i int) error {
 // RestartIOD reboots daemon i after CrashIOD: a fresh backend opens
 // from the same configuration (the disk backend replays its journal
 // from the same directory), and a fresh daemon re-listens on the same
-// addresses, so clients and flush streams reconnect without
+// address, so clients and flush streams reconnect without
 // reconfiguration. The coherence directory is volatile daemon state and
 // starts empty — documented in DESIGN.md §11.
 func (c *Cluster) RestartIOD(i int) error {
@@ -385,19 +369,12 @@ func (c *Cluster) RestartIOD(i int) error {
 	dl, err := c.Network.Listen(c.IODDataAddrs[i])
 	if err != nil {
 		be.Close()
-		return fmt.Errorf("cluster: iod %d data re-listen: %w", i, err)
-	}
-	fl, err := c.Network.Listen(c.IODFlushAddrs[i])
-	if err != nil {
-		dl.Close()
-		be.Close()
-		return fmt.Errorf("cluster: iod %d flush re-listen: %w", i, err)
+		return fmt.Errorf("cluster: iod %d re-listen: %w", i, err)
 	}
 	c.Backends[i] = be
 	c.IODs[i] = d
-	c.iodPorts[i] = iodPort{data: dl, flush: fl}
+	c.iodPorts[i] = dl
 	go d.ServeData(dl)
-	go d.ServeFlush(fl)
 	return nil
 }
 
@@ -405,7 +382,7 @@ func (c *Cluster) RestartIOD(i int) error {
 // fail-stop: the daemon first stops admitting new coherence holders, then
 // every cache module flushes the dirty blocks it owes the daemon
 // (directed at that iod's stream only), the daemon invalidates and drops
-// its remaining directory entries, and only then do its ports close. The
+// its remaining directory entries, and only then does its listener close. The
 // storage backend stays open and keeps its data — a graceful exit hands
 // its state off rather than losing it — so RejoinIOD can bring the
 // daemon back without recovery. timeout bounds the whole flush wait.
@@ -428,15 +405,13 @@ func (c *Cluster) DrainIOD(i int, timeout time.Duration) error {
 	if _, err := d.DrainHolders(); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	p := c.iodPorts[i]
-	p.data.Close()
-	p.flush.Close()
+	c.iodPorts[i].Close()
 	d.Close()
 	return firstErr
 }
 
 // RejoinIOD brings a drained daemon back: a fresh daemon re-listens on
-// the same addresses over the still-open backend DrainIOD handed off, so
+// the same address over the still-open backend DrainIOD handed off, so
 // no journal recovery runs and no data moved. (After CrashIOD use
 // RestartIOD, which reopens the backend through recovery.)
 func (c *Cluster) RejoinIOD(i int) error {
@@ -446,17 +421,11 @@ func (c *Cluster) RejoinIOD(i int) error {
 	d := iod.NewWithBackend(i, c.cfg.Module.Buffer.BlockSize, c.Network, c.Reg, c.Backends[i])
 	dl, err := c.Network.Listen(c.IODDataAddrs[i])
 	if err != nil {
-		return fmt.Errorf("cluster: iod %d data re-listen: %w", i, err)
-	}
-	fl, err := c.Network.Listen(c.IODFlushAddrs[i])
-	if err != nil {
-		dl.Close()
-		return fmt.Errorf("cluster: iod %d flush re-listen: %w", i, err)
+		return fmt.Errorf("cluster: iod %d re-listen: %w", i, err)
 	}
 	c.IODs[i] = d
-	c.iodPorts[i] = iodPort{data: dl, flush: fl}
+	c.iodPorts[i] = dl
 	go d.ServeData(dl)
-	go d.ServeFlush(fl)
 	return nil
 }
 
@@ -484,11 +453,9 @@ func (c *Cluster) Close() error {
 			firstErr = err
 		}
 	}
-	for _, p := range c.iodPorts {
-		for _, l := range []transport.Listener{p.data, p.flush} {
-			if err := l.Close(); err != nil && !errors.Is(err, transport.ErrClosed) && firstErr == nil {
-				firstErr = err
-			}
+	for _, l := range c.iodPorts {
+		if err := l.Close(); err != nil && !errors.Is(err, transport.ErrClosed) && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if err := c.Mgr.Close(); err != nil && firstErr == nil {

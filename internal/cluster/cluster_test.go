@@ -388,8 +388,8 @@ func TestSyncWriteInvalidatesRemoteCache(t *testing.T) {
 
 // TestSyncWriteInvalidatesAfterRejoin: a drained and rejoined daemon
 // starts with no client addresses, so a cache whose first contact after
-// the rejoin is a read (data port) or a flush (flush port) must
-// re-register on that connection, or the next sync-write's invalidation
+// the rejoin is a read or a flush must re-register on the connection it
+// dials, or the next sync-write's invalidation
 // cannot reach it and it keeps serving the old bytes.
 func TestSyncWriteInvalidatesAfterRejoin(t *testing.T) {
 	for _, viaFlush := range []bool{false, true} {

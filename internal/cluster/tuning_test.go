@@ -15,18 +15,17 @@ import (
 // tuning knobs — addresses, identity, sinks, sub-structs, test seams —
 // and so need no docs/TUNING.md row (the guide's preamble names them).
 var tuningWiring = map[string]bool{
-	"cachemod.Config.Network":       true,
-	"cachemod.Config.ClientID":      true,
-	"cachemod.Config.IODDataAddrs":  true,
-	"cachemod.Config.IODFlushAddrs": true,
-	"cachemod.Config.Buffer":        true, // its fields are buffer.Config's rows
-	"cachemod.Config.GlobalCache":   true,
-	"cachemod.Config.Registry":      true,
-	"buffer.Config.Registry":        true,
-	"cluster.Config.Network":        true,
-	"cluster.Config.NodeNetwork":    true,
-	"cluster.Config.Module":         true, // its fields are cachemod.Config's rows
-	"cluster.Config.Registry":       true,
+	"cachemod.Config.Network":      true,
+	"cachemod.Config.ClientID":     true,
+	"cachemod.Config.IODDataAddrs": true,
+	"cachemod.Config.Buffer":       true, // its fields are buffer.Config's rows
+	"cachemod.Config.GlobalCache":  true,
+	"cachemod.Config.Registry":     true,
+	"buffer.Config.Registry":       true,
+	"cluster.Config.Network":       true,
+	"cluster.Config.NodeNetwork":   true,
+	"cluster.Config.Module":        true, // its fields are cachemod.Config's rows
+	"cluster.Config.Registry":      true,
 }
 
 // sharedWithModule lists the only field names cluster.Config may share with

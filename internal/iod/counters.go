@@ -10,7 +10,7 @@ type counters struct {
 	ioErrors  *metrics.Counter
 	reads     *metrics.Counter
 	readBytes *metrics.Counter
-	// Every data-port read is a ReadBlocks, so vectorReads counts exactly
+	// Every read the iod serves is a ReadBlocks, so vectorReads counts exactly
 	// what reads does; it stays as the denominator of the benchmark's
 	// extents per vector read.
 	vectorReads   *metrics.Counter

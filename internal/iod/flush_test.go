@@ -16,8 +16,8 @@ import (
 // covered block — a sync-writer touching any of them must invalidate the
 // flusher's cache.
 func TestFlushRunCoversEveryBlock(t *testing.T) {
-	s, net, _, flush := testDaemon(t)
-	conn := dial(t, net, flush)
+	s, net, addr := testDaemon(t)
+	conn := dial(t, net, addr)
 
 	// A run starting mid-block 2 and covering blocks 2..5 (tail partial).
 	run := make([]byte, 3*4096+100)
@@ -52,7 +52,7 @@ func TestFlushRunCoversEveryBlock(t *testing.T) {
 // Every run is checked before any is written, so a frame with one bad
 // run lands nothing.
 func TestFlushOverflowingBlockRejected(t *testing.T) {
-	s, _, _, _ := testDaemon(t)
+	s, _, _ := testDaemon(t)
 	good := []byte("GOOD")
 	if err := s.Store().WriteAt(7, 0, good); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestFlushOverflowingBlockRejected(t *testing.T) {
 		{{Index: 1<<51 - 1, Off: 4095, Data: []byte("EVIL")}},
 		{{Index: 4, Data: []byte("fine")}, {Index: 1 << 52, Data: []byte("EVIL")}},
 	} {
-		ack := s.handleFlush(&wire.Flush{File: 7, Blocks: blocks}).(*wire.FlushAck)
+		ack := s.handle(&wire.Flush{File: 7, Blocks: blocks}).(*wire.FlushAck)
 		if ack.Status != wire.StatusBadRequest {
 			t.Fatalf("Flush %+v: status %d, want %d", blocks, ack.Status, wire.StatusBadRequest)
 		}
@@ -81,10 +81,10 @@ func TestFlushOverflowingBlockRejected(t *testing.T) {
 // corruption, and every frame's bytes are durable and its blocks
 // holder-tracked once all acks are in.
 func TestFlushConcurrentFramesFromOneClient(t *testing.T) {
-	s, net, _, flush := testDaemon(t)
+	s, net, addr := testDaemon(t)
 	// A tagged rpc client gets concurrent out-of-order service — the same
 	// path the cache module's flush streams use.
-	rc := rpc.NewClient(rpc.ClientConfig{Network: net, Addr: flush, Conns: 2})
+	rc := rpc.NewClient(rpc.ClientConfig{Network: net, Addr: addr, Conns: 2})
 	defer rc.Close()
 
 	const frames = 16

@@ -54,8 +54,8 @@ func expect(runs []fuzzRun, off int64, n int) []byte {
 // rangeOK is the storage range rule: off ≥ 0 and no int64 overflow.
 func rangeOK(off int64, n int) bool { return off >= 0 && int64(n) <= math.MaxInt64-off }
 
-// FuzzIODStore drives the iod's handlers — Write, SyncWrite, ReadBlocks
-// on the data port, Flush on the flush port — with fuzzer-chosen file,
+// FuzzIODStore drives the iod's handler — Write, SyncWrite, ReadBlocks
+// and Flush — with fuzzer-chosen file,
 // offset, block index, in-block offset and length, over a fresh mem store
 // per input (so a long fuzz run cannot pile up pages). Each input first
 // writes a probe block at offset 0. Nothing may panic, every reply is the
@@ -76,7 +76,7 @@ func FuzzIODStore(f *testing.F) {
 		const bs = 4096
 		id := blockio.FileID(file)
 		data := fuzzBytes(int(length%(64<<10+1)), kind)
-		ack := s.handleData(&wire.Write{File: id, Data: probe}).(*wire.WriteAck)
+		ack := s.handle(&wire.Write{File: id, Data: probe}).(*wire.WriteAck)
 		if ack.Status != wire.StatusOK {
 			t.Fatalf("probe write: status %d", ack.Status)
 		}
@@ -89,10 +89,10 @@ func FuzzIODStore(f *testing.F) {
 		)
 		switch kind % fuzzKinds {
 		case fuzzWrite:
-			resp = s.handleData(&wire.Write{Client: 1, File: id, Offset: offset, Data: data})
+			resp = s.handle(&wire.Write{Client: 1, File: id, Offset: offset, Data: data})
 			valid, add = rangeOK(offset, len(data)), []fuzzRun{{offset, data}}
 		case fuzzSyncWrite:
-			resp = s.handleData(&wire.SyncWrite{Client: 1, File: id, Offset: offset, Data: data})
+			resp = s.handle(&wire.SyncWrite{Client: 1, File: id, Offset: offset, Data: data})
 			valid, add = rangeOK(offset, len(data)), []fuzzRun{{offset, data}}
 		case fuzzFlush, fuzzFlushPair:
 			blk := wire.FlushBlock{Index: index, Off: blockOff, Data: data}
@@ -107,9 +107,9 @@ func FuzzIODStore(f *testing.F) {
 			if valid {
 				add = append(add, fuzzRun{index*bs + int64(blockOff), data})
 			}
-			resp = s.handleFlush(&wire.Flush{Client: 1, File: id, Blocks: blocks})
+			resp = s.handle(&wire.Flush{Client: 1, File: id, Blocks: blocks})
 		default:
-			resp = s.handleData(&wire.ReadBlocks{File: id, Exts: []wire.ReadExtent{{Offset: offset, Length: int64(len(data))}}})
+			resp = s.handle(&wire.ReadBlocks{File: id, Exts: []wire.ReadExtent{{Offset: offset, Length: int64(len(data))}}})
 			valid = rangeOK(offset, len(data))
 		}
 
@@ -155,7 +155,7 @@ func checkReadBack(t *testing.T, s *Server, id blockio.FileID, runs []fuzzRun) {
 	for _, r := range runs {
 		for _, lo := range []int64{r.off, max(0, r.off-8192)} {
 			n := min(len(r.data)+int(r.off-lo), 64<<10)
-			rr := s.handleData(&wire.ReadBlocks{File: id, Exts: []wire.ReadExtent{{Offset: lo, Length: int64(n)}}}).(*wire.ReadBlocksResp)
+			rr := s.handle(&wire.ReadBlocks{File: id, Exts: []wire.ReadExtent{{Offset: lo, Length: int64(n)}}}).(*wire.ReadBlocksResp)
 			if rr.Status != wire.StatusOK {
 				t.Fatalf("read-back at %d: status %d", lo, rr.Status)
 			}
@@ -183,56 +183,53 @@ const (
 	handleSyncWrite
 	handleRegister
 	handleFlush    // one FlushBlock at index, blockOff
-	handleUnserved // wire.Invalidate: the iod sends it, neither port serves it
+	handleUnserved // wire.Invalidate: the iod sends it and does not serve it
 	handleKinds
 )
 
 // FuzzIODHandle feeds one message with fuzzer-chosen fields — client,
 // file, Track, offsets, block index and in-block offset, lengths, and a
-// registration address — to the data port's or the flush port's handler
-// of a fresh mem-backed iod. Before it, client 7 registers at an address
+// registration address — to the one handler of a fresh mem-backed iod. Before it, client 7 registers at an address
 // nothing listens on and holds the probe block through a tracked read, so
 // every sync-write over the probe fans out an invalidation that fails.
-// Nothing may panic; a port that does not serve the message answers nil;
+// Nothing may panic; a message the iod does not serve is answered nil;
 // otherwise the reply is the request's ack type with a known status, OK
 // exactly when the range is valid. An OK read returns the model's bytes,
 // an OK Register records the address, an OK sync-write by another client
 // drops client 7 from the blocks it covers without counting it
 // invalidated, and every acknowledged write reads back afterwards.
 func FuzzIODHandle(f *testing.F) {
-	f.Add(uint8(handleReadBlocks), false, uint32(3), uint64(1), true, int64(0), int64(8192), uint32(100), uint32(4096), "")
-	f.Add(uint8(handleWrite), false, uint32(3), uint64(1), false, int64(2000), int64(0), uint32(0), uint32(9000), "")
-	f.Add(uint8(handleSyncWrite), false, uint32(3), uint64(1), false, int64(100), int64(0), uint32(0), uint32(100), "")
-	f.Add(uint8(handleSyncWrite), false, uint32(7), uint64(1), false, int64(0), int64(0), uint32(0), uint32(4096), "")
-	f.Add(uint8(handleRegister), false, uint32(9), uint64(0), false, int64(0), int64(0), uint32(0), uint32(0), "cache-9")
-	f.Add(uint8(handleRegister), true, uint32(7), uint64(0), false, int64(0), int64(0), uint32(0), uint32(0), "elsewhere")
-	f.Add(uint8(handleFlush), true, uint32(3), uint64(1), false, int64(0), int64(1), uint32(1000), uint32(5000), "")
-	f.Add(uint8(handleFlush), false, uint32(3), uint64(1), false, int64(0), int64(1), uint32(0), uint32(10), "")
-	f.Add(uint8(handleUnserved), false, uint32(0), uint64(1), false, int64(0), int64(0), uint32(0), uint32(0), "")
+	f.Add(uint8(handleReadBlocks), uint32(3), uint64(1), true, int64(0), int64(8192), uint32(100), uint32(4096), "")
+	f.Add(uint8(handleWrite), uint32(3), uint64(1), false, int64(2000), int64(0), uint32(0), uint32(9000), "")
+	f.Add(uint8(handleSyncWrite), uint32(3), uint64(1), false, int64(100), int64(0), uint32(0), uint32(100), "")
+	f.Add(uint8(handleSyncWrite), uint32(7), uint64(1), false, int64(0), int64(0), uint32(0), uint32(4096), "")
+	f.Add(uint8(handleRegister), uint32(9), uint64(0), false, int64(0), int64(0), uint32(0), uint32(0), "cache-9")
+	f.Add(uint8(handleRegister), uint32(7), uint64(0), false, int64(0), int64(0), uint32(0), uint32(0), "elsewhere")
+	f.Add(uint8(handleFlush), uint32(3), uint64(1), false, int64(0), int64(1), uint32(1000), uint32(5000), "")
+	f.Add(uint8(handleFlush), uint32(3), uint64(1), false, int64(0), int64(1), uint32(0), uint32(10), "")
+	f.Add(uint8(handleUnserved), uint32(0), uint64(1), false, int64(0), int64(0), uint32(0), uint32(0), "")
 
 	probe := bytes.Repeat([]byte("probe!"), 4096/6+1)[:4096]
-	f.Fuzz(func(t *testing.T, kind uint8, flushPort bool, client uint32, file uint64, track bool,
+	f.Fuzz(func(t *testing.T, kind uint8, client uint32, file uint64, track bool,
 		offset, index int64, blockOff, length uint32, addr string) {
 		const bs, holder = 4096, uint32(7)
 		s := New(0, bs, transport.NewMem(), nil)
 		id := blockio.FileID(file)
-		if s.handleData(&wire.Write{File: id, Data: probe}).(*wire.WriteAck).Status != wire.StatusOK {
+		if s.handle(&wire.Write{File: id, Data: probe}).(*wire.WriteAck).Status != wire.StatusOK {
 			t.Fatal("probe write failed")
 		}
-		s.handleData(&wire.Register{Client: holder, Addr: "nowhere"})
-		rr := s.handleData(&wire.ReadBlocks{Client: holder, File: id, Track: true, Exts: []wire.ReadExtent{{Length: bs}}}).(*wire.ReadBlocksResp)
+		s.handle(&wire.Register{Client: holder, Addr: "nowhere"})
+		rr := s.handle(&wire.ReadBlocks{Client: holder, File: id, Track: true, Exts: []wire.ReadExtent{{Length: bs}}}).(*wire.ReadBlocksResp)
 		s.recycleReadBuf(rr)
 		runs := []fuzzRun{{0, probe}}
 		data := fuzzBytes(int(length%(64<<10+1)), kind)
 
 		var (
-			msg         wire.Message
-			reply       wire.Type // the ack type of msg
-			valid       = true
-			add         []fuzzRun
-			dataServes  = true // the data port serves msg
-			flushServes = false
-			exts        []wire.ReadExtent
+			msg   wire.Message
+			reply wire.Type // the ack type of msg; 0 when the iod does not serve msg
+			valid = true
+			add   []fuzzRun
+			exts  []wire.ReadExtent
 		)
 		k := kind % handleKinds
 		switch k {
@@ -253,26 +250,19 @@ func FuzzIODHandle(f *testing.F) {
 			valid, add = rangeOK(offset, len(data)), []fuzzRun{{offset, data}}
 		case handleRegister:
 			msg, reply = &wire.Register{Client: client, Addr: addr}, wire.TRegisterAck
-			flushServes = true
 		case handleFlush:
 			msg, reply = &wire.Flush{Client: client, File: id, Blocks: []wire.FlushBlock{{Index: index, Off: blockOff, Data: data}}}, wire.TFlushAck
 			valid = index >= 0 && blockOff < bs && index <= (math.MaxInt64-int64(blockOff))/bs &&
 				rangeOK(index*bs+int64(blockOff), len(data))
 			add = []fuzzRun{{index*bs + int64(blockOff), data}}
-			dataServes, flushServes = false, true
 		default:
 			msg = &wire.Invalidate{File: id, Indices: []int64{index}}
-			dataServes = false
 		}
 
-		handle, served := s.handleData, dataServes
-		if flushPort {
-			handle, served = s.handleFlush, flushServes
-		}
-		resp := handle(msg)
-		if !served {
+		resp := s.handle(msg)
+		if reply == 0 {
 			if resp != nil {
-				t.Fatalf("%v (flush port %v): reply %T, want none", msg.WireType(), flushPort, resp)
+				t.Fatalf("%v: reply %T, want none", msg.WireType(), resp)
 			}
 			checkReadBack(t, s, id, runs)
 			return

@@ -1,15 +1,17 @@
 // Package iod implements the PVFS I/O daemon: the per-node data server
 // that stores file strips and answers read/write requests from libpvfs
 // clients. Requests arrive through the shared rpc core (internal/rpc), so
-// clients get concurrent, out-of-order service. Every read the data port
-// serves is vectored (wire.ReadBlocks): all requested extents of a
-// connection's request in one pass, packed into a single pooled buffer
-// that is recycled once the response hits the wire. In addition, the
-// daemon carries the two server-side pieces the paper adds:
+// clients get concurrent, out-of-order service. A daemon has one address:
+// every request kind, the cache modules' flushes included, arrives on the
+// same listener and is dispatched by one handler. Every read it serves is
+// vectored (wire.ReadBlocks): all requested extents of a connection's
+// request in one pass, packed into a single pooled buffer that is recycled
+// once the response hits the wire. In addition, the daemon carries the two
+// server-side pieces the paper adds:
 //
-//   - a separate flush port, served by the "server version of the flusher
-//     thread", which accepts batched dirty-block flushes from the per-node
-//     cache modules and writes them with local file-system calls; and
+//   - the "server version of the flusher thread": a handler for Flush
+//     frames, which carry batched dirty-block runs from the per-node cache
+//     modules and are written with local file-system calls; and
 //   - a per-block coherence directory used by sync-writes: the directory
 //     records which client caches hold a copy of each block, and a
 //     sync-write invalidates every other holder before it is acknowledged.
@@ -94,18 +96,12 @@ func (s *Server) ID() int { return s.id }
 // simulator seed data through it).
 func (s *Server) Store() storage.Backend { return s.store }
 
-// ServeData accepts data-port connections until the listener closes.
-func (s *Server) ServeData(l transport.Listener) error { return s.serve(l, s.handleData) }
-
-// ServeFlush accepts flush-port connections until the listener closes.
-// This is the server half of the flusher protocol.
-func (s *Server) ServeFlush(l transport.Listener) error { return s.serve(l, s.handleFlush) }
-
-// serve runs one rpc.Server over the listener: clients (the cache modules
-// and libpvfs) get concurrent out-of-order service. Read buffers return to
-// the pool once each response hits the wire.
-func (s *Server) serve(l transport.Listener, handler func(wire.Message) wire.Message) error {
-	srv := rpc.NewServer(rpc.HandlerFunc(handler), rpc.ServerConfig{
+// ServeData accepts connections until the listener closes. It runs one
+// rpc.Server over the listener: clients (the cache modules and libpvfs)
+// get concurrent out-of-order service. Read buffers return to the pool
+// once each response hits the wire.
+func (s *Server) ServeData(l transport.Listener) error {
+	srv := rpc.NewServer(rpc.HandlerFunc(s.handle), rpc.ServerConfig{
 		AfterWrite: s.recycleReadBuf,
 	})
 	s.srvMu.Lock()
@@ -113,6 +109,10 @@ func (s *Server) serve(l transport.Listener, handler func(wire.Message) wire.Mes
 	s.srvMu.Unlock()
 	return srv.Serve(l)
 }
+
+// ServeFlush is ServeData. It remains for pvfsperf's iod probe, which
+// still serves a second listener with it (ROADMAP 3(m)).
+func (s *Server) ServeFlush(l transport.Listener) error { return s.ServeData(l) }
 
 // recycleReadBuf returns a written read response's buffer to the pool: a
 // vectored response carries all its extents in one backing buffer.
@@ -142,8 +142,9 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// handleData dispatches one data-port request.
-func (s *Server) handleData(msg wire.Message) wire.Message {
+// handle dispatches one request. A cache module registers on each
+// connection it opens, and its flush streams share its read connections.
+func (s *Server) handle(msg wire.Message) wire.Message {
 	switch m := msg.(type) {
 	case *wire.ReadBlocks:
 		return s.readBlocks(m)
@@ -151,17 +152,6 @@ func (s *Server) handleData(msg wire.Message) wire.Message {
 		return s.write(m)
 	case *wire.SyncWrite:
 		return s.syncWrite(m)
-	case *wire.Register:
-		return s.register(m)
-	default:
-		return nil
-	}
-}
-
-// handleFlush dispatches one flush-port request. A cache module registers
-// on each connection it opens, so the flush port answers Register too.
-func (s *Server) handleFlush(msg wire.Message) wire.Message {
-	switch m := msg.(type) {
 	case *wire.Flush:
 		return s.flush(m)
 	case *wire.Register:

@@ -14,27 +14,22 @@ import (
 	"pvfscache/internal/wire"
 )
 
-// testDaemon starts an iod with data and flush listeners on a fresh
-// in-memory network and returns a dialer helper.
-func testDaemon(t *testing.T) (*Server, transport.Network, string, string) {
+// testDaemon starts an iod listening at its one address on a fresh
+// in-memory network and returns the network and the address.
+func testDaemon(t *testing.T) (*Server, transport.Network, string) {
 	t.Helper()
 	net := transport.NewMem()
 	s := New(0, 4096, net, metrics.NewRegistry())
-	dl, err := net.Listen("iod-data")
+	l, err := net.Listen("iod")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := net.Listen("iod-flush")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go s.ServeData(dl)
-	go s.ServeFlush(fl)
-	t.Cleanup(func() { dl.Close(); fl.Close() })
-	return s, net, "iod-data", "iod-flush"
+	go s.ServeData(l)
+	t.Cleanup(func() { l.Close() })
+	return s, net, "iod"
 }
 
-// dial returns a one-connection client of the port at addr, closed when
+// dial returns a one-connection client of the daemon at addr, closed when
 // the test ends.
 func dial(t *testing.T, net transport.Network, addr string) *rpc.Client {
 	t.Helper()
@@ -61,7 +56,7 @@ func ext(off, length int64) []wire.ReadExtent {
 }
 
 func TestWriteThenRead(t *testing.T) {
-	_, net, data, _ := testDaemon(t)
+	_, net, data := testDaemon(t)
 	conn := dial(t, net, data)
 
 	payload := bytes.Repeat([]byte{0x42}, 1000)
@@ -79,9 +74,8 @@ func TestWriteThenRead(t *testing.T) {
 // write path must answer a negative one with a non-OK status, and the
 // daemon must keep serving.
 func TestNegativeOffsetWritesFail(t *testing.T) {
-	_, net, data, flush := testDaemon(t)
+	_, net, data := testDaemon(t)
 	conn := dial(t, net, data)
-	fconn := dial(t, net, flush)
 	payload := bytes.Repeat([]byte{0x5C}, 12)
 	call(t, conn, &wire.Write{File: 2, Offset: 0, Data: payload})
 
@@ -91,7 +85,7 @@ func TestNegativeOffsetWritesFail(t *testing.T) {
 	if sa := call(t, conn, &wire.SyncWrite{Client: 1, File: 2, Offset: -8, Data: payload}).(*wire.SyncWriteAck); sa.Status == wire.StatusOK {
 		t.Fatal("SyncWrite at offset -8 acknowledged")
 	}
-	fa := call(t, fconn, &wire.Flush{Client: 1, File: 2, Blocks: []wire.FlushBlock{{Index: -2, Data: payload}}}).(*wire.FlushAck)
+	fa := call(t, conn, &wire.Flush{Client: 1, File: 2, Blocks: []wire.FlushBlock{{Index: -2, Data: payload}}}).(*wire.FlushAck)
 	if fa.Status == wire.StatusOK {
 		t.Fatal("Flush of block -2 acknowledged")
 	}
@@ -102,7 +96,7 @@ func TestNegativeOffsetWritesFail(t *testing.T) {
 }
 
 func TestVectoredReadServesAllExtents(t *testing.T) {
-	_, net, data, _ := testDaemon(t)
+	_, net, data := testDaemon(t)
 	conn := dial(t, net, data)
 	payload := bytes.Repeat([]byte{0xA5}, 16<<10)
 	call(t, conn, &wire.Write{Client: 1, File: 3, Offset: 0, Data: payload})
@@ -138,7 +132,7 @@ func TestVectoredReadServesAllExtents(t *testing.T) {
 }
 
 func TestVectoredReadRejectsHostileExtents(t *testing.T) {
-	_, net, data, _ := testDaemon(t)
+	_, net, data := testDaemon(t)
 	conn := dial(t, net, data)
 	for _, exts := range [][]wire.ReadExtent{
 		{{Offset: 0, Length: -1}},
@@ -154,7 +148,7 @@ func TestVectoredReadRejectsHostileExtents(t *testing.T) {
 }
 
 func TestVectoredReadTracksHolders(t *testing.T) {
-	s, net, data, _ := testDaemon(t)
+	s, net, data := testDaemon(t)
 	conn := dial(t, net, data)
 	call(t, conn, &wire.Write{Client: 1, File: 5, Offset: 0, Data: make([]byte, 12<<10)})
 	call(t, conn, &wire.ReadBlocks{Client: 9, File: 5, Track: true, Exts: []wire.ReadExtent{
@@ -172,8 +166,8 @@ func TestVectoredReadTracksHolders(t *testing.T) {
 }
 
 func TestFlushPortWritesBlocks(t *testing.T) {
-	s, net, _, flush := testDaemon(t)
-	conn := dial(t, net, flush)
+	s, net, addr := testDaemon(t)
+	conn := dial(t, net, addr)
 
 	fa := call(t, conn, &wire.Flush{
 		Client: 3,
@@ -202,16 +196,48 @@ func TestFlushPortWritesBlocks(t *testing.T) {
 	}
 }
 
-func TestFlushPortRejectsDataMessages(t *testing.T) {
-	_, net, _, flush := testDaemon(t)
-	conn := dial(t, net, flush)
-	if res := conn.Call(&wire.ReadBlocks{File: 1, Exts: ext(0, 4)}); res.Err == nil {
-		t.Fatalf("flush port served a data message: %v", res.Msg.WireType())
+// TestOneConnectionCarriesEveryKind: a cache module's connection
+// registers, then carries its writes, its flush stream's frames and its
+// reads alike. A read after the Flush returns the flushed bytes, and the
+// directory records the module as a holder of both the flushed block
+// and the tracked read's.
+func TestOneConnectionCarriesEveryKind(t *testing.T) {
+	s, net, addr := testDaemon(t)
+	dropped := invalListener(t, net, "client3-inval")
+	conn := dial(t, net, addr)
+
+	if ra := call(t, conn, &wire.Register{Client: 3, Addr: "client3-inval"}).(*wire.RegisterAck); ra.Status != wire.StatusOK {
+		t.Fatalf("register status %d", ra.Status)
+	}
+	if wa := call(t, conn, &wire.Write{Client: 3, File: 5, Offset: 4096, Data: []byte("written")}).(*wire.WriteAck); wa.Status != wire.StatusOK {
+		t.Fatalf("write status %d", wa.Status)
+	}
+	flushed := bytes.Repeat([]byte{0xF1}, 4096)
+	fa := call(t, conn, &wire.Flush{Client: 3, File: 5, Blocks: []wire.FlushBlock{{Index: 0, Data: flushed}}}).(*wire.FlushAck)
+	if fa.Status != wire.StatusOK {
+		t.Fatalf("flush status %d", fa.Status)
+	}
+	rr := call(t, conn, &wire.ReadBlocks{Client: 3, File: 5, Track: true, Exts: ext(0, 4096+7)}).(*wire.ReadBlocksResp)
+	if want := append(append([]byte(nil), flushed...), "written"...); rr.Status != wire.StatusOK || !bytes.Equal(rr.Data, want) {
+		t.Fatalf("read after the flush: status=%d data %d bytes, want the flushed block and the write", rr.Status, len(rr.Data))
+	}
+	for _, idx := range []int64{0, 1} {
+		if h := s.Holders(blockio.BlockKey{File: 5, Index: idx}); len(h) != 1 || h[0] != 3 {
+			t.Fatalf("block %d holders = %v, want [3]", idx, h)
+		}
+	}
+	// The Register on this connection is what a sync-write by another
+	// client invalidates through.
+	if ack := call(t, conn, &wire.SyncWrite{Client: 4, File: 5, Offset: 0, Data: []byte("x")}).(*wire.SyncWriteAck); ack.Invalidated != 1 {
+		t.Fatalf("sync-write invalidated %d caches, want 1", ack.Invalidated)
+	}
+	if len(*dropped) != 1 || (*dropped)[0] != 0 {
+		t.Fatalf("client 3 asked to drop %v, want [0]", *dropped)
 	}
 }
 
 func TestTrackOnlyWhenRequested(t *testing.T) {
-	s, net, data, _ := testDaemon(t)
+	s, net, data := testDaemon(t)
 	conn := dial(t, net, data)
 	call(t, conn, &wire.Write{File: 4, Offset: 0, Data: make([]byte, 8192)})
 
@@ -256,7 +282,7 @@ func invalListener(t *testing.T, net transport.Network, addr string) *[]int64 {
 }
 
 func TestSyncWriteInvalidatesOtherHolders(t *testing.T) {
-	s, net, data, _ := testDaemon(t)
+	s, net, data := testDaemon(t)
 	dropped := invalListener(t, net, "client2-inval")
 	s.RegisterClient(2, "client2-inval")
 
@@ -342,7 +368,7 @@ func TestSyncWriteDuringTrackedReadInvalidatesReader(t *testing.T) {
 }
 
 func TestSyncWriteByHolderDoesNotSelfInvalidate(t *testing.T) {
-	s, net, data, _ := testDaemon(t)
+	s, net, data := testDaemon(t)
 	dropped := invalListener(t, net, "client7-inval")
 	s.RegisterClient(7, "client7-inval")
 
@@ -359,7 +385,7 @@ func TestSyncWriteByHolderDoesNotSelfInvalidate(t *testing.T) {
 }
 
 func TestSyncWriteUnreachableClientDegradesGracefully(t *testing.T) {
-	s, net, data, _ := testDaemon(t)
+	s, net, data := testDaemon(t)
 	s.RegisterClient(9, "nowhere") // never listening
 
 	conn := dial(t, net, data)
@@ -378,7 +404,7 @@ func TestSyncWriteUnreachableClientDegradesGracefully(t *testing.T) {
 }
 
 func TestRegisterClientReplacesAddress(t *testing.T) {
-	s, net, data, _ := testDaemon(t)
+	s, net, data := testDaemon(t)
 	// Register at a dead address first, then re-register at a live one.
 	s.RegisterClient(4, "dead")
 	dropped := invalListener(t, net, "live")
@@ -403,7 +429,7 @@ func TestDefaultBlockSizeApplied(t *testing.T) {
 }
 
 func TestRegisterOverWire(t *testing.T) {
-	s, net, data, _ := testDaemon(t)
+	s, net, data := testDaemon(t)
 	conn := dial(t, net, data)
 	ra := call(t, conn, &wire.Register{Client: 11, Addr: "somewhere"}).(*wire.RegisterAck)
 	if ra.Status != wire.StatusOK {

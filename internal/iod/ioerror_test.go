@@ -19,17 +19,12 @@ func faultyDaemon(t *testing.T) (*storage.Faulty, transport.Network) {
 	net := transport.NewMem()
 	fb := storage.NewFaulty(mem.New())
 	s := NewWithBackend(0, 4096, net, metrics.NewRegistry(), fb)
-	dl, err := net.Listen("iod-data")
+	l, err := net.Listen("iod")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := net.Listen("iod-flush")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go s.ServeData(dl)
-	go s.ServeFlush(fl)
-	t.Cleanup(func() { dl.Close(); fl.Close(); s.Close() })
+	go s.ServeData(l)
+	t.Cleanup(func() { l.Close(); s.Close() })
 	return fb, net
 }
 
@@ -40,30 +35,29 @@ func faultyDaemon(t *testing.T) (*storage.Faulty, transport.Network) {
 // OK service on the same connections.
 func TestBackendErrorsBecomeIOErrorAcks(t *testing.T) {
 	fb, net := faultyDaemon(t)
-	dc := dial(t, net, "iod-data")
-	fc := dial(t, net, "iod-flush")
+	c := dial(t, net, "iod")
 
 	payload := bytes.Repeat([]byte{7}, 512)
 	fb.SetErr(errors.New("disk on fire"))
 
-	wa := call(t, dc, &wire.Write{Client: 1, File: 3, Offset: 0, Data: payload}).(*wire.WriteAck)
+	wa := call(t, c, &wire.Write{Client: 1, File: 3, Offset: 0, Data: payload}).(*wire.WriteAck)
 	if wa.Status != wire.StatusIOError {
 		t.Fatalf("Write ack status = %v, want StatusIOError", wa.Status)
 	}
-	sa := call(t, dc, &wire.SyncWrite{Client: 1, File: 3, Offset: 0, Data: payload}).(*wire.SyncWriteAck)
+	sa := call(t, c, &wire.SyncWrite{Client: 1, File: 3, Offset: 0, Data: payload}).(*wire.SyncWriteAck)
 	if sa.Status != wire.StatusIOError {
 		t.Fatalf("SyncWrite ack status = %v, want StatusIOError", sa.Status)
 	}
 	if sa.Invalidated != 0 {
 		t.Fatalf("failed sync-write invalidated %d caches", sa.Invalidated)
 	}
-	fa := call(t, fc, &wire.Flush{Client: 1, File: 3, Blocks: []wire.FlushBlock{
+	fa := call(t, c, &wire.Flush{Client: 1, File: 3, Blocks: []wire.FlushBlock{
 		{Index: 0, Off: 0, Data: payload},
 	}}).(*wire.FlushAck)
 	if fa.Status != wire.StatusIOError {
 		t.Fatalf("Flush ack status = %v, want StatusIOError", fa.Status)
 	}
-	rr := call(t, dc, &wire.ReadBlocks{Client: 1, File: 3, Exts: ext(0, 512)}).(*wire.ReadBlocksResp)
+	rr := call(t, c, &wire.ReadBlocks{Client: 1, File: 3, Exts: ext(0, 512)}).(*wire.ReadBlocksResp)
 	if rr.Status != wire.StatusIOError || len(rr.Data) != 0 {
 		t.Fatalf("ReadBlocks resp = %v with %d bytes, want StatusIOError and none", rr.Status, len(rr.Data))
 	}
@@ -74,11 +68,11 @@ func TestBackendErrorsBecomeIOErrorAcks(t *testing.T) {
 	}
 
 	fb.SetErr(nil)
-	wa = call(t, dc, &wire.Write{Client: 1, File: 3, Offset: 0, Data: payload}).(*wire.WriteAck)
+	wa = call(t, c, &wire.Write{Client: 1, File: 3, Offset: 0, Data: payload}).(*wire.WriteAck)
 	if wa.Status != wire.StatusOK {
 		t.Fatalf("post-heal write status = %v", wa.Status)
 	}
-	rr = call(t, dc, &wire.ReadBlocks{Client: 1, File: 3, Exts: ext(0, 512)}).(*wire.ReadBlocksResp)
+	rr = call(t, c, &wire.ReadBlocks{Client: 1, File: 3, Exts: ext(0, 512)}).(*wire.ReadBlocksResp)
 	if rr.Status != wire.StatusOK || !bytes.Equal(rr.Data, payload) {
 		t.Fatalf("post-heal read: %v, %d bytes", rr.Status, len(rr.Data))
 	}
@@ -89,13 +83,13 @@ func TestBackendErrorsBecomeIOErrorAcks(t *testing.T) {
 // of it; re-applying the landed runs is idempotent).
 func TestFlushPartialFailureFailsWholeFrame(t *testing.T) {
 	fb, net := faultyDaemon(t)
-	fc := dial(t, net, "iod-flush")
+	c := dial(t, net, "iod")
 
 	// Healthy first, then broken: the frame below writes run 0 fine and
 	// trips on run 1 only if the error lands between — instead, break it
 	// up front so run 0 itself fails; either way the ack must be non-OK.
 	fb.SetErr(errors.New("enospc"))
-	fa := call(t, fc, &wire.Flush{Client: 1, File: 5, Blocks: []wire.FlushBlock{
+	fa := call(t, c, &wire.Flush{Client: 1, File: 5, Blocks: []wire.FlushBlock{
 		{Index: 0, Off: 0, Data: bytes.Repeat([]byte{1}, 4096)},
 		{Index: 1, Off: 0, Data: bytes.Repeat([]byte{2}, 4096)},
 	}}).(*wire.FlushAck)
@@ -105,7 +99,7 @@ func TestFlushPartialFailureFailsWholeFrame(t *testing.T) {
 
 	// Retry after heal: idempotent re-apply, everything lands.
 	fb.SetErr(nil)
-	fa = call(t, fc, &wire.Flush{Client: 1, File: 5, Blocks: []wire.FlushBlock{
+	fa = call(t, c, &wire.Flush{Client: 1, File: 5, Blocks: []wire.FlushBlock{
 		{Index: 0, Off: 0, Data: bytes.Repeat([]byte{1}, 4096)},
 		{Index: 1, Off: 0, Data: bytes.Repeat([]byte{2}, 4096)},
 	}}).(*wire.FlushAck)

@@ -265,7 +265,7 @@ func TestServeDropsConnOnGarbage(t *testing.T) {
 	// One pooled connection: the call after the drop redials.
 	c := rpc.NewClient(rpc.ClientConfig{Network: net, Addr: "mgr", Conns: 1})
 	defer c.Close()
-	// A data-port message is not served by mgr: connection closes.
+	// An iod message is not served by mgr: connection closes.
 	if res := c.Call(&wire.Read{File: 1, Length: 4}); res.Err == nil {
 		t.Fatal("expected connection drop on non-mgr message")
 	}

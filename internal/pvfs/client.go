@@ -40,7 +40,7 @@ type Config struct {
 	Network transport.Network
 	// MgrAddr is the metadata server's address.
 	MgrAddr string
-	// IODAddrs lists every iod data-port address, in cluster order.
+	// IODAddrs lists every iod address, in cluster order.
 	IODAddrs []string
 	// ClientID identifies this client's node cache to the iods (0 means
 	// anonymous: no coherence tracking).

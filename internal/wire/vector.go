@@ -2,7 +2,7 @@ package wire
 
 import "pvfscache/internal/blockio"
 
-// Vectored read message types (iod data-port group).
+// Vectored read message types (iod data group).
 const (
 	TReadBlocks     Type = 0x0207
 	TReadBlocksResp Type = 0x0208

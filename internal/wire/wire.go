@@ -11,9 +11,9 @@
 // the module stays stdlib-only.
 //
 // The protocol deliberately mirrors the structure described in the paper:
-// data reads/writes and sync-writes travel on an iod's data port, flushes
-// travel on a separate flush port served by the iod-side flusher peer, and
-// invalidations travel from iods to the per-node cache module.
+// data reads/writes, sync-writes and the flushes served by the iod-side
+// flusher peer all travel to an iod's one address, and invalidations
+// travel from iods to the per-node cache module.
 //
 // Every read is a ReadBlocks (see vector.go): several disjoint extents of a
 // file from one iod in a single round trip. Read and ReadResp remain only
@@ -273,7 +273,7 @@ type ListResp struct {
 // StatusMsg is a bare status reply used by Unlink and SetSize.
 type StatusMsg struct{ Status Status }
 
-// --- iod data-port messages ---
+// --- iod data messages ---
 
 // Read requests [Offset, Offset+Length) of a file's data held by this iod.
 // Offsets are in file coordinates; the iod maps them to its local strips.
@@ -322,7 +322,7 @@ type SyncWriteAck struct {
 	Invalidated uint32 // number of remote caches invalidated
 }
 
-// --- flush-port messages ---
+// --- flush messages ---
 
 // Flush carries a batch of dirty runs of ONE file from a node's flusher
 // to the iod-side flusher peer, which writes them with local file-system

@@ -55,8 +55,9 @@ const _ = uint(wire.MaxFlushPayload - flushChunkTarget)
 
 // flushStream is the write-behind pipeline of one iod: it sends on the
 // module's client for that daemon, beside the reads, and is the only
-// goroutine that takes that daemon's dirty blocks, so per-iod drains are single-writer and the
-// in-flight window never carries the same block twice.
+// goroutine that takes that daemon's dirty blocks, so per-iod drains are
+// single-writer and the in-flight window never carries the same block
+// twice.
 type flushStream struct {
 	m      *Module
 	iod    int

@@ -174,6 +174,7 @@ func newFlushRig(t *testing.T, cfgEdit func(*Config)) *flushRig {
 		}
 		t.Cleanup(func() { l.Close() })
 		go d.ServeData(l)
+		addr := l.Addr()
 		if i == 1 {
 			// iod 1's address: a gate in front of the real daemon.
 			// While down, every frame kills its connection — reads,
@@ -206,9 +207,9 @@ func newFlushRig(t *testing.T, cfgEdit func(*Config)) *flushRig {
 			}), rpc.ServerConfig{})
 			go srv.Serve(gl)
 			t.Cleanup(func() { gl.Close(); srv.Close(); fwd.Close() })
-			l = gl
+			addr = gl.Addr()
 		}
-		addrs = append(addrs, l.Addr())
+		addrs = append(addrs, addr)
 	}
 	cfg := Config{
 		Network:      r.net,

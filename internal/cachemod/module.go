@@ -304,10 +304,10 @@ func New(cfg Config) (*Module, error) {
 // registeringNetwork dials the module's iod connections: a fresh
 // connection carries one Register round trip before the rpc client may
 // send anything on it, whether it goes on to carry reads, sync-writes or
-// flush frames. An iod keeps client addresses
-// only in memory, so one that restarted or rejoined learns this cache's
-// invalidation address before the cache's first request on the new
-// connection can make it a holder of any block.
+// flush frames. An iod keeps client addresses only in memory, so one that
+// restarted or rejoined learns this cache's invalidation address before
+// the cache's first request on the new connection can make it a holder
+// of any block.
 type registeringNetwork struct {
 	transport.Network
 	reg wire.Register

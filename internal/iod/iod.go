@@ -110,8 +110,9 @@ func (s *Server) ServeData(l transport.Listener) error {
 	return srv.Serve(l)
 }
 
-// ServeFlush is ServeData. It remains for pvfsperf's iod probe, which
-// still serves a second listener with it (ROADMAP 3(m)).
+// ServeFlush is ServeData. It exists only for the iod probe in
+// pvfsperf/probes.go, which serves a second listener with it, until
+// ROADMAP item 3(m) moves the probe off it.
 func (s *Server) ServeFlush(l transport.Listener) error { return s.ServeData(l) }
 
 // recycleReadBuf returns a written read response's buffer to the pool: a

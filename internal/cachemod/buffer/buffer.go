@@ -219,7 +219,10 @@ type block struct {
 	dirtySeq   uint64 // manager-wide age stamp of the dirty enqueue
 	// inflight is the token of the flush snapshot in flight to the iod —
 	// the key's write stamp when it was cut (see snapshotForFlush) — or 0
-	// when none is. Only a dirty block is ever in flight.
+	// when none is. A block is taken only while dirty, and a frame holding
+	// a token is never recycled: a block dropped mid-flight keeps its frame,
+	// emptied and clean, until the flush's FlushDone or FlushFailed, so
+	// FlushPending still sees the older flush (see shard.drop).
 	inflight uint32
 
 	ref bool // clock referenced bit
@@ -282,6 +285,7 @@ type counters struct {
 	insertNoSpace *metrics.Counter
 	writeRMW      *metrics.Counter
 	staleInstalls *metrics.Counter
+	inflightDrops *metrics.Counter
 
 	ghostHits          *metrics.Counter
 	admissionRejects   *metrics.Counter
@@ -319,6 +323,7 @@ func New(cfg Config) *Manager {
 		insertNoSpace: cfg.Registry.Counter("cache.insert_nospace"),
 		writeRMW:      cfg.Registry.Counter("cache.write_rmw"),
 		staleInstalls: cfg.Registry.Counter("cache.stale_installs"),
+		inflightDrops: cfg.Registry.Counter("cache.invalidated_in_flight"),
 
 		ghostHits:          cfg.Registry.Counter("cache.ghost_hits"),
 		admissionRejects:   cfg.Registry.Counter("cache.admission_rejects"),
@@ -825,22 +830,6 @@ func (m *Manager) apportionByWeight(cands []dirtyCand, max int) []dirtyCand {
 		}
 	}
 	return out
-}
-
-// OldestDirtyOwner reports the iod storing the oldest eligible (not
-// in-flight) dirty block. Eviction pressure uses it to kick the one
-// flush stream whose drain frees the blocks the replacement policy wants
-// next, instead of waking every stream for a global batch. ok is false
-// when nothing is eligible (clean cache, or every dirty block already in
-// flight).
-func (m *Manager) OldestDirtyOwner() (owner int, ok bool) {
-	var best uint64
-	for _, s := range m.shards {
-		if o, seq, sok := s.oldestDirty(); sok && (!ok || seq < best) {
-			owner, best, ok = o, seq, true
-		}
-	}
-	return owner, ok
 }
 
 // FlushDone marks the snapshot's blocks clean: the iod has acknowledged

@@ -382,8 +382,8 @@ func TestFlushDoneAfterInvalidateIsNoop(t *testing.T) {
 
 // TestStaleFlushAckAfterInvalidateRewrite: a take's ack must only ever
 // settle the residency it snapshotted. A foreign sync-write's invalidation
-// drops the in-flight frame; the key is written again into a fresh frame;
-// then the old frame's ack (or failure) arrives. It must not mark the new
+// drops the in-flight block; the key is written again into its emptied
+// frame; then the old residency's ack (or failure) arrives. It must not mark the new
 // bytes clean — that loses an acknowledged write-behind write — nor clear
 // a newer take's in-flight mark.
 func TestStaleFlushAckAfterInvalidateRewrite(t *testing.T) {
@@ -420,6 +420,60 @@ func TestStaleFlushAckAfterInvalidateRewrite(t *testing.T) {
 	}
 	if err := m.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDroppedInFlightBlockKeepsItsFlush: invalidating a block whose flush
+// is in flight must not forget that flush. The frame stays, empty and
+// unevictable, until the flush settles; a rewrite of the key lands in it
+// and is neither taken again nor reported free of a pending flush until
+// the old flush's ack, so a newer flush or a sync-write cannot reach the
+// iod ahead of the older bytes.
+func TestDroppedInFlightBlockKeepsItsFlush(t *testing.T) {
+	k := key(1, 0)
+	drops := map[string]func(m *Manager){
+		"Invalidate":     func(m *Manager) { m.Invalidate(k) },
+		"InvalidateFile": func(m *Manager) { m.InvalidateFile(1) },
+	}
+	for _, policy := range []Policy{PolicyClock, PolicyLRU, PolicyGhost} {
+		for name, drop := range drops {
+			m := mgr(1, policy)
+			check := func(step string) {
+				t.Helper()
+				if err := m.CheckConsistency(); err != nil {
+					t.Fatalf("%v/%s, %s: %v", policy, name, step, err)
+				}
+			}
+			m.WriteSpan(k, 0, 0, fill(1, 64), true)
+			old := m.TakeDirty(0)
+			drop(m)
+			check("after the drop")
+			if m.Contains(k, 0, 1) || m.DirtyCount() != 0 {
+				t.Fatalf("%v/%s: the dropped block still shows bytes or dirt", policy, name)
+			}
+			if m.InsertClean(key(2, 0), 0, fill(9, 64)) != OutcomeNoSpace {
+				t.Fatalf("%v/%s: a frame with a flush in flight was recycled", policy, name)
+			}
+			m.WriteSpan(k, 0, 0, fill(2, 64), true)
+			check("after the rewrite")
+			if again := m.TakeDirty(0); len(again) != 0 {
+				t.Fatalf("%v/%s: the rewrite was taken while the older flush is in flight", policy, name)
+			}
+			if !m.FlushPending(k, m.WriteStamp(k)) {
+				t.Fatalf("%v/%s: FlushPending forgot the dropped block's flush", policy, name)
+			}
+			m.FlushDone(old)
+			check("after the old ack")
+			if m.FlushPending(k, m.WriteStamp(k)) {
+				t.Fatalf("%v/%s: a flush still pending after its ack", policy, name)
+			}
+			fresh := m.TakeDirty(0)
+			if len(fresh) != 1 || !bytes.Equal(fresh[0].Data, fill(2, 64)) {
+				t.Fatalf("%v/%s: take after the old ack = %+v, want the rewritten bytes", policy, name, fresh)
+			}
+			m.FlushDone(fresh)
+			check("after the new ack")
+		}
 	}
 }
 

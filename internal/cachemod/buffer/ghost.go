@@ -86,14 +86,14 @@ func (s *shard) demoteOverflow() {
 	}
 }
 
-// pickVictimSeg chooses a clean victim: probation back to front first, the
-// protected tail only when probation has nothing to give (s.mu held). The
-// caller's admission gate decides whether a protected victim may actually
-// be taken.
+// pickVictimSeg chooses a clean victim with no flush in flight: probation
+// back to front first, the protected tail only when probation has nothing
+// to give (s.mu held). The caller's admission gate decides whether a
+// protected victim may actually be taken.
 func (s *shard) pickVictimSeg() *block {
 	for _, q := range [...]*queue{&s.prob, &s.prot} {
 		for l := q.tail; l != nil; l = l.prev {
-			if !l.b.dirty() {
+			if !l.b.dirty() && l.b.inflight == 0 {
 				return l.b
 			}
 		}

@@ -72,37 +72,6 @@ func TestTakeDirtyOwnedMaxKeepsOldest(t *testing.T) {
 	m.FlushFailed(items)
 }
 
-// TestOldestDirtyOwner: pressure kicks must target the stream owning the
-// oldest dirty data, skipping blocks already in flight.
-func TestOldestDirtyOwner(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		m := New(Config{BlockSize: 64, Capacity: 32, Shards: shards})
-		if _, ok := m.OldestDirtyOwner(); ok {
-			t.Fatalf("shards=%d: clean cache reported a dirty owner", shards)
-		}
-		m.WriteSpan(key(1, 0), 2, 0, fill(1, 64), true) // oldest, owner 2
-		m.WriteSpan(key(1, 1), 0, 0, fill(2, 64), true)
-		owner, ok := m.OldestDirtyOwner()
-		if !ok || owner != 2 {
-			t.Fatalf("shards=%d: owner = %d ok=%v, want 2", shards, owner, ok)
-		}
-		// Take owner 2's block in flight: the probe falls through to the
-		// next-oldest eligible block.
-		items := m.TakeDirtyOwned(2, 0)
-		owner, ok = m.OldestDirtyOwner()
-		if !ok || owner != 0 {
-			t.Fatalf("shards=%d: owner after take = %d ok=%v, want 0", shards, owner, ok)
-		}
-		// A failed flush re-queues with the original age: owner 2 is the
-		// oldest again.
-		m.FlushFailed(items)
-		owner, ok = m.OldestDirtyOwner()
-		if !ok || owner != 2 {
-			t.Fatalf("shards=%d: owner after requeue = %d ok=%v, want 2", shards, owner, ok)
-		}
-	}
-}
-
 // TestFlushFailedKeepsAgePriority pins the re-queue contract the flush
 // streams rely on: a failed block is retried with its original priority —
 // a younger block dirtied during the failed flight must not overtake it.

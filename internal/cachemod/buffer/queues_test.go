@@ -269,18 +269,22 @@ func TestRequestPathAllocatesNothing(t *testing.T) {
 // TestCheckConsistencyCatchesQueueDamage corrupts one invariant at a time
 // and expects the checker to object: a resident frame on a queue its
 // policy does not read, a free frame still carrying a token, a link or a
-// prefetch bit, a clean frame marked in flight.
+// prefetch bit, a clean frame whose in-flight token is not behind its
+// write stamp.
 func TestCheckConsistencyCatchesQueueDamage(t *testing.T) {
 	damage := map[string]func(s *shard, resident, free *block){
 		"resident on the wrong queue": func(s *shard, resident, _ *block) {
 			resident.repl.unlink()
 			s.prob.pushFront(&resident.repl)
 		},
-		"resident on no queue":     func(_ *shard, resident, _ *block) { resident.repl.unlink() },
-		"free frame with a token":  func(_ *shard, _, free *block) { free.inflight = 7 },
-		"free frame still linked":  func(s *shard, _, free *block) { s.dirtyQ.pushBack(&free.dirt) },
-		"free frame prefetched":    func(_ *shard, _, free *block) { free.prefetched = true },
-		"clean frame in flight":    func(_ *shard, resident, _ *block) { resident.inflight = 7 },
+		"resident on no queue":    func(_ *shard, resident, _ *block) { resident.repl.unlink() },
+		"free frame with a token": func(_ *shard, _, free *block) { free.inflight = 7 },
+		"free frame still linked": func(s *shard, _, free *block) { s.dirtyQ.pushBack(&free.dirt) },
+		"free frame prefetched":   func(_ *shard, _, free *block) { free.prefetched = true },
+		"clean frame in flight at its stamp": func(s *shard, resident, _ *block) {
+			s.advanceStamp(resident.key)
+			resident.inflight = s.stamps[resident.key]
+		},
 		"queue length out of step": func(s *shard, _, _ *block) { s.ring.n++ },
 	}
 	for name, corrupt := range damage {

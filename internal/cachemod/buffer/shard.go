@@ -287,19 +287,6 @@ func (s *shard) collectDirtyCandidates(max, shardIdx, owner int, out []dirtyCand
 	return out
 }
 
-// oldestDirty returns the owner and age stamp of this shard's oldest
-// eligible (not in flight) dirty block.
-func (s *shard) oldestDirty() (owner int, seq uint64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for l := s.dirtyQ.head; l != nil; l = l.next {
-		if b := l.b; b.inflight == 0 {
-			return b.owner, b.dirtySeq, true
-		}
-	}
-	return 0, 0, false
-}
-
 // takeKeys snapshots the requested blocks for flushing, skipping any that
 // were cleaned, invalidated, re-owned (invalidated and re-written from a
 // different iod — an owner-filtered take must not route a block to the
@@ -399,7 +386,7 @@ func (s *shard) invalidateLocked(key blockio.BlockKey) bool {
 	if !ok {
 		return false
 	}
-	s.removeBlock(b)
+	s.drop(b)
 	s.ctrs.invalidations.Inc()
 	return true
 }
@@ -417,9 +404,32 @@ func (s *shard) invalidateFile(file blockio.FileID) int {
 		}
 	}
 	for _, b := range victims {
-		s.removeBlock(b)
+		s.drop(b)
 	}
 	return len(victims)
+}
+
+// drop discards an invalidated block (s.mu held). A block whose flush is
+// in flight keeps its frame until the flush's FlushDone or FlushFailed:
+// the token on the frame is the only record of that flush, and a
+// sync-write of the key must still wait for it (FlushPending). The frame
+// is emptied instead — no valid bytes, no prefetch bit, its dirty bytes
+// discarded (last writer wins) — and its stamp advances past the token,
+// so the ack marks nothing clean and a rewrite of the key waits in its
+// frame for a later take. Both victim pickers skip it meanwhile. Each
+// such drop counts as cache.invalidated_in_flight.
+func (s *shard) drop(b *block) {
+	if b.inflight == 0 {
+		s.removeBlock(b)
+		return
+	}
+	s.ctrs.inflightDrops.Inc()
+	if b.dirty() {
+		s.markClean(b)
+	}
+	b.prefetched = false
+	b.validOff, b.validLen = 0, 0
+	s.advanceStamp(b.key)
 }
 
 // needsHarvest reports whether this shard's free list fell below its low
@@ -511,10 +521,11 @@ func (s *shard) evictBlock(v *block) {
 	s.ctrs.evictions.Inc()
 }
 
-// removeBlock detaches a block from its queues and returns its frame, with
-// no residency state left on it, to the free list. It is the one
-// frame-recycle point (eviction and every invalidation), so clearing the
-// prefetch bit here is what keeps a mark from outliving its bytes.
+// removeBlock detaches a block with no flush in flight from its queues and
+// returns its frame, with no residency state left on it, to the free list.
+// It is the one frame-recycle point (eviction, and the invalidation of a
+// block not in flight), so clearing the prefetch bit here, and in drop's
+// emptying, is what keeps a mark from outliving its bytes.
 func (s *shard) removeBlock(b *block) {
 	if b.written {
 		// A written block leaving the table advances its write stamp: an
@@ -532,7 +543,6 @@ func (s *shard) removeBlock(b *block) {
 	if b.dirty() {
 		s.markClean(b)
 	}
-	b.inflight = 0
 	b.prefetched = false
 	b.validOff, b.validLen = 0, 0
 	s.free = append(s.free, b)
@@ -587,9 +597,8 @@ func (s *shard) tenantRelease(tenant uint32) {
 	}
 }
 
-// pickVictim chooses a clean resident block according to the policy, or
-// nil if none exists. (A block with a flush in flight is still dirty, so
-// skipping dirty blocks skips those too.)
+// pickVictim chooses a clean resident block with no flush in flight
+// according to the policy, or nil if none exists.
 func (s *shard) pickVictim() *block {
 	if s.cfg.Policy != PolicyClock {
 		return s.pickVictimSeg()
@@ -605,7 +614,7 @@ func (s *shard) pickVictim() *block {
 		}
 		s.hand = l.next
 		b := l.b
-		if b.dirty() {
+		if b.dirty() || b.inflight != 0 {
 			continue
 		}
 		if i < n && b.ref {
@@ -667,8 +676,9 @@ func (s *shard) checkConsistency(shardIdx int, mask uint64) error {
 			return fmt.Errorf("shard %d: block %v dirtyLen=%d but on dirty queue: %v",
 				shardIdx, key, b.dirtyLen, b.dirt.q != nil)
 		}
-		if b.inflight != 0 && !b.dirty() {
-			return fmt.Errorf("shard %d: clean block %v carries in-flight token %d", shardIdx, key, b.inflight)
+		if b.inflight != 0 && !b.dirty() && int32(s.stamps[key]-b.inflight) <= 0 {
+			return fmt.Errorf("shard %d: clean block %v carries in-flight token %d, not behind its stamp %d",
+				shardIdx, key, b.inflight, s.stamps[key])
 		}
 		if b.dirty() {
 			dirty++

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"pvfscache/internal/blockio"
+	"pvfscache/internal/metrics"
 	"pvfscache/internal/testseed"
 )
 
@@ -341,15 +342,28 @@ func TestShardedEquivalence(t *testing.T) {
 func TestShardedStorm(t *testing.T) {
 	seed := testseed.Base(t)
 	const capacity = 64
-	m := New(Config{BlockSize: 64, Capacity: capacity, Shards: 8})
+	reg := metrics.NewRegistry()
+	m := New(Config{BlockSize: 64, Capacity: capacity, Shards: 8, Registry: reg})
 	var stop sync.WaitGroup
 	done := make(chan struct{})
 
-	// Flusher: drain dirty blocks in batches, randomly failing some.
+	// Flusher: drain dirty blocks in batches, randomly failing some. Each
+	// batch stays in flight while the next is taken, so the invalidator
+	// can find blocks mid-flush; and now and then a foreign invalidation
+	// lands on one of them for certain.
 	stop.Add(1)
 	go func() {
 		defer stop.Done()
 		rng := rand.New(rand.NewSource(seed + 1))
+		var flying []FlushItem
+		settle := func() {
+			if rng.Intn(4) == 0 {
+				m.FlushFailed(flying)
+			} else {
+				m.FlushDone(flying)
+			}
+		}
+		defer settle()
 		for {
 			select {
 			case <-done:
@@ -357,11 +371,11 @@ func TestShardedStorm(t *testing.T) {
 			default:
 			}
 			items := m.TakeDirty(8)
-			if rng.Intn(4) == 0 {
-				m.FlushFailed(items)
-			} else {
-				m.FlushDone(items)
+			if len(flying) > 0 && rng.Intn(4) == 0 {
+				m.Invalidate(flying[rng.Intn(len(flying))].Key)
 			}
+			settle()
+			flying = items
 		}
 	}()
 	// Harvester.
@@ -451,5 +465,17 @@ func TestShardedStorm(t *testing.T) {
 	}
 	if err := m.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+	// Every flush settled, so no frame may still carry a token: a leaked
+	// one keeps its frame unevictable for good.
+	for i, s := range m.shards {
+		for k, b := range s.table {
+			if b.inflight != 0 {
+				t.Fatalf("shard %d: block %v still carries in-flight token %d after the drain", i, k, b.inflight)
+			}
+		}
+	}
+	if reg.Snapshot().Counters["cache.invalidated_in_flight"] == 0 {
+		t.Fatal("no invalidation hit a block in flight: the storm never dropped one mid-flush")
 	}
 }

@@ -30,10 +30,16 @@ type rig struct {
 
 func newRig(t *testing.T, cfgEdit func(*Config)) *rig {
 	t.Helper()
+	return newRigN(t, 2, cfgEdit)
+}
+
+// newRigN is newRig with n iods.
+func newRigN(t *testing.T, n int, cfgEdit func(*Config)) *rig {
+	t.Helper()
 	net := transport.NewMem()
 	reg := metrics.NewRegistry()
 	r := &rig{net: net, reg: reg}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < n; i++ {
 		d := iod.New(i, 4096, net, reg)
 		r.iods = append(r.iods, d)
 		l, err := net.Listen("")

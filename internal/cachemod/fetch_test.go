@@ -828,7 +828,17 @@ func TestRefusedSyncWriteLeavesNoCopy(t *testing.T) {
 // waiting for it) and only then applies the Flush's bytes. After both
 // acknowledgments the iod must hold the sync-write's bytes, not the
 // flush's older ones.
-func TestSyncWriteWaitsForInFlightFlush(t *testing.T) {
+func TestSyncWriteWaitsForInFlightFlush(t *testing.T) { syncWriteBehindHeldFlush(t, false) }
+
+// TestSyncWriteWaitsForFlushOfInvalidatedBlock is the same race with a
+// foreign invalidation of the block while its flush is held: dropping the
+// block must not drop the record of its flush, or the sync-write finds no
+// frame, skips its wait and lands ahead of the older bytes.
+func TestSyncWriteWaitsForFlushOfInvalidatedBlock(t *testing.T) { syncWriteBehindHeldFlush(t, true) }
+
+// syncWriteBehindHeldFlush runs a sync-write while the block's flush is
+// held at the iod, first invalidating the block when invalidate is set.
+func syncWriteBehindHeldFlush(t *testing.T, invalidate bool) {
 	const file = 87
 	r := newFetchRig(t, false, nil)
 	flushHeld, releaseFlush, flushDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
@@ -853,6 +863,9 @@ func TestSyncWriteWaitsForInFlightFlush(t *testing.T) {
 	sendRecv(t, tr, 0, &wire.Write{File: file, Offset: 0, Data: bytes.Repeat([]byte{0x0D}, fakeBS)})
 	r.mod.kickAllStreams()
 	<-flushHeld
+	if invalidate {
+		r.mod.handleInvalidate(&wire.Invalidate{File: file, Indices: []int64{0}})
+	}
 	newB := bytes.Repeat([]byte{0xE7}, fakeBS)
 	acked := make(chan wire.Message, 1)
 	go func() {

@@ -158,7 +158,7 @@ func TestFlushAllWaitsForInFlightBlocks(t *testing.T) {
 
 	// Put the block in flight on a background flusher round, then make
 	// sure the round has really taken it before FlushAll starts.
-	mod.kickFlusher()
+	mod.kickAllStreams()
 	select {
 	case <-started:
 	case <-time.After(5 * time.Second):

@@ -10,10 +10,10 @@ package cachemod
 //
 // Lifecycle of a dirty block (see DESIGN.md "The write path"):
 //
-//	dirty ──TakeDirtyOwned──► taken ──frame──► in flight ──ack──► clean
-//	  ▲                                            │
-//	  └───────────── FlushFailed (re-queue, ───────┘ error / bad ack
-//	                 original age priority)
+//	dirty ──TakeDirtyOwnedInto──► taken ──frame──► in flight ──ack──► clean
+//	  ▲                                                │
+//	  └─────────────── FlushFailed (re-queue, ─────────┘ error / bad ack
+//	                   original age priority)
 //
 // Failure isolation: a failed chunk re-queues only its own blocks
 // (FlushFailed keeps their oldest-first priority), the stream stops
@@ -65,10 +65,7 @@ type flushStream struct {
 	kick   chan struct{} // capacity 1: coalesced wake-ups
 
 	// failing is set while the stream's drains are erroring (cleared by
-	// the first clean drain). Pressure kicks consult it: a directed kick
-	// at a failing stream cannot free space, so the kicker falls back to
-	// waking every stream rather than letting healthy backlogs idle
-	// behind a down iod's old dirty data.
+	// the first clean drain); StreamHealth reports it.
 	failing atomic.Bool
 
 	// errors counts failed drains and backoff holds the current retry
@@ -110,9 +107,11 @@ func kick(ch chan struct{}) {
 	}
 }
 
-// loop is the stream's goroutine: wake on the flush period, on a
-// directed pressure kick, or on a FlushAll sweep; drain; on failure back
-// off exponentially (isolated to this stream) and retry.
+// loop is the stream's goroutine: wake on the flush period or on a kick
+// (space pressure, FlushAll, DrainIOD); drain; on failure back off
+// exponentially (isolated to this stream) and retry. A backing-off stream
+// does not read its kick channel, so pressure kicks aimed at every stream
+// reach a down iod's stream only once its backoff has passed.
 func (s *flushStream) loop() {
 	m := s.m
 	defer m.wg.Done()

@@ -353,21 +353,17 @@ func TestStaleFlushAckAfterInvalidateRewrite(t *testing.T) {
 	}
 }
 
-// TestPressureKickNotStarvedByFailingStream: the directed pressure kick
-// targets the stream owning the oldest dirty data — but when that
-// stream's iod is down, pinning every kick on it would let healthy
-// backlogs idle behind it (writers would stall the full WriteStall and
-// be shed even though draining the other iods frees space immediately).
-// Once the target stream is failing, kickFlusher must fall back to
-// waking every stream.
+// TestPressureKickNotStarvedByFailingStream: a pressure kick wakes every
+// stream, so when the iod owning the oldest dirty data is down the healthy
+// backlogs still drain (writers would otherwise stall the full WriteStall
+// and be shed even though draining the other iods frees space at once).
 func TestPressureKickNotStarvedByFailingStream(t *testing.T) {
 	r := newFlushRig(t, nil)
 	r.down.Store(true)
 	tr := r.mod.NewTransport()
 	block := bytes.Repeat([]byte{0x77}, 4096)
 
-	// iod 1's block is dirtied first: the oldest, so every directed kick
-	// resolves to stream 1.
+	// iod 1's block is dirtied first: the oldest.
 	sendRecv(t, tr, 1, &wire.Write{File: 11, Offset: 0, Data: block})
 	// Let stream 1 fail once so it is marked failing.
 	kick(r.mod.streams[1].kick)
@@ -379,10 +375,10 @@ func TestPressureKickNotStarvedByFailingStream(t *testing.T) {
 	sendRecv(t, tr, 0, &wire.Write{File: 10, Offset: 0, Data: block})
 	sendRecv(t, tr, 2, &wire.Write{File: 12, Offset: 0, Data: block})
 
-	// Only directed pressure kicks — the fallback must reach the healthy
-	// streams even though the oldest dirty block belongs to iod 1.
+	// Only pressure kicks: they must reach the healthy streams even though
+	// the oldest dirty block belongs to iod 1.
 	waitfor.Until(t, 10*time.Second, func() bool {
-		r.mod.kickFlusher()
+		r.mod.kickAllStreams()
 		return r.mod.Buffer().DirtyCount() <= 1
 	}, "healthy streams draining past the failing one")
 	got := make([]byte, 4096)
@@ -395,6 +391,43 @@ func TestPressureKickNotStarvedByFailingStream(t *testing.T) {
 	// Bring iod 1 back so the Close-time FlushAll drains its block
 	// instead of riding the stall timeout.
 	r.down.Store(false)
+}
+
+// TestPressureKickWakesEveryStream: a buffered write that finds more than
+// half the cache dirty kicks every flush stream, not only the one owning
+// the oldest dirty block. Four iods hold dirty blocks and the flush period
+// never fires, so one such write must drain all four.
+func TestPressureKickWakesEveryStream(t *testing.T) {
+	const iods, perIOD = 4, 3
+	r := newRigN(t, iods, func(c *Config) {
+		c.Buffer = buffer.Config{BlockSize: 4096, Capacity: 16, Shards: 1}
+		c.FlushPeriod = time.Hour // only the pressure kick drives the streams
+	})
+	block := func(i int) []byte { return bytes.Repeat([]byte{byte(0x40 + i)}, 4096) }
+	// Dirty the blocks in the buffer itself: a buffered write past half
+	// the cache would already kick.
+	for i := 0; i < iods; i++ {
+		for b := 0; b < perIOD; b++ {
+			key := blockio.BlockKey{File: blockio.FileID(20 + i), Index: int64(b)}
+			if out := r.mod.buf.WriteSpan(key, i, 0, block(i), true); out != buffer.OutcomeOK {
+				t.Fatalf("write of %v: %v", key, out)
+			}
+		}
+	}
+	if n := r.mod.buf.DirtyCount(); n <= r.mod.buf.Capacity()/2 {
+		t.Fatalf("dirty = %d, want past half of %d", n, r.mod.buf.Capacity())
+	}
+	sendRecv(t, r.mod.NewTransport(), 0, &wire.Write{File: 20, Offset: perIOD * 4096, Data: block(0)})
+	waitfor.Until(t, 5*time.Second, func() bool { return r.mod.buf.DirtyCount() == 0 },
+		"every stream draining after one pressure kick")
+	got := make([]byte, 4096)
+	for i := 0; i < iods; i++ {
+		for b := 0; b < perIOD; b++ {
+			if n, _ := r.iods[i].Store().ReadAt(blockio.FileID(20+i), int64(b)*4096, got); n != 4096 || !bytes.Equal(got, block(i)) {
+				t.Fatalf("iod %d block %d not durable (n=%d)", i, b, n)
+			}
+		}
+	}
 }
 
 // TestPipelinedFlushStorm races concurrent writers (re-dirtying blocks

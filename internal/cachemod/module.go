@@ -396,8 +396,9 @@ const flushAllTimeout = 30 * time.Second
 
 // awaitPoll is how often a wait re-checks its condition with no progress
 // signal in between: a failed flush chunk clears its blocks' in-flight
-// marks, and an invalidation drops blocks, without one; and FlushAll and
-// DrainIOD re-kick their streams this often.
+// tokens (making evictable any frame an invalidation emptied mid-flush),
+// and an invalidation drops blocks, without one; and FlushAll and DrainIOD
+// re-kick their streams this often.
 const awaitPoll = 50 * time.Millisecond
 
 // FlushAll synchronously drains the entire dirty list (used on Close and
@@ -441,7 +442,7 @@ func (m *Module) FlushAll() error {
 // harvesterLoop is the paper's harvester kernel thread: whenever the free
 // list falls below the low watermark it frees blocks up to the high
 // watermark, preferring clean victims; if everything evictable is dirty it
-// kicks the flusher.
+// kicks every flush stream.
 func (m *Module) harvesterLoop() {
 	defer m.wg.Done()
 	ticker := time.NewTicker(m.cfg.FlushPeriod / 4)
@@ -457,7 +458,7 @@ func (m *Module) harvesterLoop() {
 			freed := m.buf.Harvest()
 			m.ctr.harvested.Add(int64(freed))
 			if m.buf.NeedsHarvest() {
-				m.kickFlusher()
+				m.kickAllStreams()
 			}
 			if freed > 0 {
 				m.progress.signal()
@@ -486,31 +487,6 @@ func (m *Module) handleInvalidate(msg wire.Message) wire.Message {
 }
 
 // --- helpers shared with the transport FSM ---
-
-// kickFlusher wakes the write-behind engine under space pressure. The
-// kick is directed: eviction pressure wants the blocks the replacement
-// policy will free next, so the stream owning the oldest dirty data is
-// kicked rather than every stream with a global batch — the other iods'
-// streams keep their period (or their own kicks) and the node does not
-// burst-flush young data that eviction does not need gone. Two escape
-// hatches keep the directed kick from starving writers: when the target
-// stream is failing (its iod is down, so waking it frees nothing —
-// FlushFailed keeps its old blocks eligible, which would pin the probe
-// on it forever), every stream is kicked instead; and when nothing is
-// eligible (clean cache, or every dirty block already in flight) no
-// kick is sent at all.
-func (m *Module) kickFlusher() {
-	owner, ok := m.buf.OldestDirtyOwner()
-	if !ok {
-		return
-	}
-	target := m.streams[owner]
-	if target.failing.Load() {
-		m.kickAllStreams()
-		return
-	}
-	kick(target.kick)
-}
 
 // GlobalCacheNode exposes the module's global-cache node, or nil when the
 // global cache is disabled. Chaos harnesses and tests use it to inspect
@@ -546,7 +522,12 @@ func (m *Module) DrainIOD(iod int, deadline time.Time) error {
 	return fmt.Errorf("cachemod: drain iod %d: %d dirty blocks remain at deadline", iod, n)
 }
 
-// kickAllStreams wakes every flush stream (FlushAll's full-width drain).
+// kickAllStreams wakes every flush stream: FlushAll's full-width drain,
+// and every space-pressure kick (the harvester, a stalled or over-quota
+// write, a dirty list past half the cache). A stream with nothing to take
+// goes back to sleep after one scan, and a failing stream ignores kicks
+// while it backs off, so waking them all never starves a healthy backlog
+// behind a down iod.
 func (m *Module) kickAllStreams() {
 	for _, s := range m.streams {
 		kick(s.kick)

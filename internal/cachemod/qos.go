@@ -87,7 +87,7 @@ func (m *Module) shedWrite(st *tenantState) bool {
 	if !m.overDirtyQuota(st) {
 		return false
 	}
-	m.kickFlusher()
+	m.kickAllStreams()
 	if m.await(m.cfg.OverloadStall, func(bool) (done, _ bool) { return !m.overDirtyQuota(st), false }) {
 		return false
 	}

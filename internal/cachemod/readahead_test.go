@@ -571,10 +571,10 @@ func eofRig(t *testing.T, file blockio.FileID, size int64) (r *fetchRig, tr *Cac
 	return r, tr, farthest, reads
 }
 
-// TestReadaheadStridePastEOFFetchesNothing is ROADMAP item 2(e): two random
-// readers of one warm file hand the shared detector a repeated delta now and
-// then, the replayed stride runs off the file, and the prefetcher used to
-// claim and fetch blocks that do not exist. Predictions at or past the
+// TestReadaheadStridePastEOFFetchesNothing: two random readers of one warm
+// file hand the shared detector a repeated delta now and then, the replayed
+// stride runs off the file, and the prefetcher used to claim and fetch
+// blocks that do not exist. Predictions at or past the
 // hinted size are dropped, so a warm file sees no iod read at all.
 func TestReadaheadStridePastEOFFetchesNothing(t *testing.T) {
 	const file, nblocks = 40, 16

@@ -5,7 +5,8 @@ package cachemod
 // harvester threads, readahead claims and coherence invalidations all
 // storm one sharded cache module. Afterwards the frame-accounting
 // invariants must hold — free + resident == capacity, the buffer
-// manager's structural consistency check passes — and, because dirty
+// manager's structural consistency check passes, no frame keeps a flush
+// token once the last ack lands — and, because dirty
 // blocks are never evictable, every writer's last generation must be
 // durable at the iod once FlushAll returns.
 
@@ -19,6 +20,7 @@ import (
 
 	"pvfscache/internal/blockio"
 	"pvfscache/internal/cachemod/buffer"
+	"pvfscache/internal/chaos/waitfor"
 	"pvfscache/internal/testseed"
 	"pvfscache/internal/wire"
 )
@@ -173,13 +175,70 @@ func TestModuleConcurrencyStorm(t *testing.T) {
 		}
 	}()
 
+	// A third file takes coherence invalidations while its blocks flush:
+	// the path a foreign sync-write takes, which drops a block whose flush
+	// is in flight (last writer wins, so the oracle skips this file). Its
+	// writer and invalidator run until one such drop has happened.
+	contended := blockio.FileID(4)
+	inflightDrops := r.reg.Counter("cache.invalidated_in_flight")
+	stopContended := make(chan struct{})
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		tr := mod.NewTransport()
+		data := bytes.Repeat([]byte{0xC4}, stormBS)
+		for blk := 0; ; blk = (blk + 1) % stormWriterBlks {
+			select {
+			case <-stopContended:
+				return
+			default:
+			}
+			id, err := tr.Send(0, &wire.Write{File: contended, Offset: int64(blk) * stormBS, Data: data})
+			if err == nil {
+				_, err = tr.Recv(id)
+			}
+			if err != nil {
+				fail("contended writer: %v", err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		defer close(stopContended)
+		rng := rand.New(rand.NewSource(seed + 10))
+		for deadline := time.Now().Add(10 * time.Second); inflightDrops.Value() == 0 && time.Now().Before(deadline); {
+			mod.handleInvalidate(&wire.Invalidate{File: contended, Indices: []int64{int64(rng.Intn(stormWriterBlks))}})
+		}
+	}()
+
 	wg.Wait()
 	if t.Failed() {
 		return
 	}
+	if inflightDrops.Value() == 0 {
+		t.Fatal("no invalidation hit a block in flight: the storm never dropped one mid-flush")
+	}
 	if err := mod.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
+	// Once the last acks land no frame may carry a token: a leaked one
+	// keeps its frame unevictable for good. A token at or behind the
+	// key's stamp makes FlushPending true for the stamp after it.
+	waitfor.Until(t, 10*time.Second, func() bool {
+		for _, f := range []struct {
+			file   blockio.FileID
+			blocks int
+		}{{1, stormWriterBlks}, {2, stormWriterBlks}, {scanFile, stormScanBlocks}, {contended, stormWriterBlks}} {
+			for blk := 0; blk < f.blocks; blk++ {
+				k := blockio.BlockKey{File: f.file, Index: int64(blk)}
+				if mod.buf.FlushPending(k, mod.buf.WriteStamp(k)+1) {
+					return false
+				}
+			}
+		}
+		return true
+	}, "every in-flight token released after the drain")
 
 	// Frame accounting after the storm.
 	st := mod.Buffer().Stats()

@@ -492,7 +492,7 @@ func (t *CachedTransport) sendWrite(iod int, req *wire.Write) (pendingOp, error)
 	}
 	// Keep the flusher ahead of demand when the dirty list grows large.
 	if t.m.buf.DirtyCount() > t.m.buf.Capacity()/2 {
-		t.m.kickFlusher()
+		t.m.kickAllStreams()
 	}
 	t.m.ctr.writesBuffered.Inc()
 	rt.finishf("buffered %d spans", spans)
@@ -526,7 +526,7 @@ func (t *CachedTransport) writeSpan(iod int, sp blockio.Span, src []byte, tenant
 			out = write()
 		case buffer.OutcomeNoSpace:
 			kick(t.m.harvestKick)
-			t.m.kickFlusher()
+			t.m.kickAllStreams()
 			t.m.ctr.writeStalls.Inc()
 			if !t.m.await(t.m.cfg.WriteStall, func(signalled bool) (done, progressed bool) {
 				out = write()

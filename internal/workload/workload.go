@@ -1,6 +1,6 @@
 // Package workload generates mixed application workloads from a single
-// seed and records them as compact, replayable traces — the scale half of
-// ROADMAP item 5 ("thousands of clients, seeded faults, one oracle").
+// seed and records them as compact, replayable traces: thousands of
+// clients, seeded faults, one oracle.
 //
 // A Scenario turns Params into a Spec: the files to create, the node each
 // client runs on, and one deterministic op stream per client. The live

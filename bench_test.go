@@ -2,16 +2,18 @@ package pvfscache_test
 
 // The repository's benchmark is pvfsperf/ (BENCHMARK.json), and the paper's
 // figures are cmd/experiments diffed against bench/figures.txt. What lives
-// here is only the two knob-ablation pairs neither of those reaches: each
-// pair runs one live workload with a cachemod.Config knob on its default
-// side and on its ablated side, and is the evidence docs/TUNING.md cites
-// for that knob. A pair reports a ratio inside one process on one machine;
-// no absolute number it prints is a performance record.
+// here is only the knob-ablation pairs neither of those reaches: each
+// pair runs one live workload with a knob on its default side and on its
+// ablated side, and is the evidence docs/TUNING.md cites for that knob. A
+// pair reports a ratio inside one process on one machine; no absolute
+// number it prints is a performance record.
 //
 //	ReadaheadWindow: BenchmarkLiveReadSequentialReadahead vs ...NoReadahead
 //	Policy:          BenchmarkLiveScanVsWorkingSet vs ...LRU
+//	GlobalCache:     BenchmarkGlobalCacheCrossRead vs ...Off
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -171,3 +173,141 @@ func BenchmarkLiveScanVsWorkingSet(b *testing.B) { benchScanVsWorkingSet(b, buff
 // BenchmarkLiveScanVsWorkingSetLRU is the single-list ablation: the same
 // storm under exact LRU, where the scan displaces the working set.
 func BenchmarkLiveScanVsWorkingSetLRU(b *testing.B) { benchScanVsWorkingSet(b, buffer.PolicyLRU) }
+
+// benchCrossRead measures cluster.Config.GlobalCache on the mem backend:
+// two caching nodes each read their own half of a 128-block working set
+// (which fits one node's 256-block cache), then each re-reads the other
+// node's half. One op is one round of those re-reads, 128 blocks, timed
+// alone. With the global cache on, every re-read can be served from
+// cluster memory: a block homed at the reader was pushed to it, and one
+// homed at the other node is in that node's cache. Off, every re-read is
+// an iod fetch. iodblocks/op counts the blocks the iods read in the timed
+// re-reads, gchits/op the re-reads a peer served. Each round writes a
+// fresh file around both caches first and drops it from both after, so
+// rounds are independent. Readahead is off on both sides, so every block
+// is fetched on its own demand.
+func benchCrossRead(b *testing.B, global bool) {
+	const blockSize = 4096
+	const half = 64
+	c, err := cluster.Start(cluster.Config{
+		IODs: 4, ClientNodes: 2, Caching: true, CacheBlocks: 256, GlobalCache: global,
+		FlushPeriod: time.Hour,
+		Module:      cachemod.Config{ReadaheadWindow: -1},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	var procs [2]*pvfs.Client
+	for node := range procs {
+		if procs[node], err = c.NewProcess(node); err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { procs[node].Close() })
+	}
+	writer, err := pvfs.NewClient(pvfs.Config{Network: c.Network, MgrAddr: c.MgrAddr, IODAddrs: c.IODDataAddrs, ClientID: 99})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { writer.Close() })
+	if global {
+		// The first joiner learns of the second from its view refresh.
+		deadline := time.Now().Add(5 * time.Second)
+		for c.Module(0).GlobalCacheNode().Ring().Epoch() != c.Module(1).GlobalCacheNode().Ring().Epoch() {
+			if time.Now().After(deadline) {
+				b.Fatal("the two nodes never agreed on the membership view")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	data := make([]byte, 2*half*blockSize)
+	buf := make([]byte, blockSize)
+	read := func(node int, name string, from int) {
+		f, err := procs[node].Open(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := from; i < from+half; i++ {
+			if _, err := f.ReadAt(buf, int64(i)*blockSize); err != nil {
+				b.Fatal(err)
+			}
+		}
+		f.Close()
+	}
+	var iodBytes, gcHits int64
+	b.ResetTimer()
+	for round := 0; round < b.N; round++ {
+		b.StopTimer()
+		name := fmt.Sprintf("cross-%d.dat", round)
+		f, err := writer.Create(name, pvfs.StripeSpec{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f.WriteAt(data, 0); err != nil {
+			b.Fatal(err)
+		}
+		pushed := pushesSent(c)
+		read(0, name, 0)
+		read(1, name, half)
+		if global {
+			waitPushes(b, c, pushed+homedAway(c, f.ID(), 0, half)+homedAway(c, f.ID(), 1, half))
+		}
+		before := c.Reg.Snapshot()
+		b.StartTimer()
+		read(0, name, half)
+		read(1, name, 0)
+		b.StopTimer()
+		d := c.Reg.Snapshot().Diff(before)
+		iodBytes += d["iod.read_bytes"]
+		gcHits += d["module.gcache_hits"]
+		for node := range procs {
+			c.Module(node).Buffer().InvalidateFile(f.ID())
+		}
+		f.Close()
+	}
+	b.ReportMetric(float64(iodBytes)/blockSize/float64(b.N), "iodblocks/op")
+	b.ReportMetric(float64(gcHits)/float64(b.N), "gchits/op")
+}
+
+// pushesSent counts the global-cache pushes the cluster has delivered or
+// dropped.
+func pushesSent(c *cluster.Cluster) int64 {
+	s := c.Reg.Snapshot()
+	return s.Counters["gcache.push_tx"] + s.Counters["gcache.push_dropped"]
+}
+
+// homedAway counts the blocks of node's half of file that another node
+// is home to: node pushes each of them there when it fetches it.
+func homedAway(c *cluster.Cluster, file blockio.FileID, node, half int) int64 {
+	ring := c.Module(node).GlobalCacheNode().Ring()
+	var n int64
+	for i := node * half; i < (node+1)*half; i++ {
+		if ring.Members()[ring.Primary(blockio.BlockKey{File: file, Index: int64(i)})].ID != uint32(node) {
+			n++
+		}
+	}
+	return n
+}
+
+// waitPushes waits until want pushes have been sent: a push is delivered
+// in the background, and a re-read that overtakes it finds its block at
+// no peer.
+func waitPushes(b *testing.B, c *cluster.Cluster, want int64) {
+	b.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for pushesSent(c) < want {
+		if time.Now().After(deadline) {
+			b.Fatalf("%d of %d global-cache pushes sent", pushesSent(c), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// BenchmarkGlobalCacheCrossRead re-reads the other node's half with the
+// global cache on: peers serve the re-reads.
+func BenchmarkGlobalCacheCrossRead(b *testing.B) { benchCrossRead(b, true) }
+
+// BenchmarkGlobalCacheCrossReadOff is the control: the same rounds with
+// the global cache off, so every re-read is an iod fetch.
+func BenchmarkGlobalCacheCrossReadOff(b *testing.B) { benchCrossRead(b, false) }

@@ -9,7 +9,8 @@
 //	go run ./examples/writebehind
 //
 // See DESIGN.md §6 for the dirty-block lifecycle and docs/TUNING.md for
-// the FlushWindow/FlushBatch knobs.
+// the FlushWindow knob (a burst takes at most 256 blocks whatever the
+// window).
 package main
 
 import (

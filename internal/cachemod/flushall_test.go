@@ -2,6 +2,9 @@ package cachemod
 
 import (
 	"bytes"
+	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,8 +13,8 @@ import (
 	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/globalcache"
 	"pvfscache/internal/iod"
-	"pvfscache/internal/membership"
 	"pvfscache/internal/metrics"
+	"pvfscache/internal/mgr"
 	"pvfscache/internal/rpc"
 	"pvfscache/internal/transport"
 	"pvfscache/internal/wire"
@@ -48,32 +51,38 @@ func TestHostilePeerBlockSizeRejected(t *testing.T) {
 	go stub.Serve(pl)
 	defer stub.Close()
 
+	// The mgr's view holds the stub as member 0; the module joins it as
+	// member 1.
+	mg := mgr.New(1, reg)
+	ml, err := net.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ml.Close()
+	go mg.Serve(ml)
+	defer mg.Close()
+	mg.Members().Join(0, "gc-hostile-peer")
+
 	mod, err := New(Config{
 		Network:      net,
 		ClientID:     1,
 		IODDataAddrs: []string{l.Addr()},
 		Buffer:       buffer.Config{BlockSize: 4096, Capacity: 16},
-		GlobalCache: &globalcache.Options{
-			SelfID: 1,
-			Peers: []membership.Member{
-				{ID: 0, Addr: "gc-hostile-peer"},
-				{ID: 1, Addr: "gc-self-node"},
-			},
-			Replicas: 1, // primary only: the walk must hit the hostile peer
-		},
-		Registry: reg,
+		GlobalCache:  &globalcache.Options{SelfID: 1, MgrAddr: ml.Addr()},
+		Registry:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mod.Close()
 
-	// A block whose ring primary is the hostile peer.
-	ring := membership.NewRing(membership.StaticView([]string{"gc-hostile-peer", "gc-self-node"}), 0, 1)
+	// A block whose ring primary is the hostile peer: the walk asks it
+	// first.
+	ring := mod.GlobalCacheNode().Ring()
 	var key blockio.BlockKey
 	for f := blockio.FileID(1); ; f++ {
 		key = blockio.BlockKey{File: f, Index: 0}
-		if ring.Primary(key) == 0 {
+		if ring.Members()[ring.Primary(key)].ID == 0 {
 			break
 		}
 	}
@@ -90,6 +99,64 @@ func TestHostilePeerBlockSizeRejected(t *testing.T) {
 	}
 	if snap.Counters["module.gcache_hits"] != 0 {
 		t.Fatal("oversize peer response counted as a hit")
+	}
+}
+
+// listenRecorder is a Network that remembers every listener opened on it.
+type listenRecorder struct {
+	transport.Network
+	mu        sync.Mutex
+	listeners []transport.Listener
+}
+
+func (n *listenRecorder) Listen(addr string) (transport.Listener, error) {
+	l, err := n.Network.Listen(addr)
+	if err == nil {
+		n.mu.Lock()
+		n.listeners = append(n.listeners, l)
+		n.mu.Unlock()
+	}
+	return l, err
+}
+
+// TestGlobalCacheJoinFailureLeavesNothing: a global-cache node must join
+// its mgr's view to start, so a module whose mgr address has no listener
+// cannot start. New must return the join error, close every listener it
+// opened (the invalidation listener and the peer-service one) and leave
+// no goroutine behind.
+func TestGlobalCacheJoinFailureLeavesNothing(t *testing.T) {
+	mem := transport.NewMem()
+	net := &listenRecorder{Network: mem}
+	before := runtime.NumGoroutine()
+	mod, err := New(Config{
+		Network:      net,
+		ClientID:     1,
+		IODDataAddrs: []string{"iod-0"},
+		GlobalCache:  &globalcache.Options{SelfID: 1, MgrAddr: "no-mgr"},
+	})
+	if err == nil {
+		mod.Close()
+		t.Fatal("New started a global-cache module whose mgr has no listener")
+	}
+	if !strings.Contains(err.Error(), "joining view via no-mgr") {
+		t.Fatalf("New's error %q is not the failed join", err)
+	}
+	if len(net.listeners) != 2 {
+		t.Fatalf("New opened %d listeners, want 2 (invalidations, peer service)", len(net.listeners))
+	}
+	for _, l := range net.listeners {
+		if c, err := mem.Dial(l.Addr()); err == nil {
+			c.Close()
+			t.Fatalf("listener %s still accepts after the failed New", l.Addr())
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before New, %d after:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

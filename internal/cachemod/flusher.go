@@ -43,6 +43,11 @@ const (
 	// ErrTooLarge retry loops.
 	flushChunkTarget = 256 << 10
 
+	// flushBurst bounds the dirty blocks one drain burst takes, whatever
+	// FlushWindow: 256 blocks is 1 MB of snapshot slab with 4 KB blocks,
+	// four frames at the chunk target.
+	flushBurst = 256
+
 	// flushBackoffMin/Max bound a failed stream's retry backoff.
 	flushBackoffMin = 5 * time.Millisecond
 	flushBackoffMax = 500 * time.Millisecond
@@ -77,8 +82,8 @@ type flushStream struct {
 	// Drain storage, owned by the loop goroutine and reused by every
 	// burst, so a steady-state burst allocates nothing: the take's
 	// snapshot slab and item lists, the frames cut from them, and the
-	// window of frames in flight. At most FlushBatch×FlushWindow blocks
-	// of slab (1 MB at the defaults). Reuse is safe because sendChunks
+	// window of frames in flight. At most flushBurst blocks of slab (1 MB
+	// with 4 KB blocks). Reuse is safe because sendChunks
 	// returns only after every chunk's Call has returned, and Call returns
 	// only after its frame's write has: no frame still reads the slab
 	// when the next take overwrites it.
@@ -148,14 +153,12 @@ func (s *flushStream) loop() {
 }
 
 // drain moves this iod's eligible dirty blocks out in pipelined bursts
-// until none remain or a chunk fails. Each burst takes up to
-// FlushBatch×FlushWindow blocks (run-ordered), coalesces them into
-// contiguous runs, frames the runs into chunks and keeps FlushWindow
-// frames in flight.
+// until none remain or a chunk fails. Each burst takes up to flushBurst
+// blocks (run-ordered), coalesces them into contiguous runs, frames the
+// runs into chunks and keeps FlushWindow frames in flight.
 func (s *flushStream) drain() error {
-	burst := s.m.cfg.FlushBatch * s.m.cfg.FlushWindow
 	for {
-		items := s.m.buf.TakeDirtyOwnedInto(&s.take, s.iod, burst)
+		items := s.m.buf.TakeDirtyOwnedInto(&s.take, s.iod, flushBurst)
 		if len(items) == 0 {
 			return nil
 		}
@@ -163,7 +166,7 @@ func (s *flushStream) drain() error {
 		if err != nil {
 			return err
 		}
-		if len(items) < burst {
+		if len(items) < flushBurst {
 			return nil
 		}
 	}

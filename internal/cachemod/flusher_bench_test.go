@@ -32,19 +32,6 @@ import (
 // IDE-class disks (a seek alone is 9 ms there).
 const flushServiceTime = 400 * time.Microsecond
 
-// flushBatchFor keeps a stream's burst (FlushBatch × FlushWindow) at the
-// default's 256 blocks for either window, so the pair differs only in
-// frames in flight. It also keeps each iod's 128-block backlog below one
-// burst: a stream whose backlog is a whole number of bursts must take once
-// more to learn it is empty, and that trailing take can still be running
-// when FlushAll returns and carry off blocks of the next fill.
-func flushBatchFor(window int) int {
-	if window == 1 {
-		return 256
-	}
-	return 0 // default 64, × the default window of 4
-}
-
 // benchFlushModule assembles a module whose 4 iods are stubs that ack
 // each Flush after flushServiceTime. Returns the module and a dirty-fill function that
 // dirties `dirty` blocks (spread evenly across the 4 iods, one file per
@@ -89,7 +76,6 @@ func benchFlushModule(b *testing.B, dirty, window int) (*Module, func()) {
 			Shards:    4,
 		},
 		FlushPeriod: time.Hour, // drains run only on FlushAll's kicks
-		FlushBatch:  flushBatchFor(window),
 		FlushWindow: window,
 		Registry:    reg,
 	})
@@ -120,7 +106,10 @@ func benchFlushModule(b *testing.B, dirty, window int) (*Module, func()) {
 }
 
 // benchFlushDrain measures FlushAll wall time over a 2 MB dirty backlog
-// (512 blocks, 128 per iod).
+// (512 blocks, 128 per iod). Each iod's backlog stays below one burst
+// (flushBurst): a stream whose backlog is a whole number of bursts must
+// take once more to learn it is empty, and that trailing take can still
+// be running when FlushAll returns and carry off blocks of the next fill.
 func benchFlushDrain(b *testing.B, window int) {
 	const dirty = 512
 	mod, fill := benchFlushModule(b, dirty, window)
@@ -181,7 +170,6 @@ func benchFlushModuleDisk(b *testing.B, dirty, window int) (*Module, func()) {
 			Shards:    4,
 		},
 		FlushPeriod: time.Hour,
-		FlushBatch:  flushBatchFor(window),
 		FlushWindow: window,
 		Registry:    reg,
 	})

@@ -440,7 +440,6 @@ func TestPipelinedFlushStorm(t *testing.T) {
 	r := newRig(t, func(c *Config) {
 		c.Buffer = buffer.Config{BlockSize: 4096, Capacity: 96, Shards: 8}
 		c.FlushPeriod = time.Millisecond // streams churn constantly
-		c.FlushBatch = 8                 // small chunks: deep windows
 		c.FlushWindow = 4
 	})
 	mod := r.mod
@@ -578,7 +577,7 @@ func TestReusedSlabKeepsBurstsApart(t *testing.T) {
 	const timeout = 20 * time.Millisecond
 	r := newFetchRig(t, false, func(c *Config) {
 		c.Buffer.Capacity = 32
-		c.FlushBatch, c.FlushWindow = 4, 2 // 8-block bursts
+		c.FlushWindow = 2
 	})
 	for i, s := range r.mod.streams {
 		// Stream clients whose calls time out; no drain has run yet, and

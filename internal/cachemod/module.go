@@ -51,7 +51,6 @@ import (
 	"pvfscache/internal/blockio"
 	"pvfscache/internal/cachemod/buffer"
 	"pvfscache/internal/globalcache"
-	"pvfscache/internal/membership"
 	"pvfscache/internal/metrics"
 	"pvfscache/internal/pvfs"
 	"pvfscache/internal/rpc"
@@ -73,12 +72,10 @@ type Config struct {
 	Buffer buffer.Config
 	// FlushPeriod is each flush stream's wake-up interval (default 1s).
 	FlushPeriod time.Duration
-	// FlushBatch is the write-behind engine's take granularity: each
-	// stream pulls up to FlushBatch×FlushWindow dirty blocks per burst
-	// (default 64 — with 4 KB blocks one batch is one ~256 KB frame).
-	FlushBatch int
 	// FlushWindow is each stream's bound on concurrent Flush frames in
 	// flight to its iod (default 4; 1 = one blocking round trip at a time).
+	// It bounds frames only: a burst takes at most flushBurst blocks
+	// whatever the window.
 	// Kept on purpose: the antagonist wall needs 1 so a browned-out iod
 	// paces its own drain, and the drain benchmarks use 1 as their control.
 	FlushWindow int
@@ -124,9 +121,9 @@ type Config struct {
 	// GlobalCache, when non-nil, enables the cooperative global cache
 	// extension (the paper's §5 ongoing work): this module serves its
 	// blocks to peers and probes a block's replica set before fetching
-	// from the iods. The options select the membership mode — Peers pins
-	// a static view, MgrAddr joins the mgr-coordinated epoch-versioned
-	// view (see globalcache.Options).
+	// from the iods. The node listens wherever it can (":0"), joins the
+	// mgr's epoch-versioned view at MgrAddr and advertises the address it
+	// got (see globalcache.Options).
 	GlobalCache *globalcache.Options
 	// Registry receives the module's counters; nil uses a private one.
 	Registry *metrics.Registry
@@ -144,9 +141,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.FlushPeriod <= 0 {
 		c.FlushPeriod = time.Second
-	}
-	if c.FlushBatch <= 0 {
-		c.FlushBatch = 64
 	}
 	if c.FlushWindow <= 0 {
 		c.FlushWindow = 4
@@ -263,25 +257,12 @@ func New(cfg Config) (*Module, error) {
 	}
 
 	if cfg.GlobalCache != nil {
-		opts := *cfg.GlobalCache
-		// Static mode listens at this member's published address; dynamic
-		// mode listens wherever it can (":0") and advertises the result to
-		// the mgr when it joins.
-		listenAddr := opts.SelfAddr
-		if opts.MgrAddr == "" {
-			if i := (membership.View{Members: opts.Peers}).IndexOf(opts.SelfID); i >= 0 {
-				listenAddr = opts.Peers[i].Addr
-			}
-		}
-		if listenAddr == "" {
-			listenAddr = ":0"
-		}
-		l, err := cfg.Network.Listen(listenAddr)
+		l, err := cfg.Network.Listen(":0")
 		if err != nil {
 			m.Close()
 			return nil, fmt.Errorf("cachemod: global-cache listener: %w", err)
 		}
-		m.gcNode, err = globalcache.Start(opts, m.buf, l, cfg.Network, cfg.Registry)
+		m.gcNode, err = globalcache.Start(*cfg.GlobalCache, m.buf, l, cfg.Network, cfg.Registry)
 		if err != nil {
 			l.Close()
 			m.Close()

@@ -180,23 +180,20 @@ func Start(cfg Config) (*Cluster, error) {
 	// I/O daemons: one listener each, over a storage
 	// backend the cluster owns (so a daemon can be crashed and rebooted
 	// onto the same backend directory).
-	for i := 0; i < cfg.IODs; i++ {
+	c.IODs = make([]*iod.Server, cfg.IODs)
+	c.iodPorts = make([]transport.Listener, cfg.IODs)
+	c.IODDataAddrs = make([]string, cfg.IODs)
+	for i := range c.IODDataAddrs {
 		be, err := newBackend(cfg, i)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("cluster: iod %d backend: %w", i, err)
 		}
 		c.Backends = append(c.Backends, be)
-		d := iod.NewWithBackend(i, cfg.Module.Buffer.BlockSize, cfg.Network, cfg.Registry, be)
-		c.IODs = append(c.IODs, d)
-		dl, err := cfg.Network.Listen(":0")
-		if err != nil {
+		if err := c.bootIOD(i, be, ":0"); err != nil {
 			c.Close()
-			return nil, fmt.Errorf("cluster: iod %d listener: %w", i, err)
+			return nil, err
 		}
-		c.iodPorts = append(c.iodPorts, dl)
-		c.IODDataAddrs = append(c.IODDataAddrs, dl.Addr())
-		go d.ServeData(dl)
 	}
 
 	// Cache modules, one per client node. With the global cache enabled
@@ -220,6 +217,19 @@ func Start(cfg Config) (*Cluster, error) {
 		c.Modules = make([]*cachemod.Module, cfg.ClientNodes)
 	}
 	return c, nil
+}
+
+// bootIOD boots daemon i over be on a fresh listener at addr (":0" picks
+// one) and serves it, filling the daemon's slots.
+func (c *Cluster) bootIOD(i int, be storage.Backend, addr string) error {
+	dl, err := c.Network.Listen(addr)
+	if err != nil {
+		return fmt.Errorf("cluster: iod %d listener: %w", i, err)
+	}
+	d := iod.NewWithBackend(i, c.cfg.Module.Buffer.BlockSize, c.Network, c.Reg, be)
+	c.IODs[i], c.iodPorts[i], c.IODDataAddrs[i] = d, dl, dl.Addr()
+	go d.ServeData(dl)
+	return nil
 }
 
 // startAdmin boots a node's admin endpoint when Config.AdminAddr is set.
@@ -365,16 +375,11 @@ func (c *Cluster) RestartIOD(i int) error {
 	if err != nil {
 		return fmt.Errorf("cluster: iod %d restart backend: %w", i, err)
 	}
-	d := iod.NewWithBackend(i, c.cfg.Module.Buffer.BlockSize, c.Network, c.Reg, be)
-	dl, err := c.Network.Listen(c.IODDataAddrs[i])
-	if err != nil {
+	if err := c.bootIOD(i, be, c.IODDataAddrs[i]); err != nil {
 		be.Close()
-		return fmt.Errorf("cluster: iod %d re-listen: %w", i, err)
+		return err
 	}
 	c.Backends[i] = be
-	c.IODs[i] = d
-	c.iodPorts[i] = dl
-	go d.ServeData(dl)
 	return nil
 }
 
@@ -418,58 +423,49 @@ func (c *Cluster) RejoinIOD(i int) error {
 	if i < 0 || i >= len(c.IODs) {
 		return fmt.Errorf("cluster: iod %d out of range", i)
 	}
-	d := iod.NewWithBackend(i, c.cfg.Module.Buffer.BlockSize, c.Network, c.Reg, c.Backends[i])
-	dl, err := c.Network.Listen(c.IODDataAddrs[i])
-	if err != nil {
-		return fmt.Errorf("cluster: iod %d re-listen: %w", i, err)
-	}
-	c.IODs[i] = d
-	c.iodPorts[i] = dl
-	go d.ServeData(dl)
-	return nil
+	return c.bootIOD(i, c.Backends[i], c.IODDataAddrs[i])
 }
 
 // Close stops admin endpoints, modules, listeners, daemons, and backends.
 func (c *Cluster) Close() error {
 	var firstErr error
-	for _, a := range c.Admins {
-		if a == nil {
-			continue
-		}
-		if err := a.Close(); err != nil && firstErr == nil {
+	note := func(err error) {
+		if err != nil && firstErr == nil {
 			firstErr = err
+		}
+	}
+	for _, a := range c.Admins {
+		if a != nil {
+			note(a.Close())
 		}
 	}
 	for _, m := range c.Modules {
-		if m == nil {
-			continue
-		}
-		if err := m.Close(); err != nil && firstErr == nil {
-			firstErr = err
+		if m != nil {
+			note(m.Close())
 		}
 	}
 	for _, l := range c.listeners {
-		if err := l.Close(); err != nil && !errors.Is(err, transport.ErrClosed) && firstErr == nil {
-			firstErr = err
+		if err := l.Close(); !errors.Is(err, transport.ErrClosed) {
+			note(err)
 		}
 	}
 	for _, l := range c.iodPorts {
-		if err := l.Close(); err != nil && !errors.Is(err, transport.ErrClosed) && firstErr == nil {
-			firstErr = err
+		// A nil slot is an iod that Start never got to boot.
+		if l == nil {
+			continue
+		}
+		if err := l.Close(); !errors.Is(err, transport.ErrClosed) {
+			note(err)
 		}
 	}
-	if err := c.Mgr.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
+	note(c.Mgr.Close())
 	for _, d := range c.IODs {
-		if err := d.Close(); err != nil && firstErr == nil {
-			firstErr = err
+		if d != nil {
+			note(d.Close())
 		}
 	}
 	for _, be := range c.Backends {
-		if err := be.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		note(be.Close())
 	}
 	return firstErr
 }

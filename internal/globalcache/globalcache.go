@@ -16,15 +16,13 @@
 //     moves the fetch to the next replica (membership.failovers counts
 //     each hop). A clean miss from a reachable peer ends the walk — the
 //     common-case miss must not pay replicas × latency.
-//   - Every peer RPC is bounded by Options.FetchTimeout and every peer
-//     client runs the rpc health breaker, so a dead peer costs a bounded
-//     error and is then ejected until a background probe readmits it.
-//   - In dynamic mode (Options.MgrAddr set) the node joins the
-//     mgr-coordinated view at start, refreshes it periodically, carries
-//     the view's epoch on every peer RPC, and answers mismatched epochs
-//     with StatusStaleEpoch so both sides converge on the mgr's view.
-//     Static mode (Options.Peers) pins an epoch-1 view for ablation and
-//     unit tests.
+//   - Every peer RPC is bounded by fetchTimeout and every peer client
+//     runs the rpc health breaker, so a dead peer costs a bounded error
+//     and is then ejected until a background probe readmits it.
+//   - The node joins the mgr-coordinated view at start, refreshes it
+//     every refreshPeriod, carries the view's epoch on every peer RPC,
+//     and answers mismatched epochs with StatusStaleEpoch so both sides
+//     converge on the mgr's view.
 package globalcache
 
 import (
@@ -43,68 +41,25 @@ import (
 	"pvfscache/internal/wire"
 )
 
-// Defaults for the peer data plane. The fetch timeout is far above a
-// healthy in-cluster round trip (microseconds to low milliseconds) but
-// small enough that degrading to an iod read on a dead peer costs less
-// than a human-visible stall.
+// The global cache's fixed settings (DESIGN.md §12); its ring is
+// membership's default geometry. The fetch timeout is far above a healthy
+// in-cluster round trip (microseconds to low milliseconds) but small
+// enough that degrading to an iod read on a dead peer costs less than a
+// human-visible stall. The refresh period bounds how long a quiet node
+// lags the mgr's view; a busy one learns of a change from its first
+// stale-epoch answer.
 const (
-	DefaultFetchTimeout    = 100 * time.Millisecond
-	DefaultProbeInterval   = 100 * time.Millisecond
-	DefaultFailThreshold   = 3
-	DefaultRefreshInterval = 500 * time.Millisecond
+	fetchTimeout  = 100 * time.Millisecond
+	refreshPeriod = 500 * time.Millisecond
 )
 
-// Options assembles a node's view of the global cache. Exactly one of
-// Peers (static membership) or MgrAddr (mgr-coordinated membership) must
-// be set.
+// Options wires a node into the global cache.
 type Options struct {
 	// SelfID is this node's stable member ID.
 	SelfID uint32
-	// SelfAddr is the advertised peer-service address. Empty means "use
-	// the listener's address" — the normal dynamic-mode shape, where the
-	// node listens on ":0"-style addresses and advertises the result.
-	SelfAddr string
-
-	// Peers fixes the member list at boot (static mode, epoch 1).
-	Peers []membership.Member
-	// MgrAddr selects dynamic mode: join the mgr's view at start, refresh
-	// it periodically, leave on Close.
+	// MgrAddr is the mgr whose membership view the node joins at start,
+	// refreshes, and leaves on Close.
 	MgrAddr string
-
-	// VNodes and Replicas shape the consistent-hash ring
-	// (membership.DefaultVNodes / DefaultReplicas when zero).
-	VNodes   int
-	Replicas int
-
-	// FetchTimeout bounds each peer round trip; ProbeInterval and
-	// FailThreshold configure the per-peer health breaker;
-	// RefreshInterval paces dynamic-mode view refreshes. Zero selects the
-	// package defaults.
-	FetchTimeout    time.Duration
-	ProbeInterval   time.Duration
-	FailThreshold   int
-	RefreshInterval time.Duration
-}
-
-func (o *Options) fetchTimeout() time.Duration {
-	if o.FetchTimeout <= 0 {
-		return DefaultFetchTimeout
-	}
-	return o.FetchTimeout
-}
-
-func (o *Options) probeInterval() time.Duration {
-	if o.ProbeInterval <= 0 {
-		return DefaultProbeInterval
-	}
-	return o.ProbeInterval
-}
-
-func (o *Options) refreshInterval() time.Duration {
-	if o.RefreshInterval <= 0 {
-		return DefaultRefreshInterval
-	}
-	return o.RefreshInterval
 }
 
 // Node is one node's complete global-cache presence: the peer service
@@ -120,7 +75,7 @@ type Node struct {
 	l   transport.Listener
 	srv *rpc.Server
 
-	mc   *membership.Client // nil in static mode
+	mc   *membership.Client
 	ring atomic.Pointer[membership.Ring]
 
 	refreshMu sync.Mutex // serializes view refreshes (single-flight)
@@ -138,18 +93,19 @@ type Node struct {
 	killed    atomic.Bool
 }
 
-// Start brings up a node's global cache on l: serve the local buffer
-// manager to peers, join (dynamic mode) or pin (static mode) the
-// membership view, and start the push forwarder and view refresher.
+// Start brings up a node's global cache on l: join the mgr's membership
+// view, advertising l's address, serve the local buffer manager to
+// peers, and start the push forwarder and view refresher. A failed join
+// leaves nothing running; closing l stays the caller's.
 func Start(opts Options, buf *buffer.Manager, l transport.Listener, network transport.Network, reg *metrics.Registry) (*Node, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	if (len(opts.Peers) == 0) == (opts.MgrAddr == "") {
-		return nil, errors.New("globalcache: exactly one of Peers and MgrAddr must be set")
-	}
-	if opts.SelfAddr == "" {
-		opts.SelfAddr = l.Addr()
+	mc := membership.NewClient(network, opts.MgrAddr)
+	view, err := mc.Join(opts.SelfID, l.Addr())
+	if err != nil {
+		mc.Close()
+		return nil, fmt.Errorf("globalcache: joining view via %s: %w", opts.MgrAddr, err)
 	}
 	n := &Node{
 		opts:    opts,
@@ -157,52 +113,40 @@ func Start(opts Options, buf *buffer.Manager, l transport.Listener, network tran
 		network: network,
 		reg:     reg,
 		l:       l,
+		mc:      mc,
 		peers:   make(map[string]*rpc.Client),
 		pushCh:  make(chan wire.PeerPut, 256),
 		stop:    make(chan struct{}),
 	}
-
-	var view membership.View
-	if opts.MgrAddr != "" {
-		n.mc = membership.NewClient(network, opts.MgrAddr, 0)
-		v, err := n.mc.Join(opts.SelfID, opts.SelfAddr)
-		if err != nil {
-			n.mc.Close()
-			return nil, fmt.Errorf("globalcache: joining view via %s: %w", opts.MgrAddr, err)
-		}
-		view = v
-	} else {
-		view = membership.View{Epoch: 1, Members: append([]membership.Member(nil), opts.Peers...)}
-	}
-	n.ring.Store(membership.NewRing(view, opts.VNodes, opts.Replicas))
+	n.ring.Store(newRing(view))
 
 	n.srv = rpc.NewServer(rpc.HandlerFunc(n.handle), rpc.ServerConfig{AfterWrite: n.recycle})
 	go n.srv.Serve(l)
 
-	n.wg.Add(1)
+	n.wg.Add(2)
 	go n.pushLoop()
-	if n.mc != nil {
-		n.wg.Add(1)
-		go n.refreshLoop()
-	}
+	go n.refreshLoop()
 	return n, nil
+}
+
+// newRing builds the ring a view routes blocks by.
+func newRing(v membership.View) *membership.Ring {
+	return membership.NewRing(v, membership.DefaultVNodes, membership.DefaultReplicas)
 }
 
 // Ring returns the node's current ring (test and bench introspection).
 func (n *Node) Ring() *membership.Ring { return n.ring.Load() }
 
-// Close leaves the view (dynamic mode), stops the forwarder and
-// refresher, and closes the service and every peer connection.
+// Close leaves the view, stops the forwarder and refresher, and closes
+// the service and every peer connection.
 func (n *Node) Close() error {
 	n.once.Do(func() { close(n.stop) })
 	n.wg.Wait()
-	if n.mc != nil {
-		// Best-effort deregistration: the mgr drops us from the view so
-		// surviving peers stop routing to this address after their next
-		// refresh. A dead mgr must not block shutdown.
-		n.mc.Leave(n.opts.SelfID) //nolint:errcheck
-		n.mc.Close()
-	}
+	// Best-effort deregistration: the mgr drops us from the view so
+	// surviving peers stop routing to this address after their next
+	// refresh. A dead mgr must not block shutdown.
+	n.mc.Leave(n.opts.SelfID) //nolint:errcheck
+	n.mc.Close()
 	err := n.l.Close()
 	n.srv.Close()
 	n.mu.Lock()
@@ -292,10 +236,10 @@ func (n *Node) recycle(resp wire.Message) {
 
 // refreshLoop periodically re-fetches the view so epoch changes propagate
 // even to idle nodes (a node that never trips a stale-epoch response
-// still learns about joins within RefreshInterval).
+// still learns about joins within refreshPeriod).
 func (n *Node) refreshLoop() {
 	defer n.wg.Done()
-	ticker := time.NewTicker(n.opts.refreshInterval())
+	ticker := time.NewTicker(refreshPeriod)
 	defer ticker.Stop()
 	for {
 		select {
@@ -310,9 +254,6 @@ func (n *Node) refreshLoop() {
 // refreshView fetches the current view and swaps the ring if the epoch
 // moved. Concurrent callers collapse onto one fetch.
 func (n *Node) refreshView() bool {
-	if n.mc == nil {
-		return false
-	}
 	n.refreshMu.Lock()
 	defer n.refreshMu.Unlock()
 	v, err := n.mc.Fetch()
@@ -323,7 +264,7 @@ func (n *Node) refreshView() bool {
 	if v.Epoch == cur.Epoch() {
 		return false
 	}
-	n.ring.Store(membership.NewRing(v, n.opts.VNodes, n.opts.Replicas))
+	n.ring.Store(newRing(v))
 	n.reg.Counter("membership.epoch_refreshes").Inc()
 	return true
 }
@@ -331,7 +272,7 @@ func (n *Node) refreshView() bool {
 // asyncRefresh schedules a refreshView off the caller's goroutine,
 // single-flight: one pending refresh at a time.
 func (n *Node) asyncRefresh() {
-	if n.mc == nil || !n.refreshQ.CompareAndSwap(false, true) {
+	if !n.refreshQ.CompareAndSwap(false, true) {
 		return
 	}
 	go func() {
@@ -497,13 +438,11 @@ func (n *Node) peerClient(addr string) *rpc.Client {
 		rc = rpc.NewClient(rpc.ClientConfig{
 			Network:     n.network,
 			Addr:        addr,
-			CallTimeout: n.opts.fetchTimeout(),
+			CallTimeout: fetchTimeout,
 			Health: &rpc.HealthConfig{
-				FailThreshold: n.opts.FailThreshold,
-				ProbeInterval: n.opts.probeInterval(),
-				OnEject:       func() { n.reg.Counter("membership.ejections").Inc() },
-				OnReadmit:     func() { n.reg.Counter("membership.readmissions").Inc() },
-				OnProbe:       func() { n.reg.Counter("membership.reprobes").Inc() },
+				OnEject:   func() { n.reg.Counter("membership.ejections").Inc() },
+				OnReadmit: func() { n.reg.Counter("membership.readmissions").Inc() },
+				OnProbe:   func() { n.reg.Counter("membership.reprobes").Inc() },
 			},
 		})
 		n.peers[addr] = rc

@@ -17,8 +17,8 @@ import (
 
 const testBlock = 64
 
-// rig is a static-membership cluster of global-cache nodes on one
-// in-memory network.
+// rig is a cluster of global-cache nodes joined through one fake mgr on
+// one in-memory network, every node's view refreshed to the last join.
 type rig struct {
 	net   transport.Network
 	bufs  []*buffer.Manager
@@ -26,41 +26,38 @@ type rig struct {
 	regs  []*metrics.Registry
 }
 
-func newRig(t *testing.T, count, replicas int, opts Options) *rig {
+func newRig(t *testing.T, count int) *rig {
 	t.Helper()
 	r := &rig{net: transport.NewMem()}
-	members := make([]membership.Member, count)
-	for i := range members {
-		members[i] = membership.Member{ID: uint32(i), Addr: addrOf(i)}
-	}
+	fakeMgr(t, r.net, "mgr", nil)
 	for i := 0; i < count; i++ {
 		buf := buffer.New(buffer.Config{BlockSize: testBlock, Capacity: 32})
-		l, err := r.net.Listen(addrOf(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := opts
-		o.SelfID = uint32(i)
-		o.Peers = members
-		o.Replicas = replicas
-		if o.FetchTimeout == 0 {
-			o.FetchTimeout = 100 * time.Millisecond
-		}
 		reg := metrics.NewRegistry()
-		n, err := Start(o, buf, l, r.net, reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { n.Close() })
 		r.bufs = append(r.bufs, buf)
-		r.nodes = append(r.nodes, n)
+		r.nodes = append(r.nodes, startNode(t, r.net, uint32(i), buf, reg))
 		r.regs = append(r.regs, reg)
+	}
+	// Earlier joiners hold earlier epochs until they refresh.
+	for _, n := range r.nodes {
+		n.refreshView()
 	}
 	return r
 }
 
-func addrOf(i int) string {
-	return string(rune('a'+i)) + "-gc"
+// startNode starts member id of the view the fake mgr at "mgr" keeps,
+// listening on a fresh address, and closes it when the test ends.
+func startNode(t *testing.T, net transport.Network, id uint32, buf *buffer.Manager, reg *metrics.Registry) *Node {
+	t.Helper()
+	l, err := net.Listen(":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := Start(Options{SelfID: id, MgrAddr: "mgr"}, buf, l, net, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n
 }
 
 // keyWithReplicas searches for a block key whose replica set (as node
@@ -90,7 +87,7 @@ func keyWithReplicas(t *testing.T, n *Node, want ...int) blockio.BlockKey {
 }
 
 func TestGetServedFromPrimary(t *testing.T) {
-	r := newRig(t, 2, 1, Options{})
+	r := newRig(t, 2)
 	key := keyWithReplicas(t, r.nodes[0], 1)
 	data := bytes.Repeat([]byte{0xAB}, testBlock)
 	r.bufs[1].InsertClean(key, 0, data)
@@ -106,14 +103,14 @@ func TestGetServedFromPrimary(t *testing.T) {
 }
 
 func TestGetMissesWhenPeerCold(t *testing.T) {
-	r := newRig(t, 2, 1, Options{})
+	r := newRig(t, 2)
 	if _, ok := r.nodes[0].Get(keyWithReplicas(t, r.nodes[0], 1), make([]byte, testBlock)); ok {
 		t.Fatal("cold peer returned a hit")
 	}
 }
 
 func TestGetSkipsSelfHomedBlocks(t *testing.T) {
-	r := newRig(t, 2, 1, Options{})
+	r := newRig(t, 2)
 	key := keyWithReplicas(t, r.nodes[0], 0)
 	r.bufs[0].InsertClean(key, 0, make([]byte, testBlock))
 	// Node 0 is the primary: Get must not loop back to itself.
@@ -123,7 +120,7 @@ func TestGetSkipsSelfHomedBlocks(t *testing.T) {
 }
 
 func TestPushLandsAtPrimary(t *testing.T) {
-	r := newRig(t, 2, 1, Options{})
+	r := newRig(t, 2)
 	key := keyWithReplicas(t, r.nodes[0], 1)
 	data := bytes.Repeat([]byte{0x5A}, testBlock)
 	r.nodes[0].Push(key, 3, data)
@@ -143,7 +140,7 @@ func TestPushLandsAtPrimary(t *testing.T) {
 }
 
 func TestPushToSelfIgnored(t *testing.T) {
-	r := newRig(t, 2, 1, Options{})
+	r := newRig(t, 2)
 	key := keyWithReplicas(t, r.nodes[0], 0)
 	r.nodes[0].Push(key, 0, make([]byte, testBlock))
 	time.Sleep(20 * time.Millisecond)
@@ -156,7 +153,7 @@ func TestPushToSelfIgnored(t *testing.T) {
 // fails over to the secondary replica that holds the block, counting the
 // hop in membership.failovers.
 func TestFailoverToReplica(t *testing.T) {
-	r := newRig(t, 3, 2, Options{FetchTimeout: 50 * time.Millisecond})
+	r := newRig(t, 3)
 	key := keyWithReplicas(t, r.nodes[0], 1, 2)
 	data := bytes.Repeat([]byte{0xC3}, testBlock)
 	r.bufs[2].InsertClean(key, 0, data)
@@ -208,24 +205,8 @@ func TestDeadPeerDegradesInBoundedTime(t *testing.T) {
 		}
 	}()
 
-	buf := buffer.New(buffer.Config{BlockSize: testBlock, Capacity: 8})
-	l, err := net.Listen("self-gc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := Start(Options{
-		SelfID: 0,
-		Peers: []membership.Member{
-			{ID: 0, Addr: "self-gc"},
-			{ID: 1, Addr: "blackhole"},
-		},
-		Replicas:     1,
-		FetchTimeout: 50 * time.Millisecond,
-	}, buf, l, net, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
+	fakeMgr(t, net, "mgr", nil).Join(1, "blackhole")
+	n := startNode(t, net, 0, buffer.New(buffer.Config{BlockSize: testBlock, Capacity: 8}), nil)
 
 	key := keyWithReplicas(t, n, 1)
 	start := time.Now()
@@ -233,7 +214,7 @@ func TestDeadPeerDegradesInBoundedTime(t *testing.T) {
 		t.Fatal("blackholed peer returned a hit")
 	}
 	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("get against a hung peer took %v, want ~the 50ms fetch timeout", d)
+		t.Fatalf("get against a hung peer took %v, want ~the %v fetch timeout", d, fetchTimeout)
 	}
 }
 
@@ -246,21 +227,18 @@ func TestStartRejectsBadOptions(t *testing.T) {
 	}
 	defer l.Close()
 	if _, err := Start(Options{}, buf, l, net, nil); err == nil {
-		t.Fatal("no membership mode accepted")
+		t.Fatal("a node without a mgr started")
 	}
-	if _, err := Start(Options{
-		Peers:   []membership.Member{{ID: 0, Addr: "x"}},
-		MgrAddr: "mgr",
-	}, buf, l, net, nil); err == nil {
-		t.Fatal("both membership modes accepted")
+	if _, err := Start(Options{MgrAddr: "no-mgr"}, buf, l, net, nil); err == nil {
+		t.Fatal("a node whose mgr has no listener started")
 	}
 }
 
 // TestOversizedPeerPutRejected checks a hostile PeerPut larger than the
 // block size gets a bad-request ack instead of panicking the node.
 func TestOversizedPeerPutRejected(t *testing.T) {
-	r := newRig(t, 2, 1, Options{})
-	c := rpc.NewClient(rpc.ClientConfig{Network: r.net, Addr: addrOf(1)})
+	r := newRig(t, 2)
+	c := rpc.NewClient(rpc.ClientConfig{Network: r.net, Addr: r.nodes[1].l.Addr()})
 	defer c.Close()
 	res := c.Call(&wire.PeerPut{File: 1, Index: 0, Data: make([]byte, 2*testBlock)})
 	if res.Err != nil {
@@ -273,8 +251,10 @@ func TestOversizedPeerPutRejected(t *testing.T) {
 }
 
 // fakeMgr answers the membership view protocol from a Tracker — the mgr
-// side of dynamic mode without booting a cluster.
-func fakeMgr(t *testing.T, net transport.Network, addr string) *membership.Tracker {
+// side of the global cache without booting a cluster. A non-nil
+// answerViews decides per ViewGet whether the view is served; a refused
+// one fails like a dead mgr, so no refresh of any node can move its view.
+func fakeMgr(t *testing.T, net transport.Network, addr string, answerViews func() bool) *membership.Tracker {
 	t.Helper()
 	tr := membership.NewTracker(nil)
 	l, err := net.Listen(addr)
@@ -284,6 +264,9 @@ func fakeMgr(t *testing.T, net transport.Network, addr string) *membership.Track
 	s := rpc.NewServer(rpc.HandlerFunc(func(m wire.Message) wire.Message {
 		switch m := m.(type) {
 		case *wire.ViewGet:
+			if answerViews != nil && !answerViews() {
+				return &wire.ViewResp{Status: wire.StatusDraining}
+			}
 			return membership.ViewToResp(tr.View())
 		case *wire.JoinView:
 			return membership.ViewToResp(tr.Join(m.ID, m.Addr))
@@ -299,40 +282,26 @@ func fakeMgr(t *testing.T, net transport.Network, addr string) *membership.Track
 }
 
 // TestDynamicJoinAndStaleEpochConvergence boots two nodes against a fake
-// mgr with a long refresh interval, so only the stale-epoch protocol can
-// reconcile their views: node A joins at epoch 1, node B's join bumps to
-// epoch 2, and A learns of it when B's first fetch hits A with a newer
-// epoch.
+// mgr that serves a view only once node A has answered a stale epoch,
+// and only until A's periodic refresh could first fire (refreshPeriod
+// after A started). So the periodic refresh cannot move A, and only the
+// stale-epoch protocol can reconcile the views: node A joins at epoch 1,
+// node B's join bumps to epoch 2, and A learns of it when B's first
+// fetch hits A with a newer epoch.
 func TestDynamicJoinAndStaleEpochConvergence(t *testing.T) {
 	net := transport.NewMem()
-	fakeMgr(t, net, "mgr")
+	aReg := metrics.NewRegistry()
+	aStart := time.Now()
+	fakeMgr(t, net, "mgr", func() bool {
+		return aReg.Counter("membership.stale_epochs").Value() > 0 && time.Since(aStart) < refreshPeriod
+	})
+	newBuf := func() *buffer.Manager { return buffer.New(buffer.Config{BlockSize: testBlock, Capacity: 16}) }
 
-	start := func(id uint32, addr string) (*Node, *metrics.Registry) {
-		buf := buffer.New(buffer.Config{BlockSize: testBlock, Capacity: 16})
-		l, err := net.Listen(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := metrics.NewRegistry()
-		n, err := Start(Options{
-			SelfID:          id,
-			MgrAddr:         "mgr",
-			Replicas:        1,
-			FetchTimeout:    50 * time.Millisecond,
-			RefreshInterval: time.Hour, // isolate the stale-epoch path
-		}, buf, l, net, reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { n.Close() })
-		return n, reg
-	}
-
-	a, aReg := start(0, "node-a")
+	a := startNode(t, net, 0, newBuf(), aReg)
 	if got := a.Ring().Epoch(); got != 1 {
 		t.Fatalf("first joiner sees epoch %d, want 1", got)
 	}
-	b, _ := start(1, "node-b")
+	b := startNode(t, net, 1, newBuf(), metrics.NewRegistry())
 	if got := b.Ring().Epoch(); got != 2 {
 		t.Fatalf("second joiner sees epoch %d, want 2", got)
 	}

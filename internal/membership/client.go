@@ -9,10 +9,10 @@ import (
 	"pvfscache/internal/wire"
 )
 
-// DefaultMgrTimeout bounds each view RPC against the mgr. View traffic is
-// tiny control-plane metadata; a second of patience is generous and keeps
-// a dead mgr from hanging a join or a stale-epoch refresh forever.
-const DefaultMgrTimeout = time.Second
+// mgrTimeout bounds each view RPC against the mgr. View traffic is tiny
+// control-plane metadata; a second of patience is generous and keeps a
+// dead mgr from hanging a join or a stale-epoch refresh forever.
+const mgrTimeout = time.Second
 
 // Client speaks the membership view protocol to the mgr: Join on boot,
 // Fetch on stale-epoch refresh, Leave on drain. It is safe for concurrent
@@ -21,17 +21,13 @@ type Client struct {
 	rc *rpc.Client
 }
 
-// NewClient returns a view client for the mgr at addr. timeout bounds each
-// round trip (<=0 selects DefaultMgrTimeout).
-func NewClient(network transport.Network, addr string, timeout time.Duration) *Client {
-	if timeout <= 0 {
-		timeout = DefaultMgrTimeout
-	}
+// NewClient returns a view client for the mgr at addr.
+func NewClient(network transport.Network, addr string) *Client {
 	return &Client{rc: rpc.NewClient(rpc.ClientConfig{
 		Network:     network,
 		Addr:        addr,
 		Conns:       1,
-		CallTimeout: timeout,
+		CallTimeout: mgrTimeout,
 	})}
 }
 

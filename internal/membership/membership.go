@@ -31,7 +31,7 @@ import (
 	"pvfscache/internal/blockio"
 )
 
-// Defaults for the ring geometry. 64 virtual nodes keep the per-member
+// The global cache's ring geometry. 64 virtual nodes keep the per-member
 // load share within a few percent of uniform at small cluster sizes;
 // 2 replicas give every block one failover target without multiplying
 // push traffic (pushes still go to the primary only).
@@ -60,27 +60,6 @@ func (v View) Clone() View {
 	out := View{Epoch: v.Epoch, Members: make([]Member, len(v.Members))}
 	copy(out.Members, v.Members)
 	return out
-}
-
-// IndexOf returns the position of the member with the given ID, or -1.
-func (v View) IndexOf(id uint32) int {
-	for i, m := range v.Members {
-		if m.ID == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// StaticView builds a fixed epoch-1 view from an ordered address list;
-// member i gets ID i. It is the bootstrap shape for clusters that never
-// change membership (unit tests, ablation benchmarks).
-func StaticView(addrs []string) View {
-	v := View{Epoch: 1, Members: make([]Member, len(addrs))}
-	for i, a := range addrs {
-		v.Members[i] = Member{ID: uint32(i), Addr: a}
-	}
-	return v
 }
 
 // mix64 is splitmix64's finalizer — the same avalanche the rest of the
@@ -116,16 +95,9 @@ type Ring struct {
 	points   []ringPoint // sorted by hash
 }
 
-// NewRing builds the ring for a view. vnodes and replicas fall back to the
-// package defaults when non-positive; replicas is capped at the member
-// count.
+// NewRing builds the ring for a view with vnodes points per member and
+// replica sets of replicas members, capped at the member count.
 func NewRing(v View, vnodes, replicas int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
 	r := &Ring{view: v.Clone(), replicas: replicas}
 	r.points = make([]ringPoint, 0, len(v.Members)*vnodes)
 	for mi, m := range r.view.Members {
@@ -145,45 +117,18 @@ func NewRing(v View, vnodes, replicas int) *Ring {
 	return r
 }
 
-// View returns the view the ring was built from.
-func (r *Ring) View() View { return r.view }
-
 // Epoch returns the view's epoch.
 func (r *Ring) Epoch() uint64 { return r.view.Epoch }
 
 // Members returns the view's member list. The caller must not mutate it.
 func (r *Ring) Members() []Member { return r.view.Members }
 
-// Replicas returns the number of replicas the ring was built with.
-func (r *Ring) Replicas() int { return r.replicas }
-
 // ReplicaSet appends the ordered replica set for key to dst and returns
 // it: up to Replicas distinct member indices, primary first, chosen by the
 // clockwise successor walk from the key's ring position. Empty when the
 // ring has no members.
 func (r *Ring) ReplicaSet(key blockio.BlockKey, dst []int) []int {
-	dst = dst[:0]
-	n := len(r.points)
-	if n == 0 {
-		return dst
-	}
-	h := uint32(key.Mix()) // low 32 bits: the home bit range
-	// First point at or after h, wrapping.
-	i := sort.Search(n, func(i int) bool { return r.points[i].hash >= h })
-	if i == n {
-		i = 0
-	}
-	for scanned := 0; scanned < n && len(dst) < r.replicas; scanned++ {
-		mi := int(r.points[i].member)
-		if !containsInt(dst, mi) {
-			dst = append(dst, mi)
-		}
-		i++
-		if i == n {
-			i = 0
-		}
-	}
-	return dst
+	return r.replicaPrefix(key, dst[:0], r.replicas)
 }
 
 // Primary returns the index of the key's primary member, or -1 on an
@@ -203,7 +148,8 @@ func (r *Ring) replicaPrefix(key blockio.BlockKey, dst []int, want int) []int {
 	if n == 0 {
 		return dst
 	}
-	h := uint32(key.Mix())
+	h := uint32(key.Mix()) // low 32 bits: the home bit range
+	// First point at or after h, wrapping.
 	i := sort.Search(n, func(i int) bool { return r.points[i].hash >= h })
 	if i == n {
 		i = 0

@@ -16,6 +16,16 @@ func testKeys(n int) []blockio.BlockKey {
 	return keys
 }
 
+// staticView builds a fixed epoch-1 view from an ordered address list;
+// member i gets ID i.
+func staticView(addrs []string) View {
+	v := View{Epoch: 1, Members: make([]Member, len(addrs))}
+	for i, a := range addrs {
+		v.Members[i] = Member{ID: uint32(i), Addr: a}
+	}
+	return v
+}
+
 func addrs(n int) []string {
 	out := make([]string, n)
 	for i := range out {
@@ -25,7 +35,7 @@ func addrs(n int) []string {
 }
 
 func TestReplicaSetShape(t *testing.T) {
-	r := NewRing(StaticView(addrs(5)), 64, 3)
+	r := NewRing(staticView(addrs(5)), 64, 3)
 	var buf [8]int
 	for _, key := range testKeys(2000) {
 		set := r.ReplicaSet(key, buf[:0])
@@ -49,7 +59,7 @@ func TestReplicaSetShape(t *testing.T) {
 }
 
 func TestReplicaSetCappedByMembers(t *testing.T) {
-	r := NewRing(StaticView(addrs(2)), 32, 3)
+	r := NewRing(staticView(addrs(2)), 32, 3)
 	var buf [8]int
 	set := r.ReplicaSet(blockio.BlockKey{File: 1, Index: 1}, buf[:0])
 	if len(set) != 2 {
@@ -68,7 +78,7 @@ func TestReplicaSetCappedByMembers(t *testing.T) {
 // no member should own more than ~2x its fair share.
 func TestBalance(t *testing.T) {
 	const members, keys = 4, 8000
-	r := NewRing(StaticView(addrs(members)), DefaultVNodes, 1)
+	r := NewRing(staticView(addrs(members)), DefaultVNodes, 1)
 	counts := make([]int, members)
 	for _, key := range testKeys(keys) {
 		counts[r.Primary(key)]++
@@ -87,8 +97,8 @@ func TestBalance(t *testing.T) {
 // lacked.
 func TestMinimalDisruption(t *testing.T) {
 	const keys = 8000
-	before := NewRing(StaticView(addrs(4)), DefaultVNodes, 1)
-	after := NewRing(StaticView(addrs(5)), DefaultVNodes, 1)
+	before := NewRing(staticView(addrs(4)), DefaultVNodes, 1)
+	after := NewRing(staticView(addrs(5)), DefaultVNodes, 1)
 	moved := 0
 	for _, key := range testKeys(keys) {
 		a, b := before.Primary(key), after.Primary(key)
@@ -107,7 +117,7 @@ func TestMinimalDisruption(t *testing.T) {
 }
 
 func TestRingDeterminism(t *testing.T) {
-	v := StaticView([]string{"a", "b", "c"})
+	v := staticView([]string{"a", "b", "c"})
 	r1 := NewRing(v, 64, 2)
 	r2 := NewRing(v, 64, 2)
 	var b1, b2 [4]int

@@ -17,42 +17,31 @@ var (
 	errProbeStopped = errors.New("rpc: probe stopped")
 )
 
+// The breaker's fixed settings, the global cache's (its only user): three
+// failures in a row tell a dead peer from one lost connection, and a
+// 100 ms re-dial readmits a revived peer within about one fetch timeout.
+const (
+	failThreshold = 3
+	probeInterval = 100 * time.Millisecond
+)
+
 // HealthConfig turns on per-peer circuit breaking for a Client. After
-// FailThreshold consecutive connection-level failures the peer is
+// failThreshold consecutive connection-level failures the peer is
 // ejected: every call fails fast with ErrPeerEjected instead of paying a
 // dial or timeout, while a background prober re-dials the peer every
-// ProbeInterval and readmits it on the first successful dial.
+// probeInterval and readmits it on the first successful dial.
 //
 // A probe only proves the peer accepts connections — a half-dead peer
 // that accepts but never answers will be readmitted and re-ejected after
-// another FailThreshold timeouts. That oscillation is bounded by
-// ProbeInterval and is the cost of keeping probes protocol-free.
+// another failThreshold timeouts. That oscillation is bounded by
+// probeInterval and is the cost of keeping probes protocol-free.
 type HealthConfig struct {
-	// FailThreshold is the number of consecutive failures that opens the
-	// breaker (default 3).
-	FailThreshold int
-	// ProbeInterval is the re-dial period while ejected (default 250ms).
-	ProbeInterval time.Duration
 	// OnEject, OnReadmit, and OnProbe are observability hooks (metrics
 	// counters). They may be invoked from request goroutines and from the
 	// prober and must not call back into the Client.
 	OnEject   func()
 	OnReadmit func()
 	OnProbe   func()
-}
-
-func (h *HealthConfig) failThreshold() int {
-	if h.FailThreshold <= 0 {
-		return 3
-	}
-	return h.FailThreshold
-}
-
-func (h *HealthConfig) probeInterval() time.Duration {
-	if h.ProbeInterval <= 0 {
-		return 250 * time.Millisecond
-	}
-	return h.ProbeInterval
 }
 
 // health is the breaker state embedded in Client.
@@ -83,7 +72,7 @@ func (c *Client) noteFailure() {
 		return
 	}
 	n := c.hs.consecFails.Add(1)
-	if int(n) >= h.failThreshold() && c.hs.ejected.CompareAndSwap(false, true) {
+	if n >= failThreshold && c.hs.ejected.CompareAndSwap(false, true) {
 		if h.OnEject != nil {
 			h.OnEject()
 		}
@@ -96,7 +85,7 @@ func (c *Client) noteFailure() {
 // noteFailure guarantees that.
 func (c *Client) probeLoop() {
 	h := c.cfg.Health
-	ticker := time.NewTicker(h.probeInterval())
+	ticker := time.NewTicker(probeInterval)
 	defer ticker.Stop()
 	for {
 		select {

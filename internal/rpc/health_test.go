@@ -127,23 +127,21 @@ func TestEjectAndReadmit(t *testing.T) {
 		Addr:    "peer",
 		Conns:   1,
 		Health: &HealthConfig{
-			FailThreshold: 2,
-			ProbeInterval: 5 * time.Millisecond,
-			OnEject:       func() { ejects.Add(1) },
-			OnReadmit:     func() { readmits.Add(1) },
-			OnProbe:       func() { probes.Add(1) },
+			OnEject:   func() { ejects.Add(1) },
+			OnReadmit: func() { readmits.Add(1) },
+			OnProbe:   func() { probes.Add(1) },
 		},
 	})
 	defer c.Close()
 
-	// No listener: two dial failures open the breaker.
-	for i := 0; i < 2; i++ {
+	// No listener: failThreshold dial failures open the breaker.
+	for i := 0; i < failThreshold; i++ {
 		if res := c.Call(&wire.Read{Offset: 1}); res.Err == nil {
 			t.Fatal("call succeeded with no listener")
 		}
 	}
 	if !c.Ejected() {
-		t.Fatal("peer not ejected after FailThreshold failures")
+		t.Fatal("peer not ejected after failThreshold failures")
 	}
 	if ejects.Load() != 1 {
 		t.Fatalf("OnEject fired %d times, want 1", ejects.Load())
@@ -195,18 +193,20 @@ func TestProbeStopsOnClose(t *testing.T) {
 	c := NewClient(ClientConfig{
 		Network: mem,
 		Addr:    "gone",
-		Health:  &HealthConfig{FailThreshold: 1, ProbeInterval: time.Millisecond},
+		Health:  &HealthConfig{},
 	})
-	if res := c.Call(&wire.Read{Offset: 1}); res.Err == nil {
-		t.Fatal("call succeeded with no listener")
+	for i := 0; i < failThreshold; i++ {
+		if res := c.Call(&wire.Read{Offset: 1}); res.Err == nil {
+			t.Fatal("call succeeded with no listener")
+		}
 	}
 	if !c.Ejected() {
-		t.Fatal("not ejected at threshold 1")
+		t.Fatal("not ejected at failThreshold")
 	}
 	c.Close()
 	time.Sleep(5 * time.Millisecond)
 	quiesced := mem.dials.Load()
-	time.Sleep(20 * time.Millisecond)
+	time.Sleep(3 * probeInterval) // a prober still running would dial in here
 	if d := mem.dials.Load(); d != quiesced {
 		t.Fatalf("prober still dialing after Close (%d -> %d)", quiesced, d)
 	}

@@ -182,9 +182,9 @@ func (n *Node) flusherDaemon(p *sim.Proc) {
 }
 
 // simFlushChunkBlocks bounds the blocks per simulated flush message,
-// mirroring the live engine's FlushBatch-sized frames so FlushWindow has
-// message granularity to overlap even when one file holds all the dirty
-// data.
+// mirroring the live engine's 256 KB frames (64 blocks of 4 KB) so
+// FlushWindow has message granularity to overlap even when one file
+// holds all the dirty data.
 const simFlushChunkBlocks = 64
 
 // flushOnce drains the entire dirty list in deterministic order. With

@@ -38,8 +38,9 @@ package cachemod
 //
 // Everything a fetch uses is recycled, so a miss allocates per request,
 // not per block: states and slabs (with their memRef headers) come from
-// pools, and the runs, batches, extent list and ReadBlocks of a fetcher
-// live in its fetchScratch, kept by a recycled pendingRead or prefetchJob.
+// pools, and the runs, batches, extent list, ReadBlocks and reply
+// channels of a fetcher live in its fetchScratch, kept by a recycled
+// pendingRead or prefetchJob.
 //
 // The prefetcher differs from a demand fetch in four deliberate ways, each
 // a branch on fetchState.prefetch in landRun giving its reason. The
@@ -181,10 +182,11 @@ type fetchRun struct {
 }
 
 // fetch is one network round trip issued for claimed blocks: a ReadBlocks
-// carrying every run as an extent.
+// carrying every run as an extent. ch is its fetch slot's reply channel
+// (fetchScratch.replies), received exactly once, by land's caller.
 type fetch struct {
 	iod  int
-	ch   <-chan rpc.Result
+	ch   chan rpc.Result
 	runs []fetchRun
 }
 
@@ -304,17 +306,42 @@ func maxFetchBlocks(bs int) int {
 }
 
 // fetchScratch is one fetcher's storage for the fetch protocol: the
-// claimed spans, their runs and batches, the fetches in flight, and the
-// extent list and request of the next issue. A pendingRead or a
-// prefetchJob keeps one and is recycled with it, so a fetch re-uses its
-// slices instead of re-making them.
+// claimed spans, their runs and batches, the fetches in flight with a
+// reply channel per fetch slot, and the extent list and request of the
+// next issue. A pendingRead or a prefetchJob keeps one and is recycled
+// with it, so a fetch re-uses its slices and its reply channels instead
+// of re-making them.
 type fetchScratch struct {
 	owned   []tgtSpan // claimed misses; the runs alias it
 	runs    []fetchRun
 	batches [][]fetchRun // the batches alias runs
 	fetches []fetch      // issued round trips; their runs alias runs
+	// replies[i] is fetches[i]'s reply channel. A channel is re-used only
+	// once its one Result has been received; dropReplies forgets those
+	// still owed one.
+	replies []chan rpc.Result
 	exts    []wire.ReadExtent
 	req     wire.ReadBlocks // encoded before Go returns (DESIGN §4 rule 6)
+}
+
+// reply returns the reply channel of the next fetch slot, fetches' next
+// entry, making it on the slot's first use.
+func (s *fetchScratch) reply() chan rpc.Result {
+	i := len(s.fetches)
+	if i == len(s.replies) {
+		s.replies = append(s.replies, nil)
+	}
+	if s.replies[i] == nil {
+		s.replies[i] = make(chan rpc.Result, 1)
+	}
+	return s.replies[i]
+}
+
+// dropReplies forgets the reply channels of the fetches in flight, whose
+// Results are never going to be received (their fetcher gave up on them):
+// a late Result must not land in a recycled scratch's next fetch.
+func (s *fetchScratch) dropReplies() {
+	clear(s.replies[:len(s.fetches)])
 }
 
 // reset empties the scratch so it pins no slab, fetchState or caller
@@ -391,8 +418,8 @@ func (m *Module) issue(s *fetchScratch, iod int, file blockio.FileID, runs []fet
 		s.exts = append(s.exts, wire.ReadExtent{Offset: run.firstIdx * bs, Length: int64(len(run.spans)) * bs})
 	}
 	s.req = wire.ReadBlocks{Client: m.cfg.ClientID, File: file, Track: track, Exts: s.exts}
-	ch, err := m.data[iod].Go(&s.req)
-	if err != nil {
+	ch := s.reply()
+	if err := m.data[iod].Go(&s.req, ch); err != nil {
 		m.settle(runs, err)
 		return fetch{}, err
 	}

@@ -216,6 +216,9 @@ type Module struct {
 	// iod (see flusher.go).
 	streams []*flushStream
 
+	// prefetch runs the readahead rounds (see readahead.go).
+	prefetch prefetchers
+
 	harvestKick chan struct{}
 	stop        chan struct{}
 	stopOnce    sync.Once
@@ -237,6 +240,7 @@ func New(cfg Config) (*Module, error) {
 		fetchTable:  fetchTable{fetches: make(map[blockio.BlockKey]*fetchState)},
 		files:       make(map[blockio.FileID]*fileState),
 		qos:         make(map[uint32]*tenantState),
+		prefetch:    prefetchers{jobs: make(chan *prefetchJob)},
 		harvestKick: make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 	}
@@ -362,6 +366,11 @@ func (m *Module) Close() error {
 		for _, rc := range m.data {
 			rc.Close()
 		}
+		// No worker starts once stop is closed; closing the clients failed
+		// any round still waiting on a reply.
+		m.prefetch.mu.Lock()
+		m.prefetch.mu.Unlock()
+		m.prefetch.wg.Wait()
 	})
 	return err
 }

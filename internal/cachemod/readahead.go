@@ -22,6 +22,7 @@ package cachemod
 // owning iod with the same round-robin arithmetic libpvfs uses.
 
 import (
+	"errors"
 	"slices"
 	"sort"
 	"sync"
@@ -255,17 +256,38 @@ func (m *Module) iodForBlock(hint stripeHint, idx int64) int {
 	return iod
 }
 
-// prefetchJob is one prefetch goroutine's storage: the iod it fetches
-// from and the fetch scratch its claims are issued from. Jobs are pooled;
-// prefetchRange fills one per iod, chained through next, and the goroutine
-// that runs it returns it.
+// prefetchJob is one prefetch round's storage: the iod it fetches from,
+// the file and policy it fetches under, and the fetch scratch its claims
+// are issued from. Jobs are pooled; prefetchRange fills one per iod,
+// chained through next, and the prefetch worker that runs it returns it.
 type prefetchJob struct {
 	fetchScratch
-	iod  int
-	next *prefetchJob
+	iod    int
+	file   blockio.FileID
+	policy pvfs.CachePolicy
+	next   *prefetchJob
 }
 
 var prefetchJobs = sync.Pool{New: func() any { return new(prefetchJob) }}
+
+// prefetchWorkersPerIOD bounds the module's prefetch workers at this many
+// per iod: rounds to one iod overlap up to that depth, and a scan that
+// outruns them waits in prefetchRange for one to free.
+const prefetchWorkersPerIOD = 4
+
+// prefetchers is the module's pool of long-lived prefetch workers. A
+// round is handed to an idle worker; a worker is started only when every
+// running one is busy and fewer than the bound run. Workers exit at Close.
+type prefetchers struct {
+	jobs    chan *prefetchJob // unbuffered: a send is a handoff
+	mu      sync.Mutex        // orders starts against Close's wait
+	started int
+	wg      sync.WaitGroup
+}
+
+// errModuleClosed settles the claims of a prefetch round no worker will
+// take because the module is closing.
+var errModuleClosed = errors.New("cachemod: module closed")
 
 // prefetchRange claims the uncached, un-inflight blocks of the predicted
 // index list (sorted ascending, duplicates tolerated) synchronously,
@@ -300,9 +322,53 @@ func (m *Module) prefetchRange(file blockio.FileID, hint stripeHint, idxs []int6
 	// Every claim is in the table before any round trip starts.
 	for j := jobs; j != nil; {
 		next := j.next
-		j.next = nil
-		go m.prefetchIOD(j, file, policy)
+		j.next, j.file, j.policy = nil, file, policy
+		m.startPrefetch(j)
 		j = next
+	}
+}
+
+// startPrefetch hands one round to a prefetch worker, starting one if
+// every running worker is busy and the bound allows. At the bound it waits
+// for a worker to free; once the module is closing it settles the round's
+// claims instead.
+func (m *Module) startPrefetch(j *prefetchJob) {
+	p := &m.prefetch
+	select {
+	case p.jobs <- j:
+		return
+	default:
+	}
+	p.mu.Lock()
+	select {
+	case <-m.stop:
+	default:
+		if p.started < prefetchWorkersPerIOD*len(m.data) {
+			p.started++
+			p.wg.Add(1)
+			go m.prefetchWorker()
+		}
+	}
+	p.mu.Unlock()
+	select {
+	case p.jobs <- j:
+	case <-m.stop:
+		m.settle([]fetchRun{{spans: j.owned}}, errModuleClosed)
+		j.reset()
+		prefetchJobs.Put(j)
+	}
+}
+
+// prefetchWorker runs prefetch rounds until the module closes.
+func (m *Module) prefetchWorker() {
+	defer m.prefetch.wg.Done()
+	for {
+		select {
+		case j := <-m.prefetch.jobs:
+			m.prefetchIOD(j)
+		case <-m.stop:
+			return
+		}
 	}
 }
 
@@ -310,11 +376,11 @@ func (m *Module) prefetchRange(file blockio.FileID, hint stripeHint, idxs []int6
 // and land every reply (or, for a don't-cache file, serve it to joiners
 // without admission). Off the caller's thread because issue writes the
 // request synchronously.
-func (m *Module) prefetchIOD(j *prefetchJob, file blockio.FileID, policy pvfs.CachePolicy) {
+func (m *Module) prefetchIOD(j *prefetchJob) {
 	// A failed issue settled what it did not send; what it sent lands.
-	_ = m.issueAll(&j.fetchScratch, j.iod, file, policy != pvfs.CacheNone)
+	_ = m.issueAll(&j.fetchScratch, j.iod, j.file, j.policy != pvfs.CacheNone)
 	for _, f := range j.fetches {
-		if m.land(f, policy, <-f.ch) == nil {
+		if m.land(f, j.policy, <-f.ch) == nil {
 			m.ctr.prefetchIssued.Inc()
 		}
 	}

@@ -622,3 +622,72 @@ func TestReadaheadScanStopsAtEOF(t *testing.T) {
 		t.Fatal("scan tail went to the iod: the last block was not prefetched")
 	}
 }
+
+// TestPrefetchRoundsToOneIODOverlap: two scans' readahead rounds to the
+// same iod are in service at the iod together — it answers neither until
+// both have arrived — so a round waiting on its reply does not hold back
+// the next one: the prefetch workers overlap rounds to one iod.
+func TestPrefetchRoundsToOneIODOverlap(t *testing.T) {
+	r := newFetchRig(t, false, nil)
+	r.iods[0].write(0, pattern(16))
+	var arrived atomic.Int32
+	both := make(chan struct{})
+	r.iods[0].mu.Lock()
+	r.iods[0].script = func(req, honest wire.Message) wire.Message {
+		if _, ok := req.(*wire.ReadBlocks); ok {
+			if arrived.Add(1) == 2 {
+				close(both)
+			}
+			select {
+			case <-both:
+			case <-time.After(10 * time.Second):
+			}
+		}
+		return honest
+	}
+	r.iods[0].mu.Unlock()
+	tr := r.mod.NewTransport()
+	go func() {
+		for _, file := range []blockio.FileID{1, 2} {
+			hintAll(tr, file)
+			for i := int64(0); i < raMinStreak; i++ {
+				tr.NoteRead(file, i*fakeBS, fakeBS)
+			}
+		}
+	}()
+	select {
+	case <-both:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the second file's prefetch round never reached the iod while the first was in service")
+	}
+	waitCounter(t, r.reg, "module.prefetch_blocks", 16)
+}
+
+// TestPrefetchAfterCloseSettlesItsClaims: a readahead round handed over
+// once the module is closing finds no worker to take it; its claims are
+// settled instead of left in the fetch table for readers to wait on.
+func TestPrefetchAfterCloseSettlesItsClaims(t *testing.T) {
+	r := newFetchRig(t, false, nil)
+	tr := r.mod.NewTransport()
+	const file = 7
+	hintAll(tr, file)
+	r.mod.Close()
+	noted := make(chan struct{})
+	go func() {
+		defer close(noted)
+		for i := int64(0); i < raMinStreak; i++ {
+			tr.NoteRead(file, i*fakeBS, fakeBS)
+		}
+	}()
+	select {
+	case <-noted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a readahead round after Close waited for a worker forever")
+	}
+	if n := r.reg.Counter("module.prefetch_blocks").Value(); n != 0 {
+		t.Fatalf("%d blocks prefetched after Close", n)
+	}
+	if n := r.inFlight(); n != 0 {
+		t.Fatalf("%d prefetch claims left in the fetch table after Close", n)
+	}
+}

@@ -136,7 +136,7 @@ func TestModuleConcurrencyStorm(t *testing.T) {
 
 	// A scanner walking the striped file engages the readahead prefetcher
 	// (claims land in the shared fetch table on this goroutine, transfers
-	// run on prefetch goroutines) while invalidations yank its blocks.
+	// run on prefetch workers) while invalidations yank its blocks.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -27,8 +27,10 @@ type CachedTransport struct {
 	pending map[pvfs.ReqID]pendingOp
 	// free recycles completed pendingReads, emptied of everything they
 	// referenced (putRead), so a miss re-uses its slices instead of
-	// re-making them.
-	free []*pendingRead
+	// re-making them; replies recycles the reply channels of passthrough
+	// and sync-write round trips whose one Result Recv has received.
+	free    []*pendingRead
+	replies []chan rpc.Result
 }
 
 // NewTransport returns a transport for one application process.
@@ -92,9 +94,9 @@ func (t *CachedTransport) TenantHint(file blockio.FileID, tenant uint32, weight 
 // pendingOp is the per-request FSM state between Send and Recv, kept by
 // value in the pending table.
 type pendingOp struct {
-	ready wire.Message      // response already known (fake ack, full cache hit)
-	read  *pendingRead      // read with outstanding transfers
-	call  <-chan rpc.Result // passthrough round trip
+	ready wire.Message    // response already known (fake ack, full cache hit)
+	read  *pendingRead    // read with outstanding transfers
+	call  chan rpc.Result // passthrough round trip's reply slot
 	// sync is a sync-write in flight to iod; Recv settles its spans in
 	// the cache once the reply is in (rewriteSync).
 	sync *wire.SyncWrite
@@ -189,7 +191,7 @@ func (t *CachedTransport) Send(iod int, req wire.Message) (pvfs.ReqID, error) {
 	case *wire.SyncWrite:
 		op, err = t.sendSyncWrite(iod, r)
 	default:
-		ch, cerr := t.m.data[iod].Go(req)
+		ch, cerr := t.goCall(iod, req)
 		if cerr != nil {
 			return 0, cerr
 		}
@@ -222,6 +224,32 @@ func (t *CachedTransport) SendRead(iod int, req wire.Message, sink [][]byte) (pv
 	return t.register(op), true, nil
 }
 
+// goCall sends req to iod on a reply channel from the free list. A call
+// abandoned at Close never returns its channel, so no channel is re-used
+// before its one Result has been received.
+func (t *CachedTransport) goCall(iod int, req wire.Message) (chan rpc.Result, error) {
+	t.mu.Lock()
+	var ch chan rpc.Result
+	if n := len(t.replies); n > 0 {
+		ch, t.replies = t.replies[n-1], t.replies[:n-1]
+	} else {
+		ch = make(chan rpc.Result, 1)
+	}
+	t.mu.Unlock()
+	if err := t.m.data[iod].Go(req, ch); err != nil {
+		t.putReply(ch) // Go left it empty
+		return nil, err
+	}
+	return ch, nil
+}
+
+// putReply returns an empty reply channel to the free list.
+func (t *CachedTransport) putReply(ch chan rpc.Result) {
+	t.mu.Lock()
+	t.replies = append(t.replies, ch)
+	t.mu.Unlock()
+}
+
 // register files a pending op and returns its request id.
 func (t *CachedTransport) register(op pendingOp) pvfs.ReqID {
 	t.mu.Lock()
@@ -251,6 +279,7 @@ func (t *CachedTransport) Recv(id pvfs.ReqID) (wire.Message, error) {
 		return resp, err
 	case op.call != nil:
 		res := <-op.call
+		t.putReply(op.call)
 		if op.sync != nil {
 			ack, _ := res.Msg.(*wire.SyncWriteAck)
 			t.rewriteSync(op.iod, op.sync, res.Err == nil && ack != nil && ack.Status == wire.StatusOK, false)
@@ -286,12 +315,13 @@ func (t *CachedTransport) Close() error {
 // abandon gives up a read that will never complete: its in-flight claims
 // are settled with err, its join references dropped, and its tenant's
 // budget returned. No drain is needed: responses demultiplex by tag and
-// the result channel is buffered, so an abandoned fetch cannot stall
-// others.
+// the reply channels are buffered, so an abandoned fetch cannot stall
+// others; the read forgets those channels, which are still owed a Result.
 func (t *CachedTransport) abandon(pr *pendingRead, err error) {
 	for _, f := range pr.fetches {
 		t.m.settle(f.runs, err)
 	}
+	pr.dropReplies()
 	for _, w := range pr.waits {
 		w.st.decref()
 	}
@@ -564,7 +594,7 @@ func (t *CachedTransport) sendSyncWrite(iod int, req *wire.SyncWrite) (pendingOp
 		t.rewriteSync(iod, req, true, true)
 		return pendingOp{ready: syncAckShed}, nil
 	}
-	ch, err := t.m.data[iod].Go(req)
+	ch, err := t.goCall(iod, req)
 	if err != nil {
 		return pendingOp{}, err
 	}

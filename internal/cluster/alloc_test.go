@@ -42,20 +42,26 @@ const (
 	// flushDrainAllocs: one 64 KB rewrite, drained as one Flush frame to
 	// one iod by FlushAll (51 before each flush stream reused its take
 	// and framing storage, 12 while FlushAll's every wake-up made a
-	// channel, a timer and its closure). The take and the framing
-	// allocate nothing; what is left is the chunk's sender goroutine, the
-	// call's reply channel, the progress channel FlushAll waits on (its
-	// timer is pooled) and the iod's side of the call.
-	flushDrainAllocs = 10
+	// channel, a timer and its closure, 10 while the round trip started a
+	// server goroutine and made a reply channel). The take and the
+	// framing allocate nothing. A heap profile at -memprofilerate 1 puts
+	// 4.25 of the rest on these sites: the chunk's sender goroutine
+	// (flushStream.sendChunks, 1), the progress channel FlushAll waits on
+	// (progress.next, 1), the iod's decode of the Flush (struct 1, block
+	// list 1) and its FlushAck (a tiny allocation, 0.25); it names no
+	// site for the last.
+	flushDrainAllocs = 6
 	// coldMissAllocs: a 64 KB read of 16 missing blocks, fetched as one
 	// run (48 before fetch states, slabs and the fetch scratch were
-	// recycled). The cache module allocates nothing. A heap profile at
-	// -memprofilerate 1 puts 9.5 of the rest on the round trip: rpc's
-	// reply channel (2) and the server's per-request goroutine (2), the
-	// decode of the ReadBlocks at the iod (struct and extent list, 2), the
-	// iod's reply (1), the client's lease (1) and its decode of the reply
-	// (struct 1, lengths every other call); it names no site for the last.
-	coldMissAllocs = 11
+	// recycled, 11 while the round trip started a server goroutine, made
+	// a reply channel and a response lease and the iod made its reply).
+	// The cache module, rpc's dispatch, reply slots and leases and the
+	// iod's reply allocate nothing. A heap profile at -memprofilerate 1
+	// puts 3.25 of the rest on the wire decodes: the iod's decode of the
+	// ReadBlocks (struct 1, extent list 1) and the client's decode of the
+	// reply (struct 1, lengths every fourth call); it names no site for
+	// the last.
+	coldMissAllocs = 4
 )
 
 // allocCluster boots one caching node whose flusher stays quiet for the

@@ -199,7 +199,9 @@ func Start(cfg Config) (*Cluster, error) {
 	// Cache modules, one per client node. With the global cache enabled
 	// each module joins the mgr's membership view at boot, so the first
 	// epochs are the boot joins and later AddCacheNode calls simply keep
-	// bumping the same view.
+	// bumping the same view. A node knows only the view of its own join,
+	// so once every node has joined each one is brought to the final
+	// view: none starts out routing the later joiners' blocks to itself.
 	if cfg.Caching {
 		for node := 0; node < cfg.ClientNodes; node++ {
 			mod, err := cachemod.New(c.moduleConfig(node))
@@ -211,6 +213,14 @@ func Start(cfg Config) (*Cluster, error) {
 			if err := c.startAdmin(node, mod); err != nil {
 				c.Close()
 				return nil, err
+			}
+		}
+		for node, mod := range c.Modules {
+			if gc := mod.GlobalCacheNode(); gc != nil {
+				if _, err := gc.Refresh(); err != nil {
+					c.Close()
+					return nil, fmt.Errorf("cluster: global-cache view for node %d: %w", node, err)
+				}
 			}
 		}
 	} else {

@@ -51,17 +51,26 @@ func TestGlobalCacheServesRemoteMisses(t *testing.T) {
 	if _, err := f0.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Let the asynchronous pushes settle: wait (best effort) until node
-	// 1's resident count is nonzero and has held still for a while — the
-	// pushes arrive one by one.
+	// Let the asynchronous pushes settle: wait until node 1's resident
+	// count is nonzero and has held still for a while — the pushes arrive
+	// one by one. Every node routes by the view of all the boot joins from
+	// the start, so node 0 pushed node 1's share of the file and the wait
+	// ends long before its bound.
+	start := time.Now()
 	last, stableSince := -1, time.Now()
-	waitfor.Poll(5*time.Second, func() bool {
+	settled := waitfor.Poll(5*time.Second, func() bool {
 		cur := c.Module(1).Buffer().Stats().Resident
 		if cur != last {
 			last, stableSince = cur, time.Now()
 		}
 		return cur > 0 && time.Since(stableSince) > 100*time.Millisecond
 	})
+	if pushed := c.Reg.Counter("gcache.push_tx").Value(); pushed == 0 {
+		t.Fatal("node 0 pushed no block to node 1: it routed every block to itself")
+	}
+	if waited := time.Since(start); !settled || waited > 2*time.Second {
+		t.Fatalf("node 1's pushed blocks settled after %v (settled %v), want well under the 5 s bound", waited, settled)
+	}
 
 	// Node 1's read: every block is either pushed into its own cache
 	// (home = node 1) or served by node 0 via peer-get (home = node 0).

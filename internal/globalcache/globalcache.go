@@ -254,19 +254,29 @@ func (n *Node) refreshLoop() {
 // refreshView fetches the current view and swaps the ring if the epoch
 // moved. Concurrent callers collapse onto one fetch.
 func (n *Node) refreshView() bool {
+	moved, _ := n.Refresh()
+	return moved
+}
+
+// Refresh fetches the mgr's current view now and routes by it, rather
+// than at the next periodic refresh; moved reports whether the epoch
+// changed. A node that joined before others only knows the view of its
+// own join: until it refreshes it routes every block homed at a later
+// joiner to itself.
+func (n *Node) Refresh() (moved bool, err error) {
 	n.refreshMu.Lock()
 	defer n.refreshMu.Unlock()
 	v, err := n.mc.Fetch()
 	if err != nil {
-		return false
+		return false, err
 	}
 	cur := n.ring.Load()
 	if v.Epoch == cur.Epoch() {
-		return false
+		return false, nil
 	}
 	n.ring.Store(newRing(v))
 	n.reg.Counter("membership.epoch_refreshes").Inc()
-	return true
+	return true, nil
 }
 
 // asyncRefresh schedules a refreshView off the caller's goroutine,

@@ -115,12 +115,34 @@ func (s *Server) ServeData(l transport.Listener) error {
 // ROADMAP item 3(m) moves the probe off it.
 func (s *Server) ServeFlush(l transport.Listener) error { return s.ServeData(l) }
 
-// recycleReadBuf returns a written read response's buffer to the pool: a
-// vectored response carries all its extents in one backing buffer.
+// recycleReadBuf returns a written read response to the pools: its buffer
+// (a vectored response carries all its extents in one backing buffer) and
+// the reply itself with its lengths. Every ReadBlocksResp the handler
+// returns comes from readReply, so none is shared.
 func (s *Server) recycleReadBuf(resp wire.Message) {
 	if rr, ok := resp.(*wire.ReadBlocksResp); ok {
 		s.readBufs.Put(rr.Data)
+		lens := rr.Lens[:0]
+		if cap(lens) > maxPooledLens {
+			lens = nil
+		}
+		*rr = wire.ReadBlocksResp{Lens: lens}
+		readReplies.Put(rr)
 	}
+}
+
+// readReplies recycles the iod's read replies (recycleReadBuf returns
+// them once written); maxPooledLens bounds the length list a pooled reply
+// keeps, so one hostile many-extent read cannot pin a large one.
+var readReplies = sync.Pool{New: func() any { return new(wire.ReadBlocksResp) }}
+
+const maxPooledLens = 1024
+
+// readReply returns an empty pooled read reply carrying status.
+func readReply(status wire.Status) *wire.ReadBlocksResp {
+	rr := readReplies.Get().(*wire.ReadBlocksResp)
+	rr.Status = status
+	return rr
 }
 
 // Close drops every open connection; in-flight requests fail at the
@@ -188,16 +210,17 @@ func (s *Server) RegisterClient(client uint32, addr string) {
 
 // readBlocks serves a vectored read: every requested extent of the
 // connection's request in one pass over the store, packed densely into a
-// single pooled buffer (recycled by recycleReadBuf once the response has
-// hit the wire). Extent lengths are attacker-controlled, so each one and
-// their sum are bounded before any allocation. A tracked read records its
-// client as a holder of every extent before the first store read: a
-// sync-write landing between that read and the reply then invalidates
-// the reader, which otherwise would install the old bytes unseen.
+// single pooled buffer and answered in a pooled reply (both recycled by
+// recycleReadBuf once the response has hit the wire). Extent lengths are
+// attacker-controlled, so each one and their sum are bounded before any
+// allocation. A tracked read records its client as a holder of every
+// extent before the first store read: a sync-write landing between that
+// read and the reply then invalidates the reader, which otherwise would
+// install the old bytes unseen.
 func (s *Server) readBlocks(m *wire.ReadBlocks) *wire.ReadBlocksResp {
 	total, ok := wire.ValidateExtents(m.Exts)
 	if !ok {
-		return &wire.ReadBlocksResp{Status: wire.StatusBadRequest}
+		return readReply(wire.StatusBadRequest)
 	}
 	if m.Track && m.Client != 0 && !s.draining.Load() {
 		s.mu.Lock()
@@ -207,23 +230,25 @@ func (s *Server) readBlocks(m *wire.ReadBlocks) *wire.ReadBlocksResp {
 		s.mu.Unlock()
 	}
 	buf := s.readBufs.Get(int(total))
-	lens := make([]uint32, len(m.Exts))
+	rr := readReply(wire.StatusOK)
 	pos := 0
-	for i, e := range m.Exts {
+	for _, e := range m.Exts {
 		n, err := s.store.ReadAt(m.File, e.Offset, buf[pos:pos+int(e.Length)])
 		if err != nil {
 			s.readBufs.Put(buf)
 			s.ctr.ioErrors.Inc()
-			return &wire.ReadBlocksResp{Status: wire.StatusFor(err)}
+			rr.Status, rr.Lens = wire.StatusFor(err), rr.Lens[:0]
+			return rr
 		}
-		lens[i] = uint32(n)
+		rr.Lens = append(rr.Lens, uint32(n))
 		pos += n
 		s.ctr.readBytes.Add(int64(n))
 	}
 	s.ctr.reads.Inc()
 	s.ctr.vectorReads.Inc()
 	s.ctr.vectorExtents.Add(int64(len(m.Exts)))
-	return &wire.ReadBlocksResp{Status: wire.StatusOK, Lens: lens, Data: buf[:pos]}
+	rr.Data = buf[:pos]
+	return rr
 }
 
 func (s *Server) write(m *wire.Write) *wire.WriteAck {

@@ -140,12 +140,14 @@ type DirectTransport struct {
 	mu      sync.Mutex
 	pending map[ReqID]directPending
 	next    ReqID
+	// free recycles reply channels whose one Result Recv has received.
+	free []chan rpc.Result
 }
 
 // directPending is one outstanding round trip; sink, when non-nil, holds
 // the caller-owned destinations of a read (see SendRead).
 type directPending struct {
-	ch   <-chan rpc.Result
+	ch   chan rpc.Result
 	sink [][]byte
 }
 
@@ -182,8 +184,16 @@ func (t *DirectTransport) send(iod int, req wire.Message, sink [][]byte) (ReqID,
 	if iod < 0 || iod >= len(t.clients) {
 		return 0, fmt.Errorf("pvfs: iod index %d out of range (have %d)", iod, len(t.clients))
 	}
-	ch, err := t.clients[iod].Go(req)
-	if err != nil {
+	t.mu.Lock()
+	var ch chan rpc.Result
+	if n := len(t.free); n > 0 {
+		ch, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		ch = make(chan rpc.Result, 1)
+	}
+	t.mu.Unlock()
+	if err := t.clients[iod].Go(req, ch); err != nil {
+		t.putReply(ch) // Go left it empty
 		return 0, fmt.Errorf("pvfs: sending %v to iod %d: %w", req.WireType(), iod, err)
 	}
 	t.mu.Lock()
@@ -204,6 +214,7 @@ func (t *DirectTransport) Recv(id ReqID) (wire.Message, error) {
 		return nil, fmt.Errorf("pvfs: unknown request id %d", id)
 	}
 	res := <-p.ch
+	t.putReply(p.ch)
 	if res.Err != nil {
 		return nil, fmt.Errorf("pvfs: receiving: %w", res.Err)
 	}
@@ -222,6 +233,13 @@ func (t *DirectTransport) Recv(id ReqID) (wire.Message, error) {
 	}
 	rr.Data = nil
 	return rr, nil
+}
+
+// putReply returns an empty reply channel to the free list.
+func (t *DirectTransport) putReply(ch chan rpc.Result) {
+	t.mu.Lock()
+	t.free = append(t.free, ch)
+	t.mu.Unlock()
 }
 
 // scatterRead scatters the payload of a successful read reply into the

@@ -6,10 +6,16 @@
 //     request (see wire.WriteTagged), so responses demultiplex by tag and
 //     complete out of order: a slow read does not block unrelated requests
 //     sharing the connection.
-//   - Server is a shared accept/dispatch loop with a Handler interface and
-//     bounded per-connection worker concurrency, serving internal/iod,
-//     internal/mgr, internal/globalcache and the cache module's
-//     invalidation listener.
+//   - Server is a shared accept/dispatch loop with a Handler interface,
+//     serving internal/iod, internal/mgr, internal/globalcache and the
+//     cache module's invalidation listener. Each connection's requests
+//     are served by at most ServerConfig.Concurrency long-lived workers,
+//     started as load demands; the read loop blocks while all are busy.
+//
+// A round trip starts no goroutine and makes no channel: Go delivers its
+// Result to a reply channel the caller owns and re-uses (Call takes one
+// from a pool), a request is served by a worker that already runs, and a
+// response's lease comes from a pool.
 //
 // Every frame is tagged (see wire.WriteTagged); a peer that sends an
 // untagged one has its connection dropped.
@@ -52,10 +58,12 @@ type Result struct {
 	Msg   wire.Message
 	Err   error
 	Lease *Lease
+	gen   uint64 // the lease's generation this Result was handed
 }
 
 // Release recycles the frame buffer backing Msg's payload fields, if any.
-func (r Result) Release() { r.Lease.Release() }
+// It is idempotent across the Result and its copies.
+func (r Result) Release() { r.Lease.release(r.gen) }
 
 // ClientConfig assembles a Client.
 type ClientConfig struct {
@@ -127,17 +135,24 @@ func NewClient(cfg ClientConfig) *Client {
 // Addr returns the peer address the client dials.
 func (c *Client) Addr() string { return c.cfg.Addr }
 
-// Go sends req and returns a channel that receives exactly one Result when
-// the response arrives (or the connection fails). Requests issued
-// concurrently may complete in any order.
-func (c *Client) Go(req wire.Message) (<-chan Result, error) {
+// Go sends req and delivers exactly one Result to ch when the response
+// arrives (or the connection fails). Requests issued concurrently may
+// complete in any order. ch is the caller's reply slot: it must have a
+// buffer of one and be empty, and the caller may re-use it for its next
+// request once it has received this one's Result. When Go returns an
+// error nothing is delivered and ch is left empty.
+func (c *Client) Go(req wire.Message, ch chan Result) error {
 	cc, err := c.pick()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ch, _, err := cc.send(req)
-	return ch, err
+	_, err = cc.send(req, ch)
+	return err
 }
+
+// replySlots recycles Call's reply channels. A channel goes back only
+// after its one Result has been received, so it is always empty here.
+var replySlots = sync.Pool{New: func() any { return make(chan Result, 1) }}
 
 // Call is the synchronous form of Go, bounded by ClientConfig.CallTimeout
 // when one is set. The caller owns the returned Result's lease (see
@@ -147,7 +162,9 @@ func (c *Client) Call(req wire.Message) Result {
 	if err != nil {
 		return Result{Err: err}
 	}
-	ch, conn, err := cc.send(req)
+	ch := replySlots.Get().(chan Result)
+	defer replySlots.Put(ch)
+	conn, err := cc.send(req, ch)
 	if err != nil {
 		return Result{Err: err}
 	}
@@ -219,48 +236,57 @@ func (cc *clientConn) load() int {
 }
 
 // send writes req on this connection, dialing or redialing first if
-// needed, and registers a waiter for the response. The waiter is
-// registered before the write so the read loop can deliver (or failLocked
-// can abort) no matter where the write blocks. The transport.Conn the
-// request rode is returned so Call's timeout can fail exactly that
-// connection and no newer one.
+// needed, with ch registered as its waiter. The waiter is registered
+// before the write so the read loop can deliver (or failLocked can abort)
+// no matter where the write blocks. The transport.Conn the request rode
+// is returned so Call's timeout can fail exactly that connection and no
+// newer one.
 //
 // A pooled connection can be dead before its read loop has noticed — the
 // peer restarted since the last call. A frame whose write failed never
 // reaches a handler (the server decodes whole frames only, and failLocked
 // closes the connection), so send re-sends it once on a fresh dial when
 // the failed connection was dialed before this send. A failed fresh
-// connection is the caller's error.
-func (cc *clientConn) send(req wire.Message) (<-chan Result, transport.Conn, error) {
+// connection is the caller's error. Either way the failed attempt's
+// Result is taken back out of ch first: the re-sent request, or the
+// caller's next one, finds ch empty.
+func (cc *clientConn) send(req wire.Message, ch chan Result) (transport.Conn, error) {
 	cc.writeMu.Lock()
 	defer cc.writeMu.Unlock()
 	for {
-		ch := make(chan Result, 1)
 		conn, tag, fresh, err := cc.register(ch)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		werr := wire.WriteTagged(conn, tag, req)
 		if werr == nil {
-			return ch, conn, nil
+			return conn, nil
 		}
 		cc.mu.Lock()
 		tooLarge := errors.Is(werr, wire.ErrTooLarge)
+		withdrawn := false
 		if tooLarge {
 			// Encode-side rejection: no byte reached the wire, the
 			// connection is still aligned. Withdraw only this waiter.
 			if cc.pending[tag] == ch {
 				delete(cc.pending, tag)
+				withdrawn = true
 			}
 		} else if cc.conn == conn {
 			cc.failLocked(werr)
 		}
 		cc.mu.Unlock()
-		if tooLarge || fresh {
-			return nil, nil, fmt.Errorf("rpc: sending %v to %s: %w", req.WireType(), cc.client.cfg.Addr, werr)
+		if !withdrawn {
+			// Whoever took the waiter out of pending — failLocked here or
+			// earlier, or a read loop that raced a late response in —
+			// delivers its one Result: drain it.
+			(<-ch).Release()
 		}
-		// The stale connection is gone and its waiter failed: the next
-		// pass dials, and registers a new waiter.
+		if tooLarge || fresh {
+			return nil, fmt.Errorf("rpc: sending %v to %s: %w", req.WireType(), cc.client.cfg.Addr, werr)
+		}
+		// The stale connection is gone and its waiter drained: the next
+		// pass dials, and registers ch again.
 	}
 }
 
@@ -329,7 +355,8 @@ func (cc *clientConn) readLoop(conn transport.Conn) {
 		delete(cc.pending, tag)
 		cc.mu.Unlock()
 		cc.client.noteSuccess()
-		ch <- Result{Msg: msg, Lease: newLease(payload)}
+		lease, gen := newLease(payload)
+		ch <- Result{Msg: msg, Lease: lease, gen: gen}
 	}
 }
 

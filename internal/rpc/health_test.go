@@ -75,8 +75,8 @@ func TestConnDeathMidCall(t *testing.T) {
 	c := NewClient(ClientConfig{Network: mem, Addr: "flaky", Conns: 1})
 	defer c.Close()
 
-	ch, err := c.Go(&wire.Read{Offset: 7})
-	if err != nil {
+	ch := make(chan Result, 1)
+	if err := c.Go(&wire.Read{Offset: 7}, ch); err != nil {
 		t.Fatal(err)
 	}
 	dialsBefore := mem.dials.Load()

@@ -76,12 +76,11 @@ func TestOutOfOrderCompletion(t *testing.T) {
 	c := NewClient(ClientConfig{Network: net, Addr: addr, Conns: 1})
 	defer c.Close()
 
-	ch1, err := c.Go(&wire.Read{Offset: 1})
-	if err != nil {
+	ch1, ch2 := make(chan Result, 1), make(chan Result, 1)
+	if err := c.Go(&wire.Read{Offset: 1}, ch1); err != nil {
 		t.Fatal(err)
 	}
-	ch2, err := c.Go(&wire.Read{Offset: 2})
-	if err != nil {
+	if err := c.Go(&wire.Read{Offset: 2}, ch2); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -34,20 +34,28 @@ func (f HandlerFunc) Handle(req wire.Message) wire.Message { return f(req) }
 // ServerConfig tunes a Server.
 type ServerConfig struct {
 	// Concurrency bounds in-service requests per connection (default
-	// DefaultConcurrency).
+	// DefaultConcurrency): each connection is served by at most that many
+	// long-lived workers, started as load demands and stopped when the
+	// connection closes. Per connection a Server therefore runs at most
+	// 1 + Concurrency goroutines (the read loop and its workers) and pins
+	// at most Concurrency + 1 request frames (one per worker, and one the
+	// read loop holds while every worker is busy).
 	Concurrency int
 	// AfterWrite, when non-nil, runs after each response has been written
 	// to the wire. Handlers use it to recycle response buffers (e.g. the
-	// iod's read buffers) once the frame encoder is done with them.
+	// iod's read buffers) once the frame encoder is done with them. A
+	// response handed to a server with AfterWrite belongs to the server
+	// until the hook has run on it, so a handler must return a fresh or
+	// pooled message there, never a shared one the hook would recycle.
 	AfterWrite func(resp wire.Message)
 }
 
 // Server accepts connections and dispatches framed requests to a Handler.
-// Requests on one connection are served concurrently (bounded by
-// Concurrency) and their responses carry the request's tag, so they may
-// complete out of order. A frame that fails to decode, untagged ones
-// included (wire.ErrUntagged), drops its connection. One Server may serve
-// any number of listeners.
+// Requests on one connection are served concurrently by the connection's
+// workers (at most Concurrency of them) and their responses carry the
+// request's tag, so they may complete out of order. A frame that fails to
+// decode, untagged ones included (wire.ErrUntagged), drops its
+// connection. One Server may serve any number of listeners.
 type Server struct {
 	h   Handler
 	cfg ServerConfig
@@ -122,8 +130,19 @@ func (s *Server) untrack(conn transport.Conn) {
 	s.mu.Unlock()
 }
 
-// serveConn reads frames until the connection fails, fanning requests out
-// to bounded workers.
+// request is one decoded frame on its way from a connection's read loop to
+// a worker. payload backs msg's bulk fields and is released once the
+// handler has consumed them.
+type request struct {
+	tag     uint64
+	msg     wire.Message
+	payload []byte
+}
+
+// serveConn reads frames until the connection fails and hands each to one
+// of the connection's workers. A worker is started only when a frame finds
+// every running one busy and fewer than Concurrency run; at the bound the
+// read loop blocks until one frees, which is the connection's back-pressure.
 func (s *Server) serveConn(conn transport.Conn) {
 	defer s.wg.Done()
 	defer s.untrack(conn)
@@ -131,11 +150,13 @@ func (s *Server) serveConn(conn transport.Conn) {
 	var (
 		writeMu sync.Mutex
 		workers sync.WaitGroup
-		sem     = make(chan struct{}, s.cfg.Concurrency)
+		started int
+		reqs    = make(chan request) // unbuffered: a send is a handoff
 	)
 	// LIFO: close the connection first so workers blocked writing to a
-	// peer that stopped reading fail out, then wait for them.
+	// peer that stopped reading fail out, then stop them and wait.
 	defer workers.Wait()
+	defer close(reqs)
 	defer conn.Close()
 	for {
 		// Zero-copy request decode: the message's payload fields alias
@@ -145,27 +166,42 @@ func (s *Server) serveConn(conn transport.Conn) {
 		if err != nil {
 			return
 		}
-		sem <- struct{}{}
-		workers.Add(1)
-		go func(tag uint64, msg wire.Message, payload []byte) {
-			defer workers.Done()
-			defer func() { <-sem }()
-			resp := s.h.Handle(msg)
-			wire.ReleasePayload(payload)
-			if resp == nil {
-				conn.Close() // protocol error: unblock the read loop
-				return
-			}
-			writeMu.Lock()
-			err := wire.WriteTagged(conn, tag, resp)
-			writeMu.Unlock()
-			if err != nil {
-				conn.Close()
-				return
-			}
-			if s.cfg.AfterWrite != nil {
-				s.cfg.AfterWrite(resp)
-			}
-		}(tag, msg, payload)
+		r := request{tag: tag, msg: msg, payload: payload}
+		select {
+		case reqs <- r:
+			continue
+		default:
+		}
+		if started < s.cfg.Concurrency {
+			started++
+			workers.Add(1)
+			go s.work(conn, &writeMu, reqs, &workers)
+		}
+		reqs <- r
+	}
+}
+
+// work serves one connection's requests until its read loop stops. A
+// failed write or a handler's nil reply closes the connection, which ends
+// the read loop and with it every worker.
+func (s *Server) work(conn transport.Conn, writeMu *sync.Mutex, reqs <-chan request, workers *sync.WaitGroup) {
+	defer workers.Done()
+	for r := range reqs {
+		resp := s.h.Handle(r.msg)
+		wire.ReleasePayload(r.payload)
+		if resp == nil {
+			conn.Close() // protocol error: unblock the read loop
+			continue
+		}
+		writeMu.Lock()
+		err := wire.WriteTagged(conn, r.tag, resp)
+		writeMu.Unlock()
+		if err != nil {
+			conn.Close()
+			continue
+		}
+		if s.cfg.AfterWrite != nil {
+			s.cfg.AfterWrite(resp)
+		}
 	}
 }

@@ -216,8 +216,10 @@ type Module struct {
 	// iod (see flusher.go).
 	streams []*flushStream
 
-	// prefetch runs the readahead rounds (see readahead.go).
-	prefetch prefetchers
+	// prefetchQ hands readahead rounds to the prefetch workers (see
+	// readahead.go); unbuffered, so a send is a handoff.
+	prefetchQ  chan *prefetchJob
+	prefetchWG sync.WaitGroup
 
 	harvestKick chan struct{}
 	stop        chan struct{}
@@ -240,7 +242,7 @@ func New(cfg Config) (*Module, error) {
 		fetchTable:  fetchTable{fetches: make(map[blockio.BlockKey]*fetchState)},
 		files:       make(map[blockio.FileID]*fileState),
 		qos:         make(map[uint32]*tenantState),
-		prefetch:    prefetchers{jobs: make(chan *prefetchJob)},
+		prefetchQ:   make(chan *prefetchJob),
 		harvestKick: make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 	}
@@ -283,6 +285,9 @@ func New(cfg Config) (*Module, error) {
 	}
 	m.wg.Add(1)
 	go m.harvesterLoop()
+	if cfg.ReadaheadWindow > 0 {
+		m.startPrefetchWorkers()
+	}
 	return m, nil
 }
 
@@ -366,11 +371,7 @@ func (m *Module) Close() error {
 		for _, rc := range m.data {
 			rc.Close()
 		}
-		// No worker starts once stop is closed; closing the clients failed
-		// any round still waiting on a reply.
-		m.prefetch.mu.Lock()
-		m.prefetch.mu.Unlock()
-		m.prefetch.wg.Wait()
+		m.prefetchWG.Wait()
 	})
 	return err
 }

@@ -270,20 +270,11 @@ type prefetchJob struct {
 
 var prefetchJobs = sync.Pool{New: func() any { return new(prefetchJob) }}
 
-// prefetchWorkersPerIOD bounds the module's prefetch workers at this many
-// per iod: rounds to one iod overlap up to that depth, and a scan that
-// outruns them waits in prefetchRange for one to free.
+// prefetchWorkersPerIOD is how many prefetch workers a module with
+// readahead on runs per iod (startPrefetchWorkers): rounds to one iod
+// overlap up to that depth, and a scan that outruns them waits in
+// prefetchRange for one to free.
 const prefetchWorkersPerIOD = 4
-
-// prefetchers is the module's pool of long-lived prefetch workers. A
-// round is handed to an idle worker; a worker is started only when every
-// running one is busy and fewer than the bound run. Workers exit at Close.
-type prefetchers struct {
-	jobs    chan *prefetchJob // unbuffered: a send is a handoff
-	mu      sync.Mutex        // orders starts against Close's wait
-	started int
-	wg      sync.WaitGroup
-}
 
 // errModuleClosed settles the claims of a prefetch round no worker will
 // take because the module is closing.
@@ -328,30 +319,12 @@ func (m *Module) prefetchRange(file blockio.FileID, hint stripeHint, idxs []int6
 	}
 }
 
-// startPrefetch hands one round to a prefetch worker, starting one if
-// every running worker is busy and the bound allows. At the bound it waits
-// for a worker to free; once the module is closing it settles the round's
-// claims instead.
+// startPrefetch hands one round to an idle prefetch worker, waiting for
+// one to free. Once the module is closing no worker takes it, and its
+// claims are settled instead.
 func (m *Module) startPrefetch(j *prefetchJob) {
-	p := &m.prefetch
 	select {
-	case p.jobs <- j:
-		return
-	default:
-	}
-	p.mu.Lock()
-	select {
-	case <-m.stop:
-	default:
-		if p.started < prefetchWorkersPerIOD*len(m.data) {
-			p.started++
-			p.wg.Add(1)
-			go m.prefetchWorker()
-		}
-	}
-	p.mu.Unlock()
-	select {
-	case p.jobs <- j:
+	case m.prefetchQ <- j:
 	case <-m.stop:
 		m.settle([]fetchRun{{spans: j.owned}}, errModuleClosed)
 		j.reset()
@@ -359,16 +332,23 @@ func (m *Module) startPrefetch(j *prefetchJob) {
 	}
 }
 
-// prefetchWorker runs prefetch rounds until the module closes.
-func (m *Module) prefetchWorker() {
-	defer m.prefetch.wg.Done()
-	for {
-		select {
-		case j := <-m.prefetch.jobs:
-			m.prefetchIOD(j)
-		case <-m.stop:
-			return
-		}
+// startPrefetchWorkers starts the module's prefetch workers. They run
+// rounds until the module closes; Close waits for them once it has closed
+// the iod clients, which fails any round still waiting on a reply.
+func (m *Module) startPrefetchWorkers() {
+	for range prefetchWorkersPerIOD * len(m.data) {
+		m.prefetchWG.Add(1)
+		go func() {
+			defer m.prefetchWG.Done()
+			for {
+				select {
+				case j := <-m.prefetchQ:
+					m.prefetchIOD(j)
+				case <-m.stop:
+					return
+				}
+			}
+		}()
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pvfscache/internal/chaos/waitfor"
 	"pvfscache/internal/transport"
 	"pvfscache/internal/wire"
 )
@@ -151,18 +152,6 @@ func (h *blockingHandler) Handle(m wire.Message) wire.Message {
 	return &wire.ReadResp{Status: wire.StatusOK}
 }
 
-// waitFor polls cond for up to 5 s.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // sendReads writes n tagged Reads on conn.
 func sendReads(t *testing.T, conn transport.Conn, n int) {
 	t.Helper()
@@ -200,13 +189,9 @@ func TestHostilePeersBoundGoroutines(t *testing.T) {
 		peers = append(peers, conn)
 		sendReads(t, conn, concurrency+1)
 	}
-	waitFor(t, "every worker to hold a request", func() bool {
-		return h.inService.Load() == conns*concurrency
-	})
-	time.Sleep(20 * time.Millisecond) // room for a worker past the bound to show up
-	if n := h.inService.Load(); n != conns*concurrency {
-		t.Fatalf("%d requests in service, want %d: a connection went past Concurrency", n, conns*concurrency)
-	}
+	full := func() bool { return h.inService.Load() == conns*concurrency }
+	waitfor.Until(t, 5*time.Second, full, "every worker holding a request")
+	waitfor.Stable(t, 20*time.Millisecond, full, "no connection past Concurrency requests in service")
 	if got, bound := runtime.NumGoroutine()-baseline, conns*(concurrency+1)+slack; got > bound {
 		t.Fatalf("%d goroutines for %d connections of Concurrency %d, bound %d", got, conns, concurrency, bound)
 	}
@@ -217,7 +202,7 @@ func TestHostilePeersBoundGoroutines(t *testing.T) {
 	for _, c := range peers {
 		c.Close()
 	}
-	waitFor(t, "the server's goroutines to exit", func() bool { return runtime.NumGoroutine() <= baseline })
+	waitfor.Until(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= baseline }, "the server's goroutines exiting")
 }
 
 // TestHandlerNilStopsWorkers: a handler's nil reply drops the connection,
@@ -235,7 +220,7 @@ func TestHandlerNilStopsWorkers(t *testing.T) {
 	}
 	defer conn.Close()
 	sendReads(t, conn, concurrency-1)
-	waitFor(t, "the reads to be in service", func() bool { return h.inService.Load() == concurrency-1 })
+	waitfor.Until(t, 5*time.Second, func() bool { return h.inService.Load() == concurrency-1 }, "the reads in service")
 	if err := wire.WriteTagged(conn, 99, &wire.Stat{}); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +228,7 @@ func TestHandlerNilStopsWorkers(t *testing.T) {
 		t.Fatalf("a nil reply answered with %d bytes, want the connection dropped", n)
 	}
 	close(h.release)
-	waitFor(t, "the connection's workers to exit", func() bool { return runtime.NumGoroutine() <= withServer })
+	waitfor.Until(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= withServer }, "the connection's workers exiting")
 }
 
 // TestLeaseReleasesOncePerHandout: a Result and its copies release their
